@@ -14,6 +14,7 @@ over-claim and yields the undetermined verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 ENGINE_AGREEMENT_TOL = 1e-6
+# extract_A_tilde differentiates the depth-1 block Atil once more, and A twice
+# in u: depth 1, plus two orders for R, plus one for that derivative.
+A_TILDE_ORDER = 1 + 3
 DEFAULT_TOL = 1e-9
 DETECTION_FLOOR = 1e-3
 GRAY_FACTOR = 100.0
@@ -106,13 +110,13 @@ class SampleEvaluation:
     oracle: dict[str, np.ndarray | float]
     agreement: dict[str, float]
 
-    def max_disagreement(self) -> float:
-        return max(self.agreement.values())
-
 
 def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int = 2,
-                     order: int = 5) -> list[SampleEvaluation]:
-    """Run both pipelines at each sample and record per-block deviations."""
+                     order: int | None = None) -> list[SampleEvaluation]:
+    """Run both pipelines at each sample and record per-block deviations.
+
+    The engine's jets have order ``depth + 2`` unless ``order`` asks for more.
+    """
     evaluations = []
     for p in samples:
         cc = curvature_at(spec, p, order=order, depth=depth)
@@ -220,6 +224,24 @@ def _classify_residual(value: float, tol: float, floor: float, scale: float) -> 
     return "gray"
 
 
+def _check_agreement(evaluations: list[SampleEvaluation]) -> float:
+    """Worst engine/oracle deviation; raise if it is above the tolerance or not finite."""
+    blocks = [(dev, key, ev.point) for ev in evaluations for key, dev in ev.agreement.items()]
+    # NaN compares False both ways, so a non-finite deviation is picked out first.
+    broken = [b for b in blocks if not math.isfinite(b[0])]
+    dev, key, point = broken[0] if broken else max(blocks, key=lambda b: b[0])
+    where = f"worst block {key} at sample {list(point.coords)}"
+    if broken:
+        raise EngineDisagreement(
+            f"engine/oracle agreement is {dev} ({where}): the curvature jets are not "
+            "finite there, so no verdict can be reached")
+    if dev > ENGINE_AGREEMENT_TOL:
+        raise EngineDisagreement(
+            f"engine and oracle disagree by {dev:.3e} ({where}); "
+            "this indicates an internal inconsistency, not a property of the metric")
+    return dev
+
+
 def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
                    tol: float = DEFAULT_TOL, floor: float = DETECTION_FLOOR,
                    evaluations: list[SampleEvaluation] | None = None,
@@ -238,13 +260,7 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
     else:
         depth = 2 if evaluations[0].cc.second is not None else min(depth, 1)
 
-    agreement = max(ev.max_disagreement() for ev in evaluations)
-    if agreement > ENGINE_AGREEMENT_TOL:
-        worst = max(((k, v) for ev in evaluations for k, v in ev.agreement.items()),
-                    key=lambda kv: kv[1])
-        raise EngineDisagreement(
-            f"engine and oracle disagree by {agreement:.3e} (worst block {worst[0]}); "
-            "this indicates an internal inconsistency, not a property of the metric")
+    agreement = _check_agreement(evaluations)
 
     r0 = r1 = r2 = 0.0
     for ev in evaluations:
@@ -350,11 +366,19 @@ def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
                     tol: float = 1e-8,
                     evaluations: list[SampleEvaluation] | None = None,
                     check_affine: bool = False) -> AtilReport:
-    """Per-sample Atil values, gbar-eigenvalues and parallelism flags."""
+    """Per-sample Atil values, gbar-eigenvalues and parallelism flags.
+
+    Given ``evaluations`` must be of depth >= 1 at jet order >= ``A_TILDE_ORDER``.
+    """
     if samples is None:
         samples = sample_points(spec)
     if evaluations is None:
-        evaluations = evaluate_samples(spec, samples, depth=1)
+        evaluations = evaluate_samples(spec, samples, depth=1, order=A_TILDE_ORDER)
+    order = min(ev.cc.cj.order for ev in evaluations)
+    if order < A_TILDE_ORDER or any(ev.cc.Atil is None for ev in evaluations):
+        raise ValueError(
+            f"extract_A_tilde needs evaluations of depth >= 1 at jet order >= {A_TILDE_ORDER} "
+            f"(got order {order}); pass order={A_TILDE_ORDER} to evaluate_samples")
     values, eigs = [], []
     grad_res = d0_res = aff_res = 0.0
     for ev in evaluations:

@@ -126,7 +126,9 @@ def _load(path: str) -> MetricSpec:
 def cmd_check(args) -> int:
     spec = _load(args.file)
     samples = classify.sample_points(spec, count=args.samples)
-    evaluations = classify.evaluate_samples(spec, samples, depth=args.depth)
+    # Order depth + 2 <= 4 serves the verdict; the A_tilde section needs 4 at any depth.
+    evaluations = classify.evaluate_samples(spec, samples, depth=args.depth,
+                                            order=classify.A_TILDE_ORDER)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "check",

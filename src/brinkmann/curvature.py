@@ -244,11 +244,18 @@ def _zero_packs(m: int) -> tuple[CurvaturePack, DerivPack, SecondDerivPack]:
     return curv, first, SecondDerivPack(blocks)
 
 
-def curvature_at(spec: MetricSpec, p: ChartPoint, order: int = 5,
+def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
                  depth: int = 2) -> ChartCurvature:
-    """Compute curvature, nabla R and (depth 2) nabla nabla R blocks at p."""
+    """Compute curvature, nabla R and (depth 2) nabla nabla R blocks at p.
+
+    R takes two derivatives of the metric and each covariant derivative one
+    more, so the default jet order is ``depth + 2``.  A caller that takes
+    further derivatives of the returned jets must ask for a higher order.
+    """
     if depth not in (0, 1, 2):
         raise ValueError("depth must be 0, 1 or 2")
+    if order is None:
+        order = depth + 2
     if order < depth + 2:
         raise ValueError(f"jet order {order} too small for depth {depth}")
     cj = eval_metric(spec, p, order)

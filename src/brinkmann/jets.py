@@ -15,19 +15,28 @@ Coefficients are stored densely over the simplex {|alpha| <= order} in
 graded lexicographic order.  Because the ordering is graded, the
 coefficient vector of a lower order is a prefix of a higher one, so
 truncation is a slice.  Multiplication tables are precomputed once per
-(num_vars, order) pair and cached.
+(num_vars, order) pair and cached: the flat list of coefficient pairs
+(ka, kb) of the truncated product, sorted by the output coefficient ko
+they feed, and the offset where each output coefficient's run of pairs
+starts.
 
 A ``Jet`` may carry a leading batch shape: ``data`` has shape
 ``(*batch, ncoeffs)``.  Scalar jets have ``batch == ()``.  All arithmetic
 broadcasts over the batch axes, which is how whole tensor fields of jets
 are handled without Python-level loops.
+
+Tensor contractions of jets (``jet_einsum``) run in that pair space:
+gather both operands at the pair indices, contract every pair with one
+batched ``np.matmul``, then sum each output coefficient's run of pairs
+with ``np.add.reduceat``.  The outer product over contracted indices is
+never formed.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,6 +97,7 @@ class JetContext:
         self._index = {tuple(e): i for i, e in enumerate(exps)}
         self._mul_groups: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._mul_flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._mul_starts: np.ndarray | None = None
         self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def index(self, alpha: Sequence[int]) -> int:
@@ -110,10 +120,12 @@ class JetContext:
         ]
         ka = np.concatenate([g[0] for g in self._mul_groups])
         kb = np.concatenate([g[1] for g in self._mul_groups])
-        ko = np.concatenate(
-            [np.full(len(g[0]), i, dtype=np.intp) for i, g in enumerate(self._mul_groups)]
-        )
+        sizes = [len(g[0]) for g in self._mul_groups]
+        ko = np.repeat(np.arange(self.ncoeffs, dtype=np.intp), sizes)
         self._mul_flat = (ka, kb, ko)
+        # Every group is non-empty (it holds the pair (0, ko)), so these start
+        # offsets cut the pair axis into one run per output coefficient.
+        self._mul_starts = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
 
     def mul_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         if self._mul_groups is None:
@@ -124,6 +136,12 @@ class JetContext:
         if self._mul_flat is None:
             self._build_mul()
         return self._mul_flat
+
+    def mul_starts(self) -> np.ndarray:
+        """Offsets of the runs of ``mul_flat()`` pairs, one run per output coefficient."""
+        if self._mul_starts is None:
+            self._build_mul()
+        return self._mul_starts
 
     def diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
         """Map child-context coefficients to (source index, factor) pairs."""
@@ -138,11 +156,6 @@ class JetContext:
                 fac[i] = beta[var]
             self._diff_tables[var] = (src, fac)
         return self._diff_tables[var]
-
-    def factorials(self) -> np.ndarray:
-        return np.array(
-            [math.prod(math.factorial(int(e)) for e in row) for row in self.exps]
-        )
 
 
 @lru_cache(maxsize=None)
@@ -393,32 +406,100 @@ def pow_int(a: Jet, n: int) -> Jet:
 # -- two-operand einsum over batch axes ------------------------------------------
 
 
+class _EinsumPlan(NamedTuple):
+    """Axis bookkeeping of one ``jet_einsum`` call, cached per (subscripts, shapes)."""
+
+    sum_a: tuple[int, ...]         # axes of ``a`` summed before the product
+    sum_b: tuple[int, ...]
+    perm_a: tuple[int, ...]        # to coefficient axis first, then batch, left, contracted
+    perm_b: tuple[int, ...]        # to coefficient axis first, then batch, contracted, right
+    mat_a: tuple[int, int, int]    # (batch, left, contracted) sizes
+    mat_b: tuple[int, int, int]    # (batch, contracted, right) sizes
+    grouped: tuple[int, ...]       # batch, left and right dimensions, in that order
+    perm_out: tuple[int, ...]      # from (coefficient, *grouped) to (*out, coefficient)
+
+
+@lru_cache(maxsize=4096)
+def _einsum_plan(subscripts: str, shape_a: tuple[int, ...],
+                 shape_b: tuple[int, ...]) -> _EinsumPlan:
+    try:
+        lhs, out = subscripts.replace(" ", "").split("->")
+        s1, s2 = lhs.split(",")
+    except ValueError:
+        raise JetShapeError(f"subscripts {subscripts!r} are not of the form 'ab,bc->ac'") from None
+    if len(s1) != len(shape_a) or len(s2) != len(shape_b):
+        raise JetShapeError(f"subscripts {subscripts!r} do not match operand shapes")
+    for letters in (s1, s2, out):
+        if len(set(letters)) != len(letters):
+            raise JetShapeError(f"repeated index within one term of {subscripts!r}")
+    dims: dict[str, int] = {}
+    for letters, shape in ((s1, shape_a), (s2, shape_b)):
+        for letter, dim in zip(letters, shape):
+            if dims.setdefault(letter, dim) != dim:
+                raise JetShapeError(f"dimension mismatch for index {letter!r}")
+    if not set(out) <= dims.keys():
+        raise JetShapeError(f"output of {subscripts!r} names an index no operand has")
+
+    # A letter only one operand carries and the output lacks is summed first.
+    a_keep = [x for x in s1 if x in s2 or x in out]
+    b_keep = [x for x in s2 if x in s1 or x in out]
+    batch = [x for x in out if x in s1 and x in s2]
+    left = [x for x in out if x in s1 and x not in s2]
+    right = [x for x in out if x in s2 and x not in s1]
+    contracted = [x for x in a_keep if x in s2 and x not in out]
+
+    def size(letters: list[str]) -> int:
+        return math.prod(dims[x] for x in letters)
+
+    def perm(keep: list[str], order: list[str]) -> tuple[int, ...]:
+        # The coefficient axis follows the kept letters and moves to the front.
+        return (len(keep),) + tuple(keep.index(x) for x in order)
+
+    grouped = batch + left + right
+    return _EinsumPlan(
+        sum_a=tuple(i for i, x in enumerate(s1) if x not in a_keep),
+        sum_b=tuple(i for i, x in enumerate(s2) if x not in b_keep),
+        perm_a=perm(a_keep, batch + left + contracted),
+        perm_b=perm(b_keep, batch + contracted + right),
+        mat_a=(size(batch), size(left), size(contracted)),
+        mat_b=(size(batch), size(contracted), size(right)),
+        grouped=tuple(dims[x] for x in grouped),
+        perm_out=tuple(1 + grouped.index(x) for x in out) + (0,),
+    )
+
+
+def _pair_space(data: np.ndarray, sum_axes: tuple[int, ...], perm: tuple[int, ...],
+                mat: tuple[int, int, int], k: np.ndarray) -> np.ndarray:
+    """Coefficient-first operand, gathered at pair indices ``k``: shape (P, *mat)."""
+    if sum_axes:
+        data = data.sum(axis=sum_axes)
+    return data.transpose(perm)[k].reshape((len(k),) + mat)
+
+
 def jet_einsum(subscripts: str, a: Jet, b: Jet) -> Jet:
     """einsum-style contraction of two batched jets, e.g. ``'ir,rjk->ijk'``.
 
     Repeated letters are contracted by summation; the coefficient axis is
-    convolved (truncated product).  Only the two-operand form is supported.
+    convolved (truncated product).  Only the two-operand form is supported,
+    and no letter may repeat within one term.
+
+    The outer product over the contracted letters is never formed.  A
+    letter that only one operand carries and the output lacks is summed
+    first.  Each operand is then gathered into the truncated-product pair
+    space (``ctx.mul_flat()``: pair p multiplies coefficient ka[p] of ``a``
+    by kb[p] of ``b``), laid out as a stack of matrices: letters shared by
+    both operands and the output form the batch axis, the free letters of
+    ``a`` the rows, the contracted letters the inner axis and the free
+    letters of ``b`` the columns.  One ``np.matmul`` contracts every pair,
+    and ``np.add.reduceat`` over the runs of pairs that share an output
+    coefficient (``ctx.mul_starts()``) sums them into the product.
     """
-    lhs, out = subscripts.replace(" ", "").split("->")
-    s1, s2 = lhs.split(",")
-    if len(s1) != len(a.shape) or len(s2) != len(b.shape):
-        raise JetShapeError(f"subscripts {subscripts!r} do not match operand shapes")
     a, b = a._align(b)
-    contracted = sorted((set(s1) | set(s2)) - set(out))
-    axes = list(out) + contracted
-    dims = {}
-    for letters, op in ((s1, a), (s2, b)):
-        for letter, dim in zip(letters, op.shape):
-            if dims.setdefault(letter, dim) != dim:
-                raise JetShapeError(f"dimension mismatch for index {letter!r}")
-
-    def expand(op: Jet, letters: str) -> np.ndarray:
-        perm = [letters.index(ax) for ax in axes if ax in letters]
-        arr = np.transpose(op.data, perm + [len(letters)])
-        shape = [dims[ax] if ax in letters else 1 for ax in axes] + [op.ctx.ncoeffs]
-        return arr.reshape(shape)
-
-    prod = _mul_data(a.ctx, expand(a, s1), expand(b, s2))
-    if contracted:
-        prod = prod.sum(axis=tuple(range(len(out), len(axes))))
-    return Jet(a.ctx, prod)
+    plan = _einsum_plan(subscripts, a.shape, b.shape)
+    ka, kb, _ = a.ctx.mul_flat()
+    pa = _pair_space(a.data, plan.sum_a, plan.perm_a, plan.mat_a, ka)
+    pb = _pair_space(b.data, plan.sum_b, plan.perm_b, plan.mat_b, kb)
+    pairs = np.matmul(pa, pb)                                  # (P, batch, left, right)
+    coeffs = np.add.reduceat(pairs, a.ctx.mul_starts(), axis=0)
+    out = coeffs.reshape((a.ctx.ncoeffs,) + plan.grouped).transpose(plan.perm_out)
+    return Jet(a.ctx, out)

@@ -12,8 +12,8 @@ import pytest
 from brinkmann import expr as E
 from brinkmann import jets as J
 from brinkmann.chart import ChartPoint
-from brinkmann.classify import (algebra_lemma_probe, check_theorem_redu, eisenhart_split,
-                                evaluate_samples, extract_A_tilde, sample_points,
+from brinkmann.classify import (A_TILDE_ORDER, algebra_lemma_probe, check_theorem_redu,
+                                eisenhart_split, evaluate_samples, extract_A_tilde, sample_points,
                                 symmetry_order)
 from brinkmann.canonical import reconstruct
 from brinkmann.spaces import (CwParams, FIXTURE_NAMES, apply_chart_change, fixture,
@@ -91,7 +91,7 @@ def test_criterion_4_A_tilde_structure():
     is invariant under 20 random affine chart changes."""
     spec = fixture("cw4_r2_x_sphere")
     samples = sample_points(spec)
-    evaluations = evaluate_samples(spec, samples, depth=1)
+    evaluations = evaluate_samples(spec, samples, depth=1, order=A_TILDE_ORDER)
     atil = extract_A_tilde(spec, samples, tol=1e-8, evaluations=evaluations)
     split = eisenhart_split(spec, samples, evaluations=evaluations)
     supported = split.atil_on_flat_block is True

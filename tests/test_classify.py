@@ -196,3 +196,23 @@ def test_verdict_chart_invariance():
     for _ in range(20):
         moved = apply_chart_change(spec, random_affine_change(spec, rng))
         assert symmetry_order(moved, samples).verdict == "proper_second_symmetric"
+
+
+def test_non_finite_agreement_aborts():
+    spec = fixture("cw4_r2")
+    samples = sample_points(spec)
+    evals = evaluate_samples(spec, samples, depth=1)
+    evals[3].agreement["Bhat"] = float("nan")
+    with pytest.raises(EngineDisagreement, match=r"worst block Bhat at sample \[") as info:
+        symmetry_order(spec, samples, evaluations=evals)
+    assert str(list(samples[3].coords)) in str(info.value)
+
+
+def test_extract_A_tilde_refuses_short_jets():
+    spec = fixture("cw4_r2")
+    samples = sample_points(spec)
+    with pytest.raises(ValueError, match="jet order >= 4"):
+        extract_A_tilde(spec, samples, evaluations=evaluate_samples(spec, samples, depth=1))
+    with pytest.raises(ValueError, match="jet order >= 4"):
+        extract_A_tilde(spec, samples, evaluations=evaluate_samples(spec, samples, depth=0,
+                                                                    order=4))

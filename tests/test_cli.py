@@ -186,3 +186,16 @@ def test_missing_file_is_an_error(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/x.metric")
     assert code == 1
     assert "error:" in err
+
+
+def test_check_non_finite_agreement_aborts(tmp_path, capsys):
+    # exp(800 u) overflows the jets on most of u in [0, 1]: no verdict may be printed.
+    path = tmp_path / "overflow.metric"
+    path.write_text('[metric]\ndimension = 4\nH = "exp(800*u) * x2^2"\n\n'
+                    '[box]\nu = 0 1\nx2 = -1 1\nx3 = -1 1\n')
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert "agreement is nan" in err
+    assert "worst block" in err and "at sample [" in err

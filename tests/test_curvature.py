@@ -7,7 +7,8 @@ from brinkmann import expr, jets
 from brinkmann.chart import ChartPoint, MetricSpec
 from brinkmann.curvature import curvature_at, d0_apply, d0_op, leaf_grad
 from brinkmann.jets import Jet
-from brinkmann.spaces import CwParams, fixture, make_cw, random_polynomial_spec
+from brinkmann.spaces import (FIXTURE_NAMES, CwParams, fixture, make_cw,
+                              random_polynomial_spec)
 
 P_CW42 = lambda u: np.diag([u, 1.0])
 
@@ -221,3 +222,19 @@ def test_two_dimensional_chart_is_trivially_flat():
     cc = curvature_at(spec, ChartPoint(0.4, ()), depth=2)
     assert cc.curvature.max_norm() == 0.0
     assert cc.second.max_norm() == 0.0
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_default_order_matches_order_5(name):
+    # Depth 2 needs jets of order 4; a fifth order must not change any block.
+    spec = fixture(name)
+    p = spec.center()
+    low, high = curvature_at(spec, p, depth=2), curvature_at(spec, p, order=5, depth=2)
+    assert low.cj.order == 4
+    for pack in ("curvature", "first"):
+        for key, val in vars(getattr(low, pack)).items():
+            ref = np.asarray(vars(getattr(high, pack))[key])
+            assert np.all(np.abs(np.asarray(val) - ref) <= 1e-13 * (1.0 + np.abs(ref))), key
+    for key, val in low.second.blocks.items():
+        ref = high.second.blocks[key]
+        assert np.all(np.abs(val - ref) <= 1e-13 * (1.0 + np.abs(ref))), key

@@ -167,3 +167,86 @@ def test_batched_arithmetic_broadcasts():
     for i, v in enumerate(vals):
         single = J.sin(J.seed(0, v, 2, 3)) * J.seed(0, v, 2, 3)
         assert np.allclose(f[i].data, single.data)
+
+
+def _einsum_reference(subscripts, a, b):
+    """Brute force: contract every truncated-product pair with np.einsum."""
+    ka, kb, ko = a.ctx.mul_flat()
+    out = None
+    for i, j, k in zip(ka, kb, ko):
+        term = np.einsum(subscripts, a.data[..., i], b.data[..., j])
+        if out is None:
+            out = np.zeros(term.shape + (a.ctx.ncoeffs,))
+        out[..., k] += term
+    return out
+
+
+# Letter roles: batch (both operands and the output), left/right (one operand
+# and the output), contracted (both operands only), a_sum/b_sum (one operand only).
+_ROLES = ("batch", "left", "right", "contracted", "a_sum", "b_sum")
+
+
+@st.composite
+def _einsum_cases(draw):
+    counts = {role: draw(st.integers(0, 2)) for role in _ROLES}
+    letters = iter("abcdefghijklmnop")
+    roles = {role: [next(letters) for _ in range(n)] for role, n in counts.items()}
+    dims = {x: draw(st.integers(1, 3)) for xs in roles.values() for x in xs}
+    s1 = roles["batch"] + roles["left"] + roles["contracted"] + roles["a_sum"]
+    s2 = roles["batch"] + roles["contracted"] + roles["right"] + roles["b_sum"]
+    out = roles["batch"] + roles["left"] + roles["right"]
+    s1, s2, out = (draw(st.permutations(xs)) for xs in (s1, s2, out))
+    nv = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return "".join(s1) + "," + "".join(s2) + "->" + "".join(out), s1, s2, dims, nv, order, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_einsum_cases())
+def test_jet_einsum_matches_pairwise_reference(case):
+    subscripts, s1, s2, dims, nv, order, seed = case
+    rng = np.random.default_rng(seed)
+    ctx = J.context(nv, order)
+    a = J.Jet(ctx, rng.normal(size=tuple(dims[x] for x in s1) + (ctx.ncoeffs,)))
+    b = J.Jet(ctx, rng.normal(size=tuple(dims[x] for x in s2) + (ctx.ncoeffs,)))
+    got = J.jet_einsum(subscripts, a, b).data
+    want = _einsum_reference(subscripts, a, b)
+    # Summation order differs; bound the error by the sum of |terms|.
+    bound = _einsum_reference(subscripts, J.Jet(ctx, np.abs(a.data)), J.Jet(ctx, np.abs(b.data)))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * bound)
+
+
+@pytest.mark.parametrize("subscripts,sa,sb", [
+    ("bi,bi->b", (3, 2), (3, 2)),          # batch letter, nothing else
+    ("bij,bjk->bik", (2, 3, 4), (2, 4, 2)),  # batched matrix product
+    ("ijx,jk->ik", (2, 3, 4), (3, 2)),      # x summed in one operand only
+    ("ij,ij->", (3, 3), (3, 3)),            # scalar output
+    ("i,j->", (2,), (3,)),                  # scalar output, nothing contracted
+    ("ij,jk->ik", (0, 2), (2, 0)),          # empty axes
+])
+@pytest.mark.parametrize("nv,order", [(1, 0), (1, 4), (2, 0), (3, 2)])
+def test_jet_einsum_named_shapes(subscripts, sa, sb, nv, order):
+    rng = np.random.default_rng(7)
+    ctx = J.context(nv, order)
+    a = J.Jet(ctx, rng.normal(size=sa + (ctx.ncoeffs,)))
+    b = J.Jet(ctx, rng.normal(size=sb + (ctx.ncoeffs,)))
+    got = J.jet_einsum(subscripts, a, b).data
+    want = _einsum_reference(subscripts, a, b)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_jet_einsum_shape_errors():
+    ctx = J.context(2, 2)
+    A = J.zeros((3, 4), 2, 2)
+    B = J.zeros((4, 3), 2, 2)
+    for bad in ("ijk,jk->ik", "ij,j->i", "ij,jk", "ij->i", "ii,jk->ik", "ij,jk->iz"):
+        with pytest.raises(J.JetShapeError):
+            J.jet_einsum(bad, A, B)
+    with pytest.raises(J.JetShapeError):
+        J.jet_einsum("ij,jk->ik", A, A)   # j is 4 in A and 3 in B
+    with pytest.raises(J.JetShapeError):
+        J.jet_einsum("ij,jk->ik", A, J.zeros((4, 3), 3, 2))
+    assert J.jet_einsum("ij,jk->ik", A, B).ctx is ctx
