@@ -29,12 +29,13 @@ plane-wave quadratic coefficient is P(u) = -A(u); both are reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import expr, jets
 from .chart import MetricSpec
+from .ode import rk4_step
 
 __all__ = [
     "FlatBlockData",
@@ -164,21 +165,19 @@ class FlatBlockData:
 
 @dataclass
 class RotationCurve:
+    """R on the u-grid, plus the abscissa and the R handed to every RK4 stage.
+
+    The translation ODE runs on the same grid and reads R at its stages from
+    here, so the rotation curve is integrated once.
+    """
+
     us: np.ndarray
     R: np.ndarray            # (len(us), d, d)
     orthogonality_error: float
     drift_before_projection: float
-
-
-def _rk4(y: np.ndarray, u: float, u_mid: float, u_next: float, h: float,
-         f: Callable[[float, np.ndarray], np.ndarray]) -> np.ndarray:
-    # stage abscissae are passed in exactly as precomputed, so the sampler
-    # cache is hit bit-for-bit
-    k1 = f(u, y)
-    k2 = f(u_mid, y + 0.5 * h * k1)
-    k3 = f(u_mid, y + 0.5 * h * k2)
-    k4 = f(u_next, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    h: float
+    stage_u: np.ndarray      # (steps, 4)
+    stage_R: np.ndarray      # (steps, 4, d, d)
 
 
 def _polar_project(R: np.ndarray) -> np.ndarray:
@@ -193,12 +192,6 @@ def default_steps(u_interval: tuple[float, float], steps: int | None) -> int:
     return max(200, int(2000 * abs(u_interval[1] - u_interval[0])))
 
 
-def _grid(u_interval: tuple[float, float], steps: int) -> tuple[float, np.ndarray]:
-    u0, u1 = u_interval
-    h = (u1 - u0) / steps
-    return h, u0 + h * np.arange(steps + 1)
-
-
 def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
                        steps: int | None = None, R0: np.ndarray | None = None) -> RotationCurve:
     """Integrate dR/du = -R^{-T} t(u) with periodic orthogonal reprojection."""
@@ -207,19 +200,25 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     if d and np.max(np.abs(R0.T @ R0 - np.eye(d))) > 1e-12:
         raise ValueError("R0 must be orthogonal")
     steps = default_steps(u_interval, steps)
-    h, us = _grid(u_interval, steps)
+    u0, u1 = u_interval
+    h = (u1 - u0) / steps
+    us = u0 + h * np.arange(steps + 1)
     mids = us[:-1] + 0.5 * h
     data.precompute(np.concatenate([us, mids]))
+    # stage abscissae exactly as precomputed, so the sampler cache is hit bit for bit
+    stage_u = np.stack([us[:-1], mids, mids, us[1:]], axis=1)
+    stage_R = np.empty((steps, 4, d, d))
     out = np.empty((steps + 1, d, d))
     out[0] = R0
     R = R0.copy()
     drift = 0.0
 
-    def f(u: float, Rc: np.ndarray) -> np.ndarray:
-        return -np.linalg.inv(Rc).T @ data.t(u)
+    def f(stage: tuple[int, int], Rc: np.ndarray) -> np.ndarray:
+        stage_R[stage] = Rc
+        return -np.linalg.inv(Rc).T @ data.t(stage_u[stage])
 
     for k in range(steps):
-        R = _rk4(R, us[k], mids[k], us[k + 1], h, f)
+        R = rk4_step(f, R, h, [(k, s) for s in range(4)])
         if (k + 1) % REPROJECT_EVERY == 0 and d:
             drift = max(drift, float(np.max(np.abs(R.T @ R - np.eye(d)))))
             if drift > DRIFT_LIMIT:
@@ -231,76 +230,56 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     err = max(
         float(np.max(np.abs(out[k].T @ out[k] - np.eye(d)))) for k in range(steps + 1)
     ) if d else 0.0
-    return RotationCurve(us, out, err, drift)
+    return RotationCurve(us, out, err, drift, h, stage_u, stage_R)
 
 
-def _second_derivative_of_R(data: FlatBlockData, u: float, R: np.ndarray) -> np.ndarray:
-    """d2R/du2 from differentiating the ODE right-hand side analytically."""
+def _A_at(data: FlatBlockData, u: float, R: np.ndarray) -> np.ndarray:
+    """A(u) from the cross-derivative relation, given R(u) on the rotation curve.
+
+    d2R/du2 comes from differentiating the rotation ODE analytically.
+    """
     Rinv = np.linalg.inv(R)
     t = data.t(u)
     Rdot = -Rinv.T @ t
     dRinvT = -(Rinv @ Rdot @ Rinv).T
-    return -dRinvT @ t - Rinv.T @ data.tdot(u)
+    M = R.T @ (-dRinvT @ t - Rinv.T @ data.tdot(u))
+    lam = data.Lambda(u)
+    core = 0.5 * (lam + lam.T) - 0.5 * (M + M.T)
+    A = -0.5 * (R @ core @ R.T)
+    return 0.5 * (A + A.T)
 
 
 def recover_A(data: FlatBlockData, rot: RotationCurve) -> np.ndarray:
     """A(u) at the rotation grid from the cross-derivative relation."""
     out = np.empty_like(rot.R)
     for k, (u, R) in enumerate(zip(rot.us, rot.R)):
-        Rdd = _second_derivative_of_R(data, float(u), R)
-        M = R.T @ Rdd
-        lam = data.Lambda(float(u))
-        lam_sym = 0.5 * (lam + lam.T)
-        core = lam_sym - 0.5 * (M + M.T)
-        out[k] = -0.5 * (R @ core @ R.T)
-        out[k] = 0.5 * (out[k] + out[k].T)
+        out[k] = _A_at(data, float(u), R)
     return out
 
 
-def solve_translation_ode(data: FlatBlockData, u_interval: tuple[float, float],
-                          steps: int | None = None, R0: np.ndarray | None = None,
+def solve_translation_ode(data: FlatBlockData, rot: RotationCurve,
                           D0: np.ndarray | None = None,
                           Ddot0: np.ndarray | None = None) -> np.ndarray:
     """Integrate d2D/du2 = 2 A(u) D + R^{-T} B(u) on the rotation grid.
 
-    The rotation curve is re-integrated jointly so A and R are available
-    at the Runge-Kutta substeps without interpolation.
+    u and R at every Runge-Kutta stage are the ones ``rot`` recorded, so A
+    and R are available at the substeps without interpolation.
     """
     d = data.d
-    R0 = np.eye(d) if R0 is None else np.asarray(R0, dtype=float)
     D = np.zeros(d) if D0 is None else np.asarray(D0, dtype=float)
     Dd = np.zeros(d) if Ddot0 is None else np.asarray(Ddot0, dtype=float)
-    steps = default_steps(u_interval, steps)
-    h, us = _grid(u_interval, steps)
-    mids = us[:-1] + 0.5 * h
-    data.precompute(np.concatenate([us, mids]))
-    out = np.empty((steps + 1, d))
+    out = np.empty((len(rot.us), d))
     out[0] = D
-    state = np.concatenate([R0.ravel(), D, Dd])
+    state = np.concatenate([D, Dd])
 
-    def A_at(u: float, R: np.ndarray) -> np.ndarray:
-        Rdd = _second_derivative_of_R(data, u, R)
-        M = R.T @ Rdd
-        lam = data.Lambda(u)
-        core = 0.5 * (lam + lam.T) - 0.5 * (M + M.T)
-        A = -0.5 * (R @ core @ R.T)
-        return 0.5 * (A + A.T)
+    def f(stage: tuple[float, np.ndarray], y: np.ndarray) -> np.ndarray:
+        u, R = stage
+        Dddot = 2.0 * _A_at(data, u, R) @ y[:d] + np.linalg.inv(R).T @ data.B(u)
+        return np.concatenate([y[d:], Dddot])
 
-    def f(u: float, y: np.ndarray) -> np.ndarray:
-        R = y[: d * d].reshape(d, d)
-        Dc = y[d * d: d * d + d]
-        Ddc = y[d * d + d:]
-        RinvT = np.linalg.inv(R).T
-        Rdot = -RinvT @ data.t(u)
-        Dddot = 2.0 * A_at(u, R) @ Dc + RinvT @ data.B(u)
-        return np.concatenate([Rdot.ravel(), Ddc, Dddot])
-
-    for k in range(steps):
-        state = _rk4(state, us[k], mids[k], us[k + 1], h, f)
-        if (k + 1) % REPROJECT_EVERY == 0 and d:
-            R = _polar_project(state[: d * d].reshape(d, d))
-            state[: d * d] = R.ravel()
-        out[k + 1] = state[d * d: d * d + d]
+    for k in range(len(rot.us) - 1):
+        state = rk4_step(f, state, rot.h, list(zip(rot.stage_u[k], rot.stage_R[k])))
+        out[k + 1] = state[:d]
     return out
 
 
@@ -408,7 +387,7 @@ def reconstruct(spec: MetricSpec, block: Sequence[int] | None = None,
     steps = default_steps(u_interval, steps)
     rot = solve_rotation_ode(data, u_interval, steps, R0)
     A_of_u = recover_A(data, rot)
-    D_of_u = solve_translation_ode(data, u_interval, steps, R0, D0, Ddot0)
+    D_of_u = solve_translation_ode(data, rot, D0, Ddot0)
     fit = verify_canonical(rot.us, A_of_u, tol)
     r1, r3 = _eqq_residuals(data, rot, A_of_u, D_of_u)
     return CanonicalForm(

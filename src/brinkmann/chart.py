@@ -22,6 +22,7 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -208,8 +209,12 @@ class ChartJets:
     H: Jet          # scalar
     W: Jet          # (m,)
     g: Jet          # (m, m)
-    ginv: Jet       # (m, m), jet inverse of g
     ginv0: np.ndarray  # numeric inverse of the degree-0 part
+
+    @functools.cached_property
+    def ginv(self) -> Jet:
+        """Jet inverse of g, built on first use."""
+        return jet_matrix_inverse(self.g)
 
     @property
     def m(self) -> int:
@@ -253,7 +258,7 @@ def jet_matrix_inverse(G: Jet) -> Jet:
 
 
 def eval_metric(spec: MetricSpec, p: ChartPoint, order: int = 5) -> ChartJets:
-    """Jets of H, W_i and g_ij about p, plus the inverse leaf metric.
+    """Jets of H, W_i and g_ij about p, plus the inverse leaf metric's value.
 
     Raises MetricDefinitenessError when the numeric g_ij at p is not
     positive definite (smallest Cholesky pivot below PIVOT_RATIO times the
@@ -286,8 +291,7 @@ def eval_metric(spec: MetricSpec, p: ChartPoint, order: int = 5) -> ChartJets:
         if pivots.min() <= PIVOT_RATIO * pivots.max():
             raise MetricDefinitenessError(
                 f"leaf metric nearly degenerate at {p.coords}")
-    ginv = jet_matrix_inverse(g)
-    return ChartJets(spec, p, order, H, W, g, ginv, np.linalg.inv(g0) if m else g0)
+    return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0) if m else g0)
 
 
 # -- first-layer derived objects ---------------------------------------------------

@@ -116,21 +116,38 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int
     """Run both pipelines at each sample and record per-block deviations.
 
     The engine's jets have order ``depth + 2`` unless ``order`` asks for more.
+    Overflow inside the jets is not reported as it happens; instead a
+    non-finite deviation aborts with ``EngineDisagreement``, naming the first
+    such block and its sample.
     """
     evaluations = []
     for p in samples:
-        cc = curvature_at(spec, p, order=order, depth=depth)
-        ob = frame_blocks_from_oracle(spec, p, depth=depth)
-        eb = _engine_blocks(cc, depth)
-        agreement = {}
-        for key, o in ob.items():
-            o_arr = np.asarray(o, dtype=float)
-            e_arr = np.asarray(eb[key], dtype=float)
-            scale = 1.0 + (np.max(np.abs(o_arr)) if o_arr.size else 0.0)
-            dev = (np.max(np.abs(e_arr - o_arr)) if o_arr.size else 0.0) / scale
-            agreement[key] = float(dev)
-        evaluations.append(SampleEvaluation(p, cc, ob, agreement))
+        with np.errstate(all="ignore"):
+            cc = curvature_at(spec, p, order=order, depth=depth)
+            ob = frame_blocks_from_oracle(spec, p, depth=depth)
+            eb = _engine_blocks(cc, depth)
+            agreement = {}
+            for key, o in ob.items():
+                o_arr = np.asarray(o, dtype=float)
+                e_arr = np.asarray(eb[key], dtype=float)
+                scale = 1.0 + (np.max(np.abs(o_arr)) if o_arr.size else 0.0)
+                dev = (np.max(np.abs(e_arr - o_arr)) if o_arr.size else 0.0) / scale
+                agreement[key] = float(dev)
+        ev = SampleEvaluation(p, cc, ob, agreement)
+        _check_finite([ev])
+        evaluations.append(ev)
     return evaluations
+
+
+def _check_finite(evaluations: list[SampleEvaluation]) -> None:
+    """Raise on the first non-finite engine/oracle deviation, naming block and sample."""
+    for ev in evaluations:
+        for key, dev in ev.agreement.items():
+            if not math.isfinite(dev):
+                raise EngineDisagreement(
+                    f"engine/oracle agreement is {dev} (worst block {key} at sample "
+                    f"{list(ev.point.coords)}): the curvature jets are not finite there, "
+                    "so no verdict can be reached")
 
 
 def _depth_norms(ev: SampleEvaluation) -> tuple[float, float, float]:
@@ -226,18 +243,14 @@ def _classify_residual(value: float, tol: float, floor: float, scale: float) -> 
 
 def _check_agreement(evaluations: list[SampleEvaluation]) -> float:
     """Worst engine/oracle deviation; raise if it is above the tolerance or not finite."""
-    blocks = [(dev, key, ev.point) for ev in evaluations for key, dev in ev.agreement.items()]
-    # NaN compares False both ways, so a non-finite deviation is picked out first.
-    broken = [b for b in blocks if not math.isfinite(b[0])]
-    dev, key, point = broken[0] if broken else max(blocks, key=lambda b: b[0])
-    where = f"worst block {key} at sample {list(point.coords)}"
-    if broken:
-        raise EngineDisagreement(
-            f"engine/oracle agreement is {dev} ({where}): the curvature jets are not "
-            "finite there, so no verdict can be reached")
+    # Evaluations may come from the caller, so finiteness is checked again here.
+    _check_finite(evaluations)
+    dev, key, point = max(((dev, key, ev.point) for ev in evaluations
+                           for key, dev in ev.agreement.items()), key=lambda b: b[0])
     if dev > ENGINE_AGREEMENT_TOL:
         raise EngineDisagreement(
-            f"engine and oracle disagree by {dev:.3e} ({where}); "
+            f"engine and oracle disagree by {dev:.3e} (worst block {key} at sample "
+            f"{list(point.coords)}); "
             "this indicates an internal inconsistency, not a property of the metric")
     return dev
 

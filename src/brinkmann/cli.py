@@ -18,8 +18,7 @@ Exit codes: 0 success (determinate verdict / all deviations within
 tolerance), 2 undetermined verdict or unmet precondition, 1 error.
 
 All floating-point output is printed with 17 significant digits so values
-round-trip exactly; reports are byte-deterministic given (file, flags,
-seed).
+round-trip exactly; reports are byte-deterministic given (file, flags).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .transport import (d0_transport, geodesic_integrate, null_sectional_growth,
 
 __all__ = ["main", "format_json", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- deterministic serialization -------------------------------------------------------
@@ -133,8 +132,7 @@ def cmd_check(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "check",
         "file": args.file,
-        "flags": {"tol": args.tol, "samples": args.samples,
-                  "depth": args.depth, "seed": args.seed},
+        "flags": {"tol": args.tol, "samples": args.samples, "depth": args.depth},
     }
     rep = classify.symmetry_order(spec, samples, tol=args.tol,
                                   evaluations=evaluations, depth=args.depth)
@@ -223,7 +221,7 @@ def cmd_canonicalize(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "canonicalize",
         "file": args.file,
-        "flags": {"steps": args.steps, "seed": args.seed},
+        "flags": {"steps": args.steps},
         "verdict": rep.verdict,
     }
     report.update(cf.to_dict())
@@ -290,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
         p.add_argument("--schema", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("check", help="classify symmetry order and run all checks")

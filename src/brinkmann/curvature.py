@@ -49,7 +49,6 @@ __all__ = [
     "curvature_at",
     "leaf_grad",
     "d0_op",
-    "d0_apply",
     "SECOND_DERIV_BLOCKS",
 ]
 
@@ -60,27 +59,35 @@ def _slot_letters(k: int) -> str:
     return "".join(_LETTERS[:k])
 
 
+def _add_slot_corrections(out: Jet, T: Jet, nup: int, conn: Jet, deriv: str = "",
+                          sign: int = 1) -> Jet:
+    """Add one connection term per slot of ``T`` to ``out``, in slot order.
+
+    A contravariant slot L contributes conn^L_r T^{..r..}, a covariant slot
+    L contributes -conn^r_L T_{..r..}; ``sign`` -1 flips both.  ``deriv``
+    names a trailing index of ``conn`` carried through to the output.
+    """
+    rank = len(T.shape)
+    letters = _slot_letters(rank)
+    for a in range(rank):
+        L = letters[a]
+        src = letters[:a] + "r" + letters[a + 1:]
+        pair = f"{L}r" if a < nup else f"r{L}"
+        term = jet_einsum(f"{pair}{deriv},{src}->{letters}{deriv}", conn, T)
+        out = out + term if (a < nup) == (sign > 0) else out - term
+    return out
+
+
 def leaf_grad(T: Jet, nup: int, gamma: Jet) -> Jet:
     """Leaf covariant derivative; the new covariant slot is appended last.
 
     ``T`` has its ``nup`` contravariant axes first, then covariant axes.
     ``gamma[i, j, k]`` holds Gamma^i_{jk}.
     """
-    rank = len(T.shape)
-    letters = _slot_letters(rank)
     m = gamma.shape[0]
     parts = [T.diff(1 + s) for s in range(m)]
     out = Jet(parts[0].ctx, np.stack([p.data for p in parts], axis=-2))
-    for a in range(rank):
-        L = letters[a]
-        src = letters[:a] + "r" + letters[a + 1:]
-        if a < nup:
-            term = jet_einsum(f"{L}rs,{src}->{letters}s", gamma, T)
-            out = out + term
-        else:
-            term = jet_einsum(f"r{L}s,{src}->{letters}s", gamma, T)
-            out = out - term
-    return out
+    return _add_slot_corrections(out, T, nup, gamma, deriv="s")
 
 
 def d0_op(T: Jet, nup: int, tup: Jet) -> Jet:
@@ -89,32 +96,7 @@ def d0_op(T: Jet, nup: int, tup: Jet) -> Jet:
     Implements dot(T) minus t^i_k contractions on contravariant slots plus
     t^k_j contractions on covariant slots; ``tup[i, j]`` holds t^i_j.
     """
-    rank = len(T.shape)
-    letters = _slot_letters(rank)
-    out = T.du()
-    for a in range(rank):
-        L = letters[a]
-        src = letters[:a] + "r" + letters[a + 1:]
-        if a < nup:
-            out = out - jet_einsum(f"{L}r,{src}->{letters}", tup, T)
-        else:
-            out = out + jet_einsum(f"r{L},{src}->{letters}", tup, T)
-    return out
-
-
-def d0_apply(T: np.ndarray, nup: int, tup: np.ndarray, Tdot: np.ndarray) -> np.ndarray:
-    """Value-level transverse derivative, given the plain u-derivative of T."""
-    rank = T.ndim
-    letters = _slot_letters(rank)
-    out = np.array(Tdot, dtype=float, copy=True)
-    for a in range(rank):
-        L = letters[a]
-        src = letters[:a] + "r" + letters[a + 1:]
-        if a < nup:
-            out -= np.einsum(f"{L}r,{src}->{letters}", tup, T)
-        else:
-            out += np.einsum(f"r{L},{src}->{letters}", tup, T)
-    return out
+    return _add_slot_corrections(T.du(), T, nup, tup, sign=-1)
 
 
 def _sym12(x: np.ndarray) -> np.ndarray:

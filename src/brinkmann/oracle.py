@@ -23,6 +23,7 @@ what keeps this module an independent check of the specialized formulas.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +50,16 @@ class CoordinateMetric:
     n: int
     point: ChartPoint
     G: Jet            # (n, n) jets in (u, x) variables
-    Ginv: Jet | None  # jet inverse; omitted when only values are needed
     Ginv0: np.ndarray
     frame: FrameData
 
+    @functools.cached_property
+    def Ginv(self) -> Jet:
+        """Jet inverse of G, built on first use."""
+        return jet_matrix_inverse(self.G)
 
-def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int,
-                               with_jet_inverse: bool = True) -> CoordinateMetric:
+
+def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
     cj = eval_metric(spec, p, order)
     n, m, nv = spec.n, spec.m, spec.num_vars
     G = jets.zeros((n, n), nv, order)
@@ -68,8 +72,7 @@ def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int,
     G0 = G.value()
     if abs(np.linalg.det(G0)) < 1e-12:
         raise ValueError(f"assembled metric is singular at {p.coords}")
-    Ginv = jet_matrix_inverse(G) if with_jet_inverse else None
-    return CoordinateMetric(n, p, G, Ginv, np.linalg.inv(G0), frame_components(cj))
+    return CoordinateMetric(n, p, G, np.linalg.inv(G0), frame_components(cj))
 
 
 def _cdiff(J: Jet, mu: int) -> Jet:

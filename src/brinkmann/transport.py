@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chart import ChartPoint, MetricSpec
+from .chart import ChartPoint, MetricSpec, compute_h_t, eval_metric, frame_components
+from .ode import rk4_step
 from .oracle import assemble_coordinate_metric, coordinate_curvature
 
 __all__ = [
@@ -38,15 +39,13 @@ def _chart_point(spec: MetricSpec, coords: np.ndarray) -> ChartPoint:
 
 
 def metric_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    cm = assemble_coordinate_metric(spec, _chart_point(spec, coords), order=0,
-                                    with_jet_inverse=False)
+    cm = assemble_coordinate_metric(spec, _chart_point(spec, coords), order=0)
     return cm.G.value()
 
 
 def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """Gamma^a_{bc} of the full metric at a coordinate point."""
-    cm = assemble_coordinate_metric(spec, _chart_point(spec, coords), order=1,
-                                    with_jet_inverse=False)
+    cm = assemble_coordinate_metric(spec, _chart_point(spec, coords), order=1)
     n = spec.n
     dG = np.zeros((n, n, n))
     ctx = cm.G.ctx
@@ -62,14 +61,17 @@ def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Sampled curve with velocities; geodesics carry their initial data."""
+    """Sampled curve with velocities and the connection along its RK4 stages.
+
+    ``connection[k, s]`` is the matrix Gamma^a_{bc} v^c at stage s of step k,
+    the coefficient of parallel transport dW^a/dtau = -Gamma^a_{bc} W^b v^c.
+    """
 
     tau: np.ndarray
     coords: np.ndarray       # (k+1, n)
     velocity: np.ndarray     # (k+1, n)
     spec: MetricSpec
-    kind: str = "geodesic"
-    curve: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
+    connection: np.ndarray   # (k, 4, n, n)
 
     @property
     def steps(self) -> int:
@@ -108,81 +110,40 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
     taus = h * np.arange(steps + 1)
     out = np.empty((steps + 1, 2 * n))
     out[0] = y
+    connection = np.empty((steps, 4, n, n))
 
-    def f(_: float, state: np.ndarray) -> np.ndarray:
+    def f(stage: tuple[int, int], state: np.ndarray) -> np.ndarray:
         gam = christoffel_values(spec, state[:n])
         v = state[n:]
+        connection[stage] = np.einsum("abc,c->ab", gam, v)
         acc = -np.einsum("abc,b,c->a", gam, v, v)
         return np.concatenate([v, acc])
 
     for k in range(steps):
-        k1 = f(0, y)
-        k2 = f(0, y + 0.5 * h * k1)
-        k3 = f(0, y + 0.5 * h * k2)
-        k4 = f(0, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = rk4_step(f, y, h, [(k, s) for s in range(4)])
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"geodesic integration blew up at step {k + 1}")
         if enforce_box and not _in_box(spec, y[:n], box_slack):
             raise RuntimeError(
                 f"geodesic left the admissible box at tau = {taus[k + 1]:.4g}")
         out[k + 1] = y
-    return Trajectory(taus, out[:, :n], out[:, n:], spec)
+    return Trajectory(taus, out[:, :n], out[:, n:], spec, connection)
 
 
 def parallel_transport(spec: MetricSpec, traj: Trajectory,
                        vectors0: np.ndarray) -> np.ndarray:
     """Transport vectors along the trajectory; returns (k+1, nvec, n).
 
-    Geodesic trajectories are re-integrated jointly from their stored
-    initial data so the transport sees exact intermediate states; analytic
-    curves use their callable.
+    The transport runs on the connection the trajectory recorded at its own
+    RK4 stages, so it sees the exact intermediate states of the curve and
+    evaluates no Christoffel symbol itself.
     """
-    n = spec.n
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
-    nvec = V.shape[0]
-    steps = traj.steps
-    out = np.empty((steps + 1, nvec, n))
+    out = np.empty((traj.steps + 1,) + V.shape)
     out[0] = V
-    h = float(traj.tau[1] - traj.tau[0]) if steps else 0.0
-
-    if traj.kind == "geodesic":
-        y = np.concatenate([traj.coords[0], traj.velocity[0], V.ravel()])
-
-        def f(_: float, state: np.ndarray) -> np.ndarray:
-            gam = christoffel_values(spec, state[:n])
-            v = state[n:2 * n]
-            acc = -np.einsum("abc,b,c->a", gam, v, v)
-            W = state[2 * n:].reshape(nvec, n)
-            Wdot = -np.einsum("abc,kb,c->ka", gam, W, v)
-            return np.concatenate([v, acc, Wdot.ravel()])
-
-        for k in range(steps):
-            k1 = f(0, y)
-            k2 = f(0, y + 0.5 * h * k1)
-            k3 = f(0, y + 0.5 * h * k2)
-            k4 = f(0, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            out[k + 1] = y[2 * n:].reshape(nvec, n)
-        return out
-
-    if traj.curve is None:
-        raise ValueError("non-geodesic transport needs the trajectory's curve callable")
-
-    W = V.copy()
-    for k in range(steps):
-        def f(tau: float, Wc: np.ndarray) -> np.ndarray:
-            c, v = traj.curve(tau)
-            gam = christoffel_values(spec, c)
-            return -np.einsum("abc,kb,c->ka", gam, Wc, v)
-
-        t0 = float(traj.tau[k])
-        k1 = f(t0, W)
-        k2 = f(t0 + 0.5 * h, W + 0.5 * h * k1)
-        k3 = f(t0 + 0.5 * h, W + 0.5 * h * k2)
-        k4 = f(t0 + h, W + h * k3)
-        W = W + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = W
+    h = float(traj.tau[1] - traj.tau[0]) if traj.steps else 0.0
+    for k in range(traj.steps):
+        out[k + 1] = rk4_step(lambda C, W: -W @ C.T, out[k], h, traj.connection[k])
     return out
 
 
@@ -191,34 +152,27 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     """Transport leaf vectors along the E_0 integral curve through p.
 
     The integral curve keeps x fixed while u advances, so the transported
-    components satisfy dX^i/du = t^i_k X^k.  Returns (u values, X values).
+    components satisfy dX^i/du = t^i_k X^k.  t^i_k is evaluated once per
+    distinct abscissa.  Returns (u values, X values).
     """
-    from .chart import compute_h_t, eval_metric
-
     m = spec.m
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = u_span / steps
     us = p.u + h * np.arange(steps + 1)
     out = np.empty((steps + 1, V.shape[0], m))
     out[0] = V
+    tups: dict[float, np.ndarray] = {}
 
-    def tup_at(u: float) -> np.ndarray:
-        cj = eval_metric(spec, ChartPoint(u, p.x), order=1)
-        _, t = compute_h_t(cj)
-        return (cj.ginv0 @ t.value().reshape(m, m)) if m else np.zeros((0, 0))
+    def f(u: float, X: np.ndarray) -> np.ndarray:
+        if u not in tups:
+            cj = eval_metric(spec, ChartPoint(u, p.x), order=1)
+            _, t = compute_h_t(cj)
+            tups[u] = (cj.ginv0 @ t.value().reshape(m, m)) if m else np.zeros((0, 0))
+        return X @ tups[u].T
 
-    X = V.copy()
     for k in range(steps):
-        def f(u: float, Xc: np.ndarray) -> np.ndarray:
-            return Xc @ tup_at(u).T
-
         u0 = float(us[k])
-        k1 = f(u0, X)
-        k2 = f(u0 + 0.5 * h, X + 0.5 * h * k1)
-        k3 = f(u0 + 0.5 * h, X + 0.5 * h * k2)
-        k4 = f(u0 + h, X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = X
+        out[k + 1] = rk4_step(f, out[k], h, (u0, u0 + 0.5 * h, u0 + 0.5 * h, u0 + h))
     return us, out
 
 
@@ -228,8 +182,6 @@ def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None 
     The E_1 coefficient solves the null condition in closed form from the
     frame inner products: c = g_ij a^i a^j / 2.
     """
-    from .chart import eval_metric, frame_components
-
     m = spec.m
     a = np.zeros(m) if leaf_part is None else np.asarray(leaf_part, dtype=float)
     cj = eval_metric(spec, p, order=0)
@@ -245,7 +197,8 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
                           x_vec: np.ndarray) -> dict[str, np.ndarray | float]:
     """Null sectional curvature R(V,X,V,X)/g(X,X) along a lightlike geodesic.
 
-    X is parallel-transported from ``x_vec``; returns the sampled values,
+    X is parallel-transported from ``x_vec`` on the connection the geodesic
+    recorded, so the curve is integrated once; returns the sampled values,
     the first finite-difference derivative and its constancy residual (the
     maximum absolute second difference of the samples).
     """
@@ -273,6 +226,23 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
     }
 
 
+def _curve_trajectory(spec: MetricSpec, curve: Callable[[float], tuple[np.ndarray, np.ndarray]],
+                      taus: np.ndarray) -> Trajectory:
+    """Sample an analytic curve on ``taus`` with its connection at the RK4 stages.
+
+    Stages 2 and 3 share the step midpoint and stage 4 is the next node, so
+    each distinct abscissa costs one Christoffel evaluation.
+    """
+    grid = np.empty(2 * len(taus) - 1)
+    grid[0::2] = taus
+    grid[1::2] = taus[:-1] + 0.5 * (taus[1] - taus[0])
+    points = [curve(t) for t in grid]
+    C = np.array([np.einsum("abc,c->ab", christoffel_values(spec, c), v) for c, v in points])
+    return Trajectory(taus, np.array([c for c, _ in points[::2]]),
+                      np.array([v for _, v in points[::2]]), spec,
+                      np.stack([C[:-1:2], C[1::2], C[1::2], C[2::2]], axis=1))
+
+
 def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
                                     rng_seed: int = 0, tol: float = 1e-6,
                                     steps: int = 160, span: float = 1.0) -> tuple[bool, float]:
@@ -297,19 +267,14 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
             s = tau / span
             return center + c1 * s + c2 * s * s, (c1 + 2.0 * c2 * s) / span
 
-        taus = np.linspace(0.0, span, steps + 1)
-        traj = Trajectory(taus, np.array([curve(t)[0] for t in taus]),
-                          np.array([curve(t)[1] for t in taus]), spec,
-                          kind="curve", curve=curve)
+        traj = _curve_trajectory(spec, curve, np.linspace(0.0, span, steps + 1))
         basis0 = np.eye(n)
         extra0 = rng.normal(size=(4, n))
         moved = parallel_transport(spec, traj, np.vstack([basis0, extra0]))
         scale = 0.0
         comps = []
         for k in (0, steps // 2, steps):
-            c = traj.coords[k]
-            v = traj.velocity[k]
-            cm = assemble_coordinate_metric(spec, _chart_point(spec, c), order=3)
+            cm = assemble_coordinate_metric(spec, _chart_point(spec, traj.coords[k]), order=3)
             cc = coordinate_curvature(cm, depth=1)
             V, X, Y, Z = moved[k, n], moved[k, n + 1], moved[k, n + 2], moved[k, n + 3]
             W = np.einsum("abcdm,b,c,d,m->a", cc.dR, Z, X, Y, V)

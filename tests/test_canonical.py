@@ -118,18 +118,33 @@ def test_recover_A_zero_Lambda():
 def test_translation_ode_trivial_and_quadratic():
     flat = fixture("flat")
     data = FlatBlockData(flat, (0, 1))
-    D = solve_translation_ode(data, (0.0, 1.0), steps=100)
+    D = solve_translation_ode(data, solve_rotation_ode(data, (0.0, 1.0), steps=100))
     assert np.max(np.abs(D)) == 0.0
 
     # constant B via H = b x2: h_2 = b, A = 0, R = I -> D = B u^2 / 2 + ...
     spec = MetricSpec.from_text(4, H="0.6*x2")
     data = FlatBlockData(spec, (0, 1))
-    D = solve_translation_ode(data, (0.0, 1.0), steps=200,
+    D = solve_translation_ode(data, solve_rotation_ode(data, (0.0, 1.0), steps=200),
                               Ddot0=np.array([0.1, 0.0]))
     us = np.linspace(0, 1, 201)
     expect = 0.3 * us ** 2 + 0.1 * us
     assert np.max(np.abs(D[:, 0] - expect)) < 1e-10
     assert np.max(np.abs(D[:, 1])) < 1e-12
+
+
+def test_translation_ode_reads_R_from_the_rotation_curve():
+    # the quadratic-D case above seen through a constant rotation R0: A = 0 and
+    # D'' = R0^{-T} B = R0 B, with R at every stage taken from the rotation curve
+    spec = MetricSpec.from_text(4, H="0.6*x2")
+    data = FlatBlockData(spec, (0, 1))
+    th = 0.4
+    R0 = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    rot = solve_rotation_ode(data, (0.0, 1.0), steps=200, R0=R0)
+    assert np.array_equal(rot.stage_R[:, 0], rot.R[:-1])
+    D = solve_translation_ode(data, rot, Ddot0=np.array([0.1, 0.0]))
+    us = np.linspace(0, 1, 201)
+    expect = np.outer(us ** 2, R0 @ [0.3, 0.0]) + np.outer(us, [0.1, 0.0])
+    assert np.max(np.abs(D - expect)) < 1e-10
 
 
 def test_verify_canonical_fit_and_normal_form():

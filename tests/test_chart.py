@@ -156,7 +156,7 @@ def test_frame_inner_products_random_spec():
 
     spec = random_polynomial_spec(12, n=5)
     p = ChartPoint(0.3, (0.25, -0.4, 0.1))
-    cm = assemble_coordinate_metric(spec, p, 1, with_jet_inverse=False)
+    cm = assemble_coordinate_metric(spec, p, 1)
     G = cm.G.value()
     fr = cm.frame
     table = fr.e @ G @ fr.e.T

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import brinkmann
 from brinkmann import classify
 from brinkmann.cli import format_json, main
 from brinkmann.metricfile import spec_to_text
@@ -26,7 +30,7 @@ def test_check_verdict_and_exit_code(cw42_file, capsys):
     code, out, _ = run(capsys, "check", cw42_file)
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["verdict"] == "proper_second_symmetric"
     assert set(report["residuals"]) == {"R", "nabla_R", "nabla2_R"}
     assert report["structural_checks"]["scalar_constant"] is True
@@ -188,14 +192,44 @@ def test_missing_file_is_an_error(capsys):
     assert "error:" in err
 
 
-def test_check_non_finite_agreement_aborts(tmp_path, capsys):
-    # exp(800 u) overflows the jets on most of u in [0, 1]: no verdict may be printed.
+def overflow_metric(tmp_path) -> str:
+    # exp(800 u) overflows the jets on most of u in [0, 1]
     path = tmp_path / "overflow.metric"
     path.write_text('[metric]\ndimension = 4\nH = "exp(800*u) * x2^2"\n\n'
                     '[box]\nu = 0 1\nx2 = -1 1\nx3 = -1 1\n')
+    return str(path)
+
+
+def test_check_non_finite_agreement_aborts(tmp_path, capsys):
+    # no verdict may be printed
+    path = overflow_metric(tmp_path)
     with np.errstate(all="ignore"):
         code, out, err = run(capsys, "check", str(path))
     assert code == 1
     assert out == ""
     assert "agreement is nan" in err
     assert "worst block" in err and "at sample [" in err
+
+
+def test_oracle_diff_non_finite_agreement_aborts(tmp_path, capsys):
+    # NaN must not pass the max over samples
+    code, out, err = run(capsys, "oracle-diff", overflow_metric(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert "agreement is nan" in err
+    assert "worst block" in err and "at sample [" in err
+
+
+def test_non_finite_abort_prints_only_the_error(tmp_path):
+    # numpy's overflow warnings must not reach stderr ahead of the located error
+    path = overflow_metric(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(brinkmann.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    for command in ("check", "oracle-diff"):
+        done = subprocess.run([sys.executable, "-m", "brinkmann.cli", command, path],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: engine/oracle agreement is")

@@ -5,7 +5,7 @@ import pytest
 
 from brinkmann import expr, jets
 from brinkmann.chart import ChartPoint, MetricSpec
-from brinkmann.curvature import curvature_at, d0_apply, d0_op, leaf_grad
+from brinkmann.curvature import curvature_at, d0_op, leaf_grad
 from brinkmann.jets import Jet
 from brinkmann.spaces import (FIXTURE_NAMES, CwParams, fixture, make_cw,
                               random_polynomial_spec)
@@ -66,16 +66,18 @@ def test_sphere_block_locally_symmetric():
 # -- the transverse derivative --------------------------------------------------------
 
 
-def test_d0_apply_no_t_is_plain_dot():
+def test_d0_op_no_t_is_plain_dot():
     rng = np.random.default_rng(0)
-    T = rng.normal(size=(3, 3))
-    Tdot = rng.normal(size=(3, 3))
-    out = d0_apply(T, 0, np.zeros((3, 3)), Tdot)
+    ctx = jets.context(4, 2)
+    T = Jet(ctx, rng.normal(size=(3, 3, ctx.ncoeffs)))
+    out = d0_op(T, 0, jets.zeros((3, 3), 4, 2)).value()
+    Tdot = T.du().value()
     assert np.allclose(out, Tdot)
 
 
-def test_d0_apply_scalar():
-    assert d0_apply(np.array(2.0), 0, np.zeros((2, 2)), np.array(0.7)) == pytest.approx(0.7)
+def test_d0_op_scalar():
+    T = jets.const(2.0, 3, 2) + 0.7 * jets.seed(0, 0.0, 3, 2)
+    assert d0_op(T, 0, jets.zeros((2, 2), 3, 2)).value() == pytest.approx(0.7)
 
 
 def test_d0_of_leaf_metric_vanishes():
@@ -85,9 +87,6 @@ def test_d0_of_leaf_metric_vanishes():
     cc = curvature_at(spec, p, depth=0)
     d0g_jet = d0_op(cc.cj.g, 0, cc.tup)
     assert np.max(np.abs(d0g_jet.value())) < 1e-11
-    m = spec.m
-    out = d0_apply(cc.cj.g.value(), 0, cc.tup.value(), cc.cj.g.du().value())
-    assert np.max(np.abs(out)) < 1e-11
 
 
 # -- derivative packs ------------------------------------------------------------------

@@ -28,8 +28,7 @@ def test_assemble_H_shifts_g00():
 def test_signature_random_specs():
     for seed in (1, 2, 3):
         spec = random_polynomial_spec(seed, n=5)
-        cm = assemble_coordinate_metric(spec, ChartPoint(0.2, (0.1, -0.3, 0.2)), 0,
-                                        with_jet_inverse=False)
+        cm = assemble_coordinate_metric(spec, ChartPoint(0.2, (0.1, -0.3, 0.2)), 0)
         eig = np.linalg.eigvalsh(cm.G.value())
         assert np.count_nonzero(eig < 0) == 1
         assert np.count_nonzero(eig > 0) == spec.n - 1
@@ -118,7 +117,7 @@ def test_to_frame_slot_contraction():
     # converting the metric itself must give the frame inner-product table
     spec = random_polynomial_spec(7, n=4)
     p = ChartPoint(0.1, (0.5, -0.2))
-    cm = assemble_coordinate_metric(spec, p, 0, with_jet_inverse=False)
+    cm = assemble_coordinate_metric(spec, p, 0)
     ft = to_frame(cm.G.value(), 0, cm.frame)
     assert np.max(np.abs(ft.data - cm.frame.frame_metric())) < 1e-12
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from brinkmann import chart, transport
 from brinkmann.chart import ChartPoint
 from brinkmann.spaces import fixture, random_polynomial_spec
 from brinkmann.transport import (d0_transport, geodesic_integrate,
@@ -142,6 +143,36 @@ def test_null_sectional_growth_ladder():
                                5.0, 100)
     resf = null_sectional_growth(flat, trajf, x_dir)
     assert np.max(np.abs(resf["K"])) == 0.0
+
+
+def test_nullsec_integrates_the_geodesic_once(monkeypatch):
+    # X is transported on the connection the geodesic run recorded at its stages
+    real = transport.christoffel_values
+    calls = []
+    monkeypatch.setattr(transport, "christoffel_values",
+                        lambda spec, c: calls.append(c) or real(spec, c))
+    spec = fixture("cw4_r2")
+    steps = 30
+    traj = geodesic_integrate(spec, ORIGIN4, null_velocity(spec, ChartPoint(0.0, (0.0, 0.0))),
+                              1.0, steps)
+    null_sectional_growth(spec, traj, np.array([0.0, 0.0, 1.0, 0.0]))
+    assert len(calls) == 4 * steps
+
+
+def test_d0_transport_evaluates_t_once_per_abscissa(monkeypatch):
+    real = chart.eval_metric
+    calls = []
+
+    def counted(spec, p, order=5):
+        calls.append(p.u)
+        return real(spec, p, order)
+
+    monkeypatch.setattr(chart, "eval_metric", counted)
+    monkeypatch.setattr(transport, "eval_metric", counted, raising=False)
+    steps = 40
+    d0_transport(fixture("rotation_w"), ChartPoint(0.0, (0.3, -0.2)), np.eye(2), 1.0, steps)
+    assert len(calls) < 4 * steps
+    assert len(set(calls)) == len(calls)
 
 
 def test_null_sectional_degenerate_plane_rejected():
