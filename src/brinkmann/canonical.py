@@ -28,6 +28,7 @@ plane-wave quadratic coefficient is P(u) = -A(u); both are reported.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,6 +82,17 @@ class FlatBlockData:
     def d(self) -> int:
         return len(self.block)
 
+    @functools.cached_property
+    def tape(self) -> expr.Tape:
+        """H, W_i and the block's g_ab (row-major), compiled on first use.
+
+        The g_ij off the block are left out: on a batch of u's every field
+        is a large jet, and the extraction never reads them.
+        """
+        g = self.spec.g
+        return expr.Tape([self.spec.H, *self.spec.W,
+                          *(g[a][b] for a in self.block for b in self.block)])
+
     def precompute(self, us: np.ndarray) -> None:
         """Evaluate the block data at many u's in one batched jet pass.
 
@@ -98,11 +110,10 @@ class FlatBlockData:
         for k in range(spec.m):
             env[f"x{k + 2}"] = jets.seed(1 + k, np.full(todo.shape, self._base_x[k]), nv, order)
 
-        def ev(node) -> jets.Jet:
-            return expr.eval_jet(node, env, nv, order)
-
-        Hj = ev(spec.H)
-        Wj = [ev(w) for w in spec.W]
+        fields = expr.eval_jet(self.tape, env, nv, order)
+        m = spec.m
+        Hj = fields[0]
+        Wj = fields[1:1 + m]
         ctx = jets.context(nv, order)
 
         def coeff(jet: jets.Jet, exps: list[int]) -> np.ndarray:
@@ -128,7 +139,7 @@ class FlatBlockData:
                 Lam[:, a, b] = coeff(ha, unit(1 + slot_b))
         for a, sa in enumerate(self.block):
             for b, sb in enumerate(self.block):
-                gab = ev(spec.g[sa][sb])
+                gab = fields[1 + m + self.d * a + b]
                 tab = 0.5 * (-gab.du() + Wj[sa].diff(1 + sb) - Wj[sb].diff(1 + sa))
                 tval[:, a, b] = tab.value()
                 tdot[:, a, b] = coeff(tab, unit(0))

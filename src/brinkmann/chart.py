@@ -148,6 +148,21 @@ class MetricSpec:
             box=tuple(box) if box is not None else (),
         )
 
+    @functools.cached_property
+    def tape(self) -> expr.Tape:
+        """H, W_i and g_ij (row-major) compiled into one tape on first use."""
+        return expr.Tape([self.H, *self.W, *(e for row in self.g for e in row)])
+
+    def field_name(self, output: int) -> str:
+        """Chart label of tape output ``output``: H, W_i or g_ij."""
+        m = self.m
+        if output == 0:
+            return "H"
+        if output <= m:
+            return f"W_{output + 1}"
+        i, j = divmod(output - 1 - m, m)
+        return f"g_{i + 2}{j + 2}"
+
     def center(self) -> ChartPoint:
         mids = [(lo + hi) / 2.0 for lo, hi in self.box]
         return ChartPoint(mids[0], tuple(mids[1:]))
@@ -257,28 +272,29 @@ def jet_matrix_inverse(G: Jet) -> Jet:
     return jet_einsum("ij,jk->ik", S, G0inv_jet)
 
 
-def eval_metric(spec: MetricSpec, p: ChartPoint, order: int = 5) -> ChartJets:
+def eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     """Jets of H, W_i and g_ij about p, plus the inverse leaf metric's value.
 
-    Raises MetricDefinitenessError when the numeric g_ij at p is not
-    positive definite (smallest Cholesky pivot below PIVOT_RATIO times the
-    largest).
+    All fields come from one run of the spec's tape.  Raises
+    MetricDefinitenessError when the numeric g_ij at p is not positive
+    definite (smallest Cholesky pivot below PIVOT_RATIO times the largest),
+    and JetDomainError naming the field and the point when a field leaves
+    the domain of a jet function there (a pole, say).
     """
     if len(p.x) != spec.m:
         raise ValueError("point dimension does not match the spec")
-    nv = spec.num_vars
-    env = _seed_env(spec, p, order)
-    H = expr.eval_jet(spec.H, env, nv, order)
-    m = spec.m
-    W = (
-        _jet_stack([expr.eval_jet(w, env, nv, order) for w in spec.W])
-        if m
-        else jets.zeros((0,), nv, order)
-    )
+    nv, m = spec.num_vars, spec.m
+    try:
+        fields = expr.eval_jet(spec.tape, _seed_env(spec, p, order), nv, order)
+    except expr.TapeDomainError as err:
+        raise jets.JetDomainError(
+            f"{err.reason} in {spec.field_name(err.output)} at {p.coords}") from None
+    H = fields[0]
     if m:
-        rows = [_jet_stack([expr.eval_jet(e, env, nv, order) for e in row]) for row in spec.g]
-        g = Jet(rows[0].ctx, np.stack([r.data for r in rows], axis=0))
+        W = _jet_stack(fields[1:1 + m])
+        g = Jet(H.ctx, np.stack([f.data for f in fields[1 + m:]]).reshape(m, m, -1))
     else:
+        W = jets.zeros((0,), nv, order)
         g = jets.zeros((0, 0), nv, order)
     g0 = g.value().reshape(m, m)
     if m:

@@ -15,12 +15,16 @@ chart is v-independent.  ``^`` takes integer literal exponents only and
 binds tighter than unary minus, so ``-u^2`` reads as ``-(u^2)``.
 
 Every parse error carries the byte offset of the offending token.
+
+Jet evaluation runs a ``Tape``: expressions compiled once into a flat,
+hash-consed instruction list, so a subtree shared within or between
+expressions is evaluated once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from . import jets
 
@@ -37,6 +41,8 @@ __all__ = [
     "to_text",
     "eval_scalar",
     "eval_jet",
+    "Tape",
+    "TapeDomainError",
     "var_names",
 ]
 
@@ -337,26 +343,163 @@ def eval_scalar(node: ExprAst, env: Mapping[str, float]) -> float:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def eval_jet(node: ExprAst, env: Mapping[str, jets.Jet], num_vars: int, order: int) -> jets.Jet:
-    """Evaluate an expression as a jet, given seeded jets for every variable."""
-    if isinstance(node, Num):
-        return jets.const(node.value, num_vars, order)
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -eval_jet(node.arg, env, num_vars, order)
-    if isinstance(node, Pow):
-        return jets.pow_int(eval_jet(node.base, env, num_vars, order), node.exponent)
-    if isinstance(node, Call):
-        return getattr(jets, node.func)(eval_jet(node.arg, env, num_vars, order))
-    if isinstance(node, Bin):
-        a = eval_jet(node.left, env, num_vars, order)
-        b = eval_jet(node.right, env, num_vars, order)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    raise TypeError(f"not an AST node: {node!r}")
+
+
+# -- compiled jet evaluation -------------------------------------------------------
+
+
+class TapeDomainError(jets.JetDomainError):
+    """A tape instruction left its jet function's domain.
+
+    ``reason`` is the jet error's message and ``output`` the index of the
+    first tape output that needs the failing instruction.
+    """
+
+    def __init__(self, reason: str, output: int):
+        super().__init__(reason)
+        self.reason = reason
+        self.output = output
+
+
+# Instruction bodies, called as body(values, a, b): ``a`` is an operand slot,
+# ``b`` a second slot, a float literal or an integer exponent.  Operators
+# dispatch through the Jet class and functions through ``jets.<name>`` at
+# run time, so wrappers installed on either see every instruction.
+_BODIES = {
+    "neg": lambda v, a, b: -v[a],
+    "+": lambda v, a, b: v[a] + v[b],
+    "-": lambda v, a, b: v[a] - v[b],
+    "*": lambda v, a, b: v[a] * v[b],
+    "/": lambda v, a, b: v[a] / v[b],
+    "+c": lambda v, a, c: v[a] + c,
+    "-c": lambda v, a, c: v[a] - c,
+    "c-": lambda v, a, c: c - v[a],
+    "*c": lambda v, a, c: v[a] * c,
+    "^": lambda v, a, n: jets.pow_int(v[a], n),
+    "sin": lambda v, a, b: jets.sin(v[a]),
+    "cos": lambda v, a, b: jets.cos(v[a]),
+    "exp": lambda v, a, b: jets.exp(v[a]),
+    "sqrt": lambda v, a, b: jets.sqrt(v[a]),
+}
+_LITERAL_OPERAND = ("+c", "-c", "c-", "*c")
+_BINARY = ("+", "-", "*", "/")
+
+
+class Tape:
+    """Several expressions compiled into one flat, hash-consed jet program.
+
+    Every distinct subtree, also one shared between outputs, is one
+    instruction, and instructions are stored in dependency order: first the
+    variables, then the constant jets, then the operations.  A literal
+    operand of ``+``, ``-`` or ``*`` whose other operand is not a literal
+    stays a Python float, so the jet is shifted or scaled and no constant
+    jet is built.  Every other literal (divisor, dividend, function or power
+    argument, output, operand beside another literal) becomes one constant
+    jet per run, so those instructions keep the bits of plain jet
+    arithmetic.  Literals are keyed by ``float.hex``, which tells ``0.0``
+    from ``-0.0``.
+    """
+
+    def __init__(self, outputs: Sequence[ExprAst]):
+        keys: list[tuple] = []
+        index: dict[tuple, int] = {}
+        seen: dict[int, int] = {}
+
+        def intern(key: tuple) -> int:
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+            return index[key]
+
+        def visit(node: ExprAst) -> int:
+            if id(node) not in seen:
+                seen[id(node)] = intern(key_of(node))
+            return seen[id(node)]
+
+        def key_of(node: ExprAst) -> tuple:
+            if isinstance(node, Num):
+                return ("const", float(node.value).hex())
+            if isinstance(node, Var):
+                return ("var", node.name)
+            if isinstance(node, Neg):
+                return ("neg", visit(node.arg))
+            if isinstance(node, Pow):
+                return ("^", visit(node.base), node.exponent)
+            if isinstance(node, Call):
+                return (node.func, visit(node.arg))
+            if isinstance(node, Bin):
+                left, right = node.left, node.right
+                if node.op in "+-*" and isinstance(left, Num) != isinstance(right, Num):
+                    if isinstance(right, Num):
+                        return (node.op + "c", visit(left), float(right.value).hex())
+                    kind = "c-" if node.op == "-" else node.op + "c"
+                    return (kind, visit(right), float(left.value).hex())
+                return (node.op, visit(left), visit(right))
+            raise TypeError(f"not an AST node: {node!r}")
+
+        roots = [visit(node) for node in outputs]
+        order = ([k for k, key in enumerate(keys) if key[0] == "var"]
+                 + [k for k, key in enumerate(keys) if key[0] == "const"])
+        leaves = len(order)
+        order += [k for k, key in enumerate(keys) if key[0] not in ("var", "const")]
+        slot = {old: new for new, old in enumerate(order)}
+
+        self.var_names = [keys[k][1] for k in order if keys[k][0] == "var"]
+        self.constants = [float.fromhex(keys[k][1]) for k in order if keys[k][0] == "const"]
+        ops = []
+        operands: list[tuple[int, ...]] = [()] * leaves
+        for k in order[leaves:]:
+            kind, a, *rest = keys[k]
+            b = rest[0] if rest else None
+            if kind in _LITERAL_OPERAND:
+                b = float.fromhex(b)
+            elif kind in _BINARY:
+                b = slot[b]
+            ops.append((_BODIES[kind], slot[a], b))
+            operands.append((slot[a], b) if kind in _BINARY else (slot[a],))
+        self.outputs = tuple(slot[r] for r in roots)
+
+        # Each operation also lists the slots it reads last, which are
+        # released after it, so a batched run holds only the live jets.
+        last_reader = {s: k for k in range(leaves, len(order)) for s in operands[k]}
+        released: list[list[int]] = [[] for _ in ops]
+        for s, k in last_reader.items():
+            if s not in self.outputs:
+                released[k - leaves].append(s)
+        self.code = [op + (tuple(r),) for op, r in zip(ops, released)]
+
+        # first output (in output order) that reads each instruction
+        self.first_output = [-1] * len(order)
+        for o, root in enumerate(self.outputs):
+            stack = [root]
+            while stack:
+                k = stack.pop()
+                if self.first_output[k] < 0:
+                    self.first_output[k] = o
+                    stack.extend(operands[k])
+
+    def __len__(self) -> int:
+        """Number of instructions: variables, constant jets and operations."""
+        return len(self.var_names) + len(self.constants) + len(self.code)
+
+
+def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
+             order: int) -> jets.Jet | list[jets.Jet]:
+    """Run a tape as jets, given seeded jets for every variable it reads.
+
+    Returns one jet per tape output.  A single AST is compiled on the spot
+    and its jet returned.  A ``JetDomainError`` of an instruction is
+    re-raised as ``TapeDomainError`` naming the first output that needs it.
+    """
+    tape = node if isinstance(node, Tape) else Tape([node])
+    values = [env[name] for name in tape.var_names]
+    values += [jets.const(c, num_vars, order) for c in tape.constants]
+    try:
+        for body, a, b, released in tape.code:
+            values.append(body(values, a, b))
+            for k in released:
+                values[k] = None
+    except jets.JetDomainError as err:
+        raise TapeDomainError(str(err), tape.first_output[len(values)]) from None
+    outputs = [values[k] for k in tape.outputs]
+    return outputs if tape is node else outputs[0]

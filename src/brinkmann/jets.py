@@ -165,10 +165,10 @@ def context(nvars: int, order: int) -> JetContext:
 
 def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product on coefficient arrays (batch-broadcasting)."""
-    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    if batch == ():
+    if a.ndim == 1 and b.ndim == 1:
         ka, kb, ko = ctx.mul_flat()
         return np.bincount(ko, weights=a[ka] * b[kb], minlength=ctx.ncoeffs)
+    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     out = np.empty(batch + (ctx.ncoeffs,))
     for ko, (ka, kb) in enumerate(ctx.mul_groups()):
         out[..., ko] = (a[..., ka] * b[..., kb]).sum(axis=-1)
@@ -233,6 +233,8 @@ class Jet:
         return Jet(ctx, self.data[..., : ctx.ncoeffs])
 
     def _align(self, other: "Jet") -> tuple["Jet", "Jet"]:
+        if self.ctx is other.ctx:
+            return self, other
         if self.num_vars != other.num_vars:
             raise JetShapeError("jets over different variable sets")
         k = min(self.order, other.order)
@@ -265,6 +267,8 @@ class Jet:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "Jet":
+        if isinstance(other, float):
+            return Jet(self.ctx, self.data * other)
         if not isinstance(other, Jet):
             arr = np.asarray(other, dtype=float)
             return Jet(self.ctx, self.data * arr[..., None])

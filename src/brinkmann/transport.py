@@ -152,8 +152,9 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     """Transport leaf vectors along the E_0 integral curve through p.
 
     The integral curve keeps x fixed while u advances, so the transported
-    components satisfy dX^i/du = t^i_k X^k.  t^i_k is evaluated once per
-    distinct abscissa.  Returns (u values, X values).
+    components satisfy dX^i/du = t^i_k X^k.  Stage 4 of a step is the next
+    node, so t^i_k is evaluated once per node and once per midpoint.
+    Returns (u values, X values).
     """
     m = spec.m
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
@@ -171,8 +172,8 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
         return X @ tups[u].T
 
     for k in range(steps):
-        u0 = float(us[k])
-        out[k + 1] = rk4_step(f, out[k], h, (u0, u0 + 0.5 * h, u0 + 0.5 * h, u0 + h))
+        u0, u1 = float(us[k]), float(us[k + 1])
+        out[k + 1] = rk4_step(f, out[k], h, (u0, u0 + 0.5 * h, u0 + 0.5 * h, u1))
     return us, out
 
 

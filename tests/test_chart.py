@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brinkmann import expr
+from brinkmann import expr, jets
 from brinkmann.chart import (ChartPoint, FrameTensor, MetricDefinitenessError, MetricSpec,
                              christoffel_bar, compute_h_t, eval_metric, frame_components,
                              jet_matrix_inverse)
@@ -183,3 +183,47 @@ def test_metric_spec_validation():
                     (expr.parse("0", 4), expr.parse("1", 4))))  # asymmetric g
     with pytest.raises(ValueError):
         MetricSpec.from_text(4, box=[(-1, 1)])  # wrong box length
+
+
+def test_eval_metric_runs_the_tape_through_the_public_jet_operations(monkeypatch):
+    # Wrappers installed after the tape is built, on the Jet operators, on the
+    # jets.<func> module attributes and on expr.eval_jet, see every instruction.
+    spec = MetricSpec.from_text(4, H="sin(u) * x2^2 + exp(x3) / 2.0",
+                                W={2: "cos(u) * x3"}, g={(3, 3): "sqrt(2 + x2)"})
+    points = [ChartPoint(0.1 * k, (0.2, -0.1 * k)) for k in range(3)]
+    eval_metric(spec, points[0], 2)
+    calls = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(expr, "eval_jet")
+    for name in ("__mul__", "__truediv__", "reciprocal"):
+        counted(jets.Jet, name)
+    for name in ("sin", "cos", "exp", "sqrt", "pow_int"):
+        counted(jets, name)
+    for p in points:
+        eval_metric(spec, p, 2)
+    assert calls["eval_jet"] == len(points)
+    for name in ("__mul__", "__truediv__", "reciprocal", "sin", "cos", "exp", "sqrt",
+                 "pow_int"):
+        assert calls.get(name, 0) >= len(points), name
+
+
+@pytest.mark.parametrize("field, H, W, g", [
+    ("H", "1/x2", None, None),
+    ("W_3", "0", {3: "u + sqrt(x2)"}, None),
+    ("g_23", "0", None, {(2, 2): "2", (3, 2): "0.1 / x3", (3, 3): "2 + 1 / x3"}),
+])
+def test_eval_metric_pole_names_field_and_point(field, H, W, g):
+    spec = MetricSpec.from_text(4, H=H, W=W, g=g)
+    with pytest.raises(jets.JetDomainError) as info:
+        eval_metric(spec, ChartPoint(0.5, (0.0, 0.0)), 1)
+    message = str(info.value)
+    assert message.endswith(f" in {field} at (0.5, 0.0, 0.0)")
+    assert "jet with" in message

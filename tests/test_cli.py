@@ -233,3 +233,19 @@ def test_non_finite_abort_prints_only_the_error(tmp_path):
         assert done.stdout == ""
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: engine/oracle agreement is")
+
+
+def test_pole_error_names_field_and_point(tmp_path):
+    # H = 1/x2 has a pole on x2 = 0, which passes through the box centre
+    path = tmp_path / "pole.metric"
+    path.write_text('[metric]\ndimension = 4\nH = "1/x2"\n\n'
+                    '[box]\nu = -1 1\nx2 = -1 1\nx3 = -1 1\n')
+    src = os.path.dirname(os.path.dirname(os.path.abspath(brinkmann.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for command in ("check", "transport"):
+        done = subprocess.run([sys.executable, "-m", "brinkmann.cli", command, str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: division by a jet with zero constant term in H at (0.0, 0.0, 0.0)"]

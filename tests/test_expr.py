@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from brinkmann import expr as E
 from brinkmann import jets as J
+from brinkmann.chart import MetricSpec, eval_metric
+from brinkmann.metricfile import load_metric_file
+from brinkmann.spaces import random_polynomial_spec
 
 
 def ev(text, n=4, **vals):
@@ -148,3 +152,95 @@ def test_jet_partials_match_finite_differences():
             alpha = [0, 0, 0]
             alpha[k] = 1
             assert jet.partial(tuple(alpha)) == pytest.approx(fd, abs=1e-6)
+
+
+# -- compiled tape ---------------------------------------------------------------
+
+METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
+
+
+def _spec_fields(spec):
+    return [spec.H, *spec.W, *(e for row in spec.g for e in row)]
+
+
+def _tape_specs():
+    specs = [load_metric_file(str(path)) for path in sorted(METRICS.glob("*.metric"))]
+    assert len(specs) == 11
+    return specs + [random_polynomial_spec(seed, n=n) for seed, n in ((3, 4), (11, 5))]
+
+
+def _env(spec, point, order):
+    names = E.var_names(spec.n)
+    return {name: J.seed(k, c, spec.num_vars, order)
+            for k, (name, c) in enumerate(zip(names, point))}
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_spec_tape_is_bitwise_equal_to_single_expressions(order):
+    rng = np.random.default_rng(order)
+    for spec in _tape_specs():
+        lo, hi = np.array(spec.box).T
+        point = lo + (hi - lo) * rng.uniform(0.25, 0.75, size=spec.num_vars)
+        env = _env(spec, point, order)
+        whole = E.eval_jet(spec.tape, env, spec.num_vars, order)
+        alone = [E.eval_jet(node, env, spec.num_vars, order) for node in _spec_fields(spec)]
+        assert len(whole) == len(alone)
+        for a, b in zip(whole, alone):
+            assert a.ctx is b.ctx
+            assert a.data.tobytes() == b.data.tobytes()
+
+
+def _tree_size(node) -> int:
+    if isinstance(node, (E.Num, E.Var)):
+        return 1
+    if isinstance(node, E.Bin):
+        return 1 + _tree_size(node.left) + _tree_size(node.right)
+    return 1 + _tree_size(node.base if isinstance(node, E.Pow) else node.arg)
+
+
+def test_tape_is_smaller_than_the_trees():
+    for spec in _tape_specs():
+        assert len(spec.tape) < sum(_tree_size(node) for node in _spec_fields(spec))
+
+
+def test_tape_shares_subtrees_across_fields(monkeypatch):
+    spec = load_metric_file(str(METRICS / "scrambled_cw4.metric"))
+    # cos(0.3 * u) appears in H, both W_i and every g_ij
+    assert all("cos(0.3 * u)" in E.to_text(node) for node in _spec_fields(spec))
+    eval_metric(spec, spec.center(), 2)
+    calls = []
+    real = J.cos
+    monkeypatch.setattr(J, "cos", lambda a: calls.append(a) or real(a))
+    eval_metric(spec, spec.center(), 2)
+    assert len(calls) == 1
+
+
+def test_tape_keeps_the_sign_of_zero_literals():
+    u = E.Var("u")
+    tape = E.Tape([E.Num(0.0), E.Num(-0.0), E.Bin("*", E.Num(0.0), u),
+                   E.Bin("*", E.Num(-0.0), u)])
+    assert len(tape) == 5   # u, two constants, two products
+    zero, neg_zero, scaled, neg_scaled = E.eval_jet(tape, {"u": J.seed(0, 0.5, 1, 1)}, 1, 1)
+    assert math.copysign(1.0, zero.value()) == 1.0
+    assert math.copysign(1.0, neg_zero.value()) == -1.0
+    assert math.copysign(1.0, scaled.data[1]) == 1.0
+    assert math.copysign(1.0, neg_scaled.data[1]) == -1.0
+
+
+def test_tape_literal_operands_build_no_constant_jets():
+    tape = E.Tape([E.parse("2 * x2 + 1 - u * 3", 4)])
+    assert tape.constants == []
+    assert len(tape) == 2 + 4
+    env = _env(MetricSpec.from_text(4), (0.25, -0.5, 0.0), 2)
+    (jet,) = E.eval_jet(tape, env, 3, 2)
+    assert jet.value() == 2 * -0.5 + 1 - 0.25 * 3
+    assert jet.partial((1, 0, 0)) == -3.0 and jet.partial((0, 1, 0)) == 2.0
+
+
+def test_tape_error_names_the_first_output_that_needs_it():
+    tape = E.Tape([E.parse("u", 4), E.parse("sin(u) / x2", 4), E.parse("2 / x2", 4)])
+    env = _env(MetricSpec.from_text(4), (0.3, 0.0, 0.0), 2)
+    with pytest.raises(E.TapeDomainError) as info:
+        E.eval_jet(tape, env, 3, 2)
+    assert info.value.output == 1
+    assert info.value.reason == "division by a jet with zero constant term"
