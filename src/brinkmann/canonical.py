@@ -20,6 +20,10 @@ The sign of the R term in the Lambda relation follows from recomputing the
 cross derivatives of chi directly; it is also confirmed numerically by the
 scramble/reconstruct round trip.
 
+All three steps read t, tdot, Lambda and B from one batched evaluation on
+the nodes and midpoints of ``ode.stage_grid`` over a u-interval inside the
+box, and apply the relation for A to stacks of matrices.
+
 On a proper 2nd-symmetric space A(u) is affine with nonzero slope; the
 affine fit residual reported by ``verify_canonical`` is therefore the
 operational test of the construction.  Note H' = -A y y means the
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import expr, jets
 from .chart import MetricSpec
-from .ode import rk4_step
+from .ode import rk4_step, stage_grid
 
 __all__ = [
     "FlatBlockData",
@@ -51,6 +55,12 @@ __all__ = [
 
 REPROJECT_EVERY = 50
 DRIFT_LIMIT = 1e-6
+BLOCK_JET_ORDER = 3  # the affine residual reads third derivatives of H
+
+
+def _T(M: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (..., d, d)."""
+    return np.swapaxes(M, -1, -2)
 
 
 @dataclass
@@ -61,13 +71,12 @@ class FlatBlockData:
     B is the value of h, Lambda its x-gradient, and t its value; the
     u-derivative of t comes from the same jets.  ``affine_residual`` and
     ``t_x_residual`` record how far h strays from affine and t from
-    x-independence over the sampled u's (both must be ~0 for the
+    x-independence over the evaluated u's (both must be ~0 for the
     construction to apply).
     """
 
     spec: MetricSpec
     block: tuple[int, ...]
-    order: int = 3
 
     def __post_init__(self):
         self._cache: dict[float, tuple] = {}
@@ -93,68 +102,59 @@ class FlatBlockData:
         return expr.Tape([self.spec.H, *self.spec.W,
                           *(g[a][b] for a in self.block for b in self.block)])
 
-    def precompute(self, us: np.ndarray) -> None:
-        """Evaluate the block data at many u's in one batched jet pass.
+    def precompute(self, us: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(t, tdot, Lambda, B) at every u of ``us``, in one batched jet pass.
 
-        The rotation/translation integrators precompute their whole grid
-        (nodes plus Runge-Kutta midpoints) this way; afterwards every
-        sampler call is a dictionary lookup.
+        Returns arrays in the order of ``us``; the per-u samplers read the
+        same rows afterwards.  A non-finite value is a ``ValueError`` naming
+        the quantity and the first u where it occurs.
         """
-        us = np.unique(np.asarray(us, dtype=float))
-        todo = np.array([u for u in us if float(u) not in self._cache])
-        if todo.size == 0:
-            return
+        us = np.asarray(us, dtype=float)
         spec = self.spec
-        nv, order = spec.num_vars, self.order
-        env = {"u": jets.seed(0, todo, nv, order)}
-        for k in range(spec.m):
-            env[f"x{k + 2}"] = jets.seed(1 + k, np.full(todo.shape, self._base_x[k]), nv, order)
-
-        fields = expr.eval_jet(self.tape, env, nv, order)
-        m = spec.m
-        Hj = fields[0]
-        Wj = fields[1:1 + m]
+        nv, order, m, d = spec.num_vars, BLOCK_JET_ORDER, spec.m, self.d
+        env = {"u": jets.seed(0, us, nv, order)}
+        for k in range(m):
+            env[f"x{k + 2}"] = jets.seed(1 + k, np.full(us.shape, self._base_x[k]), nv, order)
         ctx = jets.context(nv, order)
 
-        def coeff(jet: jets.Jet, exps: list[int]) -> np.ndarray:
-            return jet.data[..., ctx.index(exps)]
-
-        def unit(var: int) -> list[int]:
+        def coeff(jet: jets.Jet, *slots: int) -> np.ndarray:
             e = [0] * nv
-            e[var] = 1
-            return e
+            for v in slots:
+                e[v] += 1
+            return jet.data[..., ctx.index(e)]
 
-        d = self.d
-        B = np.empty((todo.size, d))
-        Lam = np.empty((todo.size, d, d))
-        tval = np.empty((todo.size, d, d))
-        tdot = np.empty((todo.size, d, d))
-        aff = tx = 0.0
-        h_block = []
-        for a, slot in enumerate(self.block):
-            ha = Hj.diff(1 + slot) - Wj[slot].du()
-            h_block.append(ha)
-            B[:, a] = ha.value()
-            for b, slot_b in enumerate(self.block):
-                Lam[:, a, b] = coeff(ha, unit(1 + slot_b))
-        for a, sa in enumerate(self.block):
-            for b, sb in enumerate(self.block):
-                gab = fields[1 + m + self.d * a + b]
-                tab = 0.5 * (-gab.du() + Wj[sa].diff(1 + sb) - Wj[sb].diff(1 + sa))
-                tval[:, a, b] = tab.value()
-                tdot[:, a, b] = coeff(tab, unit(0))
-                for c_slot in self.block:
-                    tx = max(tx, float(np.max(np.abs(coeff(tab, unit(1 + c_slot))))))
+        with np.errstate(all="ignore"):
+            fields = expr.eval_jet(self.tape, env, nv, order)
+            Hj, Wj = fields[0], fields[1:1 + m]
+            h_block = [Hj.diff(1 + sa) - Wj[sa].du() for sa in self.block]
+            t_block = [[0.5 * (-fields[1 + m + d * a + b].du() + Wj[sa].diff(1 + sb)
+                               - Wj[sb].diff(1 + sa))
+                        for b, sb in enumerate(self.block)] for a, sa in enumerate(self.block)]
+        B = np.empty((us.size, d))
+        Lam = np.empty((us.size, d, d))
+        tval = np.empty((us.size, d, d))
+        tdot = np.empty((us.size, d, d))
         for a in range(d):
+            B[:, a] = h_block[a].value()
             for b, sb in enumerate(self.block):
-                for c_slot in self.block:
-                    e = unit(1 + sb)
-                    e[1 + c_slot] += 1
-                    aff = max(aff, float(np.max(np.abs(h_block[a].partial(e)))))
-        self.affine_residual = max(self.affine_residual, aff)
-        self.t_x_residual = max(self.t_x_residual, tx)
-        for i, u in enumerate(todo):
+                Lam[:, a, b] = coeff(h_block[a], 1 + sb)
+                tval[:, a, b] = t_block[a][b].value()
+                tdot[:, a, b] = coeff(t_block[a][b], 0)
+        finite = np.array([np.isfinite(v).reshape(us.size, -1).all(axis=1)
+                           for v in (tval, tdot, Lam, B)])
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=0)))
+            name = ("t", "tdot", "Lambda", "B")[int(np.argmin(finite[:, i]))]
+            raise ValueError(f"non-finite {name} in the flat-block data at u = {float(us[i])!r}")
+        tx = [coeff(tab, 1 + sc) for row in t_block for tab in row for sc in self.block]
+        aff = [coeff(ha, 1 + sb, 1 + sc) for ha in h_block for sb in self.block for sc in self.block]
+        # np.max, unlike max, keeps a NaN
+        self.affine_residual = float(np.max([self.affine_residual,
+                                             *(np.max(np.abs(c)) for c in aff)]))
+        self.t_x_residual = float(np.max([self.t_x_residual, *(np.max(np.abs(c)) for c in tx)]))
+        for i, u in enumerate(us):
             self._cache[float(u)] = (tval[i], tdot[i], Lam[i], B[i])
+        return tval, tdot, Lam, B
 
     def _eval(self, u: float):
         if u not in self._cache:
@@ -176,10 +176,11 @@ class FlatBlockData:
 
 @dataclass
 class RotationCurve:
-    """R on the u-grid, plus the abscissa and the R handed to every RK4 stage.
+    """R on the u-grid, the R handed to every RK4 stage, and the block data.
 
-    The translation ODE runs on the same grid and reads R at its stages from
-    here, so the rotation curve is integrated once.
+    ``t``, ``tdot``, ``Lambda`` and ``B`` hold the rows of ``ode.stage_grid``;
+    stage s of step k read row ``stage_rows[k, s]``.  The recovery of A and
+    the translation ODE read everything from here.
     """
 
     us: np.ndarray
@@ -187,8 +188,12 @@ class RotationCurve:
     orthogonality_error: float
     drift_before_projection: float
     h: float
-    stage_u: np.ndarray      # (steps, 4)
+    stage_rows: np.ndarray   # (steps, 4)
     stage_R: np.ndarray      # (steps, 4, d, d)
+    t: np.ndarray            # (2 steps + 1, d, d)
+    tdot: np.ndarray         # (2 steps + 1, d, d)
+    Lambda: np.ndarray       # (2 steps + 1, d, d)
+    B: np.ndarray            # (2 steps + 1, d)
 
 
 def _polar_project(R: np.ndarray) -> np.ndarray:
@@ -196,28 +201,22 @@ def _polar_project(R: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def default_steps(u_interval: tuple[float, float], steps: int | None) -> int:
-    """2000 fixed Runge-Kutta steps per unit of u, at least 200."""
-    if steps is not None:
-        return steps
-    return max(200, int(2000 * abs(u_interval[1] - u_interval[0])))
-
-
 def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
                        steps: int | None = None, R0: np.ndarray | None = None) -> RotationCurve:
-    """Integrate dR/du = -R^{-T} t(u) with periodic orthogonal reprojection."""
+    """Integrate dR/du = -R^{-T} t(u) with periodic orthogonal reprojection.
+
+    ``steps`` defaults to 2000 fixed Runge-Kutta steps per unit of u, at least 200.
+    """
     d = data.d
     R0 = np.eye(d) if R0 is None else np.asarray(R0, dtype=float)
     if d and np.max(np.abs(R0.T @ R0 - np.eye(d))) > 1e-12:
         raise ValueError("R0 must be orthogonal")
-    steps = default_steps(u_interval, steps)
     u0, u1 = u_interval
+    if steps is None:
+        steps = max(200, int(2000 * abs(u1 - u0)))
     h = (u1 - u0) / steps
-    us = u0 + h * np.arange(steps + 1)
-    mids = us[:-1] + 0.5 * h
-    data.precompute(np.concatenate([us, mids]))
-    # stage abscissae exactly as precomputed, so the sampler cache is hit bit for bit
-    stage_u = np.stack([us[:-1], mids, mids, us[1:]], axis=1)
+    us, grid, rows = stage_grid(u0, h, steps)
+    t, tdot, lam, B = data.precompute(grid)
     stage_R = np.empty((steps, 4, d, d))
     out = np.empty((steps + 1, d, d))
     out[0] = R0
@@ -226,7 +225,7 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
 
     def f(stage: tuple[int, int], Rc: np.ndarray) -> np.ndarray:
         stage_R[stage] = Rc
-        return -np.linalg.inv(Rc).T @ data.t(stage_u[stage])
+        return -np.linalg.inv(Rc).T @ t[rows[stage]]
 
     for k in range(steps):
         R = rk4_step(f, R, h, [(k, s) for s in range(4)])
@@ -238,58 +237,56 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
                     "increase the step count")
             R = _polar_project(R)
         out[k + 1] = R
-    err = max(
-        float(np.max(np.abs(out[k].T @ out[k] - np.eye(d)))) for k in range(steps + 1)
-    ) if d else 0.0
-    return RotationCurve(us, out, err, drift, h, stage_u, stage_R)
+    err = float(np.max(np.abs(_T(out) @ out - np.eye(d)))) if d else 0.0
+    return RotationCurve(us, out, err, drift, h, rows, stage_R, t, tdot, lam, B)
 
 
-def _A_at(data: FlatBlockData, u: float, R: np.ndarray) -> np.ndarray:
-    """A(u) from the cross-derivative relation, given R(u) on the rotation curve.
+def _A_at(R: np.ndarray, t: np.ndarray, tdot: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """A from the cross-derivative relation, on stacks (..., d, d) of R on the
+    rotation curve and t, tdot, Lambda at the same u's.
 
     d2R/du2 comes from differentiating the rotation ODE analytically.
     """
     Rinv = np.linalg.inv(R)
-    t = data.t(u)
-    Rdot = -Rinv.T @ t
-    dRinvT = -(Rinv @ Rdot @ Rinv).T
-    M = R.T @ (-dRinvT @ t - Rinv.T @ data.tdot(u))
-    lam = data.Lambda(u)
-    core = 0.5 * (lam + lam.T) - 0.5 * (M + M.T)
-    A = -0.5 * (R @ core @ R.T)
-    return 0.5 * (A + A.T)
+    Rdot = -_T(Rinv) @ t
+    dRinvT = -_T(Rinv @ Rdot @ Rinv)
+    M = _T(R) @ (-dRinvT @ t - _T(Rinv) @ tdot)
+    core = 0.5 * (lam + _T(lam)) - 0.5 * (M + _T(M))
+    A = -0.5 * (R @ core @ _T(R))
+    return 0.5 * (A + _T(A))
 
 
-def recover_A(data: FlatBlockData, rot: RotationCurve) -> np.ndarray:
-    """A(u) at the rotation grid from the cross-derivative relation."""
-    out = np.empty_like(rot.R)
-    for k, (u, R) in enumerate(zip(rot.us, rot.R)):
-        out[k] = _A_at(data, float(u), R)
-    return out
+def recover_A(rot: RotationCurve) -> np.ndarray:
+    """A(u) at the rotation grid nodes from the cross-derivative relation."""
+    return _A_at(rot.R, rot.t[0::2], rot.tdot[0::2], rot.Lambda[0::2])
 
 
-def solve_translation_ode(data: FlatBlockData, rot: RotationCurve,
-                          D0: np.ndarray | None = None,
+def solve_translation_ode(rot: RotationCurve, D0: np.ndarray | None = None,
                           Ddot0: np.ndarray | None = None) -> np.ndarray:
     """Integrate d2D/du2 = 2 A(u) D + R^{-T} B(u) on the rotation grid.
 
-    u and R at every Runge-Kutta stage are the ones ``rot`` recorded, so A
-    and R are available at the substeps without interpolation.
+    u and R at every Runge-Kutta stage are the ones ``rot`` recorded, so
+    2A and R^{-T} B are computed for every stage before the loop, without
+    interpolation.
     """
-    d = data.d
+    d = rot.R.shape[-1]
+    A2 = np.empty(rot.stage_R.shape)
+    F = np.empty(rot.stage_R.shape[:-1])
+    for s in range(4):
+        R, i = rot.stage_R[:, s], rot.stage_rows[:, s]
+        A2[:, s] = 2.0 * _A_at(R, rot.t[i], rot.tdot[i], rot.Lambda[i])
+        F[:, s] = (_T(np.linalg.inv(R)) @ rot.B[i][..., None])[..., 0]
     D = np.zeros(d) if D0 is None else np.asarray(D0, dtype=float)
     Dd = np.zeros(d) if Ddot0 is None else np.asarray(Ddot0, dtype=float)
     out = np.empty((len(rot.us), d))
     out[0] = D
     state = np.concatenate([D, Dd])
 
-    def f(stage: tuple[float, np.ndarray], y: np.ndarray) -> np.ndarray:
-        u, R = stage
-        Dddot = 2.0 * _A_at(data, u, R) @ y[:d] + np.linalg.inv(R).T @ data.B(u)
-        return np.concatenate([y[d:], Dddot])
+    def f(stage: tuple[int, int], y: np.ndarray) -> np.ndarray:
+        return np.concatenate([y[d:], A2[stage] @ y[:d] + F[stage]])
 
     for k in range(len(rot.us) - 1):
-        state = rk4_step(f, state, rot.h, list(zip(rot.stage_u[k], rot.stage_R[k])))
+        state = rk4_step(f, state, rot.h, [(k, s) for s in range(4)])
         out[k + 1] = state[:d]
     return out
 
@@ -362,26 +359,25 @@ def verify_canonical(us: np.ndarray, A_of_u: np.ndarray, tol: float = 1e-8) -> d
     }
 
 
-def _eqq_residuals(data: FlatBlockData, rot: RotationCurve, A_of_u: np.ndarray,
+def _eqq_residuals(rot: RotationCurve, A_of_u: np.ndarray,
                    D_of_u: np.ndarray) -> tuple[float, float]:
     """Integrability residuals with derivatives taken by central differences.
 
     Differencing the integrated curves keeps the check independent of the
     ODE right-hand sides, at the price of an O(h^2) floor.
     """
-    if len(rot.us) < 3 or data.d == 0:
+    if len(rot.us) < 3 or rot.R.shape[-1] == 0:
         return 0.0, 0.0
     h = float(rot.us[1] - rot.us[0])
-    r1 = r3 = 0.0
-    for k in range(1, len(rot.us) - 1, max(1, len(rot.us) // 64)):
-        u = float(rot.us[k])
-        R = rot.R[k]
-        Rdot = (rot.R[k + 1] - rot.R[k - 1]) / (2.0 * h)
-        skew = 0.5 * (Rdot.T @ R - R.T @ Rdot)
-        r1 = max(r1, float(np.max(np.abs(data.t(u) - skew))))
-        Ddd = (D_of_u[k + 1] - 2.0 * D_of_u[k] + D_of_u[k - 1]) / h ** 2
-        rhs = -2.0 * R.T @ A_of_u[k] @ D_of_u[k] + R.T @ Ddd
-        r3 = max(r3, float(np.max(np.abs(data.B(u) - rhs))))
+    k = np.arange(1, len(rot.us) - 1, max(1, len(rot.us) // 64))
+    R = rot.R[k]
+    Rdot = (rot.R[k + 1] - rot.R[k - 1]) / (2.0 * h)
+    skew = 0.5 * (_T(Rdot) @ R - _T(R) @ Rdot)
+    r1 = float(np.max(np.abs(rot.t[2 * k] - skew)))
+    Ddd = (D_of_u[k + 1] - 2.0 * D_of_u[k] + D_of_u[k - 1]) / h ** 2
+    rhs = (-2.0 * _T(R) @ A_of_u[k] @ D_of_u[k][..., None]
+           + _T(R) @ Ddd[..., None])[..., 0]
+    r3 = float(np.max(np.abs(rot.B[2 * k] - rhs)))
     return r1, r3
 
 
@@ -395,12 +391,14 @@ def reconstruct(spec: MetricSpec, block: Sequence[int] | None = None,
     data = FlatBlockData(spec, tuple(block))
     if u_interval is None:
         u_interval = spec.box[0]
-    steps = default_steps(u_interval, steps)
+    lo, hi = spec.box[0]
+    if not all(lo <= u <= hi for u in u_interval):
+        raise ValueError(f"u interval {tuple(u_interval)} lies outside the box u in {(lo, hi)}")
     rot = solve_rotation_ode(data, u_interval, steps, R0)
-    A_of_u = recover_A(data, rot)
-    D_of_u = solve_translation_ode(data, rot, D0, Ddot0)
+    A_of_u = recover_A(rot)
+    D_of_u = solve_translation_ode(rot, D0, Ddot0)
     fit = verify_canonical(rot.us, A_of_u, tol)
-    r1, r3 = _eqq_residuals(data, rot, A_of_u, D_of_u)
+    r1, r3 = _eqq_residuals(rot, A_of_u, D_of_u)
     return CanonicalForm(
         us=rot.us,
         A_of_u=A_of_u,

@@ -53,10 +53,6 @@ class MetricDefinitenessError(ValueError):
     """The leaf metric g_ij failed to be positive definite at a sample point."""
 
 
-def _zero() -> ExprAst:
-    return expr.Num(0.0)
-
-
 def _delta(i: int, j: int) -> ExprAst:
     return expr.Num(1.0 if i == j else 0.0)
 

@@ -47,7 +47,6 @@ ENGINE_AGREEMENT_TOL = 1e-6
 A_TILDE_ORDER = 1 + 3
 DEFAULT_TOL = 1e-9
 DETECTION_FLOOR = 1e-3
-GRAY_FACTOR = 100.0
 
 
 class EngineDisagreement(RuntimeError):

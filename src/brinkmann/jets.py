@@ -397,11 +397,13 @@ def pow_int(a: Jet, n: int) -> Jet:
     n = int(n)
     if n < 0:
         return pow_int(a.reciprocal(), -n)
-    result = const(1.0, a.num_vars, a.order, shape=a.data.shape[:-1])
+    if n == 0:
+        return const(1.0, a.num_vars, a.order, shape=a.data.shape[:-1])
+    result = None
     base = a
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         base = base * base if n > 1 else base
         n >>= 1
     return result

@@ -112,8 +112,7 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
         raise ValueError("insufficient jet order for the requested depth")
     n = cm.n
     dG = _cgrad(cm.G, n)                          # dG[a, b, mu] = g_ab,mu
-    sym = Jet(dG.ctx, np.einsum("rbcx->rbcx", dG.data)
-              + np.einsum("rcbx->rbcx", dG.data)
+    sym = Jet(dG.ctx, dG.data + np.einsum("rcbx->rbcx", dG.data)
               - np.einsum("bcrx->rbcx", dG.data))
     Gamma = 0.5 * jet_einsum("ar,rbc->abc", cm.Ginv, sym)
 

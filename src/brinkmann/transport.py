@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chart import ChartPoint, MetricSpec, compute_h_t, eval_metric, frame_components
-from .ode import rk4_step
+from .ode import rk4_step, stage_grid
 from .oracle import assemble_coordinate_metric, coordinate_curvature
 
 __all__ = [
@@ -55,7 +55,7 @@ def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
         e = [0] * ctx.nvars
         e[mu if mu == 0 else mu - 1] = 1
         dG[:, :, mu] = cm.G.data[:, :, ctx.index(e)]
-    sym = np.einsum("rbc->rbc", dG) + np.einsum("rcb->rbc", dG) - np.einsum("bcr->rbc", dG)
+    sym = dG + np.einsum("rcb->rbc", dG) - np.einsum("bcr->rbc", dG)
     return 0.5 * np.einsum("ar,rbc->abc", cm.Ginv0, sym)
 
 
@@ -152,28 +152,22 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     """Transport leaf vectors along the E_0 integral curve through p.
 
     The integral curve keeps x fixed while u advances, so the transported
-    components satisfy dX^i/du = t^i_k X^k.  Stage 4 of a step is the next
-    node, so t^i_k is evaluated once per node and once per midpoint.
-    Returns (u values, X values).
+    components satisfy dX^i/du = t^i_k X^k.  t^i_k is evaluated once per
+    row of the node/midpoint ``stage_grid``.  Returns (u values, X values).
     """
     m = spec.m
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = u_span / steps
-    us = p.u + h * np.arange(steps + 1)
+    us, grid, rows = stage_grid(p.u, h, steps)
+    tup = np.zeros((len(grid), m, m))
+    for i, u in enumerate(grid):
+        cj = eval_metric(spec, ChartPoint(float(u), p.x), order=1)
+        if m:
+            tup[i] = cj.ginv0 @ compute_h_t(cj)[1].value().reshape(m, m)
     out = np.empty((steps + 1, V.shape[0], m))
     out[0] = V
-    tups: dict[float, np.ndarray] = {}
-
-    def f(u: float, X: np.ndarray) -> np.ndarray:
-        if u not in tups:
-            cj = eval_metric(spec, ChartPoint(u, p.x), order=1)
-            _, t = compute_h_t(cj)
-            tups[u] = (cj.ginv0 @ t.value().reshape(m, m)) if m else np.zeros((0, 0))
-        return X @ tups[u].T
-
     for k in range(steps):
-        u0, u1 = float(us[k]), float(us[k + 1])
-        out[k + 1] = rk4_step(f, out[k], h, (u0, u0 + 0.5 * h, u0 + 0.5 * h, u1))
+        out[k + 1] = rk4_step(lambda row, X: X @ tup[row].T, out[k], h, rows[k])
     return us, out
 
 
@@ -228,20 +222,17 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
 
 
 def _curve_trajectory(spec: MetricSpec, curve: Callable[[float], tuple[np.ndarray, np.ndarray]],
-                      taus: np.ndarray) -> Trajectory:
-    """Sample an analytic curve on ``taus`` with its connection at the RK4 stages.
+                      span: float, steps: int) -> Trajectory:
+    """Sample an analytic curve on [0, span] with its connection at the RK4 stages.
 
-    Stages 2 and 3 share the step midpoint and stage 4 is the next node, so
-    each distinct abscissa costs one Christoffel evaluation.
+    Each row of the node/midpoint ``stage_grid`` costs one Christoffel
+    evaluation.
     """
-    grid = np.empty(2 * len(taus) - 1)
-    grid[0::2] = taus
-    grid[1::2] = taus[:-1] + 0.5 * (taus[1] - taus[0])
+    taus, grid, rows = stage_grid(0.0, span / steps, steps)
     points = [curve(t) for t in grid]
     C = np.array([np.einsum("abc,c->ab", christoffel_values(spec, c), v) for c, v in points])
     return Trajectory(taus, np.array([c for c, _ in points[::2]]),
-                      np.array([v for _, v in points[::2]]), spec,
-                      np.stack([C[:-1:2], C[1::2], C[1::2], C[2::2]], axis=1))
+                      np.array([v for _, v in points[::2]]), spec, C[rows])
 
 
 def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
@@ -268,7 +259,7 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
             s = tau / span
             return center + c1 * s + c2 * s * s, (c1 + 2.0 * c2 * s) / span
 
-        traj = _curve_trajectory(spec, curve, np.linspace(0.0, span, steps + 1))
+        traj = _curve_trajectory(spec, curve, span, steps)
         basis0 = np.eye(n)
         extra0 = rng.normal(size=(4, n))
         moved = parallel_transport(spec, traj, np.vstack([basis0, extra0]))

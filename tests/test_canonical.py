@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from brinkmann import canonical
 from brinkmann.canonical import (FlatBlockData, recover_A, reconstruct, solve_rotation_ode,
                                  solve_translation_ode, verify_canonical)
 from brinkmann.chart import MetricSpec
@@ -89,7 +92,7 @@ def test_recover_A_unscrambled():
     spec = fixture("cw4_r2")
     data = FlatBlockData(spec, (0, 1))
     rot = solve_rotation_ode(data, (-0.5, 0.5), steps=100)
-    A = recover_A(data, rot)
+    A = recover_A(rot)
     for k in (0, 50, 100):
         assert np.allclose(A[k], -np.diag([rot.us[k], 1.0]), atol=1e-12)
 
@@ -101,30 +104,113 @@ def test_recover_A_constant_rotation_congruence():
     scr = apply_chart_change(spec, rotation_chart_change(spec, (0, 1), omega=0.0))
     data = FlatBlockData(scr, (0, 1))
     rot = solve_rotation_ode(data, (0.0, 0.5), steps=100, R0=R0)
-    A = recover_A(data, rot)
+    A = recover_A(rot)
     for k in (0, 100):
         P = np.diag([rot.us[k], 1.0])
         assert np.allclose(np.sort(np.linalg.eigvalsh(A[k])),
                            np.sort(np.linalg.eigvalsh(-P)), atol=1e-10)
 
 
+def _A_reference(data, u, R):
+    # the cross-derivative relation at one node, from the per-u samplers
+    Rinv = np.linalg.inv(R)
+    t = data.t(u)
+    Rdot = -Rinv.T @ t
+    dRinvT = -(Rinv @ Rdot @ Rinv).T
+    M = R.T @ (-dRinvT @ t - Rinv.T @ data.tdot(u))
+    lam = data.Lambda(u)
+    core = 0.5 * (lam + lam.T) - 0.5 * (M + M.T)
+    A = -0.5 * (R @ core @ R.T)
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("name, omega", [("scrambled_cw4", None), ("cw4_r2", 0.0)])
+def test_recover_A_stacked_equals_per_node(name, omega):
+    spec = fixture(name)
+    if omega is not None:
+        spec = apply_chart_change(spec, rotation_chart_change(spec, (0, 1), omega=omega))
+    data = FlatBlockData(spec, (0, 1))
+    th = 0.7
+    R0 = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    rot = solve_rotation_ode(data, (-0.4, 0.5), steps=90, R0=R0)
+    A = recover_A(rot)
+    want = np.array([_A_reference(data, float(u), R) for u, R in zip(rot.us, rot.R)])
+    assert np.array_equal(A, want)
+
+
+def test_reconstruct_evaluates_the_block_data_once(monkeypatch):
+    # one batched pass over the node/midpoint grid; no solver reads a per-u
+    # sampler, and the stacked A relation runs a fixed number of times
+    precompute = FlatBlockData.precompute
+    sizes, stacks = [], []
+
+    def counted(self, us):
+        sizes.append(len(us))
+        return precompute(self, us)
+
+    def no_sampler(self, u):
+        raise AssertionError("per-u sampler called")
+
+    A_at = canonical._A_at
+
+    def counted_A(*args):
+        stacks.append(len(args[0]))
+        return A_at(*args)
+
+    monkeypatch.setattr(FlatBlockData, "precompute", counted)
+    monkeypatch.setattr(FlatBlockData, "_eval", no_sampler)
+    monkeypatch.setattr(canonical, "_A_at", counted_A)
+    spec = fixture("scrambled_cw4")
+    for steps in (50, 120):
+        sizes.clear()
+        stacks.clear()
+        reconstruct(spec, u_interval=(-0.3, 0.2), steps=steps)
+        assert sizes == [2 * steps + 1]
+        assert stacks == [steps + 1] + 4 * [steps]    # recover_A, then each stage column
+
+
+def test_non_finite_block_data_is_a_located_error():
+    # exp(1000 u) overflows for u above ~0.709; no NaN A(u), no numpy warning
+    spec = MetricSpec.from_text(4, H="exp(1000*u)*x2^2 + u*x3^2",
+                                box=[(0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^non-finite Lambda in the flat-block data "
+                                             r"at u = 0\.71"):
+            reconstruct(spec, steps=200)
+        data = FlatBlockData(spec, (0, 1))
+        with pytest.raises(ValueError, match=r"non-finite Lambda .* at u = 1\.0$"):
+            data.Lambda(1.0)
+        assert np.isfinite(data.Lambda(0.5)).all()
+
+
+def test_reconstruct_refuses_an_interval_outside_the_box():
+    spec = fixture("cw4_r2")
+    lo, hi = spec.box[0]
+    cf = reconstruct(spec, u_interval=(lo, hi), steps=50)
+    assert cf.us[0] == lo
+    for interval in ((lo - 1e-9, hi), (lo, hi + 0.5), (hi, 2.0 * hi), (lo, float("nan"))):
+        with pytest.raises(ValueError, match="outside the box"):
+            reconstruct(spec, u_interval=interval, steps=50)
+
+
 def test_recover_A_zero_Lambda():
     spec = fixture("flat")
     data = FlatBlockData(spec, (0, 1))
     rot = solve_rotation_ode(data, (0.0, 1.0), steps=50)
-    assert np.max(np.abs(recover_A(data, rot))) < 1e-14
+    assert np.max(np.abs(recover_A(rot))) < 1e-14
 
 
 def test_translation_ode_trivial_and_quadratic():
     flat = fixture("flat")
     data = FlatBlockData(flat, (0, 1))
-    D = solve_translation_ode(data, solve_rotation_ode(data, (0.0, 1.0), steps=100))
+    D = solve_translation_ode(solve_rotation_ode(data, (0.0, 1.0), steps=100))
     assert np.max(np.abs(D)) == 0.0
 
     # constant B via H = b x2: h_2 = b, A = 0, R = I -> D = B u^2 / 2 + ...
     spec = MetricSpec.from_text(4, H="0.6*x2")
     data = FlatBlockData(spec, (0, 1))
-    D = solve_translation_ode(data, solve_rotation_ode(data, (0.0, 1.0), steps=200),
+    D = solve_translation_ode(solve_rotation_ode(data, (0.0, 1.0), steps=200),
                               Ddot0=np.array([0.1, 0.0]))
     us = np.linspace(0, 1, 201)
     expect = 0.3 * us ** 2 + 0.1 * us
@@ -141,7 +227,7 @@ def test_translation_ode_reads_R_from_the_rotation_curve():
     R0 = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     rot = solve_rotation_ode(data, (0.0, 1.0), steps=200, R0=R0)
     assert np.array_equal(rot.stage_R[:, 0], rot.R[:-1])
-    D = solve_translation_ode(data, rot, Ddot0=np.array([0.1, 0.0]))
+    D = solve_translation_ode(rot, Ddot0=np.array([0.1, 0.0]))
     us = np.linspace(0, 1, 201)
     expect = np.outer(us ** 2, R0 @ [0.3, 0.0]) + np.outer(us, [0.1, 0.0])
     assert np.max(np.abs(D - expect)) < 1e-10

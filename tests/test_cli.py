@@ -146,6 +146,21 @@ def test_canonicalize_happy_path(tmp_path, capsys):
     assert report["essential_parameters"] == 2 - 1 + 2 * 3 // 2
 
 
+def test_canonicalize_refuses_a_u_interval_outside_the_box(tmp_path, capsys):
+    path = tmp_path / "scr.metric"
+    path.write_text(spec_to_text(fixture("scrambled_cw4")))
+    code, out, err = run(capsys, "canonicalize", str(path), "--u-min", "-2", "--u-max", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: u interval (-2.0, 0.5) lies outside the box u in (-0.8, 0.8)"]
+    # an end left out is the box edge
+    code, out, _ = run(capsys, "canonicalize", str(path), "--u-min", "0.2", "--steps", "100")
+    assert code == 0
+    us = json.loads(out)["u_samples"]
+    assert us[0] == 0.2 and us[-1] == pytest.approx(0.8, abs=1e-15)
+
+
 def test_canonicalize_precondition_exit_two(tmp_path, capsys):
     path = tmp_path / "r1.metric"
     path.write_text(spec_to_text(fixture("cw4_r1")))

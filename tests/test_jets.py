@@ -64,6 +64,35 @@ def test_elementary_functions():
     assert q.partial((1,)) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_pow_int_starts_from_the_base(shape, monkeypatch):
+    # x^n is the square-and-multiply product written out, bit for bit, with no
+    # leading product by const(1): one Jet.__mul__ fewer than starting from 1
+    rng = np.random.default_rng(4)
+    ctx = J.context(3, 3)
+    x = J.Jet(ctx, rng.normal(size=shape + (ctx.ncoeffs,)))
+    x.data[..., 1] = -0.0
+    written = {1: lambda: x, 2: lambda: x * x, 3: lambda: x * (x * x),
+               4: lambda: (x * x) * (x * x), 5: lambda: x * ((x * x) * (x * x))}
+    products = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3}
+    real = J.Jet.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(J.Jet, "__mul__", counted)
+    for n in range(6):
+        calls.clear()
+        got = J.pow_int(x, n)
+        assert len(calls) == products[n]
+        want = written[n]() if n else J.const(1.0, 3, 3, shape=shape)
+        assert got.data.shape == want.data.shape
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
 def test_sqrt_domain():
     with pytest.raises(J.JetDomainError):
         J.sqrt(J.seed(0, -1.0, 1, 2))
