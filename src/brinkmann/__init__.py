@@ -7,7 +7,7 @@ Ricci-block decomposition, canonical plane-wave reconstruction and
 transport experiments.
 """
 
-from .chart import ChartPoint, FrameTensor, MetricDefinitenessError, MetricSpec
+from .chart import ChartPoint, MetricDefinitenessError, MetricSpec
 from .classify import (EisenhartSplit, SymmetryReport, algebra_lemma_probe,
                        check_theorem_redu, eisenhart_split, extract_A_tilde,
                        sample_points, symmetry_order)
@@ -20,7 +20,7 @@ from .spaces import (ChartChange, CwParams, apply_chart_change, fixture, make_cw
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChartPoint", "MetricSpec", "FrameTensor", "MetricDefinitenessError",
+    "ChartPoint", "MetricSpec", "MetricDefinitenessError",
     "CurvaturePack", "DerivPack", "SecondDerivPack", "curvature_at",
     "assemble_coordinate_metric", "coordinate_curvature", "frame_blocks_from_oracle",
     "CwParams", "ChartChange", "make_cw", "make_product", "apply_chart_change",

@@ -56,6 +56,7 @@ __all__ = [
 REPROJECT_EVERY = 50
 DRIFT_LIMIT = 1e-6
 BLOCK_JET_ORDER = 3  # the affine residual reads third derivatives of H
+SLOPE_TOL = 1e-8  # an A1 entry or eigenvalue above this counts as a nonzero slope
 
 
 def _T(M: np.ndarray) -> np.ndarray:
@@ -261,9 +262,8 @@ def recover_A(rot: RotationCurve) -> np.ndarray:
     return _A_at(rot.R, rot.t[0::2], rot.tdot[0::2], rot.Lambda[0::2])
 
 
-def solve_translation_ode(rot: RotationCurve, D0: np.ndarray | None = None,
-                          Ddot0: np.ndarray | None = None) -> np.ndarray:
-    """Integrate d2D/du2 = 2 A(u) D + R^{-T} B(u) on the rotation grid.
+def solve_translation_ode(rot: RotationCurve, Ddot0: np.ndarray | None = None) -> np.ndarray:
+    """Integrate d2D/du2 = 2 A(u) D + R^{-T} B(u) on the rotation grid from D(u0) = 0.
 
     u and R at every Runge-Kutta stage are the ones ``rot`` recorded, so
     2A and R^{-T} B are computed for every stage before the loop, without
@@ -276,7 +276,7 @@ def solve_translation_ode(rot: RotationCurve, D0: np.ndarray | None = None,
         R, i = rot.stage_R[:, s], rot.stage_rows[:, s]
         A2[:, s] = 2.0 * _A_at(R, rot.t[i], rot.tdot[i], rot.Lambda[i])
         F[:, s] = (_T(np.linalg.inv(R)) @ rot.B[i][..., None])[..., 0]
-    D = np.zeros(d) if D0 is None else np.asarray(D0, dtype=float)
+    D = np.zeros(d)
     Dd = np.zeros(d) if Ddot0 is None else np.asarray(Ddot0, dtype=float)
     out = np.empty((len(rot.us), d))
     out[0] = D
@@ -329,22 +329,25 @@ class CanonicalForm:
         }
 
 
-def verify_canonical(us: np.ndarray, A_of_u: np.ndarray, tol: float = 1e-8) -> dict:
-    """Affine fit A(u) ~ A1 u + A0 plus the essential-parameter normal form."""
+def verify_canonical(us: np.ndarray, A_of_u: np.ndarray) -> dict:
+    """Affine fit A(u) ~ A1 u + A0 plus the essential-parameter normal form.
+
+    An empty block (d = 0) fits exactly and is never proper.
+    """
     k, d, _ = A_of_u.shape
     design = np.stack([np.ones_like(us), us], axis=1)
     coef, *_ = np.linalg.lstsq(design, A_of_u.reshape(k, d * d), rcond=None)
     A0 = coef[0].reshape(d, d)
     A1 = coef[1].reshape(d, d)
     fit = design @ coef
-    residual = float(np.max(np.abs(fit - A_of_u.reshape(k, d * d)))) if k else 0.0
-    proper = bool(np.max(np.abs(A1)) > tol) if d else False
+    residual = float(np.max(np.abs(fit - A_of_u.reshape(k, d * d)))) if A_of_u.size else 0.0
+    proper = bool(np.max(np.abs(A1)) > SLOPE_TOL) if d else False
     if d:
         w, O = np.linalg.eigh(0.5 * (A1 + A1.T))
         A0n = O.T @ A0 @ O
         u_shift = 0.0
         for idx in range(d):
-            if abs(w[idx]) > tol:
+            if abs(w[idx]) > SLOPE_TOL:
                 u_shift = -A0n[idx, idx] / w[idx]
                 break
         A0n = A0n + u_shift * np.diag(w)
@@ -382,10 +385,12 @@ def _eqq_residuals(rot: RotationCurve, A_of_u: np.ndarray,
 
 
 def reconstruct(spec: MetricSpec, block: Sequence[int] | None = None,
-                u_interval: tuple[float, float] | None = None, steps: int | None = None,
-                R0: np.ndarray | None = None, D0: np.ndarray | None = None,
-                Ddot0: np.ndarray | None = None, tol: float = 1e-8) -> CanonicalForm:
-    """Full pipeline: extract flat-block data, solve the ODEs, fit A(u)."""
+                u_interval: tuple[float, float] | None = None,
+                steps: int | None = None) -> CanonicalForm:
+    """Full pipeline: extract flat-block data, solve the ODEs, fit A(u).
+
+    R starts at the identity and D at zero with zero slope.
+    """
     if block is None:
         block = tuple(range(spec.m))
     data = FlatBlockData(spec, tuple(block))
@@ -394,10 +399,10 @@ def reconstruct(spec: MetricSpec, block: Sequence[int] | None = None,
     lo, hi = spec.box[0]
     if not all(lo <= u <= hi for u in u_interval):
         raise ValueError(f"u interval {tuple(u_interval)} lies outside the box u in {(lo, hi)}")
-    rot = solve_rotation_ode(data, u_interval, steps, R0)
+    rot = solve_rotation_ode(data, u_interval, steps)
     A_of_u = recover_A(rot)
-    D_of_u = solve_translation_ode(rot, D0, Ddot0)
-    fit = verify_canonical(rot.us, A_of_u, tol)
+    D_of_u = solve_translation_ode(rot)
+    fit = verify_canonical(rot.us, A_of_u)
     r1, r3 = _eqq_residuals(rot, A_of_u, D_of_u)
     return CanonicalForm(
         us=rot.us,

@@ -37,7 +37,6 @@ __all__ = [
     "ChartPoint",
     "ChartJets",
     "FrameData",
-    "FrameTensor",
     "MetricDefinitenessError",
     "eval_metric",
     "compute_h_t",
@@ -162,49 +161,6 @@ class MetricSpec:
     def center(self) -> ChartPoint:
         mids = [(lo + hi) / 2.0 for lo, hi in self.box]
         return ChartPoint(mids[0], tuple(mids[1:]))
-
-
-# -- frame tensors ---------------------------------------------------------------
-
-Slot = tuple[str, str]  # (variance, basis) with variance in {up, down}, basis in {full, leaf}
-
-
-@dataclass
-class FrameTensor:
-    """Dense components of a tensor in the partly null frame.
-
-    Each slot is tagged with its variance and with the basis it indexes:
-    'full' slots run over the whole frame 0 .. n-1, 'leaf' slots over the
-    spacelike directions only (stored 0-based, printed as 2 .. n-1).
-    """
-
-    data: np.ndarray
-    slots: tuple[Slot, ...]
-    n: int
-
-    def __post_init__(self):
-        if self.data.ndim != len(self.slots):
-            raise ValueError("slot list does not match array rank")
-        for size, (variance, basis) in zip(self.data.shape, self.slots):
-            if variance not in ("up", "down") or basis not in ("full", "leaf"):
-                raise ValueError(f"bad slot tag {(variance, basis)}")
-            if size != (self.n if basis == "full" else self.n - 2):
-                raise ValueError("slot size does not match its basis")
-
-    def leaf_part(self) -> "FrameTensor":
-        """Restrict every full slot to the leaf range 2 .. n-1."""
-        index = tuple(
-            slice(None) if basis == "leaf" else slice(2, self.n)
-            for _, basis in self.slots
-        )
-        return FrameTensor(
-            self.data[index],
-            tuple((v, "leaf") for v, _ in self.slots),
-            self.n,
-        )
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
 
 # -- metric evaluation -----------------------------------------------------------

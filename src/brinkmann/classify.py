@@ -7,7 +7,7 @@ ENGINE_AGREEMENT_TOL means an internal bug, not a property of the metric,
 and aborts the run.
 
 Residual semantics: a tensor depth (R, nabla R, nabla nabla R) counts as
-*zero* below ``tol`` and as *detected* above ``floor``, both scaled by
+*zero* below ``tol`` and as *detected* above DETECTION_FLOOR, both scaled by
 (1 + curvature magnitude); anything caught in between is a refusal to
 over-claim and yields the undetermined verdict.
 """
@@ -47,6 +47,7 @@ ENGINE_AGREEMENT_TOL = 1e-6
 A_TILDE_ORDER = 1 + 3
 DEFAULT_TOL = 1e-9
 DETECTION_FLOOR = 1e-3
+SAMPLE_MARGIN = 0.1  # samples keep this fraction of each box side from its ends
 
 
 class EngineDisagreement(RuntimeError):
@@ -68,14 +69,15 @@ def _halton(index: int, base: int) -> float:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
-def sample_points(spec: MetricSpec, count: int = 8, margin: float = 0.1) -> list[ChartPoint]:
+def sample_points(spec: MetricSpec, count: int = 8) -> list[ChartPoint]:
     """Deterministic low-discrepancy samples in the admissible box, plus its center."""
     nv = spec.num_vars
+    inner = 1.0 - 2.0 * SAMPLE_MARGIN
     pts = []
     for k in range(1, count + 1):
         coords = []
         for d, (lo, hi) in enumerate(spec.box):
-            t = margin + (1.0 - 2.0 * margin) * _halton(k, _PRIMES[d % len(_PRIMES)])
+            t = SAMPLE_MARGIN + inner * _halton(k, _PRIMES[d % len(_PRIMES)])
             coords.append(lo + t * (hi - lo))
         pts.append(ChartPoint(coords[0], tuple(coords[1:])))
     pts.append(spec.center())
@@ -232,10 +234,10 @@ class SymmetryReport:
         return out
 
 
-def _classify_residual(value: float, tol: float, floor: float, scale: float) -> str:
+def _classify_residual(value: float, tol: float, scale: float) -> str:
     if value < tol * scale:
         return "zero"
-    if value > floor * scale:
+    if value > DETECTION_FLOOR * scale:
         return "nonzero"
     return "gray"
 
@@ -255,7 +257,7 @@ def _check_agreement(evaluations: list[SampleEvaluation]) -> float:
 
 
 def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
-                   tol: float = DEFAULT_TOL, floor: float = DETECTION_FLOOR,
+                   tol: float = DEFAULT_TOL,
                    evaluations: list[SampleEvaluation] | None = None,
                    depth: int = 2) -> SymmetryReport:
     """Classify the symmetry order of the metric from sampled tensor packs.
@@ -280,9 +282,9 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
         r0, r1, r2 = max(r0, n0), max(r1, n1), max(r2, n2)
     scale = 1.0 + r0
 
-    s0 = _classify_residual(r0, tol, floor, 1.0)
-    s1 = _classify_residual(r1, tol, floor, scale)
-    s2 = _classify_residual(r2, tol, floor, scale) if depth == 2 else "unknown"
+    s0 = _classify_residual(r0, tol, 1.0)
+    s1 = _classify_residual(r1, tol, scale)
+    s2 = _classify_residual(r2, tol, scale) if depth == 2 else "unknown"
 
     if s0 == "zero":
         verdict = "flat"
@@ -304,7 +306,7 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
         residuals={"R": r0, "nabla_R": r1, "nabla2_R": r2},
         scale=scale,
         tol=tol,
-        floor=floor,
+        floor=DETECTION_FLOOR,
         engine_agreement=agreement,
         second_block_norms=block_norms,
         samples=list(samples),

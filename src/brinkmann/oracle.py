@@ -16,9 +16,15 @@ so that R(d_c, d_d) d_b = R^a_{bcd} d_a.  Covariant derivatives append
 their slots last, inner first: ``dR[a, b, c, d, mu]`` is nabla_mu R^a_{bcd}
 and ``d2R[..., mu, nu]`` is nabla_nu nabla_mu R^a_{bcd} (nu outermost).
 
+The transport experiments read their Christoffel symbols from here too:
+``christoffel`` gives the values of Gamma from the first derivatives of G
+and the numeric inverse, by the same lowered combination that
+``coordinate_curvature`` differentiates further.
+
 Nothing here knows about the partly null frame; ``to_frame`` contracts
-coordinate tensors against externally supplied basis matrices, which is
-what keeps this module an independent check of the specialized formulas.
+coordinate tensors against externally supplied basis matrices and returns
+plain arrays, which is what keeps this module an independent check of the
+specialized formulas.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .chart import ChartPoint, FrameData, FrameTensor, MetricSpec, eval_metric, \
-    frame_components, jet_matrix_inverse
+from .chart import ChartPoint, FrameData, MetricSpec, eval_metric, frame_components, \
+    jet_matrix_inverse
 from .jets import Jet, jet_einsum
 
 __all__ = [
@@ -38,6 +44,7 @@ __all__ = [
     "CoordinateCurvature",
     "assemble_coordinate_metric",
     "coordinate_curvature",
+    "christoffel",
     "to_frame",
     "frame_blocks_from_oracle",
 ]
@@ -61,34 +68,43 @@ class CoordinateMetric:
 
 def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
     cj = eval_metric(spec, p, order)
-    n, m, nv = spec.n, spec.m, spec.num_vars
-    G = jets.zeros((n, n), nv, order)
-    G.data[0, 0] = (-2.0 * cj.H).data
-    G.data[0, 1] = G.data[1, 0] = jets.const(-1.0, nv, order).data
-    for i in range(m):
-        G.data[0, 2 + i] = G.data[2 + i, 0] = (-cj.W[i]).data
-        for j in range(m):
-            G.data[2 + i, 2 + j] = cj.g[i, j].data
+    n = spec.n
+    G = jets.zeros((n, n), spec.num_vars, order)
+    G.data[0, 0] = -2.0 * cj.H.data
+    G.data[0, 1, 0] = G.data[1, 0, 0] = -1.0
+    G.data[0, 2:] = G.data[2:, 0] = -cj.W.data
+    G.data[2:, 2:] = cj.g.data
     G0 = G.value()
     if abs(np.linalg.det(G0)) < 1e-12:
         raise ValueError(f"assembled metric is singular at {p.coords}")
     return CoordinateMetric(n, p, G, np.linalg.inv(G0), frame_components(cj))
 
 
-def _cdiff(J: Jet, mu: int) -> Jet:
-    """Derivative with respect to coordinate mu; v-derivatives vanish."""
-    if mu == 0:
-        return J.diff(0)
-    if mu == 1:
-        child = jets.context(J.num_vars, J.order - 1)
-        return Jet(child, np.zeros(J.shape + (child.ncoeffs,)))
-    return J.diff(mu - 1)
-
-
 def _cgrad(J: Jet, n: int) -> Jet:
-    """Stack of coordinate derivatives, new axis appended last."""
-    parts = [_cdiff(J, mu) for mu in range(n)]
-    return Jet(parts[0].ctx, np.stack([p.data for p in parts], axis=-2))
+    """Coordinate derivatives on a new axis appended last; d_v gives zero."""
+    if J.order == 0:
+        raise jets.JetShapeError("cannot differentiate an order-0 jet")
+    child = jets.context(J.num_vars, J.order - 1)
+    out = np.zeros(J.shape + (n, child.ncoeffs))
+    for mu in range(n):
+        if mu != 1:  # jet variable 0 is u, jet variable mu - 1 is x^mu
+            src, fac = J.ctx.diff_table(max(mu - 1, 0))
+            out[..., mu, :] = J.data[..., src] * fac
+    return Jet(child, out)
+
+
+def _lowered(dG: np.ndarray) -> np.ndarray:
+    """g_rb,c + g_rc,b - g_bc,r at [r, b, c] from dG[a, b, mu] = g_ab,mu.
+
+    Trailing axes (a jet's coefficients) ride along, so this serves both
+    jet data and plain values.
+    """
+    return dG + np.einsum("rcb...->rbc...", dG) - np.einsum("bcr...->rbc...", dG)
+
+
+def christoffel(cm: CoordinateMetric) -> np.ndarray:
+    """Values Gamma^a_{bc} at the point; needs order >= 1 and no jet inverse."""
+    return 0.5 * np.einsum("ar,rbc->abc", cm.Ginv0, _lowered(_cgrad(cm.G, cm.n).value()))
 
 
 @dataclass
@@ -112,9 +128,7 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
         raise ValueError("insufficient jet order for the requested depth")
     n = cm.n
     dG = _cgrad(cm.G, n)                          # dG[a, b, mu] = g_ab,mu
-    sym = Jet(dG.ctx, dG.data + np.einsum("rcbx->rbcx", dG.data)
-              - np.einsum("bcrx->rbcx", dG.data))
-    Gamma = 0.5 * jet_einsum("ar,rbc->abc", cm.Ginv, sym)
+    Gamma = 0.5 * jet_einsum("ar,rbc->abc", cm.Ginv, Jet(dG.ctx, _lowered(dG.data)))
 
     dGamma = _cgrad(Gamma, n)                     # dGamma[a, b, c, mu]
     dterm = Jet(dGamma.ctx, np.einsum("adbcx->abcdx", dGamma.data)
@@ -154,35 +168,34 @@ def _cov_deriv(T: Jet, nup: int, Gamma: Jet, n: int) -> Jet:
     return out
 
 
-def to_frame(values: np.ndarray, nup: int, frame: FrameData) -> FrameTensor:
-    """Contract a coordinate tensor's slots with the partly null frame.
+def to_frame(values: np.ndarray, nup: int, frame: FrameData) -> np.ndarray:
+    """Frame components of a coordinate tensor, as an array of the same shape.
 
     Contravariant slots (the first ``nup`` axes) pick up theta^alpha_mu,
-    covariant slots pick up e_alpha^mu.
+    covariant slots pick up e_alpha^mu; every slot runs over the whole
+    frame 0 .. n-1.
     """
     out = values
     for axis in range(values.ndim):
         mat = frame.theta if axis < nup else frame.e
         out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
-    slots = tuple(("up" if a < nup else "down", "full") for a in range(values.ndim))
-    return FrameTensor(out, slots, frame.n)
+    return out
 
 
-def frame_blocks_from_oracle(spec: MetricSpec, p: ChartPoint, depth: int = 2,
-                             order: int | None = None) -> dict[str, np.ndarray]:
+def frame_blocks_from_oracle(spec: MetricSpec, p: ChartPoint,
+                             depth: int = 2) -> dict[str, np.ndarray]:
     """All frame tensor blocks of R, nabla R, nabla nabla R via the oracle.
 
-    Keys match the specialized engine's naming so the two pipelines can be
-    compared entry by entry.
+    The coordinate metric is taken at jet order depth + 2, the least the
+    curvature needs.  Keys match the specialized engine's naming so the two
+    pipelines can be compared entry by entry.
     """
-    if order is None:
-        order = depth + 2
-    cm = assemble_coordinate_metric(spec, p, order)
+    cm = assemble_coordinate_metric(spec, p, depth + 2)
     cc = coordinate_curvature(cm, depth)
     fr = cm.frame
     n = cm.n
-    Rf = to_frame(cc.R, 1, fr).data
-    Ricf = to_frame(cc.Ric, 0, fr).data
+    Rf = to_frame(cc.R, 1, fr)
+    Ricf = to_frame(cc.Ric, 0, fr)
     L = slice(2, n)
     blocks: dict[str, np.ndarray] = {
         "Rbar": Rf[L, L, L, L],
@@ -195,7 +208,7 @@ def frame_blocks_from_oracle(spec: MetricSpec, p: ChartPoint, depth: int = 2,
         "S": cc.S,
     }
     if depth >= 1:
-        dRf = to_frame(cc.dR, 1, fr).data
+        dRf = to_frame(cc.dR, 1, fr)
         blocks.update({
             "Atil": dRf[1, L, 0, L, 0],
             "Ahat": dRf[1, L, 0, L, L],
@@ -205,7 +218,7 @@ def frame_blocks_from_oracle(spec: MetricSpec, p: ChartPoint, depth: int = 2,
             "gradRbar": dRf[L, L, L, L, L],
         })
     if depth == 2:
-        d2Rf = to_frame(cc.d2R, 1, fr).data
+        d2Rf = to_frame(cc.d2R, 1, fr)
         # layout [a, b, c, d, inner, outer]
         blocks.update({
             "ll_rbar": d2Rf[L, L, L, L, L, L],

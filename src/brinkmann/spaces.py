@@ -421,23 +421,22 @@ def rotation_chart_change(spec: MetricSpec, plane: tuple[int, int], omega: float
     return ChartChange(F=F if F is not None else Num(0.0), x_maps=tuple(maps))
 
 
-def random_affine_change(spec: MetricSpec, rng: np.random.Generator,
-                         rotation_scale: float = 1.0, translation_scale: float = 0.1,
-                         block: Sequence[int] | None = None) -> ChartChange:
-    """Random constant rotation + small translation, optionally on a sub-block."""
+AFFINE_TRANSLATION_SCALE = 0.1
+
+
+def random_affine_change(spec: MetricSpec, rng: np.random.Generator) -> ChartChange:
+    """Random constant rotation of all leaf coordinates plus a small translation.
+
+    Draws the rotation, then the translation (scale AFFINE_TRANSLATION_SCALE).
+    """
     m = spec.m
-    idx = list(block) if block is not None else list(range(m))
-    k = len(idx)
-    M = np.linalg.qr(rng.normal(size=(k, k)))[0] if k else np.zeros((0, 0))
-    if rotation_scale != 1.0 and k:
-        M = np.eye(k) + rotation_scale * (M - np.eye(k))
-    d = rng.normal(scale=translation_scale, size=k)
-    maps: list[ExprAst] = [Var(f"x{i + 2}") for i in range(m)]
-    for row, slot in enumerate(idx):
-        terms = [_mul(_num(M[row, col]), Var(f"x{idx[col] + 2}")) for col in range(k)]
-        terms.append(_num(d[row]))
-        maps[slot] = simplify(_add(terms))
-    return ChartChange(F=Num(0.0), x_maps=tuple(maps))
+    M = np.linalg.qr(rng.normal(size=(m, m)))[0] if m else np.zeros((0, 0))
+    d = rng.normal(scale=AFFINE_TRANSLATION_SCALE, size=m)
+    maps = tuple(
+        simplify(_add([_mul(_num(M[row, col]), Var(f"x{col + 2}")) for col in range(m)]
+                      + [_num(d[row])]))
+        for row in range(m))
+    return ChartChange(F=Num(0.0), x_maps=maps)
 
 
 # -- random polynomial specs ----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Geodesics, parallel transport, transverse transport and curvature growth.
 
 All transport equations run on the full coordinate Christoffel symbols of
-the assembled n-dimensional metric (one code path, convention-proof); only
-the transverse transport along E_0 uses the leaf-level equation, since its
+the assembled n-dimensional metric, read through the coordinate oracle
+(``oracle.christoffel``: one code path, convention-proof); only the
+transverse transport along E_0 uses the leaf-level equation, since its
 unknown lives on the leaves.
 
 States are (coords, velocity) with coords = (u, v, x^2 .. x^{n-1}).
@@ -19,7 +20,7 @@ import numpy as np
 
 from .chart import ChartPoint, MetricSpec, compute_h_t, eval_metric, frame_components
 from .ode import rk4_step, stage_grid
-from .oracle import assemble_coordinate_metric, coordinate_curvature
+from .oracle import assemble_coordinate_metric, christoffel, coordinate_curvature
 
 __all__ = [
     "Trajectory",
@@ -33,6 +34,11 @@ __all__ = [
     "null_velocity",
 ]
 
+BOX_SLACK = 0.5  # enforce_box lets the path stray this fraction of each side outside
+SECOND_SYMMETRY_TOL = 1e-6
+SECOND_SYMMETRY_STEPS = 160
+SECOND_SYMMETRY_SPAN = 1.0
+
 
 def _chart_point(spec: MetricSpec, coords: np.ndarray) -> ChartPoint:
     return ChartPoint(float(coords[0]), tuple(float(c) for c in coords[2:]))
@@ -45,18 +51,7 @@ def metric_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
 
 def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """Gamma^a_{bc} of the full metric at a coordinate point."""
-    cm = assemble_coordinate_metric(spec, _chart_point(spec, coords), order=1)
-    n = spec.n
-    dG = np.zeros((n, n, n))
-    ctx = cm.G.ctx
-    for mu in range(n):
-        if mu == 1:
-            continue
-        e = [0] * ctx.nvars
-        e[mu if mu == 0 else mu - 1] = 1
-        dG[:, :, mu] = cm.G.data[:, :, ctx.index(e)]
-    sym = dG + np.einsum("rcb->rbc", dG) - np.einsum("bcr->rbc", dG)
-    return 0.5 * np.einsum("ar,rbc->abc", cm.Ginv0, sym)
+    return christoffel(assemble_coordinate_metric(spec, _chart_point(spec, coords), order=1))
 
 
 @dataclass
@@ -89,10 +84,10 @@ class Trajectory:
         return self.velocity[:, 0].copy()
 
 
-def _in_box(spec: MetricSpec, coords: np.ndarray, slack: float) -> bool:
+def _in_box(spec: MetricSpec, coords: np.ndarray) -> bool:
     vals = [coords[0]] + list(coords[2:])
     for val, (lo, hi) in zip(vals, spec.box):
-        pad = slack * (hi - lo)
+        pad = BOX_SLACK * (hi - lo)
         if not (lo - pad <= val <= hi + pad):
             return False
     return True
@@ -100,7 +95,7 @@ def _in_box(spec: MetricSpec, coords: np.ndarray, slack: float) -> bool:
 
 def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
                        velocity0: Sequence[float], tau_span: float, steps: int,
-                       enforce_box: bool = False, box_slack: float = 0.5) -> Trajectory:
+                       enforce_box: bool = False) -> Trajectory:
     """Fixed-step RK4 for the geodesic equation; aborts on box exit if asked."""
     n = spec.n
     y = np.concatenate([np.asarray(coords0, dtype=float), np.asarray(velocity0, dtype=float)])
@@ -123,7 +118,7 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
         y = rk4_step(f, y, h, [(k, s) for s in range(4)])
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"geodesic integration blew up at step {k + 1}")
-        if enforce_box and not _in_box(spec, y[:n], box_slack):
+        if enforce_box and not _in_box(spec, y[:n]):
             raise RuntimeError(
                 f"geodesic left the admissible box at tau = {taus[k + 1]:.4g}")
         out[k + 1] = y
@@ -154,20 +149,30 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     The integral curve keeps x fixed while u advances, so the transported
     components satisfy dX^i/du = t^i_k X^k.  t^i_k is evaluated once per
     row of the node/midpoint ``stage_grid``.  Returns (u values, X values).
+    A non-finite t^i_k is a ``ValueError`` naming the first u where it occurs;
+    a transported vector that overflows is a ``RuntimeError`` naming its u.
     """
     m = spec.m
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = u_span / steps
     us, grid, rows = stage_grid(p.u, h, steps)
     tup = np.zeros((len(grid), m, m))
-    for i, u in enumerate(grid):
-        cj = eval_metric(spec, ChartPoint(float(u), p.x), order=1)
-        if m:
-            tup[i] = cj.ginv0 @ compute_h_t(cj)[1].value().reshape(m, m)
+    with np.errstate(all="ignore"):
+        for i, u in enumerate(grid):
+            cj = eval_metric(spec, ChartPoint(float(u), p.x), order=1)
+            if m:
+                tup[i] = cj.ginv0 @ compute_h_t(cj)[1].value().reshape(m, m)
+    finite = np.isfinite(tup).reshape(len(grid), -1).all(axis=1)
+    if not finite.all():
+        u = float(grid[int(np.argmin(finite))])
+        raise ValueError(f"non-finite t^i_j in the transverse transport data at u = {u!r}")
     out = np.empty((steps + 1, V.shape[0], m))
     out[0] = V
-    for k in range(steps):
-        out[k + 1] = rk4_step(lambda row, X: X @ tup[row].T, out[k], h, rows[k])
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            out[k + 1] = rk4_step(lambda row, X: X @ tup[row].T, out[k], h, rows[k])
+            if not np.all(np.isfinite(out[k + 1])):
+                raise RuntimeError(f"transverse transport blew up at u = {float(us[k + 1])!r}")
     return us, out
 
 
@@ -236,14 +241,14 @@ def _curve_trajectory(spec: MetricSpec, curve: Callable[[float], tuple[np.ndarra
 
 
 def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
-                                    rng_seed: int = 0, tol: float = 1e-6,
-                                    steps: int = 160, span: float = 1.0) -> tuple[bool, float]:
+                                    rng_seed: int = 0) -> tuple[bool, float]:
     """Transport-level test: (nabla_V R)(X,Y)Z has constant components in a
     parallelly transported basis along arbitrary curves iff nabla nabla R = 0.
 
     Uses random polynomial (non-geodesic) curves inside the box.  Returns
     (passed, worst residual).
     """
+    steps, span = SECOND_SYMMETRY_STEPS, SECOND_SYMMETRY_SPAN
     rng = np.random.default_rng(rng_seed)
     n = spec.n
     worst = 0.0
@@ -275,4 +280,4 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
             scale = max(scale, float(np.max(np.abs(cc.dR))))
         comps = np.array(comps)
         worst = max(worst, float(np.max(np.abs(comps - comps[0]))) / (1.0 + scale))
-    return worst < tol, worst
+    return worst < SECOND_SYMMETRY_TOL, worst

@@ -293,3 +293,12 @@ def test_reconstruct_r1_not_proper():
 def test_reconstruct_r3_reports_nonaffine():
     cf = reconstruct(fixture("cw4_r3"), steps=300)
     assert cf.affine_residual > 1e-3
+
+
+def test_reconstruct_empty_block_is_not_proper():
+    # d = 0: nothing to fit, so the fit residual is 0 and the block is not proper
+    cf = reconstruct(fixture("cw4_r2"), block=(), steps=50)
+    assert cf.proper is False
+    assert cf.essential_parameters == 0
+    assert cf.affine_residual == 0.0
+    assert cf.A_of_u.shape == (51, 0, 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brinkmann import expr, jets
-from brinkmann.chart import (ChartPoint, FrameTensor, MetricDefinitenessError, MetricSpec,
+from brinkmann.chart import (ChartPoint, MetricDefinitenessError, MetricSpec,
                              christoffel_bar, compute_h_t, eval_metric, frame_components,
                              jet_matrix_inverse)
 from brinkmann.jets import jet_einsum
@@ -163,17 +163,6 @@ def test_frame_inner_products_random_spec():
     assert np.max(np.abs(table - fr.frame_metric())) < 1e-12
     # duality between frame and coframe
     assert np.max(np.abs(fr.theta @ fr.e.T - np.eye(spec.n))) < 1e-12
-
-
-def test_frame_tensor_slots():
-    data = np.zeros((4, 2))
-    ft = FrameTensor(data, (("up", "full"), ("down", "leaf")), 4)
-    leaf = ft.leaf_part()
-    assert leaf.data.shape == (2, 2)
-    with pytest.raises(ValueError):
-        FrameTensor(np.zeros((3, 2)), (("up", "full"), ("down", "leaf")), 4)
-    with pytest.raises(ValueError):
-        FrameTensor(np.zeros((4,)), (("up", "weird"),), 4)
 
 
 def test_metric_spec_validation():

@@ -250,6 +250,23 @@ def test_non_finite_abort_prints_only_the_error(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: engine/oracle agreement is")
 
 
+def test_d0_transport_non_finite_t_prints_only_the_error(tmp_path):
+    # exp(800 u) in W_2 overflows t^i_j before the curve reaches u = 1
+    path = tmp_path / "overflow_w.metric"
+    path.write_text('[metric]\ndimension = 4\nW2 = "exp(800*u)*x3"\n\n'
+                    '[box]\nu = 0 1\nx2 = -1 1\nx3 = -1 1\n')
+    src = os.path.dirname(os.path.dirname(os.path.abspath(brinkmann.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "brinkmann.cli", "transport", str(path),
+                           "--experiment", "d0", "--span", "0.5", "--steps", "50"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: non-finite t^i_j in the transverse transport data at u = 0.89"]
+
+
 def test_pole_error_names_field_and_point(tmp_path):
     # H = 1/x2 has a pole on x2 = 0, which passes through the box centre
     path = tmp_path / "pole.metric"

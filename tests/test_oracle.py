@@ -1,13 +1,19 @@
 """Oracle-side tests: assembly, generic identities, frame extraction."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
-from brinkmann.chart import ChartPoint, MetricSpec
+from brinkmann.chart import ChartPoint, MetricSpec, eval_metric
 from brinkmann.curvature import curvature_at
+from brinkmann.metricfile import load_metric_file
 from brinkmann.oracle import (assemble_coordinate_metric, coordinate_curvature,
                               frame_blocks_from_oracle, to_frame)
 from brinkmann.spaces import fixture, random_polynomial_spec
+from brinkmann.transport import christoffel_values
+
+METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
 
 
 def test_assemble_flat_structure():
@@ -17,6 +23,34 @@ def test_assemble_flat_structure():
     expect[0, 1] = expect[1, 0] = -1.0
     expect[2, 2] = expect[3, 3] = 1.0
     assert np.allclose(G, expect)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_assemble_matches_entrywise_reference(seed):
+    # the slice assembly equals writing G entry by entry from the chart jets
+    spec = random_polynomial_spec(seed, n=5)
+    p = ChartPoint(0.1, (0.2, -0.3, 0.15))
+    cj = eval_metric(spec, p, 3)
+    n, m = spec.n, spec.m
+    ref = np.zeros((n, n, cj.H.data.shape[-1]))
+    ref[0, 0] = -2.0 * cj.H.data
+    ref[0, 1, 0] = ref[1, 0, 0] = -1.0
+    for i in range(m):
+        ref[0, 2 + i] = ref[2 + i, 0] = -cj.W.data[i]
+        for j in range(m):
+            ref[2 + i, 2 + j] = cj.g.data[i, j]
+    G = assemble_coordinate_metric(spec, p, 3).G.data
+    assert G.shape == ref.shape and G.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(METRICS.glob("*.metric")), ids=lambda p: p.stem)
+def test_transport_christoffel_is_the_oracle_gamma(path):
+    spec = load_metric_file(str(path))
+    p = spec.center()
+    Gamma = coordinate_curvature(assemble_coordinate_metric(spec, p, 2), 0).Gamma
+    got = christoffel_values(spec, np.array([p.u, 0.0, *p.x]))
+    assert got.shape == Gamma.shape == (spec.n,) * 3
+    assert np.max(np.abs(got - Gamma)) <= 1e-14 * (1.0 + np.max(np.abs(Gamma)))
 
 
 def test_assemble_H_shifts_g00():
@@ -119,7 +153,8 @@ def test_to_frame_slot_contraction():
     p = ChartPoint(0.1, (0.5, -0.2))
     cm = assemble_coordinate_metric(spec, p, 0)
     ft = to_frame(cm.G.value(), 0, cm.frame)
-    assert np.max(np.abs(ft.data - cm.frame.frame_metric())) < 1e-12
+    assert isinstance(ft, np.ndarray) and ft.shape == (4, 4)
+    assert np.max(np.abs(ft - cm.frame.frame_metric())) < 1e-12
 
 
 def test_master_cross_check_on_random_specs():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brinkmann import chart, transport
-from brinkmann.chart import ChartPoint
+from brinkmann.chart import ChartPoint, MetricSpec
 from brinkmann.spaces import fixture, random_polynomial_spec
 from brinkmann.transport import (d0_transport, geodesic_integrate,
                                  metric_values, null_sectional_growth, null_velocity,
@@ -104,6 +104,20 @@ def test_d0_transport_rotation_closed_form():
     assert np.max(np.abs(X[-1] - expm.T)) < 1e-9
     norms = np.linalg.norm(X, axis=2)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
+
+
+def test_d0_transport_refuses_non_finite_t():
+    # W_2 = exp(800 u) x3: t^i_j overflows for u above about 0.887
+    spec = MetricSpec.from_text(4, W={2: "exp(800*u)*x3"}, box=[(0.0, 1.0), (-1, 1), (-1, 1)])
+    with pytest.raises(ValueError, match=r"non-finite t\^i_j .* at u = 0\.89$"):
+        d0_transport(spec, ChartPoint(0.5, (0.0, 0.0)), np.eye(2), 0.5, 50)
+
+
+def test_d0_transport_refuses_overflowing_vectors():
+    # t stays finite on u in [0.5, 1], but exp(700 u) makes X overflow in one step
+    spec = MetricSpec.from_text(4, W={2: "exp(700*u)*x3"}, box=[(0.0, 1.0), (-1, 1), (-1, 1)])
+    with pytest.raises(RuntimeError, match=r"blew up at u = 0\.51"):
+        d0_transport(spec, ChartPoint(0.5, (0.0, 0.0)), np.eye(2), 0.5, 50)
 
 
 def test_d0_transport_gbar_isometry_random_spec():
