@@ -23,6 +23,8 @@ Index conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +41,7 @@ __all__ = [
     "FrameData",
     "MetricDefinitenessError",
     "eval_metric",
+    "metric_coefficients",
     "compute_h_t",
     "christoffel_bar",
     "frame_components",
@@ -64,7 +67,7 @@ class ChartPoint:
     x: tuple[float, ...]
 
     def __post_init__(self):
-        if not np.isfinite(self.u) or not all(np.isfinite(c) for c in self.x):
+        if not math.isfinite(self.u) or not all(math.isfinite(c) for c in self.x):
             raise ValueError("chart point has non-finite coordinates")
 
     @property
@@ -224,23 +227,43 @@ def jet_matrix_inverse(G: Jet) -> Jet:
     return jet_einsum("ij,jk->ik", S, G0inv_jet)
 
 
+def _run_tape(spec: MetricSpec, p: ChartPoint, run):
+    """``run()``, with a tape domain error located at its field and p."""
+    if len(p.x) != spec.m:
+        raise ValueError("point dimension does not match the spec")
+    try:
+        return run()
+    except expr.TapeDomainError as err:
+        raise jets.JetDomainError(
+            f"{err.reason} in {spec.field_name(err.output)} at {p.coords}") from None
+
+
+def _check_leaf_metric(g0: np.ndarray, p: ChartPoint) -> None:
+    """Raise MetricDefinitenessError unless the numeric g_ij at p is positive
+    definite, with its smallest Cholesky pivot above PIVOT_RATIO times the largest."""
+    if not len(g0):
+        return
+    try:
+        L = np.linalg.cholesky(g0)
+    except np.linalg.LinAlgError:
+        raise MetricDefinitenessError(f"leaf metric not positive definite at {p.coords}") from None
+    pivots = np.diag(L) ** 2
+    if pivots.min() <= PIVOT_RATIO * pivots.max():
+        raise MetricDefinitenessError(f"leaf metric nearly degenerate at {p.coords}")
+
+
 def eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     """Jets of H, W_i and g_ij about p, plus the inverse leaf metric's value.
 
     All fields come from one run of the spec's tape.  Raises
     MetricDefinitenessError when the numeric g_ij at p is not positive
-    definite (smallest Cholesky pivot below PIVOT_RATIO times the largest),
-    and JetDomainError naming the field and the point when a field leaves
-    the domain of a jet function there (a pole, say).
+    definite (``_check_leaf_metric``), and JetDomainError naming the field
+    and the point when a field leaves the domain of a jet function there
+    (a pole, say).
     """
-    if len(p.x) != spec.m:
-        raise ValueError("point dimension does not match the spec")
     nv, m = spec.num_vars, spec.m
-    try:
-        fields = expr.eval_jet(spec.tape, _seed_env(spec, p, order), nv, order)
-    except expr.TapeDomainError as err:
-        raise jets.JetDomainError(
-            f"{err.reason} in {spec.field_name(err.output)} at {p.coords}") from None
+    fields = _run_tape(spec, p, lambda: expr.eval_jet(
+        spec.tape, _seed_env(spec, p, order), nv, order))
     H = fields[0]
     if m:
         W = _jet_stack(fields[1:1 + m])
@@ -249,17 +272,24 @@ def eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
         W = jets.zeros((0,), nv, order)
         g = jets.zeros((0, 0), nv, order)
     g0 = g.value().reshape(m, m)
-    if m:
-        try:
-            L = np.linalg.cholesky(g0)
-        except np.linalg.LinAlgError:
-            raise MetricDefinitenessError(
-                f"leaf metric not positive definite at {p.coords}") from None
-        pivots = np.diag(L) ** 2
-        if pivots.min() <= PIVOT_RATIO * pivots.max():
-            raise MetricDefinitenessError(
-                f"leaf metric nearly degenerate at {p.coords}")
+    _check_leaf_metric(g0, p)
     return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0) if m else g0)
+
+
+def metric_coefficients(spec: MetricSpec, p: ChartPoint, order: int) -> np.ndarray:
+    """The jet coefficients of H, W_i and g_ij about p, from the compiled tape.
+
+    Row k holds tape output k (H, then W_i, then g_ij row-major) in jet
+    coefficient order; orders 0 and 1 only.  The coefficients, the checks
+    and the errors are those of ``eval_metric``, bit for bit.
+    """
+    run = spec.tape.compiled(spec.num_vars, order)
+    rows = _run_tape(spec, p, lambda: run(p.coords))
+    out = np.fromiter(itertools.chain.from_iterable(rows), float,
+                      len(rows) * len(rows[0])).reshape(len(rows), -1)
+    m = spec.m
+    _check_leaf_metric(out[1 + m:, 0].reshape(m, m), p)
+    return out
 
 
 # -- first-layer derived objects ---------------------------------------------------

@@ -24,7 +24,10 @@ expressions is evaluated once per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from functools import lru_cache
+from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 from . import jets
 
@@ -446,6 +449,7 @@ class Tape:
 
         self.var_names = [keys[k][1] for k in order if keys[k][0] == "var"]
         self.constants = [float.fromhex(keys[k][1]) for k in order if keys[k][0] == "const"]
+        self.kinds: list[str] = []
         ops = []
         operands: list[tuple[int, ...]] = [()] * leaves
         for k in order[leaves:]:
@@ -455,6 +459,7 @@ class Tape:
                 b = float.fromhex(b)
             elif kind in _BINARY:
                 b = slot[b]
+            self.kinds.append(kind)
             ops.append((_BODIES[kind], slot[a], b))
             operands.append((slot[a], b) if kind in _BINARY else (slot[a],))
         self.outputs = tuple(slot[r] for r in roots)
@@ -477,10 +482,39 @@ class Tape:
                 if self.first_output[k] < 0:
                     self.first_output[k] = o
                     stack.extend(operands[k])
+        self._chunks: list | None = None
+        self._compiled: dict[tuple[int, int], Callable] = {}
 
     def __len__(self) -> int:
         """Number of instructions: variables, constant jets and operations."""
         return len(self.var_names) + len(self.constants) + len(self.code)
+
+    def compiled(self, num_vars: int, order: int) -> Callable:
+        """The tape as straight-line Python on float tuples, built on first use.
+
+        Returns ``run(point)``: ``point`` holds the values of u, x2 .. in
+        chart order, and ``run`` returns one tuple per tape output with the
+        jet coefficients of ``eval_jet(tape, seeded env, num_vars, order)``
+        in jet coefficient order (at order 1: the value, then the first
+        partials in the order of ``jets.context(num_vars, 1).exps``), bit
+        for bit.  Orders 0 and 1 only.  A domain error raises
+        ``TapeDomainError`` as ``eval_jet`` does.
+        """
+        if order not in (0, 1):
+            raise ValueError("compiled tapes are built for orders 0 and 1 only")
+        key = (num_vars, order)
+        if key not in self._compiled:
+            if self._chunks is None:
+                self._chunks = [compile(source, "<tape>", "exec")
+                                for source in _chunk_sources(self)]
+            kernels = _kernels(num_vars, order)
+            namespace = dict(kernels, K=tuple(b for _, _, b, _ in self.code))
+            chunks = []
+            for code in self._chunks:
+                exec(code, namespace)
+                chunks.append(namespace["chunk"])
+            self._compiled[key] = _runner(self, kernels["seed"], kernels["const"], chunks)
+        return self._compiled[key]
 
 
 def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
@@ -503,3 +537,141 @@ def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
         raise TapeDomainError(str(err), tape.first_output[len(values)]) from None
     outputs = [values[k] for k in tape.outputs]
     return outputs if tape is node else outputs[0]
+
+
+# -- straight-line code for orders 0 and 1 ---------------------------------------------
+#
+# ``Tape.compiled`` emits one line per operation, each a call of a kernel on
+# coefficient tuples.  The kernels are made once per (num_vars, order) and
+# repeat the jet arithmetic step by step, so every bit (signed zeros too)
+# matches ``eval_jet``: a Cauchy product sums its pairs from 0.0 in
+# ``mul_flat`` order, as ``np.bincount`` does; a literal operand acts as the
+# constant jet ``Jet._coerce`` would build; functions take their Taylor
+# coefficients from ``jets.TAYLOR_COEFS`` on a 0-d array, as the jet
+# functions do, and sum them by ``Jet._compose``'s Horner steps; powers use
+# ``jets.binary_power``.
+
+
+def _var_index(name: str) -> int:
+    """Jet variable of a chart variable: u is 0, x{k} is k - 1."""
+    return 0 if name == "u" else int(name[1:]) - 1
+
+
+def _arith_source(ctx: jets.JetContext) -> str:
+    """Source of the unrolled ring operations on coefficient tuples of ``ctx``."""
+    a = [f"a{i}" for i in range(ctx.ncoeffs)]
+    b = [f"b{i}" for i in range(ctx.ncoeffs)]
+    sums = [["0.0"] for _ in a]
+    for i, j, o in zip(*ctx.mul_flat()):
+        sums[o].append(f"a{i} * b{j}")
+    bodies = {
+        "neg(a)": [f"-{x}" for x in a],
+        "add(a, b)": [f"{x} + {y}" for x, y in zip(a, b)],
+        "sub(a, b)": [f"{x} + -{y}" for x, y in zip(a, b)],      # a + (-b), as Jet.__sub__
+        "mul(a, b)": [" + ".join(terms) for terms in sums],
+        "addc(a, c)": ["a0 + c"] + [f"{x} + 0.0" for x in a[1:]],
+        "subc(a, c)": ["a0 + -c"] + [f"{x} + -0.0" for x in a[1:]],
+        "rsubc(a, c)": ["-a0 + c"] + [f"-{x} + 0.0" for x in a[1:]],
+        "mulc(a, c)": [f"{x} * c" for x in a],
+    }
+    lines = []
+    for signature, items in bodies.items():
+        lines += [f"def {signature}:", f"    {', '.join(a)}, = a"]
+        if ", b)" in signature:
+            lines.append(f"    {', '.join(b)}, = b")
+        lines.append(f"    return ({', '.join(items)},)")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _kernels(num_vars: int, order: int) -> dict:
+    """Kernels of one jet context, by the names ``_chunk_sources`` calls."""
+    ctx = jets.context(num_vars, order)
+    kernels: dict = {}
+    exec(_arith_source(ctx), kernels)
+    add, mul = kernels["add"], kernels["mul"]
+    zeros = (0.0,) * (ctx.ncoeffs - 1)
+    units = []
+    for var in range(num_vars):
+        unit = list(zeros)
+        if order:
+            unit[ctx.index([int(k == var) for k in range(num_vars)]) - 1] = 1.0
+        units.append(tuple(unit))
+
+    def seed(value, var):
+        return (float(value),) + units[var]
+
+    def const(value):
+        return (value,) + zeros
+
+    def taylor(func, a, out):
+        try:
+            coefs = jets.TAYLOR_COEFS[func](np.asarray(a[0]), order)
+        except jets.JetDomainError as err:
+            raise TapeDomainError(str(err), out) from None
+        delta = (0.0,) + a[1:]
+        acc = const(float(coefs[-1]))
+        for k in range(len(coefs) - 2, -1, -1):
+            acc = add(mul(acc, delta), const(float(coefs[k])))
+        return acc
+
+    def div(a, b, out):
+        return mul(a, taylor("reciprocal", b, out))
+
+    def power(a, n, out):
+        if n < 0:
+            return power(taylor("reciprocal", a, out), -n, out)
+        if n == 0:
+            return const(1.0)
+        return jets.binary_power(a, n, mul)
+
+    kernels.update(seed=seed, const=const, taylor=taylor, div=div, power=power)
+    return kernels
+
+
+_CHUNK = 64  # tape lines per compiled function, which bounds the compiler's memory
+
+# The line of each operation kind: operands in slots ``s[a]`` and ``s[b]``,
+# literal operand ``K[j]`` of operation j, exponent ``b``, and ``out`` the
+# first output needing the operation, which a domain error names.
+_LINES = {
+    "neg": "neg(s[{a}])",
+    "+": "add(s[{a}], s[{b}])",
+    "-": "sub(s[{a}], s[{b}])",
+    "*": "mul(s[{a}], s[{b}])",
+    "/": "div(s[{a}], s[{b}], {out})",
+    "+c": "addc(s[{a}], K[{j}])",
+    "-c": "subc(s[{a}], K[{j}])",
+    "c-": "rsubc(s[{a}], K[{j}])",
+    "*c": "mulc(s[{a}], K[{j}])",
+    "^": "power(s[{a}], {b}, {out})",
+}
+
+
+def _chunk_sources(tape: Tape) -> list[str]:
+    """Sources of ``def chunk(s)``: one line per tape operation, slot k in ``s[k]``,
+    cut into functions of ``_CHUNK`` lines that are compiled one at a time."""
+    leaves = len(tape.var_names) + len(tape.constants)
+    lines = []
+    for j, (kind, (_, a, b, _)) in enumerate(zip(tape.kinds, tape.code)):
+        line = _LINES.get(kind, "taylor({kind!r}, s[{a}], {out})")
+        lines.append(f"    s[{leaves + j}] = " + line.format(
+            kind=kind, a=a, b=b, j=j, out=tape.first_output[leaves + j]))
+    return ["def chunk(s):\n" + "\n".join(lines[i:i + _CHUNK]) + "\n"
+            for i in range(0, len(lines), _CHUNK)]
+
+
+def _runner(tape: Tape, seed: Callable, const: Callable, chunks: list[Callable]) -> Callable:
+    """``run(point)``: seed the variables, place the constants, run the chunks."""
+    variables = [_var_index(name) for name in tape.var_names]
+    constants = [const(c) for c in tape.constants]
+    operations = [None] * len(tape.code)
+    outputs = tape.outputs
+
+    def run(point):
+        s = [seed(point[i], i) for i in variables] + constants + operations
+        for chunk in chunks:
+            chunk(s)
+        return tuple([s[k] for k in outputs])
+
+    return run

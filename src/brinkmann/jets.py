@@ -35,6 +35,7 @@ never formed.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -290,11 +291,7 @@ class Jet:
         return pow_int(self, n)
 
     def reciprocal(self) -> "Jet":
-        c0 = self.data[..., 0]
-        if np.any(c0 == 0.0):
-            raise JetDomainError("division by a jet with zero constant term")
-        coefs = [(-1.0) ** k / c0 ** (k + 1) for k in range(self.order + 1)]
-        return self._compose(coefs)
+        return self._compose(_reciprocal_coefs(self.data[..., 0], self.order))
 
     # -- calculus ------------------------------------------------------------
 
@@ -357,38 +354,73 @@ def zeros(shape: tuple[int, ...], num_vars: int, order: int) -> Jet:
 
 
 # -- elementary functions -------------------------------------------------------
+#
+# Each ``_<name>_coefs(c0, order)`` gives the Taylor coefficients f^(k)(c0)/k!,
+# k = 0 .. order, about the constant terms ``c0`` (an array), and raises
+# JetDomainError outside the function's domain.  ``Jet._compose`` sums them.
 
 
-def sin(a: Jet) -> Jet:
-    c0 = a.data[..., 0]
+def _reciprocal_coefs(c0, order: int) -> list:
+    if np.any(c0 == 0.0):
+        raise JetDomainError("division by a jet with zero constant term")
+    return [(-1.0) ** k / c0 ** (k + 1) for k in range(order + 1)]
+
+
+def _sin_coefs(c0, order: int) -> list:
     cycle = [np.sin(c0), np.cos(c0), -np.sin(c0), -np.cos(c0)]
-    coefs = [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)]
-    return a._compose(coefs)
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
 
-def cos(a: Jet) -> Jet:
-    c0 = a.data[..., 0]
+def _cos_coefs(c0, order: int) -> list:
     cycle = [np.cos(c0), -np.sin(c0), -np.cos(c0), np.sin(c0)]
-    coefs = [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)]
-    return a._compose(coefs)
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
 
-def exp(a: Jet) -> Jet:
-    e0 = np.exp(a.data[..., 0])
-    coefs = [e0 / math.factorial(k) for k in range(a.order + 1)]
-    return a._compose(coefs)
+def _exp_coefs(c0, order: int) -> list:
+    e0 = np.exp(c0)
+    return [e0 / math.factorial(k) for k in range(order + 1)]
 
 
-def sqrt(a: Jet) -> Jet:
-    c0 = a.data[..., 0]
+def _sqrt_coefs(c0, order: int) -> list:
     if np.any(c0 <= 0.0):
         raise JetDomainError("sqrt of a jet with non-positive constant term")
     coefs = []
     binom = 1.0
-    for k in range(a.order + 1):
+    for k in range(order + 1):
         coefs.append(binom * c0 ** (0.5 - k))
         binom *= (0.5 - k) / (k + 1)
-    return a._compose(coefs)
+    return coefs
+
+
+TAYLOR_COEFS = {"reciprocal": _reciprocal_coefs, "sin": _sin_coefs, "cos": _cos_coefs,
+                "exp": _exp_coefs, "sqrt": _sqrt_coefs}
+
+
+def sin(a: Jet) -> Jet:
+    return a._compose(_sin_coefs(a.data[..., 0], a.order))
+
+
+def cos(a: Jet) -> Jet:
+    return a._compose(_cos_coefs(a.data[..., 0], a.order))
+
+
+def exp(a: Jet) -> Jet:
+    return a._compose(_exp_coefs(a.data[..., 0], a.order))
+
+
+def sqrt(a: Jet) -> Jet:
+    return a._compose(_sqrt_coefs(a.data[..., 0], a.order))
+
+
+def binary_power(base, n: int, mul):
+    """base^n for n >= 1 by binary powering, every product taken by ``mul``."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        base = mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
 
 
 def pow_int(a: Jet, n: int) -> Jet:
@@ -399,14 +431,7 @@ def pow_int(a: Jet, n: int) -> Jet:
         return pow_int(a.reciprocal(), -n)
     if n == 0:
         return const(1.0, a.num_vars, a.order, shape=a.data.shape[:-1])
-    result = None
-    base = a
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        base = base * base if n > 1 else base
-        n >>= 1
-    return result
+    return binary_power(a, n, operator.mul)
 
 
 # -- two-operand einsum over batch axes ------------------------------------------

@@ -19,7 +19,9 @@ and ``d2R[..., mu, nu]`` is nabla_nu nabla_mu R^a_{bcd} (nu outermost).
 The transport experiments read their Christoffel symbols from here too:
 ``christoffel`` gives the values of Gamma from the first derivatives of G
 and the numeric inverse, by the same lowered combination that
-``coordinate_curvature`` differentiates further.
+``coordinate_curvature`` differentiates further.  They assemble G with
+``full_metric`` from the compiled tape's coefficients and refuse it by
+``check_nonsingular``, as ``assemble_coordinate_metric`` does.
 
 Nothing here knows about the partly null frame; ``to_frame`` contracts
 coordinate tensors against externally supplied basis matrices and returns
@@ -35,14 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .chart import ChartPoint, FrameData, MetricSpec, eval_metric, frame_components, \
-    jet_matrix_inverse
+from .chart import ChartJets, ChartPoint, FrameData, MetricSpec, eval_metric, \
+    frame_components, jet_matrix_inverse
 from .jets import Jet, jet_einsum
 
 __all__ = [
     "CoordinateMetric",
     "CoordinateCurvature",
     "assemble_coordinate_metric",
+    "full_metric",
+    "check_nonsingular",
     "coordinate_curvature",
     "christoffel",
     "to_frame",
@@ -58,39 +62,65 @@ class CoordinateMetric:
     point: ChartPoint
     G: Jet            # (n, n) jets in (u, x) variables
     Ginv0: np.ndarray
-    frame: FrameData
+    chart: ChartJets
 
     @functools.cached_property
     def Ginv(self) -> Jet:
         """Jet inverse of G, built on first use."""
         return jet_matrix_inverse(self.G)
 
+    @functools.cached_property
+    def frame(self) -> FrameData:
+        """The partly null frame at the point, built on first use."""
+        return frame_components(self.chart)
+
+
+def full_metric(n: int, H: np.ndarray, W: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Coefficients of the full metric G (n, n, ...) from those of H, W_i and g_ij.
+
+    The trailing axes (a jet's coefficients) ride along.
+    """
+    G = np.zeros((n, n) + H.shape)
+    G[0, 0] = -2.0 * H
+    G[0, 1, 0] = G[1, 0, 0] = -1.0
+    G[0, 2:] = G[2:, 0] = -W
+    G[2:, 2:] = g
+    return G
+
+
+def check_nonsingular(G0: np.ndarray, p: ChartPoint) -> None:
+    """Refuse an assembled metric whose determinant is below 1e-12 in size."""
+    if abs(np.linalg.det(G0)) < 1e-12:
+        raise ValueError(f"assembled metric is singular at {p.coords}")
+
 
 def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
     cj = eval_metric(spec, p, order)
-    n = spec.n
-    G = jets.zeros((n, n), spec.num_vars, order)
-    G.data[0, 0] = -2.0 * cj.H.data
-    G.data[0, 1, 0] = G.data[1, 0, 0] = -1.0
-    G.data[0, 2:] = G.data[2:, 0] = -cj.W.data
-    G.data[2:, 2:] = cj.g.data
+    G = Jet(cj.H.ctx, full_metric(spec.n, cj.H.data, cj.W.data, cj.g.data))
     G0 = G.value()
-    if abs(np.linalg.det(G0)) < 1e-12:
-        raise ValueError(f"assembled metric is singular at {p.coords}")
-    return CoordinateMetric(n, p, G, np.linalg.inv(G0), frame_components(cj))
+    check_nonsingular(G0, p)
+    return CoordinateMetric(spec.n, p, G, np.linalg.inv(G0), cj)
+
+
+@functools.lru_cache(maxsize=None)
+def _cgrad_table(ctx: jets.JetContext, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``diff_table`` of every coordinate, stacked (n, child coefficients).
+
+    Jet variable 0 is u and jet variable mu - 1 is x^mu; the row of v is
+    overwritten with zeros by ``_cgrad``.
+    """
+    tables = [ctx.diff_table(max(mu - 1, 0)) for mu in range(n)]
+    return np.array([src for src, _ in tables]), np.array([fac for _, fac in tables])
 
 
 def _cgrad(J: Jet, n: int) -> Jet:
     """Coordinate derivatives on a new axis appended last; d_v gives zero."""
     if J.order == 0:
         raise jets.JetShapeError("cannot differentiate an order-0 jet")
-    child = jets.context(J.num_vars, J.order - 1)
-    out = np.zeros(J.shape + (n, child.ncoeffs))
-    for mu in range(n):
-        if mu != 1:  # jet variable 0 is u, jet variable mu - 1 is x^mu
-            src, fac = J.ctx.diff_table(max(mu - 1, 0))
-            out[..., mu, :] = J.data[..., src] * fac
-    return Jet(child, out)
+    src, fac = _cgrad_table(J.ctx, n)
+    out = J.data[..., src] * fac
+    out[..., 1, :] = 0.0
+    return Jet(jets.context(J.num_vars, J.order - 1), out)
 
 
 def _lowered(dG: np.ndarray) -> np.ndarray:
@@ -102,9 +132,10 @@ def _lowered(dG: np.ndarray) -> np.ndarray:
     return dG + np.einsum("rcb...->rbc...", dG) - np.einsum("bcr...->rbc...", dG)
 
 
-def christoffel(cm: CoordinateMetric) -> np.ndarray:
-    """Values Gamma^a_{bc} at the point; needs order >= 1 and no jet inverse."""
-    return 0.5 * np.einsum("ar,rbc->abc", cm.Ginv0, _lowered(_cgrad(cm.G, cm.n).value()))
+def christoffel(G: Jet, Ginv0: np.ndarray) -> np.ndarray:
+    """Values Gamma^a_{bc} from the full metric G (order >= 1) and the
+    inverse of its value; builds no jet inverse."""
+    return 0.5 * np.einsum("ar,rbc->abc", Ginv0, _lowered(_cgrad(G, len(Ginv0)).value()))
 
 
 @dataclass

@@ -4,7 +4,10 @@ All transport equations run on the full coordinate Christoffel symbols of
 the assembled n-dimensional metric, read through the coordinate oracle
 (``oracle.christoffel``: one code path, convention-proof); only the
 transverse transport along E_0 uses the leaf-level equation, since its
-unknown lives on the leaves.
+unknown lives on the leaves.  The metric values and the first derivatives
+that Gamma needs come from the spec's tape compiled to straight-line code
+(``chart.metric_coefficients``), bit for bit the jet tape's; the
+curvature and the leaf-level data stay on jets.
 
 States are (coords, velocity) with coords = (u, v, x^2 .. x^{n-1}).
 Conserved quantities along geodesics: g(gamma', gamma') and the pairing
@@ -18,9 +21,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chart import ChartPoint, MetricSpec, compute_h_t, eval_metric, frame_components
+from . import jets
+from .chart import (ChartPoint, MetricSpec, compute_h_t, eval_metric, frame_components,
+                    metric_coefficients)
 from .ode import rk4_step, stage_grid
-from .oracle import assemble_coordinate_metric, christoffel, coordinate_curvature
+from .oracle import (assemble_coordinate_metric, check_nonsingular, christoffel,
+                     coordinate_curvature, full_metric)
 
 __all__ = [
     "Trajectory",
@@ -41,17 +47,29 @@ SECOND_SYMMETRY_SPAN = 1.0
 
 
 def _chart_point(spec: MetricSpec, coords: np.ndarray) -> ChartPoint:
-    return ChartPoint(float(coords[0]), tuple(float(c) for c in coords[2:]))
+    u, _, *x = np.asarray(coords, dtype=float).tolist()
+    return ChartPoint(u, tuple(x))
+
+
+def _coordinate_metric(spec: MetricSpec, coords: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients (n, n, ncoeffs) of the full metric about a coordinate point,
+    from the spec's compiled tape, with every check of ``assemble_coordinate_metric``."""
+    p = _chart_point(spec, coords)
+    F = metric_coefficients(spec, p, order)
+    m = spec.m
+    G = full_metric(spec.n, F[0], F[1:1 + m], F[1 + m:].reshape(m, m, F.shape[1]))
+    check_nonsingular(G[..., 0], p)
+    return G
 
 
 def metric_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    cm = assemble_coordinate_metric(spec, _chart_point(spec, coords), order=0)
-    return cm.G.value()
+    return _coordinate_metric(spec, coords, 0)[..., 0]
 
 
 def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """Gamma^a_{bc} of the full metric at a coordinate point."""
-    return christoffel(assemble_coordinate_metric(spec, _chart_point(spec, coords), order=1))
+    G = _coordinate_metric(spec, coords, 1)
+    return christoffel(jets.Jet(jets.context(spec.num_vars, 1), G), np.linalg.inv(G[..., 0]))
 
 
 @dataclass
@@ -96,7 +114,12 @@ def _in_box(spec: MetricSpec, coords: np.ndarray) -> bool:
 def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
                        velocity0: Sequence[float], tau_span: float, steps: int,
                        enforce_box: bool = False) -> Trajectory:
-    """Fixed-step RK4 for the geodesic equation; aborts on box exit if asked."""
+    """Fixed-step RK4 for the geodesic equation; aborts on box exit if asked.
+
+    A non-finite state, at a node or at an RK4 stage, is a ``RuntimeError``
+    naming the step, tau and the first non-finite entry (u, v, x.. or a
+    velocity du, dv, dx..).
+    """
     n = spec.n
     y = np.concatenate([np.asarray(coords0, dtype=float), np.asarray(velocity0, dtype=float)])
     if y.shape != (2 * n,):
@@ -106,22 +129,33 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
     out = np.empty((steps + 1, 2 * n))
     out[0] = y
     connection = np.empty((steps, 4, n, n))
+    names = ["u", "v"] + [f"x{i}" for i in range(2, n)]
+    names += ["d" + c for c in names]
+
+    def check_finite(k: int, tau: float, state: np.ndarray) -> None:
+        finite = np.isfinite(state)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise RuntimeError(f"geodesic integration blew up at step {k + 1}, "
+                               f"tau = {tau!r}: {names[i]} = {float(state[i])!r}")
 
     def f(stage: tuple[int, int], state: np.ndarray) -> np.ndarray:
+        k, s = stage
+        check_finite(k, float(taus[k] + (0.0, 0.5, 0.5, 1.0)[s] * h), state)
         gam = christoffel_values(spec, state[:n])
         v = state[n:]
         connection[stage] = np.einsum("abc,c->ab", gam, v)
         acc = -np.einsum("abc,b,c->a", gam, v, v)
         return np.concatenate([v, acc])
 
-    for k in range(steps):
-        y = rk4_step(f, y, h, [(k, s) for s in range(4)])
-        if not np.all(np.isfinite(y)):
-            raise RuntimeError(f"geodesic integration blew up at step {k + 1}")
-        if enforce_box and not _in_box(spec, y[:n]):
-            raise RuntimeError(
-                f"geodesic left the admissible box at tau = {taus[k + 1]:.4g}")
-        out[k + 1] = y
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            y = rk4_step(f, y, h, [(k, s) for s in range(4)])
+            check_finite(k, float(taus[k + 1]), y)
+            if enforce_box and not _in_box(spec, y[:n]):
+                raise RuntimeError(
+                    f"geodesic left the admissible box at tau = {taus[k + 1]:.4g}")
+            out[k + 1] = y
     return Trajectory(taus, out[:, :n], out[:, n:], spec, connection)
 
 

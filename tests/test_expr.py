@@ -244,3 +244,80 @@ def test_tape_error_names_the_first_output_that_needs_it():
         E.eval_jet(tape, env, 3, 2)
     assert info.value.output == 1
     assert info.value.reason == "division by a jet with zero constant term"
+
+
+# -- compiled straight-line code -------------------------------------------------------
+
+
+def _compiled_specs():
+    bundled = [load_metric_file(str(path)) for path in sorted(METRICS.glob("*.metric"))]
+    assert len(bundled) == 11
+    return bundled + [random_polynomial_spec(seed) for seed in range(10)]
+
+
+COMPILED_SPECS = _compiled_specs()
+
+
+def _assert_compiled_equals_eval_jet(tape, num_vars, point, order):
+    env = {name: J.seed(k, c, num_vars, order)
+           for k, (name, c) in enumerate(zip(E.var_names(num_vars + 1), point))}
+    ref = np.array([jet.data for jet in E.eval_jet(tape, env, num_vars, order)])
+    got = np.array(tape.compiled(num_vars, order)(tuple(float(c) for c in point)))
+    assert got.shape == ref.shape
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("order", (0, 1))
+def test_compiled_tape_is_bitwise_equal_to_eval_jet(order):
+    rng = np.random.default_rng(10 + order)
+    for spec in COMPILED_SPECS:
+        lo, hi = np.array(spec.box).T
+        for _ in range(4):
+            point = lo + (hi - lo) * rng.uniform(size=spec.num_vars)
+            _assert_compiled_equals_eval_jet(spec.tape, spec.num_vars, point, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(COMPILED_SPECS) - 1), st.integers(0, 1),
+       st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_compiled_tape_matches_eval_jet_anywhere_in_the_box(which, order, fractions):
+    spec = COMPILED_SPECS[which]
+    lo, hi = np.array(spec.box).T
+    point = lo + (hi - lo) * np.array(fractions[:spec.num_vars])
+    _assert_compiled_equals_eval_jet(spec.tape, spec.num_vars, point, order)
+
+
+def test_compiled_tape_keeps_signed_zeros_and_function_bits():
+    texts = ["-0.0", "0.0 * u", "-0.0 * u", "-u", "sin(-u)", "0.0 - u", "u - 0.0", "-0.0 + u",
+             "cos(u) * sin(x2)", "exp(-u) / (1 + x2^2)", "sqrt(2 + u)", "(u + 2)^-3", "u^0",
+             "u * x2 * x3 - x3", "-u - 1.0", "-x2 + 2.0", "2.0 * -x3"]
+    tape = E.Tape([E.parse(text, 4) for text in texts])
+    for point in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.5), (0.3, -0.7, 0.2)):
+        for order in (0, 1):
+            _assert_compiled_equals_eval_jet(tape, 3, point, order)
+
+
+@pytest.mark.parametrize("texts, point", [
+    (["u", "sqrt(x2) + 1", "sin(u) / x2"], (0.3, 0.0, 0.0)),
+    (["u", "sqrt(x2) + 1", "sin(u) / x2"], (0.3, -1.0, 0.0)),
+    (["u", "sin(u) / x2", "x2^-2"], (0.3, 0.0, 0.0)),
+    (["x3", "x2^-2", "1 / x2"], (0.3, 0.0, 0.0)),
+])
+def test_compiled_tape_error_names_the_first_output_that_needs_it(texts, point):
+    tape = E.Tape([E.parse(text, 4) for text in texts])
+    for order in (0, 1):
+        env = {name: J.seed(k, c, 3, order) for k, (name, c) in enumerate(zip(("u", "x2", "x3"), point))}
+        with pytest.raises(E.TapeDomainError) as ref:
+            E.eval_jet(tape, env, 3, order)
+        with pytest.raises(E.TapeDomainError) as got:
+            tape.compiled(3, order)(point)
+        assert (got.value.output, got.value.reason) == (ref.value.output, ref.value.reason)
+
+
+def test_compiled_tape_is_built_once_per_order_and_only_for_orders_0_and_1():
+    spec = random_polynomial_spec(4)
+    assert spec.tape.compiled(3, 1) is spec.tape.compiled(3, 1)
+    assert spec.tape.compiled(3, 0) is not spec.tape.compiled(3, 1)
+    with pytest.raises(ValueError, match="orders 0 and 1"):
+        spec.tape.compiled(3, 2)

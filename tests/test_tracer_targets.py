@@ -15,7 +15,10 @@ from brinkmann.canonical import FlatBlockData, reconstruct
 from brinkmann.ode import stage_grid
 from brinkmann.spaces import fixture
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+METRICS = ROOT / "metrics"
 
 
 @pytest.fixture()
@@ -54,3 +57,23 @@ def test_precompute_cache_grows_by_the_evaluated_us(tracer_module):
     fired = {t.attr: n for t, n in tracer.fired.items() if t.module == "brinkmann.canonical"}
     assert fired == {"FlatBlockData.precompute": 1, "solve_rotation_ode": 1, "recover_A": 1,
                      "solve_translation_ode": 1, "verify_canonical": 1}
+
+
+def test_transport_workload_fires_every_transport_target(tracer_module, tmp_path, monkeypatch):
+    # the four transport experiments of the benchmark, at its smoke size of 20 steps
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    wl = workloads.build_transport(0, str(METRICS), str(tmp_path), smoke=True)
+    assert [op.work for op in wl.ops] == [20] * 4
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        exit_codes = [op.run()[0] for op in wl.ops]
+    finally:
+        tracer.uninstall()
+    assert exit_codes == [0] * 4
+    assert tracer.missing("transport") == []
+    # Gamma and the metric values come from the compiled tape: no jet inverse is wasted
+    assert tracer.inverse_calls > 0 and tracer.inverse_wasted == 0

@@ -1,10 +1,15 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from brinkmann import chart, transport
-from brinkmann.chart import ChartPoint, MetricSpec
+from brinkmann.chart import ChartPoint, MetricDefinitenessError, MetricSpec, eval_metric
+from brinkmann.jets import JetDomainError
+from brinkmann.metricfile import load_metric_file
+from brinkmann.oracle import _cgrad, _lowered, assemble_coordinate_metric
 from brinkmann.spaces import fixture, random_polynomial_spec
-from brinkmann.transport import (d0_transport, geodesic_integrate,
+from brinkmann.transport import (christoffel_values, d0_transport, geodesic_integrate,
                                  metric_values, null_sectional_growth, null_velocity,
                                  parallel_transport, second_symmetry_transport_check)
 
@@ -122,8 +127,6 @@ def test_d0_transport_refuses_overflowing_vectors():
 
 def test_d0_transport_gbar_isometry_random_spec():
     spec = random_polynomial_spec(17, n=4)
-    from brinkmann.chart import eval_metric
-
     p = ChartPoint(-0.3, (0.2, 0.1))
     rng = np.random.default_rng(2)
     V = rng.normal(size=(2, 2))
@@ -204,3 +207,80 @@ def test_second_symmetry_transport_check_ladder():
     assert ok1
     ok3, worst3 = second_symmetry_transport_check(fixture("cw4_r3"), trials=2, rng_seed=5)
     assert not ok3 and worst3 > 1e-3
+
+
+# -- metric values and Christoffel symbols from the compiled tape ----------------------
+
+METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
+
+
+def _assembled_christoffel(spec, coords):
+    """Gamma as transport read it through the oracle's jet assembly."""
+    cm = assemble_coordinate_metric(spec, ChartPoint(coords[0], tuple(coords[2:])), 1)
+    return 0.5 * np.einsum("ar,rbc->abc", cm.Ginv0, _lowered(_cgrad(cm.G, cm.n).value()))
+
+
+def _assembled_metric(spec, coords):
+    return assemble_coordinate_metric(spec, ChartPoint(coords[0], tuple(coords[2:])), 0).G.value()
+
+
+def test_transport_values_are_the_assembled_values_bitwise():
+    specs = [load_metric_file(str(path)) for path in sorted(METRICS.glob("*.metric"))]
+    specs += [random_polynomial_spec(seed, n=n) for seed, n in ((0, 4), (5, 5), (9, 6))]
+    rng = np.random.default_rng(21)
+    for spec in specs:
+        lo, hi = np.array(spec.box).T
+        for _ in range(3):
+            chart_point = lo + (hi - lo) * rng.uniform(size=spec.num_vars)
+            coords = np.concatenate([chart_point[:1], rng.normal(size=1), chart_point[1:]])
+            for got, ref in ((christoffel_values(spec, coords), _assembled_christoffel(spec, coords)),
+                             (metric_values(spec, coords), _assembled_metric(spec, coords))):
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_christoffel_values_run_no_jet_tape(monkeypatch):
+    spec = fixture("scrambled_cw4")
+    monkeypatch.setattr(chart.expr, "eval_jet", None)
+    christoffel_values(spec, np.array([0.2, 0.0, 0.1, -0.3]))
+    metric_values(spec, np.array([0.2, 0.0, 0.1, -0.3]))
+
+
+@pytest.mark.parametrize("fields, point, where", [
+    ({"W": {2: "1/(u - 0.1)"}}, (0.1, 0.2, 0.3), "in W_2 at (0.1, 0.2, 0.3)"),
+    ({"H": "x2^2 + sqrt(u - 0.5)"}, (0.2, 0.1, 0.0), "in H at (0.2, 0.1, 0.0)"),
+])
+def test_transport_values_locate_a_domain_error_as_eval_metric_does(fields, point, where):
+    spec = MetricSpec.from_text(4, **fields)
+    with pytest.raises(JetDomainError) as ref:
+        eval_metric(spec, ChartPoint(point[0], point[1:]), 1)
+    assert str(ref.value).endswith(where)
+    coords = np.array([point[0], 0.0, *point[1:]])
+    for values in (christoffel_values, metric_values):
+        with pytest.raises(JetDomainError) as got:
+            values(spec, coords)
+        assert str(got.value) == str(ref.value)
+
+
+def test_transport_values_refuse_an_indefinite_leaf_metric():
+    spec = MetricSpec.from_text(4, g={(2, 2): "u"})
+    coords = np.array([-0.5, 0.0, 0.1, 0.2])
+    for values in (christoffel_values, metric_values):
+        with pytest.raises(MetricDefinitenessError, match=r"not positive definite at \(-0\.5"):
+            values(spec, coords)
+
+
+def test_transport_values_refuse_a_singular_full_metric():
+    # g_ij = 1e-7 delta passes the pivot test, but det G = -det g = -1e-14
+    spec = MetricSpec.from_text(4, g={(2, 2): "1e-7", (3, 3): "1e-7"})
+    for values in (christoffel_values, metric_values):
+        with pytest.raises(ValueError, match="assembled metric is singular at"):
+            values(spec, np.array([0.0, 0.0, 0.1, 0.2]))
+
+
+def test_geodesic_blow_up_names_step_tau_and_entry():
+    # H = -x2^4 throws the geodesic off to infinity within the first steps
+    spec = MetricSpec.from_text(4, H="-x2^4")
+    with pytest.raises(RuntimeError,
+                       match=r"^geodesic integration blew up at step 4, tau = 7\.0: dv = inf$"):
+        geodesic_integrate(spec, [0.0, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], 40.0, 20)
