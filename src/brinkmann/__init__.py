@@ -12,7 +12,7 @@ from .classify import (EisenhartSplit, SymmetryReport, algebra_lemma_probe,
                        check_theorem_redu, eisenhart_split, extract_A_tilde,
                        sample_points, symmetry_order)
 from .canonical import CanonicalForm, FlatBlockData, reconstruct
-from .curvature import CurvaturePack, DerivPack, SecondDerivPack, curvature_at
+from .curvature import curvature_at
 from .oracle import assemble_coordinate_metric, coordinate_curvature, frame_blocks_from_oracle
 from .spaces import (ChartChange, CwParams, apply_chart_change, fixture, make_cw,
                      make_product, random_polynomial_spec)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChartPoint", "MetricSpec", "MetricDefinitenessError",
-    "CurvaturePack", "DerivPack", "SecondDerivPack", "curvature_at",
+    "curvature_at",
     "assemble_coordinate_metric", "coordinate_curvature", "frame_blocks_from_oracle",
     "CwParams", "ChartChange", "make_cw", "make_product", "apply_chart_change",
     "fixture", "random_polynomial_spec",

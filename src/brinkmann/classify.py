@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .chart import ChartPoint, MetricSpec
-from .curvature import ChartCurvature, curvature_at, d0_op, leaf_grad
+from .curvature import FRAME_BLOCKS, ChartCurvature, curvature_at, d0_op, leaf_grad
 from .oracle import frame_blocks_from_oracle
 
 __all__ = [
@@ -88,20 +88,9 @@ def sample_points(spec: MetricSpec, count: int = 8) -> list[ChartPoint]:
 # -- engine/oracle pairing ------------------------------------------------------------
 
 
-_FIRST_KEYS = ("Atil", "Ahat", "Btil", "Bhat", "Rtil", "gradRbar")
-
-
-def _engine_blocks(cc: ChartCurvature, depth: int) -> dict[str, np.ndarray | float]:
-    c = cc.curvature
-    out: dict[str, np.ndarray | float] = {
-        "Rbar": c.Rbar, "A": c.A, "B": c.B, "R_i0k": c.R_i0k,
-        "Ric00": c.Ric00, "Ric0i": c.Ric0i, "Ricij": c.Ricij, "S": c.S,
-    }
-    if depth >= 1:
-        out.update({k: getattr(cc.first, k) for k in _FIRST_KEYS})
-    if depth == 2:
-        out.update(cc.second.blocks)
-    return out
+def _max_abs(value: np.ndarray | float) -> float:
+    """Largest absolute entry of a block; 0 for an empty one."""
+    return float(np.max(np.abs(value))) if np.size(value) else 0.0
 
 
 @dataclass
@@ -126,14 +115,8 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int
         with np.errstate(all="ignore"):
             cc = curvature_at(spec, p, order=order, depth=depth)
             ob = frame_blocks_from_oracle(spec, p, depth=depth)
-            eb = _engine_blocks(cc, depth)
-            agreement = {}
-            for key, o in ob.items():
-                o_arr = np.asarray(o, dtype=float)
-                e_arr = np.asarray(eb[key], dtype=float)
-                scale = 1.0 + (np.max(np.abs(o_arr)) if o_arr.size else 0.0)
-                dev = (np.max(np.abs(e_arr - o_arr)) if o_arr.size else 0.0) / scale
-                agreement[key] = float(dev)
+            agreement = {key: _max_abs(np.subtract(cc.blocks[key], o)) / (1.0 + _max_abs(o))
+                         for key, o in ob.items()}
         ev = SampleEvaluation(p, cc, ob, agreement)
         _check_finite([ev])
         evaluations.append(ev)
@@ -151,21 +134,20 @@ def _check_finite(evaluations: list[SampleEvaluation]) -> None:
                     "so no verdict can be reached")
 
 
-def _depth_norms(ev: SampleEvaluation) -> tuple[float, float, float]:
-    """Max-norm of R, nabla R, nabla nabla R at one sample, over both pipelines."""
-    cc = ev.cc
-    r0 = max(cc.curvature.max_norm(),
-             max(float(np.max(np.abs(np.asarray(ev.oracle[k]))))
-                 for k in ("Rbar", "A", "B", "R_i0k")))
-    r1 = cc.first.max_norm()
-    r2 = cc.second.max_norm() if cc.second is not None else 0.0
-    for k in _FIRST_KEYS:
-        if k in ev.oracle:
-            r1 = max(r1, float(np.max(np.abs(np.asarray(ev.oracle[k])))))
-    for k in ev.oracle:
-        if "_" in k and np.asarray(ev.oracle[k]).size:
-            r2 = max(r2, float(np.max(np.abs(np.asarray(ev.oracle[k])))))
-    return r0, r1, r2
+def _depth_norm(block_sets: Sequence[dict[str, np.ndarray | float]], depth: int) -> float:
+    """Max-norm of one depth's blocks (R, nabla R or nabla nabla R) over the
+    given block dicts; 0 where that depth was not evaluated."""
+    return max((_max_abs(blocks[k]) for blocks in block_sets
+                for k in FRAME_BLOCKS[depth] if k in blocks), default=0.0)
+
+
+def _evaluated_depth(evaluations: Sequence[SampleEvaluation], need: int, who: str) -> int:
+    """The depth all evaluations reach; raise if it is below ``need``."""
+    depth = min(ev.cc.depth for ev in evaluations)
+    if depth < need:
+        raise ValueError(f"{who} needs evaluations of depth >= {need} (got depth {depth}); "
+                         f"pass depth={need} to evaluate_samples")
+    return depth
 
 
 # -- symmetry order --------------------------------------------------------------------
@@ -260,10 +242,11 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
                    tol: float = DEFAULT_TOL,
                    evaluations: list[SampleEvaluation] | None = None,
                    depth: int = 2) -> SymmetryReport:
-    """Classify the symmetry order of the metric from sampled tensor packs.
+    """Classify the symmetry order of the metric from sampled frame blocks.
 
-    With depth 1 the second derivative is not computed, so the verdict can
-    only be flat, locally_symmetric or undetermined.
+    The depth is that of ``evaluations`` when they are given.  With depth 1
+    the second derivative is not computed, so the verdict can only be flat,
+    locally_symmetric or undetermined; depth 0 is refused.
     """
     if samples is None:
         samples = sample_points(spec)
@@ -271,15 +254,12 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
         raise ValueError("need at least 5 sample points")
     if evaluations is None:
         evaluations = evaluate_samples(spec, samples, depth=depth)
-    else:
-        depth = 2 if evaluations[0].cc.second is not None else min(depth, 1)
+    depth = _evaluated_depth(evaluations, 1, "symmetry_order")
 
     agreement = _check_agreement(evaluations)
 
-    r0 = r1 = r2 = 0.0
-    for ev in evaluations:
-        n0, n1, n2 = _depth_norms(ev)
-        r0, r1, r2 = max(r0, n0), max(r1, n1), max(r2, n2)
+    both = [blocks for ev in evaluations for blocks in (ev.cc.blocks, ev.oracle)]
+    r0, r1, r2 = (_depth_norm(both, d) for d in range(3))
     scale = 1.0 + r0
 
     s0 = _classify_residual(r0, tol, 1.0)
@@ -295,11 +275,8 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
     else:
         verdict = "undetermined"
 
-    block_norms: dict[str, float] = {}
-    for ev in evaluations:
-        if ev.cc.second is not None:
-            for k, v in ev.cc.second.norms().items():
-                block_norms[k] = max(block_norms.get(k, 0.0), v)
+    block_norms = {k: max(_max_abs(ev.cc.blocks[k]) for ev in evaluations)
+                   for k in FRAME_BLOCKS[2]} if depth == 2 else {}
 
     return SymmetryReport(
         verdict=verdict,
@@ -330,15 +307,13 @@ def check_theorem_redu(spec: MetricSpec, samples: Sequence[ChartPoint] | None = 
         samples = sample_points(spec)
     if evaluations is None:
         evaluations = evaluate_samples(spec, samples, depth=1)
-    scale = 1.0 + max(ev.cc.curvature.max_norm() for ev in evaluations)
-    eps = tol * scale
+    _evaluated_depth(evaluations, 1, "check_theorem_redu")
+    eps = tol * (1.0 + _depth_norm([ev.cc.blocks for ev in evaluations], 0))
 
     def block_max(name: str) -> float:
-        return max(
-            float(np.max(np.abs(getattr(ev.cc.first, name)))) if getattr(ev.cc.first, name).size else 0.0
-            for ev in evaluations)
+        return max(_max_abs(ev.cc.blocks[name]) for ev in evaluations)
 
-    svals = np.array([ev.cc.curvature.S for ev in evaluations])
+    svals = np.array([ev.cc.blocks["S"] for ev in evaluations])
     spread = float(svals.max() - svals.min())
     return StructuralChecks(
         leaf_locally_symmetric=block_max("gradRbar") < eps,
@@ -397,18 +372,13 @@ def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
     grad_res = d0_res = aff_res = 0.0
     for ev in evaluations:
         cc = ev.cc
-        m = cc.cj.m
-        values.append(cc.first.Atil.copy())
-        gbar = cc.cj.g.value().reshape(m, m)
-        eigs.append(gbar_eigh(cc.first.Atil, gbar)[0])
-        grad = leaf_grad(cc.Atil, 0, cc.gamma).value()
-        d0 = d0_op(cc.Atil, 0, cc.tup).value()
-        grad_res = max(grad_res, float(np.max(np.abs(grad))) if np.asarray(grad).size else 0.0)
-        d0_res = max(d0_res, float(np.max(np.abs(d0))) if np.asarray(d0).size else 0.0)
+        values.append(cc.blocks["Atil"].copy())
+        eigs.append(gbar_eigh(cc.blocks["Atil"], cc.cj.g.value())[0])
+        grad_res = max(grad_res, _max_abs(leaf_grad(cc.Atil, 0, cc.gamma).value()))
+        d0_res = max(d0_res, _max_abs(d0_op(cc.Atil, 0, cc.tup).value()))
         if check_affine:
-            addot = cc.A.du().du().value()
-            aff_res = max(aff_res, float(np.max(np.abs(addot))) if np.asarray(addot).size else 0.0)
-    scale = 1.0 + max(ev.cc.curvature.max_norm() for ev in evaluations)
+            aff_res = max(aff_res, _max_abs(cc.A.du().du().value()))
+    scale = 1.0 + _depth_norm([ev.cc.blocks for ev in evaluations], 0)
     return AtilReport(
         values=values,
         eigenvalues=eigs,
@@ -478,17 +448,16 @@ def eisenhart_split(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
         samples = sample_points(spec)
     if evaluations is None:
         evaluations = evaluate_samples(spec, samples, depth=1)
+    _evaluated_depth(evaluations, 1, "eisenhart_split")
     m = spec.m
     all_eigs = []
     for ev in evaluations:
-        gbar = ev.cc.cj.g.value().reshape(m, m)
-        mu, _ = gbar_eigh(ev.cc.curvature.Ricij, gbar)
+        mu, _ = gbar_eigh(ev.cc.blocks["Ricij"], ev.cc.cj.g.value())
         all_eigs.append(mu)
     all_eigs = np.array(all_eigs)
 
     base = evaluations[-1]  # box center is appended last by sample_points
-    gbar = base.cc.cj.g.value().reshape(m, m)
-    mu, vecs = gbar_eigh(base.cc.curvature.Ricij, gbar)
+    mu, vecs = gbar_eigh(base.cc.blocks["Ricij"], base.cc.cj.g.value())
 
     clusters: list[list[int]] = []
     for idx in range(m):
@@ -518,7 +487,7 @@ def eisenhart_split(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
     spread = float(np.max(all_eigs.max(axis=0) - all_eigs.min(axis=0))) if m else 0.0
 
     atil_flag: bool | None = None
-    atil = base.cc.first.Atil
+    atil = base.cc.blocks["Atil"]
     if atil.size and zero_cluster is not None:
         off = 0.0
         flat = set(partition[zero_cluster])

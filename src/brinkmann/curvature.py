@@ -22,10 +22,15 @@ Tensor layout conventions (paper-style index order in brackets):
 * ``Rtil_up[i, j, k, l]``                      nabla_0 Rbar^i_{jkl}
 * ``gradRbar[i, j, k, l, s]``                  nabla_s Rbar^i_{jkl}
 
-The twelve second-derivative blocks are keyed by (outer, inner) derivative
-type -- 'l' for a leaf direction, '0' for E_0 -- plus the curvature slice
-they refine, e.g. ``l0_a`` holds nabla_m nabla_0 R^1_{i0j} with the new
-leaf slot appended last.  Correction terms are contracted exactly as the
+The values come back as one ``blocks`` dict whose keys, per depth, are
+those of ``FRAME_BLOCKS``: the curvature slices (Rbar, A, B, R^i_{j0k} and
+the Ricci pieces), the five slices of nabla R plus nabla Rbar, and the
+twelve blocks of nabla nabla R.  ``oracle.frame_blocks_from_oracle``
+returns the same keys in the same order.  The twelve second-derivative
+blocks are keyed by (outer, inner) derivative type -- 'l' for a leaf
+direction, '0' for E_0 -- plus the curvature slice they refine (rbar, b or
+a), e.g. ``l0_a`` holds nabla_m nabla_0 R^1_{i0j} with the new leaf slot
+appended last.  Correction terms are contracted exactly as the
 second-symmetry system writes them; each block vanishes identically on a
 2nd-symmetric space.
 """
@@ -33,7 +38,7 @@ second-symmetry system writes them; each block vanishes identically on a
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +47,11 @@ from .chart import ChartJets, ChartPoint, MetricSpec, christoffel_bar, compute_h
 from .jets import Jet, jet_einsum
 
 __all__ = [
-    "CurvaturePack",
-    "DerivPack",
-    "SecondDerivPack",
+    "FRAME_BLOCKS",
     "ChartCurvature",
     "curvature_at",
     "leaf_grad",
     "d0_op",
-    "SECOND_DERIV_BLOCKS",
 ]
 
 _LETTERS = [c for c in string.ascii_lowercase if c not in "rs"]
@@ -108,81 +110,25 @@ def _jtrace(J: Jet, a: int, b: int) -> Jet:
     return Jet(J.ctx, np.trace(J.data, axis1=a, axis2=b))
 
 
-@dataclass
-class CurvaturePack:
-    """Frame curvature components at a point."""
-
-    Rbar: np.ndarray        # Rbar^i_{jkl}
-    Rbar_low: np.ndarray    # Rbar_{ijkl}
-    A: np.ndarray           # R^1_{i0j}
-    B: np.ndarray           # R^1_{ijk}
-    R_i0k: np.ndarray       # R^i_{j0k}
-    Ric00: float
-    Ric0i: np.ndarray
-    Ricij: np.ndarray
-    S: float
-
-    def max_norm(self) -> float:
-        vals = [self.Rbar, self.A, self.B, self.R_i0k, self.Ric0i, self.Ricij]
-        norms = [np.max(np.abs(v)) for v in vals if v.size] + [abs(self.Ric00), abs(self.S)]
-        return float(max(norms))
-
-
-@dataclass
-class DerivPack:
-    """The five independent slices of nabla R, plus the leaf gradient of Rbar."""
-
-    Atil: np.ndarray
-    Ahat: np.ndarray
-    Btil: np.ndarray
-    Bhat: np.ndarray
-    Rtil: np.ndarray
-    gradRbar: np.ndarray
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {
-            "Atil": self.Atil, "Ahat": self.Ahat, "Btil": self.Btil,
-            "Bhat": self.Bhat, "Rtil": self.Rtil, "gradRbar": self.gradRbar,
-        }
-
-    def max_norm(self) -> float:
-        norms = [np.max(np.abs(v)) for v in self.blocks().values() if v.size]
-        return float(max(norms)) if norms else 0.0
-
-
-SECOND_DERIV_BLOCKS = (
-    "ll_rbar", "0l_rbar", "l0_rbar", "00_rbar",
-    "ll_b", "0l_b", "l0_b", "00_b",
-    "ll_a", "0l_a", "l0_a", "00_a",
+# Keys of the frame blocks of R, nabla R and nabla nabla R (one dict per
+# depth), each with its number of leaf slots; the rank-0 blocks are floats.
+FRAME_BLOCKS: tuple[dict[str, int], ...] = (
+    {"Rbar": 4, "A": 2, "B": 3, "R_i0k": 3, "Ric00": 0, "Ric0i": 1, "Ricij": 2, "S": 0},
+    {"Atil": 2, "Ahat": 3, "Btil": 3, "Bhat": 4, "Rtil": 4, "gradRbar": 5},
+    {"ll_rbar": 6, "0l_rbar": 5, "l0_rbar": 5, "00_rbar": 4,
+     "ll_b": 5, "0l_b": 4, "l0_b": 4, "00_b": 3,
+     "ll_a": 4, "0l_a": 3, "l0_a": 3, "00_a": 2},
 )
 
 
 @dataclass
-class SecondDerivPack:
-    """The twelve frame blocks of nabla nabla R.
-
-    Keys read <outer><inner>_<slice>: outer/inner derivative type 'l'
-    (leaf) or '0' (along E_0), slice one of rbar, b (theta^1 of R on leaf
-    arguments) or a (theta^1 of R(E_0, .)).  New derivative slots are
-    appended after the slice's own slots, inner first.
-    """
-
-    blocks: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def max_norm(self) -> float:
-        norms = [np.max(np.abs(v)) for v in self.blocks.values() if v.size]
-        return float(max(norms)) if norms else 0.0
-
-    def norms(self) -> dict[str, float]:
-        return {
-            k: (float(np.max(np.abs(v))) if v.size else 0.0)
-            for k, v in self.blocks.items()
-        }
-
-
-@dataclass
 class ChartCurvature:
-    """All jets and value packs of one (spec, point) evaluation."""
+    """The jets of one (spec, point) evaluation and the values of its frame blocks.
+
+    ``blocks`` holds the keys of ``FRAME_BLOCKS[:depth + 1]`` in table order;
+    the nabla R jets ``Atil`` .. ``gradRbar`` are None below depth 1 and on a
+    two-dimensional chart.
+    """
 
     cj: ChartJets
     h: Jet
@@ -193,9 +139,8 @@ class ChartCurvature:
     Rbar_up: Jet
     A: Jet
     B: Jet
-    curvature: CurvaturePack
-    first: DerivPack
-    second: SecondDerivPack | None = None
+    depth: int
+    blocks: dict[str, np.ndarray | float]
     Atil: Jet | None = None
     Ahat: Jet | None = None
     Btil: Jet | None = None
@@ -210,20 +155,6 @@ class ChartCurvature:
     @property
     def point(self) -> ChartPoint:
         return self.cj.point
-
-
-def _zero_packs(m: int) -> tuple[CurvaturePack, DerivPack, SecondDerivPack]:
-    z = np.zeros
-    curv = CurvaturePack(z((m,) * 4), z((m,) * 4), z((m, m)), z((m,) * 3),
-                         z((m,) * 3), 0.0, z(m), z((m, m)), 0.0)
-    first = DerivPack(z((m, m)), z((m,) * 3), z((m,) * 3), z((m,) * 4),
-                      z((m,) * 4), z((m,) * 5))
-    shapes = {"rbar": 4, "b": 3, "a": 2}
-    blocks = {}
-    for name in SECOND_DERIV_BLOCKS:
-        extra = (name[0] == "l") + (name[1] == "l")
-        blocks[name] = z((m,) * (shapes[name.split("_")[1]] + extra))
-    return curv, first, SecondDerivPack(blocks)
 
 
 def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
@@ -244,11 +175,11 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     m = cj.m
 
     if m == 0:
-        # Two-dimensional Brinkmann charts are flat planes: every pack is empty.
-        curv, first, second = _zero_packs(0)
+        # Two-dimensional Brinkmann charts are flat planes: every block is empty.
+        blocks = {k: np.zeros((0,) * rank) if rank else 0.0
+                  for table in FRAME_BLOCKS[:depth + 1] for k, rank in table.items()}
         zj = jets.zeros((0,), cj.num_vars, order - 1)
-        return ChartCurvature(cj, zj, zj, zj, zj, zj, zj, zj, zj, curv, first,
-                              second if depth == 2 else None)
+        return ChartCurvature(cj, zj, zj, zj, zj, zj, zj, zj, zj, depth, blocks)
 
     h, t = compute_h_t(cj)
     gamma = christoffel_bar(cj)
@@ -267,7 +198,6 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     gg = jet_einsum("ikr,rlj->ijkl", gamma, gamma)
     ggT = Jet(gg.ctx, np.swapaxes(gg.data, 2, 3))
     Rbar_up = dterm + gg - ggT
-    Rbar_low = jet_einsum("ir,rjkl->ijkl", cj.g, Rbar_up)
     Ricbar = _jtrace(Rbar_up, 0, 2)
     Sbar = jet_einsum("ij,ij->", ginv, Ricbar)
 
@@ -287,20 +217,12 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     tr_tup = _jtrace(tup, 0, 1)
     Ric0i = leaf_grad(tr_tup, 0, gamma) - _jtrace(grad_tup, 0, 2)
 
-    curvature = CurvaturePack(
-        Rbar=Rbar_up.value().reshape((m,) * 4),
-        Rbar_low=Rbar_low.value().reshape((m,) * 4),
-        A=A.value().reshape((m, m)),
-        B=B.value().reshape((m,) * 3),
-        R_i0k=R_i0k.value().reshape((m,) * 3),
-        Ric00=float(Ric00.value()),
-        Ric0i=np.asarray(Ric0i.value()).reshape(m),
-        Ricij=Ricbar.value().reshape((m, m)),
-        S=float(Sbar.value()),
-    )
-
-    cc = ChartCurvature(cj, h, t, tup, hup, gamma, Rbar_up, A, B,
-                        curvature, DerivPack(*(np.zeros(0),) * 6))
+    blocks = {
+        "Rbar": Rbar_up.value(), "A": A.value(), "B": B.value(), "R_i0k": R_i0k.value(),
+        "Ric00": Ric00.value(), "Ric0i": Ric0i.value(), "Ricij": Ricbar.value(),
+        "S": Sbar.value(),
+    }
+    cc = ChartCurvature(cj, h, t, tup, hup, gamma, Rbar_up, A, B, depth, blocks)
     if depth == 0:
         return cc
 
@@ -312,61 +234,48 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     cc.Bhat = leaf_grad(B, 0, gamma) - jet_einsum("rs,rijk->ijks", t, Rbar_up)
     cc.Rtil = d0_op(Rbar_up, 1, tup)
     cc.gradRbar = leaf_grad(Rbar_up, 1, gamma)
-
-    cc.first = DerivPack(
-        Atil=cc.Atil.value().reshape((m, m)),
-        Ahat=cc.Ahat.value().reshape((m,) * 3),
-        Btil=cc.Btil.value().reshape((m,) * 3),
-        Bhat=cc.Bhat.value().reshape((m,) * 4),
-        Rtil=cc.Rtil.value().reshape((m,) * 4),
-        gradRbar=cc.gradRbar.value().reshape((m,) * 5),
-    )
+    blocks.update((k, getattr(cc, k).value()) for k in FRAME_BLOCKS[1])
 
     if depth == 2:
-        cc.second = _second_derivatives(cc)
+        blocks.update(_second_derivatives(cc))
     return cc
 
 
-def _second_derivatives(cc: ChartCurvature) -> SecondDerivPack:
-    """Assemble the twelve nabla nabla R blocks with their corrections."""
-    m = cc.cj.m
-    gamma, tup, hup = cc.gamma, cc.tup, cc.hup
-    t_val = cc.t.value().reshape((m, m))
-    tup_val = tup.value().reshape((m, m))
-    h_val = cc.h.value().reshape(m)
-    hup_val = hup.value().reshape(m)
-    f = cc.first
-    Bhat_sym = _sym12(f.Bhat)
-    Btil_sym = _sym12(f.Btil)
+def _second_derivatives(cc: ChartCurvature) -> dict[str, np.ndarray]:
+    """Values of the twelve nabla nabla R blocks, with their corrections."""
+    gamma, tup = cc.gamma, cc.tup
+    t_val, tup_val, h_val, hup_val = cc.t.value(), tup.value(), cc.h.value(), cc.hup.value()
+    f = cc.blocks
+    Bhat_sym = _sym12(f["Bhat"])
+    Btil_sym = _sym12(f["Btil"])
 
-    blocks: dict[str, np.ndarray] = {}
-    blocks["ll_rbar"] = leaf_grad(cc.gradRbar, 1, gamma).value().reshape((m,) * 6)
-    blocks["0l_rbar"] = d0_op(cc.gradRbar, 1, tup).value().reshape((m,) * 5)
-    blocks["l0_rbar"] = leaf_grad(cc.Rtil, 1, gamma).value().reshape((m,) * 5) \
-        + np.einsum("sm,ijkls->ijklm", tup_val, f.gradRbar)
-    blocks["00_rbar"] = d0_op(cc.Rtil, 1, tup).value().reshape((m,) * 4) \
-        - np.einsum("s,ijkls->ijkl", hup_val, f.gradRbar)
+    return {
+        "ll_rbar": leaf_grad(cc.gradRbar, 1, gamma).value(),
+        "0l_rbar": d0_op(cc.gradRbar, 1, tup).value(),
+        "l0_rbar": leaf_grad(cc.Rtil, 1, gamma).value()
+        + np.einsum("sm,ijkls->ijklm", tup_val, f["gradRbar"]),
+        "00_rbar": d0_op(cc.Rtil, 1, tup).value()
+        - np.einsum("s,ijkls->ijkl", hup_val, f["gradRbar"]),
 
-    blocks["ll_b"] = leaf_grad(cc.Bhat, 0, gamma).value().reshape((m,) * 5) \
-        - np.einsum("rm,rijks->ijksm", t_val, f.gradRbar)
-    blocks["0l_b"] = d0_op(cc.Bhat, 0, tup).value().reshape((m,) * 4) \
-        + np.einsum("r,rijks->ijks", h_val, f.gradRbar)
-    blocks["l0_b"] = leaf_grad(cc.Btil, 0, gamma).value().reshape((m,) * 4) \
-        - np.einsum("rm,rijk->ijkm", t_val, f.Rtil) \
-        + np.einsum("sm,ijks->ijkm", tup_val, f.Bhat)
-    blocks["00_b"] = d0_op(cc.Btil, 0, tup).value().reshape((m,) * 3) \
-        + np.einsum("r,rijk->ijk", h_val, f.Rtil) \
-        - np.einsum("s,ijks->ijk", hup_val, f.Bhat)
+        "ll_b": leaf_grad(cc.Bhat, 0, gamma).value()
+        - np.einsum("rm,rijks->ijksm", t_val, f["gradRbar"]),
+        "0l_b": d0_op(cc.Bhat, 0, tup).value()
+        + np.einsum("r,rijks->ijks", h_val, f["gradRbar"]),
+        "l0_b": leaf_grad(cc.Btil, 0, gamma).value()
+        - np.einsum("rm,rijk->ijkm", t_val, f["Rtil"])
+        + np.einsum("sm,ijks->ijkm", tup_val, f["Bhat"]),
+        "00_b": d0_op(cc.Btil, 0, tup).value()
+        + np.einsum("r,rijk->ijk", h_val, f["Rtil"])
+        - np.einsum("s,ijks->ijk", hup_val, f["Bhat"]),
 
-    blocks["ll_a"] = leaf_grad(cc.Ahat, 0, gamma).value().reshape((m,) * 4) \
-        - 2.0 * np.einsum("km,ijks->ijsm", tup_val, Bhat_sym)
-    blocks["0l_a"] = d0_op(cc.Ahat, 0, tup).value().reshape((m,) * 3) \
-        + 2.0 * np.einsum("k,ijks->ijs", hup_val, Bhat_sym)
-    blocks["l0_a"] = leaf_grad(cc.Atil, 0, gamma).value().reshape((m,) * 3) \
-        - 2.0 * np.einsum("km,ijk->ijm", tup_val, Btil_sym) \
-        + np.einsum("sm,ijs->ijm", tup_val, f.Ahat)
-    blocks["00_a"] = d0_op(cc.Atil, 0, tup).value().reshape((m, m)) \
-        + 2.0 * np.einsum("k,ijk->ij", hup_val, Btil_sym) \
-        - np.einsum("s,ijs->ij", hup_val, f.Ahat)
-
-    return SecondDerivPack(blocks)
+        "ll_a": leaf_grad(cc.Ahat, 0, gamma).value()
+        - 2.0 * np.einsum("km,ijks->ijsm", tup_val, Bhat_sym),
+        "0l_a": d0_op(cc.Ahat, 0, tup).value()
+        + 2.0 * np.einsum("k,ijks->ijs", hup_val, Bhat_sym),
+        "l0_a": leaf_grad(cc.Atil, 0, gamma).value()
+        - 2.0 * np.einsum("km,ijk->ijm", tup_val, Btil_sym)
+        + np.einsum("sm,ijs->ijm", tup_val, f["Ahat"]),
+        "00_a": d0_op(cc.Atil, 0, tup).value()
+        + 2.0 * np.einsum("k,ijk->ij", hup_val, Btil_sym)
+        - np.einsum("s,ijs->ij", hup_val, f["Ahat"]),
+    }

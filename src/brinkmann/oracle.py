@@ -21,7 +21,7 @@ The transport experiments read their Christoffel symbols from here too:
 and the numeric inverse, by the same lowered combination that
 ``coordinate_curvature`` differentiates further.  They assemble G with
 ``full_metric`` from the compiled tape's coefficients and refuse it by
-``check_nonsingular``, as ``assemble_coordinate_metric`` does.
+``check_finite``, as ``assemble_coordinate_metric`` does.
 
 Nothing here knows about the partly null frame; ``to_frame`` contracts
 coordinate tensors against externally supplied basis matrices and returns
@@ -46,7 +46,7 @@ __all__ = [
     "CoordinateCurvature",
     "assemble_coordinate_metric",
     "full_metric",
-    "check_nonsingular",
+    "check_finite",
     "coordinate_curvature",
     "christoffel",
     "to_frame",
@@ -88,17 +88,25 @@ def full_metric(n: int, H: np.ndarray, W: np.ndarray, g: np.ndarray) -> np.ndarr
     return G
 
 
-def check_nonsingular(G0: np.ndarray, p: ChartPoint) -> None:
-    """Refuse an assembled metric whose determinant is below 1e-12 in size."""
-    if abs(np.linalg.det(G0)) < 1e-12:
-        raise ValueError(f"assembled metric is singular at {p.coords}")
+def check_finite(G0: np.ndarray, p: ChartPoint) -> None:
+    """Refuse an assembled metric value with a non-finite entry, naming its
+    field (H, W_i or g_ij, chart labels) and the point.
+
+    det G = -det g_ij, and the metric evaluation has already refused a
+    singular or ill-conditioned g_ij, so finiteness is all that is left.
+    """
+    finite = np.isfinite(G0)
+    if not finite.all():
+        a, b = np.argwhere(~finite)[0]    # row major: H, then W_i, then g_ij
+        field = "H" if a == b == 0 else f"W_{b}" if a == 0 else f"g_{a}{b}"
+        raise ValueError(f"non-finite {field} at {p.coords}")
 
 
 def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
     cj = eval_metric(spec, p, order)
     G = Jet(cj.H.ctx, full_metric(spec.n, cj.H.data, cj.W.data, cj.g.data))
     G0 = G.value()
-    check_nonsingular(G0, p)
+    check_finite(G0, p)
     return CoordinateMetric(spec.n, p, G, np.linalg.inv(G0), cj)
 
 

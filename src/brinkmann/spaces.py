@@ -467,7 +467,7 @@ def random_polynomial_spec(seed: int, n: int = 4, amplitude: float = 0.05) -> Me
     g_rows = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            entry = poly(amplitude / 2 if i != j else amplitude / 2)
+            entry = poly(amplitude / 2)
             if i == j:
                 entry = simplify(Bin("+", Num(1.0), entry))
             g_rows[i][j] = g_rows[j][i] = entry

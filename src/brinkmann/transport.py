@@ -25,7 +25,7 @@ from . import jets
 from .chart import (ChartPoint, MetricSpec, compute_h_t, eval_metric, frame_components,
                     metric_coefficients)
 from .ode import rk4_step, stage_grid
-from .oracle import (assemble_coordinate_metric, check_nonsingular, christoffel,
+from .oracle import (assemble_coordinate_metric, check_finite, christoffel,
                      coordinate_curvature, full_metric)
 
 __all__ = [
@@ -58,7 +58,7 @@ def _coordinate_metric(spec: MetricSpec, coords: np.ndarray, order: int) -> np.n
     F = metric_coefficients(spec, p, order)
     m = spec.m
     G = full_metric(spec.n, F[0], F[1:1 + m], F[1 + m:].reshape(m, m, F.shape[1]))
-    check_nonsingular(G[..., 0], p)
+    check_finite(G[..., 0], p)
     return G
 
 

@@ -78,7 +78,7 @@ def test_criterion_3_theorem_redu_consequences():
         samples = sample_points(spec)
         evaluations = evaluate_samples(spec, samples, depth=1)
         checks = check_theorem_redu(spec, samples, tol=1e-9, evaluations=evaluations)
-        svals = [ev.cc.curvature.S for ev in evaluations]
+        svals = [ev.cc.blocks["S"] for ev in evaluations]
         spread_ok = checks.scalar_spread < 1e-9 * (1.0 + max(abs(s) for s in svals))
         ok = ok and checks.all_pass() and spread_ok
         details.append(f"{name}: S={checks.scalar_value:.3g} "

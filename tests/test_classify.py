@@ -1,9 +1,13 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from brinkmann.classify import (EngineDisagreement, algebra_lemma_probe,
                                 check_theorem_redu, eisenhart_split, evaluate_samples,
                                 extract_A_tilde, gbar_eigh, sample_points, symmetry_order)
+from brinkmann.curvature import FRAME_BLOCKS
+from brinkmann.metricfile import load_metric_file
 from brinkmann.spaces import (CwParams, apply_chart_change, fixture, make_cw, make_product,
                               random_affine_change)
 
@@ -216,3 +220,48 @@ def test_extract_A_tilde_refuses_short_jets():
     with pytest.raises(ValueError, match="jet order >= 4"):
         extract_A_tilde(spec, samples, evaluations=evaluate_samples(spec, samples, depth=0,
                                                                     order=4))
+
+
+METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
+
+
+@pytest.mark.parametrize("name", ["poly_seed1", "poly_seed2"])
+def test_nabla2_R_residual_is_the_max_over_the_twelve_blocks(name):
+    # on these metrics the depth-0 block R_i0k is larger than every nabla nabla R block
+    spec = load_metric_file(str(METRICS / f"{name}.metric"))
+    samples = sample_points(spec)
+    evals = evaluate_samples(spec, samples, depth=2)
+    rep = symmetry_order(spec, samples, evaluations=evals)
+    second = [float(np.max(np.abs(blocks[k]))) for ev in evals
+              for blocks in (ev.cc.blocks, ev.oracle) for k in FRAME_BLOCKS[2]]
+    assert len(second) == 2 * 12 * len(samples)
+    assert rep.residuals["nabla2_R"] == max(second)
+    assert max(second) < max(float(np.max(np.abs(ev.oracle["R_i0k"]))) for ev in evals)
+
+
+def test_depth_one_reports_no_nabla2_R():
+    # the oracle's R_i0k is ~1e-16 here, not zero; nabla nabla R is not computed at depth 1
+    rep = symmetry_order(fixture("scrambled_cw4"), depth=1)
+    assert rep.residuals["nabla2_R"] == 0.0
+    assert rep.second_block_norms == {}
+
+
+@pytest.mark.parametrize("name", ["cw4_r2", "poly1"])
+def test_symmetry_order_refuses_depth_zero_evaluations(name):
+    spec = fixture(name)
+    samples = sample_points(spec)
+    evals = evaluate_samples(spec, samples, depth=0)
+    with pytest.raises(ValueError, match=r"^symmetry_order needs evaluations of depth >= 1 "
+                                         r"\(got depth 0\)"):
+        symmetry_order(spec, samples, evaluations=evals)
+    with pytest.raises(ValueError, match="depth >= 1"):
+        symmetry_order(spec, samples, depth=0)
+
+
+def test_check_theorem_redu_refuses_depth_zero_evaluations():
+    spec = fixture("cw4_r2")
+    samples = sample_points(spec)
+    evals = evaluate_samples(spec, samples, depth=0)
+    with pytest.raises(ValueError, match=r"^check_theorem_redu needs evaluations of depth >= 1 "
+                                         r"\(got depth 0\)"):
+        check_theorem_redu(spec, samples, evaluations=evals)

@@ -120,14 +120,14 @@ def test_oracle_diff_pass(cw42_file, capsys):
 
 def test_oracle_diff_flags_corrupted_engine(cw42_file, capsys, monkeypatch):
     # negative control: a deliberately corrupted engine block must be caught
-    original = classify._engine_blocks
+    original = classify.curvature_at
 
-    def corrupted(cc, depth):
-        out = original(cc, depth)
-        out["A"] = np.asarray(out["A"]) + 1e-4
-        return out
+    def corrupted(*args, **kwargs):
+        cc = original(*args, **kwargs)
+        cc.blocks["A"] = cc.blocks["A"] + 1e-4
+        return cc
 
-    monkeypatch.setattr(classify, "_engine_blocks", corrupted)
+    monkeypatch.setattr(classify, "curvature_at", corrupted)
     code, out, _ = run(capsys, "oracle-diff", cw42_file, "--samples", "3")
     assert code == 1
     assert json.loads(out)["pass"] is False

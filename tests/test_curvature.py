@@ -5,7 +5,8 @@ import pytest
 
 from brinkmann import expr, jets
 from brinkmann.chart import ChartPoint, MetricSpec
-from brinkmann.curvature import curvature_at, d0_op, leaf_grad
+from brinkmann.classify import _depth_norm
+from brinkmann.curvature import FRAME_BLOCKS, curvature_at, d0_op, leaf_grad
 from brinkmann.jets import Jet
 from brinkmann.spaces import (FIXTURE_NAMES, CwParams, fixture, make_cw,
                               random_polynomial_spec)
@@ -15,24 +16,23 @@ P_CW42 = lambda u: np.diag([u, 1.0])
 
 def test_flat_everything_zero():
     cc = curvature_at(fixture("flat"), ChartPoint(0.3, (0.2, -0.1)), depth=2)
-    assert cc.curvature.max_norm() == 0.0
-    assert cc.first.max_norm() == 0.0
-    assert cc.second.max_norm() == 0.0
+    assert [_depth_norm([cc.blocks], d) for d in range(3)] == [0.0, 0.0, 0.0]
 
 
 def test_cw_curvature_values():
     p = ChartPoint(0.45, (0.3, -0.6))
     cc = curvature_at(fixture("cw4_r2"), p, depth=2)
     P = P_CW42(p.u)
-    assert np.allclose(cc.curvature.A, -2.0 * P)
-    assert np.max(np.abs(cc.curvature.B)) == 0.0
-    assert np.max(np.abs(cc.curvature.Rbar)) == 0.0
-    assert cc.curvature.Ric00 == pytest.approx(2.0 * np.trace(P))
-    assert cc.curvature.S == 0.0
-    assert np.allclose(cc.first.Atil, -2.0 * np.diag([1.0, 0.0]))
+    b = cc.blocks
+    assert np.allclose(b["A"], -2.0 * P)
+    assert np.max(np.abs(b["B"])) == 0.0
+    assert np.max(np.abs(b["Rbar"])) == 0.0
+    assert b["Ric00"] == pytest.approx(2.0 * np.trace(P))
+    assert b["S"] == 0.0
+    assert np.allclose(b["Atil"], -2.0 * np.diag([1.0, 0.0]))
     for name in ("Ahat", "Btil", "Bhat", "Rtil", "gradRbar"):
-        assert np.max(np.abs(getattr(cc.first, name))) == 0.0
-    assert cc.second.max_norm() == 0.0
+        assert np.max(np.abs(b[name])) == 0.0
+    assert _depth_norm([b], 2) == 0.0
 
 
 def test_rotation_spec_A_from_t():
@@ -40,9 +40,9 @@ def test_rotation_spec_A_from_t():
     cc = curvature_at(fixture("rotation_w"), p, depth=1)
     t = np.array([[0.0, 1.0], [-1.0, 0.0]])
     expected_A = -t.T @ t        # A_ij = -t^k_i t_kj for delta leaf metric
-    assert np.allclose(cc.curvature.A, expected_A)
-    assert np.max(np.abs(cc.curvature.B)) == 0.0
-    assert cc.first.max_norm() < 1e-14
+    assert np.allclose(cc.blocks["A"], expected_A)
+    assert np.max(np.abs(cc.blocks["B"])) == 0.0
+    assert _depth_norm([cc.blocks], 1) < 1e-14
 
 
 def test_r_i0k_relation_to_B():
@@ -51,16 +51,17 @@ def test_r_i0k_relation_to_B():
     cc = curvature_at(spec, ChartPoint(0.2, (0.3, -0.2)), depth=0)
     m = 2
     ginv = cc.cj.ginv0
-    expect = -np.einsum("ri,krj->ijk", ginv, cc.curvature.B)
-    assert np.max(np.abs(cc.curvature.R_i0k - expect)) < 1e-13
+    expect = -np.einsum("ri,krj->ijk", ginv, cc.blocks["B"])
+    assert np.max(np.abs(cc.blocks["R_i0k"] - expect)) < 1e-13
 
 
 def test_sphere_block_locally_symmetric():
     spec = MetricSpec.from_text(4, g={(2, 2): "1", (3, 3): "sin(x2)^2"},
                                 box=[(-1, 1), (0.3, 2.8), (-1, 1)])
     cc = curvature_at(spec, ChartPoint(0.0, (1.2, 0.4)), depth=1)
-    assert cc.curvature.Rbar_low[0, 1, 0, 1] == pytest.approx(np.sin(1.2) ** 2)
-    assert np.max(np.abs(cc.first.gradRbar)) < 1e-9
+    Rbar_low = np.einsum("ir,rjkl->ijkl", cc.cj.g.value(), cc.blocks["Rbar"])
+    assert Rbar_low[0, 1, 0, 1] == pytest.approx(np.sin(1.2) ** 2)
+    assert np.max(np.abs(cc.blocks["gradRbar"])) < 1e-9
 
 
 # -- the transverse derivative --------------------------------------------------------
@@ -89,19 +90,19 @@ def test_d0_of_leaf_metric_vanishes():
     assert np.max(np.abs(d0g_jet.value())) < 1e-11
 
 
-# -- derivative packs ------------------------------------------------------------------
+# -- nabla R blocks --------------------------------------------------------------------
 
 
 def test_cw_r2_derivpack():
     p = ChartPoint(-0.2, (0.1, 0.8))
     cc = curvature_at(fixture("cw4_r2"), p, depth=1)
-    assert np.allclose(cc.first.Atil, -2.0 * np.diag([1.0, 0.0]))
+    assert np.allclose(cc.blocks["Atil"], -2.0 * np.diag([1.0, 0.0]))
 
 
 def test_locally_symmetric_product_derivpack_zero():
     spec = fixture("cw4_r1_x_hyperbolic")
     cc = curvature_at(spec, ChartPoint(0.2, (0.3, -0.4, 1.3, 0.7)), depth=1)
-    assert cc.first.max_norm() < 1e-9
+    assert _depth_norm([cc.blocks], 1) < 1e-9
 
 
 def test_bianchi_relations_random_spec():
@@ -110,40 +111,40 @@ def test_bianchi_relations_random_spec():
         spec = random_polynomial_spec(seed, n=4)
         cc = curvature_at(spec, ChartPoint(0.3, (0.1, -0.25)), depth=1)
         g = cc.cj.g.value()
-        Rtil_low = np.einsum("ir,rjkl->ijkl", g, cc.first.Rtil)
-        B_paper = np.einsum("ijks->sijk", cc.first.Bhat)   # B_paper[s,i,j,k] = Bhat_{sijk}
+        Rtil_low = np.einsum("ir,rjkl->ijkl", g, cc.blocks["Rtil"])
+        B_paper = np.einsum("ijks->sijk", cc.blocks["Bhat"])   # B_paper[s,i,j,k] = Bhat_{sijk}
         rhs = -(B_paper - np.einsum("jikl->ijkl", B_paper))
         assert np.max(np.abs(Rtil_low - rhs)) < 1e-9
 
-        A_paper = np.einsum("ijs->sij", cc.first.Ahat)     # A_paper[s,i,j] = Ahat_{sij}
+        A_paper = np.einsum("ijs->sij", cc.blocks["Ahat"])     # A_paper[s,i,j] = Ahat_{sij}
         expect = (np.einsum("ijk->kij", A_paper)           # Ahat_ijk at [k,i,j]
                   - np.einsum("jik->kij", A_paper))        # minus Ahat_jik
-        assert np.max(np.abs(cc.first.Btil - expect)) < 1e-9
+        assert np.max(np.abs(cc.blocks["Btil"] - expect)) < 1e-9
 
 
 def test_symmetry_battery_random_spec():
     spec = random_polynomial_spec(33, n=5)
     cc = curvature_at(spec, ChartPoint(0.12, (0.3, -0.2, 0.4)), depth=1)
-    c, f = cc.curvature, cc.first
+    b = cc.blocks
     tol = 1e-10
-    assert np.max(np.abs(c.A - c.A.T)) < tol
-    assert np.max(np.abs(c.B + np.einsum("ikj->ijk", c.B))) < tol
-    cyc = c.B + np.einsum("jki->ijk", c.B) + np.einsum("kij->ijk", c.B)
+    assert np.max(np.abs(b["A"] - b["A"].T)) < tol
+    assert np.max(np.abs(b["B"] + np.einsum("ikj->ijk", b["B"]))) < tol
+    cyc = b["B"] + np.einsum("jki->ijk", b["B"]) + np.einsum("kij->ijk", b["B"])
     assert np.max(np.abs(cyc)) < tol
-    assert np.max(np.abs(f.Atil - f.Atil.T)) < tol
-    assert np.max(np.abs(f.Ahat - np.einsum("jis->ijs", f.Ahat))) < tol
+    assert np.max(np.abs(b["Atil"] - b["Atil"].T)) < tol
+    assert np.max(np.abs(b["Ahat"] - np.einsum("jis->ijs", b["Ahat"]))) < tol
     g = cc.cj.g.value()
-    Rt = np.einsum("ir,rjkl->ijkl", g, f.Rtil)
+    Rt = np.einsum("ir,rjkl->ijkl", g, b["Rtil"])
     assert np.max(np.abs(Rt + np.einsum("jikl->ijkl", Rt))) < tol
     assert np.max(np.abs(Rt + np.einsum("ijlk->ijkl", Rt))) < tol
     assert np.max(np.abs(Rt - np.einsum("klij->ijkl", Rt))) < tol
     cyc4 = Rt + np.einsum("iklj->ijkl", Rt) + np.einsum("iljk->ijkl", Rt)
     assert np.max(np.abs(cyc4)) < tol
     # Btil, Bhat skew in last pair and cyclic (paper slot order)
-    Btl = f.Btil
+    Btl = b["Btil"]
     assert np.max(np.abs(Btl + np.einsum("ikj->ijk", Btl))) < tol
     assert np.max(np.abs(Btl + np.einsum("jki->ijk", Btl) + np.einsum("kij->ijk", Btl))) < tol
-    Bp = np.einsum("jkli->ijkl", f.Bhat)
+    Bp = np.einsum("jkli->ijkl", b["Bhat"])
     assert np.max(np.abs(Bp + np.einsum("sikj->sijk", Bp))) < tol
     assert np.max(np.abs(Bp + np.einsum("sjki->sijk", Bp) + np.einsum("skij->sijk", Bp))) < tol
 
@@ -151,12 +152,10 @@ def test_symmetry_battery_random_spec():
 def test_second_blocks_cw_r3():
     p = ChartPoint(0.37, (0.21, -0.4))
     cc = curvature_at(fixture("cw4_r3"), p, depth=2)
-    norms = cc.second.norms()
-    assert norms["00_a"] == pytest.approx(4.0)
-    for key, val in norms.items():
-        if key != "00_a":
-            assert val < 1e-12
-    assert np.allclose(cc.second.blocks["00_a"], -4.0 * np.diag([1.0, 0.0]))
+    for key in FRAME_BLOCKS[2]:
+        expect = 4.0 if key == "00_a" else 0.0
+        assert np.max(np.abs(cc.blocks[key])) == pytest.approx(expect, abs=1e-12), key
+    assert np.allclose(cc.blocks["00_a"], -4.0 * np.diag([1.0, 0.0]))
 
 
 def test_ricci_identity_property():
@@ -179,7 +178,7 @@ def test_ricci_identity_property():
     g2 = leaf_grad(leaf_grad(F, 1, cc.gamma), 1, cc.gamma).value()
     comm = np.einsum("ijsn->ijns", g2) - g2.transpose(0, 1, 2, 3)
     Fv = F.value()
-    Rb = cc.curvature.Rbar
+    Rb = cc.blocks["Rbar"]
     rhs = np.einsum("irns,rj->ijns", Rb, Fv) - np.einsum("rjns,ir->ijns", Rb, Fv)
     assert np.max(np.abs(comm - rhs)) < 1e-8
 
@@ -204,7 +203,7 @@ def test_d0_grad_commutator_property():
     lhs = (leaf_grad(d0_op(F, 1, cc.tup), 1, cc.gamma).value()
            - d0_op(leaf_grad(F, 1, cc.gamma), 1, cc.tup).value())
     Fv = F.value()
-    Bup = np.einsum("rs,kjs->kjr", cc.cj.ginv0, cc.curvature.B)
+    Bup = np.einsum("rs,kjs->kjr", cc.cj.ginv0, cc.blocks["B"])
     gradF = leaf_grad(F, 1, cc.gamma).value()
     rhs = (np.einsum("ir,kjr->ijk", Fv, Bup) - np.einsum("rj,kri->ijk", Fv, Bup)
            - np.einsum("rk,ijr->ijk", cc.tup.value(), gradF))
@@ -219,8 +218,7 @@ def test_order_too_small_raises():
 def test_two_dimensional_chart_is_trivially_flat():
     spec = make_cw(CwParams(2, ()))
     cc = curvature_at(spec, ChartPoint(0.4, ()), depth=2)
-    assert cc.curvature.max_norm() == 0.0
-    assert cc.second.max_norm() == 0.0
+    assert [_depth_norm([cc.blocks], d) for d in range(3)] == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -230,10 +228,7 @@ def test_default_order_matches_order_5(name):
     p = spec.center()
     low, high = curvature_at(spec, p, depth=2), curvature_at(spec, p, order=5, depth=2)
     assert low.cj.order == 4
-    for pack in ("curvature", "first"):
-        for key, val in vars(getattr(low, pack)).items():
-            ref = np.asarray(vars(getattr(high, pack))[key])
-            assert np.all(np.abs(np.asarray(val) - ref) <= 1e-13 * (1.0 + np.abs(ref))), key
-    for key, val in low.second.blocks.items():
-        ref = high.second.blocks[key]
-        assert np.all(np.abs(val - ref) <= 1e-13 * (1.0 + np.abs(ref))), key
+    assert list(low.blocks) == list(high.blocks)
+    for key, val in low.blocks.items():
+        ref = np.asarray(high.blocks[key])
+        assert np.all(np.abs(np.asarray(val) - ref) <= 1e-13 * (1.0 + np.abs(ref))), key

@@ -39,8 +39,8 @@ def test_roundtrip_through_text():
     p = ChartPoint(0.2, (0.3, -0.1, 1.0, 0.4))
     a = curvature_at(spec, p, depth=1)
     b = curvature_at(back, p, depth=1)
-    assert np.allclose(a.curvature.A, b.curvature.A)
-    assert np.allclose(a.first.Atil, b.first.Atil)
+    assert np.allclose(a.blocks["A"], b.blocks["A"])
+    assert np.allclose(a.blocks["Atil"], b.blocks["Atil"])
 
 
 def test_generator_section_equals_explicit():
@@ -50,8 +50,8 @@ def test_generator_section_equals_explicit():
     p = ChartPoint(0.4, (0.2, -0.3))
     a = curvature_at(gen_spec, p, depth=1)
     b = curvature_at(exp_spec, p, depth=1)
-    assert np.allclose(a.curvature.A, b.curvature.A)
-    assert np.allclose(a.first.Atil, b.first.Atil)
+    assert np.allclose(a.blocks["A"], b.blocks["A"])
+    assert np.allclose(a.blocks["Atil"], b.blocks["Atil"])
 
 
 def test_generator_with_product():

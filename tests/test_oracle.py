@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brinkmann.chart import ChartPoint, MetricSpec, eval_metric
-from brinkmann.curvature import curvature_at
+from brinkmann.curvature import FRAME_BLOCKS, curvature_at
 from brinkmann.metricfile import load_metric_file
 from brinkmann.oracle import (assemble_coordinate_metric, coordinate_curvature,
                               frame_blocks_from_oracle, to_frame)
@@ -137,7 +137,7 @@ def test_to_frame_extracts_A():
     p = ChartPoint(0.6, (0.2, -0.1))
     blocks = frame_blocks_from_oracle(spec, p, depth=0)
     cc = curvature_at(spec, p, depth=0)
-    assert np.max(np.abs(blocks["A"] - cc.curvature.A)) < 1e-10
+    assert np.max(np.abs(blocks["A"] - cc.blocks["A"])) < 1e-10
     assert np.allclose(blocks["A"], -2.0 * np.diag([p.u, 1.0]))
 
 
@@ -165,16 +165,22 @@ def test_master_cross_check_on_random_specs():
         p = ChartPoint(p.u + 0.13, tuple(x + 0.07 for x in p.x))
         cc = curvature_at(spec, p, depth=2)
         ob = frame_blocks_from_oracle(spec, p, depth=2)
-        eng = {"Rbar": cc.curvature.Rbar, "A": cc.curvature.A, "B": cc.curvature.B,
-               "R_i0k": cc.curvature.R_i0k, "Ric00": cc.curvature.Ric00,
-               "Ric0i": cc.curvature.Ric0i, "Ricij": cc.curvature.Ricij,
-               "S": cc.curvature.S,
-               "Atil": cc.first.Atil, "Ahat": cc.first.Ahat, "Btil": cc.first.Btil,
-               "Bhat": cc.first.Bhat, "Rtil": cc.first.Rtil,
-               "gradRbar": cc.first.gradRbar}
-        eng.update(cc.second.blocks)
         for key, oracle_val in ob.items():
             o = np.asarray(oracle_val)
-            e = np.asarray(eng[key])
+            e = np.asarray(cc.blocks[key])
             scale = 1.0 + (np.max(np.abs(o)) if o.size else 0.0)
             assert np.max(np.abs(e - o)) / scale < 1e-8, key
+
+
+@pytest.mark.parametrize("name", ["cw2", "cw4_r2", "poly2"])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_engine_and_oracle_blocks_share_keys_and_shapes(name, depth):
+    spec = fixture(name)
+    p = spec.center()
+    eng = curvature_at(spec, p, depth=depth).blocks
+    ob = frame_blocks_from_oracle(spec, p, depth=depth)
+    keys = [k for table in FRAME_BLOCKS[:depth + 1] for k in table]
+    assert list(eng) == list(ob) == keys
+    for table in FRAME_BLOCKS[:depth + 1]:
+        for key, rank in table.items():
+            assert np.shape(eng[key]) == np.shape(ob[key]) == (spec.m,) * rank, key

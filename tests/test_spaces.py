@@ -3,7 +3,7 @@ import pytest
 
 from brinkmann import expr
 from brinkmann.chart import ChartPoint, eval_metric
-from brinkmann.classify import gbar_eigh, sample_points
+from brinkmann.classify import _depth_norm, gbar_eigh, sample_points
 from brinkmann.curvature import curvature_at
 from brinkmann.spaces import (ChartChange, CwParams, apply_chart_change, fixture, make_cw,
                               make_product, random_affine_change, random_polynomial_spec,
@@ -45,15 +45,14 @@ def test_make_product_sphere():
 def test_make_product_euclidean_still_flat():
     spec = make_product(fixture("flat"), "euclidean", k=2)
     cc = curvature_at(spec, ChartPoint(0.2, (0.1, 0.2, 0.3, 0.4)), depth=2)
-    assert cc.curvature.max_norm() == 0.0
-    assert cc.second.max_norm() == 0.0
+    assert [_depth_norm([cc.blocks], d) for d in range(3)] == [0.0, 0.0, 0.0]
 
 
 def test_make_product_hyperbolic_locally_symmetric():
     spec = fixture("cw4_r1_x_hyperbolic")
     for p in sample_points(spec)[:3]:
         cc = curvature_at(spec, p, depth=1)
-        assert cc.first.max_norm() < 1e-9
+        assert _depth_norm([cc.blocks], 1) < 1e-9
 
 
 # -- AST utilities ------------------------------------------------------------------
@@ -133,11 +132,11 @@ def test_rotation_change_preserves_invariants():
               for mp in change.x_maps]
         a = curvature_at(scrambled, ChartPoint(u, x), depth=1)
         b = curvature_at(spec, ChartPoint(u, tuple(xp)), depth=1)
-        assert a.curvature.S == pytest.approx(b.curvature.S, abs=1e-10)
+        assert a.blocks["S"] == pytest.approx(b.blocks["S"], abs=1e-10)
         ga = a.cj.g.value()
         gb = b.cj.g.value()
-        ea = np.sort(gbar_eigh(a.first.Atil, ga)[0])
-        eb = np.sort(gbar_eigh(b.first.Atil, gb)[0])
+        ea = np.sort(gbar_eigh(a.blocks["Atil"], ga)[0])
+        eb = np.sort(gbar_eigh(b.blocks["Atil"], gb)[0])
         assert np.max(np.abs(ea - eb)) < 1e-8
 
 
@@ -171,6 +170,6 @@ def test_scrambled_fixture_matches_base_geometry():
     scr = fixture("scrambled_cw4")
     # scalar invariant S is zero for every plane wave
     cc = curvature_at(scr, ChartPoint(0.2, (0.1, -0.2)), depth=1)
-    assert abs(cc.curvature.S) < 1e-12
-    assert cc.curvature.max_norm() > 0.1
+    assert abs(cc.blocks["S"]) < 1e-12
+    assert _depth_norm([cc.blocks], 0) > 0.1
     assert base.n == scr.n

@@ -270,12 +270,36 @@ def test_transport_values_refuse_an_indefinite_leaf_metric():
             values(spec, coords)
 
 
-def test_transport_values_refuse_a_singular_full_metric():
-    # g_ij = 1e-7 delta passes the pivot test, but det G = -det g = -1e-14
+def test_transport_values_accept_a_small_scale_metric():
+    # g_ij = 1e-7 delta is well conditioned although det G = -det g = -1e-14
     spec = MetricSpec.from_text(4, g={(2, 2): "1e-7", (3, 3): "1e-7"})
-    for values in (christoffel_values, metric_values):
-        with pytest.raises(ValueError, match="assembled metric is singular at"):
-            values(spec, np.array([0.0, 0.0, 0.1, 0.2]))
+    coords = np.array([0.0, 0.0, 0.1, 0.2])
+    for got, ref in ((christoffel_values(spec, coords), _assembled_christoffel(spec, coords)),
+                     (metric_values(spec, coords), _assembled_metric(spec, coords))):
+        assert got.tobytes() == ref.tobytes()
+    assert metric_values(spec, coords)[2, 2] == 1e-7
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"H": "exp(800*u)"}, "H"),
+    ({"W": {3: "exp(800*u)"}}, "W_3"),
+    ({"g": {(2, 3): "exp(800*u)"}}, "g_23"),
+])
+def test_non_finite_metric_values_name_the_field_and_point(fields, name):
+    spec = MetricSpec.from_text(4, **fields)
+    message = rf"^non-finite {name} at \(1\.0, 0\.1, 0\.2\)$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=message):
+            christoffel_values(spec, np.array([1.0, 0.0, 0.1, 0.2]))
+        with pytest.raises(ValueError, match=message):
+            assemble_coordinate_metric(spec, ChartPoint(1.0, (0.1, 0.2)), 2)
+
+
+def test_geodesic_off_to_infinity_names_the_non_finite_field():
+    # the step from tau = 16 throws x2 out to 1.8e142, where H = -x2^4 overflows
+    spec = MetricSpec.from_text(4, H="-x2^4")
+    with pytest.raises(ValueError, match=r"^non-finite H at \(20\.0, 1\.788\d*e\+142, 0\.0\)$"):
+        geodesic_integrate(spec, [0.0, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], 40.0, 5)
 
 
 def test_geodesic_blow_up_names_step_tau_and_entry():
