@@ -239,10 +239,15 @@ def _run_tape(spec: MetricSpec, p: ChartPoint, run):
 
 
 def _check_leaf_metric(g0: np.ndarray, p: ChartPoint) -> None:
-    """Raise MetricDefinitenessError unless the numeric g_ij at p is positive
-    definite, with its smallest Cholesky pivot above PIVOT_RATIO times the largest."""
+    """Raise MetricDefinitenessError unless the numeric g_ij at p is finite and
+    positive definite, with its smallest Cholesky pivot above PIVOT_RATIO times
+    the largest.  A non-finite entry is named in chart labels (x2 is leaf index 0)."""
     if not len(g0):
         return
+    finite = np.isfinite(g0)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise MetricDefinitenessError(f"non-finite g_{i + 2}{j + 2} at {p.coords}")
     try:
         L = np.linalg.cholesky(g0)
     except np.linalg.LinAlgError:

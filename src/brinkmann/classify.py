@@ -359,6 +359,8 @@ def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
 
     Given ``evaluations`` must be of depth >= 1 at jet order >= ``A_TILDE_ORDER``.
     """
+    if spec.m == 0:
+        raise ValueError("extract_A_tilde: the chart has no leaf coordinates (m = 0)")
     if samples is None:
         samples = sample_points(spec)
     if evaluations is None:

@@ -548,8 +548,8 @@ def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
 # ``mul_flat`` order, as ``np.bincount`` does; a literal operand acts as the
 # constant jet ``Jet._coerce`` would build; functions take their Taylor
 # coefficients from ``jets.TAYLOR_COEFS`` on a 0-d array, as the jet
-# functions do, and sum them by ``Jet._compose``'s Horner steps; powers use
-# ``jets.binary_power``.
+# functions do, and sum them by ``Jet._compose``'s Horner steps, whose value
+# is the first coefficient itself; powers use ``jets.binary_power``.
 
 
 def _var_index(name: str) -> int:
@@ -611,9 +611,9 @@ def _kernels(num_vars: int, order: int) -> dict:
             raise TapeDomainError(str(err), out) from None
         delta = (0.0,) + a[1:]
         acc = const(float(coefs[-1]))
-        for k in range(len(coefs) - 2, -1, -1):
+        for k in range(len(coefs) - 2, 0, -1):
             acc = add(mul(acc, delta), const(float(coefs[k])))
-        return acc
+        return (float(coefs[0]),) + mul(acc, delta)[1:] if order else acc
 
     def div(a, b, out):
         return mul(a, taylor("reciprocal", b, out))

@@ -14,29 +14,28 @@ formulas downstream rely on.
 Coefficients are stored densely over the simplex {|alpha| <= order} in
 graded lexicographic order.  Because the ordering is graded, the
 coefficient vector of a lower order is a prefix of a higher one, so
-truncation is a slice.  Multiplication tables are precomputed once per
-(num_vars, order) pair and cached: the flat list of coefficient pairs
-(ka, kb) of the truncated product, sorted by the output coefficient ko
-they feed, and the offset where each output coefficient's run of pairs
-starts.
+truncation is a slice.  The tables of the truncated product are built once
+per (num_vars, order) pair: ``mul_flat`` lists its coefficient pairs (ka, kb)
+sorted by the output coefficient ko they feed, and ``mul_buckets`` groups
+them into buckets of the outputs with equally many pairs.
 
 A ``Jet`` may carry a leading batch shape: ``data`` has shape
 ``(*batch, ncoeffs)``.  Scalar jets have ``batch == ()``.  All arithmetic
 broadcasts over the batch axes, which is how whole tensor fields of jets
 are handled without Python-level loops.
 
-Tensor contractions of jets (``jet_einsum``) run in that pair space:
-gather both operands at the pair indices, contract every pair with one
-batched ``np.matmul``, then sum each output coefficient's run of pairs
-with ``np.add.reduceat``.  The outer product over contracted indices is
-never formed.
+Scalar jets multiply by ``np.bincount`` over ``mul_flat``, batched jets by
+adding up each bucket's pair columns: both sum each coefficient's pairs in
+``mul_flat`` order.  ``jet_einsum`` makes one ``np.matmul`` per bucket, whose
+inner axis runs over the bucket's pairs and the contracted indices, so the
+outer product over those indices is never formed.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -96,9 +95,6 @@ class JetContext:
         self.degrees = self.exps.sum(axis=1)
         self.ncoeffs = len(exps)
         self._index = {tuple(e): i for i, e in enumerate(exps)}
-        self._mul_groups: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._mul_flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._mul_starts: np.ndarray | None = None
         self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def index(self, alpha: Sequence[int]) -> int:
@@ -107,42 +103,31 @@ class JetContext:
             raise JetShapeError(f"multi-index {key} not representable at order {self.order}")
         return self._index[key]
 
-    def _build_mul(self) -> None:
-        groups: list[list[list[int]]] = [[[], []] for _ in range(self.ncoeffs)]
+    @cached_property
+    def _mul(self) -> tuple[tuple, list]:
+        runs: list[list[tuple[int, int]]] = [[] for _ in range(self.ncoeffs)]
         for ia in range(self.ncoeffs):
             da = int(self.degrees[ia])
             ea = self.exps[ia]
             for ib in range(self.ncoeffs_by_order[self.order - da]):
-                ko = self._index[tuple(ea + self.exps[ib])]
-                groups[ko][0].append(ia)
-                groups[ko][1].append(ib)
-        self._mul_groups = [
-            (np.array(g[0], dtype=np.intp), np.array(g[1], dtype=np.intp)) for g in groups
-        ]
-        ka = np.concatenate([g[0] for g in self._mul_groups])
-        kb = np.concatenate([g[1] for g in self._mul_groups])
-        sizes = [len(g[0]) for g in self._mul_groups]
-        ko = np.repeat(np.arange(self.ncoeffs, dtype=np.intp), sizes)
-        self._mul_flat = (ka, kb, ko)
-        # Every group is non-empty (it holds the pair (0, ko)), so these start
-        # offsets cut the pair axis into one run per output coefficient.
-        self._mul_starts = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
-
-    def mul_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self._mul_groups is None:
-            self._build_mul()
-        return self._mul_groups
+                runs[self._index[tuple(ea + self.exps[ib])]].append((ia, ib))
+        ka, kb = np.array([pair for run in runs for pair in run], dtype=np.intp).T.copy()
+        ko = np.repeat(np.arange(self.ncoeffs, dtype=np.intp), [len(run) for run in runs])
+        buckets = []
+        for size in sorted({len(run) for run in runs}):
+            outs = [k for k, run in enumerate(runs) if len(run) == size]
+            pairs = np.array([runs[k] for k in outs], dtype=np.intp)      # (outputs, size, 2)
+            buckets.append((np.array(outs, dtype=np.intp), pairs[..., 0], pairs[..., 1]))
+        return (ka, kb, ko), buckets
 
     def mul_flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._mul_flat is None:
-            self._build_mul()
-        return self._mul_flat
+        """Pairs (ka, kb) of the truncated product and the output ko each feeds, sorted by ko."""
+        return self._mul[0]
 
-    def mul_starts(self) -> np.ndarray:
-        """Offsets of the runs of ``mul_flat()`` pairs, one run per output coefficient."""
-        if self._mul_starts is None:
-            self._build_mul()
-        return self._mul_starts
+    def mul_buckets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Buckets ``(ko, ka, kb)`` of the outputs with equally many pairs: row r of
+        ``ka`` and ``kb`` (outputs, pairs) holds output ko[r]'s pairs in ``mul_flat`` order."""
+        return self._mul[1]
 
     def diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
         """Map child-context coefficients to (source index, factor) pairs."""
@@ -169,10 +154,14 @@ def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim == 1 and b.ndim == 1:
         ka, kb, ko = ctx.mul_flat()
         return np.bincount(ko, weights=a[ka] * b[kb], minlength=ctx.ncoeffs)
-    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.empty(batch + (ctx.ncoeffs,))
-    for ko, (ka, kb) in enumerate(ctx.mul_groups()):
-        out[..., ko] = (a[..., ka] * b[..., kb]).sum(axis=-1)
+    # Column by column, so each coefficient sums its pairs in mul_flat order
+    # and no temporary is larger than (batch, bucket outputs).
+    out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (ctx.ncoeffs,))
+    for ko, ka, kb in ctx.mul_buckets():
+        acc = a[..., ka[:, 0]] * b[..., kb[:, 0]]
+        for j in range(1, ka.shape[1]):
+            acc += a[..., ka[:, j]] * b[..., kb[:, j]]
+        out[..., ko] = acc
     return out
 
 
@@ -312,13 +301,17 @@ class Jet:
     # -- composition with univariate analytic functions -----------------------
 
     def _compose(self, coefs: list) -> "Jet":
-        """Evaluate sum_k coefs[k] * (self - value)^k by Horner's rule."""
+        """Evaluate sum_k coefs[k] * (self - value)^k by Horner's rule; the value is
+        coefs[0] itself, since coefs[1] * 0 would be NaN where coefs[1] overflowed."""
         delta = Jet(self.ctx, self.data.copy())
         delta.data[..., 0] = 0.0
         batch = self.data.shape[:-1]
         acc = const(coefs[-1], self.num_vars, self.order, shape=batch)
-        for k in range(len(coefs) - 2, -1, -1):
+        for k in range(len(coefs) - 2, 0, -1):
             acc = acc * delta + self._coerce(coefs[k])
+        if self.order:
+            acc = acc * delta
+            acc.data[..., 0] = coefs[0]
         return acc
 
 
@@ -437,22 +430,41 @@ def pow_int(a: Jet, n: int) -> Jet:
 # -- two-operand einsum over batch axes ------------------------------------------
 
 
+# A plan keeps its flat gathers (an index per pair and operand entry) up to this
+# many indices; larger ones would cost megabytes cached and are built per call.
+_CACHED_GATHERS = 1 << 12
+
+
 class _EinsumPlan(NamedTuple):
-    """Axis bookkeeping of one ``jet_einsum`` call, cached per (subscripts, shapes)."""
+    """One ``jet_einsum`` call's bookkeeping, cached per (subscripts, shapes, context)."""
 
     sum_a: tuple[int, ...]         # axes of ``a`` summed before the product
     sum_b: tuple[int, ...]
-    perm_a: tuple[int, ...]        # to coefficient axis first, then batch, left, contracted
-    perm_b: tuple[int, ...]        # to coefficient axis first, then batch, contracted, right
-    mat_a: tuple[int, int, int]    # (batch, left, contracted) sizes
-    mat_b: tuple[int, int, int]    # (batch, contracted, right) sizes
-    grouped: tuple[int, ...]       # batch, left and right dimensions, in that order
-    perm_out: tuple[int, ...]      # from (coefficient, *grouped) to (*out, coefficient)
+    off_a: np.ndarray              # (batch, left, 1, contracted) flat offsets into summed ``a``
+    off_b: np.ndarray              # (batch, 1, contracted, right) flat offsets into summed ``b``
+    gathers: tuple | None          # ``_gathers(off_a, off_b, ctx)`` if small enough to keep
+    unsort: np.ndarray             # product row of each coefficient (rows go bucket by bucket)
+    mat: tuple[int, int, int, int]  # (coefficient, batch, left, right) sizes of the product
+    grouped: tuple[int, ...]       # coefficient, batch, left and right dimensions
+    perm_out: tuple[int, ...]      # from ``grouped`` to (*out, coefficient)
+
+
+def _gathers(off_a: np.ndarray, off_b: np.ndarray, ctx: JetContext):
+    """Per bucket: its rows of the product and the flat gathers of both operands."""
+    (nb, nl, _, nc), nr = off_a.shape, off_b.shape[-1]
+    start = 0
+    for _, ka, kb in ctx.mul_buckets():
+        rows, size = ka.shape
+        # Pair j of contracted entry c goes to inner index j * nc + c of both operands.
+        yield (slice(start, start + rows),
+               (off_a + ka[:, None, None, :, None]).reshape(rows, nb, nl, size * nc),
+               (off_b + kb[:, None, :, None, None]).reshape(rows, nb, size * nc, nr))
+        start += rows
 
 
 @lru_cache(maxsize=4096)
-def _einsum_plan(subscripts: str, shape_a: tuple[int, ...],
-                 shape_b: tuple[int, ...]) -> _EinsumPlan:
+def _einsum_plan(subscripts: str, shape_a: tuple[int, ...], shape_b: tuple[int, ...],
+                 ctx: JetContext) -> _EinsumPlan:
     try:
         lhs, out = subscripts.replace(" ", "").split("->")
         s1, s2 = lhs.split(",")
@@ -471,40 +483,33 @@ def _einsum_plan(subscripts: str, shape_a: tuple[int, ...],
     if not set(out) <= dims.keys():
         raise JetShapeError(f"output of {subscripts!r} names an index no operand has")
 
-    # A letter only one operand carries and the output lacks is summed first.
     a_keep = [x for x in s1 if x in s2 or x in out]
     b_keep = [x for x in s2 if x in s1 or x in out]
     batch = [x for x in out if x in s1 and x in s2]
     left = [x for x in out if x in s1 and x not in s2]
     right = [x for x in out if x in s2 and x not in s1]
     contracted = [x for x in a_keep if x in s2 and x not in out]
+    nb, nl, nc, nr = (math.prod(dims[x] for x in xs) for xs in (batch, left, contracted, right))
 
-    def size(letters: list[str]) -> int:
-        return math.prod(dims[x] for x in letters)
+    def offsets(keep: list[str], order: list[str]) -> np.ndarray:
+        # Flat offset of coefficient 0 of each entry of the summed operand, by ``order``.
+        base = np.arange(math.prod(dims[x] for x in keep), dtype=np.intp) * ctx.ncoeffs
+        return base.reshape([dims[x] for x in keep]).transpose([keep.index(x) for x in order])
 
-    def perm(keep: list[str], order: list[str]) -> tuple[int, ...]:
-        # The coefficient axis follows the kept letters and moves to the front.
-        return (len(keep),) + tuple(keep.index(x) for x in order)
-
+    off_a = offsets(a_keep, batch + left + contracted).reshape(nb, nl, 1, nc)
+    off_b = offsets(b_keep, batch + contracted + right).reshape(nb, 1, nc, nr)
+    size = len(ctx.mul_flat()[0]) * nb * nc * (nl + nr)
     grouped = batch + left + right
     return _EinsumPlan(
         sum_a=tuple(i for i, x in enumerate(s1) if x not in a_keep),
         sum_b=tuple(i for i, x in enumerate(s2) if x not in b_keep),
-        perm_a=perm(a_keep, batch + left + contracted),
-        perm_b=perm(b_keep, batch + contracted + right),
-        mat_a=(size(batch), size(left), size(contracted)),
-        mat_b=(size(batch), size(contracted), size(right)),
-        grouped=tuple(dims[x] for x in grouped),
+        off_a=off_a, off_b=off_b,
+        gathers=tuple(_gathers(off_a, off_b, ctx)) if size <= _CACHED_GATHERS else None,
+        unsort=np.argsort(np.concatenate([ko for ko, _, _ in ctx.mul_buckets()])),
+        mat=(ctx.ncoeffs, nb, nl, nr),
+        grouped=(ctx.ncoeffs,) + tuple(dims[x] for x in grouped),
         perm_out=tuple(1 + grouped.index(x) for x in out) + (0,),
     )
-
-
-def _pair_space(data: np.ndarray, sum_axes: tuple[int, ...], perm: tuple[int, ...],
-                mat: tuple[int, int, int], k: np.ndarray) -> np.ndarray:
-    """Coefficient-first operand, gathered at pair indices ``k``: shape (P, *mat)."""
-    if sum_axes:
-        data = data.sum(axis=sum_axes)
-    return data.transpose(perm)[k].reshape((len(k),) + mat)
 
 
 def jet_einsum(subscripts: str, a: Jet, b: Jet) -> Jet:
@@ -514,23 +519,17 @@ def jet_einsum(subscripts: str, a: Jet, b: Jet) -> Jet:
     convolved (truncated product).  Only the two-operand form is supported,
     and no letter may repeat within one term.
 
-    The outer product over the contracted letters is never formed.  A
-    letter that only one operand carries and the output lacks is summed
-    first.  Each operand is then gathered into the truncated-product pair
-    space (``ctx.mul_flat()``: pair p multiplies coefficient ka[p] of ``a``
-    by kb[p] of ``b``), laid out as a stack of matrices: letters shared by
-    both operands and the output form the batch axis, the free letters of
-    ``a`` the rows, the contracted letters the inner axis and the free
-    letters of ``b`` the columns.  One ``np.matmul`` contracts every pair,
-    and ``np.add.reduceat`` over the runs of pairs that share an output
-    coefficient (``ctx.mul_starts()``) sums them into the product.
+    A letter that only one operand carries and the output lacks is summed
+    first.  Then each bucket of ``ctx.mul_buckets()`` is one ``np.matmul``:
+    letters shared by both operands and the output form its batch axis, the
+    free letters of ``a`` its rows, those of ``b`` its columns, and its inner
+    axis runs over the bucket's pairs times the contracted letters.
     """
     a, b = a._align(b)
-    plan = _einsum_plan(subscripts, a.shape, b.shape)
-    ka, kb, _ = a.ctx.mul_flat()
-    pa = _pair_space(a.data, plan.sum_a, plan.perm_a, plan.mat_a, ka)
-    pb = _pair_space(b.data, plan.sum_b, plan.perm_b, plan.mat_b, kb)
-    pairs = np.matmul(pa, pb)                                  # (P, batch, left, right)
-    coeffs = np.add.reduceat(pairs, a.ctx.mul_starts(), axis=0)
-    out = coeffs.reshape((a.ctx.ncoeffs,) + plan.grouped).transpose(plan.perm_out)
-    return Jet(a.ctx, out)
+    plan = _einsum_plan(subscripts, a.shape, b.shape, a.ctx)
+    fa = (a.data.sum(axis=plan.sum_a) if plan.sum_a else a.data).ravel()
+    fb = (b.data.sum(axis=plan.sum_b) if plan.sum_b else b.data).ravel()
+    out = np.empty(plan.mat)
+    for rows, ga, gb in plan.gathers or _gathers(plan.off_a, plan.off_b, a.ctx):
+        np.matmul(fa[ga], fb[gb], out=out[rows])
+    return Jet(a.ctx, out.take(plan.unsort, axis=0).reshape(plan.grouped).transpose(plan.perm_out))

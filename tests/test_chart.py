@@ -5,6 +5,7 @@ from brinkmann import expr, jets
 from brinkmann.chart import (ChartPoint, MetricDefinitenessError, MetricSpec,
                              christoffel_bar, compute_h_t, eval_metric, frame_components,
                              jet_matrix_inverse)
+from brinkmann.chart import metric_coefficients
 from brinkmann.jets import jet_einsum
 from brinkmann.spaces import fixture, random_polynomial_spec
 
@@ -216,3 +217,17 @@ def test_eval_metric_pole_names_field_and_point(field, H, W, g):
     message = str(info.value)
     assert message.endswith(f" in {field} at (0.5, 0.0, 0.0)")
     assert "jet with" in message
+
+
+def test_non_finite_leaf_metric_is_named_at_every_order():
+    # exp(800) overflows; Cholesky does not raise on inf or NaN, so finiteness is tested first
+    spec = MetricSpec.from_text(4, g={(2, 3): "exp(800*u)"})
+    p = ChartPoint(1.0, (0.1, 0.2))
+    message = r"^non-finite g_23 at \(1\.0, 0\.1, 0\.2\)$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in (0, 1, 2):
+            with pytest.raises(MetricDefinitenessError, match=message):
+                eval_metric(spec, p, order)
+        for order in (0, 1):
+            with pytest.raises(MetricDefinitenessError, match=message):
+                metric_coefficients(spec, p, order)

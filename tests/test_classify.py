@@ -212,6 +212,11 @@ def test_non_finite_agreement_aborts():
     assert str(list(samples[3].coords)) in str(info.value)
 
 
+def test_extract_A_tilde_refuses_a_chart_without_leaf():
+    with pytest.raises(ValueError, match=r"no leaf coordinates \(m = 0\)"):
+        extract_A_tilde(fixture("cw2"))
+
+
 def test_extract_A_tilde_refuses_short_jets():
     spec = fixture("cw4_r2")
     samples = sample_points(spec)

@@ -64,6 +64,13 @@ def test_elementary_functions():
     assert q.partial((1,)) == pytest.approx(0.25)
 
 
+def test_exp_overflow_keeps_an_infinite_value():
+    # Horner's last step would add coefs[1] * 0 = inf * 0 = NaN to the value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in (0, 1, 2):
+            assert J.exp(800 * J.seed(0, 1.0, 1, order)).value() == math.inf
+
+
 @pytest.mark.parametrize("shape", [(), (3,)])
 def test_pow_int_starts_from_the_base(shape, monkeypatch):
     # x^n is the square-and-multiply product written out, bit for bit, with no
@@ -196,6 +203,37 @@ def test_batched_arithmetic_broadcasts():
     for i, v in enumerate(vals):
         single = J.sin(J.seed(0, v, 2, 3)) * J.seed(0, v, 2, 3)
         assert np.allclose(f[i].data, single.data)
+
+
+@pytest.mark.parametrize("nv,order", [(1, 0), (1, 4), (2, 3), (3, 2), (4, 4)])
+def test_mul_buckets_partition_the_flat_pairs(nv, order):
+    ctx = J.context(nv, order)
+    ka, kb, ko = ctx.mul_flat()
+    seen = []
+    for outs, bka, bkb in ctx.mul_buckets():
+        assert bka.shape == bkb.shape == (len(outs), bka.shape[1])
+        for row, k in enumerate(outs):
+            run = ko == k   # the pairs of output k, in mul_flat order
+            assert np.array_equal(bka[row], ka[run]) and np.array_equal(bkb[row], kb[run])
+        seen.extend(outs)
+    assert sorted(seen) == list(range(ctx.ncoeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["(k,)x(k,)", "(k,)x()", "(j,k)x(k,)"]), st.integers(1, 3),
+       st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_batched_mul_equals_stacked_scalar_products(form, j, k, nv, order, seed):
+    shape_a, shape_b = {"(k,)x(k,)": ((k,), (k,)), "(k,)x()": ((k,), ()),
+                        "(j,k)x(k,)": ((j, k), (k,))}[form]
+    rng = np.random.default_rng(seed)
+    ctx = J.context(nv, order)
+    a = J.Jet(ctx, rng.normal(size=shape_a + (ctx.ncoeffs,)))
+    b = J.Jet(ctx, rng.normal(size=shape_b + (ctx.ncoeffs,)))
+    batched = (a * b).data
+    bb = np.broadcast_to(b.data, a.data.shape)
+    stacked = [(J.Jet(ctx, x) * J.Jet(ctx, y)).data
+               for x, y in zip(a.data.reshape(-1, ctx.ncoeffs), bb.reshape(-1, ctx.ncoeffs))]
+    assert np.array_equal(batched, np.reshape(stacked, batched.shape))
 
 
 def _einsum_reference(subscripts, a, b):
