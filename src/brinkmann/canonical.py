@@ -22,7 +22,11 @@ scramble/reconstruct round trip.
 
 All three steps read t, tdot, Lambda and B from one batched evaluation on
 the nodes and midpoints of ``ode.stage_grid`` over a u-interval inside the
-box, and apply the relation for A to stacks of matrices.
+box, and apply the relation for A to stacks of matrices.  On orthogonal R,
+-R^{-T} t = -R t, so the rotation ODE is linear in R^T and the translation
+ODE affine in (D, D'); both run through ``ode.linear_rk4``.  The drift of
+the unprojected R from orthogonal is checked at every node, and then every
+node is projected onto the orthogonal group once.
 
 On a proper 2nd-symmetric space A(u) is affine with nonzero slope; the
 affine fit residual reported by ``verify_canonical`` is therefore the
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import expr, jets
 from .chart import MetricSpec
-from .ode import rk4_step, stage_grid
+from .ode import linear_rk4, stage_grid, step_size
 
 __all__ = [
     "FlatBlockData",
@@ -53,7 +57,6 @@ __all__ = [
     "reconstruct",
 ]
 
-REPROJECT_EVERY = 50
 DRIFT_LIMIT = 1e-6
 BLOCK_JET_ORDER = 3  # the affine residual reads third derivatives of H
 SLOPE_TOL = 1e-8  # an A1 entry or eigenvalue above this counts as a nonzero slope
@@ -177,7 +180,7 @@ class FlatBlockData:
 
 @dataclass
 class RotationCurve:
-    """R on the u-grid, the R handed to every RK4 stage, and the block data.
+    """R on the u-grid, R at every RK4 stage, and the block data.
 
     ``t``, ``tdot``, ``Lambda`` and ``B`` hold the rows of ``ode.stage_grid``;
     stage s of step k read row ``stage_rows[k, s]``.  The recovery of A and
@@ -186,8 +189,8 @@ class RotationCurve:
 
     us: np.ndarray
     R: np.ndarray            # (len(us), d, d)
-    orthogonality_error: float
-    drift_before_projection: float
+    orthogonality_error: float       # max |R^T R - I| over the projected nodes
+    drift_before_projection: float   # the same over the nodes before projection
     h: float
     stage_rows: np.ndarray   # (steps, 4)
     stage_R: np.ndarray      # (steps, 4, d, d)
@@ -204,7 +207,14 @@ def _polar_project(R: np.ndarray) -> np.ndarray:
 
 def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
                        steps: int | None = None, R0: np.ndarray | None = None) -> RotationCurve:
-    """Integrate dR/du = -R^{-T} t(u) with periodic orthogonal reprojection.
+    """Integrate dR/du = -R^{-T} t(u), then project every node onto the
+    orthogonal group once.
+
+    On orthogonal R the equation reads dR^T/du = -t^T R^T, which is linear,
+    so it runs through ``ode.linear_rk4``.  Its unprojected nodes must stay
+    within ``DRIFT_LIMIT`` of orthogonal; ``drift_before_projection`` is the
+    largest |R^T R - I| over all of them.  The stage R are R_k P_s^T with the
+    projected R_k and the stage maps P_s.
 
     ``steps`` defaults to 2000 fixed Runge-Kutta steps per unit of u, at least 200.
     """
@@ -215,31 +225,22 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     u0, u1 = u_interval
     if steps is None:
         steps = max(200, int(2000 * abs(u1 - u0)))
-    h = (u1 - u0) / steps
+    h = step_size(u1 - u0, steps)
     us, grid, rows = stage_grid(u0, h, steps)
     t, tdot, lam, B = data.precompute(grid)
-    stage_R = np.empty((steps, 4, d, d))
-    out = np.empty((steps + 1, d, d))
-    out[0] = R0
-    R = R0.copy()
-    drift = 0.0
-
-    def f(stage: tuple[int, int], Rc: np.ndarray) -> np.ndarray:
-        stage_R[stage] = Rc
-        return -np.linalg.inv(Rc).T @ t[rows[stage]]
-
-    for k in range(steps):
-        R = rk4_step(f, R, h, [(k, s) for s in range(4)])
-        if (k + 1) % REPROJECT_EVERY == 0 and d:
-            drift = max(drift, float(np.max(np.abs(R.T @ R - np.eye(d)))))
-            if drift > DRIFT_LIMIT:
-                raise RuntimeError(
-                    f"orthogonality drift {drift:.2e} exceeds {DRIFT_LIMIT:.0e}; "
-                    "increase the step count")
-            R = _polar_project(R)
-        out[k + 1] = R
-    err = float(np.max(np.abs(_T(out) @ out - np.eye(d)))) if d else 0.0
-    return RotationCurve(us, out, err, drift, h, rows, stage_R, t, tdot, lam, B)
+    Rt, stages = linear_rk4(-_T(t[rows]), h, R0.T)
+    R = _T(Rt)
+    dev = np.max(np.abs(Rt @ R - np.eye(d)), axis=(1, 2), initial=0.0)
+    over = ~(dev <= DRIFT_LIMIT)
+    if over.any():
+        k = int(np.argmax(over))
+        raise RuntimeError(
+            f"orthogonality drift {dev[k]:.2e} exceeds {DRIFT_LIMIT:.0e} from u = "
+            f"{float(us[k])!r}; increase the step count")
+    R = _polar_project(R)
+    stage_R = np.stack([R[:-1] @ _T(P) for P in stages], axis=1)
+    err = float(np.max(np.abs(_T(R) @ R - np.eye(d)), initial=0.0))
+    return RotationCurve(us, R, err, float(np.max(dev)), h, rows, stage_R, t, tdot, lam, B)
 
 
 def _A_at(R: np.ndarray, t: np.ndarray, tdot: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -266,29 +267,21 @@ def solve_translation_ode(rot: RotationCurve, Ddot0: np.ndarray | None = None) -
     """Integrate d2D/du2 = 2 A(u) D + R^{-T} B(u) on the rotation grid from D(u0) = 0.
 
     u and R at every Runge-Kutta stage are the ones ``rot`` recorded, so
-    2A and R^{-T} B are computed for every stage before the loop, without
-    interpolation.
+    2A and R^{-T} B are computed for every stage before the integration,
+    without interpolation.  The state (D, D') obeys the affine equation
+    with M = [[0, I], [2A, 0]] and b = [0, R^{-T} B].
     """
     d = rot.R.shape[-1]
-    A2 = np.empty(rot.stage_R.shape)
-    F = np.empty(rot.stage_R.shape[:-1])
+    M = np.zeros(rot.stage_R.shape[:2] + (2 * d, 2 * d))
+    b = np.zeros(rot.stage_R.shape[:2] + (2 * d,))
+    M[..., :d, d:] = np.eye(d)
     for s in range(4):
         R, i = rot.stage_R[:, s], rot.stage_rows[:, s]
-        A2[:, s] = 2.0 * _A_at(R, rot.t[i], rot.tdot[i], rot.Lambda[i])
-        F[:, s] = (_T(np.linalg.inv(R)) @ rot.B[i][..., None])[..., 0]
-    D = np.zeros(d)
+        M[:, s, d:, :d] = 2.0 * _A_at(R, rot.t[i], rot.tdot[i], rot.Lambda[i])
+        b[:, s, d:] = (_T(np.linalg.inv(R)) @ rot.B[i][..., None])[..., 0]
     Dd = np.zeros(d) if Ddot0 is None else np.asarray(Ddot0, dtype=float)
-    out = np.empty((len(rot.us), d))
-    out[0] = D
-    state = np.concatenate([D, Dd])
-
-    def f(stage: tuple[int, int], y: np.ndarray) -> np.ndarray:
-        return np.concatenate([y[d:], A2[stage] @ y[:d] + F[stage]])
-
-    for k in range(len(rot.us) - 1):
-        state = rk4_step(f, state, rot.h, [(k, s) for s in range(4)])
-        out[k + 1] = state[:d]
-    return out
+    y, _ = linear_rk4(M, rot.h, np.concatenate([np.zeros(d), Dd]), b)
+    return y[:, :d]
 
 
 @dataclass

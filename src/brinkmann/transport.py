@@ -24,7 +24,7 @@ import numpy as np
 from . import jets
 from .chart import (ChartPoint, MetricSpec, compute_h_t, eval_metric, frame_components,
                     metric_coefficients)
-from .ode import rk4_step, stage_grid
+from .ode import linear_rk4, rk4_step, stage_grid, step_size
 from .oracle import (assemble_coordinate_metric, check_finite, christoffel,
                      coordinate_curvature, full_metric)
 
@@ -124,7 +124,7 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
     y = np.concatenate([np.asarray(coords0, dtype=float), np.asarray(velocity0, dtype=float)])
     if y.shape != (2 * n,):
         raise ValueError("initial state must supply n coordinates and n velocities")
-    h = tau_span / steps
+    h = step_size(tau_span, steps)
     taus = h * np.arange(steps + 1)
     out = np.empty((steps + 1, 2 * n))
     out[0] = y
@@ -165,15 +165,13 @@ def parallel_transport(spec: MetricSpec, traj: Trajectory,
 
     The transport runs on the connection the trajectory recorded at its own
     RK4 stages, so it sees the exact intermediate states of the curve and
-    evaluates no Christoffel symbol itself.
+    evaluates no Christoffel symbol itself; the equation is linear and is
+    integrated by ``ode.linear_rk4``.
     """
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
-    out = np.empty((traj.steps + 1,) + V.shape)
-    out[0] = V
     h = float(traj.tau[1] - traj.tau[0]) if traj.steps else 0.0
-    for k in range(traj.steps):
-        out[k + 1] = rk4_step(lambda C, W: -W @ C.T, out[k], h, traj.connection[k])
-    return out
+    W, _ = linear_rk4(-traj.connection, h, V.T)
+    return np.swapaxes(W, 1, 2)
 
 
 def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
@@ -181,14 +179,15 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     """Transport leaf vectors along the E_0 integral curve through p.
 
     The integral curve keeps x fixed while u advances, so the transported
-    components satisfy dX^i/du = t^i_k X^k.  t^i_k is evaluated once per
-    row of the node/midpoint ``stage_grid``.  Returns (u values, X values).
+    components satisfy dX^i/du = t^i_k X^k, a linear equation integrated by
+    ``ode.linear_rk4``.  t^i_k is evaluated once per row of the
+    node/midpoint ``stage_grid``.  Returns (u values, X values).
     A non-finite t^i_k is a ``ValueError`` naming the first u where it occurs;
     a transported vector that overflows is a ``RuntimeError`` naming its u.
     """
     m = spec.m
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
-    h = u_span / steps
+    h = step_size(u_span, steps)
     us, grid, rows = stage_grid(p.u, h, steps)
     tup = np.zeros((len(grid), m, m))
     with np.errstate(all="ignore"):
@@ -200,14 +199,13 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     if not finite.all():
         u = float(grid[int(np.argmin(finite))])
         raise ValueError(f"non-finite t^i_j in the transverse transport data at u = {u!r}")
-    out = np.empty((steps + 1, V.shape[0], m))
-    out[0] = V
     with np.errstate(all="ignore"):
-        for k in range(steps):
-            out[k + 1] = rk4_step(lambda row, X: X @ tup[row].T, out[k], h, rows[k])
-            if not np.all(np.isfinite(out[k + 1])):
-                raise RuntimeError(f"transverse transport blew up at u = {float(us[k + 1])!r}")
-    return us, out
+        X, _ = linear_rk4(tup[rows], h, V.T)
+    finite = np.isfinite(X).all(axis=(1, 2))
+    if not finite.all():
+        u = float(us[int(np.argmin(finite))])
+        raise RuntimeError(f"transverse transport blew up at u = {u!r}")
+    return us, np.swapaxes(X, 1, 2)
 
 
 def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None = None) -> np.ndarray:
@@ -267,7 +265,7 @@ def _curve_trajectory(spec: MetricSpec, curve: Callable[[float], tuple[np.ndarra
     Each row of the node/midpoint ``stage_grid`` costs one Christoffel
     evaluation.
     """
-    taus, grid, rows = stage_grid(0.0, span / steps, steps)
+    taus, grid, rows = stage_grid(0.0, step_size(span, steps), steps)
     points = [curve(t) for t in grid]
     C = np.array([np.einsum("abc,c->ab", christoffel_values(spec, c), v) for c, v in points])
     return Trajectory(taus, np.array([c for c, _ in points[::2]]),

@@ -66,26 +66,27 @@ def test_rotation_ode_rejects_bad_R0():
         solve_rotation_ode(data, (0.0, 1.0), steps=50, R0=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-def test_orthogonality_drift_scales_as_h4():
-    # without reprojection the drift must fall ~16x when the step halves;
+def _fast_rotation_data():
     # a fast rotation keeps the drift well above the floating floor
-    from brinkmann import canonical
-
     base = fixture("cw4_r2")
     fast = apply_chart_change(base, rotation_chart_change(base, (0, 1), omega=3.0))
-    data = FlatBlockData(fast, (0, 1))
-    old = canonical.REPROJECT_EVERY
-    canonical.REPROJECT_EVERY = 10 ** 9
-    try:
-        errs = []
-        for steps in (10, 20, 40):
-            rot = solve_rotation_ode(data, (0.0, 0.8), steps=steps)
-            errs.append(rot.orthogonality_error)
-    finally:
-        canonical.REPROJECT_EVERY = old
+    return FlatBlockData(fast, (0, 1))
+
+
+def test_orthogonality_drift_scales_as_h4():
+    # the drift of the unprojected nodes must fall at least 10x when the step
+    # halves (about 32x: the h^5 term of T4(-X) T4(X) cancels)
+    data = _fast_rotation_data()
+    errs = [solve_rotation_ode(data, (0.0, 0.8), steps=steps).drift_before_projection
+            for steps in (40, 80, 160)]
     assert errs[0] > 1e-10          # meaningfully above the floating floor
     assert errs[0] / errs[1] > 10.0
     assert errs[1] / errs[2] > 10.0
+
+
+def test_orthogonality_drift_gate_names_the_first_u():
+    with pytest.raises(RuntimeError, match=r"orthogonality drift .* from u = "):
+        solve_rotation_ode(_fast_rotation_data(), (0.0, 0.8), steps=10)
 
 
 def test_recover_A_unscrambled():

@@ -193,6 +193,17 @@ def test_transport_csv_outputs(cw42_file, capsys):
     assert out.splitlines()[0].startswith("u,X0_2")
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_steps_below_one_is_an_error(cw42_file, capsys, steps):
+    for argv in (["canonicalize", cw42_file],
+                 ["transport", cw42_file, "--experiment", "d0"],
+                 ["transport", cw42_file, "--experiment", "nullsec"]):
+        code, out, err = run(capsys, *argv, "--steps", steps)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: steps must be at least 1, got {steps}"]
+
+
 def test_format_json_fixed_floats():
     text = format_json({"a": 1.0 / 3.0, "b": [1, 2.5], "c": None, "d": True})
     assert "0.33333333333333331" in text
