@@ -60,6 +60,7 @@ __all__ = [
 DRIFT_LIMIT = 1e-6
 BLOCK_JET_ORDER = 3  # the affine residual reads third derivatives of H
 SLOPE_TOL = 1e-8  # an A1 entry or eigenvalue above this counts as a nonzero slope
+HYPOTHESIS_TOL = 1e-8  # |t + t^T|, affine_residual and t_x_residual above this refuse the chart
 
 
 def _T(M: np.ndarray) -> np.ndarray:
@@ -75,8 +76,8 @@ class FlatBlockData:
     B is the value of h, Lambda its x-gradient, and t its value; the
     u-derivative of t comes from the same jets.  ``affine_residual`` and
     ``t_x_residual`` record how far h strays from affine and t from
-    x-independence over the evaluated u's (both must be ~0 for the
-    construction to apply).
+    x-independence over the evaluated u's; ``solve_rotation_ode`` refuses
+    either above ``HYPOTHESIS_TOL``.
     """
 
     spec: MetricSpec
@@ -200,6 +201,22 @@ class RotationCurve:
     B: np.ndarray            # (2 steps + 1, d)
 
 
+def _check_hypotheses(data: FlatBlockData, us: np.ndarray, t: np.ndarray) -> None:
+    """Refuse block data the construction does not apply to: t must be skew,
+    h affine in x and t independent of x, each within ``HYPOTHESIS_TOL``."""
+    skew = np.max(np.abs(t + _T(t)), axis=(1, 2), initial=0.0)
+    k = int(np.argmax(skew))
+    if not skew[k] <= HYPOTHESIS_TOL:
+        raise ValueError(f"t is not skew: |t + t^T| = {skew[k]:.2e} at u = {float(us[k])!r}; "
+                         f"the rotation ODE needs a skew t")
+    for name, meaning in (("affine_residual", "h is not affine in x"),
+                          ("t_x_residual", "t depends on x")):
+        value = getattr(data, name)
+        if not value <= HYPOTHESIS_TOL:
+            raise ValueError(f"flat-block {name} {value:.2e} exceeds {HYPOTHESIS_TOL:.0e}: "
+                             f"{meaning}")
+
+
 def _polar_project(R: np.ndarray) -> np.ndarray:
     U, _, Vt = np.linalg.svd(R)
     return U @ Vt
@@ -214,7 +231,8 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     so it runs through ``ode.linear_rk4``.  Its unprojected nodes must stay
     within ``DRIFT_LIMIT`` of orthogonal; ``drift_before_projection`` is the
     largest |R^T R - I| over all of them.  The stage R are R_k P_s^T with the
-    projected R_k and the stage maps P_s.
+    projected R_k and the stage maps P_s.  Block data with a non-skew t, or
+    with an h not affine or a t not constant in x, is a ``ValueError``.
 
     ``steps`` defaults to 2000 fixed Runge-Kutta steps per unit of u, at least 200.
     """
@@ -228,6 +246,7 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     h = step_size(u1 - u0, steps)
     us, grid, rows = stage_grid(u0, h, steps)
     t, tdot, lam, B = data.precompute(grid)
+    _check_hypotheses(data, grid, t)
     Rt, stages = linear_rk4(-_T(t[rows]), h, R0.T)
     R = _T(Rt)
     dev = np.max(np.abs(Rt @ R - np.eye(d)), axis=(1, 2), initial=0.0)
@@ -243,13 +262,13 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     return RotationCurve(us, R, err, float(np.max(dev)), h, rows, stage_R, t, tdot, lam, B)
 
 
-def _A_at(R: np.ndarray, t: np.ndarray, tdot: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _A_at(R: np.ndarray, Rinv: np.ndarray, t: np.ndarray, tdot: np.ndarray,
+          lam: np.ndarray) -> np.ndarray:
     """A from the cross-derivative relation, on stacks (..., d, d) of R on the
-    rotation curve and t, tdot, Lambda at the same u's.
+    rotation curve, its inverse, and t, tdot, Lambda at the same u's.
 
     d2R/du2 comes from differentiating the rotation ODE analytically.
     """
-    Rinv = np.linalg.inv(R)
     Rdot = -_T(Rinv) @ t
     dRinvT = -_T(Rinv @ Rdot @ Rinv)
     M = _T(R) @ (-dRinvT @ t - _T(Rinv) @ tdot)
@@ -260,7 +279,7 @@ def _A_at(R: np.ndarray, t: np.ndarray, tdot: np.ndarray, lam: np.ndarray) -> np
 
 def recover_A(rot: RotationCurve) -> np.ndarray:
     """A(u) at the rotation grid nodes from the cross-derivative relation."""
-    return _A_at(rot.R, rot.t[0::2], rot.tdot[0::2], rot.Lambda[0::2])
+    return _A_at(rot.R, np.linalg.inv(rot.R), rot.t[0::2], rot.tdot[0::2], rot.Lambda[0::2])
 
 
 def solve_translation_ode(rot: RotationCurve, Ddot0: np.ndarray | None = None) -> np.ndarray:
@@ -277,8 +296,9 @@ def solve_translation_ode(rot: RotationCurve, Ddot0: np.ndarray | None = None) -
     M[..., :d, d:] = np.eye(d)
     for s in range(4):
         R, i = rot.stage_R[:, s], rot.stage_rows[:, s]
-        M[:, s, d:, :d] = 2.0 * _A_at(R, rot.t[i], rot.tdot[i], rot.Lambda[i])
-        b[:, s, d:] = (_T(np.linalg.inv(R)) @ rot.B[i][..., None])[..., 0]
+        Rinv = np.linalg.inv(R)
+        M[:, s, d:, :d] = 2.0 * _A_at(R, Rinv, rot.t[i], rot.tdot[i], rot.Lambda[i])
+        b[:, s, d:] = (_T(Rinv) @ rot.B[i][..., None])[..., 0]
     Dd = np.zeros(d) if Ddot0 is None else np.asarray(Ddot0, dtype=float)
     y, _ = linear_rk4(M, rot.h, np.concatenate([np.zeros(d), Dd]), b)
     return y[:, :d]

@@ -239,11 +239,20 @@ def cmd_transport(args) -> int:
     mid = [0.5 * (lo + hi) for lo, hi in spec.box]
     point = ChartPoint(mid[0], tuple(mid[1:])) if args.point is None else ChartPoint(
         args.point[0], tuple(args.point[1:]))
+    span = args.span
+    if span is None:
+        # u advances at rate 1 along d0 and along the null geodesic (du/dtau =
+        # g(K, gamma') = 1 is conserved), so this span ends on the box's upper u edge.
+        lo, hi = spec.box[0]
+        span = hi - point.u
+        if not span > 0.0:
+            raise ValueError(f"--point u = {point.u!r} is not below the box's upper u edge "
+                             f"{hi!r} (box u = {lo!r} {hi!r}); give --span")
     rows: list[str]
     if args.experiment == "geodesic":
         v0 = null_velocity(spec, point, args.leaf_part)
         coords0 = [point.u, 0.0] + list(point.x)
-        traj = geodesic_integrate(spec, coords0, v0, args.span, args.steps)
+        traj = geodesic_integrate(spec, coords0, v0, span, args.steps)
         energy = traj.energy()
         pairing = traj.k_pairing()
         names = ["u", "v"] + [f"x{i}" for i in range(2, spec.n)]
@@ -256,7 +265,7 @@ def cmd_transport(args) -> int:
     elif args.experiment == "nullsec":
         v0 = null_velocity(spec, point, args.leaf_part)
         coords0 = [point.u, 0.0] + list(point.x)
-        traj = geodesic_integrate(spec, coords0, v0, args.span, args.steps)
+        traj = geodesic_integrate(spec, coords0, v0, span, args.steps)
         x_vec = np.zeros(spec.n)
         x_vec[2] = 1.0
         res = null_sectional_growth(spec, traj, x_vec)
@@ -266,7 +275,7 @@ def cmd_transport(args) -> int:
         rows.append(f"# max_second_difference,{_fmt_float(res['max_second_difference'])}")
     elif args.experiment == "d0":
         m = spec.m
-        us, X = d0_transport(spec, point, np.eye(m), args.span, args.steps)
+        us, X = d0_transport(spec, point, np.eye(m), span, args.steps)
         rows = ["u," + ",".join(f"X{v}_{i + 2}" for v in range(m) for i in range(m))]
         for k in range(len(us)):
             rows.append(",".join([_fmt_float(float(us[k]))]
@@ -342,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--experiment", choices=("geodesic", "nullsec", "d0"),
                    default="geodesic")
-    p.add_argument("--span", type=float, default=10.0)
+    p.add_argument("--span", type=float, default=None,
+                   help="tau span (geodesic, nullsec) or u span (d0); defaults to the "
+                        "distance from the start point's u to the box's upper u edge")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--point", type=float, nargs="+", default=None,
                    help="u x2 x3 ... (defaults to the box center)")

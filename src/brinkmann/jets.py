@@ -16,8 +16,9 @@ graded lexicographic order.  Because the ordering is graded, the
 coefficient vector of a lower order is a prefix of a higher one, so
 truncation is a slice.  The tables of the truncated product are built once
 per (num_vars, order) pair: ``mul_flat`` lists its coefficient pairs (ka, kb)
-sorted by the output coefficient ko they feed, and ``mul_buckets`` groups
-them into buckets of the outputs with equally many pairs.
+sorted by the output coefficient ko they feed, ``mul_buckets`` groups them
+into buckets of the outputs with equally many pairs, and ``mul_padded`` lays
+them out as one row per output, padded to the longest row.
 
 A ``Jet`` may carry a leading batch shape: ``data`` has shape
 ``(*batch, ncoeffs)``.  Scalar jets have ``batch == ()``.  All arithmetic
@@ -26,9 +27,10 @@ are handled without Python-level loops.
 
 Scalar jets multiply by ``np.bincount`` over ``mul_flat``, batched jets by
 adding up each bucket's pair columns: both sum each coefficient's pairs in
-``mul_flat`` order.  ``jet_einsum`` makes one ``np.matmul`` per bucket, whose
-inner axis runs over the bucket's pairs and the contracted indices, so the
-outer product over those indices is never formed.
+``mul_flat`` order.  ``jet_einsum`` makes one ``np.matmul`` over all output
+coefficients, whose inner axis runs over a coefficient's padded row of pairs
+and the contracted indices, so the outer product over those indices is never
+formed.  Padding pairs point at an all-zero row of both operands.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class JetContext:
         return self._index[key]
 
     @cached_property
-    def _mul(self) -> tuple[tuple, list]:
+    def _mul(self) -> tuple[tuple, list, tuple]:
         runs: list[list[tuple[int, int]]] = [[] for _ in range(self.ncoeffs)]
         for ia in range(self.ncoeffs):
             da = int(self.degrees[ia])
@@ -118,7 +120,10 @@ class JetContext:
             outs = [k for k, run in enumerate(runs) if len(run) == size]
             pairs = np.array([runs[k] for k in outs], dtype=np.intp)      # (outputs, size, 2)
             buckets.append((np.array(outs, dtype=np.intp), pairs[..., 0], pairs[..., 1]))
-        return (ka, kb, ko), buckets
+        width = max(len(run) for run in runs)
+        pad = [(self.ncoeffs, self.ncoeffs)]
+        padded = np.array([run + pad * (width - len(run)) for run in runs], dtype=np.intp)
+        return (ka, kb, ko), buckets, tuple(padded.transpose(2, 0, 1).copy())
 
     def mul_flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pairs (ka, kb) of the truncated product and the output ko each feeds, sorted by ko."""
@@ -128,6 +133,11 @@ class JetContext:
         """Buckets ``(ko, ka, kb)`` of the outputs with equally many pairs: row r of
         ``ka`` and ``kb`` (outputs, pairs) holds output ko[r]'s pairs in ``mul_flat`` order."""
         return self._mul[1]
+
+    def mul_padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ka, kb)``, each (ncoeffs, width): row k holds output k's pairs in ``mul_flat``
+        order, padded to the longest row with the index ``ncoeffs``."""
+        return self._mul[2]
 
     def diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
         """Map child-context coefficients to (source index, factor) pairs."""
@@ -430,36 +440,21 @@ def pow_int(a: Jet, n: int) -> Jet:
 # -- two-operand einsum over batch axes ------------------------------------------
 
 
-# A plan keeps its flat gathers (an index per pair and operand entry) up to this
-# many indices; larger ones would cost megabytes cached and are built per call.
-_CACHED_GATHERS = 1 << 12
-
-
 class _EinsumPlan(NamedTuple):
     """One ``jet_einsum`` call's bookkeeping, cached per (subscripts, shapes, context)."""
 
     sum_a: tuple[int, ...]         # axes of ``a`` summed before the product
     sum_b: tuple[int, ...]
-    off_a: np.ndarray              # (batch, left, 1, contracted) flat offsets into summed ``a``
-    off_b: np.ndarray              # (batch, 1, contracted, right) flat offsets into summed ``b``
-    gathers: tuple | None          # ``_gathers(off_a, off_b, ctx)`` if small enough to keep
-    unsort: np.ndarray             # product row of each coefficient (rows go bucket by bucket)
-    mat: tuple[int, int, int, int]  # (coefficient, batch, left, right) sizes of the product
+    perm_a: tuple[int, ...]        # from summed ``a`` to (coefficient, batch, left, contracted)
+    perm_b: tuple[int, ...]        # from summed ``b`` to (coefficient, batch, contracted, right)
+    zero_a: np.ndarray             # the all-zero row appended to each coefficient-first copy
+    zero_b: np.ndarray
+    rows_a: tuple[int, ...]        # (coefficient, pair, batch, left, contracted) of the row gather
+    rows_b: tuple[int, ...]        # (coefficient, pair, batch, contracted, right)
+    mat_a: tuple[int, int, int, int]  # (coefficient, batch, left, pairs * contracted)
+    mat_b: tuple[int, int, int, int]  # (coefficient, batch, pairs * contracted, right)
     grouped: tuple[int, ...]       # coefficient, batch, left and right dimensions
     perm_out: tuple[int, ...]      # from ``grouped`` to (*out, coefficient)
-
-
-def _gathers(off_a: np.ndarray, off_b: np.ndarray, ctx: JetContext):
-    """Per bucket: its rows of the product and the flat gathers of both operands."""
-    (nb, nl, _, nc), nr = off_a.shape, off_b.shape[-1]
-    start = 0
-    for _, ka, kb in ctx.mul_buckets():
-        rows, size = ka.shape
-        # Pair j of contracted entry c goes to inner index j * nc + c of both operands.
-        yield (slice(start, start + rows),
-               (off_a + ka[:, None, None, :, None]).reshape(rows, nb, nl, size * nc),
-               (off_b + kb[:, None, :, None, None]).reshape(rows, nb, size * nc, nr))
-        start += rows
 
 
 @lru_cache(maxsize=4096)
@@ -491,22 +486,19 @@ def _einsum_plan(subscripts: str, shape_a: tuple[int, ...], shape_b: tuple[int, 
     contracted = [x for x in a_keep if x in s2 and x not in out]
     nb, nl, nc, nr = (math.prod(dims[x] for x in xs) for xs in (batch, left, contracted, right))
 
-    def offsets(keep: list[str], order: list[str]) -> np.ndarray:
-        # Flat offset of coefficient 0 of each entry of the summed operand, by ``order``.
-        base = np.arange(math.prod(dims[x] for x in keep), dtype=np.intp) * ctx.ncoeffs
-        return base.reshape([dims[x] for x in keep]).transpose([keep.index(x) for x in order])
-
-    off_a = offsets(a_keep, batch + left + contracted).reshape(nb, nl, 1, nc)
-    off_b = offsets(b_keep, batch + contracted + right).reshape(nb, 1, nc, nr)
-    size = len(ctx.mul_flat()[0]) * nb * nc * (nl + nr)
+    width = ctx.mul_padded()[0].shape[1]
     grouped = batch + left + right
     return _EinsumPlan(
         sum_a=tuple(i for i, x in enumerate(s1) if x not in a_keep),
         sum_b=tuple(i for i, x in enumerate(s2) if x not in b_keep),
-        off_a=off_a, off_b=off_b,
-        gathers=tuple(_gathers(off_a, off_b, ctx)) if size <= _CACHED_GATHERS else None,
-        unsort=np.argsort(np.concatenate([ko for ko, _, _ in ctx.mul_buckets()])),
-        mat=(ctx.ncoeffs, nb, nl, nr),
+        perm_a=(len(a_keep),) + tuple(a_keep.index(x) for x in batch + left + contracted),
+        perm_b=(len(b_keep),) + tuple(b_keep.index(x) for x in batch + contracted + right),
+        zero_a=np.zeros((1,) + tuple(dims[x] for x in batch + left + contracted)),
+        zero_b=np.zeros((1,) + tuple(dims[x] for x in batch + contracted + right)),
+        rows_a=(ctx.ncoeffs, width, nb, nl, nc),
+        rows_b=(ctx.ncoeffs, width, nb, nc, nr),
+        mat_a=(ctx.ncoeffs, nb, nl, width * nc),
+        mat_b=(ctx.ncoeffs, nb, width * nc, nr),
         grouped=(ctx.ncoeffs,) + tuple(dims[x] for x in grouped),
         perm_out=tuple(1 + grouped.index(x) for x in out) + (0,),
     )
@@ -520,16 +512,21 @@ def jet_einsum(subscripts: str, a: Jet, b: Jet) -> Jet:
     and no letter may repeat within one term.
 
     A letter that only one operand carries and the output lacks is summed
-    first.  Then each bucket of ``ctx.mul_buckets()`` is one ``np.matmul``:
-    letters shared by both operands and the output form its batch axis, the
-    free letters of ``a`` its rows, those of ``b`` its columns, and its inner
-    axis runs over the bucket's pairs times the contracted letters.
+    first.  Then one ``np.matmul`` makes every output coefficient: letters
+    shared by both operands and the output form its batch axis, the free
+    letters of ``a`` its rows, those of ``b`` its columns, and its inner axis
+    runs over the coefficient's row of ``ctx.mul_padded()`` times the
+    contracted letters.
     """
     a, b = a._align(b)
     plan = _einsum_plan(subscripts, a.shape, b.shape, a.ctx)
-    fa = (a.data.sum(axis=plan.sum_a) if plan.sum_a else a.data).ravel()
-    fb = (b.data.sum(axis=plan.sum_b) if plan.sum_b else b.data).ravel()
-    out = np.empty(plan.mat)
-    for rows, ga, gb in plan.gathers or _gathers(plan.off_a, plan.off_b, a.ctx):
-        np.matmul(fa[ga], fb[gb], out=out[rows])
-    return Jet(a.ctx, out.take(plan.unsort, axis=0).reshape(plan.grouped).transpose(plan.perm_out))
+    ka, kb = a.ctx.mul_padded()
+    # Coefficient-first copies with an all-zero row at index ncoeffs, so that a
+    # padding pair adds 0 * 0; pair j of contracted entry c is inner index j * nc + c.
+    fa = a.data.sum(axis=plan.sum_a) if plan.sum_a else a.data
+    fb = b.data.sum(axis=plan.sum_b) if plan.sum_b else b.data
+    ga = np.concatenate((fa.transpose(plan.perm_a), plan.zero_a)).take(ka, axis=0)
+    gb = np.concatenate((fb.transpose(plan.perm_b), plan.zero_b)).take(kb, axis=0)
+    out = np.matmul(ga.reshape(plan.rows_a).transpose(0, 2, 3, 1, 4).reshape(plan.mat_a),
+                    gb.reshape(plan.rows_b).transpose(0, 2, 1, 3, 4).reshape(plan.mat_b))
+    return Jet(a.ctx, out.reshape(plan.grouped).transpose(plan.perm_out))

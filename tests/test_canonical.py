@@ -195,6 +195,24 @@ def test_reconstruct_refuses_an_interval_outside_the_box():
             reconstruct(spec, u_interval=interval, steps=50)
 
 
+def test_reconstruct_refuses_a_non_skew_t():
+    # t_22 = -g_22'/2 = -0.25: the rotation ODE's orthogonality rests on a skew t
+    spec = MetricSpec.from_text(4, H="u*x2^2 + x3^2", g={(2, 2): "1 + 0.5*u"})
+    with pytest.raises(ValueError,
+                       match=r"^t is not skew: \|t \+ t\^T\| = 5\.00e-01 at u = -1\.0;"):
+        reconstruct(spec, steps=50)
+
+
+def test_reconstruct_refuses_an_h_not_affine_in_x():
+    # W_2 = x2 x3 u makes h_2 = -x2 x3 (not affine) and t depend on x
+    spec = MetricSpec.from_text(4, H="u*x2^2", W={2: "x2*x3*u"})
+    with pytest.raises(ValueError, match=r"^flat-block affine_residual 1\.00e\+00 exceeds 1e-08"):
+        reconstruct(spec, steps=50)
+    data = FlatBlockData(spec, (0, 1))
+    data.precompute(np.array([0.5]))
+    assert data.t_x_residual == pytest.approx(0.25)
+
+
 def test_recover_A_zero_Lambda():
     spec = fixture("flat")
     data = FlatBlockData(spec, (0, 1))

@@ -193,6 +193,31 @@ def test_transport_csv_outputs(cw42_file, capsys):
     assert out.splitlines()[0].startswith("u,X0_2")
 
 
+POLY_SEED2 = os.path.join(os.path.dirname(__file__), os.pardir, "metrics", "poly_seed2.metric")
+
+
+@pytest.mark.parametrize("experiment", ["d0", "geodesic", "nullsec"])
+def test_transport_default_span_ends_on_the_box_edge(capsys, experiment):
+    # the box is u in (-0.8, 0.8); a span past its edge leaves the metric's
+    # positive-definite region
+    code, out, err = run(capsys, "transport", POLY_SEED2, "--experiment", experiment,
+                         "--steps", "40")
+    assert (code, err) == (0, "")
+    rows = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 41
+    # d0 prints u first and the geodesic second; nullsec prints tau, which
+    # equals u here because the start point has u = 0 and du/dtau = 1
+    last = float(rows[-1].split(",")[1 if experiment == "geodesic" else 0])
+    assert last == pytest.approx(0.8, abs=1e-12)
+
+
+def test_transport_start_point_past_the_box_edge_needs_a_span(cw42_file, capsys):
+    code, out, err = run(capsys, "transport", cw42_file, "--point", "1.0", "0", "0")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: --point u = 1.0 is not below the box's upper u edge "
+                                "1.0 (box u = -1.0 1.0); give --span"]
+
+
 @pytest.mark.parametrize("steps", ["0", "-5"])
 def test_steps_below_one_is_an_error(cw42_file, capsys, steps):
     for argv in (["canonicalize", cw42_file],

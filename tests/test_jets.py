@@ -217,6 +217,15 @@ def test_mul_buckets_partition_the_flat_pairs(nv, order):
             assert np.array_equal(bka[row], ka[run]) and np.array_equal(bkb[row], kb[run])
         seen.extend(outs)
     assert sorted(seen) == list(range(ctx.ncoeffs))
+    # The padded table: row k is output k's run, then only the padding index ncoeffs.
+    pka, pkb = ctx.mul_padded()
+    width = np.bincount(ko).max()
+    assert pka.shape == pkb.shape == (ctx.ncoeffs, width)
+    for k in range(ctx.ncoeffs):
+        run = ko == k
+        n = int(run.sum())
+        assert np.array_equal(pka[k, :n], ka[run]) and np.array_equal(pkb[k, :n], kb[run])
+        assert np.all(pka[k, n:] == ctx.ncoeffs) and np.all(pkb[k, n:] == ctx.ncoeffs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,8 +263,9 @@ _ROLES = ("batch", "left", "right", "contracted", "a_sum", "b_sum")
 
 
 @st.composite
-def _einsum_cases(draw):
-    counts = {role: draw(st.integers(0, 2)) for role in _ROLES}
+def _einsum_cases(draw, summed=True):
+    counts = {role: draw(st.integers(0, 2 if summed or "_sum" not in role else 0))
+              for role in _ROLES}
     letters = iter("abcdefghijklmnop")
     roles = {role: [next(letters) for _ in range(n)] for role, n in counts.items()}
     dims = {x: draw(st.integers(1, 3)) for xs in roles.values() for x in xs}
@@ -283,6 +293,36 @@ def test_jet_einsum_matches_pairwise_reference(case):
     bound = _einsum_reference(subscripts, J.Jet(ctx, np.abs(a.data)), J.Jet(ctx, np.abs(b.data)))
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-13 * bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_einsum_cases(summed=False))
+def test_jet_einsum_keeps_the_reference_inf_and_nan_pattern(case):
+    # Padding pairs multiply two zero rows, so they never form inf * 0: the
+    # kernel makes NaN and inf exactly where the pairwise reference does.  A
+    # letter of one operand only is summed before the product, where inf - inf
+    # may differ from the reference, so the cases have none.
+    subscripts, s1, s2, dims, nv, order, seed = case
+    rng = np.random.default_rng(seed)
+    ctx = J.context(nv, order)
+
+    def operand(letters):
+        data = rng.normal(size=tuple(dims[x] for x in letters) + (ctx.ncoeffs,))
+        pick = rng.random(data.shape)
+        data[pick < 0.3] = 0.0
+        data[pick > 0.85] = np.inf
+        return J.Jet(ctx, data)
+
+    a, b = operand(s1), operand(s2)
+    with np.errstate(invalid="ignore"):
+        got = J.jet_einsum(subscripts, a, b).data
+        want = _einsum_reference(subscripts, a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.array_equal(got[np.isinf(got)], want[np.isinf(want)])
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("subscripts,sa,sb", [
