@@ -46,6 +46,8 @@ __all__ = [
     "christoffel_bar",
     "frame_components",
     "jet_matrix_inverse",
+    "node_subscripts",
+    "first_failing_node",
 ]
 
 PIVOT_RATIO = 1e-10  # smallest/largest Cholesky pivot allowed for the leaf metric
@@ -61,18 +63,64 @@ def _delta(i: int, j: int) -> ExprAst:
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """A point of the chart; v is omitted since nothing depends on it."""
+    """A point of the chart; v is omitted since nothing depends on it.
 
-    u: float
-    x: tuple[float, ...]
+    With a 1-D array u of length N it is a stack of N points, the x
+    coordinates broadcast to u's shape (N,), which is the point's ``shape``
+    (``()`` for a single point).  ``eval_metric`` and the oracle evaluate a
+    stack in one call and give every result a leading node axis.
+    """
+
+    u: float | np.ndarray
+    x: tuple[float | np.ndarray, ...]
 
     def __post_init__(self):
-        if not math.isfinite(self.u) or not all(math.isfinite(c) for c in self.x):
+        if not (isinstance(self.u, np.ndarray) and self.u.ndim):
+            finite = math.isfinite(self.u) and all(math.isfinite(c) for c in self.x)
+        else:
+            u, *x = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in self.coords))
+            if u.ndim != 1 or u.shape != self.u.shape:
+                raise ValueError("a stack of chart points needs a 1-D u and x of its shape")
+            object.__setattr__(self, "u", u)
+            object.__setattr__(self, "x", tuple(x))
+            finite = all(np.isfinite(c).all() for c in self.coords)
+        if not finite:
             raise ValueError("chart point has non-finite coordinates")
 
     @property
-    def coords(self) -> tuple[float, ...]:
+    def coords(self) -> tuple:
         return (self.u,) + tuple(self.x)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """``(N,)`` for a stack of N points, ``()`` for a single point."""
+        return self.u.shape if isinstance(self.u, np.ndarray) else ()
+
+    def node(self, k: int) -> "ChartPoint":
+        """Point k of a stack, with float coordinates."""
+        return ChartPoint(float(self.u[k]), tuple(float(c[k]) for c in self.x))
+
+
+def first_failing_node(p: ChartPoint, evaluate):
+    """``evaluate(p)``.  When p is a stack and that raises a ValueError, the
+    error is the one ``evaluate`` raises on its own at the first node that
+    fails, so a batch reports exactly what a loop over its nodes would."""
+    if not p.shape:
+        return evaluate(p)
+    try:
+        return evaluate(p)
+    except ValueError:
+        for k in range(p.shape[0]):
+            evaluate(p.node(k))
+        raise
+
+
+def node_subscripts(subscripts: str, nodes: tuple[int, ...]) -> str:
+    """``jet_einsum`` subscripts with the node letter N leading every term when
+    the operands carry a node axis (``nodes`` is their node shape)."""
+    if not nodes:
+        return subscripts
+    return "N" + subscripts.replace(",", ",N").replace("->", "->N")
 
 
 @dataclass(frozen=True)
@@ -171,7 +219,8 @@ class MetricSpec:
 
 @dataclass
 class ChartJets:
-    """Jets of all metric functions about one chart point."""
+    """Jets of all metric functions about one chart point, or about each point
+    of a stack (then every jet and ``ginv0`` has a leading node axis)."""
 
     spec: MetricSpec
     point: ChartPoint
@@ -183,8 +232,12 @@ class ChartJets:
 
     @functools.cached_property
     def ginv(self) -> Jet:
-        """Jet inverse of g, built on first use."""
-        return jet_matrix_inverse(self.g)
+        """Jet inverse of g at order ``order - 1``, built on first use.
+
+        Its consumers (t, h, the leaf Christoffel symbols and Ricci tensor)
+        are all of order ``order - 1`` or lower, so no higher degree is read.
+        """
+        return jet_matrix_inverse(self.g.truncate(self.order - 1))
 
     @property
     def m(self) -> int:
@@ -204,27 +257,29 @@ def _seed_env(spec: MetricSpec, p: ChartPoint, order: int) -> dict[str, Jet]:
 
 
 def _jet_stack(items: list[Jet]) -> Jet:
-    ctx = items[0].ctx
-    return Jet(ctx, np.stack([j.data for j in items], axis=0))
+    """The jets stacked on a new axis just before the coefficient axis."""
+    return Jet(items[0].ctx, np.stack([j.data for j in items], axis=-2))
 
 
 def jet_matrix_inverse(G: Jet) -> Jet:
-    """Inverse of a square jet matrix via the truncated Neumann series.
+    """Inverse of a square jet matrix (or of each matrix of a stack, node axes
+    leading) via the truncated Neumann series.
 
     Writing G = G0 (I - X) with X = -G0^{-1} (G - G0), the correction X has
     zero constant term, hence is nilpotent in the truncated ring and the
     series sum_k X^k terminates at the jet order.
     """
-    m = G.shape[0]
-    G0 = G.value().reshape(m, m) if m else np.zeros((0, 0))
+    nodes, m = G.shape[:-2], G.shape[-1]
+    G0 = G.value()
     G0inv = np.linalg.inv(G0) if m else G0
     nv, order = G.num_vars, G.order
+    product = node_subscripts("ij,jk->ik", nodes)
     G0inv_jet = jets.const(G0inv, nv, order)
-    X = -jet_einsum("ij,jk->ik", G0inv_jet, G - jets.const(G0, nv, order))
-    S = jets.const(np.eye(m), nv, order)
+    X = -jet_einsum(product, G0inv_jet, G - jets.const(G0, nv, order))
+    S = jets.const(np.eye(m), nv, order, shape=nodes + (m, m))
     for _ in range(order):
-        S = jets.const(np.eye(m), nv, order) + jet_einsum("ij,jk->ik", X, S)
-    return jet_einsum("ij,jk->ik", S, G0inv_jet)
+        S = jets.const(np.eye(m), nv, order) + jet_einsum(product, X, S)
+    return jet_einsum(product, S, G0inv_jet)
 
 
 def _run_tape(spec: MetricSpec, p: ChartPoint, run):
@@ -238,11 +293,28 @@ def _run_tape(spec: MetricSpec, p: ChartPoint, run):
             f"{err.reason} in {spec.field_name(err.output)} at {p.coords}") from None
 
 
+def _leaf_metrics_pass(g0: np.ndarray) -> bool:
+    """Whether every g_ij of a stack (m, m last) passes ``_check_leaf_metric``."""
+    if not np.isfinite(g0).all():
+        return False
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(g0), axis1=-2, axis2=-1) ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return not (pivots.min(axis=-1) <= PIVOT_RATIO * pivots.max(axis=-1)).any()
+
+
 def _check_leaf_metric(g0: np.ndarray, p: ChartPoint) -> None:
     """Raise MetricDefinitenessError unless the numeric g_ij at p is finite and
     positive definite, with its smallest Cholesky pivot above PIVOT_RATIO times
-    the largest.  A non-finite entry is named in chart labels (x2 is leaf index 0)."""
-    if not len(g0):
+    the largest.  A non-finite entry is named in chart labels (x2 is leaf index 0).
+    A stack is tested at once; a failure is the first failing node's error."""
+    if not g0.shape[-1]:
+        return
+    if p.shape:
+        if not _leaf_metrics_pass(g0):
+            for k in range(p.shape[0]):
+                _check_leaf_metric(g0[k], p.node(k))
         return
     finite = np.isfinite(g0)
     if not finite.all():
@@ -265,18 +337,31 @@ def eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     definite (``_check_leaf_metric``), and JetDomainError naming the field
     and the point when a field leaves the domain of a jet function there
     (a pole, say).
+
+    For a stack of N points the tape runs once on jets of batch shape (N,):
+    every jet and ``ginv0`` gets a leading node axis (a field that is
+    constant on the tape is broadcast to it), and a failure raises the error
+    of the first failing node (``first_failing_node``).
     """
+    return first_failing_node(p, lambda q: _eval_metric(spec, q, order))
+
+
+def _eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     nv, m = spec.num_vars, spec.m
     fields = _run_tape(spec, p, lambda: expr.eval_jet(
         spec.tape, _seed_env(spec, p, order), nv, order))
-    H = fields[0]
+    ctx = fields[0].ctx
+    shape = p.shape + (ctx.ncoeffs,)   # a field constant on the tape has no node axis yet
+    data = [f.data if f.data.shape == shape else np.broadcast_to(f.data, shape).copy()
+            for f in fields]
+    H = Jet(ctx, data[0])
     if m:
-        W = _jet_stack(fields[1:1 + m])
-        g = Jet(H.ctx, np.stack([f.data for f in fields[1 + m:]]).reshape(m, m, -1))
+        W = Jet(ctx, np.stack(data[1:1 + m], axis=-2))
+        g = Jet(ctx, np.stack(data[1 + m:], axis=-2).reshape(p.shape + (m, m, -1)))
     else:
-        W = jets.zeros((0,), nv, order)
-        g = jets.zeros((0, 0), nv, order)
-    g0 = g.value().reshape(m, m)
+        W = jets.zeros(p.shape + (0,), nv, order)
+        g = jets.zeros(p.shape + (0, 0), nv, order)
+    g0 = g.value()
     _check_leaf_metric(g0, p)
     return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0) if m else g0)
 
@@ -302,15 +387,15 @@ def metric_coefficients(spec: MetricSpec, p: ChartPoint, order: int) -> np.ndarr
 
 def compute_h_t(cj: ChartJets) -> tuple[Jet, Jet]:
     """The chart's extrinsic data: h_i = H_,i - dW_i/du and
-    t_ij = (-dg_ij/du + W_i,j - W_j,i)/2."""
+    t_ij = (-dg_ij/du + W_i,j - W_j,i)/2 (node axes lead, as in ``cj``)."""
     m = cj.m
     if m == 0:
-        nv = cj.num_vars
-        return jets.zeros((0,), nv, cj.order - 1), jets.zeros((0, 0), nv, cj.order - 1)
+        nv, nodes = cj.num_vars, cj.H.shape
+        return (jets.zeros(nodes + (0,), nv, cj.order - 1),
+                jets.zeros(nodes + (0, 0), nv, cj.order - 1))
     h = _jet_stack([cj.H.diff(1 + i) for i in range(m)]) - cj.W.du()
-    dW = _jet_stack([_jet_stack([cj.W[i].diff(1 + j) for j in range(m)]) for i in range(m)])
-    # dW[i, j] = W_i,j
-    t = 0.5 * (-cj.g.du() + dW - Jet(dW.ctx, np.swapaxes(dW.data, 0, 1)))
+    dW = _jet_stack([cj.W.diff(1 + j) for j in range(m)])    # dW[..., i, j] = W_i,j
+    t = 0.5 * (-cj.g.du() + dW - Jet(dW.ctx, np.swapaxes(dW.data, -3, -2)))
     return h, t
 
 

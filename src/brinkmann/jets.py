@@ -172,6 +172,9 @@ def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for j in range(1, ka.shape[1]):
             acc += a[..., ka[:, j]] * b[..., kb[:, j]]
         out[..., ko] = acc
+    # bincount sums from 0.0, so a sum of -0.0 terms is +0.0 there; only that
+    # case differs from summing from the first term, and adding 0.0 mends it
+    out += 0.0
     return out
 
 

@@ -23,6 +23,17 @@ and the numeric inverse, by the same lowered combination that
 ``full_metric`` from the compiled tape's coefficients and refuse it by
 ``check_finite``, as ``assemble_coordinate_metric`` does.
 
+``assemble_coordinate_metric`` and ``coordinate_curvature`` also take a
+stack of N chart points (a ``ChartPoint`` with a 1-D array u): G, its
+inverses, Gamma, R and its covariant derivatives then carry a leading node
+axis, every ``jet_einsum`` contracts with the node letter N leading its
+subscripts (``chart.node_subscripts``), and each node's numbers are bit for
+bit those of its own one-point call.  A failure in a stack is the error the
+first failing node raises on its own.  Every jet is only as deep as what
+reads it: the jet inverse of G is built at the order of Gamma, the Gamma
+Gamma product at the order of dGamma, and each covariant derivative at the
+order of the new slot.
+
 Nothing here knows about the partly null frame; ``to_frame`` contracts
 coordinate tensors against externally supplied basis matrices and returns
 plain arrays, which is what keeps this module an independent check of the
@@ -38,7 +49,7 @@ import numpy as np
 
 from . import jets
 from .chart import ChartJets, ChartPoint, FrameData, MetricSpec, eval_metric, \
-    frame_components, jet_matrix_inverse
+    first_failing_node, frame_components, jet_matrix_inverse, node_subscripts
 from .jets import Jet, jet_einsum
 
 __all__ = [
@@ -56,18 +67,22 @@ __all__ = [
 
 @dataclass
 class CoordinateMetric:
-    """Full metric as jets; entries are v-independent by construction."""
+    """Full metric as jets; entries are v-independent by construction.
+
+    At a stack of points, G and Ginv0 carry a leading node axis.
+    """
 
     n: int
     point: ChartPoint
-    G: Jet            # (n, n) jets in (u, x) variables
+    G: Jet            # (..., n, n) jets in (u, x) variables
     Ginv0: np.ndarray
     chart: ChartJets
 
     @functools.cached_property
     def Ginv(self) -> Jet:
-        """Jet inverse of G, built on first use."""
-        return jet_matrix_inverse(self.G)
+        """Jet inverse of G at order ``G.order - 1``, the order of Gamma, which
+        is all that reads it; built on first use."""
+        return jet_matrix_inverse(self.G.truncate(self.G.order - 1))
 
     @functools.cached_property
     def frame(self) -> FrameData:
@@ -76,33 +91,43 @@ class CoordinateMetric:
 
 
 def full_metric(n: int, H: np.ndarray, W: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Coefficients of the full metric G (n, n, ...) from those of H, W_i and g_ij.
+    """Coefficients of the full metric G (..., n, n, k) from those of H (..., k),
+    W_i (..., m, k) and g_ij (..., m, m, k).
 
-    The trailing axes (a jet's coefficients) ride along.
+    Leading node axes and the trailing coefficient axis ride along; the
+    constant g_01 = -1 is written into the value coefficient only.
     """
-    G = np.zeros((n, n) + H.shape)
-    G[0, 0] = -2.0 * H
-    G[0, 1, 0] = G[1, 0, 0] = -1.0
-    G[0, 2:] = G[2:, 0] = -W
-    G[2:, 2:] = g
+    G = np.zeros(H.shape[:-1] + (n, n) + H.shape[-1:])
+    G[..., 0, 0, :] = -2.0 * H
+    G[..., 0, 1, 0] = G[..., 1, 0, 0] = -1.0
+    G[..., 0, 2:, :] = G[..., 2:, 0, :] = -W
+    G[..., 2:, 2:, :] = g
     return G
 
 
 def check_finite(G0: np.ndarray, p: ChartPoint) -> None:
-    """Refuse an assembled metric value with a non-finite entry, naming its
-    field (H, W_i or g_ij, chart labels) and the point.
+    """Refuse an assembled metric value, (n, n) or (N, n, n) at a stack of N
+    points, with a non-finite entry, naming its field (H, W_i or g_ij, chart
+    labels) and the point (at a stack, the first failing node).
 
     det G = -det g_ij, and the metric evaluation has already refused a
     singular or ill-conditioned g_ij, so finiteness is all that is left.
     """
     finite = np.isfinite(G0)
     if not finite.all():
-        a, b = np.argwhere(~finite)[0]    # row major: H, then W_i, then g_ij
+        n = G0.shape[-1]
+        k, a, b = np.argwhere(~finite.reshape(-1, n, n))[0]  # node, then row major
         field = "H" if a == b == 0 else f"W_{b}" if a == 0 else f"g_{a}{b}"
-        raise ValueError(f"non-finite {field} at {p.coords}")
+        raise ValueError(f"non-finite {field} at {(p.node(k) if p.shape else p).coords}")
 
 
 def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
+    """The full metric's jets about p, or about each point of a stack (node
+    axis leading); a failure in a stack is the first failing node's error."""
+    return first_failing_node(p, lambda q: _assemble(spec, q, order))
+
+
+def _assemble(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
     cj = eval_metric(spec, p, order)
     G = Jet(cj.H.ctx, full_metric(spec.n, cj.H.data, cj.W.data, cj.g.data))
     G0 = G.value()
@@ -131,24 +156,28 @@ def _cgrad(J: Jet, n: int) -> Jet:
     return Jet(jets.context(J.num_vars, J.order - 1), out)
 
 
-def _lowered(dG: np.ndarray) -> np.ndarray:
-    """g_rb,c + g_rc,b - g_bc,r at [r, b, c] from dG[a, b, mu] = g_ab,mu.
+def _lowered(dG: np.ndarray, nodes: int = 0) -> np.ndarray:
+    """g_rb,c + g_rc,b - g_bc,r at [..., r, b, c] from dG[..., a, b, mu] = g_ab,mu.
 
-    Trailing axes (a jet's coefficients) ride along, so this serves both
-    jet data and plain values.
+    ``nodes`` leading node axes and the trailing axes (a jet's coefficients)
+    ride along, so this serves both jet data and plain values.
     """
-    return dG + np.einsum("rcb...->rbc...", dG) - np.einsum("bcr...->rbc...", dG)
+    r, b, c = nodes, nodes + 1, nodes + 2
+    axes = list(range(dG.ndim))
+    axes[r:c + 1] = (c, r, b)                     # dG[..., b, c, r] at [..., r, b, c]
+    return dG + dG.swapaxes(b, c) - dG.transpose(axes)
 
 
 def christoffel(G: Jet, Ginv0: np.ndarray) -> np.ndarray:
     """Values Gamma^a_{bc} from the full metric G (order >= 1) and the
-    inverse of its value; builds no jet inverse."""
+    inverse of its value, at one point; builds no jet inverse."""
     return 0.5 * np.einsum("ar,rbc->abc", Ginv0, _lowered(_cgrad(G, len(Ginv0)).value()))
 
 
 @dataclass
 class CoordinateCurvature:
-    """Coordinate components of R and its covariant derivatives at a point."""
+    """Coordinate components of R and its covariant derivatives at a point,
+    or at each point of a stack (node axis leading, S an array)."""
 
     n: int
     depth: int
@@ -157,7 +186,7 @@ class CoordinateCurvature:
     dR: np.ndarray | None       # nabla_mu R^a_{bcd}, mu last
     d2R: np.ndarray | None      # nabla_nu nabla_mu R^a_{bcd}, (mu, nu) last
     Ric: np.ndarray
-    S: float
+    S: float | np.ndarray
 
 
 def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvature:
@@ -165,18 +194,20 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
         raise ValueError("depth must be 0, 1 or 2")
     if cm.G.order < 2 + depth:
         raise ValueError("insufficient jet order for the requested depth")
-    n = cm.n
-    dG = _cgrad(cm.G, n)                          # dG[a, b, mu] = g_ab,mu
-    Gamma = 0.5 * jet_einsum("ar,rbc->abc", cm.Ginv, Jet(dG.ctx, _lowered(dG.data)))
+    n, nodes = cm.n, cm.G.shape[:-2]
+    dG = _cgrad(cm.G, n)                          # dG[..., a, b, mu] = g_ab,mu
+    Gamma = 0.5 * jet_einsum(node_subscripts("ar,rbc->abc", nodes), cm.Ginv,
+                             Jet(dG.ctx, _lowered(dG.data, len(nodes))))
 
-    dGamma = _cgrad(Gamma, n)                     # dGamma[a, b, c, mu]
-    dterm = Jet(dGamma.ctx, np.einsum("adbcx->abcdx", dGamma.data)
-                - np.einsum("acbdx->abcdx", dGamma.data))
-    gg = jet_einsum("acr,rdb->abcd", Gamma, Gamma)
-    R = dterm + gg - Jet(gg.ctx, np.swapaxes(gg.data, 2, 3))
+    dGamma = _cgrad(Gamma, n)                     # dGamma[..., a, b, c, mu]
+    dterm = Jet(dGamma.ctx, np.einsum("...adbcx->...abcdx", dGamma.data)
+                - np.einsum("...acbdx->...abcdx", dGamma.data))
+    low = Gamma.truncate(dGamma.order)            # R reads no higher degree
+    gg = jet_einsum(node_subscripts("acr,rdb->abcd", nodes), low, low)
+    R = dterm + gg - Jet(gg.ctx, np.swapaxes(gg.data, -3, -2))
 
-    Ric_val = np.trace(R.value(), axis1=0, axis2=2)
-    S_val = float(np.einsum("bd,bd->", cm.Ginv0, Ric_val))
+    Ric_val = np.trace(R.value(), axis1=-4, axis2=-2)
+    S_val = np.einsum("...bd,...bd->...", cm.Ginv0, Ric_val)
 
     dR_val = d2R_val = None
     if depth >= 1:
@@ -186,24 +217,27 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
             d2R = _cov_deriv(dR, 1, Gamma, n)
             d2R_val = d2R.value()
     return CoordinateCurvature(n, depth, Gamma.value(), R.value(), dR_val, d2R_val,
-                               Ric_val, S_val)
+                               Ric_val, S_val if nodes else float(S_val))
 
 
 def _cov_deriv(T: Jet, nup: int, Gamma: Jet, n: int) -> Jet:
-    """Coordinate covariant derivative, new slot appended last."""
+    """Coordinate covariant derivative, new slot appended last; node axes of
+    Gamma and T lead.  Gamma and T are truncated to the derivative's order."""
     import string
 
     letters = [c for c in string.ascii_lowercase if c not in "rs"]
-    rank = len(T.shape)
+    nodes = Gamma.shape[:-3]
+    rank = len(T.shape) - len(nodes)
     names = "".join(letters[:rank])
     out = _cgrad(T, n)
+    Gamma, T = Gamma.truncate(out.order), T.truncate(out.order)
     for a in range(rank):
         L = names[a]
         src = names[:a] + "r" + names[a + 1:]
         if a < nup:
-            out = out + jet_einsum(f"{L}rs,{src}->{names}s", Gamma, T)
+            out = out + jet_einsum(node_subscripts(f"{L}rs,{src}->{names}s", nodes), Gamma, T)
         else:
-            out = out - jet_einsum(f"r{L}s,{src}->{names}s", Gamma, T)
+            out = out - jet_einsum(node_subscripts(f"r{L}s,{src}->{names}s", nodes), Gamma, T)
     return out
 
 

@@ -9,6 +9,13 @@ that Gamma needs come from the spec's tape compiled to straight-line code
 (``chart.metric_coefficients``), bit for bit the jet tape's; the
 curvature and the leaf-level data stay on jets.
 
+nullsec and d0 know every point they evaluate before they start: the
+geodesic's nodes and the u rows of d0's ``stage_grid``.  They evaluate them
+in blocks of ``NODE_BLOCK`` points, one stacked ``assemble_coordinate_metric``
+and ``coordinate_curvature`` call (nullsec) or ``eval_metric`` and
+``compute_h_t`` call (d0) per block, with the numbers of the one-point calls;
+the block size bounds the memory the stacked jets take.
+
 States are (coords, velocity) with coords = (u, v, x^2 .. x^{n-1}).
 Conserved quantities along geodesics: g(gamma', gamma') and the pairing
 g(K, gamma') with the parallel field K = -d_v, which equals du/dtau.
@@ -41,6 +48,7 @@ __all__ = [
 ]
 
 BOX_SLACK = 0.5  # enforce_box lets the path stray this fraction of each side outside
+NODE_BLOCK = 64  # points per batched metric / curvature call in nullsec and d0
 SECOND_SYMMETRY_TOL = 1e-6
 SECOND_SYMMETRY_STEPS = 160
 SECOND_SYMMETRY_SPAN = 1.0
@@ -191,10 +199,11 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     us, grid, rows = stage_grid(p.u, h, steps)
     tup = np.zeros((len(grid), m, m))
     with np.errstate(all="ignore"):
-        for i, u in enumerate(grid):
-            cj = eval_metric(spec, ChartPoint(float(u), p.x), order=1)
+        for start in range(0, len(grid), NODE_BLOCK):
+            block = slice(start, start + NODE_BLOCK)
+            cj = eval_metric(spec, ChartPoint(grid[block], p.x), order=1)
             if m:
-                tup[i] = cj.ginv0 @ compute_h_t(cj)[1].value().reshape(m, m)
+                tup[block] = cj.ginv0 @ compute_h_t(cj)[1].value()
     finite = np.isfinite(tup).reshape(len(grid), -1).all(axis=1)
     if not finite.all():
         u = float(grid[int(np.argmin(finite))])
@@ -236,16 +245,23 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
     """
     X = parallel_transport(spec, traj, np.asarray(x_vec, dtype=float)[None, :])[:, 0, :]
     vals = np.empty(len(traj.tau))
-    for k, (c, v) in enumerate(zip(traj.coords, traj.velocity)):
-        cm = assemble_coordinate_metric(spec, _chart_point(spec, c), order=2)
-        cc = coordinate_curvature(cm, depth=0)
+    for start in range(0, len(vals), NODE_BLOCK):
+        block = slice(start, start + NODE_BLOCK)
+        c, v, x = traj.coords[block], traj.velocity[block], X[block]
+        cm = assemble_coordinate_metric(spec, ChartPoint(c[:, 0], tuple(c[:, 2:].T)), order=2)
+        R = coordinate_curvature(cm, depth=0).R
         G = cm.G.value()
-        Rlow = np.einsum("ae,ebcd->abcd", G, cc.R)
-        num = np.einsum("abcd,a,b,c,d->", Rlow, v, X[k], v, X[k])
-        den = float(X[k] @ G @ X[k])
-        if den <= 1e-10:
-            raise ValueError("degenerate plane: g(X, X) is not positive")
-        vals[k] = num / den
+        Rlow = np.einsum("kae,kebcd->kabcd", G, R)
+        num = np.einsum("kabcd,ka,kb,kc,kd->k", Rlow, v, x, v, x)
+        den = (x[:, None, :] @ G @ x[:, :, None])[:, 0, 0]   # the bits of X @ G @ X
+        flat = den <= 1e-10
+        if flat.any():
+            j = int(np.argmax(flat))
+            k = start + j
+            raise ValueError(f"degenerate plane: g(X, X) = {float(den[j])!r} is not positive at "
+                             f"node {k}, tau = {float(traj.tau[k])!r}, "
+                             f"coordinates {tuple(traj.coords[k].tolist())}")
+        vals[block] = num / den
     h = float(traj.tau[1] - traj.tau[0])
     first = np.diff(vals) / h
     second = np.abs(np.diff(vals, n=2))

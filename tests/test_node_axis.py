@@ -1,0 +1,118 @@
+"""A stack of chart points: every result of ``eval_metric`` and the oracle at a
+stack equals the one-point results stacked, bit for bit, and a failure names
+the first failing node exactly as the one-point call does."""
+
+import pathlib
+
+import numpy as np
+import pytest
+
+from brinkmann.chart import ChartPoint, MetricDefinitenessError, MetricSpec, compute_h_t, \
+    eval_metric
+from brinkmann.jets import JetDomainError
+from brinkmann.metricfile import load_metric_file
+from brinkmann.oracle import assemble_coordinate_metric, coordinate_curvature, full_metric
+from brinkmann.spaces import random_polynomial_spec
+
+METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
+SPECS = [(path.stem, lambda path=path: load_metric_file(str(path)))
+         for path in sorted(METRICS.glob("*.metric"))]
+SPECS += [(f"random_n{n}", lambda n=n: random_polynomial_spec(4 + n, n=n)) for n in (4, 5, 6)]
+NODES = 3
+
+
+def _stack(spec: MetricSpec, seed: int = 7) -> ChartPoint:
+    """NODES points in the central half of the box."""
+    lo, hi = np.array(spec.box).T
+    pts = lo + (hi - lo) * (0.25 + 0.5 * np.random.default_rng(seed).uniform(
+        size=(NODES, spec.num_vars)))
+    return ChartPoint(pts[:, 0], tuple(pts[:, 1:].T))
+
+
+def _same(batched: np.ndarray, nodes: list[np.ndarray]) -> bool:
+    stacked = np.stack([np.asarray(a) for a in nodes])
+    return batched.shape == stacked.shape and batched.tobytes() == stacked.tobytes()
+
+
+def test_chart_point_stack_and_nodes():
+    p = ChartPoint(np.array([0.1, 0.2]), (0.3, np.array([0.4, 0.5])))
+    assert p.shape == (2,)
+    assert p.node(1) == ChartPoint(0.2, (0.3, 0.5))
+    assert ChartPoint(0.1, (0.3,)).shape == ()
+    with pytest.raises(ValueError, match="non-finite"):
+        ChartPoint(np.array([0.1, np.nan]), (0.3,))
+    with pytest.raises(ValueError, match="1-D"):
+        ChartPoint(np.zeros((2, 2)), (0.3,))
+    with pytest.raises(ValueError, match="1-D"):
+        ChartPoint(np.zeros(2), (np.zeros((3, 2)),))
+
+
+def test_full_metric_on_a_stack_is_the_stacked_one_point_metrics():
+    rng = np.random.default_rng(3)
+    n, m, k = 5, 3, 4
+    H, W, g = rng.normal(size=(6, k)), rng.normal(size=(6, m, k)), rng.normal(size=(6, m, m, k))
+    G = full_metric(n, H, W, g)
+    assert _same(G, [full_metric(n, H[i], W[i], g[i]) for i in range(6)])
+    assert (G[:, 0, 1, 0] == -1.0).all() and (G[:, 0, 1, 1:] == 0.0).all()
+
+
+@pytest.mark.parametrize("name, make", SPECS, ids=[name for name, _ in SPECS])
+def test_a_stack_gives_the_one_point_results_bitwise(name, make):
+    spec = make()
+    p = _stack(spec)
+    nodes = [p.node(k) for k in range(NODES)]
+    for order in (0, 1, 2):
+        cj = eval_metric(spec, p, order)
+        one = [eval_metric(spec, q, order) for q in nodes]
+        for field in ("H", "W", "g"):
+            assert _same(getattr(cj, field).data, [getattr(c, field).data for c in one]), field
+        assert _same(cj.ginv0, [c.ginv0 for c in one])
+        if order:
+            for got, ref in zip(compute_h_t(cj), zip(*(compute_h_t(c) for c in one))):
+                assert _same(got.data, [r.data for r in ref])
+    for depth in (0, 1, 2):
+        cm = assemble_coordinate_metric(spec, p, depth + 2)
+        one = [assemble_coordinate_metric(spec, q, depth + 2) for q in nodes]
+        assert _same(cm.G.data, [c.G.data for c in one])
+        assert _same(cm.Ginv0, [c.Ginv0 for c in one])
+        assert _same(cm.Ginv.data, [c.Ginv.data for c in one])
+        cc = coordinate_curvature(cm, depth)
+        ref = [coordinate_curvature(c, depth) for c in one]
+        for field in ("Gamma", "R", "Ric", "S", "dR", "d2R")[:4 + depth]:
+            assert _same(getattr(cc, field), [getattr(r, field) for r in ref]), field
+
+
+def _message(call, p: ChartPoint) -> str:
+    with pytest.raises(ValueError) as err:
+        call(p)
+    return f"{type(err.value).__name__}: {err.value}"
+
+
+@pytest.mark.parametrize("fields, us, stage, error", [
+    ({"g": {(2, 2): "u - 0.3"}}, (0.6, 0.1, 0.7), eval_metric, MetricDefinitenessError),
+    ({"g": {(2, 2): "(u - 0.1)^2 + 1e-12"}}, (0.6, 0.1, 0.7), eval_metric,
+     MetricDefinitenessError),
+    ({"g": {(2, 3): "exp(800*u)"}}, (-0.6, 1.0, -0.7), eval_metric, MetricDefinitenessError),
+    ({"W": {3: "sqrt(u - 0.5)"}}, (0.6, 0.1, 0.7), eval_metric, JetDomainError),
+    ({"H": "exp(800*u)"}, (-0.6, 1.0, -0.7), assemble_coordinate_metric, ValueError),
+], ids=["indefinite_g", "near_degenerate_g", "non_finite_g", "domain_error", "non_finite_H"])
+def test_a_failing_middle_node_raises_its_one_point_error(fields, us, stage, error):
+    spec = MetricSpec.from_text(4, **fields)
+    p = ChartPoint(np.array(us), (np.array([0.1, 0.2, 0.3]), -0.2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in (0, 1, 2):
+            def call(q):
+                return stage(spec, q, order)
+            got = _message(call, p)
+            assert got.startswith(error.__name__ + ": ")
+            assert got == _message(call, p.node(1))
+            assert got.endswith(f" at {p.node(1).coords}")
+
+
+def test_the_first_failing_node_wins_across_stages():
+    # node 1 fails the finiteness test of G, node 2 the leaf metric test before it
+    spec = MetricSpec.from_text(4, H="exp(800*u)", g={(2, 2): "x2"})
+    p = ChartPoint(np.array([0.0, 1.0, 0.0]), (np.array([0.5, 0.5, -0.5]), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^non-finite H at \(1\.0, 0\.5, 0\.0\)$"):
+            assemble_coordinate_metric(spec, p, 2)

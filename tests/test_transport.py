@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ def test_null_sectional_growth_ladder():
     assert np.max(np.abs(resf["K"])) == 0.0
 
 
+def test_null_sectional_growth_memory_is_bounded_by_the_node_block():
+    # nodes are evaluated NODE_BLOCK at a time, so 601 nodes take no more
+    # transient memory than one block's stacked jets
+    spec = load_metric_file(str(METRICS / "cw4_order2.metric"))
+    p = ChartPoint(0.1, (0.2, -0.1))
+    traj = geodesic_integrate(spec, [p.u, 0.0, *p.x], null_velocity(spec, p), 0.9, 600)
+    x_dir = np.array([0.0, 0.0, 1.0, 0.0])
+    null_sectional_growth(spec, traj, x_dir)    # warm caches: jet tables, einsum plans
+    tracemalloc.start()
+    try:
+        null_sectional_growth(spec, traj, x_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+
+
 def test_nullsec_integrates_the_geodesic_once(monkeypatch):
     # X is transported on the connection the geodesic run recorded at its stages
     real = transport.christoffel_values
@@ -177,19 +195,20 @@ def test_nullsec_integrates_the_geodesic_once(monkeypatch):
 
 
 def test_d0_transport_evaluates_t_once_per_abscissa(monkeypatch):
+    # eval_metric takes the abscissae in blocks; count the abscissae, not the calls
     real = chart.eval_metric
-    calls = []
+    abscissae = []
 
     def counted(spec, p, order):
-        calls.append(p.u)
+        abscissae.extend(np.atleast_1d(p.u).tolist())
         return real(spec, p, order)
 
     monkeypatch.setattr(chart, "eval_metric", counted)
     monkeypatch.setattr(transport, "eval_metric", counted, raising=False)
     steps = 40
     d0_transport(fixture("rotation_w"), ChartPoint(0.0, (0.3, -0.2)), np.eye(2), 1.0, steps)
-    assert len(calls) == 2 * steps + 1
-    assert len(set(calls)) == len(calls)
+    assert len(abscissae) == 2 * steps + 1
+    assert len(set(abscissae)) == len(abscissae)
 
 
 def test_null_sectional_degenerate_plane_rejected():
@@ -197,6 +216,17 @@ def test_null_sectional_degenerate_plane_rejected():
     v0 = null_velocity(spec, ChartPoint(0.0, (0.0, 0.0)))
     traj = geodesic_integrate(spec, ORIGIN4, v0, 1.0, 20)
     with pytest.raises(ValueError, match="degenerate"):
+        null_sectional_growth(spec, traj, np.array([0.0, 1.0, 0.0, 0.0]))
+
+
+def test_null_sectional_degenerate_plane_names_the_node():
+    # X = d_v is null everywhere, so node 0 is the first degenerate plane
+    spec = fixture("cw4_r2")
+    traj = geodesic_integrate(spec, ORIGIN4, null_velocity(spec, ChartPoint(0.0, (0.0, 0.0))),
+                              1.0, 100)
+    message = (r"^degenerate plane: g\(X, X\) = 0\.0 is not positive at node 0, tau = 0\.0, "
+               r"coordinates \(0\.0, 0\.0, 0\.0, 0\.0\)$")
+    with pytest.raises(ValueError, match=message):
         null_sectional_growth(spec, traj, np.array([0.0, 1.0, 0.0, 0.0]))
 
 
