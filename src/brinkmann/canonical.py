@@ -231,8 +231,8 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     so it runs through ``ode.linear_rk4``.  Its unprojected nodes must stay
     within ``DRIFT_LIMIT`` of orthogonal; ``drift_before_projection`` is the
     largest |R^T R - I| over all of them.  The stage R are R_k P_s^T with the
-    projected R_k and the stage maps P_s.  Block data with a non-skew t, or
-    with an h not affine or a t not constant in x, is a ``ValueError``.
+    projected R_k and the stage maps P_s.  An empty interval, or block data
+    with a non-skew t, an h not affine or a t not constant in x, is a ``ValueError``.
 
     ``steps`` defaults to 2000 fixed Runge-Kutta steps per unit of u, at least 200.
     """
@@ -241,6 +241,8 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     if d and np.max(np.abs(R0.T @ R0 - np.eye(d))) > 1e-12:
         raise ValueError("R0 must be orthogonal")
     u0, u1 = u_interval
+    if u0 == u1:
+        raise ValueError(f"u interval {(float(u0), float(u1))} is empty")
     if steps is None:
         steps = max(200, int(2000 * abs(u1 - u0)))
     h = step_size(u1 - u0, steps)

@@ -105,12 +105,10 @@ def first_failing_node(p: ChartPoint, evaluate):
     """``evaluate(p)``.  When p is a stack and that raises a ValueError, the
     error is the one ``evaluate`` raises on its own at the first node that
     fails, so a batch reports exactly what a loop over its nodes would."""
-    if not p.shape:
-        return evaluate(p)
     try:
         return evaluate(p)
     except ValueError:
-        for k in range(p.shape[0]):
+        for k in range(p.shape[0] if p.shape else 0):
             evaluate(p.node(k))
         raise
 
@@ -293,39 +291,23 @@ def _run_tape(spec: MetricSpec, p: ChartPoint, run):
             f"{err.reason} in {spec.field_name(err.output)} at {p.coords}") from None
 
 
-def _leaf_metrics_pass(g0: np.ndarray) -> bool:
-    """Whether every g_ij of a stack (m, m last) passes ``_check_leaf_metric``."""
-    if not np.isfinite(g0).all():
-        return False
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(g0), axis1=-2, axis2=-1) ** 2
-    except np.linalg.LinAlgError:
-        return False
-    return not (pivots.min(axis=-1) <= PIVOT_RATIO * pivots.max(axis=-1)).any()
-
-
 def _check_leaf_metric(g0: np.ndarray, p: ChartPoint) -> None:
     """Raise MetricDefinitenessError unless the numeric g_ij at p is finite and
     positive definite, with its smallest Cholesky pivot above PIVOT_RATIO times
     the largest.  A non-finite entry is named in chart labels (x2 is leaf index 0).
-    A stack is tested at once; a failure is the first failing node's error."""
+    A stack is tested at once; ``first_failing_node`` then names the node."""
     if not g0.shape[-1]:
-        return
-    if p.shape:
-        if not _leaf_metrics_pass(g0):
-            for k in range(p.shape[0]):
-                _check_leaf_metric(g0[k], p.node(k))
         return
     finite = np.isfinite(g0)
     if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+        i, j = np.argwhere(~finite)[0][-2:]
         raise MetricDefinitenessError(f"non-finite g_{i + 2}{j + 2} at {p.coords}")
     try:
         L = np.linalg.cholesky(g0)
     except np.linalg.LinAlgError:
         raise MetricDefinitenessError(f"leaf metric not positive definite at {p.coords}") from None
-    pivots = np.diag(L) ** 2
-    if pivots.min() <= PIVOT_RATIO * pivots.max():
+    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+    if (pivots.min(axis=-1) <= PIVOT_RATIO * pivots.max(axis=-1)).any():
         raise MetricDefinitenessError(f"leaf metric nearly degenerate at {p.coords}")
 
 
@@ -366,14 +348,14 @@ def _eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0) if m else g0)
 
 
-def metric_coefficients(spec: MetricSpec, p: ChartPoint, order: int) -> np.ndarray:
-    """The jet coefficients of H, W_i and g_ij about p, from the compiled tape.
+def metric_coefficients(spec: MetricSpec, p: ChartPoint) -> np.ndarray:
+    """The order-1 jet coefficients of H, W_i and g_ij about p, from the compiled tape.
 
-    Row k holds tape output k (H, then W_i, then g_ij row-major) in jet
-    coefficient order; orders 0 and 1 only.  The coefficients, the checks
-    and the errors are those of ``eval_metric``, bit for bit.
+    Row k holds tape output k (H, then W_i, then g_ij row-major): the value,
+    which is also the order-0 value, then the first partials.  The coefficients,
+    the checks and the errors are those of ``eval_metric``, bit for bit.
     """
-    run = spec.tape.compiled(spec.num_vars, order)
+    run = spec.tape.compiled(spec.num_vars)
     rows = _run_tape(spec, p, lambda: run(p.coords))
     out = np.fromiter(itertools.chain.from_iterable(rows), float,
                       len(rows) * len(rows[0])).reshape(len(rows), -1)

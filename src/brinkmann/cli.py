@@ -157,8 +157,11 @@ def cmd_generate(args) -> int:
             level, _, rows = spec_str.partition("=")
             if not rows:
                 raise ValueError("coefficient syntax: --P level='r c; r c'")
-            mat = np.array([[float(x) for x in row.split()] for row in rows.split(";")])
-            coeffs[int(level)] = mat
+            if level.strip() not in [str(k) for k in range(r)]:
+                raise ValueError(f"--P {spec_str!r}: level {level.strip()!r} is outside "
+                                 f"0 .. {r - 1} for order {r}")
+            coeffs[int(level)] = np.array([[float(x) for x in row.split()]
+                                           for row in rows.split(";")])
         params = CwParams(d, tuple(coeffs))
         spec = make_cw(params)
         comment = f"plane wave: dimension {d}, order {r} (H quadratic coefficients expanded)"

@@ -18,7 +18,8 @@ Every parse error carries the byte offset of the offending token.
 
 Jet evaluation runs a ``Tape``: expressions compiled once into a flat,
 hash-consed instruction list, so a subtree shared within or between
-expressions is evaluated once per call.
+expressions is evaluated once per call.  ``Tape.compiled`` is a tape as
+straight-line Python at jet order 1 only; its values are also order 0's.
 """
 
 from __future__ import annotations
@@ -483,38 +484,34 @@ class Tape:
                     self.first_output[k] = o
                     stack.extend(operands[k])
         self._chunks: list | None = None
-        self._compiled: dict[tuple[int, int], Callable] = {}
+        self._compiled: dict[int, Callable] = {}
 
     def __len__(self) -> int:
         """Number of instructions: variables, constant jets and operations."""
         return len(self.var_names) + len(self.constants) + len(self.code)
 
-    def compiled(self, num_vars: int, order: int) -> Callable:
+    def compiled(self, num_vars: int) -> Callable:
         """The tape as straight-line Python on float tuples, built on first use.
 
         Returns ``run(point)``: ``point`` holds the values of u, x2 .. in
         chart order, and ``run`` returns one tuple per tape output with the
-        jet coefficients of ``eval_jet(tape, seeded env, num_vars, order)``
-        in jet coefficient order (at order 1: the value, then the first
-        partials in the order of ``jets.context(num_vars, 1).exps``), bit
-        for bit.  Orders 0 and 1 only.  A domain error raises
-        ``TapeDomainError`` as ``eval_jet`` does.
+        jet coefficients of ``eval_jet(tape, seeded env, num_vars, 1)`` (the
+        value, which is also the order-0 value, then the first partials in the
+        order of ``jets.context(num_vars, 1).exps``), bit for bit.  A domain
+        error raises ``TapeDomainError`` as ``eval_jet`` does.
         """
-        if order not in (0, 1):
-            raise ValueError("compiled tapes are built for orders 0 and 1 only")
-        key = (num_vars, order)
-        if key not in self._compiled:
+        if num_vars not in self._compiled:
             if self._chunks is None:
                 self._chunks = [compile(source, "<tape>", "exec")
                                 for source in _chunk_sources(self)]
-            kernels = _kernels(num_vars, order)
+            kernels = _kernels(num_vars)
             namespace = dict(kernels, K=tuple(b for _, _, b, _ in self.code))
             chunks = []
             for code in self._chunks:
                 exec(code, namespace)
                 chunks.append(namespace["chunk"])
-            self._compiled[key] = _runner(self, kernels["seed"], kernels["const"], chunks)
-        return self._compiled[key]
+            self._compiled[num_vars] = _runner(self, kernels["seed"], kernels["const"], chunks)
+        return self._compiled[num_vars]
 
 
 def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
@@ -539,17 +536,17 @@ def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
     return outputs if tape is node else outputs[0]
 
 
-# -- straight-line code for orders 0 and 1 ---------------------------------------------
+# -- straight-line code at order 1 ---------------------------------------------------
 #
 # ``Tape.compiled`` emits one line per operation, each a call of a kernel on
-# coefficient tuples.  The kernels are made once per (num_vars, order) and
+# coefficient tuples.  The kernels are made once per num_vars and
 # repeat the jet arithmetic step by step, so every bit (signed zeros too)
 # matches ``eval_jet``: a Cauchy product sums its pairs from 0.0 in
 # ``mul_flat`` order, as ``np.bincount`` does; a literal operand acts as the
 # constant jet ``Jet._coerce`` would build; functions take their Taylor
 # coefficients from ``jets.TAYLOR_COEFS`` on a 0-d array, as the jet
-# functions do, and sum them by ``Jet._compose``'s Horner steps, whose value
-# is the first coefficient itself; powers use ``jets.binary_power``.
+# functions do, and form ``Jet._compose``'s order-1 result c0 + c1 * delta,
+# whose value is c0 itself; powers use ``jets.binary_power``.
 
 
 def _var_index(name: str) -> int:
@@ -584,19 +581,15 @@ def _arith_source(ctx: jets.JetContext) -> str:
 
 
 @lru_cache(maxsize=None)
-def _kernels(num_vars: int, order: int) -> dict:
-    """Kernels of one jet context, by the names ``_chunk_sources`` calls."""
-    ctx = jets.context(num_vars, order)
+def _kernels(num_vars: int) -> dict:
+    """Kernels of the order-1 jet context, by the names ``_chunk_sources`` calls."""
+    ctx = jets.context(num_vars, 1)
     kernels: dict = {}
     exec(_arith_source(ctx), kernels)
-    add, mul = kernels["add"], kernels["mul"]
+    mul = kernels["mul"]
     zeros = (0.0,) * (ctx.ncoeffs - 1)
-    units = []
-    for var in range(num_vars):
-        unit = list(zeros)
-        if order:
-            unit[ctx.index([int(k == var) for k in range(num_vars)]) - 1] = 1.0
-        units.append(tuple(unit))
+    # the first partials' exponents form a permutation matrix; column var seeds var
+    units = [tuple(map(float, column)) for column in np.asarray(ctx.exps)[1:].T]
 
     def seed(value, var):
         return (float(value),) + units[var]
@@ -606,14 +599,11 @@ def _kernels(num_vars: int, order: int) -> dict:
 
     def taylor(func, a, out):
         try:
-            coefs = jets.TAYLOR_COEFS[func](np.asarray(a[0]), order)
+            coefs = jets.TAYLOR_COEFS[func](np.asarray(a[0]), 1)
         except jets.JetDomainError as err:
             raise TapeDomainError(str(err), out) from None
         delta = (0.0,) + a[1:]
-        acc = const(float(coefs[-1]))
-        for k in range(len(coefs) - 2, 0, -1):
-            acc = add(mul(acc, delta), const(float(coefs[k])))
-        return (float(coefs[0]),) + mul(acc, delta)[1:] if order else acc
+        return (float(coefs[0]),) + mul(const(float(coefs[1])), delta)[1:]
 
     def div(a, b, out):
         return mul(a, taylor("reciprocal", b, out))

@@ -35,6 +35,7 @@ the offending character inside the quoted string.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,8 @@ def _parse_matrix(entry: _Entry, size: int, filename: str) -> np.ndarray:
     if mat.shape != (size, size):
         raise MetricFileError(f"matrix must be {size}x{size}, got {mat.shape}",
                               filename, entry.line, entry.col)
+    if not np.isfinite(mat).all():
+        raise MetricFileError("matrix entries must be finite", filename, entry.line, entry.col)
     if size and not np.allclose(mat, mat.T, atol=0.0):
         raise MetricFileError("matrix must be symmetric", filename, entry.line, entry.col)
     return mat
@@ -137,12 +140,15 @@ def _int(entry: _Entry, filename: str) -> int:
                               filename, entry.line, entry.col) from None
 
 
-def _float(entry: _Entry, filename: str) -> float:
+def _float(entry: _Entry, filename: str, text: str | None = None) -> float:
+    """The finite number ``text`` (by default the entry's value), located at the entry."""
+    text = entry.value if text is None else text
     try:
-        return float(entry.value)
+        if math.isfinite(value := float(text)):
+            return value
     except ValueError:
-        raise MetricFileError(f"expected a number, got {entry.value!r}",
-                              filename, entry.line, entry.col) from None
+        pass
+    raise MetricFileError(f"expected a finite number, got {text!r}", filename, entry.line, entry.col)
 
 
 def parse_metric_text(text: str, filename: str = "<metric>") -> MetricSpec:
@@ -221,7 +227,7 @@ def parse_metric_text(text: str, filename: str = "<metric>") -> MetricSpec:
             if len(parts) != 2:
                 raise MetricFileError("box entries are 'lo hi'", filename,
                                       entry.line, entry.col)
-            lo, hi = float(parts[0]), float(parts[1])
+            lo, hi = (_float(entry, filename, part) for part in parts)
             if not lo < hi:
                 raise MetricFileError("box interval must have lo < hi", filename,
                                       entry.line, entry.col)
@@ -263,7 +269,8 @@ def _expand_product(spec: MetricSpec, section: dict[str, _Entry], filename: str)
     try:
         return make_product(spec, name, radius=radius, k=k)
     except ValueError as err:
-        raise MetricFileError(str(err), filename, kind.line, kind.col) from None
+        where = kind if radius > 0.0 else section["radius"]   # make_product tests radius first
+        raise MetricFileError(str(err), filename, where.line, where.col) from None
 
 
 def load_metric_file(path: str) -> MetricSpec:

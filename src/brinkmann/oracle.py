@@ -19,9 +19,9 @@ and ``d2R[..., mu, nu]`` is nabla_nu nabla_mu R^a_{bcd} (nu outermost).
 The transport experiments read their Christoffel symbols from here too:
 ``christoffel`` gives the values of Gamma from the first derivatives of G
 and the numeric inverse, by the same lowered combination that
-``coordinate_curvature`` differentiates further.  They assemble G with
-``full_metric`` from the compiled tape's coefficients and refuse it by
-``check_finite``, as ``assemble_coordinate_metric`` does.
+``coordinate_curvature`` differentiates further.  At a single point they
+assemble G with ``full_metric`` from the compiled order-1 tape's coefficients
+and refuse it by ``check_finite``, as ``assemble_coordinate_metric`` does.
 
 ``assemble_coordinate_metric`` and ``coordinate_curvature`` also take a
 stack of N chart points (a ``ChartPoint`` with a 1-D array u): G, its
@@ -108,17 +108,16 @@ def full_metric(n: int, H: np.ndarray, W: np.ndarray, g: np.ndarray) -> np.ndarr
 def check_finite(G0: np.ndarray, p: ChartPoint) -> None:
     """Refuse an assembled metric value, (n, n) or (N, n, n) at a stack of N
     points, with a non-finite entry, naming its field (H, W_i or g_ij, chart
-    labels) and the point (at a stack, the first failing node).
+    labels) and the point (``first_failing_node`` names the node of a stack).
 
     det G = -det g_ij, and the metric evaluation has already refused a
     singular or ill-conditioned g_ij, so finiteness is all that is left.
     """
     finite = np.isfinite(G0)
     if not finite.all():
-        n = G0.shape[-1]
-        k, a, b = np.argwhere(~finite.reshape(-1, n, n))[0]  # node, then row major
+        a, b = np.argwhere(~finite)[0][-2:]   # row major
         field = "H" if a == b == 0 else f"W_{b}" if a == 0 else f"g_{a}{b}"
-        raise ValueError(f"non-finite {field} at {(p.node(k) if p.shape else p).coords}")
+        raise ValueError(f"non-finite {field} at {p.coords}")
 
 
 def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:

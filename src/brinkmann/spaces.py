@@ -212,6 +212,8 @@ class CwParams:
             P = np.asarray(P)
             if P.shape != (m, m):
                 raise ValueError(f"coefficient matrices must be {m}x{m}")
+            if not np.isfinite(P).all():
+                raise ValueError("coefficient matrices must be finite")
             if m and not np.allclose(P, P.T, atol=0.0):
                 raise ValueError("coefficient matrices must be symmetric")
 
@@ -263,6 +265,8 @@ def make_product(base: MetricSpec, block: str, radius: float = 1.0, k: int = 2) 
     Sphere and hyperbolic blocks are 2-dimensional in polar-style
     coordinates; ``k`` only applies to euclidean blocks.
     """
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     if block not in ("sphere", "hyperbolic", "euclidean"):
         raise ValueError(f"unknown block kind {block!r}")
     extra = k if block == "euclidean" else 2

@@ -4,17 +4,19 @@ All transport equations run on the full coordinate Christoffel symbols of
 the assembled n-dimensional metric, read through the coordinate oracle
 (``oracle.christoffel``: one code path, convention-proof); only the
 transverse transport along E_0 uses the leaf-level equation, since its
-unknown lives on the leaves.  The metric values and the first derivatives
-that Gamma needs come from the spec's tape compiled to straight-line code
+unknown lives on the leaves.  At a single point (an RK4 stage, the start
+of a null geodesic) the metric values and the first derivatives that Gamma
+needs come from the spec's tape compiled to straight-line code at order 1
 (``chart.metric_coefficients``), bit for bit the jet tape's; the
 curvature and the leaf-level data stay on jets.
 
-nullsec and d0 know every point they evaluate before they start: the
-geodesic's nodes and the u rows of d0's ``stage_grid``.  They evaluate them
-in blocks of ``NODE_BLOCK`` points, one stacked ``assemble_coordinate_metric``
-and ``coordinate_curvature`` call (nullsec) or ``eval_metric`` and
-``compute_h_t`` call (d0) per block, with the numbers of the one-point calls;
-the block size bounds the memory the stacked jets take.
+energy, nullsec and d0 know every point they evaluate before they start:
+the geodesic's nodes and the u rows of d0's ``stage_grid``.  They evaluate
+them in blocks of ``NODE_BLOCK`` points, one stacked
+``assemble_coordinate_metric`` call (energy; nullsec adds
+``coordinate_curvature``) or ``eval_metric`` and ``compute_h_t`` call (d0)
+per block, with the numbers of the one-point calls; the block size bounds
+the memory the stacked jets take.
 
 States are (coords, velocity) with coords = (u, v, x^2 .. x^{n-1}).
 Conserved quantities along geodesics: g(gamma', gamma') and the pairing
@@ -29,8 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .chart import (ChartPoint, MetricSpec, compute_h_t, eval_metric, frame_components,
-                    metric_coefficients)
+from .chart import ChartPoint, MetricSpec, compute_h_t, eval_metric, metric_coefficients
 from .ode import linear_rk4, rk4_step, stage_grid, step_size
 from .oracle import (assemble_coordinate_metric, check_finite, christoffel,
                      coordinate_curvature, full_metric)
@@ -59,11 +60,18 @@ def _chart_point(spec: MetricSpec, coords: np.ndarray) -> ChartPoint:
     return ChartPoint(u, tuple(x))
 
 
-def _coordinate_metric(spec: MetricSpec, coords: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients (n, n, ncoeffs) of the full metric about a coordinate point,
+def _node_blocks(coords: np.ndarray):
+    """Slices of ``NODE_BLOCK`` rows of ``coords`` (N, n), each with its stack of chart points."""
+    for start in range(0, len(coords), NODE_BLOCK):
+        block = slice(start, start + NODE_BLOCK)
+        yield block, ChartPoint(coords[block, 0], tuple(coords[block, 2:].T))
+
+
+def _coordinate_metric(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
+    """Order-1 coefficients (n, n, n) of the full metric about a coordinate point,
     from the spec's compiled tape, with every check of ``assemble_coordinate_metric``."""
     p = _chart_point(spec, coords)
-    F = metric_coefficients(spec, p, order)
+    F = metric_coefficients(spec, p)
     m = spec.m
     G = full_metric(spec.n, F[0], F[1:1 + m], F[1 + m:].reshape(m, m, F.shape[1]))
     check_finite(G[..., 0], p)
@@ -71,12 +79,13 @@ def _coordinate_metric(spec: MetricSpec, coords: np.ndarray, order: int) -> np.n
 
 
 def metric_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    return _coordinate_metric(spec, coords, 0)[..., 0]
+    """G at a coordinate point, C-contiguous: matmul on a strided view rounds differently."""
+    return _coordinate_metric(spec, coords)[..., 0].copy()
 
 
 def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """Gamma^a_{bc} of the full metric at a coordinate point."""
-    G = _coordinate_metric(spec, coords, 1)
+    G = _coordinate_metric(spec, coords)
     return christoffel(jets.Jet(jets.context(spec.num_vars, 1), G), np.linalg.inv(G[..., 0]))
 
 
@@ -99,11 +108,13 @@ class Trajectory:
         return len(self.tau) - 1
 
     def energy(self) -> np.ndarray:
-        """g(gamma', gamma') at every node."""
-        return np.array([
-            float(v @ metric_values(self.spec, c) @ v)
-            for c, v in zip(self.coords, self.velocity)
-        ])
+        """g(gamma', gamma') at every node, evaluated in blocks of nodes."""
+        out = np.empty(len(self.tau))
+        for block, p in _node_blocks(self.coords):
+            G = assemble_coordinate_metric(self.spec, p, order=0).G.value()
+            v = self.velocity[block]
+            out[block] = (v[:, None, :] @ G @ v[:, :, None])[:, 0, 0]   # the bits of v @ G @ v
+        return out
 
     def k_pairing(self) -> np.ndarray:
         """g(K, gamma') with K = -d_v; equals the u-velocity."""
@@ -221,16 +232,17 @@ def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None 
     """An exactly lightlike velocity E_0 + a^i E_i + c E_1 at p.
 
     The E_1 coefficient solves the null condition in closed form from the
-    frame inner products: c = g_ij a^i a^j / 2.
+    frame inner products: c = g_ij a^i a^j / 2; H and W_i are read off
+    G_00 = -2H and G_0i = -W_i.
     """
     m = spec.m
     a = np.zeros(m) if leaf_part is None else np.asarray(leaf_part, dtype=float)
-    cj = eval_metric(spec, p, order=0)
-    fr = frame_components(cj)
-    c = 0.5 * float(a @ fr.g_leaf @ a)
-    vec = fr.e[0] + c * fr.e[1]
+    G = metric_values(spec, np.array([p.u, 0.0, *p.x]))
+    vec = np.zeros(spec.n)
+    vec[:2] = 1.0, 0.5 * G[0, 0] + 0.5 * float(a @ G[2:, 2:] @ a)
     for i in range(m):
-        vec = vec + a[i] * fr.e[2 + i]
+        vec[1] += a[i] * G[0, 2 + i]
+    vec[2:] += a
     return vec
 
 
@@ -245,10 +257,9 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
     """
     X = parallel_transport(spec, traj, np.asarray(x_vec, dtype=float)[None, :])[:, 0, :]
     vals = np.empty(len(traj.tau))
-    for start in range(0, len(vals), NODE_BLOCK):
-        block = slice(start, start + NODE_BLOCK)
-        c, v, x = traj.coords[block], traj.velocity[block], X[block]
-        cm = assemble_coordinate_metric(spec, ChartPoint(c[:, 0], tuple(c[:, 2:].T)), order=2)
+    for block, p in _node_blocks(traj.coords):
+        v, x = traj.velocity[block], X[block]
+        cm = assemble_coordinate_metric(spec, p, order=2)
         R = coordinate_curvature(cm, depth=0).R
         G = cm.G.value()
         Rlow = np.einsum("kae,kebcd->kabcd", G, R)
@@ -257,7 +268,7 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
         flat = den <= 1e-10
         if flat.any():
             j = int(np.argmax(flat))
-            k = start + j
+            k = block.start + j
             raise ValueError(f"degenerate plane: g(X, X) = {float(den[j])!r} is not positive at "
                              f"node {k}, tau = {float(traj.tau[k])!r}, "
                              f"coordinates {tuple(traj.coords[k].tolist())}")

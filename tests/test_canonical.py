@@ -195,6 +195,15 @@ def test_reconstruct_refuses_an_interval_outside_the_box():
             reconstruct(spec, u_interval=interval, steps=50)
 
 
+def test_an_empty_u_interval_is_refused():
+    spec = fixture("cw4_r2")
+    message = r"^u interval \(0\.3, 0\.3\) is empty$"
+    with pytest.raises(ValueError, match=message):
+        solve_rotation_ode(FlatBlockData(spec, (0, 1)), (0.3, 0.3))
+    with pytest.raises(ValueError, match=message):
+        reconstruct(spec, u_interval=(0.3, 0.3))
+
+
 def test_reconstruct_refuses_a_non_skew_t():
     # t_22 = -g_22'/2 = -0.25: the rotation ODE's orthogonality rests on a skew t
     spec = MetricSpec.from_text(4, H="u*x2^2 + x3^2", g={(2, 2): "1 + 0.5*u"})

@@ -91,6 +91,28 @@ def test_generate_cw_d2(capsys):
     assert "H =" not in out      # H identically zero is omitted (defaults to 0)
 
 
+@pytest.mark.parametrize("level", ["1", "3", "-1", "x"])
+def test_generate_cw_level_outside_the_order_is_an_error(capsys, level):
+    code, out, err = run(capsys, "generate", "cw", "-d", "4", "-r", "1", "--P", f"{level}=1 0; 0 1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: --P '{level}=1 0; 0 1': level '{level}' is outside 0 .. 0 for order 1"]
+
+
+def test_generate_cw_refuses_non_finite_coefficients(capsys):
+    code, out, err = run(capsys, "generate", "cw", "-d", "4", "-r", "1", "--P", "0=1 nan; nan 1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: coefficient matrices must be finite"]
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+def test_generate_product_refuses_a_bad_radius(capsys, cw42_file, radius):
+    code, out, err = run(capsys, "generate", "product", "--base", cw42_file, "--radius", radius)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: radius must be finite and positive, got {float(radius)!r}"]
+
+
 def test_generate_product(tmp_path, capsys, cw42_file):
     code, out, _ = run(capsys, "generate", "product", "--base", cw42_file,
                        "--block", "sphere", "--radius", "1")
@@ -159,6 +181,14 @@ def test_canonicalize_refuses_a_u_interval_outside_the_box(tmp_path, capsys):
     assert code == 0
     us = json.loads(out)["u_samples"]
     assert us[0] == 0.2 and us[-1] == pytest.approx(0.8, abs=1e-15)
+
+
+def test_canonicalize_refuses_an_empty_u_interval(tmp_path, capsys):
+    path = tmp_path / "scr.metric"
+    path.write_text(spec_to_text(fixture("scrambled_cw4")))
+    code, out, err = run(capsys, "canonicalize", str(path), "--u-min", "0.3", "--u-max", "0.3")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: u interval (0.3, 0.3) is empty"]
 
 
 def test_canonicalize_precondition_exit_two(tmp_path, capsys):

@@ -114,3 +114,33 @@ def test_generator_validation():
     with pytest.raises(MetricFileError, match="4x4|2x2"):
         parse_metric_text('[generator]\nkind = cw\ndimension = 4\norder = 1\n'
                           'P0 = "1 0 0; 0 1 0; 0 0 1"\n')
+
+
+@pytest.mark.parametrize("bounds, bad", [("a 1", "a"), ("-1 b", "b"), ("-inf inf", "-inf"),
+                                         ("0 nan", "nan"), ("-1 1e999", "1e999")])
+def test_box_bounds_must_be_finite_numbers(bounds, bad):
+    text = CW_TEXT.replace("u = -0.5 0.5", f"u = {bounds}")
+    with pytest.raises(MetricFileError) as err:
+        parse_metric_text(text, filename="b.metric")
+    assert str(err.value) == f"b.metric:10:5: expected a finite number, got {bad!r}"
+
+
+@pytest.mark.parametrize("radius, reason", [
+    ("nan", "expected a finite number, got 'nan'"),
+    ("inf", "expected a finite number, got 'inf'"),
+    ("0", "radius must be finite and positive, got 0.0"),
+    ("-2", "radius must be finite and positive, got -2.0"),
+])
+def test_product_radius_error_is_positioned_at_the_radius(radius, reason):
+    text = generator_to_text(CwParams(4, (np.diag([1.0, 0.0]),))) + (
+        f"\n[product]\nkind = sphere\nradius = {radius}\n")
+    line = text.splitlines().index(f"radius = {radius}") + 1
+    with pytest.raises(MetricFileError) as err:
+        parse_metric_text(text, filename="p.metric")
+    assert str(err.value) == f"p.metric:{line}:10: {reason}"
+
+
+def test_generator_matrix_must_be_finite():
+    with pytest.raises(MetricFileError, match=r":5:7: matrix entries must be finite$"):
+        parse_metric_text('[generator]\nkind = cw\ndimension = 4\norder = 1\n'
+                          'P0 = "1 nan; nan 1"\n')

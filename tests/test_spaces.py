@@ -20,6 +20,12 @@ def test_cw_params_validation():
     assert not CwParams(4, (np.zeros((2, 2)),)).is_proper()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cw_params_refuse_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="^coefficient matrices must be finite$"):
+        CwParams(4, (np.array([[1.0, bad], [bad, 1.0]]),))
+
+
 def test_make_cw_expressions():
     spec = make_cw(CwParams(4, (np.array([[1.0, 2.0], [2.0, -1.0]]),)))
     val = expr.eval_scalar(spec.H, {"u": 0.7, "x2": 0.3, "x3": -0.5})
@@ -40,6 +46,13 @@ def test_make_product_sphere():
     assert expr.to_text(spec.g[2][2]) == "1.0"
     assert expr.to_text(spec.g[3][3]) == "sin(x4)^2"
     assert spec.box[3] == (0.3, 2.8)
+
+
+@pytest.mark.parametrize("block", ["sphere", "hyperbolic", "euclidean"])
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+def test_make_product_refuses_a_bad_radius(block, radius):
+    with pytest.raises(ValueError, match="^radius must be finite and positive, got "):
+        make_product(fixture("cw4_r2"), block, radius=radius)
 
 
 def test_make_product_euclidean_still_flat():

@@ -338,3 +338,64 @@ def test_geodesic_blow_up_names_step_tau_and_entry():
     with pytest.raises(RuntimeError,
                        match=r"^geodesic integration blew up at step 4, tau = 7\.0: dv = inf$"):
         geodesic_integrate(spec, [0.0, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], 40.0, 20)
+
+
+# -- energy on stacked nodes, null velocity from the metric values ---------------------
+
+
+def _bundled_specs():
+    return [load_metric_file(str(path)) for path in sorted(METRICS.glob("*.metric"))]
+
+
+def test_energy_is_the_one_point_formula_bitwise():
+    # 151 nodes: two full node blocks and a short one
+    for spec in _bundled_specs():
+        p = spec.center()
+        (lo, hi), m = spec.box[0], spec.m
+        v0 = null_velocity(spec, p, leaf_part=0.3 * np.cos(np.arange(m) + 1.0))
+        traj = geodesic_integrate(spec, [p.u, 0.0, *p.x], v0, 0.25 * (hi - lo), 150)
+        ref = np.array([float(v @ metric_values(spec, c) @ v)
+                        for c, v in zip(traj.coords, traj.velocity)])
+        assert traj.energy().tobytes() == ref.tobytes()
+
+
+def _frame_null_velocity(spec, p, a):
+    """The null velocity as read from the jet tape and the frame matrices."""
+    fr = chart.frame_components(eval_metric(spec, p, order=0))
+    vec = fr.e[0] + 0.5 * float(a @ fr.g_leaf @ a) * fr.e[1]
+    for i in range(spec.m):
+        vec = vec + a[i] * fr.e[2 + i]
+    return vec
+
+
+def test_null_velocity_is_the_frame_formula_bitwise():
+    specs = _bundled_specs() + [random_polynomial_spec(seed, n=n)
+                                for seed, n in ((1, 4), (6, 5), (8, 6))]
+    rng = np.random.default_rng(14)
+    for spec in specs:
+        lo, hi = np.array(spec.box).T
+        for k in range(6):
+            c = lo + (hi - lo) * rng.uniform(size=spec.num_vars)
+            p = ChartPoint(float(c[0]), tuple(float(x) for x in c[1:]))
+            a = rng.normal(size=spec.m) * (k % 3)
+            if k == 3:
+                a = -0.0 * a
+            got = null_velocity(spec, p, leaf_part=a)
+            assert got.tobytes() == _frame_null_velocity(spec, p, a).tobytes()
+        got = null_velocity(spec, spec.center())
+        assert got.tobytes() == _frame_null_velocity(spec, spec.center(), np.zeros(spec.m)).tobytes()
+
+
+def test_energy_names_the_failing_node_of_a_block():
+    # exp(800) overflows: node 2 of 5 has a non-finite H
+    spec = MetricSpec.from_text(4, H="exp(800*u)")
+    us = np.array([0.0, 0.1, 1.0, 0.2, 0.3])
+    coords = np.column_stack([us, np.zeros(5), np.full(5, 0.1), np.full(5, 0.2)])
+    traj = transport.Trajectory(np.arange(5.0), coords, np.ones((5, 4)), spec,
+                                np.zeros((4, 4, 4, 4)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as ref:
+            metric_values(spec, coords[2])
+        with pytest.raises(ValueError, match=r"^non-finite H at \(1\.0, 0\.1, 0\.2\)$") as got:
+            traj.energy()
+    assert str(got.value) == str(ref.value)
