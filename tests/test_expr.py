@@ -258,10 +258,11 @@ def _compiled_specs():
 COMPILED_SPECS = _compiled_specs()
 
 
-def _assert_compiled_equals_eval_jet(tape, num_vars, point):
+def _assert_compiled_equals_eval_jet(tape, num_vars, point, orders=(0, 1)):
     """The order-1 coefficients bit for bit, and the value column as the order-0 run's."""
     got = np.array(tape.compiled(num_vars)(tuple(float(c) for c in point)))
-    for order, part in ((1, got), (0, got[:, :1])):
+    for order in orders:
+        part = got if order == 1 else got[:, :1]
         env = {name: J.seed(k, c, num_vars, order)
                for k, (name, c) in enumerate(zip(E.var_names(num_vars + 1), point))}
         ref = np.array([jet.data for jet in E.eval_jet(tape, env, num_vars, order)])
@@ -270,13 +271,15 @@ def _assert_compiled_equals_eval_jet(tape, num_vars, point):
         assert part.tobytes() == ref.tobytes()
 
 
-def test_compiled_tape_is_bitwise_equal_to_eval_jet():
-    rng = np.random.default_rng(11)
+@pytest.mark.parametrize("order", (0, 1))
+def test_compiled_tape_is_bitwise_equal_to_eval_jet(order):
+    """The compiled order-1 tape against the eval_jet run of each order it stands in for."""
+    rng = np.random.default_rng(10 + order)
     for spec in COMPILED_SPECS:
         lo, hi = np.array(spec.box).T
         for _ in range(4):
             point = lo + (hi - lo) * rng.uniform(size=spec.num_vars)
-            _assert_compiled_equals_eval_jet(spec.tape, spec.num_vars, point)
+            _assert_compiled_equals_eval_jet(spec.tape, spec.num_vars, point, (order,))
 
 
 @settings(max_examples=60, deadline=None)
