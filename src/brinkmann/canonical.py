@@ -110,40 +110,51 @@ class FlatBlockData:
     def precompute(self, us: np.ndarray) -> tuple[np.ndarray, ...]:
         """(t, tdot, Lambda, B) at every u of ``us``, in one batched jet pass.
 
+        The jets run over u and the block's x only, in chart order, and only
+        u carries the batch of ``us``: the block's x are seeded as scalar
+        jets at ``_base_x``, and every other leaf coordinate is a constant
+        there.  So a subexpression in x alone is formed once, not once per u.
+        Every coefficient read here sums the same products in the same order
+        as over all chart variables, and batched products equal scalar ones
+        bit for bit, so the result does not depend on this restriction.
+
         Returns arrays in the order of ``us``; the per-u samplers read the
         same rows afterwards.  A non-finite value is a ``ValueError`` naming
         the quantity and the first u where it occurs.
         """
         us = np.asarray(us, dtype=float)
-        spec = self.spec
-        nv, order, m, d = spec.num_vars, BLOCK_JET_ORDER, spec.m, self.d
+        m, d = self.spec.m, self.d
+        nv, order = 1 + d, BLOCK_JET_ORDER
+        # jet variable of each block slot: u is 0, the block's x follow in chart order
+        var = {sa: 1 + i for i, sa in enumerate(sorted(self.block))}
         env = {"u": jets.seed(0, us, nv, order)}
         for k in range(m):
-            env[f"x{k + 2}"] = jets.seed(1 + k, np.full(us.shape, self._base_x[k]), nv, order)
+            env[f"x{k + 2}"] = (jets.seed(var[k], self._base_x[k], nv, order) if k in var
+                                else jets.const(self._base_x[k], nv, order))
         ctx = jets.context(nv, order)
 
         def coeff(jet: jets.Jet, *slots: int) -> np.ndarray:
             e = [0] * nv
             for v in slots:
                 e[v] += 1
-            return jet.data[..., ctx.index(e)]
+            return np.broadcast_to(jet.data[..., ctx.index(e)], us.shape)
 
         with np.errstate(all="ignore"):
             fields = expr.eval_jet(self.tape, env, nv, order)
             Hj, Wj = fields[0], fields[1:1 + m]
-            h_block = [Hj.diff(1 + sa) - Wj[sa].du() for sa in self.block]
-            t_block = [[0.5 * (-fields[1 + m + d * a + b].du() + Wj[sa].diff(1 + sb)
-                               - Wj[sb].diff(1 + sa))
+            h_block = [Hj.diff(var[sa]) - Wj[sa].du() for sa in self.block]
+            t_block = [[0.5 * (-fields[1 + m + d * a + b].du() + Wj[sa].diff(var[sb])
+                               - Wj[sb].diff(var[sa]))
                         for b, sb in enumerate(self.block)] for a, sa in enumerate(self.block)]
         B = np.empty((us.size, d))
         Lam = np.empty((us.size, d, d))
         tval = np.empty((us.size, d, d))
         tdot = np.empty((us.size, d, d))
         for a in range(d):
-            B[:, a] = h_block[a].value()
+            B[:, a] = coeff(h_block[a])
             for b, sb in enumerate(self.block):
-                Lam[:, a, b] = coeff(h_block[a], 1 + sb)
-                tval[:, a, b] = t_block[a][b].value()
+                Lam[:, a, b] = coeff(h_block[a], var[sb])
+                tval[:, a, b] = coeff(t_block[a][b])
                 tdot[:, a, b] = coeff(t_block[a][b], 0)
         finite = np.array([np.isfinite(v).reshape(us.size, -1).all(axis=1)
                            for v in (tval, tdot, Lam, B)])
@@ -151,8 +162,9 @@ class FlatBlockData:
             i = int(np.argmin(finite.all(axis=0)))
             name = ("t", "tdot", "Lambda", "B")[int(np.argmin(finite[:, i]))]
             raise ValueError(f"non-finite {name} in the flat-block data at u = {float(us[i])!r}")
-        tx = [coeff(tab, 1 + sc) for row in t_block for tab in row for sc in self.block]
-        aff = [coeff(ha, 1 + sb, 1 + sc) for ha in h_block for sb in self.block for sc in self.block]
+        tx = [coeff(tab, var[sc]) for row in t_block for tab in row for sc in self.block]
+        aff = [coeff(ha, var[sb], var[sc]) for ha in h_block for sb in self.block
+               for sc in self.block]
         # np.max, unlike max, keeps a NaN
         self.affine_residual = float(np.max([self.affine_residual,
                                              *(np.max(np.abs(c)) for c in aff)]))

@@ -32,8 +32,8 @@ from . import classify, metricfile
 from .canonical import reconstruct
 from .chart import ChartPoint, MetricSpec
 from .spaces import CwParams
-from .transport import (d0_transport, geodesic_integrate, null_sectional_growth,
-                        null_velocity)
+from .transport import (check_start_point, d0_transport, geodesic_integrate,
+                        null_sectional_growth, null_velocity)
 
 __all__ = ["main", "format_json", "SCHEMA_VERSION"]
 
@@ -242,6 +242,7 @@ def cmd_transport(args) -> int:
     mid = [0.5 * (lo + hi) for lo, hi in spec.box]
     point = ChartPoint(mid[0], tuple(mid[1:])) if args.point is None else ChartPoint(
         args.point[0], tuple(args.point[1:]))
+    check_start_point(spec, point)
     span = args.span
     if span is None:
         # u advances at rate 1 along d0 and along the null geodesic (du/dtau =
@@ -359,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "distance from the start point's u to the box's upper u edge")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--point", type=float, nargs="+", default=None,
-                   help="u x2 x3 ... (defaults to the box center)")
+                   help="u x2 x3 ... inside the box (defaults to the box center)")
     p.add_argument("--leaf-part", type=float, nargs="+", default=None,
-                   help="leaf components of the initial null velocity")
+                   help="the m = n - 2 leaf components of the initial null velocity")
     common(p)
     p.set_defaults(func=cmd_transport)
     return ap

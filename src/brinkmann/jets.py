@@ -25,9 +25,13 @@ A ``Jet`` may carry a leading batch shape: ``data`` has shape
 broadcasts over the batch axes, which is how whole tensor fields of jets
 are handled without Python-level loops.
 
-Scalar jets multiply by ``np.bincount`` over ``mul_flat``, batched jets by
-adding up each bucket's pair columns: both sum each coefficient's pairs in
-``mul_flat`` order.  ``jet_einsum`` makes one ``np.matmul`` over all output
+Scalar jets multiply by ``np.bincount`` over ``mul_flat``.  Batched jets are
+copied once to coefficient-major rows (ncoeffs, N) and multiplied in blocks
+of ``MUL_BLOCK`` batch columns, so that a block's rows stay in cache; each
+bucket pair column is then a take of whole rows, a slice wherever the
+indices allow (``mul_columns``).  Both paths sum each coefficient's pairs in
+``mul_flat`` order, so a batched product equals the stacked scalar ones bit
+for bit.  ``jet_einsum`` makes one ``np.matmul`` over all output
 coefficients, whose inner axis runs over a coefficient's padded row of pairs
 and the contracted indices, so the outer product over those indices is never
 formed.  Padding pairs point at an all-zero row of both operands.
@@ -106,7 +110,7 @@ class JetContext:
         return self._index[key]
 
     @cached_property
-    def _mul(self) -> tuple[tuple, list, tuple]:
+    def _mul(self) -> tuple[tuple, list, tuple, list]:
         runs: list[list[tuple[int, int]]] = [[] for _ in range(self.ncoeffs)]
         for ia in range(self.ncoeffs):
             da = int(self.degrees[ia])
@@ -123,7 +127,10 @@ class JetContext:
         width = max(len(run) for run in runs)
         pad = [(self.ncoeffs, self.ncoeffs)]
         padded = np.array([run + pad * (width - len(run)) for run in runs], dtype=np.intp)
-        return (ka, kb, ko), buckets, tuple(padded.transpose(2, 0, 1).copy())
+        columns = [(_rows_index(outs), tuple((_rows_index(ka[:, j]), _rows_index(kb[:, j]))
+                                             for j in range(ka.shape[1])))
+                   for outs, ka, kb in buckets]
+        return (ka, kb, ko), buckets, tuple(padded.transpose(2, 0, 1).copy()), columns
 
     def mul_flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pairs (ka, kb) of the truncated product and the output ko each feeds, sorted by ko."""
@@ -138,6 +145,11 @@ class JetContext:
         """``(ka, kb)``, each (ncoeffs, width): row k holds output k's pairs in ``mul_flat``
         order, padded to the longest row with the index ``ncoeffs``."""
         return self._mul[2]
+
+    def mul_columns(self) -> list[tuple]:
+        """``mul_buckets`` by pair column: ``(ko, ((ka_0, kb_0), (ka_1, kb_1), ...))`` with
+        each index a slice where one exists (see ``_rows_index``)."""
+        return self._mul[3]
 
     def diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
         """Map child-context coefficients to (source index, factor) pairs."""
@@ -159,23 +171,58 @@ def context(nvars: int, order: int) -> JetContext:
     return JetContext(nvars, order)
 
 
+MUL_BLOCK = 2048  # batch columns per block of a batched product
+
+
+def _rows_index(index: np.ndarray) -> slice | np.ndarray:
+    """Row index ``index`` as a slice where one exists: a single or repeated row (which
+    broadcasts against the other operand's rows) or an evenly spaced run."""
+    rows = index.tolist()
+    steps = {b - a for a, b in zip(rows, rows[1:])}
+    if steps <= {0}:
+        return slice(rows[0], rows[0] + 1)
+    if len(steps) == 1 and min(steps) > 0:
+        return slice(rows[0], rows[-1] + 1, min(steps))
+    return index
+
+
+def _rows(x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """Coefficient-major copy (ncoeffs, N) of coefficient data over ``batch``; data with
+    one batch entry stays one column, which broadcasts."""
+    nc = x.shape[-1]
+    if x.shape[:-1] != batch and x.size != nc:
+        x = np.broadcast_to(x, batch + (nc,))
+    return x.reshape(-1, nc).T.copy()
+
+
 def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product on coefficient arrays (batch-broadcasting)."""
     if a.ndim == 1 and b.ndim == 1:
         ka, kb, ko = ctx.mul_flat()
         return np.bincount(ko, weights=a[ka] * b[kb], minlength=ctx.ncoeffs)
-    # Column by column, so each coefficient sums its pairs in mul_flat order
-    # and no temporary is larger than (batch, bucket outputs).
-    out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (ctx.ncoeffs,))
-    for ko, ka, kb in ctx.mul_buckets():
-        acc = a[..., ka[:, 0]] * b[..., kb[:, 0]]
-        for j in range(1, ka.shape[1]):
-            acc += a[..., ka[:, j]] * b[..., kb[:, j]]
-        out[..., ko] = acc
+    batch = a.shape[:-1]
+    if batch != b.shape[:-1]:
+        batch = np.broadcast_shapes(batch, b.shape[:-1])
+    ra, rb = _rows(a, batch), _rows(b, batch)
+    n = math.prod(batch)
+    out = np.empty((n, ctx.ncoeffs))
+    # Block by block and bucket by bucket, so each coefficient sums its pairs
+    # in mul_flat order and no temporary is larger than (bucket outputs, block).
+    for lo in range(0, n, MUL_BLOCK):
+        block = slice(lo, lo + MUL_BLOCK)
+        sa = ra[:, block] if ra.shape[1] > 1 else ra
+        sb = rb[:, block] if rb.shape[1] > 1 else rb
+        so = out[block].T
+        for ko, pairs in ctx.mul_columns():
+            (ka, kb), *rest = pairs
+            acc = sa[ka] * sb[kb]
+            for ka, kb in rest:
+                acc += sa[ka] * sb[kb]
+            so[ko] = acc
     # bincount sums from 0.0, so a sum of -0.0 terms is +0.0 there; only that
     # case differs from summing from the first term, and adding 0.0 mends it
     out += 0.0
-    return out
+    return out.reshape(batch + (ctx.ncoeffs,))
 
 
 class Jet:

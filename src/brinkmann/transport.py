@@ -46,6 +46,7 @@ __all__ = [
     "null_sectional_growth",
     "second_symmetry_transport_check",
     "null_velocity",
+    "check_start_point",
 ]
 
 BOX_SLACK = 0.5  # enforce_box lets the path stray this fraction of each side outside
@@ -201,10 +202,12 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     components satisfy dX^i/du = t^i_k X^k, a linear equation integrated by
     ``ode.linear_rk4``.  t^i_k is evaluated once per row of the
     node/midpoint ``stage_grid``.  Returns (u values, X values).
-    A non-finite t^i_k is a ``ValueError`` naming the first u where it occurs;
-    a transported vector that overflows is a ``RuntimeError`` naming its u.
+    A start point outside the box and a non-finite t^i_k are ``ValueError``s,
+    the latter naming the first u where it occurs; a transported vector that
+    overflows is a ``RuntimeError`` naming its u.
     """
     m = spec.m
+    check_start_point(spec, p)
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = step_size(u_span, steps)
     us, grid, rows = stage_grid(p.u, h, steps)
@@ -228,20 +231,42 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     return us, np.swapaxes(X, 1, 2)
 
 
+def check_start_point(spec: MetricSpec, p: ChartPoint) -> None:
+    """Refuse a start point outside the admissible box; its edges belong to it."""
+    names = ["u"] + [f"x{k + 2}" for k in range(spec.m)]
+    for name, value, (lo, hi) in zip(names, p.coords, spec.box):
+        if not lo <= value <= hi:
+            raise ValueError(f"start point {name} = {value!r} lies outside the box "
+                             f"{name} in [{lo!r}, {hi!r}]")
+
+
 def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None = None) -> np.ndarray:
     """An exactly lightlike velocity E_0 + a^i E_i + c E_1 at p.
 
     The E_1 coefficient solves the null condition in closed form from the
     frame inner products: c = g_ij a^i a^j / 2; H and W_i are read off
-    G_00 = -2H and G_0i = -W_i.
+    G_00 = -2H and G_0i = -W_i.  A start point outside the box, a leaf part
+    a (``--leaf-part``) without exactly m finite entries, and one whose
+    v-component overflows are ``ValueError``s.
     """
     m = spec.m
+    check_start_point(spec, p)
     a = np.zeros(m) if leaf_part is None else np.asarray(leaf_part, dtype=float)
+    if a.shape != (m,):
+        raise ValueError(f"--leaf-part has {a.size} entries; the leaf dimension m = {m} "
+                         f"needs {m}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"--leaf-part {a.tolist()} has a non-finite entry; all m = {m} "
+                         f"entries must be finite")
     G = metric_values(spec, np.array([p.u, 0.0, *p.x]))
     vec = np.zeros(spec.n)
-    vec[:2] = 1.0, 0.5 * G[0, 0] + 0.5 * float(a @ G[2:, 2:] @ a)
-    for i in range(m):
-        vec[1] += a[i] * G[0, 2 + i]
+    with np.errstate(all="ignore"):
+        vec[:2] = 1.0, 0.5 * G[0, 0] + 0.5 * float(a @ G[2:, 2:] @ a)
+        for i in range(m):
+            vec[1] += a[i] * G[0, 2 + i]
+    if not np.isfinite(vec[1]):
+        raise ValueError(f"--leaf-part {a.tolist()} (m = {m}) makes the null v-component "
+                         f"{float(vec[1])!r}")
     vec[2:] += a
     return vec
 

@@ -1,13 +1,18 @@
+import pathlib
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from brinkmann import canonical
+from brinkmann import canonical, expr, jets
 from brinkmann.canonical import (FlatBlockData, recover_A, reconstruct, solve_rotation_ode,
                                  solve_translation_ode, verify_canonical)
 from brinkmann.chart import MetricSpec
+from brinkmann.metricfile import load_metric_file
 from brinkmann.spaces import apply_chart_change, fixture, rotation_chart_change
+
+METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
 
 
 def test_flat_block_extraction_cw():
@@ -183,6 +188,110 @@ def test_non_finite_block_data_is_a_located_error():
         with pytest.raises(ValueError, match=r"non-finite Lambda .* at u = 1\.0$"):
             data.Lambda(1.0)
         assert np.isfinite(data.Lambda(0.5)).all()
+
+
+def _precompute_over_all_variables(data: FlatBlockData, us: np.ndarray):
+    """(t, tdot, Lambda, B, affine_residual, t_x_residual) from jets over every chart
+    variable, each seeded with the batch of ``us``: the extraction without the
+    restriction to u and the block or the scalar leaf seeds."""
+    spec, block, d, m = data.spec, data.block, data.d, data.spec.m
+    nv = spec.num_vars
+    env = {"u": jets.seed(0, us, nv, 3)}
+    for k in range(m):
+        env[f"x{k + 2}"] = jets.seed(1 + k, np.full(us.shape, data._base_x[k]), nv, 3)
+    ctx = jets.context(nv, 3)
+
+    def coeff(jet, *slots):
+        e = [0] * nv
+        for v in slots:
+            e[v] += 1
+        return np.broadcast_to(jet.data[..., ctx.index(e)], us.shape)
+
+    with np.errstate(all="ignore"):
+        fields = expr.eval_jet(data.tape, env, nv, 3)
+        H, W = fields[0], fields[1:1 + m]
+        h = [H.diff(1 + sa) - W[sa].du() for sa in block]
+        t = [[0.5 * (-fields[1 + m + d * a + b].du() + W[sa].diff(1 + sb) - W[sb].diff(1 + sa))
+              for b, sb in enumerate(block)] for a, sa in enumerate(block)]
+    B = np.stack([coeff(h[a]) for a in range(d)], axis=-1)
+    Lam = np.stack([np.stack([coeff(h[a], 1 + sb) for sb in block], -1) for a in range(d)], 1)
+    tval = np.stack([np.stack([coeff(t[a][b]) for b in range(d)], -1) for a in range(d)], 1)
+    tdot = np.stack([np.stack([coeff(t[a][b], 0) for b in range(d)], -1) for a in range(d)], 1)
+    aff = max(np.max(np.abs(coeff(ha, 1 + sb, 1 + sc)))
+              for ha in h for sb in block for sc in block)
+    tx = max(np.max(np.abs(coeff(tab, 1 + sc))) for row in t for tab in row for sc in block)
+    return tval, tdot, Lam, B, float(aff), float(tx)
+
+
+# H, W and the block's g read the leaf coordinate x4, which is off the block (0, 1)
+OFF_BLOCK_SPEC = MetricSpec.from_text(
+    5, H="u*x2^2 + x3^2 + x4*x2*x3 + sin(x4)*x2 + cos(u)*x4^2*x2 - x4^3 + x2^2*x3*x4",
+    W={2: "x4*u*x3", 3: "x2^2*x4", 4: "x2*x4"}, g={(2, 3): "0.1*x4*sin(u)", (4, 4): "1 + x4^2"},
+    box=[(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (0.2, 0.9)])
+
+
+@pytest.mark.parametrize("name, block", [("cw4_order2_sphere", (0, 1)), ("scrambled_cw4", (0, 1)),
+                                         ("scrambled_cw4", (0,)), ("off_block", (0, 1))])
+def test_precompute_equals_the_all_variable_extraction_bit_for_bit(name, block):
+    spec = (OFF_BLOCK_SPEC if name == "off_block" else
+            load_metric_file(str(METRICS / f"{name}.metric")))
+    lo, hi = spec.box[0]
+    for us in (np.linspace(lo, hi, 41), np.array([0.5 * (lo + hi)])):
+        data = FlatBlockData(spec, block)
+        got = data.precompute(us)
+        want = _precompute_over_all_variables(data, us)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert (data.affine_residual, data.t_x_residual) == want[4:]
+    if name == "off_block":
+        assert data.affine_residual > 0.0 and data.t_x_residual > 0.0
+
+
+def test_extraction_multiplies_jets_over_u_and_the_block_only(monkeypatch):
+    mul = jets._mul_data
+    calls = []
+
+    def counted(ctx, a, b):
+        calls.append((ctx.nvars, a, b))
+        return mul(ctx, a, b)
+
+    monkeypatch.setattr(jets, "_mul_data", counted)
+    reconstruct(load_metric_file(str(METRICS / "cw4_order2_sphere.metric")), block=(0, 1),
+                steps=50)
+    assert calls and {nv for nv, _, _ in calls} == {3}
+
+    def constant_in_u(data):
+        # no batch axis, or the same coefficients at every u
+        return data.ndim == 1 or bool(np.all(data == data.reshape(-1, data.shape[-1])[0]))
+
+    calls.clear()
+    reconstruct(load_metric_file(str(METRICS / "cw6_order2.metric")), steps=50)
+    assert calls
+    for _, a, b in calls:
+        if constant_in_u(a) and constant_in_u(b):
+            assert a.ndim == b.ndim == 1
+
+
+def test_non_finite_leaf_subexpressions_keep_their_located_errors():
+    # exp(2000 x4) overflows at x4's base point 0.55, in products of x's alone;
+    # with the block (0,) its inf times the zero x2-coefficients of x3^2 is NaN
+    # there, as over all variables; exp(1000 u) overflows on the u-batched side
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fields, block, message in (
+                ({"H": "u*x2^2 + x3^2 + exp(2000*x4)*x2^2"}, (0, 1),
+                 "non-finite Lambda in the flat-block data at u = -1.0"),
+                ({"H": "u*x2^2 + x3^2", "W": {3: "exp(2000*x4)*x2"}}, (0, 1),
+                 "non-finite t in the flat-block data at u = -1.0"),
+                ({"H": "exp(1000*u)*x2^2 + x3^2 + x4^2"}, (0, 1),
+                 "non-finite Lambda in the flat-block data at u = 0.71"),
+                ({"H": "u*x2^2 + x3^2 + exp(2000*x4)*x3^2"}, (0,),
+                 "non-finite Lambda in the flat-block data at u = -1.0")):
+            spec = MetricSpec.from_text(5, **fields, box=[(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0),
+                                                          (0.2, 0.9)])
+            data = FlatBlockData(spec, block)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                data.precompute(np.linspace(-1.0, 1.0, 201))
 
 
 def test_reconstruct_refuses_an_interval_outside_the_box():

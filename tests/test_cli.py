@@ -333,6 +333,50 @@ def test_d0_transport_non_finite_t_prints_only_the_error(tmp_path):
         "error: non-finite t^i_j in the transverse transport data at u = 0.89"]
 
 
+CW4_ORDER2 = os.path.join(os.path.dirname(__file__), os.pardir, "metrics", "cw4_order2.metric")
+
+
+def run_cli(*argv):
+    """The CLI in a fresh process without warning filters, so numpy warnings would show."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(brinkmann.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "brinkmann.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("leaf_part, message", [
+    (["1", "2", "3"], "--leaf-part has 3 entries; the leaf dimension m = 2 needs 2"),
+    (["nan", "0"], "--leaf-part [nan, 0.0] has a non-finite entry; all m = 2 entries must be "
+                   "finite"),
+    (["inf", "0"], "--leaf-part [inf, 0.0] has a non-finite entry; all m = 2 entries must be "
+                   "finite"),
+    (["1e200", "0"], "--leaf-part [1e+200, 0.0] (m = 2) makes the null v-component inf"),
+], ids=["count", "nan", "inf", "overflow"])
+@pytest.mark.parametrize("experiment", ["geodesic", "nullsec"])
+def test_transport_refuses_a_bad_leaf_part(experiment, leaf_part, message):
+    done = run_cli("transport", CW4_ORDER2, "--experiment", experiment, "--steps", "5",
+                   "--leaf-part", *leaf_part)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("experiment", ["geodesic", "nullsec", "d0"])
+def test_transport_refuses_a_point_outside_the_box(experiment):
+    done = run_cli("transport", CW4_ORDER2, "--experiment", experiment, "--steps", "5",
+                   "--span", "0.1", "--point", "5", "0", "0")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [
+        "error: start point u = 5.0 lies outside the box u in [-1.0, 1.0]"]
+
+
+def test_transport_accepts_a_point_on_the_box_edge(capsys):
+    code, out, err = run(capsys, "transport", CW4_ORDER2, "--experiment", "geodesic",
+                         "--steps", "5", "--span", "0.1", "--point", "-1", "1", "-1")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 7
+
+
 def test_pole_error_names_field_and_point(tmp_path):
     # H = 1/x2 has a pole on x2 = 0, which passes through the box centre
     path = tmp_path / "pole.metric"

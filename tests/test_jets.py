@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brinkmann import jets as J
 
@@ -228,21 +228,60 @@ def test_mul_buckets_partition_the_flat_pairs(nv, order):
         assert np.all(pka[k, n:] == ctx.ncoeffs) and np.all(pkb[k, n:] == ctx.ncoeffs)
 
 
+_BLOCK_CROSSING = J.MUL_BLOCK + 3
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _product_cases(draw):
+    """(shape of a, shape of b, nv, order, seed, share of special coefficients)."""
+    k = draw(st.integers(1, 6))
+    j = draw(st.integers(1, 3))
+    shape_a, shape_b = draw(st.sampled_from([
+        ((k,), (k,)), ((k,), ()), ((), (k,)), ((j, k), (k,)), ((k,), (j, k)),
+        ((j, 1), (k,)), ((_BLOCK_CROSSING,), (_BLOCK_CROSSING,)),
+        ((_BLOCK_CROSSING,), ()), ((), (_BLOCK_CROSSING,))]))
+    return (shape_a, shape_b, draw(st.integers(1, 4)), draw(st.integers(0, 4)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.1, 0.5])))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["(k,)x(k,)", "(k,)x()", "(j,k)x(k,)"]), st.integers(1, 3),
-       st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
-def test_batched_mul_equals_stacked_scalar_products(form, j, k, nv, order, seed):
-    shape_a, shape_b = {"(k,)x(k,)": ((k,), (k,)), "(k,)x()": ((k,), ()),
-                        "(j,k)x(k,)": ((j, k), (k,))}[form]
+@given(_product_cases())
+@example(((_BLOCK_CROSSING,), (_BLOCK_CROSSING,), 3, 3, 0, 0.1))
+@example(((), (_BLOCK_CROSSING,), 4, 2, 1, 0.1))
+@example(((_BLOCK_CROSSING,), (), 2, 4, 2, 0.1))
+@example(((3, 5), (5,), 3, 3, 3, 0.5))
+def test_batched_mul_equals_stacked_scalar_products(case):
+    # signed zeros, infinities and NaNs included: the batched kernel sums each
+    # coefficient's pairs as the scalar bincount path does, to the last bit.
+    # Only the sign of a NaN is left out: IEEE 754 does not fix it, and numpy's
+    # own in-place add of two NaNs keeps either one's sign depending on the
+    # array length.
+    shape_a, shape_b, nv, order, seed, special = case
     rng = np.random.default_rng(seed)
     ctx = J.context(nv, order)
-    a = J.Jet(ctx, rng.normal(size=shape_a + (ctx.ncoeffs,)))
-    b = J.Jet(ctx, rng.normal(size=shape_b + (ctx.ncoeffs,)))
-    batched = (a * b).data
-    bb = np.broadcast_to(b.data, a.data.shape)
-    stacked = [(J.Jet(ctx, x) * J.Jet(ctx, y)).data
-               for x, y in zip(a.data.reshape(-1, ctx.ncoeffs), bb.reshape(-1, ctx.ncoeffs))]
-    assert np.array_equal(batched, np.reshape(stacked, batched.shape))
+
+    def data(shape):
+        x = rng.normal(size=shape + (ctx.ncoeffs,))
+        mask = rng.random(x.shape) < special
+        x[mask] = rng.choice(_SPECIAL, size=int(mask.sum()))
+        return x
+
+    a, b = J.Jet(ctx, data(shape_a)), J.Jet(ctx, data(shape_b))
+    with np.errstate(all="ignore"):
+        batched = (a * b).data
+        batch = np.broadcast_shapes(shape_a, shape_b)
+        xs = np.broadcast_to(a.data, batch + (ctx.ncoeffs,)).reshape(-1, ctx.ncoeffs)
+        ys = np.broadcast_to(b.data, batch + (ctx.ncoeffs,)).reshape(-1, ctx.ncoeffs)
+        stacked = [(J.Jet(ctx, x) * J.Jet(ctx, y)).data for x, y in zip(xs, ys)]
+    assert batched.shape == batch + (ctx.ncoeffs,)
+    stacked = np.reshape(stacked, batched.shape)
+    assert np.array_equal(np.isnan(batched), np.isnan(stacked))
+    assert _nan_free(batched).tobytes() == _nan_free(stacked).tobytes()
+
+
+def _nan_free(x: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(x), 0.0, x)
 
 
 def _einsum_reference(subscripts, a, b):

@@ -35,6 +35,31 @@ def test_null_velocity_is_null():
     assert abs(v @ G @ v) < 1e-14
 
 
+@pytest.mark.parametrize("leaf_part, match", [
+    ([0.4, -0.7, 0.1], r"^--leaf-part has 3 entries; the leaf dimension m = 2 needs 2$"),
+    ([0.4], r"^--leaf-part has 1 entries; the leaf dimension m = 2 needs 2$"),
+    ([np.nan, 0.0], r"^--leaf-part \[nan, 0\.0\] has a non-finite entry"),
+    ([0.0, -np.inf], r"^--leaf-part \[0\.0, -inf\] has a non-finite entry"),
+    ([1e200, 0.0], r"^--leaf-part \[1e\+200, 0\.0\] \(m = 2\) makes the null v-component inf$"),
+])
+def test_null_velocity_refuses_a_bad_leaf_part(leaf_part, match):
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=match):
+        null_velocity(fixture("scrambled_cw4"), ChartPoint(0.2, (0.3, -0.1)), leaf_part)
+
+
+def test_start_points_outside_the_box_are_refused():
+    spec = fixture("scrambled_cw4")    # box: every coordinate in [-0.8, 0.8]
+    for p, message in ((ChartPoint(0.9, (0.0, 0.0)), "u = 0.9 lies outside the box u in"),
+                       (ChartPoint(0.0, (0.0, -0.81)), "x3 = -0.81 lies outside the box x3 in")):
+        with pytest.raises(ValueError, match=rf"^start point {message} \[-0\.8, 0\.8\]$"):
+            null_velocity(spec, p)
+        with pytest.raises(ValueError, match=rf"^start point {message}"):
+            d0_transport(spec, p, np.eye(2), 0.1, 5)
+    edge = ChartPoint(-0.8, (0.8, -0.8))
+    assert np.isfinite(null_velocity(spec, edge)).all()
+    assert np.isfinite(d0_transport(spec, edge, np.eye(2), 0.1, 5)[1]).all()
+
+
 def test_cw_central_geodesic_stays_at_origin():
     spec = fixture("cw4_r2")
     v0 = null_velocity(spec, ChartPoint(0.0, (0.0, 0.0)))
