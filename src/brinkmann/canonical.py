@@ -70,7 +70,7 @@ def _T(M: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FlatBlockData:
-    """Samplers for t_ab(u), Lambda_ab(u), B_a(u) on the flat block.
+    """t_ab(u), Lambda_ab(u), B_a(u) on the flat block, at a batch of u's.
 
     Extraction evaluates the chart's h and t at x = 0 on the block:
     B is the value of h, Lambda its x-gradient, and t its value; the
@@ -84,7 +84,7 @@ class FlatBlockData:
     block: tuple[int, ...]
 
     def __post_init__(self):
-        self._cache: dict[float, tuple] = {}
+        self._cache: set[float] = set()   # u values evaluated so far; perfbench counts them
         self.affine_residual = 0.0
         self.t_x_residual = 0.0
         self._base_x = []
@@ -118,9 +118,8 @@ class FlatBlockData:
         as over all chart variables, and batched products equal scalar ones
         bit for bit, so the result does not depend on this restriction.
 
-        Returns arrays in the order of ``us``; the per-u samplers read the
-        same rows afterwards.  A non-finite value is a ``ValueError`` naming
-        the quantity and the first u where it occurs.
+        Returns arrays in the order of ``us``.  A non-finite value is a
+        ``ValueError`` naming the quantity and the first u where it occurs.
         """
         us = np.asarray(us, dtype=float)
         m, d = self.spec.m, self.d
@@ -169,26 +168,8 @@ class FlatBlockData:
         self.affine_residual = float(np.max([self.affine_residual,
                                              *(np.max(np.abs(c)) for c in aff)]))
         self.t_x_residual = float(np.max([self.t_x_residual, *(np.max(np.abs(c)) for c in tx)]))
-        for i, u in enumerate(us):
-            self._cache[float(u)] = (tval[i], tdot[i], Lam[i], B[i])
+        self._cache.update(us.tolist())
         return tval, tdot, Lam, B
-
-    def _eval(self, u: float):
-        if u not in self._cache:
-            self.precompute(np.array([u]))
-        return self._cache[u]
-
-    def t(self, u: float) -> np.ndarray:
-        return self._eval(u)[0]
-
-    def tdot(self, u: float) -> np.ndarray:
-        return self._eval(u)[1]
-
-    def Lambda(self, u: float) -> np.ndarray:
-        return self._eval(u)[2]
-
-    def B(self, u: float) -> np.ndarray:
-        return self._eval(u)[3]
 
 
 @dataclass

@@ -31,9 +31,10 @@ import numpy as np
 from . import classify, metricfile
 from .canonical import reconstruct
 from .chart import ChartPoint, MetricSpec
+from .ode import stage_grid, step_size
 from .spaces import CwParams
-from .transport import (check_start_point, d0_transport, geodesic_integrate,
-                        null_sectional_growth, null_velocity)
+from .transport import (check_in_box, d0_transport, geodesic_integrate, null_sectional_growth,
+                        null_velocity)
 
 __all__ = ["main", "format_json", "SCHEMA_VERSION"]
 
@@ -242,7 +243,7 @@ def cmd_transport(args) -> int:
     mid = [0.5 * (lo + hi) for lo, hi in spec.box]
     point = ChartPoint(mid[0], tuple(mid[1:])) if args.point is None else ChartPoint(
         args.point[0], tuple(args.point[1:]))
-    check_start_point(spec, point)
+    check_in_box(spec, [point.coords], lambda k: "start point")
     span = args.span
     if span is None:
         # u advances at rate 1 along d0 and along the null geodesic (du/dtau =
@@ -253,10 +254,12 @@ def cmd_transport(args) -> int:
             raise ValueError(f"--point u = {point.u!r} is not below the box's upper u edge "
                              f"{hi!r} (box u = {lo!r} {hi!r}); give --span")
     rows: list[str]
-    if args.experiment == "geodesic":
+    if args.experiment != "d0":
         v0 = null_velocity(spec, point, args.leaf_part)
-        coords0 = [point.u, 0.0] + list(point.x)
-        traj = geodesic_integrate(spec, coords0, v0, span, args.steps)
+        traj = geodesic_integrate(spec, [point.u, 0.0, *point.x], v0, span, args.steps)
+        check_in_box(spec, np.delete(traj.coords, 1, axis=1),
+                     lambda k: f"geodesic node {k}, tau = {float(traj.tau[k])!r},", args.steps)
+    if args.experiment == "geodesic":
         energy = traj.energy()
         pairing = traj.k_pairing()
         names = ["u", "v"] + [f"x{i}" for i in range(2, spec.n)]
@@ -267,9 +270,6 @@ def cmd_transport(args) -> int:
                     + [energy[k], pairing[k]])
             rows.append(",".join(_fmt_float(float(v)) for v in vals))
     elif args.experiment == "nullsec":
-        v0 = null_velocity(spec, point, args.leaf_part)
-        coords0 = [point.u, 0.0] + list(point.x)
-        traj = geodesic_integrate(spec, coords0, v0, span, args.steps)
         x_vec = np.zeros(spec.n)
         x_vec[2] = 1.0
         res = null_sectional_growth(spec, traj, x_vec)
@@ -277,15 +277,19 @@ def cmd_transport(args) -> int:
         for k in range(len(traj.tau)):
             rows.append(f"{_fmt_float(float(res['tau'][k]))},{_fmt_float(float(res['K'][k]))}")
         rows.append(f"# max_second_difference,{_fmt_float(res['max_second_difference'])}")
-    elif args.experiment == "d0":
+    else:
+        if args.leaf_part is not None:
+            raise ValueError("--leaf-part sets the initial null velocity of the geodesic and "
+                             "nullsec experiments; --experiment d0 takes none")
         m = spec.m
+        us = stage_grid(point.u, step_size(span, args.steps), args.steps)[0]
+        check_in_box(spec, [(u, *point.x) for u in us.tolist()], lambda k: "d0 curve at",
+                     args.steps)
         us, X = d0_transport(spec, point, np.eye(m), span, args.steps)
         rows = ["u," + ",".join(f"X{v}_{i + 2}" for v in range(m) for i in range(m))]
         for k in range(len(us)):
             rows.append(",".join([_fmt_float(float(us[k]))]
                                  + [_fmt_float(float(x)) for x in X[k].ravel()]))
-    else:
-        raise ValueError(f"unknown experiment {args.experiment!r}")
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -351,7 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
             "            a trailing '# max_second_difference,<value>' row reports\n"
             "            the affine-growth residual\n"
             "  d0:       u, components of each transversely transported leaf\n"
-            "            basis vector (X<vec>_<coordinate>)\n"))
+            "            basis vector (X<vec>_<coordinate>)\n\n"
+            "Runs stay in the metric's [box]: a start point outside it, or a node\n"
+            "past an edge by more than the rounding of --steps steps\n"
+            "(steps * eps * max(|lo|, |hi|)), is refused before any row is printed.\n"))
     p.add_argument("file")
     p.add_argument("--experiment", choices=("geodesic", "nullsec", "d0"),
                    default="geodesic")
@@ -362,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=float, nargs="+", default=None,
                    help="u x2 x3 ... inside the box (defaults to the box center)")
     p.add_argument("--leaf-part", type=float, nargs="+", default=None,
-                   help="the m = n - 2 leaf components of the initial null velocity")
+                   help="the m = n - 2 leaf components of the initial null velocity "
+                        "(geodesic, nullsec)")
     common(p)
     p.set_defaults(func=cmd_transport)
     return ap

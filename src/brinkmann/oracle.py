@@ -169,8 +169,10 @@ def _lowered(dG: np.ndarray, nodes: int = 0) -> np.ndarray:
 
 def christoffel(G: Jet, Ginv0: np.ndarray) -> np.ndarray:
     """Values Gamma^a_{bc} from the full metric G (order >= 1) and the
-    inverse of its value, at one point; builds no jet inverse."""
-    return 0.5 * np.einsum("ar,rbc->abc", Ginv0, _lowered(_cgrad(G, len(Ginv0)).value()))
+    inverse of its value, at one point or at each point of a stack (node
+    axis leading); builds no jet inverse."""
+    dG = _cgrad(G, Ginv0.shape[-1]).value()
+    return 0.5 * np.einsum("...ar,...rbc->...abc", Ginv0, _lowered(dG, Ginv0.ndim - 2))
 
 
 @dataclass

@@ -74,7 +74,7 @@ def simplify(node: ExprAst) -> ExprAst:
         an = a if isinstance(a, Num) else None
         bn = b if isinstance(b, Num) else None
         if an is not None and bn is not None and not (node.op == "/" and bn.value == 0.0):
-            return Num(eval_binop(node.op, an.value, bn.value))
+            return Num(expr.eval_scalar(Bin(node.op, an, bn), {}))
         if node.op == "+":
             if an is not None and an.value == 0.0:
                 return b
@@ -99,10 +99,6 @@ def simplify(node: ExprAst) -> ExprAst:
                 return a
         return Bin(node.op, a, b)
     raise TypeError(f"not an AST node: {node!r}")
-
-
-def eval_binop(op: str, a: float, b: float) -> float:
-    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else float("nan")}[op]
 
 
 def substitute(node: ExprAst, mapping: dict[str, ExprAst]) -> ExprAst:

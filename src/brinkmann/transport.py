@@ -10,17 +10,23 @@ needs come from the spec's tape compiled to straight-line code at order 1
 (``chart.metric_coefficients``), bit for bit the jet tape's; the
 curvature and the leaf-level data stay on jets.
 
-energy, nullsec and d0 know every point they evaluate before they start:
-the geodesic's nodes and the u rows of d0's ``stage_grid``.  They evaluate
-them in blocks of ``NODE_BLOCK`` points, one stacked
-``assemble_coordinate_metric`` call (energy; nullsec adds
-``coordinate_curvature``) or ``eval_metric`` and ``compute_h_t`` call (d0)
-per block, with the numbers of the one-point calls; the block size bounds
-the memory the stacked jets take.
+energy, nullsec, d0 and the second-symmetry check know every point they
+evaluate before they start: the geodesic's nodes, the u rows of d0's
+``stage_grid`` and the stage rows of an analytic curve.  They evaluate them
+in blocks of ``NODE_BLOCK`` points, one stacked ``assemble_coordinate_metric``
+call (energy; nullsec adds ``coordinate_curvature``, the curve its
+Christoffel symbols) or ``eval_metric`` and ``compute_h_t`` call (d0) per
+block, with the numbers of the one-point calls; the block size bounds the
+memory the stacked jets take.
 
 States are (coords, velocity) with coords = (u, v, x^2 .. x^{n-1}).
 Conserved quantities along geodesics: g(gamma', gamma') and the pairing
 g(K, gamma') with the parallel field K = -d_v, which equals du/dtau.
+
+The transport laws are checked inside a chart's admissible ``[box]`` only,
+and nothing is extrapolated past it: ``check_in_box`` refuses a start point
+outside it (edges included), and the ``transport`` command refuses a run
+with a node outside it, up to the rounding of the run's steps.
 """
 
 from __future__ import annotations
@@ -46,32 +52,36 @@ __all__ = [
     "null_sectional_growth",
     "second_symmetry_transport_check",
     "null_velocity",
-    "check_start_point",
+    "check_in_box",
 ]
 
-BOX_SLACK = 0.5  # enforce_box lets the path stray this fraction of each side outside
-NODE_BLOCK = 64  # points per batched metric / curvature call in nullsec and d0
+NODE_BLOCK = 64  # points per batched metric / curvature call
 SECOND_SYMMETRY_TOL = 1e-6
 SECOND_SYMMETRY_STEPS = 160
 SECOND_SYMMETRY_SPAN = 1.0
 
 
-def _chart_point(spec: MetricSpec, coords: np.ndarray) -> ChartPoint:
+def _chart_point(coords: np.ndarray) -> ChartPoint:
     u, _, *x = np.asarray(coords, dtype=float).tolist()
     return ChartPoint(u, tuple(x))
+
+
+def _chart_points(coords: np.ndarray) -> ChartPoint:
+    """The stack of chart points of the rows of ``coords`` (N, n)."""
+    return ChartPoint(coords[:, 0], tuple(coords[:, 2:].T))
 
 
 def _node_blocks(coords: np.ndarray):
     """Slices of ``NODE_BLOCK`` rows of ``coords`` (N, n), each with its stack of chart points."""
     for start in range(0, len(coords), NODE_BLOCK):
         block = slice(start, start + NODE_BLOCK)
-        yield block, ChartPoint(coords[block, 0], tuple(coords[block, 2:].T))
+        yield block, _chart_points(coords[block])
 
 
 def _coordinate_metric(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """Order-1 coefficients (n, n, n) of the full metric about a coordinate point,
     from the spec's compiled tape, with every check of ``assemble_coordinate_metric``."""
-    p = _chart_point(spec, coords)
+    p = _chart_point(coords)
     F = metric_coefficients(spec, p)
     m = spec.m
     G = full_metric(spec.n, F[0], F[1:1 + m], F[1 + m:].reshape(m, m, F.shape[1]))
@@ -122,19 +132,9 @@ class Trajectory:
         return self.velocity[:, 0].copy()
 
 
-def _in_box(spec: MetricSpec, coords: np.ndarray) -> bool:
-    vals = [coords[0]] + list(coords[2:])
-    for val, (lo, hi) in zip(vals, spec.box):
-        pad = BOX_SLACK * (hi - lo)
-        if not (lo - pad <= val <= hi + pad):
-            return False
-    return True
-
-
 def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
-                       velocity0: Sequence[float], tau_span: float, steps: int,
-                       enforce_box: bool = False) -> Trajectory:
-    """Fixed-step RK4 for the geodesic equation; aborts on box exit if asked.
+                       velocity0: Sequence[float], tau_span: float, steps: int) -> Trajectory:
+    """Fixed-step RK4 for the geodesic equation, wherever it leads.
 
     A non-finite state, at a node or at an RK4 stage, is a ``RuntimeError``
     naming the step, tau and the first non-finite entry (u, v, x.. or a
@@ -172,15 +172,11 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
         for k in range(steps):
             y = rk4_step(f, y, h, [(k, s) for s in range(4)])
             check_finite(k, float(taus[k + 1]), y)
-            if enforce_box and not _in_box(spec, y[:n]):
-                raise RuntimeError(
-                    f"geodesic left the admissible box at tau = {taus[k + 1]:.4g}")
             out[k + 1] = y
     return Trajectory(taus, out[:, :n], out[:, n:], spec, connection)
 
 
-def parallel_transport(spec: MetricSpec, traj: Trajectory,
-                       vectors0: np.ndarray) -> np.ndarray:
+def parallel_transport(traj: Trajectory, vectors0: np.ndarray) -> np.ndarray:
     """Transport vectors along the trajectory; returns (k+1, nvec, n).
 
     The transport runs on the connection the trajectory recorded at its own
@@ -207,7 +203,7 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     overflows is a ``RuntimeError`` naming its u.
     """
     m = spec.m
-    check_start_point(spec, p)
+    check_in_box(spec, [p.coords], lambda k: "start point")
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = step_size(u_span, steps)
     us, grid, rows = stage_grid(p.u, h, steps)
@@ -231,13 +227,22 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     return us, np.swapaxes(X, 1, 2)
 
 
-def check_start_point(spec: MetricSpec, p: ChartPoint) -> None:
-    """Refuse a start point outside the admissible box; its edges belong to it."""
-    names = ["u"] + [f"x{k + 2}" for k in range(spec.m)]
-    for name, value, (lo, hi) in zip(names, p.coords, spec.box):
-        if not lo <= value <= hi:
-            raise ValueError(f"start point {name} = {value!r} lies outside the box "
-                             f"{name} in [{lo!r}, {hi!r}]")
+def check_in_box(spec: MetricSpec, points: Sequence[Sequence[float]],
+                 row: Callable[[int], str], steps: int = 0) -> None:
+    """Refuse the first row k of chart coordinates (u, x2, ..) in ``points``
+    outside the admissible box, naming ``row(k)``, the coordinate, its value
+    and its bounds.  A row reached after ``steps`` integration steps may lie
+    past an edge by their rounding, steps * eps * max(|lo|, |hi|); at the
+    default ``steps = 0`` the edges are exact.  A NaN lies outside."""
+    points = np.asarray(points, dtype=float)
+    lo, hi = np.array(spec.box, dtype=float).T
+    slack = steps * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    outside = ~((points >= lo - slack) & (points <= hi + slack))
+    if outside.any():
+        k, i = np.argwhere(outside)[0]
+        name = "u" if i == 0 else f"x{i + 1}"
+        raise ValueError(f"{row(k)} {name} = {float(points[k, i])!r} lies outside the box "
+                         f"{name} in [{float(lo[i])!r}, {float(hi[i])!r}]")
 
 
 def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None = None) -> np.ndarray:
@@ -250,7 +255,7 @@ def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None 
     v-component overflows are ``ValueError``s.
     """
     m = spec.m
-    check_start_point(spec, p)
+    check_in_box(spec, [p.coords], lambda k: "start point")
     a = np.zeros(m) if leaf_part is None else np.asarray(leaf_part, dtype=float)
     if a.shape != (m,):
         raise ValueError(f"--leaf-part has {a.size} entries; the leaf dimension m = {m} "
@@ -280,7 +285,7 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
     the first finite-difference derivative and its constancy residual (the
     maximum absolute second difference of the samples).
     """
-    X = parallel_transport(spec, traj, np.asarray(x_vec, dtype=float)[None, :])[:, 0, :]
+    X = parallel_transport(traj, np.asarray(x_vec, dtype=float)[None, :])[:, 0, :]
     vals = np.empty(len(traj.tau))
     for block, p in _node_blocks(traj.coords):
         v, x = traj.velocity[block], X[block]
@@ -310,18 +315,22 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
     }
 
 
-def _curve_trajectory(spec: MetricSpec, curve: Callable[[float], tuple[np.ndarray, np.ndarray]],
+def _curve_trajectory(spec: MetricSpec,
+                      curve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                       span: float, steps: int) -> Trajectory:
     """Sample an analytic curve on [0, span] with its connection at the RK4 stages.
 
-    Each row of the node/midpoint ``stage_grid`` costs one Christoffel
-    evaluation.
+    ``curve`` maps the rows of the node/midpoint ``stage_grid`` to their
+    coordinates and velocities (rows, n); the rows are evaluated in blocks of
+    ``NODE_BLOCK`` points, one Christoffel evaluation each.
     """
     taus, grid, rows = stage_grid(0.0, step_size(span, steps), steps)
-    points = [curve(t) for t in grid]
-    C = np.array([np.einsum("abc,c->ab", christoffel_values(spec, c), v) for c, v in points])
-    return Trajectory(taus, np.array([c for c, _ in points[::2]]),
-                      np.array([v for _, v in points[::2]]), spec, C[rows])
+    coords, vel = curve(grid)
+    C = np.empty((len(grid), spec.n, spec.n))
+    for block, p in _node_blocks(coords):
+        cm = assemble_coordinate_metric(spec, p, order=1)
+        C[block] = np.einsum("kabc,kc->kab", christoffel(cm.G, cm.Ginv0), vel[block])
+    return Trajectory(taus, coords[::2], vel[::2], spec, C[rows])
 
 
 def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
@@ -329,12 +338,14 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
     """Transport-level test: (nabla_V R)(X,Y)Z has constant components in a
     parallelly transported basis along arbitrary curves iff nabla nabla R = 0.
 
-    Uses random polynomial (non-geodesic) curves inside the box.  Returns
-    (passed, worst residual).
+    Uses random polynomial (non-geodesic) curves inside the box, and reads
+    nabla R at three nodes of each in one stacked call.  Returns (passed,
+    worst residual).
     """
     steps, span = SECOND_SYMMETRY_STEPS, SECOND_SYMMETRY_SPAN
     rng = np.random.default_rng(rng_seed)
     n = spec.n
+    nodes = [0, steps // 2, steps]
     worst = 0.0
     for _ in range(trials):
         mid = np.array([0.5 * (lo + hi) for lo, hi in spec.box])
@@ -344,24 +355,22 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
         c1 = rng.normal(scale=0.5, size=n) * amp
         c2 = rng.normal(scale=0.25, size=n) * amp
 
-        def curve(tau: float, c1=c1, c2=c2):
-            s = tau / span
+        def curve(tau: np.ndarray, c1=c1, c2=c2):
+            s = (tau / span)[:, None]
             return center + c1 * s + c2 * s * s, (c1 + 2.0 * c2 * s) / span
 
         traj = _curve_trajectory(spec, curve, span, steps)
         basis0 = np.eye(n)
         extra0 = rng.normal(size=(4, n))
-        moved = parallel_transport(spec, traj, np.vstack([basis0, extra0]))
-        scale = 0.0
+        moved = parallel_transport(traj, np.vstack([basis0, extra0]))[nodes]
+        cm = assemble_coordinate_metric(spec, _chart_points(traj.coords[nodes]), order=3)
+        dR = coordinate_curvature(cm, depth=1).dR
         comps = []
-        for k in (0, steps // 2, steps):
-            cm = assemble_coordinate_metric(spec, _chart_point(spec, traj.coords[k]), order=3)
-            cc = coordinate_curvature(cm, depth=1)
+        for k in range(len(nodes)):
             V, X, Y, Z = moved[k, n], moved[k, n + 1], moved[k, n + 2], moved[k, n + 3]
-            W = np.einsum("abcdm,b,c,d,m->a", cc.dR, Z, X, Y, V)
-            comp = np.linalg.solve(moved[k, :n].T, W)
-            comps.append(comp)
-            scale = max(scale, float(np.max(np.abs(cc.dR))))
+            W = np.einsum("abcdm,b,c,d,m->a", dR[k], Z, X, Y, V)
+            comps.append(np.linalg.solve(moved[k, :n].T, W))
+        scale = float(np.max(np.abs(dR)))
         comps = np.array(comps)
         worst = max(worst, float(np.max(np.abs(comps - comps[0]))) / (1.0 + scale))
     return worst < SECOND_SYMMETRY_TOL, worst

@@ -18,11 +18,13 @@ METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
 def test_flat_block_extraction_cw():
     spec = fixture("cw4_r2")
     data = FlatBlockData(spec, (0, 1))
-    for u in (0.0, 0.4, -0.3):
+    us = np.array([0.0, 0.4, -0.3])
+    t, _, lam, B = data.precompute(us)
+    for k, u in enumerate(us):
         P = np.diag([u, 1.0])
-        assert np.allclose(data.Lambda(u), 2.0 * P)
-        assert np.max(np.abs(data.B(u))) == 0.0
-        assert np.max(np.abs(data.t(u))) == 0.0
+        assert np.allclose(lam[k], 2.0 * P)
+        assert np.max(np.abs(B[k])) == 0.0
+        assert np.max(np.abs(t[k])) == 0.0
     assert data.affine_residual < 1e-13
     assert data.t_x_residual < 1e-13
 
@@ -30,8 +32,7 @@ def test_flat_block_extraction_cw():
 def test_flat_block_extraction_scrambled():
     spec = fixture("scrambled_cw4")
     data = FlatBlockData(spec, (0, 1))
-    u = 0.25
-    t = data.t(u)
+    t = data.precompute(np.array([0.25]))[0][0]
     assert np.max(np.abs(t + t.T)) < 1e-12      # t skew
     # t = -R^T Rdot = 0.3 * [[0, 1], [-1, 0]] for the injected rotation of angle 0.3u
     assert t[0, 1] == pytest.approx(0.3, abs=1e-12)
@@ -117,14 +118,12 @@ def test_recover_A_constant_rotation_congruence():
                            np.sort(np.linalg.eigvalsh(-P)), atol=1e-10)
 
 
-def _A_reference(data, u, R):
-    # the cross-derivative relation at one node, from the per-u samplers
+def _A_reference(t, tdot, lam, R):
+    # the cross-derivative relation at one node, from that node's precompute row
     Rinv = np.linalg.inv(R)
-    t = data.t(u)
     Rdot = -Rinv.T @ t
     dRinvT = -(Rinv @ Rdot @ Rinv).T
-    M = R.T @ (-dRinvT @ t - Rinv.T @ data.tdot(u))
-    lam = data.Lambda(u)
+    M = R.T @ (-dRinvT @ t - Rinv.T @ tdot)
     core = 0.5 * (lam + lam.T) - 0.5 * (M + M.T)
     A = -0.5 * (R @ core @ R.T)
     return 0.5 * (A + A.T)
@@ -140,22 +139,20 @@ def test_recover_A_stacked_equals_per_node(name, omega):
     R0 = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     rot = solve_rotation_ode(data, (-0.4, 0.5), steps=90, R0=R0)
     A = recover_A(rot)
-    want = np.array([_A_reference(data, float(u), R) for u, R in zip(rot.us, rot.R)])
+    t, tdot, lam, _ = data.precompute(rot.us)
+    want = np.array([_A_reference(*row) for row in zip(t, tdot, lam, rot.R)])
     assert np.array_equal(A, want)
 
 
 def test_reconstruct_evaluates_the_block_data_once(monkeypatch):
-    # one batched pass over the node/midpoint grid; no solver reads a per-u
-    # sampler, and the stacked A relation runs a fixed number of times
+    # one batched pass over the node/midpoint grid, and the stacked A
+    # relation runs a fixed number of times
     precompute = FlatBlockData.precompute
     sizes, stacks = [], []
 
     def counted(self, us):
         sizes.append(len(us))
         return precompute(self, us)
-
-    def no_sampler(self, u):
-        raise AssertionError("per-u sampler called")
 
     A_at = canonical._A_at
 
@@ -164,7 +161,6 @@ def test_reconstruct_evaluates_the_block_data_once(monkeypatch):
         return A_at(*args)
 
     monkeypatch.setattr(FlatBlockData, "precompute", counted)
-    monkeypatch.setattr(FlatBlockData, "_eval", no_sampler)
     monkeypatch.setattr(canonical, "_A_at", counted_A)
     spec = fixture("scrambled_cw4")
     for steps in (50, 120):
@@ -186,8 +182,8 @@ def test_non_finite_block_data_is_a_located_error():
             reconstruct(spec, steps=200)
         data = FlatBlockData(spec, (0, 1))
         with pytest.raises(ValueError, match=r"non-finite Lambda .* at u = 1\.0$"):
-            data.Lambda(1.0)
-        assert np.isfinite(data.Lambda(0.5)).all()
+            data.precompute(np.array([1.0]))
+        assert np.isfinite(data.precompute(np.array([0.5]))[2]).all()
 
 
 def _precompute_over_all_variables(data: FlatBlockData, us: np.ndarray):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import brinkmann
-from brinkmann import classify
+from brinkmann import classify, cli, transport
 from brinkmann.cli import format_json, main
 from brinkmann.metricfile import spec_to_text
 from brinkmann.spaces import fixture
@@ -203,7 +203,7 @@ def test_canonicalize_precondition_exit_two(tmp_path, capsys):
 
 def test_transport_csv_outputs(cw42_file, capsys):
     code, out, _ = run(capsys, "transport", cw42_file, "--experiment", "nullsec",
-                       "--span", "2", "--steps", "50", "--point", "0", "0", "0")
+                       "--span", "2", "--steps", "50", "--point", "-1", "0", "0")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "tau,K"
@@ -333,7 +333,9 @@ def test_d0_transport_non_finite_t_prints_only_the_error(tmp_path):
         "error: non-finite t^i_j in the transverse transport data at u = 0.89"]
 
 
-CW4_ORDER2 = os.path.join(os.path.dirname(__file__), os.pardir, "metrics", "cw4_order2.metric")
+METRICS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "metrics")
+CW4_ORDER2 = os.path.join(METRICS_DIR, "cw4_order2.metric")
+SCRAMBLED_CW4 = os.path.join(METRICS_DIR, "scrambled_cw4.metric")
 
 
 def run_cli(*argv):
@@ -371,10 +373,53 @@ def test_transport_refuses_a_point_outside_the_box(experiment):
 
 
 def test_transport_accepts_a_point_on_the_box_edge(capsys):
+    # u and x3 start on their lower edges; x3'' = -2 x3 turns the path inward
     code, out, err = run(capsys, "transport", CW4_ORDER2, "--experiment", "geodesic",
-                         "--steps", "5", "--span", "0.1", "--point", "-1", "1", "-1")
+                         "--steps", "5", "--span", "0.1", "--point", "-1", "0", "-1")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 7
+
+
+@pytest.mark.parametrize("experiment", ["geodesic", "nullsec"])
+def test_transport_refuses_a_geodesic_node_outside_the_box(experiment):
+    # the leaf part throws x2 to 3e148 on the first step; no row is printed
+    done = run_cli("transport", CW4_ORDER2, "--experiment", experiment, "--steps", "3",
+                   "--span", "0.1", "--leaf-part", "1e150", "0")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [
+        "error: geodesic node 1, tau = 0.03333333333333333, x2 = 3.333312757201646e+148 "
+        "lies outside the box x2 in [-1.0, 1.0]"]
+
+
+def test_transport_d0_refuses_a_u_range_outside_the_box(monkeypatch, capsys):
+    # scrambled_cw4's box is u in [-0.8, 0.8]; the metric is never evaluated
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("metric evaluated")
+
+    monkeypatch.setattr(transport, "eval_metric", no_evaluation)
+    monkeypatch.setattr(cli, "d0_transport", no_evaluation)
+    code, out, err = run(capsys, "transport", SCRAMBLED_CW4, "--experiment", "d0",
+                         "--steps", "4", "--span", "5")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: d0 curve at u = 1.25 lies outside the box u in [-0.8, 0.8]"]
+
+
+def test_transport_d0_refuses_a_leaf_part():
+    done = run_cli("transport", SCRAMBLED_CW4, "--experiment", "d0", "--steps", "4",
+                   "--leaf-part", "1", "2", "3", "nan")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [
+        "error: --leaf-part sets the initial null velocity of the geodesic and nullsec "
+        "experiments; --experiment d0 takes none"]
+
+
+@pytest.mark.parametrize("name", sorted(p[:-len(".metric")] for p in os.listdir(METRICS_DIR)))
+def test_default_transport_stays_in_the_box(name, capsys):
+    # 1000 steps to the box's upper u edge: the last node's u may round past it
+    code, out, err = run(capsys, "transport", os.path.join(METRICS_DIR, name + ".metric"))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1002
 
 
 def test_pole_error_names_field_and_point(tmp_path):

@@ -1,10 +1,12 @@
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from brinkmann import chart, transport
+from brinkmann.cli import main
 from brinkmann.chart import ChartPoint, MetricDefinitenessError, MetricSpec, eval_metric
 from brinkmann.jets import JetDomainError
 from brinkmann.metricfile import load_metric_file
@@ -15,6 +17,7 @@ from brinkmann.transport import (christoffel_values, d0_transport, geodesic_inte
                                  parallel_transport, second_symmetry_transport_check)
 
 ORIGIN4 = [0.0, 0.0, 0.0, 0.0]
+METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
 
 
 def test_flat_geodesics_are_straight():
@@ -83,17 +86,47 @@ def test_geodesic_conservation_generic_initial_data():
     assert np.max(np.abs(kp - kp[0])) < 1e-7
 
 
-def test_geodesic_box_abort():
-    spec = fixture("cw4_r2")
-    with pytest.raises(RuntimeError, match="left the admissible box"):
-        geodesic_integrate(spec, ORIGIN4, [1.0, 0.0, 0.9, 0.0], tau_span=10.0,
-                           steps=200, enforce_box=True)
+def test_geodesic_box_abort(capsys):
+    # the leaf part 2 throws x2 past its edge at tau = 0.515; the transport
+    # command refuses the run before it prints a row
+    code = main(["transport", str(METRICS / "cw4_order2.metric"), "--steps", "200",
+                 "--point", "0", "0", "0", "--leaf-part", "2", "0"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: geodesic node 103, tau = 0.515, x2 = 1.0067039517852405 "
+                                "lies outside the box x2 in [-1.0, 1.0]"]
+
+
+@pytest.mark.parametrize("steps", [1000, 100000])
+def test_box_allowance_is_the_rounding_of_the_steps(steps):
+    # cw4_order2's box is [-1, 1] on every coordinate, so the allowance is steps * eps
+    spec = load_metric_file(str(METRICS / "cw4_order2.metric"))
+    edge = 1.0 + steps * np.finfo(float).eps
+    past = float(np.nextafter(edge, 2.0))
+
+    def node(k):
+        return f"node {k}"
+
+    for value in (1.0, np.nextafter(1.0, 2.0), edge):
+        transport.check_in_box(spec, [[0.0, 0.0, 0.0], [0.5, -value, value]], node, steps)
+        transport.check_in_box(spec, [[value, 0.0, 0.0], [-value, 0.0, 0.0]], node, steps)
+    for row, name in (([past, 0.0, 0.0], "u"), ([0.0, -past, 0.0], "x2"),
+                      ([0.0, 0.0, past], "x3")):
+        with pytest.raises(ValueError, match=rf"^node 1 {name} = -?{re.escape(repr(past))} lies outside "
+                                             rf"the box {name} in \[-1\.0, 1\.0\]$"):
+            transport.check_in_box(spec, [[0.0, 0.0, 0.0], row], node, steps)
+    # a start point has no steps behind it: its edges are exact
+    with pytest.raises(ValueError, match=r"^start point x3 = "):
+        transport.check_in_box(spec, [[0.0, 0.0, np.nextafter(1.0, 2.0)]],
+                               lambda k: "start point")
+    with pytest.raises(ValueError, match=r"^node 0 u = nan lies outside"):
+        transport.check_in_box(spec, [[np.nan, 0.0, 0.0]], node, steps)
 
 
 def test_parallel_transport_flat_constant():
     spec = fixture("flat")
     traj = geodesic_integrate(spec, ORIGIN4, [1.0, 0.2, 0.1, -0.3], 2.0, 50)
-    moved = parallel_transport(spec, traj, np.eye(4))
+    moved = parallel_transport(traj, np.eye(4))
     assert np.max(np.abs(moved - np.eye(4))) < 1e-12
 
 
@@ -102,7 +135,7 @@ def test_parallel_transport_K_constant():
     v0 = null_velocity(spec, ChartPoint(0.0, (0.1, 0.2)), leaf_part=[0.2, 0.1])
     traj = geodesic_integrate(spec, [0.0, 0.0, 0.1, 0.2], v0, 2.0, 200)
     K = np.array([0.0, -1.0, 0.0, 0.0])
-    moved = parallel_transport(spec, traj, K[None, :])
+    moved = parallel_transport(traj, K[None, :])
     assert np.max(np.abs(moved - K)) < 1e-10
 
 
@@ -112,7 +145,7 @@ def test_parallel_transport_isometry():
     traj = geodesic_integrate(spec, [0.0, 0.0, 0.1, -0.2], rng.normal(size=4) * 0.3,
                               10.0, 4000)
     vecs = rng.normal(size=(3, 4))
-    moved = parallel_transport(spec, traj, vecs)
+    moved = parallel_transport(traj, vecs)
     G0 = metric_values(spec, traj.coords[0])
     ips0 = moved[0] @ G0 @ moved[0].T
     for k in (1000, 2000, 4000):
@@ -265,8 +298,6 @@ def test_second_symmetry_transport_check_ladder():
 
 
 # -- metric values and Christoffel symbols from the compiled tape ----------------------
-
-METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
 
 
 def _assembled_christoffel(spec, coords):
