@@ -48,9 +48,14 @@ __all__ = [
     "jet_matrix_inverse",
     "node_subscripts",
     "first_failing_node",
+    "NODE_BLOCK",
 ]
 
 PIVOT_RATIO = 1e-10  # smallest/largest Cholesky pivot allowed for the leaf metric
+# Points per stacked metric, oracle or engine call, which bounds the memory of a
+# stack: a 64-node engine stack at order 4 and depth 2 allocates at most 51 MB
+# at once on cw6_order2 (leaf dimension 4) and 2.5 MB on cw4_order2.
+NODE_BLOCK = 64
 
 
 class MetricDefinitenessError(ValueError):
@@ -382,15 +387,16 @@ def compute_h_t(cj: ChartJets) -> tuple[Jet, Jet]:
 
 
 def christoffel_bar(cj: ChartJets) -> Jet:
-    """Leaf Christoffel symbols Gamma^i_{jk} of g_ij at fixed u, as jets."""
-    m = cj.m
+    """Leaf Christoffel symbols Gamma^i_{jk} of g_ij at fixed u, as jets (node
+    axes lead, as in ``cj``)."""
+    m, nodes = cj.m, cj.H.shape
     if m == 0:
-        return jets.zeros((0, 0, 0), cj.num_vars, cj.order - 1)
-    parts = [cj.g.diff(1 + k) for k in range(m)]  # parts[k][r, j] = g_rj,k
-    dg = Jet(parts[0].ctx, np.stack([p.data for p in parts], axis=2))  # [r, j, k]
-    sym = Jet(dg.ctx, dg.data + np.einsum("rkjc->rjkc", dg.data) - np.einsum("jkrc->rjkc", dg.data))
+        return jets.zeros(nodes + (0, 0, 0), cj.num_vars, cj.order - 1)
+    dg = _jet_stack([cj.g.diff(1 + k) for k in range(m)])  # dg[..., r, j, k] = g_rj,k
+    sym = Jet(dg.ctx, dg.data + np.einsum("...rkjc->...rjkc", dg.data)
+              - np.einsum("...jkrc->...rjkc", dg.data))
     # sym[r, j, k] = g_rj,k + g_rk,j - g_jk,r
-    return 0.5 * jet_einsum("ir,rjk->ijk", cj.ginv.truncate(dg.order), sym)
+    return 0.5 * jet_einsum(node_subscripts("ir,rjk->ijk", nodes), cj.ginv.truncate(dg.order), sym)
 
 
 # -- partly null frame -------------------------------------------------------------

@@ -20,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .chart import ChartPoint, MetricSpec
+from .chart import NODE_BLOCK, ChartPoint, MetricSpec, first_failing_node
 from .curvature import FRAME_BLOCKS, ChartCurvature, curvature_at, d0_op, leaf_grad
+from .jets import Jet
 from .oracle import frame_blocks_from_oracle
 
 __all__ = [
@@ -93,6 +94,12 @@ def _max_abs(value: np.ndarray | float) -> float:
     return float(np.max(np.abs(value))) if np.size(value) else 0.0
 
 
+def _node_max_abs(values: np.ndarray) -> np.ndarray:
+    """``_max_abs`` of each node of a stack (N, ...) of blocks; NaN propagates."""
+    flat = np.abs(values).reshape(len(values), -1)
+    return flat.max(axis=1) if flat.shape[1] else np.zeros(len(values))
+
+
 @dataclass
 class SampleEvaluation:
     point: ChartPoint
@@ -105,21 +112,41 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int
                      order: int | None = None) -> list[SampleEvaluation]:
     """Run both pipelines at each sample and record per-block deviations.
 
-    The engine's jets have order ``depth + 2`` unless ``order`` asks for more.
-    Overflow inside the jets is not reported as it happens; instead a
-    non-finite deviation aborts with ``EngineDisagreement``, naming the first
-    such block and its sample.
+    The engine runs once per block of ``NODE_BLOCK`` samples, on their stack;
+    the oracle runs once per sample.  The engine's jets have order
+    ``depth + 2`` unless ``order`` asks for more.  Overflow inside the jets is
+    not reported as it happens; instead a non-finite deviation aborts with
+    ``EngineDisagreement``, naming the first such block and its sample.  Any
+    failure is the one a loop over the samples raises: the engine's at sample
+    k, then the oracle's at sample k, then sample k + 1.
     """
     evaluations = []
-    for p in samples:
-        with np.errstate(all="ignore"):
-            cc = curvature_at(spec, p, order=order, depth=depth)
-            ob = frame_blocks_from_oracle(spec, p, depth=depth)
-            agreement = {key: _max_abs(np.subtract(cc.blocks[key], o)) / (1.0 + _max_abs(o))
-                         for key, o in ob.items()}
-        ev = SampleEvaluation(p, cc, ob, agreement)
-        _check_finite([ev])
-        evaluations.append(ev)
+    for start in range(0, len(samples), NODE_BLOCK):
+        block = samples[start:start + NODE_BLOCK]
+        p = ChartPoint(np.array([q.u for q in block]),
+                       tuple(np.array(c) for c in zip(*(q.x for q in block))))
+        evaluations += first_failing_node(p, lambda q: _evaluate(spec, q, depth, order))
+    return evaluations
+
+
+def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int,
+              order: int | None) -> list[SampleEvaluation]:
+    """The evaluations of the samples of p (a stack, or one point): one engine
+    call on the stack, one oracle call per sample, deviations on the stack."""
+    if not p.shape:
+        p = ChartPoint(np.array([p.u]), tuple(np.array([c]) for c in p.x))
+    points = [p.node(k) for k in range(p.shape[0])]
+    with np.errstate(all="ignore"):
+        cc = curvature_at(spec, p, order=order, depth=depth)
+        oracles = [frame_blocks_from_oracle(spec, q, depth=depth) for q in points]
+        agreement = {}
+        for key in oracles[0]:
+            o = np.stack([np.asarray(ob[key]) for ob in oracles])
+            agreement[key] = _node_max_abs(cc.blocks[key] - o) / (1.0 + _node_max_abs(o))
+    evaluations = [SampleEvaluation(q, cc.node(k), ob,
+                                    {key: float(dev[k]) for key, dev in agreement.items()})
+                   for k, (q, ob) in enumerate(zip(points, oracles))]
+    _check_finite(evaluations)
     return evaluations
 
 
@@ -358,6 +385,9 @@ def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
     """Per-sample Atil values, gbar-eigenvalues and parallelism flags.
 
     Given ``evaluations`` must be of depth >= 1 at jet order >= ``A_TILDE_ORDER``.
+    The derivatives behind the residuals are taken once, on the stack of all
+    samples.  A residual that is not finite at some sample raises a ValueError
+    naming the residual and the sample.
     """
     if spec.m == 0:
         raise ValueError("extract_A_tilde: the chart has no leaf coordinates (m = 0)")
@@ -370,16 +400,31 @@ def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
         raise ValueError(
             f"extract_A_tilde needs evaluations of depth >= 1 at jet order >= {A_TILDE_ORDER} "
             f"(got order {order}); pass order={A_TILDE_ORDER} to evaluate_samples")
-    values, eigs = [], []
-    grad_res = d0_res = aff_res = 0.0
-    for ev in evaluations:
-        cc = ev.cc
-        values.append(cc.blocks["Atil"].copy())
-        eigs.append(gbar_eigh(cc.blocks["Atil"], cc.cj.g.value())[0])
-        grad_res = max(grad_res, _max_abs(leaf_grad(cc.Atil, 0, cc.gamma).value()))
-        d0_res = max(d0_res, _max_abs(d0_op(cc.Atil, 0, cc.tup).value()))
-        if check_affine:
-            aff_res = max(aff_res, _max_abs(cc.A.du().du().value()))
+    values = [ev.cc.blocks["Atil"].copy() for ev in evaluations]
+    eigs = [gbar_eigh(ev.cc.blocks["Atil"], ev.cc.cj.g.value())[0] for ev in evaluations]
+
+    def stacked(name: str) -> Jet:
+        """The samples' jets ``name`` on a leading node axis, at their common order."""
+        parts = [getattr(ev.cc, name) for ev in evaluations]
+        low = min(j.order for j in parts)
+        parts = [j.truncate(low) for j in parts]
+        return Jet(parts[0].ctx, np.stack([j.data for j in parts]))
+
+    def residual(name: str, per_sample: np.ndarray) -> float:
+        bad = np.flatnonzero(~np.isfinite(per_sample))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"A_tilde {name} is {per_sample[k]} at sample "
+                             f"{list(evaluations[k].point.coords)}: the curvature jets are "
+                             "not finite there, so no verdict can be reached")
+        return float(per_sample.max())
+
+    Atil = stacked("Atil")
+    grad_res = residual("grad_residual",
+                        _node_max_abs(leaf_grad(Atil, 0, stacked("gamma")).value()))
+    d0_res = residual("d0_residual", _node_max_abs(d0_op(Atil, 0, stacked("tup")).value()))
+    aff_res = residual("affine_residual", _node_max_abs(stacked("A").du().du().value())) \
+        if check_affine else None
     scale = 1.0 + _depth_norm([ev.cc.blocks for ev in evaluations], 0)
     return AtilReport(
         values=values,
@@ -389,7 +434,7 @@ def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
         grad_residual=grad_res,
         d0_residual=d0_res,
         affine_in_u=(aff_res < tol * scale) if check_affine else None,
-        affine_residual=aff_res if check_affine else None,
+        affine_residual=aff_res,
     )
 
 

@@ -33,17 +33,30 @@ a), e.g. ``l0_a`` holds nabla_m nabla_0 R^1_{i0j} with the new leaf slot
 appended last.  Correction terms are contracted exactly as the
 second-symmetry system writes them; each block vanishes identically on a
 2nd-symmetric space.
+
+``curvature_at`` also takes a stack of N chart points (a ``ChartPoint`` with
+a 1-D array u), as ``eval_metric`` and the oracle do: every jet and block
+then carries a leading node axis, every ``jet_einsum`` contracts with the
+node letter N leading its subscripts (``chart.node_subscripts``), and each
+node's numbers are bit for bit those of its own one-point call;
+``ChartCurvature.node(k)`` is node k's one-point view.  Every jet is only as
+deep as what reads it: each connection correction is contracted at the
+order of the derivative it corrects, the Gamma Gamma product of Rbar at the
+order of dGamma and t^k_i t_kj at the order of A.  At the default order the
+depth-2 blocks, read only as values, are thus contracted at order 0.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
-from .chart import ChartJets, ChartPoint, MetricSpec, christoffel_bar, compute_h_t, eval_metric
+from .chart import ChartJets, ChartPoint, MetricSpec, christoffel_bar, compute_h_t, eval_metric, \
+    node_subscripts
 from .jets import Jet, jet_einsum
 
 __all__ = [
@@ -61,21 +74,26 @@ def _slot_letters(k: int) -> str:
     return "".join(_LETTERS[:k])
 
 
-def _add_slot_corrections(out: Jet, T: Jet, nup: int, conn: Jet, deriv: str = "",
-                          sign: int = 1) -> Jet:
+def _add_slot_corrections(out: Jet, T: Jet, nup: int, conn: Jet, nodes: tuple[int, ...],
+                          deriv: str = "", sign: int = 1) -> Jet:
     """Add one connection term per slot of ``T`` to ``out``, in slot order.
 
     A contravariant slot L contributes conn^L_r T^{..r..}, a covariant slot
     L contributes -conn^r_L T_{..r..}; ``sign`` -1 flips both.  ``deriv``
     names a trailing index of ``conn`` carried through to the output.
+    ``nodes`` is the node shape leading ``conn``, ``T`` and ``out``.  Each
+    term is contracted at the order of ``out``, the most that sum keeps.
     """
-    rank = len(T.shape)
+    rank = len(T.shape) - len(nodes)
     letters = _slot_letters(rank)
+    order = min(out.order, conn.order)
+    conn, T = conn.truncate(order), T.truncate(order)
     for a in range(rank):
         L = letters[a]
         src = letters[:a] + "r" + letters[a + 1:]
         pair = f"{L}r" if a < nup else f"r{L}"
-        term = jet_einsum(f"{pair}{deriv},{src}->{letters}{deriv}", conn, T)
+        term = jet_einsum(node_subscripts(f"{pair}{deriv},{src}->{letters}{deriv}", nodes),
+                          conn, T)
         out = out + term if (a < nup) == (sign > 0) else out - term
     return out
 
@@ -84,26 +102,28 @@ def leaf_grad(T: Jet, nup: int, gamma: Jet) -> Jet:
     """Leaf covariant derivative; the new covariant slot is appended last.
 
     ``T`` has its ``nup`` contravariant axes first, then covariant axes.
-    ``gamma[i, j, k]`` holds Gamma^i_{jk}.
+    ``gamma[i, j, k]`` holds Gamma^i_{jk}; node axes of a stack lead
+    ``gamma`` and ``T``.
     """
-    m = gamma.shape[0]
-    parts = [T.diff(1 + s) for s in range(m)]
+    parts = [T.diff(1 + s) for s in range(gamma.shape[-1])]
     out = Jet(parts[0].ctx, np.stack([p.data for p in parts], axis=-2))
-    return _add_slot_corrections(out, T, nup, gamma, deriv="s")
+    return _add_slot_corrections(out, T, nup, gamma, gamma.shape[:-3], deriv="s")
 
 
 def d0_op(T: Jet, nup: int, tup: Jet) -> Jet:
     """Transverse derivative of a v-invariant leaf section.
 
     Implements dot(T) minus t^i_k contractions on contravariant slots plus
-    t^k_j contractions on covariant slots; ``tup[i, j]`` holds t^i_j.
+    t^k_j contractions on covariant slots; ``tup[i, j]`` holds t^i_j.  Node
+    axes of a stack lead ``tup`` and ``T``.
     """
-    return _add_slot_corrections(T.du(), T, nup, tup, sign=-1)
+    return _add_slot_corrections(T.du(), T, nup, tup, tup.shape[:-2], sign=-1)
 
 
-def _sym12(x: np.ndarray) -> np.ndarray:
-    """Symmetrize the first two axes (the (i, j) pair of A/B-type slices)."""
-    return 0.5 * (x + np.swapaxes(x, 0, 1))
+def _sym12(x: np.ndarray, nn: int) -> np.ndarray:
+    """Symmetrize the first two slots (the (i, j) pair of A/B-type slices)
+    after ``nn`` node axes."""
+    return 0.5 * (x + np.swapaxes(x, nn, nn + 1))
 
 
 def _jtrace(J: Jet, a: int, b: int) -> Jet:
@@ -127,7 +147,8 @@ class ChartCurvature:
 
     ``blocks`` holds the keys of ``FRAME_BLOCKS[:depth + 1]`` in table order;
     the nabla R jets ``Atil`` .. ``gradRbar`` are None below depth 1 and on a
-    two-dimensional chart.
+    two-dimensional chart.  At a stack of points every jet and block has a
+    leading node axis (the rank-0 blocks ``Ric00`` and ``S`` are arrays).
     """
 
     cj: ChartJets
@@ -156,6 +177,18 @@ class ChartCurvature:
     def point(self) -> ChartPoint:
         return self.cj.point
 
+    def node(self, k: int) -> "ChartCurvature":
+        """Node k of a stack: its jets and blocks as views, with float rank-0
+        blocks, as its one-point call returns them."""
+        cj = self.cj
+        parts = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        parts = {name: v[k] if isinstance(v, Jet) else v for name, v in parts.items()}
+        parts["cj"] = ChartJets(cj.spec, cj.point.node(k), cj.order, cj.H[k], cj.W[k], cj.g[k],
+                                cj.ginv0[k])
+        parts["blocks"] = {key: float(v[k]) if np.ndim(v) == 1 else v[k]
+                           for key, v in self.blocks.items()}
+        return ChartCurvature(**parts)
+
 
 def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
                  depth: int = 2) -> ChartCurvature:
@@ -164,6 +197,8 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     R takes two derivatives of the metric and each covariant derivative one
     more, so the default jet order is ``depth + 2``.  A caller that takes
     further derivatives of the returned jets must ask for a higher order.
+    At a stack of points, every jet and block has a leading node axis, and
+    a failure is the first failing node's error (``eval_metric``).
     """
     if depth not in (0, 1, 2):
         raise ValueError("depth must be 0, 1 or 2")
@@ -172,20 +207,24 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     if order < depth + 2:
         raise ValueError(f"jet order {order} too small for depth {depth}")
     cj = eval_metric(spec, p, order)
-    m = cj.m
+    m, nodes = cj.m, p.shape
+    nn = len(nodes)
+
+    def ein(subscripts: str, a: Jet, b: Jet) -> Jet:
+        return jet_einsum(node_subscripts(subscripts, nodes), a, b)
 
     if m == 0:
         # Two-dimensional Brinkmann charts are flat planes: every block is empty.
-        blocks = {k: np.zeros((0,) * rank) if rank else 0.0
+        blocks = {k: np.zeros(nodes + (0,) * rank) if rank or nodes else 0.0
                   for table in FRAME_BLOCKS[:depth + 1] for k, rank in table.items()}
-        zj = jets.zeros((0,), cj.num_vars, order - 1)
+        zj = jets.zeros(nodes + (0,), cj.num_vars, order - 1)
         return ChartCurvature(cj, zj, zj, zj, zj, zj, zj, zj, zj, depth, blocks)
 
     h, t = compute_h_t(cj)
     gamma = christoffel_bar(cj)
     ginv = cj.ginv
-    tup = jet_einsum("ir,rj->ij", ginv, t)        # t^i_j
-    hup = jet_einsum("ij,j->i", ginv, h)          # h^i
+    tup = ein("ir,rj->ij", ginv, t)        # t^i_j
+    hup = ein("ij,j->i", ginv, h)          # h^i
 
     # Leaf curvature from the connection coefficients:
     # Rbar^i_{jkl} = d_k G^i_{lj} - d_l G^i_{kj} + G^i_{kr}G^r_{lj} - G^i_{lr}G^r_{kj}
@@ -193,29 +232,31 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     dgam_j = Jet(dgam[0].ctx, np.stack([d.data for d in dgam], axis=-2))
     # dgam_j[i, a, b, k] = Gamma^i_{ab,k}
     dterm = Jet(dgam_j.ctx,
-                np.einsum("iljkc->ijklc", dgam_j.data)
-                - np.einsum("ikjlc->ijklc", dgam_j.data))
-    gg = jet_einsum("ikr,rlj->ijkl", gamma, gamma)
-    ggT = Jet(gg.ctx, np.swapaxes(gg.data, 2, 3))
+                np.einsum("...iljkc->...ijklc", dgam_j.data)
+                - np.einsum("...ikjlc->...ijklc", dgam_j.data))
+    low = gamma.truncate(dgam_j.order)     # Rbar reads no higher degree
+    gg = ein("ikr,rlj->ijkl", low, low)
+    ggT = Jet(gg.ctx, np.swapaxes(gg.data, -3, -2))
     Rbar_up = dterm + gg - ggT
-    Ricbar = _jtrace(Rbar_up, 0, 2)
-    Sbar = jet_einsum("ij,ij->", ginv, Ricbar)
+    Ricbar = _jtrace(Rbar_up, nn, nn + 2)
+    Sbar = ein("ij,ij->", ginv, Ricbar)
 
     # Curvature slices: A_ij = -(grad_j h_i + tdot_ij + t^k_i t_kj), B = skew grad t.
     grad_h = leaf_grad(h, 0, gamma)
-    tt = jet_einsum("ki,kj->ij", tup, t)
-    A = -(grad_h + t.du() + tt)
+    tdot = t.du()
+    tt = ein("ki,kj->ij", tup.truncate(tdot.order), t.truncate(tdot.order))
+    A = -(grad_h + tdot + tt)
     grad_t = leaf_grad(t, 0, gamma)
-    B = Jet(grad_t.ctx, grad_t.data - np.swapaxes(grad_t.data, 1, 2))
+    B = Jet(grad_t.ctx, grad_t.data - np.swapaxes(grad_t.data, nn + 1, nn + 2))
     grad_tup = leaf_grad(tup, 1, gamma)
     R_i0k = grad_tup + gamma.du()
 
     # Ricci pieces; the full scalar curvature equals the leaf scalar.
     grad_hup = leaf_grad(hup, 1, gamma)
-    Ric00 = _jtrace(grad_hup, 0, 1) + jet_einsum("ij,ji->", ginv, t.du()) \
-        + jet_einsum("ki,ki->", jet_einsum("jr,ir->ij", ginv, tup), t)
-    tr_tup = _jtrace(tup, 0, 1)
-    Ric0i = leaf_grad(tr_tup, 0, gamma) - _jtrace(grad_tup, 0, 2)
+    Ric00 = _jtrace(grad_hup, nn, nn + 1) + ein("ij,ji->", ginv, tdot) \
+        + ein("ki,ki->", ein("jr,ir->ij", ginv, tup), t)
+    tr_tup = _jtrace(tup, nn, nn + 1)
+    Ric0i = leaf_grad(tr_tup, 0, gamma) - _jtrace(grad_tup, nn, nn + 2)
 
     blocks = {
         "Rbar": Rbar_up.value(), "A": A.value(), "B": B.value(), "R_i0k": R_i0k.value(),
@@ -227,55 +268,56 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
         return cc
 
     # First derivatives of the curvature.
-    Bsym = Jet(B.ctx, _sym12(B.data))  # B_(ij)k
-    cc.Atil = d0_op(A, 0, tup) + 2.0 * jet_einsum("k,ijk->ij", hup, Bsym)
-    cc.Ahat = leaf_grad(A, 0, gamma) - 2.0 * jet_einsum("ks,ijk->ijs", tup, Bsym)
-    cc.Btil = d0_op(B, 0, tup) + jet_einsum("r,rijk->ijk", h, Rbar_up)
-    cc.Bhat = leaf_grad(B, 0, gamma) - jet_einsum("rs,rijk->ijks", t, Rbar_up)
+    Bsym = Jet(B.ctx, _sym12(B.data, nn))  # B_(ij)k
+    cc.Atil = d0_op(A, 0, tup) + 2.0 * ein("k,ijk->ij", hup, Bsym)
+    cc.Ahat = leaf_grad(A, 0, gamma) - 2.0 * ein("ks,ijk->ijs", tup, Bsym)
+    cc.Btil = d0_op(B, 0, tup) + ein("r,rijk->ijk", h, Rbar_up)
+    cc.Bhat = leaf_grad(B, 0, gamma) - ein("rs,rijk->ijks", t, Rbar_up)
     cc.Rtil = d0_op(Rbar_up, 1, tup)
     cc.gradRbar = leaf_grad(Rbar_up, 1, gamma)
     blocks.update((k, getattr(cc, k).value()) for k in FRAME_BLOCKS[1])
 
     if depth == 2:
-        blocks.update(_second_derivatives(cc))
+        blocks.update(_second_derivatives(cc, nn))
     return cc
 
 
-def _second_derivatives(cc: ChartCurvature) -> dict[str, np.ndarray]:
-    """Values of the twelve nabla nabla R blocks, with their corrections."""
+def _second_derivatives(cc: ChartCurvature, nn: int) -> dict[str, np.ndarray]:
+    """Values of the twelve nabla nabla R blocks, with their corrections
+    (``nn`` node axes lead every jet and block)."""
     gamma, tup = cc.gamma, cc.tup
     t_val, tup_val, h_val, hup_val = cc.t.value(), tup.value(), cc.h.value(), cc.hup.value()
     f = cc.blocks
-    Bhat_sym = _sym12(f["Bhat"])
-    Btil_sym = _sym12(f["Btil"])
+    Bhat_sym = _sym12(f["Bhat"], nn)
+    Btil_sym = _sym12(f["Btil"], nn)
 
     return {
         "ll_rbar": leaf_grad(cc.gradRbar, 1, gamma).value(),
         "0l_rbar": d0_op(cc.gradRbar, 1, tup).value(),
         "l0_rbar": leaf_grad(cc.Rtil, 1, gamma).value()
-        + np.einsum("sm,ijkls->ijklm", tup_val, f["gradRbar"]),
+        + np.einsum("...sm,...ijkls->...ijklm", tup_val, f["gradRbar"]),
         "00_rbar": d0_op(cc.Rtil, 1, tup).value()
-        - np.einsum("s,ijkls->ijkl", hup_val, f["gradRbar"]),
+        - np.einsum("...s,...ijkls->...ijkl", hup_val, f["gradRbar"]),
 
         "ll_b": leaf_grad(cc.Bhat, 0, gamma).value()
-        - np.einsum("rm,rijks->ijksm", t_val, f["gradRbar"]),
+        - np.einsum("...rm,...rijks->...ijksm", t_val, f["gradRbar"]),
         "0l_b": d0_op(cc.Bhat, 0, tup).value()
-        + np.einsum("r,rijks->ijks", h_val, f["gradRbar"]),
+        + np.einsum("...r,...rijks->...ijks", h_val, f["gradRbar"]),
         "l0_b": leaf_grad(cc.Btil, 0, gamma).value()
-        - np.einsum("rm,rijk->ijkm", t_val, f["Rtil"])
-        + np.einsum("sm,ijks->ijkm", tup_val, f["Bhat"]),
+        - np.einsum("...rm,...rijk->...ijkm", t_val, f["Rtil"])
+        + np.einsum("...sm,...ijks->...ijkm", tup_val, f["Bhat"]),
         "00_b": d0_op(cc.Btil, 0, tup).value()
-        + np.einsum("r,rijk->ijk", h_val, f["Rtil"])
-        - np.einsum("s,ijks->ijk", hup_val, f["Bhat"]),
+        + np.einsum("...r,...rijk->...ijk", h_val, f["Rtil"])
+        - np.einsum("...s,...ijks->...ijk", hup_val, f["Bhat"]),
 
         "ll_a": leaf_grad(cc.Ahat, 0, gamma).value()
-        - 2.0 * np.einsum("km,ijks->ijsm", tup_val, Bhat_sym),
+        - 2.0 * np.einsum("...km,...ijks->...ijsm", tup_val, Bhat_sym),
         "0l_a": d0_op(cc.Ahat, 0, tup).value()
-        + 2.0 * np.einsum("k,ijks->ijs", hup_val, Bhat_sym),
+        + 2.0 * np.einsum("...k,...ijks->...ijs", hup_val, Bhat_sym),
         "l0_a": leaf_grad(cc.Atil, 0, gamma).value()
-        - 2.0 * np.einsum("km,ijk->ijm", tup_val, Btil_sym)
-        + np.einsum("sm,ijs->ijm", tup_val, f["Ahat"]),
+        - 2.0 * np.einsum("...km,...ijk->...ijm", tup_val, Btil_sym)
+        + np.einsum("...sm,...ijs->...ijm", tup_val, f["Ahat"]),
         "00_a": d0_op(cc.Atil, 0, tup).value()
-        + 2.0 * np.einsum("k,ijk->ij", hup_val, Btil_sym)
-        - np.einsum("s,ijs->ij", hup_val, f["Ahat"]),
+        + 2.0 * np.einsum("...k,...ijk->...ij", hup_val, Btil_sym)
+        - np.einsum("...s,...ijs->...ij", hup_val, f["Ahat"]),
     }

@@ -25,16 +25,22 @@ A ``Jet`` may carry a leading batch shape: ``data`` has shape
 broadcasts over the batch axes, which is how whole tensor fields of jets
 are handled without Python-level loops.
 
-Scalar jets multiply by ``np.bincount`` over ``mul_flat``.  Batched jets are
-copied once to coefficient-major rows (ncoeffs, N) and multiplied in blocks
-of ``MUL_BLOCK`` batch columns, so that a block's rows stay in cache; each
+Scalar jets, and batches of at most ``MUL_BINCOUNT_BATCH`` jets, multiply
+by one ``np.bincount`` over ``mul_flat``: batch entry r's pair products land
+in bin ko + ncoeffs * r (``mul_bins``).  Larger batches are copied once to
+coefficient-major rows (ncoeffs, N) and multiplied in blocks of
+``MUL_BLOCK`` batch columns, so that a block's rows stay in cache; each
 bucket pair column is then a take of whole rows, a slice wherever the
 indices allow (``mul_columns``).  Both paths sum each coefficient's pairs in
-``mul_flat`` order, so a batched product equals the stacked scalar ones bit
-for bit.  ``jet_einsum`` makes one ``np.matmul`` over all output
-coefficients, whose inner axis runs over a coefficient's padded row of pairs
-and the contracted indices, so the outer product over those indices is never
-formed.  Padding pairs point at an all-zero row of both operands.
+``mul_flat`` order starting from +0.0, so a batched product equals the
+stacked scalar ones bit for bit.  The bincount path wins while its (N,
+pairs) temporaries stay in cache; the blocked path pays a fixed cost per
+bucket pair column, which small batches do not amortize.
+
+``jet_einsum`` makes one ``np.matmul`` over all output coefficients, whose
+inner axis runs over a coefficient's padded row of pairs and the contracted
+indices, so the outer product over those indices is never formed.  Padding
+pairs point at an all-zero row of both operands.
 """
 
 from __future__ import annotations
@@ -146,6 +152,16 @@ class JetContext:
         order, padded to the longest row with the index ``ncoeffs``."""
         return self._mul[2]
 
+    @cached_property
+    def _bins(self) -> np.ndarray:
+        ko = self.mul_flat()[2]
+        return (ko + self.ncoeffs * np.arange(MUL_BINCOUNT_BATCH)[:, None]).ravel()
+
+    def mul_bins(self, n: int) -> np.ndarray:
+        """Bin of each pair product of a batch of n <= ``MUL_BINCOUNT_BATCH`` jets,
+        row-major over (batch entry r, ``mul_flat`` pair): ko + ncoeffs * r."""
+        return self._bins[:n * len(self.mul_flat()[2])]
+
     def mul_columns(self) -> list[tuple]:
         """``mul_buckets`` by pair column: ``(ko, ((ka_0, kb_0), (ka_1, kb_1), ...))`` with
         each index a slice where one exists (see ``_rows_index``)."""
@@ -172,6 +188,11 @@ def context(nvars: int, order: int) -> JetContext:
 
 
 MUL_BLOCK = 2048  # batch columns per block of a batched product
+# Largest batch multiplied by bincount.  At order 4, nv 4 / 5, bincount took
+# 111 / 199 us at N = 32 / 31 against 384 / 511 us for the blocked kernel, and
+# 394 / 881 us at N = 64 / 63 against 416 / 567 us; at orders 1 to 3 it wins
+# or ties up to N = 64 (best of 7 x 300 calls on a shared 2-vCPU host).
+MUL_BINCOUNT_BATCH = 32
 
 
 def _rows_index(index: np.ndarray) -> slice | np.ndarray:
@@ -186,25 +207,30 @@ def _rows_index(index: np.ndarray) -> slice | np.ndarray:
     return index
 
 
-def _rows(x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
-    """Coefficient-major copy (ncoeffs, N) of coefficient data over ``batch``; data with
-    one batch entry stays one column, which broadcasts."""
+def _flat(x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """Coefficient data over ``batch`` as rows (N, ncoeffs); data with one batch
+    entry stays one row, which broadcasts."""
     nc = x.shape[-1]
     if x.shape[:-1] != batch and x.size != nc:
         x = np.broadcast_to(x, batch + (nc,))
-    return x.reshape(-1, nc).T.copy()
+    return x.reshape(-1, nc)
 
 
 def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product on coefficient arrays (batch-broadcasting)."""
+    ka, kb, ko = ctx.mul_flat()
     if a.ndim == 1 and b.ndim == 1:
-        ka, kb, ko = ctx.mul_flat()
         return np.bincount(ko, weights=a[ka] * b[kb], minlength=ctx.ncoeffs)
     batch = a.shape[:-1]
     if batch != b.shape[:-1]:
         batch = np.broadcast_shapes(batch, b.shape[:-1])
-    ra, rb = _rows(a, batch), _rows(b, batch)
+    fa, fb = _flat(a, batch), _flat(b, batch)
     n = math.prod(batch)
+    if n <= MUL_BINCOUNT_BATCH:
+        weights = fa.take(ka, axis=1) * fb.take(kb, axis=1)
+        return np.bincount(ctx.mul_bins(n), weights=weights.ravel(),
+                           minlength=n * ctx.ncoeffs).reshape(batch + (ctx.ncoeffs,))
+    ra, rb = fa.T.copy(), fb.T.copy()
     out = np.empty((n, ctx.ncoeffs))
     # Block by block and bucket by bucket, so each coefficient sums its pairs
     # in mul_flat order and no temporary is larger than (bucket outputs, block).

@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .chart import ChartPoint, MetricSpec, compute_h_t, eval_metric, metric_coefficients
+from .chart import NODE_BLOCK, ChartPoint, MetricSpec, compute_h_t, eval_metric, \
+    metric_coefficients
 from .ode import linear_rk4, rk4_step, stage_grid, step_size
 from .oracle import (assemble_coordinate_metric, check_finite, christoffel,
                      coordinate_curvature, full_metric)
@@ -55,7 +56,6 @@ __all__ = [
     "check_in_box",
 ]
 
-NODE_BLOCK = 64  # points per batched metric / curvature call
 SECOND_SYMMETRY_TOL = 1e-6
 SECOND_SYMMETRY_STEPS = 160
 SECOND_SYMMETRY_SPAN = 1.0

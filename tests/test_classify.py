@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from brinkmann.classify import (EngineDisagreement, algebra_lemma_probe,
+from brinkmann.classify import (A_TILDE_ORDER, EngineDisagreement, algebra_lemma_probe,
                                 check_theorem_redu, eisenhart_split, evaluate_samples,
                                 extract_A_tilde, gbar_eigh, sample_points, symmetry_order)
 from brinkmann.curvature import FRAME_BLOCKS
@@ -225,6 +225,26 @@ def test_extract_A_tilde_refuses_short_jets():
     with pytest.raises(ValueError, match="jet order >= 4"):
         extract_A_tilde(spec, samples, evaluations=evaluate_samples(spec, samples, depth=0,
                                                                     order=4))
+
+
+@pytest.mark.parametrize("jet, exponent, sample, residual", [
+    ("Atil", (0, 1, 0), 2, "grad_residual"),     # d/dx2, read only by the leaf gradient
+    ("Atil", (1, 0, 0), 3, "d0_residual"),       # d/du, read only by the transverse one
+    ("A", (2, 0, 0), 1, "affine_residual"),      # d2/du2, read only by the affine test
+])
+def test_a_non_finite_A_tilde_residual_is_a_located_error(jet, exponent, sample, residual):
+    # max(0.0, nan) is 0.0 in Python, so a NaN residual must not be folded that way
+    spec = fixture("cw4_r2")
+    samples = sample_points(spec)
+    evals = evaluate_samples(spec, samples, depth=1, order=A_TILDE_ORDER)
+    rep = extract_A_tilde(spec, samples, evaluations=evals, check_affine=True)
+    assert rep.grad_parallel and rep.d0_parallel and rep.affine_in_u
+    target = getattr(evals[sample].cc, jet)
+    target.data[..., target.ctx.index(exponent)] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=rf"^A_tilde {residual} is nan at sample \[") as err:
+            extract_A_tilde(spec, samples, evaluations=evals, check_affine=True)
+    assert str(list(samples[sample].coords)) in str(err.value)
 
 
 METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"

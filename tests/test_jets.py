@@ -229,6 +229,7 @@ def test_mul_buckets_partition_the_flat_pairs(nv, order):
 
 
 _BLOCK_CROSSING = J.MUL_BLOCK + 3
+_SMALL = J.MUL_BINCOUNT_BATCH   # the largest batch multiplied by bincount
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
 
@@ -240,7 +241,9 @@ def _product_cases(draw):
     shape_a, shape_b = draw(st.sampled_from([
         ((k,), (k,)), ((k,), ()), ((), (k,)), ((j, k), (k,)), ((k,), (j, k)),
         ((j, 1), (k,)), ((_BLOCK_CROSSING,), (_BLOCK_CROSSING,)),
-        ((_BLOCK_CROSSING,), ()), ((), (_BLOCK_CROSSING,))]))
+        ((_BLOCK_CROSSING,), ()), ((), (_BLOCK_CROSSING,)),
+        ((_SMALL,), (_SMALL,)), ((_SMALL + 1,), (_SMALL + 1,)),
+        ((1,), (_SMALL,)), ((_SMALL + 1,), (1,)), ((j, 1), (1, _SMALL))]))
     return (shape_a, shape_b, draw(st.integers(1, 4)), draw(st.integers(0, 4)),
             draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.1, 0.5])))
 
@@ -251,9 +254,16 @@ def _product_cases(draw):
 @example(((), (_BLOCK_CROSSING,), 4, 2, 1, 0.1))
 @example(((_BLOCK_CROSSING,), (), 2, 4, 2, 0.1))
 @example(((3, 5), (5,), 3, 3, 3, 0.5))
+@example(((_SMALL,), (_SMALL,), 4, 4, 4, 0.2))
+@example(((_SMALL + 1,), (_SMALL + 1,), 4, 4, 5, 0.2))
+@example(((1,), (_SMALL,), 3, 2, 6, 0.2))
+@example(((_SMALL + 1,), (1,), 3, 2, 7, 0.2))
+@example(((4, 1), (1, 8), 2, 3, 8, 0.2))
+@example(((3, 1), (1, _SMALL), 2, 3, 9, 0.2))
 def test_batched_mul_equals_stacked_scalar_products(case):
-    # signed zeros, infinities and NaNs included: the batched kernel sums each
-    # coefficient's pairs as the scalar bincount path does, to the last bit.
+    # signed zeros, infinities and NaNs included: both batched kernels (bincount
+    # up to MUL_BINCOUNT_BATCH products, blocked past it) sum each coefficient's
+    # pairs from +0.0 as the scalar bincount path does, to the last bit.
     # Only the sign of a NaN is left out: IEEE 754 does not fix it, and numpy's
     # own in-place add of two NaNs keeps either one's sign depending on the
     # array length.

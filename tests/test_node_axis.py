@@ -1,6 +1,7 @@
-"""A stack of chart points: every result of ``eval_metric`` and the oracle at a
-stack equals the one-point results stacked, bit for bit, and a failure names
-the first failing node exactly as the one-point call does."""
+"""A stack of chart points: every result of ``eval_metric``, the oracle and the
+frame engine at a stack equals the one-point results stacked, bit for bit,
+and a failure names the first failing node exactly as the one-point call
+does."""
 
 import pathlib
 
@@ -9,10 +10,13 @@ import pytest
 
 from brinkmann.chart import ChartPoint, MetricDefinitenessError, MetricSpec, compute_h_t, \
     eval_metric
+from brinkmann.classify import A_TILDE_ORDER, evaluate_samples
+from brinkmann.curvature import curvature_at
 from brinkmann.jets import JetDomainError
 from brinkmann.metricfile import load_metric_file
-from brinkmann.oracle import assemble_coordinate_metric, coordinate_curvature, full_metric
-from brinkmann.spaces import random_polynomial_spec
+from brinkmann.oracle import assemble_coordinate_metric, coordinate_curvature, \
+    frame_blocks_from_oracle, full_metric
+from brinkmann.spaces import fixture, random_polynomial_spec
 
 METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
 SPECS = [(path.stem, lambda path=path: load_metric_file(str(path)))
@@ -116,3 +120,60 @@ def test_the_first_failing_node_wins_across_stages():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"^non-finite H at \(1\.0, 0\.5, 0\.0\)$"):
             assemble_coordinate_metric(spec, p, 2)
+
+
+ENGINE_JETS = ("h", "t", "tup", "hup", "gamma", "Rbar_up", "A", "B",
+               "Atil", "Ahat", "Btil", "Bhat", "Rtil", "gradRbar")
+ENGINE_SPECS = SPECS + [("cw2", lambda: fixture("cw2"))]
+
+
+@pytest.mark.parametrize("name, make", ENGINE_SPECS, ids=[name for name, _ in ENGINE_SPECS])
+def test_the_engine_on_a_stack_gives_the_one_point_results_bitwise(name, make):
+    spec = make()
+    p = _stack(spec)
+    for depth in (0, 1, 2):
+        cc = curvature_at(spec, p, depth=depth)
+        one = [curvature_at(spec, p.node(k), depth=depth) for k in range(NODES)]
+        assert list(cc.blocks) == list(one[0].blocks)
+        for key, value in cc.blocks.items():
+            assert _same(value, [c.blocks[key] for c in one]), (depth, key)
+        for field in ENGINE_JETS:
+            if getattr(one[0], field) is None:
+                assert getattr(cc, field) is None, field
+                continue
+            assert _same(getattr(cc, field).data, [getattr(c, field).data for c in one]), field
+        for k in range(NODES):
+            node = cc.node(k)
+            assert node.point == p.node(k) and node.cj.ginv0.tobytes() == one[k].cj.ginv0.tobytes()
+            for key, value in node.blocks.items():
+                ref = one[k].blocks[key]
+                assert type(value) is type(ref) and np.asarray(value).tobytes() == \
+                    np.asarray(ref).tobytes(), (depth, key)
+
+
+def _loop_message(spec: MetricSpec, samples: list[ChartPoint]) -> str:
+    """The error of the one-point loop ``evaluate_samples`` replaces: engine,
+    then oracle, sample by sample."""
+    with pytest.raises(ValueError) as err:
+        for p in samples:
+            curvature_at(spec, p, order=A_TILDE_ORDER, depth=2)
+            frame_blocks_from_oracle(spec, p, depth=2)
+    return f"{type(err.value).__name__}: {err.value}"
+
+
+@pytest.mark.parametrize("us, failing", [
+    ((0.1, 0.2, 1.0, -0.9, 0.3), "non-finite H at (1.0, 0.1, -0.2)"),
+    ((0.1, 0.2, -0.9, 1.0, 0.3), "leaf metric not positive definite at (-0.9, 0.1, -0.2)"),
+], ids=["oracle_then_engine", "engine_then_oracle"])
+def test_evaluate_samples_raises_the_error_of_a_loop_over_the_samples(us, failing):
+    # u = 1.0 overflows H, which only the oracle refuses; u = -0.9 makes g_22
+    # indefinite, which the engine refuses first.  The engine runs on the
+    # stack of all five samples, so the stacked call fails at either.
+    spec = MetricSpec.from_text(4, H="exp(800*u)", g={(2, 2): "u + 0.5"})
+    samples = [ChartPoint(u, (0.1, -0.2)) for u in us]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _loop_message(spec, samples)
+        with pytest.raises(ValueError) as err:
+            evaluate_samples(spec, samples, depth=2, order=A_TILDE_ORDER)
+    assert f"{type(err.value).__name__}: {err.value}" == expected
+    assert expected.endswith(failing)
