@@ -404,39 +404,34 @@ def christoffel_bar(cj: ChartJets) -> Jet:
 
 @dataclass
 class FrameData:
-    """Change-of-basis matrices between the coordinate basis and {E_alpha}."""
+    """Change-of-basis matrices between the coordinate basis and {E_alpha},
+    at one point or at each point of a stack (node axes lead every array)."""
 
     n: int
-    e: np.ndarray      # e[alpha, mu]:   E_alpha = e[alpha, mu] d_mu
-    theta: np.ndarray  # theta[alpha, mu]: theta^alpha = theta[alpha, mu] dx^mu
+    e: np.ndarray      # e[..., alpha, mu]:   E_alpha = e[alpha, mu] d_mu
+    theta: np.ndarray  # theta[..., alpha, mu]: theta^alpha = theta[alpha, mu] dx^mu
     g_leaf: np.ndarray
 
     def frame_metric(self) -> np.ndarray:
         """Inner-product table g(E_alpha, E_beta) implied by the definitions."""
-        n = self.n
-        out = np.zeros((n, n))
-        out[0, 1] = out[1, 0] = -1.0
-        out[2:, 2:] = self.g_leaf
+        out = np.zeros(self.e.shape)
+        out[..., 0, 1] = out[..., 1, 0] = -1.0
+        out[..., 2:, 2:] = self.g_leaf
         return out
 
 
 def frame_components(cj: ChartJets) -> FrameData:
-    n = cj.spec.n
-    m = cj.m
-    H0 = cj.H.value()
-    W0 = cj.W.value().reshape(m)
-    e = np.zeros((n, n))
-    theta = np.zeros((n, n))
-    e[0, 0] = 1.0
-    e[0, 1] = -H0
-    e[1, 1] = 1.0
-    for i in range(m):
-        e[2 + i, 1] = -W0[i]
-        e[2 + i, 2 + i] = 1.0
-    theta[0, 0] = 1.0
-    theta[1, 0] = H0
-    theta[1, 1] = 1.0
-    for i in range(m):
-        theta[1, 2 + i] = W0[i]
-        theta[i + 2, i + 2] = 1.0
-    return FrameData(n, e, theta, cj.g.value().reshape(m, m))
+    """The frame and coframe matrices from the values of H and W_i (node axes
+    lead, as in ``cj``)."""
+    n, nodes = cj.spec.n, cj.H.shape
+    leaf = np.arange(2, n)
+    e = np.zeros(nodes + (n, n))
+    theta = np.zeros(nodes + (n, n))
+    e[..., 0, 0] = e[..., 1, 1] = theta[..., 0, 0] = theta[..., 1, 1] = 1.0
+    e[..., leaf, leaf] = theta[..., leaf, leaf] = 1.0
+    H0, W0 = cj.H.value(), cj.W.value()
+    e[..., 0, 1] = -H0
+    e[..., 2:, 1] = -W0
+    theta[..., 1, 0] = H0
+    theta[..., 1, 2:] = W0
+    return FrameData(n, e, theta, cj.g.value())

@@ -14,6 +14,7 @@ over-claim and yields the undetermined verdict.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -89,23 +90,47 @@ def sample_points(spec: MetricSpec, count: int = 8) -> list[ChartPoint]:
 # -- engine/oracle pairing ------------------------------------------------------------
 
 
-def _max_abs(value: np.ndarray | float) -> float:
-    """Largest absolute entry of a block; 0 for an empty one."""
-    return float(np.max(np.abs(value))) if np.size(value) else 0.0
+# Entries of one rank-6 coordinate tensor (N n^6 at N samples of dimension n)
+# per oracle call: the oracle runs on sub-stacks of
+# max(1, ORACLE_STACK_ENTRIES // n**6) samples, so 19 at n = 4, 5 at n = 5 and
+# one at n = 6.  Per sample at depth 2 (median of 15, shared 2-vCPU VM), with
+# the tracemalloc peak of one call:
+#   n = 4, cw4_order2, N = 1 / 5 / 19 / 64:  1.49 / 0.75 / 0.63 / 0.68 ms,
+#       0.3 / 1.2 / 4.7 / 15.7 MB (the time is flat from N = 19 on);
+#   n = 5, poly_seed2, N = 1 / 5 / 8:  6.63 / 3.45 / 3.12 ms, 0.7 / 4.0 / 6.4 MB;
+#   n = 6, cw6_order2, N = 1 / 2 / 5:  6.59 / 6.21 / 5.70 ms, 1.8 / 4.3 / 10.9 MB.
+# Five-sample stacks at n = 6 left the classify benchmark's throughput within
+# its noise (200.3 and 194.2 against 190.7 and 201.2 samples/s) and raised its
+# peak RSS from 50.5-51.0 to 60.0 MB, so n = 6 stays at one sample per call.
+ORACLE_STACK_ENTRIES = 80_000
 
 
 def _node_max_abs(values: np.ndarray) -> np.ndarray:
-    """``_max_abs`` of each node of a stack (N, ...) of blocks; NaN propagates."""
+    """Largest absolute entry of each node of a stack (N, ...) of blocks, 0
+    for empty blocks; NaN propagates."""
     flat = np.abs(values).reshape(len(values), -1)
     return flat.max(axis=1) if flat.shape[1] else np.zeros(len(values))
 
 
+def _stack(points: Sequence[ChartPoint]) -> ChartPoint:
+    """The points as one stack of chart points."""
+    return ChartPoint(np.array([q.u for q in points]),
+                      tuple(np.array(c) for c in zip(*(q.x for q in points))))
+
+
 @dataclass
 class SampleEvaluation:
+    """Both pipelines at one sample.  ``cc`` keeps the blocks, ``cj`` and the
+    jets the reports read (gamma, tup, A, Atil); its other jets are None."""
+
     point: ChartPoint
     cc: ChartCurvature
     oracle: dict[str, np.ndarray | float]
     agreement: dict[str, float]
+
+
+# The engine jets no report reads, dropped before the evaluations are returned.
+_UNREAD_JETS = ("h", "t", "hup", "Rbar_up", "B", "Ahat", "Btil", "Bhat", "Rtil", "gradRbar")
 
 
 def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int = 2,
@@ -113,8 +138,10 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int
     """Run both pipelines at each sample and record per-block deviations.
 
     The engine runs once per block of ``NODE_BLOCK`` samples, on their stack;
-    the oracle runs once per sample.  The engine's jets have order
-    ``depth + 2`` unless ``order`` asks for more.  Overflow inside the jets is
+    the oracle runs once per sub-stack of at most
+    ``max(1, ORACLE_STACK_ENTRIES // n**6)`` of them.  The engine's jets have
+    order ``depth + 2`` unless ``order`` asks for more; of those jets, each
+    evaluation keeps only what the reports read.  Overflow inside the jets is
     not reported as it happens; instead a non-finite deviation aborts with
     ``EngineDisagreement``, naming the first such block and its sample.  Any
     failure is the one a loop over the samples raises: the engine's at sample
@@ -122,9 +149,7 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int
     """
     evaluations = []
     for start in range(0, len(samples), NODE_BLOCK):
-        block = samples[start:start + NODE_BLOCK]
-        p = ChartPoint(np.array([q.u for q in block]),
-                       tuple(np.array(c) for c in zip(*(q.x for q in block))))
+        p = _stack(samples[start:start + NODE_BLOCK])
         evaluations += first_failing_node(p, lambda q: _evaluate(spec, q, depth, order))
     return evaluations
 
@@ -132,20 +157,25 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int
 def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int,
               order: int | None) -> list[SampleEvaluation]:
     """The evaluations of the samples of p (a stack, or one point): one engine
-    call on the stack, one oracle call per sample, deviations on the stack."""
-    if not p.shape:
-        p = ChartPoint(np.array([p.u]), tuple(np.array([c]) for c in p.x))
-    points = [p.node(k) for k in range(p.shape[0])]
+    call on the stack, one oracle call per sub-stack, deviations on each
+    sub-stack."""
+    points = [p.node(k) for k in range(p.shape[0])] if p.shape else [p]
+    per_call = max(1, ORACLE_STACK_ENTRIES // spec.n ** 6)
+    evaluations = []
     with np.errstate(all="ignore"):
-        cc = curvature_at(spec, p, order=order, depth=depth)
-        oracles = [frame_blocks_from_oracle(spec, q, depth=depth) for q in points]
-        agreement = {}
-        for key in oracles[0]:
-            o = np.stack([np.asarray(ob[key]) for ob in oracles])
-            agreement[key] = _node_max_abs(cc.blocks[key] - o) / (1.0 + _node_max_abs(o))
-    evaluations = [SampleEvaluation(q, cc.node(k), ob,
-                                    {key: float(dev[k]) for key, dev in agreement.items()})
-                   for k, (q, ob) in enumerate(zip(points, oracles))]
+        cc = curvature_at(spec, _stack(points), order=order, depth=depth)
+        cc = dataclasses.replace(cc, **dict.fromkeys(_UNREAD_JETS))
+        for start in range(0, len(points), per_call):
+            part = points[start:start + per_call]
+            oracle = frame_blocks_from_oracle(spec, _stack(part), depth=depth)
+            agreement = {key: _node_max_abs(cc.blocks[key][start:start + len(part)] - o)
+                         / (1.0 + _node_max_abs(o)) for key, o in oracle.items()}
+            evaluations += [
+                SampleEvaluation(q, cc.node(start + k),
+                                 {key: float(o[k]) if o.ndim == 1 else o[k]
+                                  for key, o in oracle.items()},
+                                 {key: float(dev[k]) for key, dev in agreement.items()})
+                for k, q in enumerate(part)]
     _check_finite(evaluations)
     return evaluations
 
@@ -161,11 +191,18 @@ def _check_finite(evaluations: list[SampleEvaluation]) -> None:
                     "so no verdict can be reached")
 
 
+def _key_max(block_sets: Sequence[dict[str, np.ndarray | float]], key: str) -> float:
+    """Largest absolute entry of block ``key`` over the given block dicts, one
+    max on the stack of their blocks; 0 where no dict holds the key or the
+    block is empty.  NaN propagates."""
+    values = [blocks[key] for blocks in block_sets if key in blocks]
+    return float(np.abs(np.array(values)).max()) if values and np.size(values[0]) else 0.0
+
+
 def _depth_norm(block_sets: Sequence[dict[str, np.ndarray | float]], depth: int) -> float:
     """Max-norm of one depth's blocks (R, nabla R or nabla nabla R) over the
     given block dicts; 0 where that depth was not evaluated."""
-    return max((_max_abs(blocks[k]) for blocks in block_sets
-                for k in FRAME_BLOCKS[depth] if k in blocks), default=0.0)
+    return float(np.max([_key_max(block_sets, key) for key in FRAME_BLOCKS[depth]]))
 
 
 def _evaluated_depth(evaluations: Sequence[SampleEvaluation], need: int, who: str) -> int:
@@ -302,8 +339,8 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
     else:
         verdict = "undetermined"
 
-    block_norms = {k: max(_max_abs(ev.cc.blocks[k]) for ev in evaluations)
-                   for k in FRAME_BLOCKS[2]} if depth == 2 else {}
+    engine = [ev.cc.blocks for ev in evaluations]
+    block_norms = {k: _key_max(engine, k) for k in FRAME_BLOCKS[2]} if depth == 2 else {}
 
     return SymmetryReport(
         verdict=verdict,
@@ -335,19 +372,17 @@ def check_theorem_redu(spec: MetricSpec, samples: Sequence[ChartPoint] | None = 
     if evaluations is None:
         evaluations = evaluate_samples(spec, samples, depth=1)
     _evaluated_depth(evaluations, 1, "check_theorem_redu")
-    eps = tol * (1.0 + _depth_norm([ev.cc.blocks for ev in evaluations], 0))
-
-    def block_max(name: str) -> float:
-        return max(_max_abs(ev.cc.blocks[name]) for ev in evaluations)
+    engine = [ev.cc.blocks for ev in evaluations]
+    eps = tol * (1.0 + _depth_norm(engine, 0))
 
     svals = np.array([ev.cc.blocks["S"] for ev in evaluations])
     spread = float(svals.max() - svals.min())
     return StructuralChecks(
-        leaf_locally_symmetric=block_max("gradRbar") < eps,
-        bhat_zero=block_max("Bhat") < eps,
-        rtil_zero=block_max("Rtil") < eps,
-        ahat_zero=block_max("Ahat") < eps,
-        btil_zero=block_max("Btil") < eps,
+        leaf_locally_symmetric=_key_max(engine, "gradRbar") < eps,
+        bhat_zero=_key_max(engine, "Bhat") < eps,
+        rtil_zero=_key_max(engine, "Rtil") < eps,
+        ahat_zero=_key_max(engine, "Ahat") < eps,
+        btil_zero=_key_max(engine, "Btil") < eps,
         scalar_constant=spread < tol * (1.0 + float(np.max(np.abs(svals)))),
         scalar_value=float(svals.mean()),
         scalar_spread=spread,

@@ -149,6 +149,8 @@ class ChartCurvature:
     the nabla R jets ``Atil`` .. ``gradRbar`` are None below depth 1 and on a
     two-dimensional chart.  At a stack of points every jet and block has a
     leading node axis (the rank-0 blocks ``Ric00`` and ``S`` are arrays).
+    The evaluations of ``classify.evaluate_samples`` keep only the jets its
+    reports read; the others are None there.
     """
 
     cj: ChartJets

@@ -23,16 +23,20 @@ and the numeric inverse, by the same lowered combination that
 assemble G with ``full_metric`` from the compiled order-1 tape's coefficients
 and refuse it by ``check_finite``, as ``assemble_coordinate_metric`` does.
 
-``assemble_coordinate_metric`` and ``coordinate_curvature`` also take a
-stack of N chart points (a ``ChartPoint`` with a 1-D array u): G, its
-inverses, Gamma, R and its covariant derivatives then carry a leading node
-axis, every ``jet_einsum`` contracts with the node letter N leading its
-subscripts (``chart.node_subscripts``), and each node's numbers are bit for
-bit those of its own one-point call.  A failure in a stack is the error the
-first failing node raises on its own.  Every jet is only as deep as what
-reads it: the jet inverse of G is built at the order of Gamma, the Gamma
-Gamma product at the order of dGamma, and each covariant derivative at the
-order of the new slot.
+Every function here also takes a stack of N chart points (a ``ChartPoint``
+with a 1-D array u), by the same code as one point: G, its inverses, Gamma,
+R, its covariant derivatives, the frame matrices and the frame blocks then
+carry a leading node axis, every ``jet_einsum`` contracts with the node
+letter N leading its subscripts (``chart.node_subscripts``), ``to_frame``
+makes each node's matrix products with its own frame, and each node's
+numbers are bit for bit those of its own one-point call.  A failure in a
+stack is the error the first failing node raises on its own.  Every jet is
+only as deep as what reads it: the jet inverse of G is built at the order
+of Gamma, the Gamma Gamma product at the order of dGamma, and each
+covariant derivative at the order of the new slot.  ``coordinate_curvature``
+frees the derivatives of G and Gamma before the covariant derivatives, and
+adds each term of R and of a covariant derivative in place, in the order
+of the sum, so a stack holds few tensors of its largest size at once.
 
 Nothing here knows about the partly null frame; ``to_frame`` contracts
 coordinate tensors against externally supplied basis matrices and returns
@@ -199,13 +203,17 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
     dG = _cgrad(cm.G, n)                          # dG[..., a, b, mu] = g_ab,mu
     Gamma = 0.5 * jet_einsum(node_subscripts("ar,rbc->abc", nodes), cm.Ginv,
                              Jet(dG.ctx, _lowered(dG.data, len(nodes))))
+    del dG
 
     dGamma = _cgrad(Gamma, n)                     # dGamma[..., a, b, c, mu]
-    dterm = Jet(dGamma.ctx, np.einsum("...adbcx->...abcdx", dGamma.data)
-                - np.einsum("...acbdx->...abcdx", dGamma.data))
-    low = Gamma.truncate(dGamma.order)            # R reads no higher degree
+    R = Jet(dGamma.ctx, np.einsum("...adbcx->...abcdx", dGamma.data)
+            - np.einsum("...acbdx->...abcdx", dGamma.data))
+    del dGamma
+    low = Gamma.truncate(R.order)                 # R reads no higher degree
     gg = jet_einsum(node_subscripts("acr,rdb->abcd", nodes), low, low)
-    R = dterm + gg - Jet(gg.ctx, np.swapaxes(gg.data, -3, -2))
+    R.data += gg.data
+    R.data -= np.swapaxes(gg.data, -3, -2)
+    del gg, low
 
     Ric_val = np.trace(R.value(), axis1=-4, axis2=-2)
     S_val = np.einsum("...bd,...bd->...", cm.Ginv0, Ric_val)
@@ -215,15 +223,20 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
         dR = _cov_deriv(R, 1, Gamma, n)
         dR_val = dR.value()
         if depth == 2:
-            d2R = _cov_deriv(dR, 1, Gamma, n)
-            d2R_val = d2R.value()
+            d2R_val = _cov_deriv(dR, 1, Gamma, n).value()
     return CoordinateCurvature(n, depth, Gamma.value(), R.value(), dR_val, d2R_val,
-                               Ric_val, S_val if nodes else float(S_val))
+                               Ric_val, _rank0(S_val))
+
+
+def _rank0(value: np.ndarray) -> float | np.ndarray:
+    """A rank-0 value as a float at one point; at a stack, its node array."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _cov_deriv(T: Jet, nup: int, Gamma: Jet, n: int) -> Jet:
     """Coordinate covariant derivative, new slot appended last; node axes of
-    Gamma and T lead.  Gamma and T are truncated to the derivative's order."""
+    Gamma and T lead.  Gamma and T are truncated to the derivative's order,
+    and every connection term is added in place, in slot order."""
     import string
 
     letters = [c for c in string.ascii_lowercase if c not in "rs"]
@@ -236,76 +249,84 @@ def _cov_deriv(T: Jet, nup: int, Gamma: Jet, n: int) -> Jet:
         L = names[a]
         src = names[:a] + "r" + names[a + 1:]
         if a < nup:
-            out = out + jet_einsum(node_subscripts(f"{L}rs,{src}->{names}s", nodes), Gamma, T)
+            out.data += jet_einsum(node_subscripts(f"{L}rs,{src}->{names}s", nodes), Gamma, T).data
         else:
-            out = out - jet_einsum(node_subscripts(f"r{L}s,{src}->{names}s", nodes), Gamma, T)
+            out.data -= jet_einsum(node_subscripts(f"r{L}s,{src}->{names}s", nodes), Gamma, T).data
     return out
 
 
 def to_frame(values: np.ndarray, nup: int, frame: FrameData) -> np.ndarray:
     """Frame components of a coordinate tensor, as an array of the same shape.
 
-    Contravariant slots (the first ``nup`` axes) pick up theta^alpha_mu,
-    covariant slots pick up e_alpha^mu; every slot runs over the whole
-    frame 0 .. n-1.
+    Contravariant slots (the first ``nup`` tensor axes) pick up
+    theta^alpha_mu, covariant slots pick up e_alpha^mu; every slot runs over
+    the whole frame 0 .. n-1.  At a stack, the node axes of ``frame`` lead
+    ``values`` too, and each node is contracted with its own frame by one
+    matrix product per slot, the product a single point makes.
     """
+    nn = frame.e.ndim - 2
     out = values
-    for axis in range(values.ndim):
-        mat = frame.theta if axis < nup else frame.e
-        out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
+    for slot in range(values.ndim - nn):
+        mat = frame.theta if slot < nup else frame.e
+        moved = np.moveaxis(out, nn + slot, nn)
+        product = np.matmul(mat, moved.reshape(moved.shape[:nn + 1] + (-1,)))
+        out = np.moveaxis(product.reshape(moved.shape), nn, nn + slot)
     return out
 
 
 def frame_blocks_from_oracle(spec: MetricSpec, p: ChartPoint,
-                             depth: int = 2) -> dict[str, np.ndarray]:
+                             depth: int = 2) -> dict[str, np.ndarray | float]:
     """All frame tensor blocks of R, nabla R, nabla nabla R via the oracle.
 
     The coordinate metric is taken at jet order depth + 2, the least the
     curvature needs.  Keys match the specialized engine's naming so the two
-    pipelines can be compared entry by entry.
+    pipelines can be compared entry by entry.  At a stack of points every
+    block has a leading node axis (the rank-0 blocks ``Ric00`` and ``S`` are
+    arrays), each node bit for bit its one-point call; a failure is the
+    first failing node's error.  The blocks are copies, so no coordinate
+    tensor outlives the call.
     """
     cm = assemble_coordinate_metric(spec, p, depth + 2)
     cc = coordinate_curvature(cm, depth)
     fr = cm.frame
-    n = cm.n
+    L = slice(2, cm.n)
     Rf = to_frame(cc.R, 1, fr)
     Ricf = to_frame(cc.Ric, 0, fr)
-    L = slice(2, n)
-    blocks: dict[str, np.ndarray] = {
-        "Rbar": Rf[L, L, L, L],
-        "A": Rf[1, L, 0, L],
-        "B": Rf[1, L, L, L],
-        "R_i0k": Rf[L, L, 0, L],
-        "Ric00": float(Ricf[0, 0]),
-        "Ric0i": Ricf[0, L],
-        "Ricij": Ricf[L, L],
+    views: dict[str, np.ndarray] = {
+        "Rbar": Rf[..., L, L, L, L],
+        "A": Rf[..., 1, L, 0, L],
+        "B": Rf[..., 1, L, L, L],
+        "R_i0k": Rf[..., L, L, 0, L],
+        "Ric00": Ricf[..., 0, 0],
+        "Ric0i": Ricf[..., 0, L],
+        "Ricij": Ricf[..., L, L],
         "S": cc.S,
     }
     if depth >= 1:
         dRf = to_frame(cc.dR, 1, fr)
-        blocks.update({
-            "Atil": dRf[1, L, 0, L, 0],
-            "Ahat": dRf[1, L, 0, L, L],
-            "Btil": dRf[1, L, L, L, 0],
-            "Bhat": dRf[1, L, L, L, L],
-            "Rtil": dRf[L, L, L, L, 0],
-            "gradRbar": dRf[L, L, L, L, L],
+        views.update({
+            "Atil": dRf[..., 1, L, 0, L, 0],
+            "Ahat": dRf[..., 1, L, 0, L, L],
+            "Btil": dRf[..., 1, L, L, L, 0],
+            "Bhat": dRf[..., 1, L, L, L, L],
+            "Rtil": dRf[..., L, L, L, L, 0],
+            "gradRbar": dRf[..., L, L, L, L, L],
         })
     if depth == 2:
         d2Rf = to_frame(cc.d2R, 1, fr)
         # layout [a, b, c, d, inner, outer]
-        blocks.update({
-            "ll_rbar": d2Rf[L, L, L, L, L, L],
-            "0l_rbar": d2Rf[L, L, L, L, L, 0],
-            "l0_rbar": d2Rf[L, L, L, L, 0, L],
-            "00_rbar": d2Rf[L, L, L, L, 0, 0],
-            "ll_b": d2Rf[1, L, L, L, L, L],
-            "0l_b": d2Rf[1, L, L, L, L, 0],
-            "l0_b": d2Rf[1, L, L, L, 0, L],
-            "00_b": d2Rf[1, L, L, L, 0, 0],
-            "ll_a": d2Rf[1, L, 0, L, L, L],
-            "0l_a": d2Rf[1, L, 0, L, L, 0],
-            "l0_a": d2Rf[1, L, 0, L, 0, L],
-            "00_a": d2Rf[1, L, 0, L, 0, 0],
+        views.update({
+            "ll_rbar": d2Rf[..., L, L, L, L, L, L],
+            "0l_rbar": d2Rf[..., L, L, L, L, L, 0],
+            "l0_rbar": d2Rf[..., L, L, L, L, 0, L],
+            "00_rbar": d2Rf[..., L, L, L, L, 0, 0],
+            "ll_b": d2Rf[..., 1, L, L, L, L, L],
+            "0l_b": d2Rf[..., 1, L, L, L, L, 0],
+            "l0_b": d2Rf[..., 1, L, L, L, 0, L],
+            "00_b": d2Rf[..., 1, L, L, L, 0, 0],
+            "ll_a": d2Rf[..., 1, L, 0, L, L, L],
+            "0l_a": d2Rf[..., 1, L, 0, L, L, 0],
+            "l0_a": d2Rf[..., 1, L, 0, L, 0, L],
+            "00_a": d2Rf[..., 1, L, 0, L, 0, 0],
         })
-    return blocks
+    return {key: _rank0(np.array(v)) for key, v in views.items()}

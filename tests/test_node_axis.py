@@ -7,15 +7,17 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from brinkmann.chart import ChartPoint, MetricDefinitenessError, MetricSpec, compute_h_t, \
-    eval_metric
-from brinkmann.classify import A_TILDE_ORDER, evaluate_samples
+from brinkmann import classify
+from brinkmann.chart import NODE_BLOCK, ChartPoint, MetricDefinitenessError, MetricSpec, \
+    compute_h_t, eval_metric, frame_components
+from brinkmann.classify import A_TILDE_ORDER, evaluate_samples, sample_points
 from brinkmann.curvature import curvature_at
 from brinkmann.jets import JetDomainError
 from brinkmann.metricfile import load_metric_file
 from brinkmann.oracle import assemble_coordinate_metric, coordinate_curvature, \
-    frame_blocks_from_oracle, full_metric
+    frame_blocks_from_oracle, full_metric, to_frame
 from brinkmann.spaces import fixture, random_polynomial_spec
 
 METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
@@ -149,6 +151,64 @@ def test_the_engine_on_a_stack_gives_the_one_point_results_bitwise(name, make):
                 ref = one[k].blocks[key]
                 assert type(value) is type(ref) and np.asarray(value).tobytes() == \
                     np.asarray(ref).tobytes(), (depth, key)
+
+
+@pytest.mark.parametrize("name, make", ENGINE_SPECS, ids=[name for name, _ in ENGINE_SPECS])
+def test_the_oracle_frame_blocks_on_a_stack_give_the_one_point_results_bitwise(name, make):
+    spec = make()
+    p = _stack(spec)
+    nodes = [p.node(k) for k in range(NODES)]
+    cj = eval_metric(spec, p, 0)
+    fr = frame_components(cj)
+    one = [frame_components(eval_metric(spec, q, 0)) for q in nodes]
+    for field in ("e", "theta", "g_leaf"):
+        assert _same(getattr(fr, field), [getattr(f, field) for f in one]), field
+    for depth in (0, 1, 2):
+        cc = coordinate_curvature(assemble_coordinate_metric(spec, p, depth + 2), depth)
+        ref = [coordinate_curvature(assemble_coordinate_metric(spec, q, depth + 2), depth)
+               for q in nodes]
+        for field, nup in (("R", 1), ("Ric", 0), ("dR", 1), ("d2R", 1))[:2 + depth]:
+            assert _same(to_frame(getattr(cc, field), nup, fr),
+                         [to_frame(getattr(r, field), nup, f) for r, f in zip(ref, one)]), field
+        blocks = frame_blocks_from_oracle(spec, p, depth=depth)
+        single = [frame_blocks_from_oracle(spec, q, depth=depth) for q in nodes]
+        assert list(blocks) == list(single[0])
+        for key, value in blocks.items():
+            assert _same(value, [b[key] for b in single]), (depth, key)
+            if key in ("Ric00", "S"):
+                assert all(type(b[key]) is float for b in single), key
+
+
+@pytest.mark.parametrize("n, count", [(4, 5), (4, 70), (5, 5), (5, 12), (6, 5)])
+def test_the_oracle_runs_on_sub_stacks_sized_by_the_dimension(monkeypatch, n, count):
+    sizes = []
+
+    def counted(spec, p, depth=2):
+        sizes.append(p.shape[0])
+        return frame_blocks_from_oracle(spec, p, depth=depth)
+
+    monkeypatch.setattr(classify, "frame_blocks_from_oracle", counted)
+    spec = random_polynomial_spec(3, n=n)
+    evaluate_samples(spec, sample_points(spec, count=count - 1), depth=0)
+    per_call = max(1, classify.ORACLE_STACK_ENTRIES // n ** 6)
+    expected = [min(per_call, len(block) - start)
+                for block in (range(count)[i:i + NODE_BLOCK] for i in range(0, count, NODE_BLOCK))
+                for start in range(0, len(block), per_call)]
+    assert sizes == expected
+    # five samples (`check --samples 4`): one stack up to n = 5, one call per sample at n = 6
+    if count == 5:
+        assert sizes == ([5] if n < 6 else [1] * 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([4, 5]))
+def test_random_specs_give_engine_oracle_agreement(seed, n):
+    spec = random_polynomial_spec(seed, n=n)
+    evaluations = evaluate_samples(spec, sample_points(spec, count=4), depth=2)
+    for ev in evaluations:
+        assert max(ev.agreement.values()) < 1e-8
+        for blocks in (ev.cc.blocks, ev.oracle):
+            assert all(np.isfinite(v).all() for v in blocks.values())
 
 
 def _loop_message(spec: MetricSpec, samples: list[ChartPoint]) -> str:
