@@ -6,6 +6,10 @@ evaluated and compared block by block.  A disagreement beyond
 ENGINE_AGREEMENT_TOL means an internal bug, not a property of the metric,
 and aborts the run.
 
+``evaluate_samples`` returns one ``SampleStack``: both pipelines' blocks,
+the deviations and the engine jets the reports read, each on a leading
+sample axis.  Every report reads that stack directly.
+
 Residual semantics: a tensor depth (R, nabla R, nabla nabla R) counts as
 *zero* below ``tol`` and as *detected* above DETECTION_FLOOR, both scaled by
 (1 + curvature magnitude); anything caught in between is a refusal to
@@ -15,19 +19,19 @@ over-claim and yields the undetermined verdict.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .chart import NODE_BLOCK, ChartPoint, MetricSpec, first_failing_node
-from .curvature import FRAME_BLOCKS, ChartCurvature, curvature_at, d0_op, leaf_grad
+from .curvature import FRAME_BLOCKS, curvature_at, d0_op, leaf_grad
 from .jets import Jet
 from .oracle import frame_blocks_from_oracle
 
 __all__ = [
     "EngineDisagreement",
+    "SampleStack",
     "SymmetryReport",
     "StructuralChecks",
     "AtilReport",
@@ -73,6 +77,8 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 def sample_points(spec: MetricSpec, count: int = 8) -> list[ChartPoint]:
     """Deterministic low-discrepancy samples in the admissible box, plus its center."""
+    if count < 0:
+        raise ValueError(f"sample count {count} is negative")
     nv = spec.num_vars
     inner = 1.0 - 2.0 * SAMPLE_MARGIN
     pts = []
@@ -119,84 +125,111 @@ def _stack(points: Sequence[ChartPoint]) -> ChartPoint:
 
 
 @dataclass
-class SampleEvaluation:
-    """Both pipelines at one sample.  ``cc`` keeps the blocks, ``cj`` and the
-    jets the reports read (gamma, tup, A, Atil); its other jets are None."""
+class SampleStack:
+    """Both pipelines at N samples: the stack ``point`` of the samples, and
+    blocks, deviations and jets on a leading sample axis.
+
+    ``blocks`` and ``oracle`` hold the engine's and the oracle's frame blocks
+    (the rank-0 blocks as (N,) arrays), ``agreement`` each key's (N,)
+    engine/oracle deviations.  Of the engine's jets, only those the reports
+    read are kept: the leaf metric ``g``, ``gamma``, ``tup``, ``A`` and, from
+    depth 1, ``Atil``.
+    """
 
     point: ChartPoint
-    cc: ChartCurvature
-    oracle: dict[str, np.ndarray | float]
-    agreement: dict[str, float]
+    depth: int
+    order: int
+    blocks: dict[str, np.ndarray]
+    oracle: dict[str, np.ndarray]
+    agreement: dict[str, np.ndarray]
+    g: Jet
+    gamma: Jet
+    tup: Jet
+    A: Jet
+    Atil: Jet | None
 
 
-# The engine jets no report reads, dropped before the evaluations are returned.
-_UNREAD_JETS = ("h", "t", "hup", "Rbar_up", "B", "Ahat", "Btil", "Bhat", "Rtil", "gradRbar")
+def _join(parts: list):
+    """Concatenate the parts of stack fields (arrays, jets, dicts of them or
+    None) along their sample axis."""
+    first = parts[0]
+    if isinstance(first, dict):
+        return {key: _join([part[key] for part in parts]) for key in first}
+    if isinstance(first, Jet):
+        return Jet(first.ctx, np.concatenate([part.data for part in parts]))
+    return None if first is None else np.concatenate(parts)
+
+
+def _rows(p: ChartPoint, rows: slice) -> ChartPoint:
+    """The sub-stack ``rows`` of the stack p."""
+    return ChartPoint(p.u[rows], tuple(c[rows] for c in p.x))
 
 
 def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int = 2,
-                     order: int | None = None) -> list[SampleEvaluation]:
-    """Run both pipelines at each sample and record per-block deviations.
+                     order: int | None = None) -> SampleStack:
+    """Run both pipelines at the samples and record per-block deviations.
 
     The engine runs once per block of ``NODE_BLOCK`` samples, on their stack;
     the oracle runs once per sub-stack of at most
-    ``max(1, ORACLE_STACK_ENTRIES // n**6)`` of them.  The engine's jets have
-    order ``depth + 2`` unless ``order`` asks for more; of those jets, each
-    evaluation keeps only what the reports read.  Overflow inside the jets is
-    not reported as it happens; instead a non-finite deviation aborts with
+    ``max(1, ORACLE_STACK_ENTRIES // n**6)`` of them.  The blocks' results
+    are concatenated.  The engine's jets have order ``depth + 2`` unless
+    ``order`` asks for more.  Overflow inside the jets is not reported as it
+    happens; instead a non-finite deviation aborts with
     ``EngineDisagreement``, naming the first such block and its sample.  Any
-    failure is the one a loop over the samples raises: the engine's at sample
-    k, then the oracle's at sample k, then sample k + 1.
+    failure is the one a loop over the samples raises: the engine's at
+    sample k, then the oracle's at sample k, then sample k + 1.
     """
-    evaluations = []
-    for start in range(0, len(samples), NODE_BLOCK):
-        p = _stack(samples[start:start + NODE_BLOCK])
-        evaluations += first_failing_node(p, lambda q: _evaluate(spec, q, depth, order))
-    return evaluations
+    if not samples:
+        raise ValueError("evaluate_samples needs at least one sample")
+    p = _stack(samples)
+    parts = [first_failing_node(_rows(p, slice(start, start + NODE_BLOCK)),
+                                lambda q: _evaluate(spec, q if q.shape else _stack([q]), depth,
+                                                    order))
+             for start in range(0, len(samples), NODE_BLOCK)]
+    # The fields after point, depth and order carry the sample axis; each is
+    # dropped from the parts once joined, so that only one is held twice.
+    joined = [_join([vars(part).pop(f.name) for part in parts])
+              for f in dataclasses.fields(SampleStack)[3:]]
+    return SampleStack(p, depth, parts[0].order, *joined)
 
 
-def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int,
-              order: int | None) -> list[SampleEvaluation]:
-    """The evaluations of the samples of p (a stack, or one point): one engine
-    call on the stack, one oracle call per sub-stack, deviations on each
-    sub-stack."""
-    points = [p.node(k) for k in range(p.shape[0])] if p.shape else [p]
+def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int, order: int | None) -> SampleStack:
+    """The evaluation of the stack p: one engine call on it, one oracle call
+    per sub-stack, deviations on each sub-stack."""
     per_call = max(1, ORACLE_STACK_ENTRIES // spec.n ** 6)
-    evaluations = []
+    oracles, agreements = [], []
     with np.errstate(all="ignore"):
-        cc = curvature_at(spec, _stack(points), order=order, depth=depth)
-        cc = dataclasses.replace(cc, **dict.fromkeys(_UNREAD_JETS))
-        for start in range(0, len(points), per_call):
-            part = points[start:start + per_call]
-            oracle = frame_blocks_from_oracle(spec, _stack(part), depth=depth)
-            agreement = {key: _node_max_abs(cc.blocks[key][start:start + len(part)] - o)
-                         / (1.0 + _node_max_abs(o)) for key, o in oracle.items()}
-            evaluations += [
-                SampleEvaluation(q, cc.node(start + k),
-                                 {key: float(o[k]) if o.ndim == 1 else o[k]
-                                  for key, o in oracle.items()},
-                                 {key: float(dev[k]) for key, dev in agreement.items()})
-                for k, q in enumerate(part)]
-    _check_finite(evaluations)
-    return evaluations
+        cc = curvature_at(spec, p, order=order, depth=depth)
+        for start in range(0, len(p.u), per_call):
+            rows = slice(start, start + per_call)
+            oracles.append(frame_blocks_from_oracle(spec, _rows(p, rows), depth=depth))
+            agreements.append({key: _node_max_abs(cc.blocks[key][rows] - o)
+                               / (1.0 + _node_max_abs(o)) for key, o in oracles[-1].items()})
+    ev = SampleStack(p, depth, cc.cj.order, cc.blocks, _join(oracles), _join(agreements),
+                     cc.cj.g, cc.gamma, cc.tup, cc.A, cc.Atil)
+    _check_finite(ev)
+    return ev
 
 
-def _check_finite(evaluations: list[SampleEvaluation]) -> None:
-    """Raise on the first non-finite engine/oracle deviation, naming block and sample."""
-    for ev in evaluations:
-        for key, dev in ev.agreement.items():
-            if not math.isfinite(dev):
-                raise EngineDisagreement(
-                    f"engine/oracle agreement is {dev} (worst block {key} at sample "
-                    f"{list(ev.point.coords)}): the curvature jets are not finite there, "
-                    "so no verdict can be reached")
+def _check_finite(ev: SampleStack) -> None:
+    """Raise on the first non-finite engine/oracle deviation (first sample,
+    then key order), naming block and sample."""
+    bad = ~np.isfinite(np.array(list(ev.agreement.values())))
+    if bad.any():
+        k = int(bad.any(axis=0).argmax())
+        key = list(ev.agreement)[int(bad[:, k].argmax())]
+        raise EngineDisagreement(
+            f"engine/oracle agreement is {float(ev.agreement[key][k])} (worst block {key} at "
+            f"sample {list(ev.point.node(k).coords)}): the curvature jets are not finite "
+            "there, so no verdict can be reached")
 
 
 def _key_max(block_sets: Sequence[dict[str, np.ndarray | float]], key: str) -> float:
-    """Largest absolute entry of block ``key`` over the given block dicts, one
-    max on the stack of their blocks; 0 where no dict holds the key or the
-    block is empty.  NaN propagates."""
-    values = [blocks[key] for blocks in block_sets if key in blocks]
-    return float(np.abs(np.array(values)).max()) if values and np.size(values[0]) else 0.0
+    """Largest absolute entry of block ``key`` over the given block dicts
+    (stacks or one point); 0 where no dict holds the key or the block is
+    empty.  NaN propagates."""
+    return float(np.max([np.max(np.abs(blocks[key]), initial=0.0)
+                         for blocks in block_sets if key in blocks], initial=0.0))
 
 
 def _depth_norm(block_sets: Sequence[dict[str, np.ndarray | float]], depth: int) -> float:
@@ -205,13 +238,12 @@ def _depth_norm(block_sets: Sequence[dict[str, np.ndarray | float]], depth: int)
     return float(np.max([_key_max(block_sets, key) for key in FRAME_BLOCKS[depth]]))
 
 
-def _evaluated_depth(evaluations: Sequence[SampleEvaluation], need: int, who: str) -> int:
-    """The depth all evaluations reach; raise if it is below ``need``."""
-    depth = min(ev.cc.depth for ev in evaluations)
-    if depth < need:
-        raise ValueError(f"{who} needs evaluations of depth >= {need} (got depth {depth}); "
+def _evaluated_depth(ev: SampleStack, need: int, who: str) -> int:
+    """The depth of the evaluation; raise if it is below ``need``."""
+    if ev.depth < need:
+        raise ValueError(f"{who} needs evaluations of depth >= {need} (got depth {ev.depth}); "
                          f"pass depth={need} to evaluate_samples")
-    return depth
+    return ev.depth
 
 
 # -- symmetry order --------------------------------------------------------------------
@@ -288,23 +320,25 @@ def _classify_residual(value: float, tol: float, scale: float) -> str:
     return "gray"
 
 
-def _check_agreement(evaluations: list[SampleEvaluation]) -> float:
-    """Worst engine/oracle deviation; raise if it is above the tolerance or not finite."""
+def _check_agreement(ev: SampleStack) -> float:
+    """Worst engine/oracle deviation (the first of equals by sample, then key
+    order); raise if it is above the tolerance or not finite."""
     # Evaluations may come from the caller, so finiteness is checked again here.
-    _check_finite(evaluations)
-    dev, key, point = max(((dev, key, ev.point) for ev in evaluations
-                           for key, dev in ev.agreement.items()), key=lambda b: b[0])
+    _check_finite(ev)
+    devs = np.array(list(ev.agreement.values())).T
+    k, i = np.unravel_index(devs.argmax(), devs.shape)
+    dev, key = float(devs[k, i]), list(ev.agreement)[i]
     if dev > ENGINE_AGREEMENT_TOL:
         raise EngineDisagreement(
             f"engine and oracle disagree by {dev:.3e} (worst block {key} at sample "
-            f"{list(point.coords)}); "
+            f"{list(ev.point.node(k).coords)}); "
             "this indicates an internal inconsistency, not a property of the metric")
     return dev
 
 
 def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
                    tol: float = DEFAULT_TOL,
-                   evaluations: list[SampleEvaluation] | None = None,
+                   evaluations: SampleStack | None = None,
                    depth: int = 2) -> SymmetryReport:
     """Classify the symmetry order of the metric from sampled frame blocks.
 
@@ -322,7 +356,7 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
 
     agreement = _check_agreement(evaluations)
 
-    both = [blocks for ev in evaluations for blocks in (ev.cc.blocks, ev.oracle)]
+    both = [evaluations.blocks, evaluations.oracle]
     r0, r1, r2 = (_depth_norm(both, d) for d in range(3))
     scale = 1.0 + r0
 
@@ -339,7 +373,7 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
     else:
         verdict = "undetermined"
 
-    engine = [ev.cc.blocks for ev in evaluations]
+    engine = [evaluations.blocks]
     block_norms = {k: _key_max(engine, k) for k in FRAME_BLOCKS[2]} if depth == 2 else {}
 
     return SymmetryReport(
@@ -359,7 +393,7 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
 
 def check_theorem_redu(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
                        tol: float = DEFAULT_TOL,
-                       evaluations: list[SampleEvaluation] | None = None) -> StructuralChecks:
+                       evaluations: SampleStack | None = None) -> StructuralChecks:
     """Check the structural consequences of 2nd-symmetry on the chart.
 
     On a 2nd-symmetric space the leaf must be locally symmetric, the four
@@ -372,10 +406,10 @@ def check_theorem_redu(spec: MetricSpec, samples: Sequence[ChartPoint] | None = 
     if evaluations is None:
         evaluations = evaluate_samples(spec, samples, depth=1)
     _evaluated_depth(evaluations, 1, "check_theorem_redu")
-    engine = [ev.cc.blocks for ev in evaluations]
+    engine = [evaluations.blocks]
     eps = tol * (1.0 + _depth_norm(engine, 0))
 
-    svals = np.array([ev.cc.blocks["S"] for ev in evaluations])
+    svals = evaluations.blocks["S"]
     spread = float(svals.max() - svals.min())
     return StructuralChecks(
         leaf_locally_symmetric=_key_max(engine, "gradRbar") < eps,
@@ -391,8 +425,8 @@ def check_theorem_redu(spec: MetricSpec, samples: Sequence[ChartPoint] | None = 
 
 @dataclass
 class AtilReport:
-    values: list[np.ndarray]          # per sample
-    eigenvalues: list[np.ndarray]     # with respect to the leaf metric
+    values: np.ndarray                # (N, m, m), one per sample
+    eigenvalues: np.ndarray           # (N, m), with respect to the leaf metric
     grad_parallel: bool               # leaf covariant derivative vanishes
     d0_parallel: bool                 # transverse derivative vanishes
     grad_residual: float
@@ -402,7 +436,7 @@ class AtilReport:
 
     def to_dict(self) -> dict:
         return {
-            "values": [v.tolist() for v in self.values],
+            "values": self.values.tolist(),
             "eigenvalues": [list(map(float, e)) for e in self.eigenvalues],
             "grad_parallel": self.grad_parallel,
             "d0_parallel": self.d0_parallel,
@@ -415,12 +449,12 @@ class AtilReport:
 
 def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
                     tol: float = 1e-8,
-                    evaluations: list[SampleEvaluation] | None = None,
+                    evaluations: SampleStack | None = None,
                     check_affine: bool = False) -> AtilReport:
     """Per-sample Atil values, gbar-eigenvalues and parallelism flags.
 
     Given ``evaluations`` must be of depth >= 1 at jet order >= ``A_TILDE_ORDER``.
-    The derivatives behind the residuals are taken once, on the stack of all
+    The derivatives behind the residuals are taken on the stack of all
     samples.  A residual that is not finite at some sample raises a ValueError
     naming the residual and the sample.
     """
@@ -430,40 +464,29 @@ def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
         samples = sample_points(spec)
     if evaluations is None:
         evaluations = evaluate_samples(spec, samples, depth=1, order=A_TILDE_ORDER)
-    order = min(ev.cc.cj.order for ev in evaluations)
-    if order < A_TILDE_ORDER or any(ev.cc.Atil is None for ev in evaluations):
+    ev = evaluations
+    if ev.order < A_TILDE_ORDER or ev.Atil is None:
         raise ValueError(
             f"extract_A_tilde needs evaluations of depth >= 1 at jet order >= {A_TILDE_ORDER} "
-            f"(got order {order}); pass order={A_TILDE_ORDER} to evaluate_samples")
-    values = [ev.cc.blocks["Atil"].copy() for ev in evaluations]
-    eigs = [gbar_eigh(ev.cc.blocks["Atil"], ev.cc.cj.g.value())[0] for ev in evaluations]
-
-    def stacked(name: str) -> Jet:
-        """The samples' jets ``name`` on a leading node axis, at their common order."""
-        parts = [getattr(ev.cc, name) for ev in evaluations]
-        low = min(j.order for j in parts)
-        parts = [j.truncate(low) for j in parts]
-        return Jet(parts[0].ctx, np.stack([j.data for j in parts]))
+            f"(got order {ev.order}); pass order={A_TILDE_ORDER} to evaluate_samples")
 
     def residual(name: str, per_sample: np.ndarray) -> float:
         bad = np.flatnonzero(~np.isfinite(per_sample))
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"A_tilde {name} is {per_sample[k]} at sample "
-                             f"{list(evaluations[k].point.coords)}: the curvature jets are "
+                             f"{list(ev.point.node(k).coords)}: the curvature jets are "
                              "not finite there, so no verdict can be reached")
         return float(per_sample.max())
 
-    Atil = stacked("Atil")
-    grad_res = residual("grad_residual",
-                        _node_max_abs(leaf_grad(Atil, 0, stacked("gamma")).value()))
-    d0_res = residual("d0_residual", _node_max_abs(d0_op(Atil, 0, stacked("tup")).value()))
-    aff_res = residual("affine_residual", _node_max_abs(stacked("A").du().du().value())) \
+    grad_res = residual("grad_residual", _node_max_abs(leaf_grad(ev.Atil, 0, ev.gamma).value()))
+    d0_res = residual("d0_residual", _node_max_abs(d0_op(ev.Atil, 0, ev.tup).value()))
+    aff_res = residual("affine_residual", _node_max_abs(ev.A.du().du().value())) \
         if check_affine else None
-    scale = 1.0 + _depth_norm([ev.cc.blocks for ev in evaluations], 0)
+    scale = 1.0 + _depth_norm([ev.blocks], 0)
     return AtilReport(
-        values=values,
-        eigenvalues=eigs,
+        values=ev.blocks["Atil"].copy(),
+        eigenvalues=gbar_eigh(ev.blocks["Atil"], ev.g.value())[0],
         grad_parallel=grad_res < tol * scale,
         d0_parallel=d0_res < tol * scale,
         grad_residual=grad_res,
@@ -479,18 +502,16 @@ def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
 def gbar_eigh(T: np.ndarray, gbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues/vectors of T with respect to gbar via Cholesky reduction.
 
-    Solves T v = mu gbar v by diagonalizing L^{-T} T L^{-1} with
-    gbar = L L^T; returned eigenvectors are gbar-orthonormal columns.
+    Solves T v = mu gbar v by diagonalizing L^{-1} T L^{-T} with
+    gbar = L L^T; returned eigenvectors are gbar-orthonormal columns.  Leading
+    axes of T and gbar are stacks of matrices, solved one by one.
     """
-    m = gbar.shape[0]
-    if m == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    L = np.linalg.cholesky(gbar)
-    Linv = np.linalg.inv(L)
-    M = Linv @ T @ Linv.T
-    M = 0.5 * (M + M.T)
+    Linv = np.linalg.inv(np.linalg.cholesky(gbar))
+    LinvT = np.swapaxes(Linv, -1, -2)
+    M = Linv @ T @ LinvT
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
     mu, w = np.linalg.eigh(M)
-    return mu, Linv.T @ w
+    return mu, LinvT @ w
 
 
 @dataclass
@@ -518,7 +539,7 @@ class EisenhartSplit:
 
 def eisenhart_split(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
                     cluster_tol: float = 1e-6,
-                    evaluations: list[SampleEvaluation] | None = None) -> EisenhartSplit:
+                    evaluations: SampleStack | None = None) -> EisenhartSplit:
     """Cluster the gbar-eigenvalues of the leaf Ricci tensor and partition indices.
 
     The partition lists coordinate slots per eigenvalue cluster; the
@@ -532,14 +553,9 @@ def eisenhart_split(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
         evaluations = evaluate_samples(spec, samples, depth=1)
     _evaluated_depth(evaluations, 1, "eisenhart_split")
     m = spec.m
-    all_eigs = []
-    for ev in evaluations:
-        mu, _ = gbar_eigh(ev.cc.blocks["Ricij"], ev.cc.cj.g.value())
-        all_eigs.append(mu)
-    all_eigs = np.array(all_eigs)
-
-    base = evaluations[-1]  # box center is appended last by sample_points
-    mu, vecs = gbar_eigh(base.cc.blocks["Ricij"], base.cc.cj.g.value())
+    all_eigs, all_vecs = gbar_eigh(evaluations.blocks["Ricij"], evaluations.g.value())
+    # the base sample is the last: sample_points appends the box center
+    mu, vecs = all_eigs[-1], all_vecs[-1]
 
     clusters: list[list[int]] = []
     for idx in range(m):
@@ -569,15 +585,11 @@ def eisenhart_split(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
     spread = float(np.max(all_eigs.max(axis=0) - all_eigs.min(axis=0))) if m else 0.0
 
     atil_flag: bool | None = None
-    atil = base.cc.blocks["Atil"]
+    atil = evaluations.blocks["Atil"][-1]
     if atil.size and zero_cluster is not None:
-        off = 0.0
-        flat = set(partition[zero_cluster])
-        for i in range(m):
-            for j in range(m):
-                if i not in flat or j not in flat:
-                    off = max(off, abs(atil[i, j]))
-        atil_flag = off < 1e-8 * (1.0 + float(np.max(np.abs(atil))))
+        flat = np.isin(np.arange(m), partition[zero_cluster])
+        off = np.max(np.abs(atil[~np.outer(flat, flat)]), initial=0.0)
+        atil_flag = bool(off < 1e-8 * (1.0 + float(np.max(np.abs(atil)))))
 
     return EisenhartSplit(
         eigenvalues=cluster_values,

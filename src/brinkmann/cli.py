@@ -123,6 +123,10 @@ def _load(path: str) -> MetricSpec:
 
 
 def cmd_check(args) -> int:
+    # a residual below tol counts as zero, above the detection floor as nonzero
+    if not 0.0 < args.tol < classify.DETECTION_FLOOR:
+        raise ValueError(f"--tol must be finite and in (0, {classify.DETECTION_FLOOR!r}), the "
+                         f"detection floor, got {args.tol!r}")
     spec = _load(args.file)
     samples = classify.sample_points(spec, count=args.samples)
     # Order depth + 2 <= 4 serves the verdict; the A_tilde section needs 4 at any depth.
@@ -183,13 +187,12 @@ ORACLE_DIFF_TOL = 1e-8
 
 
 def cmd_oracle_diff(args) -> int:
+    if not 0.0 < args.tol < float("inf"):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
     spec = _load(args.file)
     samples = classify.sample_points(spec, count=args.samples)
     evaluations = classify.evaluate_samples(spec, samples, depth=args.depth)
-    worst: dict[str, float] = {}
-    for ev in evaluations:
-        for key, dev in ev.agreement.items():
-            worst[key] = max(worst.get(key, 0.0), dev)
+    worst = {key: float(dev.max()) for key, dev in evaluations.agreement.items()}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "oracle-diff",

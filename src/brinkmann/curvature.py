@@ -38,17 +38,16 @@ second-symmetry system writes them; each block vanishes identically on a
 a 1-D array u), as ``eval_metric`` and the oracle do: every jet and block
 then carries a leading node axis, every ``jet_einsum`` contracts with the
 node letter N leading its subscripts (``chart.node_subscripts``), and each
-node's numbers are bit for bit those of its own one-point call;
-``ChartCurvature.node(k)`` is node k's one-point view.  Every jet is only as
-deep as what reads it: each connection correction is contracted at the
-order of the derivative it corrects, the Gamma Gamma product of Rbar at the
-order of dGamma and t^k_i t_kj at the order of A.  At the default order the
-depth-2 blocks, read only as values, are thus contracted at order 0.
+node's numbers are bit for bit those of its own one-point call.  Every jet
+is only as deep as what reads it: each connection correction is contracted
+at the order of the derivative it corrects, the Gamma Gamma product of Rbar
+at the order of dGamma and t^k_i t_kj at the order of A.  At the default
+order the depth-2 blocks, read only as values, are thus contracted at order
+0.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import string
 from dataclasses import dataclass
 
@@ -149,8 +148,6 @@ class ChartCurvature:
     the nabla R jets ``Atil`` .. ``gradRbar`` are None below depth 1 and on a
     two-dimensional chart.  At a stack of points every jet and block has a
     leading node axis (the rank-0 blocks ``Ric00`` and ``S`` are arrays).
-    The evaluations of ``classify.evaluate_samples`` keep only the jets its
-    reports read; the others are None there.
     """
 
     cj: ChartJets
@@ -178,18 +175,6 @@ class ChartCurvature:
     @property
     def point(self) -> ChartPoint:
         return self.cj.point
-
-    def node(self, k: int) -> "ChartCurvature":
-        """Node k of a stack: its jets and blocks as views, with float rank-0
-        blocks, as its one-point call returns them."""
-        cj = self.cj
-        parts = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        parts = {name: v[k] if isinstance(v, Jet) else v for name, v in parts.items()}
-        parts["cj"] = ChartJets(cj.spec, cj.point.node(k), cj.order, cj.H[k], cj.W[k], cj.g[k],
-                                cj.ginv0[k])
-        parts["blocks"] = {key: float(v[k]) if np.ndim(v) == 1 else v[k]
-                           for key, v in self.blocks.items()}
-        return ChartCurvature(**parts)
 
 
 def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,

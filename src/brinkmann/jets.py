@@ -25,17 +25,17 @@ A ``Jet`` may carry a leading batch shape: ``data`` has shape
 broadcasts over the batch axes, which is how whole tensor fields of jets
 are handled without Python-level loops.
 
-Scalar jets, and batches of at most ``MUL_BINCOUNT_BATCH`` jets, multiply
-by one ``np.bincount`` over ``mul_flat``: batch entry r's pair products land
-in bin ko + ncoeffs * r (``mul_bins``).  Larger batches are copied once to
-coefficient-major rows (ncoeffs, N) and multiplied in blocks of
-``MUL_BLOCK`` batch columns, so that a block's rows stay in cache; each
-bucket pair column is then a take of whole rows, a slice wherever the
-indices allow (``mul_columns``).  Both paths sum each coefficient's pairs in
-``mul_flat`` order starting from +0.0, so a batched product equals the
-stacked scalar ones bit for bit.  The bincount path wins while its (N,
-pairs) temporaries stay in cache; the blocked path pays a fixed cost per
-bucket pair column, which small batches do not amortize.
+Batches of at most ``MUL_BINCOUNT_BATCH`` jets, a scalar jet being a batch
+of one, multiply by one ``np.bincount`` over ``mul_flat``: batch entry r's
+pair products land in bin ko + ncoeffs * r (``mul_bins``).  Larger batches
+are copied once to coefficient-major rows (ncoeffs, N) and multiplied in
+blocks of ``MUL_BLOCK`` batch columns, so that a block's rows stay in
+cache; each bucket pair column is then a take of whole rows, a slice
+wherever the indices allow (``mul_columns``).  Both paths sum each
+coefficient's pairs in ``mul_flat`` order starting from +0.0, so a batched
+product equals the stacked scalar ones bit for bit.  The bincount path wins
+while its (N, pairs) temporaries stay in cache; the blocked path pays a
+fixed cost per bucket pair column, which small batches do not amortize.
 
 ``jet_einsum`` makes one ``np.matmul`` over all output coefficients, whose
 inner axis runs over a coefficient's padded row of pairs and the contracted
@@ -218,9 +218,7 @@ def _flat(x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
 
 def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product on coefficient arrays (batch-broadcasting)."""
-    ka, kb, ko = ctx.mul_flat()
-    if a.ndim == 1 and b.ndim == 1:
-        return np.bincount(ko, weights=a[ka] * b[kb], minlength=ctx.ncoeffs)
+    ka, kb, _ = ctx.mul_flat()
     batch = a.shape[:-1]
     if batch != b.shape[:-1]:
         batch = np.broadcast_shapes(batch, b.shape[:-1])

@@ -38,11 +38,10 @@ def test_criterion_1_oracle_equivalence():
     for name in FIXTURE_NAMES:
         spec = fixture(name)
         evaluations = evaluate_samples(spec, sample_points(spec), depth=2)
-        assert len(evaluations) == 9
-        for ev in evaluations:
-            for block, dev in ev.agreement.items():
-                if dev > worst:
-                    worst, worst_where = dev, f"{name}/{block}"
+        assert len(evaluations.point.u) == 9
+        for block, dev in evaluations.agreement.items():
+            if dev.max() > worst:
+                worst, worst_where = float(dev.max()), f"{name}/{block}"
     elapsed = time.time() - t0
     _report("1", worst < 1e-8 and elapsed < 60.0,
             f"max deviation {worst:.2e} ({worst_where}), {len(FIXTURE_NAMES)} fixtures "
@@ -78,7 +77,7 @@ def test_criterion_3_theorem_redu_consequences():
         samples = sample_points(spec)
         evaluations = evaluate_samples(spec, samples, depth=1)
         checks = check_theorem_redu(spec, samples, tol=1e-9, evaluations=evaluations)
-        svals = [ev.cc.blocks["S"] for ev in evaluations]
+        svals = evaluations.blocks["S"]
         spread_ok = checks.scalar_spread < 1e-9 * (1.0 + max(abs(s) for s in svals))
         ok = ok and checks.all_pass() and spread_ok
         details.append(f"{name}: S={checks.scalar_value:.3g} "

@@ -55,6 +55,12 @@ def test_gray_zone_refuses_verdict():
     assert rep.tol * rep.scale < rep.residuals["nabla2_R"] < rep.floor * rep.scale
 
 
+def test_a_negative_sample_count_is_refused():
+    with pytest.raises(ValueError, match=r"^sample count -3 is negative$"):
+        sample_points(fixture("flat"), count=-3)
+    assert sample_points(fixture("flat"), count=0) == [fixture("flat").center()]
+
+
 def test_minimum_sample_count():
     spec = fixture("flat")
     with pytest.raises(ValueError):
@@ -65,7 +71,7 @@ def test_engine_disagreement_aborts():
     spec = fixture("cw4_r2")
     samples = sample_points(spec)
     evals = evaluate_samples(spec, samples, depth=2)
-    evals[0].agreement["A"] = 1e-3
+    evals.agreement["A"][0] = 1e-3
     with pytest.raises(EngineDisagreement):
         symmetry_order(spec, samples, evaluations=evals)
 
@@ -124,6 +130,19 @@ def test_gbar_eigh_solves_generalized_problem():
     for k in range(4):
         assert np.max(np.abs(T @ vecs[:, k] - mu[k] * (g @ vecs[:, k]))) < 1e-10
     assert np.max(np.abs(vecs.T @ g @ vecs - np.eye(4))) < 1e-10
+
+
+def test_gbar_eigh_on_a_stack_is_the_one_matrix_calls_bitwise():
+    rng = np.random.default_rng(2)
+    L = np.tril(rng.normal(size=(5, 3, 3))) + 3.0 * np.eye(3)
+    g = L @ np.swapaxes(L, -1, -2)
+    T = rng.normal(size=(5, 3, 3))
+    T = T + np.swapaxes(T, -1, -2)
+    stacked = gbar_eigh(T, g)
+    for got, one in zip(stacked, zip(*(gbar_eigh(T[k], g[k]) for k in range(5)))):
+        assert got.tobytes() == np.stack(one).tobytes()
+    mu, vecs = gbar_eigh(np.zeros((2, 0, 0)), np.zeros((2, 0, 0)))
+    assert (mu.shape, vecs.shape) == ((2, 0), (2, 0, 0))
 
 
 def test_eisenhart_split_product():
@@ -206,7 +225,7 @@ def test_non_finite_agreement_aborts():
     spec = fixture("cw4_r2")
     samples = sample_points(spec)
     evals = evaluate_samples(spec, samples, depth=1)
-    evals[3].agreement["Bhat"] = float("nan")
+    evals.agreement["Bhat"][3] = float("nan")
     with pytest.raises(EngineDisagreement, match=r"worst block Bhat at sample \[") as info:
         symmetry_order(spec, samples, evaluations=evals)
     assert str(list(samples[3].coords)) in str(info.value)
@@ -239,8 +258,8 @@ def test_a_non_finite_A_tilde_residual_is_a_located_error(jet, exponent, sample,
     evals = evaluate_samples(spec, samples, depth=1, order=A_TILDE_ORDER)
     rep = extract_A_tilde(spec, samples, evaluations=evals, check_affine=True)
     assert rep.grad_parallel and rep.d0_parallel and rep.affine_in_u
-    target = getattr(evals[sample].cc, jet)
-    target.data[..., target.ctx.index(exponent)] = np.nan
+    target = getattr(evals, jet)
+    target.data[sample, ..., target.ctx.index(exponent)] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=rf"^A_tilde {residual} is nan at sample \[") as err:
             extract_A_tilde(spec, samples, evaluations=evals, check_affine=True)
@@ -257,11 +276,11 @@ def test_nabla2_R_residual_is_the_max_over_the_twelve_blocks(name):
     samples = sample_points(spec)
     evals = evaluate_samples(spec, samples, depth=2)
     rep = symmetry_order(spec, samples, evaluations=evals)
-    second = [float(np.max(np.abs(blocks[k]))) for ev in evals
-              for blocks in (ev.cc.blocks, ev.oracle) for k in FRAME_BLOCKS[2]]
+    second = [float(np.max(np.abs(blocks[k][s]))) for s in range(len(samples))
+              for blocks in (evals.blocks, evals.oracle) for k in FRAME_BLOCKS[2]]
     assert len(second) == 2 * 12 * len(samples)
     assert rep.residuals["nabla2_R"] == max(second)
-    assert max(second) < max(float(np.max(np.abs(ev.oracle["R_i0k"]))) for ev in evals)
+    assert max(second) < float(np.max(np.abs(evals.oracle["R_i0k"])))
 
 
 def test_depth_one_reports_no_nabla2_R():

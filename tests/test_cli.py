@@ -10,7 +10,7 @@ import brinkmann
 from brinkmann import classify, cli, transport
 from brinkmann.cli import format_json, main
 from brinkmann.metricfile import spec_to_text
-from brinkmann.spaces import fixture
+from brinkmann.spaces import apply_chart_change, fixture, random_affine_change
 
 
 @pytest.fixture()
@@ -36,6 +36,18 @@ def test_check_verdict_and_exit_code(cw42_file, capsys):
     assert report["structural_checks"]["scalar_constant"] is True
     assert report["A_tilde"]["d0_parallel"] is True
     assert report["eisenhart"]["partition"] == [[2, 3]]
+
+
+def test_check_reports_atil_off_the_flat_block(tmp_path, capsys):
+    # leaf coordinates mixed across the sphere and plane-wave blocks: Atil has
+    # entries off the coordinate slots of the zero Ricci cluster
+    base = fixture("cw4_r2_x_sphere")
+    path = tmp_path / "moved.metric"
+    path.write_text(spec_to_text(apply_chart_change(
+        base, random_affine_change(base, np.random.default_rng(0)))))
+    code, out, err = run(capsys, "check", str(path), "--samples", "4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["eisenhart"]["atil_on_flat_block"] is False
 
 
 def test_check_flat_exit_zero(tmp_path, capsys):
@@ -153,6 +165,27 @@ def test_oracle_diff_flags_corrupted_engine(cw42_file, capsys, monkeypatch):
     code, out, _ = run(capsys, "oracle-diff", cw42_file, "--samples", "3")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1e-3"])
+def test_check_refuses_a_tol_outside_zero_to_the_detection_floor(cw42_file, capsys, tol):
+    code, out, err = run(capsys, "check", cw42_file, "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: --tol must be finite and in (0, 0.001), the detection floor, got {float(tol)!r}"]
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_oracle_diff_refuses_a_tol_that_is_not_finite_and_positive(cw42_file, capsys, tol):
+    code, out, err = run(capsys, "oracle-diff", cw42_file, "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: --tol must be finite and positive, got {float(tol)!r}"]
+
+
+def test_oracle_diff_refuses_a_negative_sample_count(cw42_file, capsys):
+    code, out, err = run(capsys, "oracle-diff", cw42_file, "--samples", "-3")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: sample count -3 is negative"]
 
 
 def test_canonicalize_happy_path(tmp_path, capsys):
