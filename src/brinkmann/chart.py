@@ -49,6 +49,7 @@ __all__ = [
     "node_subscripts",
     "first_failing_node",
     "NODE_BLOCK",
+    "FRAME_BLOCKS",
 ]
 
 PIVOT_RATIO = 1e-10  # smallest/largest Cholesky pivot allowed for the leaf metric
@@ -259,11 +260,6 @@ def _seed_env(spec: MetricSpec, p: ChartPoint, order: int) -> dict[str, Jet]:
     return env
 
 
-def _jet_stack(items: list[Jet]) -> Jet:
-    """The jets stacked on a new axis just before the coefficient axis."""
-    return Jet(items[0].ctx, np.stack([j.data for j in items], axis=-2))
-
-
 def jet_matrix_inverse(G: Jet) -> Jet:
     """Inverse of a square jet matrix (or of each matrix of a stack, node axes
     leading) via the truncated Neumann series.
@@ -375,13 +371,9 @@ def metric_coefficients(spec: MetricSpec, p: ChartPoint) -> np.ndarray:
 def compute_h_t(cj: ChartJets) -> tuple[Jet, Jet]:
     """The chart's extrinsic data: h_i = H_,i - dW_i/du and
     t_ij = (-dg_ij/du + W_i,j - W_j,i)/2 (node axes lead, as in ``cj``)."""
-    m = cj.m
-    if m == 0:
-        nv, nodes = cj.num_vars, cj.H.shape
-        return (jets.zeros(nodes + (0,), nv, cj.order - 1),
-                jets.zeros(nodes + (0, 0), nv, cj.order - 1))
-    h = _jet_stack([cj.H.diff(1 + i) for i in range(m)]) - cj.W.du()
-    dW = _jet_stack([cj.W.diff(1 + j) for j in range(m)])    # dW[..., i, j] = W_i,j
+    leaf = tuple(range(1, cj.m + 1))
+    h = cj.H.grad(leaf) - cj.W.du()
+    dW = cj.W.grad(leaf)                                 # dW[..., i, j] = W_i,j
     t = 0.5 * (-cj.g.du() + dW - Jet(dW.ctx, np.swapaxes(dW.data, -3, -2)))
     return h, t
 
@@ -389,17 +381,31 @@ def compute_h_t(cj: ChartJets) -> tuple[Jet, Jet]:
 def christoffel_bar(cj: ChartJets) -> Jet:
     """Leaf Christoffel symbols Gamma^i_{jk} of g_ij at fixed u, as jets (node
     axes lead, as in ``cj``)."""
-    m, nodes = cj.m, cj.H.shape
-    if m == 0:
-        return jets.zeros(nodes + (0, 0, 0), cj.num_vars, cj.order - 1)
-    dg = _jet_stack([cj.g.diff(1 + k) for k in range(m)])  # dg[..., r, j, k] = g_rj,k
+    dg = cj.g.grad(tuple(range(1, cj.m + 1)))            # dg[..., r, j, k] = g_rj,k
     sym = Jet(dg.ctx, dg.data + np.einsum("...rkjc->...rjkc", dg.data)
               - np.einsum("...jkrc->...rjkc", dg.data))
     # sym[r, j, k] = g_rj,k + g_rk,j - g_jk,r
-    return 0.5 * jet_einsum(node_subscripts("ir,rjk->ijk", nodes), cj.ginv.truncate(dg.order), sym)
+    return 0.5 * jet_einsum(node_subscripts("ir,rjk->ijk", cj.H.shape),
+                            cj.ginv.truncate(dg.order), sym)
 
 
 # -- partly null frame -------------------------------------------------------------
+
+
+# The frame blocks of R (4 slots), its Ricci tensor (2) and scalar (0), nabla R
+# (5) and nabla nabla R (6), one dict per depth.  Each key maps to its slot
+# signature, one letter per slot of R^a_{bcd} [a, b, c, d, inner derivative,
+# outer derivative]: '0' for E_0, '1' for E_1 and 'l' for the leaf E_i.  A
+# block's rank is its number of 'l' slots; the rank-0 blocks are floats.
+FRAME_BLOCKS: tuple[dict[str, str], ...] = (
+    {"Rbar": "llll", "A": "1l0l", "B": "1lll", "R_i0k": "ll0l",
+     "Ric00": "00", "Ric0i": "0l", "Ricij": "ll", "S": ""},
+    {"Atil": "1l0l0", "Ahat": "1l0ll", "Btil": "1lll0", "Bhat": "1llll", "Rtil": "llll0",
+     "gradRbar": "lllll"},
+    {"ll_rbar": "llllll", "0l_rbar": "lllll0", "l0_rbar": "llll0l", "00_rbar": "llll00",
+     "ll_b": "1lllll", "0l_b": "1llll0", "l0_b": "1lll0l", "00_b": "1lll00",
+     "ll_a": "1l0lll", "0l_a": "1l0ll0", "l0_a": "1l0l0l", "00_a": "1l0l00"},
+)
 
 
 @dataclass

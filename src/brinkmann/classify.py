@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chart import NODE_BLOCK, ChartPoint, MetricSpec, first_failing_node
-from .curvature import FRAME_BLOCKS, curvature_at, d0_op, leaf_grad
+from .chart import FRAME_BLOCKS, NODE_BLOCK, ChartPoint, MetricSpec, first_failing_node
+from .curvature import curvature_at, d0_op, leaf_grad
 from .jets import Jet
 from .oracle import frame_blocks_from_oracle
 
@@ -36,6 +36,7 @@ __all__ = [
     "StructuralChecks",
     "AtilReport",
     "EisenhartSplit",
+    "check_tol",
     "sample_points",
     "evaluate_samples",
     "symmetry_order",
@@ -58,6 +59,14 @@ SAMPLE_MARGIN = 0.1  # samples keep this fraction of each box side from its ends
 
 class EngineDisagreement(RuntimeError):
     """Specialized formulas and the coordinate oracle disagree: engine bug."""
+
+
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Refuse a tolerance ``name`` that is not finite and in (0, DETECTION_FLOOR):
+    a residual below tol counts as zero, above the detection floor as nonzero."""
+    if not 0.0 < tol < DETECTION_FLOOR:
+        raise ValueError(f"{name} must be finite and in (0, {DETECTION_FLOOR!r}), the "
+                         f"detection floor, got {tol!r}")
 
 
 # -- sampling -----------------------------------------------------------------------
@@ -344,8 +353,10 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
 
     The depth is that of ``evaluations`` when they are given.  With depth 1
     the second derivative is not computed, so the verdict can only be flat,
-    locally_symmetric or undetermined; depth 0 is refused.
+    locally_symmetric or undetermined; depth 0 is refused, and so is a
+    ``tol`` outside (0, DETECTION_FLOOR) (``check_tol``).
     """
+    check_tol(tol)
     if samples is None:
         samples = sample_points(spec)
     if len(samples) < 5:
@@ -399,8 +410,10 @@ def check_theorem_redu(spec: MetricSpec, samples: Sequence[ChartPoint] | None = 
     On a 2nd-symmetric space the leaf must be locally symmetric, the four
     slices Bhat, Rtil, Ahat, Btil must vanish, and the scalar curvature is
     constant.  Failures are reported, never raised: a failing check means
-    the spec is outside the theorem's hypothesis.
+    the spec is outside the theorem's hypothesis.  A ``tol`` outside (0,
+    DETECTION_FLOOR) is refused (``check_tol``).
     """
+    check_tol(tol)
     if samples is None:
         samples = sample_points(spec)
     if evaluations is None:

@@ -123,10 +123,7 @@ def _load(path: str) -> MetricSpec:
 
 
 def cmd_check(args) -> int:
-    # a residual below tol counts as zero, above the detection floor as nonzero
-    if not 0.0 < args.tol < classify.DETECTION_FLOOR:
-        raise ValueError(f"--tol must be finite and in (0, {classify.DETECTION_FLOOR!r}), the "
-                         f"detection floor, got {args.tol!r}")
+    classify.check_tol(args.tol, "--tol")
     spec = _load(args.file)
     samples = classify.sample_points(spec, count=args.samples)
     # Order depth + 2 <= 4 serves the verdict; the A_tilde section needs 4 at any depth.

@@ -8,7 +8,7 @@ directions, stored 0-based) and four derivative operators:
 * ``d0_op``       -- the transverse derivative along E_0 of a v-invariant
   section: plain u-derivative of components plus t-corrections, one per
   slot;
-* plain ``diff``/``du`` on jets for raw partials.
+* plain ``diff``/``du``/``grad`` on jets for raw partials.
 
 Tensor layout conventions (paper-style index order in brackets):
 
@@ -23,16 +23,19 @@ Tensor layout conventions (paper-style index order in brackets):
 * ``gradRbar[i, j, k, l, s]``                  nabla_s Rbar^i_{jkl}
 
 The values come back as one ``blocks`` dict whose keys, per depth, are
-those of ``FRAME_BLOCKS``: the curvature slices (Rbar, A, B, R^i_{j0k} and
-the Ricci pieces), the five slices of nabla R plus nabla Rbar, and the
-twelve blocks of nabla nabla R.  ``oracle.frame_blocks_from_oracle``
-returns the same keys in the same order.  The twelve second-derivative
-blocks are keyed by (outer, inner) derivative type -- 'l' for a leaf
-direction, '0' for E_0 -- plus the curvature slice they refine (rbar, b or
-a), e.g. ``l0_a`` holds nabla_m nabla_0 R^1_{i0j} with the new leaf slot
-appended last.  Correction terms are contracted exactly as the
-second-symmetry system writes them; each block vanishes identically on a
-2nd-symmetric space.
+those of ``chart.FRAME_BLOCKS``: the curvature slices (Rbar, A, B, R^i_{j0k}
+and the Ricci pieces), the five slices of nabla R plus nabla Rbar, and the
+twelve blocks of nabla nabla R.  The table maps each key to its slot
+signature, the frame row of each tensor slot ('0' E_0, '1' E_1, 'l' the
+leaf), and a block's leaf slots keep the signature's order; e.g. ``A`` is
+"1l0l", R^1_{i0j}.  ``oracle.frame_blocks_from_oracle`` cuts the same keys,
+in the same order, from the coordinate tensors by those signatures.  The
+twelve second-derivative blocks are keyed by (outer, inner) derivative type
+-- 'l' for a leaf direction, '0' for E_0 -- plus the curvature slice they
+refine (rbar, b or a), e.g. ``l0_a`` ("1l0l0l") holds nabla_m nabla_0
+R^1_{i0j} with the new leaf slot appended last.  Correction terms are
+contracted exactly as the second-symmetry system writes them; each block
+vanishes identically on a 2nd-symmetric space.
 
 ``curvature_at`` also takes a stack of N chart points (a ``ChartPoint`` with
 a 1-D array u), as ``eval_metric`` and the oracle do: every jet and block
@@ -53,9 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
-from .chart import ChartJets, ChartPoint, MetricSpec, christoffel_bar, compute_h_t, eval_metric, \
-    node_subscripts
+from .chart import FRAME_BLOCKS, ChartJets, ChartPoint, MetricSpec, christoffel_bar, compute_h_t, \
+    eval_metric, node_subscripts
 from .jets import Jet, jet_einsum
 
 __all__ = [
@@ -104,8 +106,7 @@ def leaf_grad(T: Jet, nup: int, gamma: Jet) -> Jet:
     ``gamma[i, j, k]`` holds Gamma^i_{jk}; node axes of a stack lead
     ``gamma`` and ``T``.
     """
-    parts = [T.diff(1 + s) for s in range(gamma.shape[-1])]
-    out = Jet(parts[0].ctx, np.stack([p.data for p in parts], axis=-2))
+    out = T.grad(tuple(range(1, gamma.shape[-1] + 1)))
     return _add_slot_corrections(out, T, nup, gamma, gamma.shape[:-3], deriv="s")
 
 
@@ -129,25 +130,15 @@ def _jtrace(J: Jet, a: int, b: int) -> Jet:
     return Jet(J.ctx, np.trace(J.data, axis1=a, axis2=b))
 
 
-# Keys of the frame blocks of R, nabla R and nabla nabla R (one dict per
-# depth), each with its number of leaf slots; the rank-0 blocks are floats.
-FRAME_BLOCKS: tuple[dict[str, int], ...] = (
-    {"Rbar": 4, "A": 2, "B": 3, "R_i0k": 3, "Ric00": 0, "Ric0i": 1, "Ricij": 2, "S": 0},
-    {"Atil": 2, "Ahat": 3, "Btil": 3, "Bhat": 4, "Rtil": 4, "gradRbar": 5},
-    {"ll_rbar": 6, "0l_rbar": 5, "l0_rbar": 5, "00_rbar": 4,
-     "ll_b": 5, "0l_b": 4, "l0_b": 4, "00_b": 3,
-     "ll_a": 4, "0l_a": 3, "l0_a": 3, "00_a": 2},
-)
-
-
 @dataclass
 class ChartCurvature:
     """The jets of one (spec, point) evaluation and the values of its frame blocks.
 
     ``blocks`` holds the keys of ``FRAME_BLOCKS[:depth + 1]`` in table order;
-    the nabla R jets ``Atil`` .. ``gradRbar`` are None below depth 1 and on a
-    two-dimensional chart.  At a stack of points every jet and block has a
-    leading node axis (the rank-0 blocks ``Ric00`` and ``S`` are arrays).
+    the nabla R jets ``Atil`` .. ``gradRbar`` are None below depth 1.  On a
+    two-dimensional chart (m = 0) every leaf jet and block is empty.  At a
+    stack of points every jet and block has a leading node axis (the rank-0
+    blocks ``Ric00`` and ``S`` are arrays).
     """
 
     cj: ChartJets
@@ -194,18 +185,11 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     if order < depth + 2:
         raise ValueError(f"jet order {order} too small for depth {depth}")
     cj = eval_metric(spec, p, order)
-    m, nodes = cj.m, p.shape
+    nodes = p.shape
     nn = len(nodes)
 
     def ein(subscripts: str, a: Jet, b: Jet) -> Jet:
         return jet_einsum(node_subscripts(subscripts, nodes), a, b)
-
-    if m == 0:
-        # Two-dimensional Brinkmann charts are flat planes: every block is empty.
-        blocks = {k: np.zeros(nodes + (0,) * rank) if rank or nodes else 0.0
-                  for table in FRAME_BLOCKS[:depth + 1] for k, rank in table.items()}
-        zj = jets.zeros(nodes + (0,), cj.num_vars, order - 1)
-        return ChartCurvature(cj, zj, zj, zj, zj, zj, zj, zj, zj, depth, blocks)
 
     h, t = compute_h_t(cj)
     gamma = christoffel_bar(cj)
@@ -215,9 +199,7 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
 
     # Leaf curvature from the connection coefficients:
     # Rbar^i_{jkl} = d_k G^i_{lj} - d_l G^i_{kj} + G^i_{kr}G^r_{lj} - G^i_{lr}G^r_{kj}
-    dgam = [gamma.diff(1 + k) for k in range(m)]
-    dgam_j = Jet(dgam[0].ctx, np.stack([d.data for d in dgam], axis=-2))
-    # dgam_j[i, a, b, k] = Gamma^i_{ab,k}
+    dgam_j = gamma.grad(tuple(range(1, cj.m + 1)))   # dgam_j[i, a, b, k] = Gamma^i_{ab,k}
     dterm = Jet(dgam_j.ctx,
                 np.einsum("...iljkc->...ijklc", dgam_j.data)
                 - np.einsum("...ikjlc->...ijklc", dgam_j.data))

@@ -108,6 +108,7 @@ class JetContext:
         self.ncoeffs = len(exps)
         self._index = {tuple(e): i for i, e in enumerate(exps)}
         self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._grad_tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def index(self, alpha: Sequence[int]) -> int:
         key = tuple(int(a) for a in alpha)
@@ -170,6 +171,8 @@ class JetContext:
     def diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
         """Map child-context coefficients to (source index, factor) pairs."""
         if var not in self._diff_tables:
+            if not 0 <= var < self.nvars:
+                raise JetShapeError(f"variable index {var} out of range")
             child = context(self.nvars, self.order - 1)
             src = np.empty(child.ncoeffs, dtype=np.intp)
             fac = np.empty(child.ncoeffs)
@@ -180,6 +183,16 @@ class JetContext:
                 fac[i] = beta[var]
             self._diff_tables[var] = (src, fac)
         return self._diff_tables[var]
+
+    def grad_table(self, variables: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """``diff_table`` of each variable, stacked (len(variables), child coefficients)."""
+        if variables not in self._grad_tables:
+            tables = [self.diff_table(var) for var in variables]
+            shape = (len(variables), context(self.nvars, self.order - 1).ncoeffs)
+            self._grad_tables[variables] = (
+                np.array([src for src, _ in tables], dtype=np.intp).reshape(shape),
+                np.array([fac for _, fac in tables], dtype=float).reshape(shape))
+        return self._grad_tables[variables]
 
 
 @lru_cache(maxsize=None)
@@ -372,8 +385,6 @@ class Jet:
         """Partial derivative with respect to variable ``var`` (order drops by one)."""
         if self.order == 0:
             raise JetShapeError("cannot differentiate an order-0 jet")
-        if not 0 <= var < self.num_vars:
-            raise JetShapeError(f"variable index {var} out of range")
         src, fac = self.ctx.diff_table(var)
         child = context(self.num_vars, self.order - 1)
         return Jet(child, self.data[..., src] * fac)
@@ -381,6 +392,14 @@ class Jet:
     def du(self) -> "Jet":
         """Derivative along the first variable (u by convention)."""
         return self.diff(0)
+
+    def grad(self, variables: tuple[int, ...]) -> "Jet":
+        """Partial derivatives along ``variables`` on a new axis just before the
+        coefficients, entry k that of ``diff(variables[k])``; one gather."""
+        if self.order == 0:
+            raise JetShapeError("cannot differentiate an order-0 jet")
+        src, fac = self.ctx.grad_table(variables)
+        return Jet(context(self.num_vars, self.order - 1), self.data[..., src] * fac)
 
     # -- composition with univariate analytic functions -----------------------
 

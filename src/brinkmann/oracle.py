@@ -38,21 +38,26 @@ frees the derivatives of G and Gamma before the covariant derivatives, and
 adds each term of R and of a covariant derivative in place, in the order
 of the sum, so a stack holds few tensors of its largest size at once.
 
-Nothing here knows about the partly null frame; ``to_frame`` contracts
-coordinate tensors against externally supplied basis matrices and returns
-plain arrays, which is what keeps this module an independent check of the
-specialized formulas.
+The partly null frame enters only through ``chart``: the frame matrices of
+``frame_components`` and the table ``FRAME_BLOCKS``, which gives each block
+a slot signature, one letter per tensor slot ('0' for E_0, '1' for E_1,
+'l' for the leaf).  ``frame_blocks_from_oracle`` picks each block's tensor
+by the signature's length, ``to_frame`` converts every slot of that tensor
+only at the frame rows some block reads there, and the blocks are cut from
+the result.  The table says where a block sits, not how it is computed: no
+derivative code is shared with ``curvature``, which is what keeps this
+module an independent check of the specialized formulas.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
-from .chart import ChartJets, ChartPoint, FrameData, MetricSpec, eval_metric, \
+from .chart import FRAME_BLOCKS, ChartJets, ChartPoint, FrameData, MetricSpec, eval_metric, \
     first_failing_node, frame_components, jet_matrix_inverse, node_subscripts
 from .jets import Jet, jet_einsum
 
@@ -138,25 +143,15 @@ def _assemble(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
     return CoordinateMetric(spec.n, p, G, np.linalg.inv(G0), cj)
 
 
-@functools.lru_cache(maxsize=None)
-def _cgrad_table(ctx: jets.JetContext, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``diff_table`` of every coordinate, stacked (n, child coefficients).
-
-    Jet variable 0 is u and jet variable mu - 1 is x^mu; the row of v is
-    overwritten with zeros by ``_cgrad``.
-    """
-    tables = [ctx.diff_table(max(mu - 1, 0)) for mu in range(n)]
-    return np.array([src for src, _ in tables]), np.array([fac for _, fac in tables])
-
-
 def _cgrad(J: Jet, n: int) -> Jet:
-    """Coordinate derivatives on a new axis appended last; d_v gives zero."""
-    if J.order == 0:
-        raise jets.JetShapeError("cannot differentiate an order-0 jet")
-    src, fac = _cgrad_table(J.ctx, n)
-    out = J.data[..., src] * fac
-    out[..., 1, :] = 0.0
-    return Jet(jets.context(J.num_vars, J.order - 1), out)
+    """Coordinate derivatives on a new axis appended last; d_v gives zero.
+
+    Jet variable 0 is u and jet variable mu - 1 is x^mu, so the v row is the
+    u derivative again, overwritten with zeros.
+    """
+    out = J.grad((0,) + tuple(range(n - 1)))
+    out.data[..., 1, :] = 0.0
+    return out
 
 
 def _lowered(dG: np.ndarray, nodes: int = 0) -> np.ndarray:
@@ -255,78 +250,65 @@ def _cov_deriv(T: Jet, nup: int, Gamma: Jet, n: int) -> Jet:
     return out
 
 
-def to_frame(values: np.ndarray, nup: int, frame: FrameData) -> np.ndarray:
-    """Frame components of a coordinate tensor, as an array of the same shape.
+def to_frame(values: np.ndarray, nup: int, frame: FrameData, rows: list[list[int]]) -> np.ndarray:
+    """Frame components of a coordinate tensor at the frame rows ``rows[k]`` of
+    each tensor slot k, so slot k of the result runs over those rows.
 
     Contravariant slots (the first ``nup`` tensor axes) pick up
-    theta^alpha_mu, covariant slots pick up e_alpha^mu; every slot runs over
-    the whole frame 0 .. n-1.  At a stack, the node axes of ``frame`` lead
-    ``values`` too, and each node is contracted with its own frame by one
-    matrix product per slot, the product a single point makes.
+    theta^alpha_mu, covariant slots pick up e_alpha^mu.  At a stack, the node
+    axes of ``frame`` lead ``values`` too, and each node is contracted with
+    its own frame by one matrix product per slot, the product a single point
+    makes.
     """
     nn = frame.e.ndim - 2
     out = values
-    for slot in range(values.ndim - nn):
-        mat = frame.theta if slot < nup else frame.e
+    for slot, picked in enumerate(rows):
+        mat = (frame.theta if slot < nup else frame.e)[..., picked, :]
         moved = np.moveaxis(out, nn + slot, nn)
-        product = np.matmul(mat, moved.reshape(moved.shape[:nn + 1] + (-1,)))
-        out = np.moveaxis(product.reshape(moved.shape), nn, nn + slot)
+        rest = moved.shape[nn + 1:]
+        product = np.matmul(mat, moved.reshape(moved.shape[:nn + 1] + (math.prod(rest),)))
+        out = np.moveaxis(product.reshape(moved.shape[:nn] + (len(picked),) + rest), nn, nn + slot)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_cuts(depth: int, n: int) -> list[tuple[int, list[list[int]], dict[str, tuple]]]:
+    """For each tensor that the blocks up to ``depth`` read, by its number of
+    slots: the frame rows some block reads in each slot (E_0, E_1, then the
+    leaf), and each block's index into the tensor converted at those rows."""
+    signatures = {key: slots for table in FRAME_BLOCKS[:depth + 1] for key, slots in table.items()}
+    frame_rows = {"0": [0], "1": [1], "l": list(range(2, n))}
+    plan = []
+    for size in sorted({len(slots) for slots in signatures.values()}):
+        mine = {key: slots for key, slots in signatures.items() if len(slots) == size}
+        rows = [[r for c in sorted(set(letters)) for r in frame_rows[c]]   # '0' < '1' < 'l'
+                for letters in zip(*mine.values())]
+        plan.append((size, rows, {key: (...,) + tuple(
+            slice(len(picked) - (n - 2), None) if c == "l" else picked.index(int(c))
+            for c, picked in zip(slots, rows)) for key, slots in mine.items()}))
+    return plan
 
 
 def frame_blocks_from_oracle(spec: MetricSpec, p: ChartPoint,
                              depth: int = 2) -> dict[str, np.ndarray | float]:
-    """All frame tensor blocks of R, nabla R, nabla nabla R via the oracle.
+    """The frame blocks of ``chart.FRAME_BLOCKS`` up to ``depth`` via the oracle,
+    with the table's keys in its order, as the specialized engine gives them.
 
     The coordinate metric is taken at jet order depth + 2, the least the
-    curvature needs.  Keys match the specialized engine's naming so the two
-    pipelines can be compared entry by entry.  At a stack of points every
-    block has a leading node axis (the rank-0 blocks ``Ric00`` and ``S`` are
-    arrays), each node bit for bit its one-point call; a failure is the
-    first failing node's error.  The blocks are copies, so no coordinate
-    tensor outlives the call.
+    curvature needs.  A block's signature picks its tensor by its length (0
+    S, 2 Ric, 4 R, 5 nabla R, 6 nabla nabla R), converted to the frame only
+    at the rows some block reads (``_frame_cuts``).  At a stack of points
+    every block has a leading node axis (the rank-0 blocks ``Ric00`` and
+    ``S`` are arrays), each node bit for bit its one-point call; a failure
+    is the first failing node's error.  The blocks are copies, so no
+    coordinate tensor outlives the call.
     """
     cm = assemble_coordinate_metric(spec, p, depth + 2)
     cc = coordinate_curvature(cm, depth)
-    fr = cm.frame
-    L = slice(2, cm.n)
-    Rf = to_frame(cc.R, 1, fr)
-    Ricf = to_frame(cc.Ric, 0, fr)
-    views: dict[str, np.ndarray] = {
-        "Rbar": Rf[..., L, L, L, L],
-        "A": Rf[..., 1, L, 0, L],
-        "B": Rf[..., 1, L, L, L],
-        "R_i0k": Rf[..., L, L, 0, L],
-        "Ric00": Ricf[..., 0, 0],
-        "Ric0i": Ricf[..., 0, L],
-        "Ricij": Ricf[..., L, L],
-        "S": cc.S,
-    }
-    if depth >= 1:
-        dRf = to_frame(cc.dR, 1, fr)
-        views.update({
-            "Atil": dRf[..., 1, L, 0, L, 0],
-            "Ahat": dRf[..., 1, L, 0, L, L],
-            "Btil": dRf[..., 1, L, L, L, 0],
-            "Bhat": dRf[..., 1, L, L, L, L],
-            "Rtil": dRf[..., L, L, L, L, 0],
-            "gradRbar": dRf[..., L, L, L, L, L],
-        })
-    if depth == 2:
-        d2Rf = to_frame(cc.d2R, 1, fr)
-        # layout [a, b, c, d, inner, outer]
-        views.update({
-            "ll_rbar": d2Rf[..., L, L, L, L, L, L],
-            "0l_rbar": d2Rf[..., L, L, L, L, L, 0],
-            "l0_rbar": d2Rf[..., L, L, L, L, 0, L],
-            "00_rbar": d2Rf[..., L, L, L, L, 0, 0],
-            "ll_b": d2Rf[..., 1, L, L, L, L, L],
-            "0l_b": d2Rf[..., 1, L, L, L, L, 0],
-            "l0_b": d2Rf[..., 1, L, L, L, 0, L],
-            "00_b": d2Rf[..., 1, L, L, L, 0, 0],
-            "ll_a": d2Rf[..., 1, L, 0, L, L, L],
-            "0l_a": d2Rf[..., 1, L, 0, L, L, 0],
-            "l0_a": d2Rf[..., 1, L, 0, L, 0, L],
-            "00_a": d2Rf[..., 1, L, 0, L, 0, 0],
-        })
-    return {key: _rank0(np.array(v)) for key, v in views.items()}
+    tensors = {0: (cc.S, 0), 2: (cc.Ric, 0), 4: (cc.R, 1), 5: (cc.dR, 1), 6: (cc.d2R, 1)}
+    blocks = {}
+    for size, rows, cuts in _frame_cuts(depth, cm.n):
+        values, nup = tensors[size]
+        frame_values = to_frame(np.asarray(values), nup, cm.frame, rows)
+        blocks.update((key, _rank0(np.array(frame_values[cut]))) for key, cut in cuts.items())
+    return {key: blocks[key] for table in FRAME_BLOCKS[:depth + 1] for key in table}

@@ -34,6 +34,17 @@ def test_verdicts():
     assert nonzero == {"00_a"}
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, 1e-3])
+def test_symmetry_order_and_check_theorem_redu_refuse_a_tol_outside_zero_to_the_floor(tol):
+    message = f"tol must be finite and in (0, 0.001), the detection floor, got {tol!r}"
+    with pytest.raises(ValueError) as err:
+        symmetry_order(fixture("cw4_r2"), tol=tol)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        check_theorem_redu(fixture("cw4_r3"), tol=tol)
+    assert str(err.value) == message
+
+
 def test_product_with_symmetric_block_stays_second_symmetric():
     assert symmetry_order(fixture("cw4_r2_x_sphere")).verdict == "proper_second_symmetric"
     assert symmetry_order(fixture("cw4_r1_x_hyperbolic")).verdict == "locally_symmetric"

@@ -162,8 +162,9 @@ def test_the_oracle_frame_blocks_on_a_stack_give_the_one_point_results_bitwise(n
         ref = [coordinate_curvature(assemble_coordinate_metric(spec, q, depth + 2), depth)
                for q in nodes]
         for field, nup in (("R", 1), ("Ric", 0), ("dR", 1), ("d2R", 1))[:2 + depth]:
-            assert _same(to_frame(getattr(cc, field), nup, fr),
-                         [to_frame(getattr(r, field), nup, f) for r, f in zip(ref, one)]), field
+            rows = [list(range(spec.n))] * (getattr(ref[0], field).ndim)
+            assert _same(to_frame(getattr(cc, field), nup, fr, rows),
+                         [to_frame(getattr(r, field), nup, f, rows) for r, f in zip(ref, one)]), field
         blocks = frame_blocks_from_oracle(spec, p, depth=depth)
         single = [frame_blocks_from_oracle(spec, q, depth=depth) for q in nodes]
         assert list(blocks) == list(single[0])

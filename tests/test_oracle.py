@@ -152,7 +152,7 @@ def test_to_frame_slot_contraction():
     spec = random_polynomial_spec(7, n=4)
     p = ChartPoint(0.1, (0.5, -0.2))
     cm = assemble_coordinate_metric(spec, p, 0)
-    ft = to_frame(cm.G.value(), 0, cm.frame)
+    ft = to_frame(cm.G.value(), 0, cm.frame, [list(range(4))] * 2)
     assert isinstance(ft, np.ndarray) and ft.shape == (4, 4)
     assert np.max(np.abs(ft - cm.frame.frame_metric())) < 1e-12
 
@@ -172,6 +172,36 @@ def test_master_cross_check_on_random_specs():
             assert np.max(np.abs(e - o)) / scale < 1e-8, key
 
 
+RESTRICTED_SPECS = [(path.stem, lambda path=path: load_metric_file(str(path)))
+                    for path in sorted(METRICS.glob("*.metric"))] + [("cw2", lambda: fixture("cw2"))]
+
+
+@pytest.mark.parametrize("name, make", RESTRICTED_SPECS, ids=[name for name, _ in RESTRICTED_SPECS])
+def test_the_oracle_blocks_from_the_read_frame_rows_equal_the_full_conversion_bitwise(name, make):
+    # the reference converts every slot over all frame rows, then cuts each block
+    for table in FRAME_BLOCKS:
+        for key, slots in table.items():
+            assert set(slots) <= set("01l") and len(slots) in (0, 2, 4, 5, 6), key
+    spec = make()
+    lo, hi = np.array(spec.box).T
+    pts = lo + (hi - lo) * (0.25 + 0.5 * np.random.default_rng(11).uniform(size=(5, spec.num_vars)))
+    everything = list(range(spec.n))
+    for p in (spec.center(), ChartPoint(pts[:, 0], tuple(pts[:, 1:].T))):
+        for depth in (0, 1, 2):
+            blocks = frame_blocks_from_oracle(spec, p, depth=depth)
+            cm = assemble_coordinate_metric(spec, p, depth + 2)
+            cc = coordinate_curvature(cm, depth)
+            tensors = {0: (cc.S, 0), 2: (cc.Ric, 0), 4: (cc.R, 1), 5: (cc.dR, 1), 6: (cc.d2R, 1)}
+            for key, slots in (item for table in FRAME_BLOCKS[:depth + 1] for item in table.items()):
+                values, nup = tensors[len(slots)]
+                full = to_frame(np.asarray(values), nup, cm.frame, [everything] * len(slots))
+                cut = tuple(slice(2, spec.n) if letter == "l" else int(letter) for letter in slots)
+                expected = np.array(full[(...,) + cut])
+                got = np.asarray(blocks[key])
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), \
+                    (p.shape, depth, key)
+
+
 @pytest.mark.parametrize("name", ["cw2", "cw4_r2", "poly2"])
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_engine_and_oracle_blocks_share_keys_and_shapes(name, depth):
@@ -182,5 +212,5 @@ def test_engine_and_oracle_blocks_share_keys_and_shapes(name, depth):
     keys = [k for table in FRAME_BLOCKS[:depth + 1] for k in table]
     assert list(eng) == list(ob) == keys
     for table in FRAME_BLOCKS[:depth + 1]:
-        for key, rank in table.items():
-            assert np.shape(eng[key]) == np.shape(ob[key]) == (spec.m,) * rank, key
+        for key, slots in table.items():
+            assert np.shape(eng[key]) == np.shape(ob[key]) == (spec.m,) * slots.count("l"), key
