@@ -8,9 +8,9 @@ transport experiments.
 """
 
 from .chart import ChartPoint, MetricDefinitenessError, MetricSpec
-from .classify import (EisenhartSplit, SymmetryReport, algebra_lemma_probe,
-                       check_theorem_redu, eisenhart_split, extract_A_tilde,
-                       sample_points, symmetry_order)
+from .classify import (EisenhartSplit, SampleStack, SymmetryReport, algebra_lemma_probe,
+                       check_theorem_redu, eisenhart_split, evaluate_samples,
+                       extract_A_tilde, sample_points, symmetry_order)
 from .canonical import CanonicalForm, FlatBlockData, reconstruct
 from .curvature import curvature_at
 from .oracle import assemble_coordinate_metric, coordinate_curvature, frame_blocks_from_oracle
@@ -27,6 +27,7 @@ __all__ = [
     "fixture", "random_polynomial_spec",
     "SymmetryReport", "EisenhartSplit", "symmetry_order", "check_theorem_redu",
     "extract_A_tilde", "eisenhart_split", "algebra_lemma_probe", "sample_points",
+    "evaluate_samples", "SampleStack",
     "CanonicalForm", "FlatBlockData", "reconstruct",
     "__version__",
 ]

@@ -8,7 +8,8 @@ and aborts the run.
 
 ``evaluate_samples`` returns one ``SampleStack``: both pipelines' blocks,
 the deviations and the engine jets the reports read, each on a leading
-sample axis.  Every report reads that stack directly.
+sample axis.  Every report takes that stack and nothing else: its sample
+count, leaf dimension and sample list are the stack's own.
 
 Residual semantics: a tensor depth (R, nabla R, nabla nabla R) counts as
 *zero* below ``tol`` and as *detected* above DETECTION_FLOOR, both scaled by
@@ -174,9 +175,10 @@ def _rows(p: ChartPoint, rows: slice) -> ChartPoint:
     return ChartPoint(p.u[rows], tuple(c[rows] for c in p.x))
 
 
-def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int = 2,
-                     order: int | None = None) -> SampleStack:
-    """Run both pipelines at the samples and record per-block deviations.
+def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
+                     depth: int = 2, order: int | None = None) -> SampleStack:
+    """Run both pipelines at the samples (``sample_points(spec)`` by default)
+    and record per-block deviations.
 
     The engine runs once per block of ``NODE_BLOCK`` samples, on their stack;
     the oracle runs once per sub-stack of at most
@@ -188,6 +190,8 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint], depth: int
     failure is the one a loop over the samples raises: the engine's at
     sample k, then the oracle's at sample k, then sample k + 1.
     """
+    if samples is None:
+        samples = sample_points(spec)
     if not samples:
         raise ValueError("evaluate_samples needs at least one sample")
     p = _stack(samples)
@@ -274,16 +278,7 @@ class StructuralChecks:
                 and self.ahat_zero and self.btil_zero and self.scalar_constant)
 
     def to_dict(self) -> dict:
-        return {
-            "leaf_locally_symmetric": self.leaf_locally_symmetric,
-            "bhat_zero": self.bhat_zero,
-            "rtil_zero": self.rtil_zero,
-            "ahat_zero": self.ahat_zero,
-            "btil_zero": self.btil_zero,
-            "scalar_constant": self.scalar_constant,
-            "scalar_value": self.scalar_value,
-            "scalar_spread": self.scalar_spread,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -296,15 +291,13 @@ class SymmetryReport:
     engine_agreement: float
     second_block_norms: dict[str, float]
     samples: list[ChartPoint]
-    structural: StructuralChecks | None = None
-    atil: "AtilReport | None" = None
 
     @property
     def determinate(self) -> bool:
         return self.verdict != "undetermined"
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "verdict": self.verdict,
             "residuals": dict(self.residuals),
             "scale": self.scale,
@@ -314,11 +307,6 @@ class SymmetryReport:
             "second_block_norms": dict(self.second_block_norms),
             "samples": [list(p.coords) for p in self.samples],
         }
-        if self.structural is not None:
-            out["structural_checks"] = self.structural.to_dict()
-        if self.atil is not None:
-            out["A_tilde"] = self.atil.to_dict()
-        return out
 
 
 def _classify_residual(value: float, tol: float, scale: float) -> str:
@@ -332,7 +320,8 @@ def _classify_residual(value: float, tol: float, scale: float) -> str:
 def _check_agreement(ev: SampleStack) -> float:
     """Worst engine/oracle deviation (the first of equals by sample, then key
     order); raise if it is above the tolerance or not finite."""
-    # Evaluations may come from the caller, so finiteness is checked again here.
+    # A stack may be altered after evaluate_samples checked it, so finiteness is
+    # checked again here.
     _check_finite(ev)
     devs = np.array(list(ev.agreement.values())).T
     k, i = np.unravel_index(devs.argmax(), devs.shape)
@@ -345,24 +334,19 @@ def _check_agreement(ev: SampleStack) -> float:
     return dev
 
 
-def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
-                   tol: float = DEFAULT_TOL,
-                   evaluations: SampleStack | None = None,
-                   depth: int = 2) -> SymmetryReport:
-    """Classify the symmetry order of the metric from sampled frame blocks.
+def symmetry_order(evaluations: SampleStack, tol: float = DEFAULT_TOL) -> SymmetryReport:
+    """Classify the symmetry order of the metric from the frame blocks of its
+    sample stack.
 
-    The depth is that of ``evaluations`` when they are given.  With depth 1
-    the second derivative is not computed, so the verdict can only be flat,
-    locally_symmetric or undetermined; depth 0 is refused, and so is a
-    ``tol`` outside (0, DETECTION_FLOOR) (``check_tol``).
+    With a stack of depth 1 the second derivative is not computed, so the
+    verdict can only be flat, locally_symmetric or undetermined; depth 0 is
+    refused, and so are fewer than 5 samples and a ``tol`` outside (0,
+    DETECTION_FLOOR) (``check_tol``).
     """
     check_tol(tol)
-    if samples is None:
-        samples = sample_points(spec)
-    if len(samples) < 5:
-        raise ValueError("need at least 5 sample points")
-    if evaluations is None:
-        evaluations = evaluate_samples(spec, samples, depth=depth)
+    count = len(evaluations.point.u)
+    if count < 5:
+        raise ValueError(f"need at least 5 sample points, the stack has {count}")
     depth = _evaluated_depth(evaluations, 1, "symmetry_order")
 
     agreement = _check_agreement(evaluations)
@@ -395,16 +379,14 @@ def symmetry_order(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None
         floor=DETECTION_FLOOR,
         engine_agreement=agreement,
         second_block_norms=block_norms,
-        samples=list(samples),
+        samples=[evaluations.point.node(k) for k in range(count)],
     )
 
 
 # -- consequences of 2nd-symmetry -------------------------------------------------------
 
 
-def check_theorem_redu(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
-                       tol: float = DEFAULT_TOL,
-                       evaluations: SampleStack | None = None) -> StructuralChecks:
+def check_theorem_redu(evaluations: SampleStack, tol: float = DEFAULT_TOL) -> StructuralChecks:
     """Check the structural consequences of 2nd-symmetry on the chart.
 
     On a 2nd-symmetric space the leaf must be locally symmetric, the four
@@ -414,10 +396,6 @@ def check_theorem_redu(spec: MetricSpec, samples: Sequence[ChartPoint] | None = 
     DETECTION_FLOOR) is refused (``check_tol``).
     """
     check_tol(tol)
-    if samples is None:
-        samples = sample_points(spec)
-    if evaluations is None:
-        evaluations = evaluate_samples(spec, samples, depth=1)
     _evaluated_depth(evaluations, 1, "check_theorem_redu")
     engine = [evaluations.blocks]
     eps = tol * (1.0 + _depth_norm(engine, 0))
@@ -460,24 +438,18 @@ class AtilReport:
         }
 
 
-def extract_A_tilde(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
-                    tol: float = 1e-8,
-                    evaluations: SampleStack | None = None,
+def extract_A_tilde(evaluations: SampleStack, tol: float = 1e-8,
                     check_affine: bool = False) -> AtilReport:
     """Per-sample Atil values, gbar-eigenvalues and parallelism flags.
 
-    Given ``evaluations`` must be of depth >= 1 at jet order >= ``A_TILDE_ORDER``.
-    The derivatives behind the residuals are taken on the stack of all
-    samples.  A residual that is not finite at some sample raises a ValueError
-    naming the residual and the sample.
+    The stack must be of depth >= 1 at jet order >= ``A_TILDE_ORDER``.  The
+    derivatives behind the residuals are taken on the stack of all samples.
+    A residual that is not finite at some sample raises a ValueError naming
+    the residual and the sample.
     """
-    if spec.m == 0:
-        raise ValueError("extract_A_tilde: the chart has no leaf coordinates (m = 0)")
-    if samples is None:
-        samples = sample_points(spec)
-    if evaluations is None:
-        evaluations = evaluate_samples(spec, samples, depth=1, order=A_TILDE_ORDER)
     ev = evaluations
+    if not ev.point.x:
+        raise ValueError("extract_A_tilde: the chart has no leaf coordinates (m = 0)")
     if ev.order < A_TILDE_ORDER or ev.Atil is None:
         raise ValueError(
             f"extract_A_tilde needs evaluations of depth >= 1 at jet order >= {A_TILDE_ORDER} "
@@ -550,9 +522,7 @@ class EisenhartSplit:
         }
 
 
-def eisenhart_split(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
-                    cluster_tol: float = 1e-6,
-                    evaluations: SampleStack | None = None) -> EisenhartSplit:
+def eisenhart_split(evaluations: SampleStack, cluster_tol: float = 1e-6) -> EisenhartSplit:
     """Cluster the gbar-eigenvalues of the leaf Ricci tensor and partition indices.
 
     The partition lists coordinate slots per eigenvalue cluster; the
@@ -560,12 +530,8 @@ def eisenhart_split(spec: MetricSpec, samples: Sequence[ChartPoint] | None = Non
     supported there.  Clustering closer than 10 * cluster_tol between
     distinct clusters is reported as ambiguous.
     """
-    if samples is None:
-        samples = sample_points(spec)
-    if evaluations is None:
-        evaluations = evaluate_samples(spec, samples, depth=1)
     _evaluated_depth(evaluations, 1, "eisenhart_split")
-    m = spec.m
+    m = len(evaluations.point.x)
     all_eigs, all_vecs = gbar_eigh(evaluations.blocks["Ricij"], evaluations.g.value())
     # the base sample is the last: sample_points appends the box center
     mu, vecs = all_eigs[-1], all_vecs[-1]
@@ -632,11 +598,7 @@ class LemmaProbeResult:
         return self.zero_passes and self.violations == 0 and self.min_residual > 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim, "trials": self.trials, "shape": self.shape,
-            "min_residual": self.min_residual, "zero_passes": self.zero_passes,
-            "violations": self.violations,
-        }
+        return dataclasses.asdict(self)
 
 
 def _project_three_index(T: np.ndarray) -> np.ndarray:

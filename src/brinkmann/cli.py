@@ -125,26 +125,20 @@ def _load(path: str) -> MetricSpec:
 def cmd_check(args) -> int:
     classify.check_tol(args.tol, "--tol")
     spec = _load(args.file)
-    samples = classify.sample_points(spec, count=args.samples)
     # Order depth + 2 <= 4 serves the verdict; the A_tilde section needs 4 at any depth.
-    evaluations = classify.evaluate_samples(spec, samples, depth=args.depth,
-                                            order=classify.A_TILDE_ORDER)
+    evaluations = classify.evaluate_samples(spec, classify.sample_points(spec, args.samples),
+                                            depth=args.depth, order=classify.A_TILDE_ORDER)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "check",
         "file": args.file,
         "flags": {"tol": args.tol, "samples": args.samples, "depth": args.depth},
     }
-    rep = classify.symmetry_order(spec, samples, tol=args.tol,
-                                  evaluations=evaluations, depth=args.depth)
+    rep = classify.symmetry_order(evaluations, args.tol)
     report.update(rep.to_dict())
-    structural = classify.check_theorem_redu(spec, samples, tol=args.tol,
-                                             evaluations=evaluations)
-    report["structural_checks"] = structural.to_dict()
-    atil = classify.extract_A_tilde(spec, samples, evaluations=evaluations)
-    report["A_tilde"] = atil.to_dict()
-    split = classify.eisenhart_split(spec, samples, evaluations=evaluations)
-    report["eisenhart"] = split.to_dict()
+    report["structural_checks"] = classify.check_theorem_redu(evaluations, args.tol).to_dict()
+    report["A_tilde"] = classify.extract_A_tilde(evaluations).to_dict()
+    report["eisenhart"] = classify.eisenhart_split(evaluations).to_dict()
     _write_report(report, args)
     return 0 if rep.determinate else 2
 
@@ -205,7 +199,7 @@ def cmd_oracle_diff(args) -> int:
 
 def cmd_canonicalize(args) -> int:
     spec = _load(args.file)
-    rep = classify.symmetry_order(spec)
+    rep = classify.symmetry_order(classify.evaluate_samples(spec))
     if rep.verdict != "proper_second_symmetric":
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -240,9 +234,12 @@ def cmd_canonicalize(args) -> int:
 
 def cmd_transport(args) -> int:
     spec = _load(args.file)
-    mid = [0.5 * (lo + hi) for lo, hi in spec.box]
-    point = ChartPoint(mid[0], tuple(mid[1:])) if args.point is None else ChartPoint(
-        args.point[0], tuple(args.point[1:]))
+    names = ["u"] + [f"x{i}" for i in range(2, spec.n)]
+    if args.point is not None and len(args.point) != len(names):
+        raise ValueError(f"--point has {len(args.point)} entries; a start point in dimension "
+                         f"n = {spec.n} needs n - 1 = 1 + m = {len(names)}: {', '.join(names)}")
+    start = [0.5 * (lo + hi) for lo, hi in spec.box] if args.point is None else args.point
+    point = ChartPoint(start[0], tuple(start[1:]))
     check_in_box(spec, [point.coords], lambda k: "start point")
     span = args.span
     if span is None:
@@ -262,9 +259,9 @@ def cmd_transport(args) -> int:
     if args.experiment == "geodesic":
         energy = traj.energy()
         pairing = traj.k_pairing()
-        names = ["u", "v"] + [f"x{i}" for i in range(2, spec.n)]
-        rows = ["tau," + ",".join(names) + ","
-                + ",".join("d" + c for c in names) + ",energy,k_pairing"]
+        cols = ["u", "v", *names[1:]]
+        rows = ["tau," + ",".join(cols) + ","
+                + ",".join("d" + c for c in cols) + ",energy,k_pairing"]
         for k in range(len(traj.tau)):
             vals = ([traj.tau[k]] + list(traj.coords[k]) + list(traj.velocity[k])
                     + [energy[k], pairing[k]])

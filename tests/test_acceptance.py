@@ -55,9 +55,11 @@ def test_criterion_2_symmetry_ladder():
         m = d - 2
         p0 = np.diag([1.0, -0.5] + [0.25] * (m - 2))
         p1 = np.diag([1.0, 0.0] + [0.5] * (m - 2))
-        verdicts[f"cw{d}_r1"] = symmetry_order(make_cw(CwParams(d, (p0,)))).verdict
-        verdicts[f"cw{d}_r2"] = symmetry_order(make_cw(CwParams(d, (p0, p1)))).verdict
-    rep3 = symmetry_order(fixture("cw4_r3"))
+        verdicts[f"cw{d}_r1"] = symmetry_order(
+            evaluate_samples(make_cw(CwParams(d, (p0,))))).verdict
+        verdicts[f"cw{d}_r2"] = symmetry_order(
+            evaluate_samples(make_cw(CwParams(d, (p0, p1))))).verdict
+    rep3 = symmetry_order(evaluate_samples(fixture("cw4_r3")))
     nonzero_blocks = {k for k, v in rep3.second_block_norms.items() if v > rep3.floor}
     ok = (verdicts["cw4_r1"] == verdicts["cw6_r1"] == "locally_symmetric"
           and verdicts["cw4_r2"] == verdicts["cw6_r2"] == "proper_second_symmetric"
@@ -74,9 +76,8 @@ def test_criterion_3_theorem_redu_consequences():
     details = []
     for name in SECOND_SYMMETRIC_FIXTURES:
         spec = fixture(name)
-        samples = sample_points(spec)
-        evaluations = evaluate_samples(spec, samples, depth=1)
-        checks = check_theorem_redu(spec, samples, tol=1e-9, evaluations=evaluations)
+        evaluations = evaluate_samples(spec, depth=1)
+        checks = check_theorem_redu(evaluations, tol=1e-9)
         svals = evaluations.blocks["S"]
         spread_ok = checks.scalar_spread < 1e-9 * (1.0 + max(abs(s) for s in svals))
         ok = ok and checks.all_pass() and spread_ok
@@ -89,22 +90,23 @@ def test_criterion_4_A_tilde_structure():
     """A-tilde lives on the flat Ricci block, is parallel, and its spectrum
     is invariant under 20 random affine chart changes."""
     spec = fixture("cw4_r2_x_sphere")
-    samples = sample_points(spec)
-    evaluations = evaluate_samples(spec, samples, depth=1, order=A_TILDE_ORDER)
-    atil = extract_A_tilde(spec, samples, tol=1e-8, evaluations=evaluations)
-    split = eisenhart_split(spec, samples, evaluations=evaluations)
+    evaluations = evaluate_samples(spec, depth=1, order=A_TILDE_ORDER)
+    atil = extract_A_tilde(evaluations, tol=1e-8)
+    split = eisenhart_split(evaluations)
     supported = split.atil_on_flat_block is True
     parallel = (atil.grad_parallel and atil.d0_parallel
                 and atil.grad_residual < 1e-8 and atil.d0_residual < 1e-8)
 
     base = fixture("cw4_r2")
-    base_eigs = np.sort(extract_A_tilde(base).eigenvalues[-1])
+    base_eigs = np.sort(extract_A_tilde(
+        evaluate_samples(base, depth=1, order=A_TILDE_ORDER)).eigenvalues[-1])
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(20):
         change = random_affine_change(base, rng)
         moved = apply_chart_change(base, change)
-        eigs = np.sort(extract_A_tilde(moved).eigenvalues[-1])
+        eigs = np.sort(extract_A_tilde(
+            evaluate_samples(moved, depth=1, order=A_TILDE_ORDER)).eigenvalues[-1])
         worst = max(worst, float(np.max(np.abs(eigs - base_eigs))))
     ok = supported and parallel and worst < 1e-8
     _report("4", ok, f"flat-block support {supported}, grad/d0 residuals "
@@ -114,7 +116,7 @@ def test_criterion_4_A_tilde_structure():
 
 def test_criterion_5_eisenhart_split():
     """CW x unit sphere: eigenvalue clusters {0 x2, 1 x2}, correct partition."""
-    split = eisenhart_split(fixture("cw4_r2_x_sphere"))
+    split = eisenhart_split(evaluate_samples(fixture("cw4_r2_x_sphere"), depth=1))
     ok = (split.multiplicities == [2, 2]
           and abs(split.eigenvalues[0]) < 1e-9
           and abs(split.eigenvalues[1] - 1.0) < 1e-9

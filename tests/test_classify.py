@@ -12,6 +12,11 @@ from brinkmann.spaces import (CwParams, apply_chart_change, fixture, make_cw, ma
                               random_affine_change)
 
 
+def _atil_stack(spec):
+    """The stack ``extract_A_tilde`` reads: depth 1 at jet order A_TILDE_ORDER."""
+    return evaluate_samples(spec, depth=1, order=A_TILDE_ORDER)
+
+
 def test_sample_points_deterministic_and_inside_box():
     spec = fixture("cw4_r2_x_sphere")
     pts = sample_points(spec)
@@ -25,10 +30,11 @@ def test_sample_points_deterministic_and_inside_box():
 
 
 def test_verdicts():
-    assert symmetry_order(fixture("flat")).verdict == "flat"
-    assert symmetry_order(fixture("cw4_r1")).verdict == "locally_symmetric"
-    assert symmetry_order(fixture("cw4_r2")).verdict == "proper_second_symmetric"
-    rep = symmetry_order(fixture("cw4_r3"))
+    assert symmetry_order(evaluate_samples(fixture("flat"))).verdict == "flat"
+    assert symmetry_order(evaluate_samples(fixture("cw4_r1"))).verdict == "locally_symmetric"
+    assert (symmetry_order(evaluate_samples(fixture("cw4_r2"))).verdict
+            == "proper_second_symmetric")
+    rep = symmetry_order(evaluate_samples(fixture("cw4_r3")))
     assert rep.verdict == "undetermined"
     nonzero = {k for k, v in rep.second_block_norms.items() if v > rep.floor}
     assert nonzero == {"00_a"}
@@ -38,22 +44,24 @@ def test_verdicts():
 def test_symmetry_order_and_check_theorem_redu_refuse_a_tol_outside_zero_to_the_floor(tol):
     message = f"tol must be finite and in (0, 0.001), the detection floor, got {tol!r}"
     with pytest.raises(ValueError) as err:
-        symmetry_order(fixture("cw4_r2"), tol=tol)
+        symmetry_order(evaluate_samples(fixture("cw4_r2")), tol=tol)
     assert str(err.value) == message
     with pytest.raises(ValueError) as err:
-        check_theorem_redu(fixture("cw4_r3"), tol=tol)
+        check_theorem_redu(evaluate_samples(fixture("cw4_r3"), depth=1), tol=tol)
     assert str(err.value) == message
 
 
 def test_product_with_symmetric_block_stays_second_symmetric():
-    assert symmetry_order(fixture("cw4_r2_x_sphere")).verdict == "proper_second_symmetric"
-    assert symmetry_order(fixture("cw4_r1_x_hyperbolic")).verdict == "locally_symmetric"
+    assert (symmetry_order(evaluate_samples(fixture("cw4_r2_x_sphere"))).verdict
+            == "proper_second_symmetric")
+    assert (symmetry_order(evaluate_samples(fixture("cw4_r1_x_hyperbolic"))).verdict
+            == "locally_symmetric")
 
 
 def test_depth_one_cannot_claim_second_symmetry():
-    rep = symmetry_order(fixture("cw4_r2"), depth=1)
+    rep = symmetry_order(evaluate_samples(fixture("cw4_r2"), depth=1))
     assert rep.verdict == "undetermined"
-    rep = symmetry_order(fixture("cw4_r1"), depth=1)
+    rep = symmetry_order(evaluate_samples(fixture("cw4_r1"), depth=1))
     assert rep.verdict == "locally_symmetric"
 
 
@@ -61,7 +69,7 @@ def test_gray_zone_refuses_verdict():
     # second derivative sits between tol and the detection floor
     tiny = make_cw(CwParams(4, (np.diag([0.0, 1.0]), np.diag([1.0, 0.0]),
                                 np.diag([1e-6, 0.0]))))
-    rep = symmetry_order(tiny)
+    rep = symmetry_order(evaluate_samples(tiny))
     assert rep.verdict == "undetermined"
     assert rep.tol * rep.scale < rep.residuals["nabla2_R"] < rep.floor * rep.scale
 
@@ -75,7 +83,24 @@ def test_a_negative_sample_count_is_refused():
 def test_minimum_sample_count():
     spec = fixture("flat")
     with pytest.raises(ValueError):
-        symmetry_order(spec, sample_points(spec)[:3])
+        symmetry_order(evaluate_samples(spec, sample_points(spec)[:3]))
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_a_stack_of_fewer_than_five_samples_is_refused(count):
+    spec = fixture("cw4_r2")
+    evals = evaluate_samples(spec, sample_points(spec)[:count])
+    with pytest.raises(ValueError,
+                       match=rf"^need at least 5 sample points, the stack has {count}$"):
+        symmetry_order(evals)
+
+
+def test_the_report_lists_the_samples_of_its_stack():
+    spec = fixture("cw4_r2")
+    samples = sample_points(spec, count=20)
+    rep = symmetry_order(evaluate_samples(spec, samples))
+    assert [p.coords for p in rep.samples] == [p.coords for p in samples]
+    assert rep.to_dict()["samples"] == [list(p.coords) for p in samples]
 
 
 def test_engine_disagreement_aborts():
@@ -84,50 +109,50 @@ def test_engine_disagreement_aborts():
     evals = evaluate_samples(spec, samples, depth=2)
     evals.agreement["A"][0] = 1e-3
     with pytest.raises(EngineDisagreement):
-        symmetry_order(spec, samples, evaluations=evals)
+        symmetry_order(evals)
 
 
 def test_theorem_redu_consequences():
     spec = fixture("cw4_r2_x_sphere")
-    checks = check_theorem_redu(spec)
+    checks = check_theorem_redu(evaluate_samples(spec, depth=1))
     assert checks.all_pass()
     assert checks.scalar_value == pytest.approx(2.0)  # sphere of radius 1
 
-    checks_cw = check_theorem_redu(fixture("cw4_r2"))
+    checks_cw = check_theorem_redu(evaluate_samples(fixture("cw4_r2"), depth=1))
     assert checks_cw.all_pass()
     assert checks_cw.scalar_value == pytest.approx(0.0, abs=1e-12)
 
     # cubic P: the structural checks hold, yet the space is not 2nd-symmetric;
     # the verdict (not the checks) flags it as outside the theorem's hypothesis
     r3 = fixture("cw4_r3")
-    assert check_theorem_redu(r3).all_pass()
-    assert symmetry_order(r3).verdict == "undetermined"
+    assert check_theorem_redu(evaluate_samples(r3, depth=1)).all_pass()
+    assert symmetry_order(evaluate_samples(r3)).verdict == "undetermined"
 
 
 def test_extract_A_tilde_cw():
-    rep = extract_A_tilde(fixture("cw4_r2"), check_affine=True)
+    rep = extract_A_tilde(_atil_stack(fixture("cw4_r2")), check_affine=True)
     for val in rep.values:
         assert np.allclose(val, -2.0 * np.diag([1.0, 0.0]))
     assert rep.grad_parallel and rep.d0_parallel
     assert rep.affine_in_u is True
 
-    rep1 = extract_A_tilde(fixture("cw4_r1"))
+    rep1 = extract_A_tilde(_atil_stack(fixture("cw4_r1")))
     for val in rep1.values:
         assert np.max(np.abs(val)) < 1e-12
 
-    rep3 = extract_A_tilde(fixture("cw4_r3"), check_affine=True)
+    rep3 = extract_A_tilde(_atil_stack(fixture("cw4_r3")), check_affine=True)
     assert rep3.affine_in_u is False
 
 
 def test_A_tilde_eigenvalues_chart_invariant():
     spec = fixture("cw4_r2")
-    base = extract_A_tilde(spec)
+    base = extract_A_tilde(_atil_stack(spec))
     base_eigs = np.sort(base.eigenvalues[-1])
     rng = np.random.default_rng(42)
     for _ in range(5):
         change = random_affine_change(spec, rng)
         moved = apply_chart_change(spec, change)
-        rep = extract_A_tilde(moved)
+        rep = extract_A_tilde(_atil_stack(moved))
         assert np.max(np.abs(np.sort(rep.eigenvalues[-1]) - base_eigs)) < 1e-8
 
 
@@ -157,7 +182,7 @@ def test_gbar_eigh_on_a_stack_is_the_one_matrix_calls_bitwise():
 
 
 def test_eisenhart_split_product():
-    split = eisenhart_split(fixture("cw4_r2_x_sphere"))
+    split = eisenhart_split(evaluate_samples(fixture("cw4_r2_x_sphere"), depth=1))
     assert split.eigenvalues == pytest.approx([0.0, 1.0], abs=1e-9)
     assert split.multiplicities == [2, 2]
     assert split.to_dict()["partition"] == [[2, 3], [4, 5]]
@@ -168,7 +193,7 @@ def test_eisenhart_split_product():
 
 
 def test_eisenhart_split_pure_cw():
-    split = eisenhart_split(fixture("cw4_r2"))
+    split = eisenhart_split(evaluate_samples(fixture("cw4_r2"), depth=1))
     assert split.multiplicities == [2]
     assert split.zero_cluster == 0
     assert split.eigenvalues == pytest.approx([0.0], abs=1e-12)
@@ -177,7 +202,7 @@ def test_eisenhart_split_pure_cw():
 def test_eisenhart_ambiguous_clusters_flagged():
     # a huge sphere gives a tiny nonzero eigenvalue within 10x cluster_tol of 0
     spec = make_product(fixture("cw4_r2"), "sphere", radius=500.0)
-    split = eisenhart_split(spec, cluster_tol=1e-6)
+    split = eisenhart_split(evaluate_samples(spec, depth=1), cluster_tol=1e-6)
     assert split.ambiguous
 
 
@@ -229,7 +254,8 @@ def test_verdict_chart_invariance():
     samples = sample_points(spec, count=4)
     for _ in range(20):
         moved = apply_chart_change(spec, random_affine_change(spec, rng))
-        assert symmetry_order(moved, samples).verdict == "proper_second_symmetric"
+        assert symmetry_order(evaluate_samples(moved, samples)).verdict \
+            == "proper_second_symmetric"
 
 
 def test_non_finite_agreement_aborts():
@@ -238,23 +264,21 @@ def test_non_finite_agreement_aborts():
     evals = evaluate_samples(spec, samples, depth=1)
     evals.agreement["Bhat"][3] = float("nan")
     with pytest.raises(EngineDisagreement, match=r"worst block Bhat at sample \[") as info:
-        symmetry_order(spec, samples, evaluations=evals)
+        symmetry_order(evals)
     assert str(list(samples[3].coords)) in str(info.value)
 
 
 def test_extract_A_tilde_refuses_a_chart_without_leaf():
     with pytest.raises(ValueError, match=r"no leaf coordinates \(m = 0\)"):
-        extract_A_tilde(fixture("cw2"))
+        extract_A_tilde(_atil_stack(fixture("cw2")))
 
 
 def test_extract_A_tilde_refuses_short_jets():
     spec = fixture("cw4_r2")
-    samples = sample_points(spec)
     with pytest.raises(ValueError, match="jet order >= 4"):
-        extract_A_tilde(spec, samples, evaluations=evaluate_samples(spec, samples, depth=1))
+        extract_A_tilde(evaluate_samples(spec, depth=1))
     with pytest.raises(ValueError, match="jet order >= 4"):
-        extract_A_tilde(spec, samples, evaluations=evaluate_samples(spec, samples, depth=0,
-                                                                    order=4))
+        extract_A_tilde(evaluate_samples(spec, depth=0, order=4))
 
 
 @pytest.mark.parametrize("jet, exponent, sample, residual", [
@@ -267,13 +291,13 @@ def test_a_non_finite_A_tilde_residual_is_a_located_error(jet, exponent, sample,
     spec = fixture("cw4_r2")
     samples = sample_points(spec)
     evals = evaluate_samples(spec, samples, depth=1, order=A_TILDE_ORDER)
-    rep = extract_A_tilde(spec, samples, evaluations=evals, check_affine=True)
+    rep = extract_A_tilde(evals, check_affine=True)
     assert rep.grad_parallel and rep.d0_parallel and rep.affine_in_u
     target = getattr(evals, jet)
     target.data[sample, ..., target.ctx.index(exponent)] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=rf"^A_tilde {residual} is nan at sample \[") as err:
-            extract_A_tilde(spec, samples, evaluations=evals, check_affine=True)
+            extract_A_tilde(evals, check_affine=True)
     assert str(list(samples[sample].coords)) in str(err.value)
 
 
@@ -286,7 +310,7 @@ def test_nabla2_R_residual_is_the_max_over_the_twelve_blocks(name):
     spec = load_metric_file(str(METRICS / f"{name}.metric"))
     samples = sample_points(spec)
     evals = evaluate_samples(spec, samples, depth=2)
-    rep = symmetry_order(spec, samples, evaluations=evals)
+    rep = symmetry_order(evals)
     second = [float(np.max(np.abs(blocks[k][s]))) for s in range(len(samples))
               for blocks in (evals.blocks, evals.oracle) for k in FRAME_BLOCKS[2]]
     assert len(second) == 2 * 12 * len(samples)
@@ -296,27 +320,21 @@ def test_nabla2_R_residual_is_the_max_over_the_twelve_blocks(name):
 
 def test_depth_one_reports_no_nabla2_R():
     # the oracle's R_i0k is ~1e-16 here, not zero; nabla nabla R is not computed at depth 1
-    rep = symmetry_order(fixture("scrambled_cw4"), depth=1)
+    rep = symmetry_order(evaluate_samples(fixture("scrambled_cw4"), depth=1))
     assert rep.residuals["nabla2_R"] == 0.0
     assert rep.second_block_norms == {}
 
 
 @pytest.mark.parametrize("name", ["cw4_r2", "poly1"])
 def test_symmetry_order_refuses_depth_zero_evaluations(name):
-    spec = fixture(name)
-    samples = sample_points(spec)
-    evals = evaluate_samples(spec, samples, depth=0)
+    evals = evaluate_samples(fixture(name), depth=0)
     with pytest.raises(ValueError, match=r"^symmetry_order needs evaluations of depth >= 1 "
                                          r"\(got depth 0\)"):
-        symmetry_order(spec, samples, evaluations=evals)
-    with pytest.raises(ValueError, match="depth >= 1"):
-        symmetry_order(spec, samples, depth=0)
+        symmetry_order(evals)
 
 
 def test_check_theorem_redu_refuses_depth_zero_evaluations():
-    spec = fixture("cw4_r2")
-    samples = sample_points(spec)
-    evals = evaluate_samples(spec, samples, depth=0)
+    evals = evaluate_samples(fixture("cw4_r2"), depth=0)
     with pytest.raises(ValueError, match=r"^check_theorem_redu needs evaluations of depth >= 1 "
                                          r"\(got depth 0\)"):
-        check_theorem_redu(spec, samples, evaluations=evals)
+        check_theorem_redu(evals)

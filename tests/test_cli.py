@@ -405,6 +405,17 @@ def test_transport_refuses_a_point_outside_the_box(experiment):
         "error: start point u = 5.0 lies outside the box u in [-1.0, 1.0]"]
 
 
+@pytest.mark.parametrize("point", [["0", "0"], ["0", "0", "0", "0"]], ids=["short", "long"])
+@pytest.mark.parametrize("experiment", ["geodesic", "d0"])
+def test_transport_refuses_a_point_with_the_wrong_entry_count(experiment, point, capsys):
+    code, out, err = run(capsys, "transport", CW4_ORDER2, "--experiment", experiment,
+                         "--steps", "5", "--point", *point)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: --point has {len(point)} entries; a start point in dimension n = 4 needs "
+        "n - 1 = 1 + m = 3: u, x2, x3"]
+
+
 def test_transport_accepts_a_point_on_the_box_edge(capsys):
     # u and x3 start on their lower edges; x3'' = -2 x3 turns the path inward
     code, out, err = run(capsys, "transport", CW4_ORDER2, "--experiment", "geodesic",
