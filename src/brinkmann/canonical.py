@@ -231,7 +231,7 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     """
     d = data.d
     R0 = np.eye(d) if R0 is None else np.asarray(R0, dtype=float)
-    if d and np.max(np.abs(R0.T @ R0 - np.eye(d))) > 1e-12:
+    if np.max(np.abs(R0.T @ R0 - np.eye(d)), initial=0.0) > 1e-12:
         raise ValueError("R0 must be orthogonal")
     u0, u1 = u_interval
     if u0 == u1:
@@ -340,7 +340,7 @@ class CanonicalForm:
 def verify_canonical(us: np.ndarray, A_of_u: np.ndarray) -> dict:
     """Affine fit A(u) ~ A1 u + A0 plus the essential-parameter normal form.
 
-    An empty block (d = 0) fits exactly and is never proper.
+    An empty block (d = 0) fits exactly, is never proper and has an empty normal form.
     """
     k, d, _ = A_of_u.shape
     design = np.stack([np.ones_like(us), us], axis=1)
@@ -348,21 +348,16 @@ def verify_canonical(us: np.ndarray, A_of_u: np.ndarray) -> dict:
     A0 = coef[0].reshape(d, d)
     A1 = coef[1].reshape(d, d)
     fit = design @ coef
-    residual = float(np.max(np.abs(fit - A_of_u.reshape(k, d * d)))) if A_of_u.size else 0.0
-    proper = bool(np.max(np.abs(A1)) > SLOPE_TOL) if d else False
-    if d:
-        w, O = np.linalg.eigh(0.5 * (A1 + A1.T))
-        A0n = O.T @ A0 @ O
-        u_shift = 0.0
-        for idx in range(d):
-            if abs(w[idx]) > SLOPE_TOL:
-                u_shift = -A0n[idx, idx] / w[idx]
-                break
-        A0n = A0n + u_shift * np.diag(w)
-    else:
-        w = np.zeros(0)
-        A0n = np.zeros((0, 0))
-        u_shift = 0.0
+    residual = float(np.max(np.abs(fit - A_of_u.reshape(k, d * d)), initial=0.0))
+    proper = bool(np.max(np.abs(A1), initial=0.0) > SLOPE_TOL)
+    w, O = np.linalg.eigh(0.5 * (A1 + A1.T))
+    A0n = O.T @ A0 @ O
+    u_shift = 0.0
+    for idx in range(d):
+        if abs(w[idx]) > SLOPE_TOL:
+            u_shift = -A0n[idx, idx] / w[idx]
+            break
+    A0n = A0n + u_shift * np.diag(w)
     return {
         "A0": A0, "A1": A1, "affine_residual": residual, "proper": proper,
         "A1_diagonal": w, "A0_normal": A0n, "u_shift": u_shift,
@@ -375,20 +370,19 @@ def _eqq_residuals(rot: RotationCurve, A_of_u: np.ndarray,
     """Integrability residuals with derivatives taken by central differences.
 
     Differencing the integrated curves keeps the check independent of the
-    ODE right-hand sides, at the price of an O(h^2) floor.
+    ODE right-hand sides, at the price of an O(h^2) floor.  Without an
+    interior node or on an empty block (d = 0) both residuals are 0.
     """
-    if len(rot.us) < 3 or rot.R.shape[-1] == 0:
-        return 0.0, 0.0
     h = float(rot.us[1] - rot.us[0])
     k = np.arange(1, len(rot.us) - 1, max(1, len(rot.us) // 64))
     R = rot.R[k]
     Rdot = (rot.R[k + 1] - rot.R[k - 1]) / (2.0 * h)
     skew = 0.5 * (_T(Rdot) @ R - _T(R) @ Rdot)
-    r1 = float(np.max(np.abs(rot.t[2 * k] - skew)))
+    r1 = float(np.max(np.abs(rot.t[2 * k] - skew), initial=0.0))
     Ddd = (D_of_u[k + 1] - 2.0 * D_of_u[k] + D_of_u[k - 1]) / h ** 2
     rhs = (-2.0 * _T(R) @ A_of_u[k] @ D_of_u[k][..., None]
            + _T(R) @ Ddd[..., None])[..., 0]
-    r3 = float(np.max(np.abs(rot.B[2 * k] - rhs)))
+    r3 = float(np.max(np.abs(rot.B[2 * k] - rhs), initial=0.0))
     return r1, r3
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "frame_components",
     "jet_matrix_inverse",
     "node_subscripts",
+    "node_blocks",
     "first_failing_node",
     "NODE_BLOCK",
     "FRAME_BLOCKS",
@@ -105,6 +106,23 @@ class ChartPoint:
     def node(self, k: int) -> "ChartPoint":
         """Point k of a stack, with float coordinates."""
         return ChartPoint(float(self.u[k]), tuple(float(c[k]) for c in self.x))
+
+    def rows(self, rows: slice) -> "ChartPoint":
+        """The sub-stack ``rows`` of a stack."""
+        return ChartPoint(self.u[rows], tuple(c[rows] for c in self.x))
+
+    @staticmethod
+    def stack(points: Sequence["ChartPoint"]) -> "ChartPoint":
+        """The single points as one stack, in their order."""
+        return ChartPoint(np.array([q.u for q in points]),
+                          tuple(np.array(c) for c in zip(*(q.x for q in points))))
+
+
+def node_blocks(p: ChartPoint):
+    """(rows, p.rows(rows)) for each slice ``rows`` of ``NODE_BLOCK`` points of the stack p."""
+    for start in range(0, p.shape[0], NODE_BLOCK):
+        rows = slice(start, start + NODE_BLOCK)
+        yield rows, p.rows(rows)
 
 
 def first_failing_node(p: ChartPoint, evaluate):
@@ -270,7 +288,7 @@ def jet_matrix_inverse(G: Jet) -> Jet:
     """
     nodes, m = G.shape[:-2], G.shape[-1]
     G0 = G.value()
-    G0inv = np.linalg.inv(G0) if m else G0
+    G0inv = np.linalg.inv(G0)
     nv, order = G.num_vars, G.order
     product = node_subscripts("ij,jk->ik", nodes)
     G0inv_jet = jets.const(G0inv, nv, order)
@@ -297,8 +315,6 @@ def _check_leaf_metric(g0: np.ndarray, p: ChartPoint) -> None:
     positive definite, with its smallest Cholesky pivot above PIVOT_RATIO times
     the largest.  A non-finite entry is named in chart labels (x2 is leaf index 0).
     A stack is tested at once; ``first_failing_node`` then names the node."""
-    if not g0.shape[-1]:
-        return
     finite = np.isfinite(g0)
     if not finite.all():
         i, j = np.argwhere(~finite)[0][-2:]
@@ -308,7 +324,8 @@ def _check_leaf_metric(g0: np.ndarray, p: ChartPoint) -> None:
     except np.linalg.LinAlgError:
         raise MetricDefinitenessError(f"leaf metric not positive definite at {p.coords}") from None
     pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    if (pivots.min(axis=-1) <= PIVOT_RATIO * pivots.max(axis=-1)).any():
+    if (pivots.min(axis=-1, initial=np.inf)
+            <= PIVOT_RATIO * pivots.max(axis=-1, initial=0.0)).any():
         raise MetricDefinitenessError(f"leaf metric nearly degenerate at {p.coords}")
 
 
@@ -334,19 +351,14 @@ def _eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     fields = _run_tape(spec, p, lambda: expr.eval_jet(
         spec.tape, _seed_env(spec, p, order), nv, order))
     ctx = fields[0].ctx
-    shape = p.shape + (ctx.ncoeffs,)   # a field constant on the tape has no node axis yet
-    data = [f.data if f.data.shape == shape else np.broadcast_to(f.data, shape).copy()
-            for f in fields]
-    H = Jet(ctx, data[0])
-    if m:
-        W = Jet(ctx, np.stack(data[1:1 + m], axis=-2))
-        g = Jet(ctx, np.stack(data[1 + m:], axis=-2).reshape(p.shape + (m, m, -1)))
-    else:
-        W = jets.zeros(p.shape + (0,), nv, order)
-        g = jets.zeros(p.shape + (0, 0), nv, order)
+    # a field constant on the tape has no node axis yet
+    data = np.stack([np.broadcast_to(f.data, p.shape + (ctx.ncoeffs,)) for f in fields], axis=-2)
+    H, W, g = (Jet(ctx, a) for a in (
+        data[..., 0, :], data[..., 1:1 + m, :],
+        data[..., 1 + m:, :].reshape(p.shape + (m, m, ctx.ncoeffs))))
     g0 = g.value()
     _check_leaf_metric(g0, p)
-    return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0) if m else g0)
+    return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0))
 
 
 def metric_coefficients(spec: MetricSpec, p: ChartPoint) -> np.ndarray:

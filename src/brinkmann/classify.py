@@ -8,8 +8,9 @@ and aborts the run.
 
 ``evaluate_samples`` returns one ``SampleStack``: both pipelines' blocks,
 the deviations and the engine jets the reports read, each on a leading
-sample axis.  Every report takes that stack and nothing else: its sample
-count, leaf dimension and sample list are the stack's own.
+sample axis, evaluated in the blocks that ``chart.node_blocks`` cuts.  Every
+report takes that stack and nothing else: its sample count, leaf dimension
+and sample list are the stack's own.
 
 Residual semantics: a tensor depth (R, nabla R, nabla nabla R) counts as
 *zero* below ``tol`` and as *detected* above DETECTION_FLOOR, both scaled by
@@ -20,12 +21,13 @@ over-claim and yields the undetermined verdict.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chart import FRAME_BLOCKS, NODE_BLOCK, ChartPoint, MetricSpec, first_failing_node
+from .chart import FRAME_BLOCKS, ChartPoint, MetricSpec, first_failing_node, node_blocks
 from .curvature import curvature_at, d0_op, leaf_grad
 from .jets import Jet
 from .oracle import frame_blocks_from_oracle
@@ -38,6 +40,7 @@ __all__ = [
     "AtilReport",
     "EisenhartSplit",
     "check_tol",
+    "check_sample_count",
     "sample_points",
     "evaluate_samples",
     "symmetry_order",
@@ -53,8 +56,11 @@ ENGINE_AGREEMENT_TOL = 1e-6
 # extract_A_tilde differentiates the depth-1 block Atil once more, and A twice
 # in u: depth 1, plus two orders for R, plus one for that derivative.
 A_TILDE_ORDER = 1 + 3
+A_TILDE_TOL = 1e-8  # an A_tilde residual below this, times 1 + |R|, counts as zero
+CLUSTER_TOL = 1e-6  # leaf Ricci eigenvalues this close are one Eisenhart cluster
 DEFAULT_TOL = 1e-9
 DETECTION_FLOOR = 1e-3
+MIN_SAMPLES = 5  # the fewest sample points a verdict is drawn from
 SAMPLE_MARGIN = 0.1  # samples keep this fraction of each box side from its ends
 
 
@@ -68,6 +74,12 @@ def check_tol(tol: float, name: str = "tol") -> None:
     if not 0.0 < tol < DETECTION_FLOOR:
         raise ValueError(f"{name} must be finite and in (0, {DETECTION_FLOOR!r}), the "
                          f"detection floor, got {tol!r}")
+
+
+def check_sample_count(count: int) -> None:
+    """Refuse fewer than MIN_SAMPLES sample points, the fewest a verdict is drawn from."""
+    if count < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} sample points, the stack has {count}")
 
 
 # -- sampling -----------------------------------------------------------------------
@@ -86,17 +98,18 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def sample_points(spec: MetricSpec, count: int = 8) -> list[ChartPoint]:
-    """Deterministic low-discrepancy samples in the admissible box, plus its center."""
+    """Deterministic low-discrepancy samples in the admissible box, plus its center.
+
+    A Halton point at the center (the first one on a 2-D chart) is skipped."""
     if count < 0:
         raise ValueError(f"sample count {count} is negative")
     nv = spec.num_vars
     inner = 1.0 - 2.0 * SAMPLE_MARGIN
+    halton = ([_halton(k, _PRIMES[d % len(_PRIMES)]) for d in range(nv)]
+              for k in itertools.count(1))
     pts = []
-    for k in range(1, count + 1):
-        coords = []
-        for d, (lo, hi) in enumerate(spec.box):
-            t = SAMPLE_MARGIN + inner * _halton(k, _PRIMES[d % len(_PRIMES)])
-            coords.append(lo + t * (hi - lo))
+    for ts in itertools.islice((ts for ts in halton if ts != [0.5] * nv), count):
+        coords = [lo + (SAMPLE_MARGIN + inner * t) * (hi - lo) for t, (lo, hi) in zip(ts, spec.box)]
         pts.append(ChartPoint(coords[0], tuple(coords[1:])))
     pts.append(spec.center())
     assert len(pts[0].x) == nv - 1
@@ -124,14 +137,7 @@ ORACLE_STACK_ENTRIES = 80_000
 def _node_max_abs(values: np.ndarray) -> np.ndarray:
     """Largest absolute entry of each node of a stack (N, ...) of blocks, 0
     for empty blocks; NaN propagates."""
-    flat = np.abs(values).reshape(len(values), -1)
-    return flat.max(axis=1) if flat.shape[1] else np.zeros(len(values))
-
-
-def _stack(points: Sequence[ChartPoint]) -> ChartPoint:
-    """The points as one stack of chart points."""
-    return ChartPoint(np.array([q.u for q in points]),
-                      tuple(np.array(c) for c in zip(*(q.x for q in points))))
+    return np.abs(values).reshape(len(values), -1).max(axis=1, initial=0.0)
 
 
 @dataclass
@@ -170,17 +176,12 @@ def _join(parts: list):
     return None if first is None else np.concatenate(parts)
 
 
-def _rows(p: ChartPoint, rows: slice) -> ChartPoint:
-    """The sub-stack ``rows`` of the stack p."""
-    return ChartPoint(p.u[rows], tuple(c[rows] for c in p.x))
-
-
 def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
                      depth: int = 2, order: int | None = None) -> SampleStack:
     """Run both pipelines at the samples (``sample_points(spec)`` by default)
     and record per-block deviations.
 
-    The engine runs once per block of ``NODE_BLOCK`` samples, on their stack;
+    The engine runs once per block of ``chart.node_blocks``, on its stack;
     the oracle runs once per sub-stack of at most
     ``max(1, ORACLE_STACK_ENTRIES // n**6)`` of them.  The blocks' results
     are concatenated.  The engine's jets have order ``depth + 2`` unless
@@ -194,11 +195,10 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint] | None = No
         samples = sample_points(spec)
     if not samples:
         raise ValueError("evaluate_samples needs at least one sample")
-    p = _stack(samples)
-    parts = [first_failing_node(_rows(p, slice(start, start + NODE_BLOCK)),
-                                lambda q: _evaluate(spec, q if q.shape else _stack([q]), depth,
-                                                    order))
-             for start in range(0, len(samples), NODE_BLOCK)]
+    p = ChartPoint.stack(samples)
+    parts = [first_failing_node(block, lambda q: _evaluate(
+                 spec, q if q.shape else ChartPoint.stack([q]), depth, order))
+             for _, block in node_blocks(p)]
     # The fields after point, depth and order carry the sample axis; each is
     # dropped from the parts once joined, so that only one is held twice.
     joined = [_join([vars(part).pop(f.name) for part in parts])
@@ -215,7 +215,7 @@ def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int, order: int | None) ->
         cc = curvature_at(spec, p, order=order, depth=depth)
         for start in range(0, len(p.u), per_call):
             rows = slice(start, start + per_call)
-            oracles.append(frame_blocks_from_oracle(spec, _rows(p, rows), depth=depth))
+            oracles.append(frame_blocks_from_oracle(spec, p.rows(rows), depth=depth))
             agreements.append({key: _node_max_abs(cc.blocks[key][rows] - o)
                                / (1.0 + _node_max_abs(o)) for key, o in oracles[-1].items()})
     ev = SampleStack(p, depth, cc.cj.order, cc.blocks, _join(oracles), _join(agreements),
@@ -340,13 +340,12 @@ def symmetry_order(evaluations: SampleStack, tol: float = DEFAULT_TOL) -> Symmet
 
     With a stack of depth 1 the second derivative is not computed, so the
     verdict can only be flat, locally_symmetric or undetermined; depth 0 is
-    refused, and so are fewer than 5 samples and a ``tol`` outside (0,
-    DETECTION_FLOOR) (``check_tol``).
+    refused, and so are fewer than MIN_SAMPLES samples (``check_sample_count``)
+    and a ``tol`` outside (0, DETECTION_FLOOR) (``check_tol``).
     """
     check_tol(tol)
     count = len(evaluations.point.u)
-    if count < 5:
-        raise ValueError(f"need at least 5 sample points, the stack has {count}")
+    check_sample_count(count)
     depth = _evaluated_depth(evaluations, 1, "symmetry_order")
 
     agreement = _check_agreement(evaluations)
@@ -438,18 +437,16 @@ class AtilReport:
         }
 
 
-def extract_A_tilde(evaluations: SampleStack, tol: float = 1e-8,
-                    check_affine: bool = False) -> AtilReport:
+def extract_A_tilde(evaluations: SampleStack, check_affine: bool = False) -> AtilReport:
     """Per-sample Atil values, gbar-eigenvalues and parallelism flags.
 
     The stack must be of depth >= 1 at jet order >= ``A_TILDE_ORDER``.  The
-    derivatives behind the residuals are taken on the stack of all samples.
-    A residual that is not finite at some sample raises a ValueError naming
-    the residual and the sample.
+    derivatives behind the residuals are taken on the stack of all samples; a
+    residual below ``A_TILDE_TOL`` times 1 + |R| counts as zero, and without
+    leaf (m = 0) every residual is 0.  A residual that is not finite at some
+    sample raises a ValueError naming the residual and the sample.
     """
     ev = evaluations
-    if not ev.point.x:
-        raise ValueError("extract_A_tilde: the chart has no leaf coordinates (m = 0)")
     if ev.order < A_TILDE_ORDER or ev.Atil is None:
         raise ValueError(
             f"extract_A_tilde needs evaluations of depth >= 1 at jet order >= {A_TILDE_ORDER} "
@@ -468,15 +465,15 @@ def extract_A_tilde(evaluations: SampleStack, tol: float = 1e-8,
     d0_res = residual("d0_residual", _node_max_abs(d0_op(ev.Atil, 0, ev.tup).value()))
     aff_res = residual("affine_residual", _node_max_abs(ev.A.du().du().value())) \
         if check_affine else None
-    scale = 1.0 + _depth_norm([ev.blocks], 0)
+    eps = A_TILDE_TOL * (1.0 + _depth_norm([ev.blocks], 0))
     return AtilReport(
         values=ev.blocks["Atil"].copy(),
         eigenvalues=gbar_eigh(ev.blocks["Atil"], ev.g.value())[0],
-        grad_parallel=grad_res < tol * scale,
-        d0_parallel=d0_res < tol * scale,
+        grad_parallel=grad_res < eps,
+        d0_parallel=d0_res < eps,
         grad_residual=grad_res,
         d0_residual=d0_res,
-        affine_in_u=(aff_res < tol * scale) if check_affine else None,
+        affine_in_u=(aff_res < eps) if check_affine else None,
         affine_residual=aff_res,
     )
 
@@ -522,13 +519,13 @@ class EisenhartSplit:
         }
 
 
-def eisenhart_split(evaluations: SampleStack, cluster_tol: float = 1e-6) -> EisenhartSplit:
+def eisenhart_split(evaluations: SampleStack) -> EisenhartSplit:
     """Cluster the gbar-eigenvalues of the leaf Ricci tensor and partition indices.
 
-    The partition lists coordinate slots per eigenvalue cluster; the
-    zero-eigenvalue cluster is the candidate flat block, and Atil must be
-    supported there.  Clustering closer than 10 * cluster_tol between
-    distinct clusters is reported as ambiguous.
+    Eigenvalues within ``CLUSTER_TOL`` of their neighbour form one cluster.
+    The partition lists coordinate slots per cluster; the zero-eigenvalue
+    cluster is the candidate flat block, and Atil must be supported there.
+    Distinct clusters closer than 10 * CLUSTER_TOL are reported as ambiguous.
     """
     _evaluated_depth(evaluations, 1, "eisenhart_split")
     m = len(evaluations.point.x)
@@ -538,13 +535,13 @@ def eisenhart_split(evaluations: SampleStack, cluster_tol: float = 1e-6) -> Eise
 
     clusters: list[list[int]] = []
     for idx in range(m):
-        if clusters and abs(mu[idx] - mu[clusters[-1][-1]]) <= cluster_tol:
+        if clusters and abs(mu[idx] - mu[clusters[-1][-1]]) <= CLUSTER_TOL:
             clusters[-1].append(idx)
         else:
             clusters.append([idx])
     cluster_values = [float(np.mean([mu[i] for i in cl])) for cl in clusters]
     ambiguous = any(
-        abs(cluster_values[i + 1] - cluster_values[i]) < 10.0 * cluster_tol
+        abs(cluster_values[i + 1] - cluster_values[i]) < 10.0 * CLUSTER_TOL
         for i in range(len(cluster_values) - 1))
 
     # Assign coordinate slots by dominant eigenvector weight per cluster.
@@ -557,15 +554,15 @@ def eisenhart_split(evaluations: SampleStack, cluster_tol: float = 1e-6) -> Eise
 
     zero_cluster = None
     for ci, val in enumerate(cluster_values):
-        if abs(val) <= max(cluster_tol, 1e-9):
+        if abs(val) <= max(CLUSTER_TOL, 1e-9):
             zero_cluster = ci
             break
 
-    spread = float(np.max(all_eigs.max(axis=0) - all_eigs.min(axis=0))) if m else 0.0
+    spread = float(np.max(all_eigs.max(axis=0) - all_eigs.min(axis=0), initial=0.0))
 
     atil_flag: bool | None = None
     atil = evaluations.blocks["Atil"][-1]
-    if atil.size and zero_cluster is not None:
+    if zero_cluster is not None:
         flat = np.isin(np.arange(m), partition[zero_cluster])
         off = np.max(np.abs(atil[~np.outer(flat, flat)]), initial=0.0)
         atil_flag = bool(off < 1e-8 * (1.0 + float(np.max(np.abs(atil)))))

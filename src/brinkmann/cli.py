@@ -125,9 +125,11 @@ def _load(path: str) -> MetricSpec:
 def cmd_check(args) -> int:
     classify.check_tol(args.tol, "--tol")
     spec = _load(args.file)
+    samples = classify.sample_points(spec, args.samples)
+    classify.check_sample_count(len(samples))
     # Order depth + 2 <= 4 serves the verdict; the A_tilde section needs 4 at any depth.
-    evaluations = classify.evaluate_samples(spec, classify.sample_points(spec, args.samples),
-                                            depth=args.depth, order=classify.A_TILDE_ORDER)
+    evaluations = classify.evaluate_samples(spec, samples, depth=args.depth,
+                                            order=classify.A_TILDE_ORDER)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "check",
@@ -252,6 +254,9 @@ def cmd_transport(args) -> int:
                              f"{hi!r} (box u = {lo!r} {hi!r}); give --span")
     rows: list[str]
     if args.experiment != "d0":
+        if args.experiment == "nullsec" and not spec.m:
+            raise ValueError("nullsec needs a leaf direction X = d/dx2, and this chart has "
+                             "none (m = 0)")
         v0 = null_velocity(spec, point, args.leaf_part)
         traj = geodesic_integrate(spec, [point.u, 0.0, *point.x], v0, span, args.steps)
         check_in_box(spec, np.delete(traj.coords, 1, axis=1),

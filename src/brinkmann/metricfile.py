@@ -120,7 +120,7 @@ def _parse_matrix(entry: _Entry, size: int, filename: str) -> np.ndarray:
                               filename, entry.line, entry.col)
     if not np.isfinite(mat).all():
         raise MetricFileError("matrix entries must be finite", filename, entry.line, entry.col)
-    if size and not np.allclose(mat, mat.T, atol=0.0):
+    if not np.allclose(mat, mat.T, atol=0.0):
         raise MetricFileError("matrix must be symmetric", filename, entry.line, entry.col)
     return mat
 

@@ -210,7 +210,7 @@ class CwParams:
                 raise ValueError(f"coefficient matrices must be {m}x{m}")
             if not np.isfinite(P).all():
                 raise ValueError("coefficient matrices must be finite")
-            if m and not np.allclose(P, P.T, atol=0.0):
+            if not np.allclose(P, P.T, atol=0.0):
                 raise ValueError("coefficient matrices must be symmetric")
 
     @property

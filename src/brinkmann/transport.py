@@ -12,8 +12,9 @@ curvature and the leaf-level data stay on jets.
 
 energy, nullsec, d0 and the second-symmetry check know every point they
 evaluate before they start: the geodesic's nodes, the u rows of d0's
-``stage_grid`` and the stage rows of an analytic curve.  They evaluate them
-in blocks of ``NODE_BLOCK`` points, one stacked ``assemble_coordinate_metric``
+``stage_grid`` and the stage rows of an analytic curve.  They stack them into
+one ``ChartPoint`` and evaluate it in the blocks of ``NODE_BLOCK`` points that
+``chart.node_blocks`` cuts, one stacked ``assemble_coordinate_metric``
 call (energy; nullsec adds ``coordinate_curvature``, the curve its
 Christoffel symbols) or ``eval_metric`` and ``compute_h_t`` call (d0) per
 block, with the numbers of the one-point calls; the block size bounds the
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import jets
 from .chart import NODE_BLOCK, ChartPoint, MetricSpec, compute_h_t, eval_metric, \
-    metric_coefficients
+    metric_coefficients, node_blocks
 from .ode import linear_rk4, rk4_step, stage_grid, step_size
 from .oracle import (assemble_coordinate_metric, check_finite, christoffel,
                      coordinate_curvature, full_metric)
@@ -69,13 +70,6 @@ def _chart_point(coords: np.ndarray) -> ChartPoint:
 def _chart_points(coords: np.ndarray) -> ChartPoint:
     """The stack of chart points of the rows of ``coords`` (N, n)."""
     return ChartPoint(coords[:, 0], tuple(coords[:, 2:].T))
-
-
-def _node_blocks(coords: np.ndarray):
-    """Slices of ``NODE_BLOCK`` rows of ``coords`` (N, n), each with its stack of chart points."""
-    for start in range(0, len(coords), NODE_BLOCK):
-        block = slice(start, start + NODE_BLOCK)
-        yield block, _chart_points(coords[block])
 
 
 def _coordinate_metric(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
@@ -121,7 +115,7 @@ class Trajectory:
     def energy(self) -> np.ndarray:
         """g(gamma', gamma') at every node, evaluated in blocks of nodes."""
         out = np.empty(len(self.tau))
-        for block, p in _node_blocks(self.coords):
+        for block, p in node_blocks(_chart_points(self.coords)):
             G = assemble_coordinate_metric(self.spec, p, order=0).G.value()
             v = self.velocity[block]
             out[block] = (v[:, None, :] @ G @ v[:, :, None])[:, 0, 0]   # the bits of v @ G @ v
@@ -202,18 +196,15 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     the latter naming the first u where it occurs; a transported vector that
     overflows is a ``RuntimeError`` naming its u.
     """
-    m = spec.m
     check_in_box(spec, [p.coords], lambda k: "start point")
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = step_size(u_span, steps)
     us, grid, rows = stage_grid(p.u, h, steps)
-    tup = np.zeros((len(grid), m, m))
+    tup = np.empty((len(grid), spec.m, spec.m))
     with np.errstate(all="ignore"):
-        for start in range(0, len(grid), NODE_BLOCK):
-            block = slice(start, start + NODE_BLOCK)
-            cj = eval_metric(spec, ChartPoint(grid[block], p.x), order=1)
-            if m:
-                tup[block] = cj.ginv0 @ compute_h_t(cj)[1].value()
+        for block, q in node_blocks(ChartPoint(grid, p.x)):
+            cj = eval_metric(spec, q, order=1)
+            tup[block] = cj.ginv0 @ compute_h_t(cj)[1].value()
     finite = np.isfinite(tup).reshape(len(grid), -1).all(axis=1)
     if not finite.all():
         u = float(grid[int(np.argmin(finite))])
@@ -287,7 +278,7 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
     """
     X = parallel_transport(traj, np.asarray(x_vec, dtype=float)[None, :])[:, 0, :]
     vals = np.empty(len(traj.tau))
-    for block, p in _node_blocks(traj.coords):
+    for block, p in node_blocks(_chart_points(traj.coords)):
         v, x = traj.velocity[block], X[block]
         cm = assemble_coordinate_metric(spec, p, order=2)
         R = coordinate_curvature(cm, depth=0).R
@@ -327,7 +318,7 @@ def _curve_trajectory(spec: MetricSpec,
     taus, grid, rows = stage_grid(0.0, step_size(span, steps), steps)
     coords, vel = curve(grid)
     C = np.empty((len(grid), spec.n, spec.n))
-    for block, p in _node_blocks(coords):
+    for block, p in node_blocks(_chart_points(coords)):
         cm = assemble_coordinate_metric(spec, p, order=1)
         C[block] = np.einsum("kabc,kc->kab", christoffel(cm.G, cm.Ginv0), vel[block])
     return Trajectory(taus, coords[::2], vel[::2], spec, C[rows])

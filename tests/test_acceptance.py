@@ -91,7 +91,7 @@ def test_criterion_4_A_tilde_structure():
     is invariant under 20 random affine chart changes."""
     spec = fixture("cw4_r2_x_sphere")
     evaluations = evaluate_samples(spec, depth=1, order=A_TILDE_ORDER)
-    atil = extract_A_tilde(evaluations, tol=1e-8)
+    atil = extract_A_tilde(evaluations)
     split = eisenhart_split(evaluations)
     supported = split.atil_on_flat_block is True
     parallel = (atil.grad_parallel and atil.d0_parallel

@@ -29,6 +29,15 @@ def test_sample_points_deterministic_and_inside_box():
             assert lo <= v <= hi
 
 
+def test_sample_points_on_a_two_dimensional_chart_skip_the_center():
+    # u alone is sampled, in base 2, whose first Halton point is the center
+    spec = fixture("cw2")
+    pts = sample_points(spec, count=4)
+    assert [p.u for p in pts] == [-0.3999999999999999, 0.40000000000000013, -0.6,
+                                  0.19999999999999996, 0.0]
+    assert pts[-1] == spec.center()
+
+
 def test_verdicts():
     assert symmetry_order(evaluate_samples(fixture("flat"))).verdict == "flat"
     assert symmetry_order(evaluate_samples(fixture("cw4_r1"))).verdict == "locally_symmetric"
@@ -200,9 +209,9 @@ def test_eisenhart_split_pure_cw():
 
 
 def test_eisenhart_ambiguous_clusters_flagged():
-    # a huge sphere gives a tiny nonzero eigenvalue within 10x cluster_tol of 0
+    # a huge sphere gives a tiny nonzero eigenvalue within 10x CLUSTER_TOL of 0
     spec = make_product(fixture("cw4_r2"), "sphere", radius=500.0)
-    split = eisenhart_split(evaluate_samples(spec, depth=1), cluster_tol=1e-6)
+    split = eisenhart_split(evaluate_samples(spec, depth=1))
     assert split.ambiguous
 
 
@@ -268,9 +277,12 @@ def test_non_finite_agreement_aborts():
     assert str(list(samples[3].coords)) in str(info.value)
 
 
-def test_extract_A_tilde_refuses_a_chart_without_leaf():
-    with pytest.raises(ValueError, match=r"no leaf coordinates \(m = 0\)"):
-        extract_A_tilde(_atil_stack(fixture("cw2")))
+def test_extract_A_tilde_on_a_chart_without_leaf_is_an_empty_parallel_report():
+    # m = 0: Atil is empty, so every residual is 0 and Atil is parallel
+    rep = extract_A_tilde(_atil_stack(fixture("cw2")), check_affine=True)
+    assert (rep.values.shape, rep.eigenvalues.shape) == ((9, 0, 0), (9, 0))
+    assert (rep.grad_residual, rep.d0_residual, rep.affine_residual) == (0.0, 0.0, 0.0)
+    assert rep.grad_parallel and rep.d0_parallel and rep.affine_in_u
 
 
 def test_extract_A_tilde_refuses_short_jets():

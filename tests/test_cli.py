@@ -20,6 +20,13 @@ def cw42_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def cw2_file(tmp_path):
+    path = tmp_path / "cw2.metric"
+    path.write_text(spec_to_text(fixture("cw2")))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -56,6 +63,34 @@ def test_check_flat_exit_zero(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0
     assert json.loads(out)["verdict"] == "flat"
+
+
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_check_on_a_two_dimensional_chart_is_flat(cw2_file, capsys, depth):
+    # m = 0: the A_tilde and Eisenhart sections are empty, not refused
+    code, out, err = run(capsys, "check", cw2_file, "--depth", depth)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "flat"
+    assert report["A_tilde"]["values"] == [[]] * 9
+    assert report["A_tilde"]["grad_parallel"] and report["A_tilde"]["d0_parallel"]
+    assert report["eisenhart"]["partition"] == []
+    assert len({u for u, in report["samples"]}) == len(report["samples"]) == 9
+
+
+@pytest.mark.parametrize("samples, message", [
+    ("3", "need at least 5 sample points, the stack has 4"),
+    ("-3", "sample count -3 is negative"),
+])
+def test_check_refuses_too_few_samples_before_evaluating(cw42_file, capsys, monkeypatch,
+                                                         samples, message):
+    def evaluate(*args, **kwargs):
+        raise AssertionError("evaluate_samples ran")
+
+    monkeypatch.setattr(classify, "evaluate_samples", evaluate)
+    code, out, err = run(capsys, "check", cw42_file, "--samples", samples)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_check_undetermined_exit_two(tmp_path, capsys):
@@ -447,6 +482,27 @@ def test_transport_d0_refuses_a_u_range_outside_the_box(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         "error: d0 curve at u = 1.25 lies outside the box u in [-0.8, 0.8]"]
+
+
+NULLSEC_WITHOUT_LEAF = "error: nullsec needs a leaf direction X = d/dx2, and this chart has " \
+                       "none (m = 0)"
+
+
+def test_nullsec_on_a_two_dimensional_chart_is_one_error_line(cw2_file):
+    done = run_cli("transport", cw2_file, "--experiment", "nullsec", "--steps", "5")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [NULLSEC_WITHOUT_LEAF]
+    assert "Traceback" not in done.stderr
+
+
+def test_nullsec_without_leaf_is_refused_before_integrating(cw2_file, capsys, monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("the geodesic was integrated")
+
+    monkeypatch.setattr(cli, "geodesic_integrate", integrate)
+    code, out, err = run(capsys, "transport", cw2_file, "--experiment", "nullsec")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [NULLSEC_WITHOUT_LEAF]
 
 
 def test_transport_d0_refuses_a_leaf_part():
