@@ -118,8 +118,9 @@ class FlatBlockData:
         as over all chart variables, and batched products equal scalar ones
         bit for bit, so the result does not depend on this restriction.
 
-        Returns arrays in the order of ``us``.  A non-finite value is a
-        ``ValueError`` naming the quantity and the first u where it occurs.
+        Returns arrays in the order of ``us``.  A non-finite value of these,
+        or of H, W_i or the block's g_ab, is a ``ValueError`` naming the
+        quantity and the first u where it occurs.
         """
         us = np.asarray(us, dtype=float)
         m, d = self.spec.m, self.d
@@ -155,12 +156,13 @@ class FlatBlockData:
                 Lam[:, a, b] = coeff(h_block[a], var[sb])
                 tval[:, a, b] = coeff(t_block[a][b])
                 tdot[:, a, b] = coeff(t_block[a][b], 0)
-        finite = np.array([np.isfinite(v).reshape(us.size, -1).all(axis=1)
-                           for v in (tval, tdot, Lam, B)])
-        if not finite.all():
-            i = int(np.argmin(finite.all(axis=0)))
-            name = ("t", "tdot", "Lambda", "B")[int(np.argmin(finite[:, i]))]
-            raise ValueError(f"non-finite {name} in the flat-block data at u = {float(us[i])!r}")
+        _refuse_non_finite(us, {"t": tval, "tdot": tdot, "Lambda": Lam, "B": B})
+        # A factor that overflowed on the block's x alone can leave H, W or g
+        # infinite while every coefficient read above stays finite.
+        _refuse_non_finite(us, dict(zip(
+            ["H", *(f"W_{k + 2}" for k in range(m)),
+             *(f"g_{sa + 2}{sb + 2}" for sa in self.block for sb in self.block)],
+            (coeff(f) for f in fields))))
         tx = [coeff(tab, var[sc]) for row in t_block for tab in row for sc in self.block]
         aff = [coeff(ha, var[sb], var[sc]) for ha in h_block for sb in self.block
                for sc in self.block]
@@ -170,6 +172,17 @@ class FlatBlockData:
         self.t_x_residual = float(np.max([self.t_x_residual, *(np.max(np.abs(c)) for c in tx)]))
         self._cache.update(us.tolist())
         return tval, tdot, Lam, B
+
+
+def _refuse_non_finite(us: np.ndarray, fields: dict[str, np.ndarray]) -> None:
+    """Refuse a non-finite entry of the fields, arrays with the u's of ``us`` leading,
+    naming the first u where one occurs and the first such field there."""
+    finite = np.array([np.isfinite(v).reshape(us.size, -1).all(axis=1)
+                       for v in fields.values()])
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=0)))
+        name = list(fields)[int(np.argmin(finite[:, i]))]
+        raise ValueError(f"non-finite {name} in the flat-block data at u = {float(us[i])!r}")
 
 
 @dataclass

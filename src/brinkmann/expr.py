@@ -497,8 +497,9 @@ class Tape:
         chart order, and ``run`` returns one tuple per tape output with the
         jet coefficients of ``eval_jet(tape, seeded env, num_vars, 1)`` (the
         value, which is also the order-0 value, then the first partials in the
-        order of ``jets.context(num_vars, 1).exps``), bit for bit.  A domain
-        error raises ``TapeDomainError`` as ``eval_jet`` does.
+        order of ``jets.context(num_vars, 1).exps``), bit for bit on finite
+        values (see the kernels below).  A domain error raises
+        ``TapeDomainError`` as ``eval_jet`` does.
         """
         if num_vars not in self._compiled:
             if self._chunks is None:
@@ -540,13 +541,17 @@ def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
 #
 # ``Tape.compiled`` emits one line per operation, each a call of a kernel on
 # coefficient tuples.  The kernels are made once per num_vars and
-# repeat the jet arithmetic step by step, so every bit (signed zeros too)
-# matches ``eval_jet``: a Cauchy product sums its pairs from 0.0 in
-# ``mul_flat`` order, as ``np.bincount`` does; a literal operand acts as the
-# constant jet ``Jet._coerce`` would build; functions take their Taylor
-# coefficients from ``jets.TAYLOR_COEFS`` on a 0-d array, as the jet
-# functions do, and form ``Jet._compose``'s order-1 result c0 + c1 * delta,
-# whose value is c0 itself; powers use ``jets.binary_power``.
+# repeat the jet arithmetic step by step, so on finite values every bit
+# (signed zeros too) matches ``eval_jet``: a Cauchy product sums all its
+# pairs from 0.0 in ``mul_flat`` order, as ``np.bincount`` does, and the
+# pairs ``eval_jet`` leaves out by the factors' supports add only +-0; a
+# literal operand acts as the constant jet ``Jet._coerce`` would build;
+# functions take their Taylor coefficients from ``jets.TAYLOR_COEFS`` on a
+# 0-d array, as the jet functions do, and form ``Jet._compose``'s order-1
+# result c0 + c1 * delta, whose value is c0 itself; powers use
+# ``jets.binary_power``.  Only where a value overflowed do they differ: a
+# coefficient outside a product's supports is the NaN of inf * 0 here and
+# 0 in ``eval_jet``.
 
 
 def _var_index(name: str) -> int:

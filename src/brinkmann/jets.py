@@ -14,28 +14,44 @@ formulas downstream rely on.
 Coefficients are stored densely over the simplex {|alpha| <= order} in
 graded lexicographic order.  Because the ordering is graded, the
 coefficient vector of a lower order is a prefix of a higher one, so
-truncation is a slice.  The tables of the truncated product are built once
-per (num_vars, order) pair: ``mul_flat`` lists its coefficient pairs (ka, kb)
-sorted by the output coefficient ko they feed, ``mul_buckets`` groups them
-into buckets of the outputs with equally many pairs, and ``mul_padded`` lays
-them out as one row per output, padded to the longest row.
+truncation is a slice.  The pairs of the truncated product are listed once
+per (num_vars, order) pair: ``mul_flat`` gives its coefficient pairs (ka, kb)
+sorted by the output coefficient ko they feed, and ``mul_padded`` lays them
+out as one row per output, padded to the longest row.
 
 A ``Jet`` may carry a leading batch shape: ``data`` has shape
 ``(*batch, ncoeffs)``.  Scalar jets have ``batch == ()``.  All arithmetic
 broadcasts over the batch axes, which is how whole tensor fields of jets
 are handled without Python-level loops.
 
+A ``Jet`` also knows its ``support``, a bitmask of the variables it may
+depend on: ``seed(v)`` has {v}, constants have none, a sum or product has
+the union of its operands', and every other operation keeps its operand's
+(or has none where it returns a constant jet, as ``pow_int(x, 0)`` does).
+A jet built from raw data has all variables.  A coefficient whose monomial
+has a variable outside the support is zero, so a product need only sum the
+pairs (alpha, beta) with alpha over the first factor's variables and beta
+over the second's.  ``mul_tables(sa, sb)`` keeps those pairs of ``mul_flat``,
+in its order, once per pair of supports; the all-variables entry is the
+dense product.  On finite data every pair left out is an exact +-0, and a
+sum from +0.0 does not change by adding +-0, so the product is the dense
+one bit for bit, signed zeros included.  Only where a factor overflowed
+does a coefficient outside the supports read 0 instead of the NaN of
+inf * 0.
+
 Batches of at most ``MUL_BINCOUNT_BATCH`` jets, a scalar jet being a batch
-of one, multiply by one ``np.bincount`` over ``mul_flat``: batch entry r's
-pair products land in bin ko + ncoeffs * r (``mul_bins``).  Larger batches
-are copied once to coefficient-major rows (ncoeffs, N) and multiplied in
-blocks of ``MUL_BLOCK`` batch columns, so that a block's rows stay in
-cache; each bucket pair column is then a take of whole rows, a slice
-wherever the indices allow (``mul_columns``).  Both paths sum each
-coefficient's pairs in ``mul_flat`` order starting from +0.0, so a batched
-product equals the stacked scalar ones bit for bit.  The bincount path wins
-while its (N, pairs) temporaries stay in cache; the blocked path pays a
-fixed cost per bucket pair column, which small batches do not amortize.
+of one, multiply by one ``np.bincount`` over the table's pairs: batch entry
+r's pair products land in bin ko + ncoeffs * r (``MulTable.bins``).  Larger
+batches are copied once to coefficient-major rows (ncoeffs, N) and
+multiplied in blocks of ``MUL_BLOCK`` batch columns, so that a block's rows
+stay in cache; the table groups its outputs into buckets of equally many
+pairs, and each bucket pair column is then a take of whole rows, a slice
+wherever the indices allow (``MulTable.columns``).  Both paths sum each
+coefficient's pairs in ``mul_flat`` order starting from +0.0, and an output
+no pair feeds is +0.0, so a batched product equals the stacked scalar ones
+bit for bit.  The bincount path wins while its (N, pairs) temporaries stay
+in cache; the blocked path pays a fixed cost per bucket pair column, which
+small batches do not amortize.
 
 ``jet_einsum`` makes one ``np.matmul`` over all output coefficients, whose
 inner axis runs over a coefficient's padded row of pairs and the contracted
@@ -107,6 +123,10 @@ class JetContext:
         self.degrees = self.exps.sum(axis=1)
         self.ncoeffs = len(exps)
         self._index = {tuple(e): i for i, e in enumerate(exps)}
+        self.all_vars = (1 << nvars) - 1
+        # the variables each coefficient's monomial depends on, as a bitmask
+        self.var_masks = ((self.exps > 0) << np.arange(nvars)).sum(axis=1)
+        self._mul_tables: dict[tuple[int, int], MulTable] = {}
         self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._grad_tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -117,7 +137,7 @@ class JetContext:
         return self._index[key]
 
     @cached_property
-    def _mul(self) -> tuple[tuple, list, tuple, list]:
+    def _mul(self) -> tuple[tuple, tuple]:
         runs: list[list[tuple[int, int]]] = [[] for _ in range(self.ncoeffs)]
         for ia in range(self.ncoeffs):
             da = int(self.degrees[ia])
@@ -126,18 +146,10 @@ class JetContext:
                 runs[self._index[tuple(ea + self.exps[ib])]].append((ia, ib))
         ka, kb = np.array([pair for run in runs for pair in run], dtype=np.intp).T.copy()
         ko = np.repeat(np.arange(self.ncoeffs, dtype=np.intp), [len(run) for run in runs])
-        buckets = []
-        for size in sorted({len(run) for run in runs}):
-            outs = [k for k, run in enumerate(runs) if len(run) == size]
-            pairs = np.array([runs[k] for k in outs], dtype=np.intp)      # (outputs, size, 2)
-            buckets.append((np.array(outs, dtype=np.intp), pairs[..., 0], pairs[..., 1]))
         width = max(len(run) for run in runs)
         pad = [(self.ncoeffs, self.ncoeffs)]
         padded = np.array([run + pad * (width - len(run)) for run in runs], dtype=np.intp)
-        columns = [(_rows_index(outs), tuple((_rows_index(ka[:, j]), _rows_index(kb[:, j]))
-                                             for j in range(ka.shape[1])))
-                   for outs, ka, kb in buckets]
-        return (ka, kb, ko), buckets, tuple(padded.transpose(2, 0, 1).copy()), columns
+        return (ka, kb, ko), tuple(padded.transpose(2, 0, 1).copy())
 
     def mul_flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pairs (ka, kb) of the truncated product and the output ko each feeds, sorted by ko."""
@@ -146,27 +158,23 @@ class JetContext:
     def mul_buckets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Buckets ``(ko, ka, kb)`` of the outputs with equally many pairs: row r of
         ``ka`` and ``kb`` (outputs, pairs) holds output ko[r]'s pairs in ``mul_flat`` order."""
-        return self._mul[1]
+        return self.mul_tables(self.all_vars, self.all_vars).buckets
 
     def mul_padded(self) -> tuple[np.ndarray, np.ndarray]:
         """``(ka, kb)``, each (ncoeffs, width): row k holds output k's pairs in ``mul_flat``
         order, padded to the longest row with the index ``ncoeffs``."""
-        return self._mul[2]
+        return self._mul[1]
 
-    @cached_property
-    def _bins(self) -> np.ndarray:
-        ko = self.mul_flat()[2]
-        return (ko + self.ncoeffs * np.arange(MUL_BINCOUNT_BATCH)[:, None]).ravel()
-
-    def mul_bins(self, n: int) -> np.ndarray:
-        """Bin of each pair product of a batch of n <= ``MUL_BINCOUNT_BATCH`` jets,
-        row-major over (batch entry r, ``mul_flat`` pair): ko + ncoeffs * r."""
-        return self._bins[:n * len(self.mul_flat()[2])]
-
-    def mul_columns(self) -> list[tuple]:
-        """``mul_buckets`` by pair column: ``(ko, ((ka_0, kb_0), (ka_1, kb_1), ...))`` with
-        each index a slice where one exists (see ``_rows_index``)."""
-        return self._mul[3]
+    def mul_tables(self, support_a: int, support_b: int) -> MulTable:
+        """The product of a jet with support ``support_a`` by one with ``support_b``:
+        the ``mul_flat`` pairs (ka, kb) whose monomials lie over those variables."""
+        key = (support_a, support_b)
+        if key not in self._mul_tables:
+            ka, kb, ko = self.mul_flat()
+            keep = (((self.var_masks[ka] | support_a) == support_a)
+                    & ((self.var_masks[kb] | support_b) == support_b))
+            self._mul_tables[key] = _mul_table(self.ncoeffs, ka[keep], kb[keep], ko[keep])
+        return self._mul_tables[key]
 
     def diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
         """Map child-context coefficients to (source index, factor) pairs."""
@@ -229,20 +237,51 @@ def _flat(x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     return x.reshape(-1, nc)
 
 
-def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated Cauchy product on coefficient arrays (batch-broadcasting)."""
-    ka, kb, _ = ctx.mul_flat()
+class MulTable(NamedTuple):
+    """The truncated product's pairs restricted to one pair of supports."""
+
+    ka: np.ndarray          # the pairs (ka, kb) kept, in ``mul_flat`` order
+    kb: np.ndarray
+    bins: np.ndarray        # bin of each pair product of a batch of MUL_BINCOUNT_BATCH jets,
+                            # row-major over (batch entry r, pair): ko + ncoeffs * r
+    buckets: list           # (ko, ka, kb) of the fed outputs with equally many pairs: row r
+                            # of ka and kb (outputs, pairs) holds output ko[r]'s pairs
+    columns: list           # the buckets by pair column, (ko, ((ka_0, kb_0), ...)), each
+                            # index a slice where one exists (see ``_rows_index``)
+
+
+def _mul_table(ncoeffs: int, ka: np.ndarray, kb: np.ndarray, ko: np.ndarray) -> MulTable:
+    """The table of the pairs (ka, kb), sorted by the output ko each feeds."""
+    counts = np.bincount(ko, minlength=ncoeffs)
+    starts = np.cumsum(counts) - counts
+    buckets = []
+    for size in sorted(set(counts.tolist()) - {0}):   # np.unique would import numpy.ma
+        outs = np.flatnonzero(counts == size)
+        pairs = starts[outs][:, None] + np.arange(size)
+        buckets.append((outs, ka[pairs], kb[pairs]))
+    columns = [(_rows_index(outs), tuple((_rows_index(bka[:, j]), _rows_index(bkb[:, j]))
+                                         for j in range(bka.shape[1])))
+               for outs, bka, bkb in buckets]
+    bins = (ko + ncoeffs * np.arange(MUL_BINCOUNT_BATCH)[:, None]).ravel()
+    return MulTable(ka, kb, bins, buckets, columns)
+
+
+def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray,
+              support_a: int, support_b: int) -> np.ndarray:
+    """Truncated Cauchy product on coefficient arrays (batch-broadcasting) of jets
+    with supports ``support_a`` and ``support_b``; an output no pair feeds is +0.0."""
+    table = ctx.mul_tables(support_a, support_b)
     batch = a.shape[:-1]
     if batch != b.shape[:-1]:
         batch = np.broadcast_shapes(batch, b.shape[:-1])
     fa, fb = _flat(a, batch), _flat(b, batch)
     n = math.prod(batch)
     if n <= MUL_BINCOUNT_BATCH:
-        weights = fa.take(ka, axis=1) * fb.take(kb, axis=1)
-        return np.bincount(ctx.mul_bins(n), weights=weights.ravel(),
+        weights = fa.take(table.ka, axis=1) * fb.take(table.kb, axis=1)
+        return np.bincount(table.bins[:weights.size], weights=weights.ravel(),
                            minlength=n * ctx.ncoeffs).reshape(batch + (ctx.ncoeffs,))
     ra, rb = fa.T.copy(), fb.T.copy()
-    out = np.empty((n, ctx.ncoeffs))
+    out = np.zeros((n, ctx.ncoeffs))
     # Block by block and bucket by bucket, so each coefficient sums its pairs
     # in mul_flat order and no temporary is larger than (bucket outputs, block).
     for lo in range(0, n, MUL_BLOCK):
@@ -250,7 +289,7 @@ def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sa = ra[:, block] if ra.shape[1] > 1 else ra
         sb = rb[:, block] if rb.shape[1] > 1 else rb
         so = out[block].T
-        for ko, pairs in ctx.mul_columns():
+        for ko, pairs in table.columns:
             (ka, kb), *rest = pairs
             acc = sa[ka] * sb[kb]
             for ka, kb in rest:
@@ -263,13 +302,20 @@ def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Jet:
-    """A (possibly batched) truncated Taylor expansion."""
+    """A (possibly batched) truncated Taylor expansion.
 
-    __slots__ = ("ctx", "data")
+    ``support`` is a bitmask of the variables the jet may depend on (bit v for
+    variable v): every coefficient whose monomial has a variable outside it
+    is zero.  A jet built from raw data may depend on all variables; code
+    that writes into ``data`` keeps the coefficients outside the support zero.
+    """
 
-    def __init__(self, ctx: JetContext, data: np.ndarray):
+    __slots__ = ("ctx", "data", "support")
+
+    def __init__(self, ctx: JetContext, data: np.ndarray, support: int | None = None):
         self.ctx = ctx
         self.data = np.asarray(data, dtype=float)
+        self.support = ctx.all_vars if support is None else support
         if self.data.shape[-1:] != (ctx.ncoeffs,):
             raise JetShapeError("coefficient axis does not match context")
 
@@ -304,7 +350,7 @@ class Jet:
     def __getitem__(self, key) -> "Jet":
         if not isinstance(key, tuple):
             key = (key,)
-        return Jet(self.ctx, self.data[key + (slice(None),)])
+        return Jet(self.ctx, self.data[key + (slice(None),)], self.support)
 
     def __repr__(self) -> str:
         return f"Jet(nvars={self.num_vars}, order={self.order}, shape={self.shape})"
@@ -317,7 +363,7 @@ class Jet:
         if order == self.order:
             return self
         ctx = context(self.num_vars, order)
-        return Jet(ctx, self.data[..., : ctx.ncoeffs])
+        return Jet(ctx, self.data[..., : ctx.ncoeffs], self.support)
 
     def _align(self, other: "Jet") -> tuple["Jet", "Jet"]:
         if self.ctx is other.ctx:
@@ -335,17 +381,17 @@ class Jet:
         arr = np.asarray(other, dtype=float)
         data = np.zeros(arr.shape + (self.ctx.ncoeffs,))
         data[..., 0] = arr
-        return Jet(self.ctx, data)
+        return Jet(self.ctx, data, 0)
 
     def __add__(self, other) -> "Jet":
         other = other if isinstance(other, Jet) else self._coerce(other)
         a, b = self._align(other)
-        return Jet(a.ctx, a.data + b.data)
+        return Jet(a.ctx, a.data + b.data, a.support | b.support)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet(self.ctx, -self.data)
+        return Jet(self.ctx, -self.data, self.support)
 
     def __sub__(self, other) -> "Jet":
         return self.__add__(-self._coerce(other) if not isinstance(other, Jet) else -other)
@@ -355,12 +401,13 @@ class Jet:
 
     def __mul__(self, other) -> "Jet":
         if isinstance(other, float):
-            return Jet(self.ctx, self.data * other)
+            return Jet(self.ctx, self.data * other, self.support)
         if not isinstance(other, Jet):
             arr = np.asarray(other, dtype=float)
-            return Jet(self.ctx, self.data * arr[..., None])
+            return Jet(self.ctx, self.data * arr[..., None], self.support)
         a, b = self._align(other)
-        return Jet(a.ctx, _mul_data(a.ctx, a.data, b.data))
+        return Jet(a.ctx, _mul_data(a.ctx, a.data, b.data, a.support, b.support),
+                   a.support | b.support)
 
     __rmul__ = __mul__
 
@@ -387,7 +434,7 @@ class Jet:
             raise JetShapeError("cannot differentiate an order-0 jet")
         src, fac = self.ctx.diff_table(var)
         child = context(self.num_vars, self.order - 1)
-        return Jet(child, self.data[..., src] * fac)
+        return Jet(child, self.data[..., src] * fac, self.support)
 
     def du(self) -> "Jet":
         """Derivative along the first variable (u by convention)."""
@@ -399,14 +446,15 @@ class Jet:
         if self.order == 0:
             raise JetShapeError("cannot differentiate an order-0 jet")
         src, fac = self.ctx.grad_table(variables)
-        return Jet(context(self.num_vars, self.order - 1), self.data[..., src] * fac)
+        return Jet(context(self.num_vars, self.order - 1), self.data[..., src] * fac,
+                   self.support)
 
     # -- composition with univariate analytic functions -----------------------
 
     def _compose(self, coefs: list) -> "Jet":
         """Evaluate sum_k coefs[k] * (self - value)^k by Horner's rule; the value is
         coefs[0] itself, since coefs[1] * 0 would be NaN where coefs[1] overflowed."""
-        delta = Jet(self.ctx, self.data.copy())
+        delta = Jet(self.ctx, self.data.copy(), self.support)
         delta.data[..., 0] = 0.0
         batch = self.data.shape[:-1]
         acc = const(coefs[-1], self.num_vars, self.order, shape=batch)
@@ -433,7 +481,7 @@ def seed(var_index: int, value, num_vars: int, order: int) -> Jet:
         e = [0] * num_vars
         e[var_index] = 1
         data[..., ctx.index(e)] = 1.0
-    return Jet(ctx, data)
+    return Jet(ctx, data, 1 << var_index)
 
 
 def const(value, num_vars: int, order: int, shape: tuple[int, ...] = ()) -> Jet:
@@ -441,12 +489,12 @@ def const(value, num_vars: int, order: int, shape: tuple[int, ...] = ()) -> Jet:
     arr = np.broadcast_to(np.asarray(value, dtype=float), shape) if shape else np.asarray(value, dtype=float)
     data = np.zeros(arr.shape + (ctx.ncoeffs,))
     data[..., 0] = arr
-    return Jet(ctx, data)
+    return Jet(ctx, data, 0)
 
 
 def zeros(shape: tuple[int, ...], num_vars: int, order: int) -> Jet:
     ctx = context(num_vars, order)
-    return Jet(ctx, np.zeros(shape + (ctx.ncoeffs,)))
+    return Jet(ctx, np.zeros(shape + (ctx.ncoeffs,)), 0)
 
 
 # -- elementary functions -------------------------------------------------------

@@ -109,9 +109,11 @@ def _tokenize_file(text: str, filename: str) -> dict[str, dict[str, _Entry]]:
 
 
 def _parse_matrix(entry: _Entry, size: int, filename: str) -> np.ndarray:
+    text = entry.value.strip()
     try:
-        rows = [[float(x) for x in row.split()] for row in entry.value.split(";")]
-        mat = np.array(rows, dtype=float)
+        # "" is the 0x0 matrix, which generator_to_text writes for d = 2
+        mat = (np.array([[float(x) for x in row.split()] for row in text.split(";")], dtype=float)
+               if text else np.zeros((0, 0)))
     except ValueError:
         raise MetricFileError("malformed matrix (rows of numbers separated by ';')",
                               filename, entry.line, entry.col) from None

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from brinkmann import canonical, expr, jets
+from brinkmann import canonical, cli, expr, jets
 from brinkmann.canonical import (FlatBlockData, recover_A, reconstruct, solve_rotation_ode,
                                  solve_translation_ode, verify_canonical)
 from brinkmann.chart import MetricSpec
-from brinkmann.metricfile import load_metric_file
+from brinkmann.metricfile import load_metric_file, spec_to_text
 from brinkmann.spaces import apply_chart_change, fixture, rotation_chart_change
 
 METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
@@ -247,9 +247,9 @@ def test_extraction_multiplies_jets_over_u_and_the_block_only(monkeypatch):
     mul = jets._mul_data
     calls = []
 
-    def counted(ctx, a, b):
+    def counted(ctx, a, b, *rest):
         calls.append((ctx.nvars, a, b))
-        return mul(ctx, a, b)
+        return mul(ctx, a, b, *rest)
 
     monkeypatch.setattr(jets, "_mul_data", counted)
     reconstruct(load_metric_file(str(METRICS / "cw4_order2_sphere.metric")), block=(0, 1),
@@ -268,10 +268,11 @@ def test_extraction_multiplies_jets_over_u_and_the_block_only(monkeypatch):
             assert a.ndim == b.ndim == 1
 
 
-def test_non_finite_leaf_subexpressions_keep_their_located_errors():
+def test_non_finite_leaf_subexpressions_keep_their_located_errors(tmp_path, capsys):
     # exp(2000 x4) overflows at x4's base point 0.55, in products of x's alone;
-    # with the block (0,) its inf times the zero x2-coefficients of x3^2 is NaN
-    # there, as over all variables; exp(1000 u) overflows on the u-batched side
+    # with the block (0,) its product with x3^2 is inf in the value of H only,
+    # since neither factor depends on x2, so H itself is refused there;
+    # exp(1000 u) overflows on the u-batched side
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fields, block, message in (
@@ -282,12 +283,18 @@ def test_non_finite_leaf_subexpressions_keep_their_located_errors():
                 ({"H": "exp(1000*u)*x2^2 + x3^2 + x4^2"}, (0, 1),
                  "non-finite Lambda in the flat-block data at u = 0.71"),
                 ({"H": "u*x2^2 + x3^2 + exp(2000*x4)*x3^2"}, (0,),
-                 "non-finite Lambda in the flat-block data at u = -1.0")):
+                 "non-finite H in the flat-block data at u = -1.0")):
             spec = MetricSpec.from_text(5, **fields, box=[(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0),
                                                           (0.2, 0.9)])
             data = FlatBlockData(spec, block)
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 data.precompute(np.linspace(-1.0, 1.0, 201))
+        # check on the last metric stops at a located error too, never at a verdict
+        path = tmp_path / "overflow.metric"
+        path.write_text(spec_to_text(spec))
+        assert cli.main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(r"error: .* at sample \[[^]]*\].*\n", err)
 
 
 def test_reconstruct_refuses_an_interval_outside_the_box():

@@ -294,6 +294,108 @@ def _nan_free(x: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(x), 0.0, x)
 
 
+def _supported(rng, ctx, shape, support, special=0.0, values=_SPECIAL):
+    """Normal data over ``shape``, a share ``special`` of it drawn from ``values``,
+    and +0.0 or -0.0 at every coefficient whose monomial leaves ``support``."""
+    x = rng.normal(size=shape + (ctx.ncoeffs,))
+    mask = rng.random(x.shape) < special
+    x[mask] = rng.choice(values, size=int(mask.sum()))
+    outside = (ctx.var_masks | support) != support
+    x[..., outside] = rng.choice([0.0, -0.0], size=x[..., outside].shape)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, _SMALL + 1, J.MUL_BLOCK + 1]), st.booleans(), st.integers(1, 5),
+       st.integers(0, 4), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, 0.6]))
+@example(1, False, 5, 3, 0, 0.2)
+@example(_SMALL + 1, False, 5, 3, 1, 0.2)
+@example(J.MUL_BLOCK + 1, True, 3, 4, 2, 0.2)
+def test_support_restricted_products_equal_dense_products(n, scalar_b, nv, order, seed, zeros):
+    # On finite data with +-0 outside the supports, every pair a restricted
+    # product leaves out is +-0, so it equals the dense product bit for bit on
+    # either kernel (bincount at n = 1, blocked past MUL_BINCOUNT_BATCH, across
+    # a MUL_BLOCK edge), signed zeros included.
+    rng = np.random.default_rng(seed)
+    ctx = J.context(nv, order)
+    sa, sb = (int(s) for s in rng.integers(0, ctx.all_vars + 1, size=2))
+    a = _supported(rng, ctx, (n,), sa, zeros, [0.0, -0.0])
+    b = _supported(rng, ctx, () if scalar_b else (n,), sb, zeros, [0.0, -0.0])
+    restricted = J._mul_data(ctx, a, b, sa, sb)
+    dense = J._mul_data(ctx, a, b, ctx.all_vars, ctx.all_vars)
+    assert restricted.shape == dense.shape == (n, ctx.ncoeffs)
+    assert restricted.tobytes() == dense.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_product_cases())
+@example(((_BLOCK_CROSSING,), (_BLOCK_CROSSING,), 3, 3, 0, 0.1))
+@example(((_SMALL + 1,), (1,), 4, 3, 1, 0.2))
+@example(((3, 1), (1, _SMALL), 2, 3, 2, 0.2))
+def test_batched_restricted_mul_equals_stacked_scalar_products(case):
+    # signed zeros, infinities and NaNs inside the supports: both kernels run
+    # one support pair's table as the scalar product does, to the last bit
+    # (NaN signs left out, as in test_batched_mul_equals_stacked_scalar_products)
+    shape_a, shape_b, nv, order, seed, special = case
+    rng = np.random.default_rng(seed)
+    ctx = J.context(nv, order)
+    sa, sb = (int(s) for s in rng.integers(0, ctx.all_vars + 1, size=2))
+    a = J.Jet(ctx, _supported(rng, ctx, shape_a, sa, special), sa)
+    b = J.Jet(ctx, _supported(rng, ctx, shape_b, sb, special), sb)
+    with np.errstate(all="ignore"):
+        batched = (a * b).data
+        batch = np.broadcast_shapes(shape_a, shape_b)
+        xs = np.broadcast_to(a.data, batch + (ctx.ncoeffs,)).reshape(-1, ctx.ncoeffs)
+        ys = np.broadcast_to(b.data, batch + (ctx.ncoeffs,)).reshape(-1, ctx.ncoeffs)
+        stacked = [(J.Jet(ctx, x, sa) * J.Jet(ctx, y, sb)).data for x, y in zip(xs, ys)]
+    assert batched.shape == batch + (ctx.ncoeffs,)
+    stacked = np.reshape(stacked, batched.shape)
+    assert np.array_equal(np.isnan(batched), np.isnan(stacked))
+    assert _nan_free(batched).tobytes() == _nan_free(stacked).tobytes()
+
+
+def _support_rules(x, i, j, k):
+    """(rule, result, expected support) for each support rule, on the seeded jets x."""
+    nv, order = x[0].num_vars, x[0].order
+    si, sj = 1 << i, 1 << j
+    a = x[i] * x[i] + 0.5                    # {i}, value > 0.5
+    b = 1.5 - x[j] * 0.25                    # {j}, value > 1
+    return [
+        ("seed", x[k], 1 << k),
+        ("const", J.const(0.3, nv, order, shape=(3,)), 0),
+        ("zeros", J.zeros((3,), nv, order), 0),
+        ("coerce", a._coerce(0.7), 0),
+        ("add", a + b, si | sj), ("sub", a - b, si | sj), ("mul", a * b, si | sj),
+        ("div", a / b, si | sj), ("add literal", a + 0.25, si), ("rsub literal", 2.0 - a, si),
+        ("neg", -a, si), ("scale", 0.5 * a, si), ("scale by array", a * np.arange(3.0), si),
+        ("diff", a.diff(k), si), ("grad", b.grad(tuple(range(nv))), sj),
+        ("truncate", a.truncate(order - 1), si), ("getitem", a[1], si),
+        ("sin", J.sin(a), si), ("cos", J.cos(a), si), ("exp", J.exp(b), sj),
+        ("sqrt", J.sqrt(a), si), ("reciprocal", b.reciprocal(), sj),
+        ("pow", J.pow_int(a, 3), si), ("negative pow", J.pow_int(b, -2), sj),
+        ("product of mixed supports", (a * x[k]) * (b + x[k]), si | sj | 1 << k),
+        ("raw data", J.Jet(a.ctx, a.data), a.ctx.all_vars),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_support_propagation_rules(nv, order, seed):
+    # every rule gives its support, the coefficients outside it are +-0, and the
+    # result is that of the same operations on all-variable jets, bit for bit
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.5, 1.5, size=(nv, 3))
+    i, j, k = (int(v) for v in rng.integers(0, nv, size=3))
+    seeds = [J.seed(v, values[v], nv, order) for v in range(nv)]
+    supported = _support_rules(seeds, i, j, k)
+    dense = _support_rules([J.Jet(s.ctx, s.data) for s in seeds], i, j, k)
+    for (rule, got, support), (_, want, _) in zip(supported, dense):
+        assert got.support == support, rule
+        outside = (got.ctx.var_masks | support) != support
+        assert not got.data[..., outside].any(), rule
+        assert got.data.tobytes() == want.data.tobytes(), rule
+
+
 def _einsum_reference(subscripts, a, b):
     """Brute force: contract every truncated-product pair with np.einsum."""
     ka, kb, ko = a.ctx.mul_flat()

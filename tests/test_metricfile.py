@@ -54,6 +54,19 @@ def test_generator_section_equals_explicit():
     assert np.allclose(a.blocks["Atil"], b.blocks["Atil"])
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_generator_text_round_trips(d):
+    # d = 2 writes each P as "", the 0x0 matrix
+    rng = np.random.default_rng(d)
+    coeffs = []
+    for _ in range(2):
+        P = rng.normal(size=(d - 2, d - 2))
+        coeffs.append(P + P.T)
+    params = CwParams(d, tuple(coeffs))
+    back = parse_metric_text(generator_to_text(params))
+    assert spec_to_text(back) == spec_to_text(make_cw(params))
+
+
 def test_generator_with_product():
     params = CwParams(4, (np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
     text = generator_to_text(params, products=[("sphere", 1.0)])
