@@ -109,7 +109,7 @@ def _report_to_csv(report: dict) -> str:
 
 
 def _write_report(report: dict, args) -> None:
-    if getattr(args, "schema", "json") == "csv":
+    if args.schema == "csv":
         _emit(_report_to_csv(report), args.out)
     else:
         _emit(format_json(report) + "\n", args.out)
@@ -152,14 +152,17 @@ def cmd_generate(args) -> int:
         d, r = args.dimension, args.order
         coeffs = [np.zeros((d - 2, d - 2)) for _ in range(r)]
         for spec_str in args.P or []:
-            level, _, rows = spec_str.partition("=")
-            if not rows:
+            level, equals, rows = spec_str.partition("=")
+            level = level.strip()
+            if not equals:
                 raise ValueError("coefficient syntax: --P level='r c; r c'")
-            if level.strip() not in [str(k) for k in range(r)]:
-                raise ValueError(f"--P {spec_str!r}: level {level.strip()!r} is outside "
+            if level not in [str(k) for k in range(r)]:
+                raise ValueError(f"--P {spec_str!r}: level {level!r} is outside "
                                  f"0 .. {r - 1} for order {r}")
-            coeffs[int(level)] = np.array([[float(x) for x in row.split()]
-                                           for row in rows.split(";")])
+            try:
+                coeffs[int(level)] = metricfile.parse_matrix(rows, d - 2)
+            except ValueError as err:
+                raise ValueError(f"--P {level}: {err}") from None
         params = CwParams(d, tuple(coeffs))
         spec = make_cw(params)
         comment = f"plane wave: dimension {d}, order {r} (H quadratic coefficients expanded)"
@@ -299,23 +302,45 @@ def cmd_transport(args) -> int:
 # -- argument parsing --------------------------------------------------------------------
 
 
+class _FloatSpelling:
+    """Matches every string ``float`` reads, so ``-1e-3`` or ``-inf`` is a value."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in any spelling ``float``
+    accepts as a value, where argparse alone takes ``-1e-3`` for an option name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatSpelling()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="brinkmann",
         description="curvature, symmetry classification and canonical forms "
                     "for Brinkmann-chart metrics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, schema: bool):
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--schema", choices=("json", "csv"), default="json")
+        if schema:
+            p.add_argument("--schema", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("check", help="classify symmetry order and run all checks")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=classify.DEFAULT_TOL)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--depth", type=int, choices=(1, 2), default=2)
-    common(p)
+    common(p, schema=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("generate", help="emit .metric text for a named family")
@@ -327,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", help="base .metric file for product generation")
     p.add_argument("--block", action="append", choices=("sphere", "hyperbolic", "euclidean"))
     p.add_argument("--radius", type=float, default=1.0)
-    common(p)
+    common(p, schema=False)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("oracle-diff", help="engine vs brute-force oracle deviations")
@@ -335,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--depth", type=int, choices=(1, 2), default=2)
     p.add_argument("--tol", type=float, default=ORACLE_DIFF_TOL)
-    common(p)
+    common(p, schema=True)
     p.set_defaults(func=cmd_oracle_diff)
 
     p = sub.add_parser("canonicalize", help="reconstruct the canonical plane-wave form")
@@ -343,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--u-min", type=float, default=None)
     p.add_argument("--u-max", type=float, default=None)
-    common(p)
+    common(p, schema=True)
     p.set_defaults(func=cmd_canonicalize)
 
     p = sub.add_parser(
@@ -373,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaf-part", type=float, nargs="+", default=None,
                    help="the m = n - 2 leaf components of the initial null velocity "
                         "(geodesic, nullsec)")
-    common(p)
+    common(p, schema=False)
     p.set_defaults(func=cmd_transport)
     return ap
 

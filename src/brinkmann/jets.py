@@ -42,16 +42,14 @@ inf * 0.
 Batches of at most ``MUL_BINCOUNT_BATCH`` jets, a scalar jet being a batch
 of one, multiply by one ``np.bincount`` over the table's pairs: batch entry
 r's pair products land in bin ko + ncoeffs * r (``MulTable.bins``).  Larger
-batches are copied once to coefficient-major rows (ncoeffs, N) and
-multiplied in blocks of ``MUL_BLOCK`` batch columns, so that a block's rows
-stay in cache; the table groups its outputs into buckets of equally many
-pairs, and each bucket pair column is then a take of whole rows, a slice
-wherever the indices allow (``MulTable.columns``).  Both paths sum each
-coefficient's pairs in ``mul_flat`` order starting from +0.0, and an output
-no pair feeds is +0.0, so a batched product equals the stacked scalar ones
-bit for bit.  The bincount path wins while its (N, pairs) temporaries stay
-in cache; the blocked path pays a fixed cost per bucket pair column, which
-small batches do not amortize.
+batches are copied once to coefficient-major rows (ncoeffs, N); the table
+groups its outputs into buckets of equally many pairs (``MulTable.buckets``),
+and each bucket pair column is one take of whole rows of each operand.  Both
+paths sum each coefficient's pairs in ``mul_flat`` order starting from +0.0,
+and an output no pair feeds is +0.0, so a batched product equals the stacked
+scalar ones bit for bit.  The bincount path wins while its (N, pairs)
+temporaries stay in cache; the row path pays a fixed cost per bucket pair
+column, which small batches do not amortize.
 
 ``jet_einsum`` makes one ``np.matmul`` over all output coefficients, whose
 inner axis runs over a coefficient's padded row of pairs and the contracted
@@ -208,24 +206,11 @@ def context(nvars: int, order: int) -> JetContext:
     return JetContext(nvars, order)
 
 
-MUL_BLOCK = 2048  # batch columns per block of a batched product
 # Largest batch multiplied by bincount.  At order 4, nv 4 / 5, bincount took
-# 111 / 199 us at N = 32 / 31 against 384 / 511 us for the blocked kernel, and
+# 111 / 199 us at N = 32 / 31 against 384 / 511 us for the row kernel, and
 # 394 / 881 us at N = 64 / 63 against 416 / 567 us; at orders 1 to 3 it wins
 # or ties up to N = 64 (best of 7 x 300 calls on a shared 2-vCPU host).
 MUL_BINCOUNT_BATCH = 32
-
-
-def _rows_index(index: np.ndarray) -> slice | np.ndarray:
-    """Row index ``index`` as a slice where one exists: a single or repeated row (which
-    broadcasts against the other operand's rows) or an evenly spaced run."""
-    rows = index.tolist()
-    steps = {b - a for a, b in zip(rows, rows[1:])}
-    if steps <= {0}:
-        return slice(rows[0], rows[0] + 1)
-    if len(steps) == 1 and min(steps) > 0:
-        return slice(rows[0], rows[-1] + 1, min(steps))
-    return index
 
 
 def _flat(x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
@@ -246,8 +231,6 @@ class MulTable(NamedTuple):
                             # row-major over (batch entry r, pair): ko + ncoeffs * r
     buckets: list           # (ko, ka, kb) of the fed outputs with equally many pairs: row r
                             # of ka and kb (outputs, pairs) holds output ko[r]'s pairs
-    columns: list           # the buckets by pair column, (ko, ((ka_0, kb_0), ...)), each
-                            # index a slice where one exists (see ``_rows_index``)
 
 
 def _mul_table(ncoeffs: int, ka: np.ndarray, kb: np.ndarray, ko: np.ndarray) -> MulTable:
@@ -259,11 +242,8 @@ def _mul_table(ncoeffs: int, ka: np.ndarray, kb: np.ndarray, ko: np.ndarray) -> 
         outs = np.flatnonzero(counts == size)
         pairs = starts[outs][:, None] + np.arange(size)
         buckets.append((outs, ka[pairs], kb[pairs]))
-    columns = [(_rows_index(outs), tuple((_rows_index(bka[:, j]), _rows_index(bkb[:, j]))
-                                         for j in range(bka.shape[1])))
-               for outs, bka, bkb in buckets]
     bins = (ko + ncoeffs * np.arange(MUL_BINCOUNT_BATCH)[:, None]).ravel()
-    return MulTable(ka, kb, bins, buckets, columns)
+    return MulTable(ka, kb, bins, buckets)
 
 
 def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray,
@@ -282,19 +262,13 @@ def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray,
                            minlength=n * ctx.ncoeffs).reshape(batch + (ctx.ncoeffs,))
     ra, rb = fa.T.copy(), fb.T.copy()
     out = np.zeros((n, ctx.ncoeffs))
-    # Block by block and bucket by bucket, so each coefficient sums its pairs
-    # in mul_flat order and no temporary is larger than (bucket outputs, block).
-    for lo in range(0, n, MUL_BLOCK):
-        block = slice(lo, lo + MUL_BLOCK)
-        sa = ra[:, block] if ra.shape[1] > 1 else ra
-        sb = rb[:, block] if rb.shape[1] > 1 else rb
-        so = out[block].T
-        for ko, pairs in table.columns:
-            (ka, kb), *rest = pairs
-            acc = sa[ka] * sb[kb]
-            for ka, kb in rest:
-                acc += sa[ka] * sb[kb]
-            so[ko] = acc
+    # Bucket by bucket, so each coefficient sums its pairs in mul_flat order; an
+    # operand with one batch entry is one column, which broadcasts.
+    for ko, ka, kb in table.buckets:
+        acc = ra[ka[:, 0]] * rb[kb[:, 0]]
+        for j in range(1, ka.shape[1]):
+            acc += ra[ka[:, j]] * rb[kb[:, j]]
+        out.T[ko] = acc
     # bincount sums from 0.0, so a sum of -0.0 terms is +0.0 there; only that
     # case differs from summing from the first term, and adding 0.0 mends it
     out += 0.0

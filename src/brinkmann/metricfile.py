@@ -44,7 +44,7 @@ from . import expr
 from .chart import MetricSpec
 from .spaces import CwParams, make_cw, make_product
 
-__all__ = ["MetricFileError", "parse_metric_text", "load_metric_file",
+__all__ = ["MetricFileError", "parse_metric_text", "parse_matrix", "load_metric_file",
            "spec_to_text", "generator_to_text"]
 
 HEADER = ("# brinkmann metric definition\n"
@@ -108,22 +108,21 @@ def _tokenize_file(text: str, filename: str) -> dict[str, dict[str, _Entry]]:
     return sections
 
 
-def _parse_matrix(entry: _Entry, size: int, filename: str) -> np.ndarray:
-    text = entry.value.strip()
+def parse_matrix(text: str, size: int) -> np.ndarray:
+    """The finite symmetric ``size`` x ``size`` matrix written as rows of numbers
+    separated by ';'; "" is the 0x0 matrix, which generator_to_text writes for d = 2."""
+    text = text.strip()
     try:
-        # "" is the 0x0 matrix, which generator_to_text writes for d = 2
         mat = (np.array([[float(x) for x in row.split()] for row in text.split(";")], dtype=float)
                if text else np.zeros((0, 0)))
     except ValueError:
-        raise MetricFileError("malformed matrix (rows of numbers separated by ';')",
-                              filename, entry.line, entry.col) from None
+        raise ValueError("malformed matrix (rows of numbers separated by ';')") from None
     if mat.shape != (size, size):
-        raise MetricFileError(f"matrix must be {size}x{size}, got {mat.shape}",
-                              filename, entry.line, entry.col)
+        raise ValueError(f"matrix must be {size}x{size}, got {mat.shape}")
     if not np.isfinite(mat).all():
-        raise MetricFileError("matrix entries must be finite", filename, entry.line, entry.col)
+        raise ValueError("matrix entries must be finite")
     if not np.allclose(mat, mat.T, atol=0.0):
-        raise MetricFileError("matrix must be symmetric", filename, entry.line, entry.col)
+        raise ValueError("matrix must be symmetric")
     return mat
 
 
@@ -255,7 +254,10 @@ def _expand_generator(gen: dict[str, _Entry], filename: str) -> MetricSpec:
     for level in range(r):
         key = f"p{level}"
         if key in gen:
-            coeffs.append(_parse_matrix(gen[key], d - 2, filename))
+            try:
+                coeffs.append(parse_matrix(gen[key].value, d - 2))
+            except ValueError as err:
+                raise MetricFileError(str(err), filename, gen[key].line, gen[key].col) from None
         else:
             coeffs.append(np.zeros((d - 2, d - 2)))
     return make_cw(CwParams(d, tuple(coeffs)))

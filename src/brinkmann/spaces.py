@@ -376,21 +376,22 @@ def apply_chart_change(spec: MetricSpec, change: ChartChange,
         g=tuple(tuple(row) for row in g_new),
         box=tuple(box) if box is not None else spec.box,
     )
-    _check_jacobian(out, change, spec)
+    _check_jacobian(out, jac)
     return out
 
 
-def _check_jacobian(new_spec: MetricSpec, change: ChartChange, old_spec: MetricSpec) -> None:
-    m = new_spec.m
+def _check_jacobian(spec: MetricSpec, jac: list[list[ExprAst]]) -> None:
+    """Refuse a chart change whose Jacobian ``jac`` is singular at one of three
+    points on the diagonal of ``spec``'s box."""
+    m = spec.m
     if m == 0:
         return
     for frac in (0.25, 0.5, 0.75):
-        env = {"u": new_spec.box[0][0] + frac * (new_spec.box[0][1] - new_spec.box[0][0])}
+        env = {"u": spec.box[0][0] + frac * (spec.box[0][1] - spec.box[0][0])}
         for k in range(m):
-            lo, hi = new_spec.box[1 + k]
+            lo, hi = spec.box[1 + k]
             env[f"x{k + 2}"] = lo + frac * (hi - lo)
-        J = np.array([[expr.eval_scalar(differentiate(change.x_maps[j], f"x{i + 2}"), env)
-                       for i in range(m)] for j in range(m)])
+        J = np.array([[expr.eval_scalar(entry, env) for entry in row] for row in jac])
         if abs(np.linalg.det(J)) < 1e-10:
             raise ValueError("chart change has a numerically singular Jacobian in the box")
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brinkmann
 from brinkmann import classify, cli, transport
@@ -149,7 +153,32 @@ def test_generate_cw_level_outside_the_order_is_an_error(capsys, level):
 def test_generate_cw_refuses_non_finite_coefficients(capsys):
     code, out, err = run(capsys, "generate", "cw", "-d", "4", "-r", "1", "--P", "0=1 nan; nan 1")
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: coefficient matrices must be finite"]
+    assert err.splitlines() == ["error: --P 0: matrix entries must be finite"]
+
+
+def test_generate_cw_refuses_a_ragged_matrix_by_name(capsys):
+    code, out, err = run(capsys, "generate", "cw", "--P", "0=1 2; 3")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: --P 0: malformed matrix (rows of numbers separated by ';')"]
+
+
+def test_generate_cw_d2_reads_the_empty_matrix(capsys):
+    # "" is the 0x0 matrix, as in a .metric file's generator section
+    code, out, err = run(capsys, "generate", "cw", "-d", "2", "-r", "1", "--P", "0=")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "generate", "cw", "-d", "2", "-r", "1")[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "f.metric", "--schema", "json"],
+    ["generate", "cw", "--schema", "csv"],
+], ids=["transport", "generate"])
+def test_schema_is_refused_where_it_would_be_ignored(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --schema" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
@@ -536,3 +565,55 @@ def test_pole_error_names_field_and_point(tmp_path):
         assert done.stdout == ""
         assert done.stderr.splitlines() == [
             "error: division by a jet with zero constant term in H at (0.0, 0.0, 0.0)"]
+
+
+SPELLINGS = ["-1e-3", "-1E-3", "-.5", "-1_000.5", "-1e+2", "-inf", "-Infinity", "-nan"]
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("argv, dest", [
+    (["transport", "f", "--point", "{}", "0", "0"], "point"),
+    (["transport", "f", "--leaf-part", "{}", "0"], "leaf_part"),
+    (["transport", "f", "--span", "{}"], "span"),
+    (["check", "f", "--tol", "{}"], "tol"),
+    (["oracle-diff", "f", "--tol", "{}"], "tol"),
+    (["canonicalize", "f", "--u-min", "{}"], "u_min"),
+    (["canonicalize", "f", "--u-max", "{}"], "u_max"),
+    (["generate", "product", "--radius", "{}"], "radius"),
+])
+def test_float_options_read_every_float_spelling(argv, dest, spelling):
+    # argparse alone reads -1e-3 or -inf as an option name and exits with 2
+    value = getattr(cli.build_parser().parse_args([a.format(spelling) for a in argv]), dest)
+    assert repr(value[0] if isinstance(value, list) else value) == repr(float(spelling))
+
+
+POLY_SEED2 = os.path.join(METRICS_DIR, "poly_seed2.metric")
+# a start point whose third coordinate prints in scientific notation
+SCIENTIFIC_POINT = ["-0.2969155488678219", "0.12506380298386227", "-4.427107922808205e-05",
+                    "0.08658855951225602"]
+
+
+def test_transport_point_in_scientific_notation_equals_positional(capsys):
+    argv = ["transport", POLY_SEED2, "--span", "0.7", "--steps", "20", "--point"]
+    positional = [np.format_float_positional(float(x)) for x in SCIENTIFIC_POINT]
+    assert positional[2] == "-0.00004427107922808205"
+    code, out, err = run(capsys, *argv, *SCIENTIFIC_POINT)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, *positional) == (code, out, err)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*(st.floats(-1.0, 1.0) for _ in range(3))))
+def test_transport_reads_any_point_in_the_box(point):
+    # repr of a float in the box (subnormals, -0.0 and exponents included) is a
+    # value, never an option name: exit 0, or 1 with a located error once a
+    # node passes the u edge, and never SystemExit
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["transport", CW4_ORDER2, "--steps", "2", "--span", "0.05",
+                     "--point", *map(repr, point)])
+    if code == 0:
+        assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 4
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: geodesic node ")

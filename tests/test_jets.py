@@ -228,7 +228,7 @@ def test_mul_buckets_partition_the_flat_pairs(nv, order):
         assert np.all(pka[k, n:] == ctx.ncoeffs) and np.all(pkb[k, n:] == ctx.ncoeffs)
 
 
-_BLOCK_CROSSING = J.MUL_BLOCK + 3
+_LARGE = 2051   # thousands of jets, as on canonical's u-grids
 _SMALL = J.MUL_BINCOUNT_BATCH   # the largest batch multiplied by bincount
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
@@ -240,8 +240,8 @@ def _product_cases(draw):
     j = draw(st.integers(1, 3))
     shape_a, shape_b = draw(st.sampled_from([
         ((k,), (k,)), ((k,), ()), ((), (k,)), ((j, k), (k,)), ((k,), (j, k)),
-        ((j, 1), (k,)), ((_BLOCK_CROSSING,), (_BLOCK_CROSSING,)),
-        ((_BLOCK_CROSSING,), ()), ((), (_BLOCK_CROSSING,)),
+        ((j, 1), (k,)), ((_LARGE,), (_LARGE,)),
+        ((_LARGE,), ()), ((), (_LARGE,)),
         ((_SMALL,), (_SMALL,)), ((_SMALL + 1,), (_SMALL + 1,)),
         ((1,), (_SMALL,)), ((_SMALL + 1,), (1,)), ((j, 1), (1, _SMALL))]))
     return (shape_a, shape_b, draw(st.integers(1, 4)), draw(st.integers(0, 4)),
@@ -250,9 +250,9 @@ def _product_cases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_product_cases())
-@example(((_BLOCK_CROSSING,), (_BLOCK_CROSSING,), 3, 3, 0, 0.1))
-@example(((), (_BLOCK_CROSSING,), 4, 2, 1, 0.1))
-@example(((_BLOCK_CROSSING,), (), 2, 4, 2, 0.1))
+@example(((_LARGE,), (_LARGE,), 3, 3, 0, 0.1))
+@example(((), (_LARGE,), 4, 2, 1, 0.1))
+@example(((_LARGE,), (), 2, 4, 2, 0.1))
 @example(((3, 5), (5,), 3, 3, 3, 0.5))
 @example(((_SMALL,), (_SMALL,), 4, 4, 4, 0.2))
 @example(((_SMALL + 1,), (_SMALL + 1,), 4, 4, 5, 0.2))
@@ -262,7 +262,7 @@ def _product_cases(draw):
 @example(((3, 1), (1, _SMALL), 2, 3, 9, 0.2))
 def test_batched_mul_equals_stacked_scalar_products(case):
     # signed zeros, infinities and NaNs included: both batched kernels (bincount
-    # up to MUL_BINCOUNT_BATCH products, blocked past it) sum each coefficient's
+    # up to MUL_BINCOUNT_BATCH products, by rows past it) sum each coefficient's
     # pairs from +0.0 as the scalar bincount path does, to the last bit.
     # Only the sign of a NaN is left out: IEEE 754 does not fix it, and numpy's
     # own in-place add of two NaNs keeps either one's sign depending on the
@@ -306,16 +306,16 @@ def _supported(rng, ctx, shape, support, special=0.0, values=_SPECIAL):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([1, _SMALL + 1, J.MUL_BLOCK + 1]), st.booleans(), st.integers(1, 5),
+@given(st.sampled_from([1, _SMALL + 1, 2049]), st.booleans(), st.integers(1, 5),
        st.integers(0, 4), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, 0.6]))
 @example(1, False, 5, 3, 0, 0.2)
 @example(_SMALL + 1, False, 5, 3, 1, 0.2)
-@example(J.MUL_BLOCK + 1, True, 3, 4, 2, 0.2)
+@example(2049, True, 3, 4, 2, 0.2)
 def test_support_restricted_products_equal_dense_products(n, scalar_b, nv, order, seed, zeros):
     # On finite data with +-0 outside the supports, every pair a restricted
     # product leaves out is +-0, so it equals the dense product bit for bit on
-    # either kernel (bincount at n = 1, blocked past MUL_BINCOUNT_BATCH, across
-    # a MUL_BLOCK edge), signed zeros included.
+    # either kernel (bincount at n = 1, by rows past MUL_BINCOUNT_BATCH, also
+    # at thousands of jets), signed zeros included.
     rng = np.random.default_rng(seed)
     ctx = J.context(nv, order)
     sa, sb = (int(s) for s in rng.integers(0, ctx.all_vars + 1, size=2))
@@ -329,7 +329,7 @@ def test_support_restricted_products_equal_dense_products(n, scalar_b, nv, order
 
 @settings(max_examples=60, deadline=None)
 @given(_product_cases())
-@example(((_BLOCK_CROSSING,), (_BLOCK_CROSSING,), 3, 3, 0, 0.1))
+@example(((_LARGE,), (_LARGE,), 3, 3, 0, 0.1))
 @example(((_SMALL + 1,), (1,), 4, 3, 1, 0.2))
 @example(((3, 1), (1, _SMALL), 2, 3, 2, 0.2))
 def test_batched_restricted_mul_equals_stacked_scalar_products(case):

@@ -75,6 +75,20 @@ def test_generator_with_product():
     assert spec.box[3] == (0.3, 2.8)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1 2; 3", "malformed matrix (rows of numbers separated by ';')"),
+    ("1 0", "matrix must be 2x2, got (1, 2)"),
+    ("1 nan; nan 1", "matrix entries must be finite"),
+    ("1 2; 3 1", "matrix must be symmetric"),
+])
+def test_generator_matrix_errors_carry_the_entry_position(rows, message):
+    # the reader generate --P shares; here its errors are located at the entry
+    text = f'[generator]\nkind = cw\ndimension = 4\norder = 1\nP0 = "{rows}"\n'
+    with pytest.raises(MetricFileError) as err:
+        parse_metric_text(text, filename="f.metric")
+    assert str(err.value) == f"f.metric:5:7: {message}"
+
+
 def test_error_positions_and_messages():
     with pytest.raises(MetricFileError) as err:
         parse_metric_text('[metric]\ndimension = 4\nH = "x9"\n', filename="f.metric")
