@@ -251,6 +251,7 @@ class ChartJets:
     W: Jet          # (m,)
     g: Jet          # (m, m)
     ginv0: np.ndarray  # numeric inverse of the degree-0 part
+    fields: np.ndarray  # (..., outputs, coefficients): the tape outputs; H, W, g are views
 
     @functools.cached_property
     def ginv(self) -> Jet:
@@ -358,7 +359,7 @@ def _eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
         data[..., 1 + m:, :].reshape(p.shape + (m, m, ctx.ncoeffs))))
     g0 = g.value()
     _check_leaf_metric(g0, p)
-    return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0))
+    return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0), data)
 
 
 def metric_coefficients(spec: MetricSpec, p: ChartPoint) -> np.ndarray:

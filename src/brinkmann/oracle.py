@@ -16,12 +16,19 @@ so that R(d_c, d_d) d_b = R^a_{bcd} d_a.  Covariant derivatives append
 their slots last, inner first: ``dR[a, b, c, d, mu]`` is nabla_mu R^a_{bcd}
 and ``d2R[..., mu, nu]`` is nabla_nu nabla_mu R^a_{bcd} (nu outermost).
 
+``metric_layout`` states that assembly once, as data: the tape outputs and
+the exact factor behind each block of G, and its constants.  ``full_metric``
+applies it to jet coefficients (a stack of them too), and the transport's
+one-point path derives its index take from it.
+
 The transport experiments read their Christoffel symbols from here too:
-``christoffel`` gives the values of Gamma from the first derivatives of G
-and the numeric inverse, by the same lowered combination that
-``coordinate_curvature`` differentiates further.  At a single point they
-assemble G with ``full_metric`` from the compiled order-1 tape's coefficients
-and refuse it by ``check_finite``, as ``assemble_coordinate_metric`` does.
+``christoffel`` gives the values of Gamma from the values of G's first
+partials and the numeric inverse of G's value, by the same lowered
+combination that ``coordinate_curvature`` differentiates further.  A
+caller on jets passes ``_cgrad(G, n).value()``; at a single point the
+transport reads the partials from the compiled order-1 tape's coefficients
+without a jet and refuses G by ``check_finite``, as
+``assemble_coordinate_metric`` does.
 
 Every function here also takes a stack of N chart points (a ``ChartPoint``
 with a 1-D array u), by the same code as one point: G, its inverses, Gamma,
@@ -65,6 +72,7 @@ __all__ = [
     "CoordinateMetric",
     "CoordinateCurvature",
     "assemble_coordinate_metric",
+    "metric_layout",
     "full_metric",
     "check_finite",
     "coordinate_curvature",
@@ -99,18 +107,39 @@ class CoordinateMetric:
         return frame_components(self.chart)
 
 
-def full_metric(n: int, H: np.ndarray, W: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Coefficients of the full metric G (..., n, n, k) from those of H (..., k),
-    W_i (..., m, k) and g_ij (..., m, m, k).
+def metric_layout(n: int) -> tuple[list[tuple[slice, slice, slice, float]],
+                                   list[tuple[int, int, float]]]:
+    """The one statement of the full metric's assembly from the tape outputs F
+    (H, then W_i, then g_ij row-major, as ``MetricSpec.tape`` lists them):
 
-    Leading node axes and the trailing coefficient axis ride along; the
-    constant g_01 = -1 is written into the value coefficient only.
+        g_00 = -2H,  g_01 = -1,  g_0i = -W_i,  g_ij as given,  g_11 = g_1i = 0.
+
+    Returns (blocks, constants): G[rows, columns] = factor * F[outputs], the
+    outputs shaped to the block, for each (rows, columns, outputs, factor) of
+    ``blocks``; G[a, b] = value, whose derivatives vanish, for each
+    (a, b, value) of ``constants``; every other entry is 0.
     """
-    G = np.zeros(H.shape[:-1] + (n, n) + H.shape[-1:])
-    G[..., 0, 0, :] = -2.0 * H
-    G[..., 0, 1, 0] = G[..., 1, 0, 0] = -1.0
-    G[..., 0, 2:, :] = G[..., 2:, 0, :] = -W
-    G[..., 2:, 2:, :] = g
+    m = n - 2
+    u, leaf = slice(0, 1), slice(2, n)
+    W, g = slice(1, 1 + m), slice(1 + m, 1 + m + m * m)
+    blocks = [(u, u, u, -2.0), (u, leaf, W, -1.0), (leaf, u, W, -1.0), (leaf, leaf, g, 1.0)]
+    return blocks, [(0, 1, -1.0), (1, 0, -1.0)]
+
+
+def full_metric(n: int, fields: np.ndarray) -> np.ndarray:
+    """Coefficients of the full metric G (..., n, n, k) from those of the tape
+    outputs (..., outputs, k) by ``metric_layout``.
+
+    Leading node axes and the trailing coefficient axis ride along; a
+    constant is written into the value coefficient only.
+    """
+    blocks, constants = metric_layout(n)
+    G = np.zeros(fields.shape[:-2] + (n, n) + fields.shape[-1:])
+    for rows, columns, outputs, factor in blocks:
+        block = G[..., rows, columns, :]
+        np.multiply(fields[..., outputs, :].reshape(block.shape), factor, out=block)
+    for a, b, value in constants:
+        G[..., a, b, 0] = value
     return G
 
 
@@ -137,7 +166,7 @@ def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> C
 
 def _assemble(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
     cj = eval_metric(spec, p, order)
-    G = Jet(cj.H.ctx, full_metric(spec.n, cj.H.data, cj.W.data, cj.g.data))
+    G = Jet(cj.H.ctx, full_metric(spec.n, cj.fields))
     G0 = G.value()
     check_finite(G0, p)
     return CoordinateMetric(spec.n, p, G, np.linalg.inv(G0), cj)
@@ -166,11 +195,10 @@ def _lowered(dG: np.ndarray, nodes: int = 0) -> np.ndarray:
     return dG + dG.swapaxes(b, c) - dG.transpose(axes)
 
 
-def christoffel(G: Jet, Ginv0: np.ndarray) -> np.ndarray:
-    """Values Gamma^a_{bc} from the full metric G (order >= 1) and the
-    inverse of its value, at one point or at each point of a stack (node
-    axis leading); builds no jet inverse."""
-    dG = _cgrad(G, Ginv0.shape[-1]).value()
+def christoffel(dG: np.ndarray, Ginv0: np.ndarray) -> np.ndarray:
+    """Values Gamma^a_{bc} from the values of the first partials
+    dG[..., a, b, mu] = g_ab,mu and the inverse of G's value, at one point or
+    at each point of a stack (node axis leading)."""
     return 0.5 * np.einsum("...ar,...rbc->...abc", Ginv0, _lowered(dG, Ginv0.ndim - 2))
 
 

@@ -1,14 +1,17 @@
 """Geodesics, parallel transport, transverse transport and curvature growth.
 
 All transport equations run on the full coordinate Christoffel symbols of
-the assembled n-dimensional metric, read through the coordinate oracle
-(``oracle.christoffel``: one code path, convention-proof); only the
-transverse transport along E_0 uses the leaf-level equation, since its
-unknown lives on the leaves.  At a single point (an RK4 stage, the start
-of a null geodesic) the metric values and the first derivatives that Gamma
-needs come from the spec's tape compiled to straight-line code at order 1
-(``chart.metric_coefficients``), bit for bit the jet tape's; the
-curvature and the leaf-level data stay on jets.
+the assembled n-dimensional metric, formed by the coordinate oracle's one
+formula (``oracle.christoffel``, from the values of G's first partials and
+the inverse of G's value); only the transverse transport along E_0 uses the
+leaf-level equation, since its unknown lives on the leaves.  At a single
+point (an RK4 stage, the start of a null geodesic) no jet is built: the
+spec's tape, compiled to straight-line code at order 1
+(``chart.metric_coefficients``), gives the coefficients of H, W_i and g_ij,
+and one precomputed index take with exact factors, derived from
+``oracle.metric_layout`` as the stacked ``full_metric`` is, reads G's value
+and first partials from them, bit for bit the jet assembly's.  The
+curvature, the analytic curves and the leaf-level data stay on jets.
 
 energy, nullsec, d0 and the second-symmetry check know every point they
 evaluate before they start: the geodesic's nodes, the u rows of d0's
@@ -26,13 +29,16 @@ g(K, gamma') with the parallel field K = -d_v, which equals du/dtau.
 
 The transport laws are checked inside a chart's admissible ``[box]`` only,
 and nothing is extrapolated past it: ``check_in_box`` refuses a start point
-outside it (edges included), and the ``transport`` command refuses a run
-with a node outside it, up to the rounding of the run's steps.
+outside it (edges included); ``geodesic_integrate``, given the box (as the
+``transport`` command gives it), refuses the first node outside it, up to
+the rounding of the run's steps, before the next step evaluates anything;
+and the command refuses a d0 run whose u range leaves it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,8 +47,8 @@ from . import jets
 from .chart import NODE_BLOCK, ChartPoint, MetricSpec, compute_h_t, eval_metric, \
     metric_coefficients, node_blocks
 from .ode import linear_rk4, rk4_step, stage_grid, step_size
-from .oracle import (assemble_coordinate_metric, check_finite, christoffel,
-                     coordinate_curvature, full_metric)
+from .oracle import (_cgrad, assemble_coordinate_metric, check_finite, christoffel,
+                     coordinate_curvature, metric_layout)
 
 __all__ = [
     "Trajectory",
@@ -72,26 +78,63 @@ def _chart_points(coords: np.ndarray) -> ChartPoint:
     return ChartPoint(coords[:, 0], tuple(coords[:, 2:].T))
 
 
-def _coordinate_metric(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    """Order-1 coefficients (n, n, n) of the full metric about a coordinate point,
-    from the spec's compiled tape, with every check of ``assemble_coordinate_metric``."""
+@functools.lru_cache(maxsize=None)
+def _value_and_gradient_take(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """How G's value (n, n), then its first partials dG[a, b, mu] = g_ab,mu
+    (n, n, n), are read, flat, from ``metric_coefficients``' rows (outputs, n):
+    (flat indices, exact factors, the entries that are constants, their values),
+    by ``metric_layout``.  A constant entry is read with factor 1 and then
+    overwritten, so no inf * 0 is formed.
+    """
+    m = n - 2
+    blocks, constants = metric_layout(n)
+    source, factor = np.full((n, n), -1), np.zeros((n, n))   # source -1: a constant or 0
+    for rows, cols, outputs, f in blocks:
+        source[rows, cols] = np.arange(1 + m + m * m)[outputs].reshape(source[rows, cols].shape)
+        factor[rows, cols] = f
+    for a, b, c in constants:
+        factor[a, b] = c
+    ctx, unit = jets.context(n - 1, 1), np.eye(n - 1, dtype=int)
+    # the coefficient column of d/dx^mu: jet variable 0 is u, mu - 1 is x^mu; d_v is 0
+    columns = [ctx.index(unit[0]), None] + [ctx.index(unit[mu - 1]) for mu in range(2, n)]
+    reads = [(a, b, 0) for a, b in np.ndindex(n, n)]
+    reads += [(a, b, columns[mu]) for a, b, mu in np.ndindex(n, n, n)]
+    index, scale, constant, value = [], [], [], []
+    for k, (a, b, column) in enumerate(reads):
+        if source[a, b] >= 0 and column is not None:
+            index.append(source[a, b] * n + column)
+            scale.append(factor[a, b])
+        else:
+            index.append(0)
+            scale.append(1.0)
+            constant.append(k)
+            value.append(factor[a, b] if column == 0 else 0.0)
+    return np.array(index), np.array(scale), np.array(constant), np.array(value)
+
+
+def _value_and_gradient(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G (n, n) and its first partials dG[a, b, mu] at a coordinate point, from the
+    spec's compiled tape, with every check of ``assemble_coordinate_metric``."""
     p = _chart_point(coords)
     F = metric_coefficients(spec, p)
-    m = spec.m
-    G = full_metric(spec.n, F[0], F[1:1 + m], F[1 + m:].reshape(m, m, F.shape[1]))
-    check_finite(G[..., 0], p)
-    return G
+    n = spec.n
+    index, factor, constant, value = _value_and_gradient_take(n)
+    out = F.take(index) * factor
+    out[constant] = value
+    G = out[:n * n].reshape(n, n)
+    check_finite(G, p)
+    return G, out[n * n:].reshape(n, n, n)
 
 
 def metric_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """G at a coordinate point, C-contiguous: matmul on a strided view rounds differently."""
-    return _coordinate_metric(spec, coords)[..., 0].copy()
+    return _value_and_gradient(spec, coords)[0]
 
 
 def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """Gamma^a_{bc} of the full metric at a coordinate point."""
-    G = _coordinate_metric(spec, coords)
-    return christoffel(jets.Jet(jets.context(spec.num_vars, 1), G), np.linalg.inv(G[..., 0]))
+    G, dG = _value_and_gradient(spec, coords)
+    return christoffel(dG, np.linalg.inv(G))
 
 
 @dataclass
@@ -127,12 +170,16 @@ class Trajectory:
 
 
 def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
-                       velocity0: Sequence[float], tau_span: float, steps: int) -> Trajectory:
-    """Fixed-step RK4 for the geodesic equation, wherever it leads.
+                       velocity0: Sequence[float], tau_span: float, steps: int,
+                       box: Sequence[tuple[float, float]] | None = None) -> Trajectory:
+    """Fixed-step RK4 for the geodesic equation, wherever it leads, or inside ``box``.
 
     A non-finite state, at a node or at an RK4 stage, is a ``RuntimeError``
     naming the step, tau and the first non-finite entry (u, v, x.. or a
-    velocity du, dv, dx..).
+    velocity du, dv, dx..).  Given a box (one (lo, hi) per chart coordinate,
+    as ``spec.box``), the first node outside it, up to the rounding of
+    ``steps`` steps, is refused with ``check_in_box``'s ``ValueError`` right
+    after it is reached.
     """
     n = spec.n
     y = np.concatenate([np.asarray(coords0, dtype=float), np.asarray(velocity0, dtype=float)])
@@ -143,29 +190,47 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
     out = np.empty((steps + 1, 2 * n))
     out[0] = y
     connection = np.empty((steps, 4, n, n))
+    derivative = np.empty((4, 2 * n))   # stage s of the current step in row s
     names = ["u", "v"] + [f"x{i}" for i in range(2, n)]
     names += ["d" + c for c in names]
+    chart_axes = [0] + list(range(2, n))
+    if box is not None:
+        edges = [(float(lo), float(hi)) for lo, hi in zip(*_box_edges(box, steps))]
 
-    def check_finite(k: int, tau: float, state: np.ndarray) -> None:
-        finite = np.isfinite(state)
-        if not finite.all():
-            i = int(np.argmin(finite))
+    def check_finite(state: np.ndarray, k: int, s: int | None = None) -> None:
+        """Refuse a non-finite state at stage s of step k, or at its end node."""
+        if not np.isfinite(state).all():
+            tau = taus[k + 1] if s is None else taus[k] + (0.0, 0.5, 0.5, 1.0)[s] * h
+            i = int(np.argmin(np.isfinite(state)))
             raise RuntimeError(f"geodesic integration blew up at step {k + 1}, "
-                               f"tau = {tau!r}: {names[i]} = {float(state[i])!r}")
+                               f"tau = {float(tau)!r}: {names[i]} = {float(state[i])!r}")
+
+    def check_inside(state: np.ndarray, k: int) -> None:
+        """Refuse node k outside the box."""
+        for i, (lo, hi) in zip(chart_axes, edges):
+            if not lo <= state[i] <= hi:
+                check_in_box(replace(spec, box=tuple(box)), [state[chart_axes]],
+                             lambda _: f"geodesic node {k}, tau = {float(taus[k])!r},", steps)
 
     def f(stage: tuple[int, int], state: np.ndarray) -> np.ndarray:
         k, s = stage
-        check_finite(k, float(taus[k] + (0.0, 0.5, 0.5, 1.0)[s] * h), state)
+        check_finite(state, k, s)
         gam = christoffel_values(spec, state[:n])
-        v = state[n:]
-        connection[stage] = np.einsum("abc,c->ab", gam, v)
-        acc = -np.einsum("abc,b,c->a", gam, v, v)
-        return np.concatenate([v, acc])
+        v, acc = state[n:], derivative[s, n:]
+        np.einsum("abc,c->ab", gam, v, out=connection[k, s])
+        np.einsum("abc,b,c->a", gam, v, v, out=acc)
+        np.negative(acc, out=acc)
+        derivative[s, :n] = v
+        return derivative[s]
 
     with np.errstate(all="ignore"):
+        if box is not None:
+            check_inside(y, 0)
         for k in range(steps):
             y = rk4_step(f, y, h, [(k, s) for s in range(4)])
-            check_finite(k, float(taus[k + 1]), y)
+            check_finite(y, k)
+            if box is not None:
+                check_inside(y, k + 1)
             out[k + 1] = y
     return Trajectory(taus, out[:, :n], out[:, n:], spec, connection)
 
@@ -218,22 +283,30 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     return us, np.swapaxes(X, 1, 2)
 
 
+def _box_edges(box: Sequence[tuple[float, float]], steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper edges of ``box`` widened by the rounding of ``steps``
+    integration steps, steps * eps * max(|lo|, |hi|)."""
+    lo, hi = np.array(box, dtype=float).T
+    slack = steps * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    return lo - slack, hi + slack
+
+
 def check_in_box(spec: MetricSpec, points: Sequence[Sequence[float]],
                  row: Callable[[int], str], steps: int = 0) -> None:
     """Refuse the first row k of chart coordinates (u, x2, ..) in ``points``
     outside the admissible box, naming ``row(k)``, the coordinate, its value
     and its bounds.  A row reached after ``steps`` integration steps may lie
-    past an edge by their rounding, steps * eps * max(|lo|, |hi|); at the
-    default ``steps = 0`` the edges are exact.  A NaN lies outside."""
+    past an edge by their rounding (``_box_edges``); at the default
+    ``steps = 0`` the edges are exact.  A NaN lies outside."""
     points = np.asarray(points, dtype=float)
-    lo, hi = np.array(spec.box, dtype=float).T
-    slack = steps * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-    outside = ~((points >= lo - slack) & (points <= hi + slack))
+    lo, hi = _box_edges(spec.box, steps)
+    outside = ~((points >= lo) & (points <= hi))
     if outside.any():
         k, i = np.argwhere(outside)[0]
         name = "u" if i == 0 else f"x{i + 1}"
+        low, high = spec.box[i]
         raise ValueError(f"{row(k)} {name} = {float(points[k, i])!r} lies outside the box "
-                         f"{name} in [{float(lo[i])!r}, {float(hi[i])!r}]")
+                         f"{name} in [{float(low)!r}, {float(high)!r}]")
 
 
 def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None = None) -> np.ndarray:
@@ -320,7 +393,8 @@ def _curve_trajectory(spec: MetricSpec,
     C = np.empty((len(grid), spec.n, spec.n))
     for block, p in node_blocks(_chart_points(coords)):
         cm = assemble_coordinate_metric(spec, p, order=1)
-        C[block] = np.einsum("kabc,kc->kab", christoffel(cm.G, cm.Ginv0), vel[block])
+        Gamma = christoffel(_cgrad(cm.G, spec.n).value(), cm.Ginv0)
+        C[block] = np.einsum("kabc,kc->kab", Gamma, vel[block])
     return Trajectory(taus, coords[::2], vel[::2], spec, C[rows])
 
 

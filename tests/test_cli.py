@@ -499,6 +499,35 @@ def test_transport_refuses_a_geodesic_node_outside_the_box(experiment):
         "lies outside the box x2 in [-1.0, 1.0]"]
 
 
+@pytest.mark.parametrize("experiment", ["geodesic", "nullsec", "d0"])
+def test_transport_refuses_a_node_outside_the_box_before_a_pole_past_it(tmp_path, experiment,
+                                                                         capsys):
+    # H has a pole on u = 2; node 3 at u = 1.5 is refused before a step reaches it
+    path = tmp_path / "pole.metric"
+    path.write_text('[metric]\ndimension = 4\nH = "x2^2 / (u - 2)"\n\n'
+                    '[box]\nu = -1 1\nx2 = -1 1\nx3 = -1 1\n')
+    code, out, err = run(capsys, "transport", str(path), "--experiment", experiment,
+                         "--span", "4", "--steps", "8", "--point", "0", "0.5", "0")
+    where = "d0 curve at" if experiment == "d0" else "geodesic node 3, tau = 1.5,"
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {where} u = 1.5 lies outside the box u in [-1.0, 1.0]"]
+
+
+@pytest.mark.parametrize("point, name, value", [
+    (["0", "nan", "0"], "x2", "nan"),
+    (["inf", "0", "0"], "u", "inf"),
+    (["0", "0", "-inf"], "x3", "-inf"),
+])
+@pytest.mark.parametrize("experiment", ["geodesic", "d0"])
+def test_transport_refuses_a_non_finite_point_naming_the_coordinate(experiment, point, name,
+                                                                    value, capsys):
+    code, out, err = run(capsys, "transport", CW4_ORDER2, "--experiment", experiment,
+                         "--steps", "3", "--span", "0.1", "--point", *point)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: --point {name} = {value} is not finite; a start point needs finite coordinates"]
+
+
 def test_transport_d0_refuses_a_u_range_outside_the_box(monkeypatch, capsys):
     # scrambled_cw4's box is u in [-0.8, 0.8]; the metric is never evaluated
     def no_evaluation(*args, **kwargs):

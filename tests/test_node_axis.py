@@ -56,10 +56,12 @@ def test_chart_point_stack_and_nodes():
 def test_full_metric_on_a_stack_is_the_stacked_one_point_metrics():
     rng = np.random.default_rng(3)
     n, m, k = 5, 3, 4
-    H, W, g = rng.normal(size=(6, k)), rng.normal(size=(6, m, k)), rng.normal(size=(6, m, m, k))
-    G = full_metric(n, H, W, g)
-    assert _same(G, [full_metric(n, H[i], W[i], g[i]) for i in range(6)])
+    fields = rng.normal(size=(6, 1 + m + m * m, k))
+    G = full_metric(n, fields)
+    assert _same(G, [full_metric(n, fields[i]) for i in range(6)])
     assert (G[:, 0, 1, 0] == -1.0).all() and (G[:, 0, 1, 1:] == 0.0).all()
+    assert (G[:, 0, 0] == -2.0 * fields[:, 0]).all() and (G[:, 2:, 0] == -fields[:, 1:1 + m]).all()
+    assert (G[:, 2:, 2:] == fields[:, 1 + m:].reshape(6, m, m, k)).all()
 
 
 @pytest.mark.parametrize("name, make", SPECS, ids=[name for name, _ in SPECS])

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brinkmann import chart, transport
+from brinkmann import chart, jets, transport
 from brinkmann.cli import main
 from brinkmann.chart import ChartPoint, MetricDefinitenessError, MetricSpec, eval_metric
 from brinkmann.jets import JetDomainError
 from brinkmann.metricfile import load_metric_file
+from brinkmann.ode import rk4_step, step_size
 from brinkmann.oracle import _cgrad, _lowered, assemble_coordinate_metric
 from brinkmann.spaces import fixture, random_polynomial_spec
 from brinkmann.transport import (christoffel_values, d0_transport, geodesic_integrate,
@@ -95,6 +96,23 @@ def test_geodesic_box_abort(capsys):
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: geodesic node 103, tau = 0.515, x2 = 1.0067039517852405 "
                                 "lies outside the box x2 in [-1.0, 1.0]"]
+
+
+def test_geodesic_refuses_the_first_node_outside_its_box(monkeypatch):
+    # H has a pole on u = 2, past the box edge u = 1: the null geodesic reaches
+    # u = 1.5 at node 3, and its next step would evaluate the pole
+    spec = MetricSpec.from_text(4, H="x2^2 / (u - 2)")
+    start, v0 = [0.0, 0.0, 0.5, 0.0], null_velocity(spec, ChartPoint(0.0, (0.5, 0.0)))
+    with pytest.raises(JetDomainError, match=r"^division by a jet with zero constant term "
+                                             r"in H at \(2\.0, "):
+        geodesic_integrate(spec, start, v0, 4.0, 8)
+    real, calls = transport.christoffel_values, []
+    monkeypatch.setattr(transport, "christoffel_values",
+                        lambda spec, c: calls.append(c) or real(spec, c))
+    with pytest.raises(ValueError, match=r"^geodesic node 3, tau = 1\.5, u = 1\.5 lies outside "
+                                         r"the box u in \[-1\.0, 1\.0\]$"):
+        geodesic_integrate(spec, start, v0, 4.0, 8, box=spec.box)
+    assert len(calls) == 3 * 4
 
 
 @pytest.mark.parametrize("steps", [1000, 100000])
@@ -325,9 +343,52 @@ def test_transport_values_are_the_assembled_values_bitwise():
                 assert got.tobytes() == ref.tobytes()
 
 
+def _jet_path_geodesic(spec, coords0, velocity0, span, steps):
+    """``geodesic_integrate``'s RK4 on the Gamma of ``_assembled_christoffel``."""
+    n, h = spec.n, step_size(span, steps)
+    y = np.concatenate([coords0, velocity0])
+    nodes, connection = [y], []
+
+    def f(_, state):
+        gam, v = _assembled_christoffel(spec, state[:n]), state[n:]
+        connection.append(np.einsum("abc,c->ab", gam, v))
+        return np.concatenate([v, -np.einsum("abc,b,c->a", gam, v, v)])
+
+    for _ in range(steps):
+        y = rk4_step(f, y, h, range(4))
+        nodes.append(y)
+    nodes = np.array(nodes)
+    return nodes[:, :n], nodes[:, n:], np.array(connection).reshape(steps, 4, n, n)
+
+
+def test_geodesic_is_the_jet_path_geodesic_bitwise():
+    specs = _bundled_specs() + [random_polynomial_spec(seed, n=n)
+                                for seed, n in ((0, 4), (5, 5), (9, 6))]
+    for spec in specs:
+        p = spec.center()
+        (lo, hi), m = spec.box[0], spec.m
+        coords0 = np.array([p.u, 0.0, *p.x])
+        v0 = null_velocity(spec, p, leaf_part=0.3 * np.cos(np.arange(m) + 1.0))
+        traj = geodesic_integrate(spec, coords0, v0, 0.25 * (hi - lo), 130)
+        ref = _jet_path_geodesic(spec, coords0, v0, 0.25 * (hi - lo), 130)
+        for got, want in zip((traj.coords, traj.velocity, traj.connection), ref):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_christoffel_values_run_no_jet_tape(monkeypatch):
     spec = fixture("scrambled_cw4")
     monkeypatch.setattr(chart.expr, "eval_jet", None)
+    christoffel_values(spec, np.array([0.2, 0.0, 0.1, -0.3]))
+    metric_values(spec, np.array([0.2, 0.0, 0.1, -0.3]))
+
+
+def test_christoffel_values_build_no_jet(monkeypatch):
+    def no_jet(*args, **kwargs):
+        raise AssertionError("a Jet was built")
+
+    spec = fixture("scrambled_cw4")
+    monkeypatch.setattr(jets.Jet, "__init__", no_jet)
     christoffel_values(spec, np.array([0.2, 0.0, 0.1, -0.3]))
     metric_values(spec, np.array([0.2, 0.0, 0.1, -0.3]))
 
