@@ -19,14 +19,17 @@ Every parse error carries the byte offset of the offending token.
 Jet evaluation runs a ``Tape``: expressions compiled once into a flat,
 hash-consed instruction list, so a subtree shared within or between
 expressions is evaluated once per call.  ``Tape.compiled`` is a tape as
-straight-line Python at jet order 1 only; its values are also order 0's.
+straight-line Python at jet order 1 only, each coefficient a local float; its
+values are also order 0's.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -322,8 +325,6 @@ def to_text(node: ExprAst) -> str:
 
 
 def eval_scalar(node: ExprAst, env: Mapping[str, float]) -> float:
-    import math
-
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -483,7 +484,6 @@ class Tape:
                 if self.first_output[k] < 0:
                     self.first_output[k] = o
                     stack.extend(operands[k])
-        self._chunks: list | None = None
         self._compiled: dict[int, Callable] = {}
 
     def __len__(self) -> int:
@@ -491,27 +491,20 @@ class Tape:
         return len(self.var_names) + len(self.constants) + len(self.code)
 
     def compiled(self, num_vars: int) -> Callable:
-        """The tape as straight-line Python on float tuples, built on first use.
+        """The tape as straight-line Python at jet order 1, built on first use.
 
         Returns ``run(point)``: ``point`` holds the values of u, x2 .. in
-        chart order, and ``run`` returns one tuple per tape output with the
-        jet coefficients of ``eval_jet(tape, seeded env, num_vars, 1)`` (the
-        value, which is also the order-0 value, then the first partials in the
-        order of ``jets.context(num_vars, 1).exps``), bit for bit on finite
-        values (see the kernels below).  A domain error raises
-        ``TapeDomainError`` as ``eval_jet`` does.
+        chart order, and ``run`` returns a list of one tuple per tape output
+        with the jet coefficients of ``eval_jet(tape, seeded env, num_vars, 1)``
+        (the value, which is also the order-0 value, then the first partials
+        in the order of ``jets.context(num_vars, 1).exps``), bit for bit,
+        overflow included.  Every coefficient is a local float or a literal,
+        and a product sums only the pairs its factors' supports can feed (see
+        the code generator below).  A domain error raises ``TapeDomainError``
+        as ``eval_jet`` does.
         """
         if num_vars not in self._compiled:
-            if self._chunks is None:
-                self._chunks = [compile(source, "<tape>", "exec")
-                                for source in _chunk_sources(self)]
-            kernels = _kernels(num_vars)
-            namespace = dict(kernels, K=tuple(b for _, _, b, _ in self.code))
-            chunks = []
-            for code in self._chunks:
-                exec(code, namespace)
-                chunks.append(namespace["chunk"])
-            self._compiled[num_vars] = _runner(self, kernels["seed"], kernels["const"], chunks)
+            self._compiled[num_vars] = _compile(self, num_vars)
         return self._compiled[num_vars]
 
 
@@ -539,19 +532,31 @@ def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
 
 # -- straight-line code at order 1 ---------------------------------------------------
 #
-# ``Tape.compiled`` emits one line per operation, each a call of a kernel on
-# coefficient tuples.  The kernels are made once per num_vars and
-# repeat the jet arithmetic step by step, so on finite values every bit
-# (signed zeros too) matches ``eval_jet``: a Cauchy product sums all its
-# pairs from 0.0 in ``mul_flat`` order, as ``np.bincount`` does, and the
-# pairs ``eval_jet`` leaves out by the factors' supports add only +-0; a
-# literal operand acts as the constant jet ``Jet._coerce`` would build;
-# functions take their Taylor coefficients from ``jets.TAYLOR_COEFS`` on a
-# 0-d array, as the jet functions do, and form ``Jet._compose``'s order-1
-# result c0 + c1 * delta, whose value is c0 itself; powers use
-# ``jets.binary_power``.  Only where a value overflowed do they differ: a
-# coefficient outside a product's supports is the NaN of inf * 0 here and
-# 0 in ``eval_jet``.
+# ``Tape.compiled`` emits the tape at order 1 as straight-line Python in which
+# every jet coefficient of every instruction is a local float or a literal.
+# The emitter repeats ``eval_jet``'s arithmetic coefficient by coefficient, so
+# every bit matches it, signed zeros and overflow included.  It tracks each
+# instruction's support as ``Jet`` does: a seed has {v}, a constant none,
+# ``+``, ``-``, ``*`` and ``/`` the union, ``x^0`` none, and every other
+# operation its operand's; a coefficient outside the support is a literal
+# zero.  A product sums from 0.0, in ``mul_flat`` order, exactly the pairs of
+# ``JetContext.mul_tables`` for its factors' supports, as ``np.bincount``
+# does; a division is a product with the reciprocal, and a power is
+# ``jets.binary_power`` over the same products.  A literal operand acts as the
+# constant jet ``Jet._coerce`` would build, and ``a - b`` is ``a + -b``, as in
+# ``Jet.__sub__``.  Literals are folded with Python floats, and x * 1.0 and
+# x + -0.0 fold to x, which they equal bit for bit.  x + 0.0 folds only where
+# x cannot be -0.0, since -0.0 + 0.0 is +0.0: a sum is -0.0 only if both its
+# terms are, so no product summed from 0.0 is.  A function is one call of
+# ``taylor`` for its Taylor coefficients (c0, c1) from ``jets.TAYLOR_COEFS`` on
+# a 0-d array, as the jet functions take them, so a domain error names the
+# first output that needs it; ``Jet._compose``'s order-1 result is then c0,
+# and c1 times each coefficient of the operand's support summed from 0.0.
+#
+# The lines are cut into functions of ``_CHUNK`` lines, compiled one at a time.
+# Each function takes the registers that are live into it as arguments and
+# returns those live out of it, and stores an output's coefficient tuple into
+# the list ``o`` as soon as it is known.
 
 
 def _var_index(name: str) -> int:
@@ -559,114 +564,235 @@ def _var_index(name: str) -> int:
     return 0 if name == "u" else int(name[1:]) - 1
 
 
-def _arith_source(ctx: jets.JetContext) -> str:
-    """Source of the unrolled ring operations on coefficient tuples of ``ctx``."""
-    a = [f"a{i}" for i in range(ctx.ncoeffs)]
-    b = [f"b{i}" for i in range(ctx.ncoeffs)]
-    sums = [["0.0"] for _ in a]
-    for i, j, o in zip(*ctx.mul_flat()):
-        sums[o].append(f"a{i} * b{j}")
-    bodies = {
-        "neg(a)": [f"-{x}" for x in a],
-        "add(a, b)": [f"{x} + {y}" for x, y in zip(a, b)],
-        "sub(a, b)": [f"{x} + -{y}" for x, y in zip(a, b)],      # a + (-b), as Jet.__sub__
-        "mul(a, b)": [" + ".join(terms) for terms in sums],
-        "addc(a, c)": ["a0 + c"] + [f"{x} + 0.0" for x in a[1:]],
-        "subc(a, c)": ["a0 + -c"] + [f"{x} + -0.0" for x in a[1:]],
-        "rsubc(a, c)": ["-a0 + c"] + [f"-{x} + 0.0" for x in a[1:]],
-        "mulc(a, c)": [f"{x} * c" for x in a],
-    }
-    lines = []
-    for signature, items in bodies.items():
-        lines += [f"def {signature}:", f"    {', '.join(a)}, = a"]
-        if ", b)" in signature:
-            lines.append(f"    {', '.join(b)}, = b")
-        lines.append(f"    return ({', '.join(items)},)")
-    return "\n".join(lines) + "\n"
+_CHUNK = 64  # lines per compiled function, which bounds the compiler's memory
+
+
+def _taylor(func: str, value: float, out: int) -> tuple[float, float]:
+    """The Taylor coefficients (c0, c1) of ``func`` about ``value``; a domain
+    error names tape output ``out``."""
+    try:
+        c0, c1 = jets.TAYLOR_COEFS[func](np.asarray(value), 1)
+    except jets.JetDomainError as err:
+        raise TapeDomainError(str(err), out) from None
+    return float(c0), float(c1)
 
 
 @lru_cache(maxsize=None)
-def _kernels(num_vars: int) -> dict:
-    """Kernels of the order-1 jet context, by the names ``_chunk_sources`` calls."""
+def _product_pairs(num_vars: int, support_a: int, support_b: int) -> tuple[tuple, ...]:
+    """The pairs (ka, kb) that feed each coefficient of the order-1 product of
+    jets with these supports, in ``mul_flat`` order, as ``eval_jet`` sums them."""
     ctx = jets.context(num_vars, 1)
-    kernels: dict = {}
-    exec(_arith_source(ctx), kernels)
-    mul = kernels["mul"]
-    zeros = (0.0,) * (ctx.ncoeffs - 1)
-    # the first partials' exponents form a permutation matrix; column var seeds var
-    units = [tuple(map(float, column)) for column in np.asarray(ctx.exps)[1:].T]
-
-    def seed(value, var):
-        return (float(value),) + units[var]
-
-    def const(value):
-        return (value,) + zeros
-
-    def taylor(func, a, out):
-        try:
-            coefs = jets.TAYLOR_COEFS[func](np.asarray(a[0]), 1)
-        except jets.JetDomainError as err:
-            raise TapeDomainError(str(err), out) from None
-        delta = (0.0,) + a[1:]
-        return (float(coefs[0]),) + mul(const(float(coefs[1])), delta)[1:]
-
-    def div(a, b, out):
-        return mul(a, taylor("reciprocal", b, out))
-
-    def power(a, n, out):
-        if n < 0:
-            return power(taylor("reciprocal", a, out), -n, out)
-        if n == 0:
-            return const(1.0)
-        return jets.binary_power(a, n, mul)
-
-    kernels.update(seed=seed, const=const, taylor=taylor, div=div, power=power)
-    return kernels
+    pairs: list[tuple] = [()] * ctx.ncoeffs
+    for ko, ka, kb in ctx.mul_tables(support_a, support_b).buckets:
+        for o, row_a, row_b in zip(ko.tolist(), ka.tolist(), kb.tolist()):
+            pairs[o] = tuple(zip(row_a, row_b))
+    return tuple(pairs)
 
 
-_CHUNK = 64  # tape lines per compiled function, which bounds the compiler's memory
+class _Expr(NamedTuple):
+    """An expression not yet assigned to a register, and whether it may be -0.0."""
 
-# The line of each operation kind: operands in slots ``s[a]`` and ``s[b]``,
-# literal operand ``K[j]`` of operation j, exponent ``b``, and ``out`` the
-# first output needing the operation, which a domain error names.
-_LINES = {
-    "neg": "neg(s[{a}])",
-    "+": "add(s[{a}], s[{b}])",
-    "-": "sub(s[{a}], s[{b}])",
-    "*": "mul(s[{a}], s[{b}])",
-    "/": "div(s[{a}], s[{b}], {out})",
-    "+c": "addc(s[{a}], K[{j}])",
-    "-c": "subc(s[{a}], K[{j}])",
-    "c-": "rsubc(s[{a}], K[{j}])",
-    "*c": "mulc(s[{a}], K[{j}])",
-    "^": "power(s[{a}], {b}, {out})",
-}
+    text: str
+    negative_zero: bool = True
 
 
-def _chunk_sources(tape: Tape) -> list[str]:
-    """Sources of ``def chunk(s)``: one line per tape operation, slot k in ``s[k]``,
-    cut into functions of ``_CHUNK`` lines that are compiled one at a time."""
-    leaves = len(tape.var_names) + len(tape.constants)
-    lines = []
-    for j, (kind, (_, a, b, _)) in enumerate(zip(tape.kinds, tape.code)):
-        line = _LINES.get(kind, "taylor({kind!r}, s[{a}], {out})")
-        lines.append(f"    s[{leaves + j}] = " + line.format(
-            kind=kind, a=a, b=b, j=j, out=tape.first_output[leaves + j]))
-    return ["def chunk(s):\n" + "\n".join(lines[i:i + _CHUNK]) + "\n"
-            for i in range(0, len(lines), _CHUNK)]
+# A coefficient is a float (a literal), a str (a register) or an ``_Expr``.
+_Coef = Union[float, str, _Expr]
+
+_NAMES = re.compile(r"\b(?:r\d+|point)\b")   # the registers and the point a line reads or sets
 
 
-def _runner(tape: Tape, seed: Callable, const: Callable, chunks: list[Callable]) -> Callable:
-    """``run(point)``: seed the variables, place the constants, run the chunks."""
-    variables = [_var_index(name) for name in tape.var_names]
-    constants = [const(c) for c in tape.constants]
-    operations = [None] * len(tape.code)
-    outputs = tape.outputs
+class _Emitter:
+    """The lines of one tape at order 1; an instruction's jet is a list of
+    coefficients and its support."""
+
+    def __init__(self, num_vars: int):
+        self.num_vars = num_vars
+        # the variable of each first partial's coefficient
+        self.partial_var = [int(np.flatnonzero(e)[0]) for e in jets.context(num_vars, 1).exps[1:]]
+        self.lines: list[str] = []
+        self.registers = 0
+        self.never_negative_zero: set[str] = set()
+        self.literals: dict[str, float] = {}   # non-finite literals, bound by name
+
+    def text(self, x: _Coef) -> str:
+        if type(x) is str:
+            return x
+        if type(x) is float:
+            if math.isfinite(x):
+                return repr(x)
+            name = f"k{len(self.literals)}"
+            self.literals[name] = x
+            return name
+        return x.text
+
+    def negative_zero(self, x: _Coef) -> bool:
+        """Whether x may be -0.0."""
+        if type(x) is str:
+            return x not in self.never_negative_zero
+        if type(x) is float:
+            return x == 0.0 and math.copysign(1.0, x) < 0.0
+        return x.negative_zero
+
+    def line(self, text: str, count: int) -> list[str]:
+        """Append ``r, .. = text`` setting ``count`` new registers; returns them."""
+        names = [f"r{self.registers + k}" for k in range(count)]
+        self.registers += count
+        self.lines.append(f"{', '.join(names)} = {text}")
+        return names
+
+    def assign(self, x: _Coef) -> float | str:
+        if type(x) is not _Expr:
+            return x
+        name = self.line(x.text, 1)[0]
+        if not x.negative_zero:
+            self.never_negative_zero.add(name)
+        return name
+
+    def neg(self, x: _Coef) -> _Coef:
+        return -x if type(x) is float else _Expr(f"-{x}")
+
+    def add(self, x: _Coef, y: _Coef) -> _Coef:
+        """x + y; a sum is -0.0 only if both terms are, so -0.0 is dropped beside
+        any term and 0.0 beside a term that cannot be -0.0."""
+        if type(y) is float:
+            if type(x) is float:
+                return x + y
+            if y == 0.0 and (math.copysign(1.0, y) < 0.0 or not self.negative_zero(x)):
+                return x
+        elif type(x) is float and x == 0.0 and (math.copysign(1.0, x) < 0.0
+                                               or not self.negative_zero(y)):
+            return y
+        return _Expr(f"{self.text(x)} + {self.text(y)}",
+                     self.negative_zero(x) and self.negative_zero(y))
+
+    def times(self, x: _Coef, y: _Coef) -> _Coef:
+        if type(y) is float:
+            if type(x) is float:
+                return x * y
+            if y == 1.0:
+                return x
+        elif type(x) is float and x == 1.0:
+            return y
+        return _Expr(f"{self.text(x)} * {self.text(y)}")
+
+    def jet(self, coefs: list[_Coef], support: int) -> tuple[list, int]:
+        return [self.assign(x) for x in coefs], support
+
+    def products(self, a: tuple[list, int], b: tuple[list, int]) -> list[_Coef]:
+        """The sums of the truncated product a * b, not yet assigned."""
+        (xa, sa), (xb, sb) = a, b
+        sums: list[_Coef] = []
+        for pairs in _product_pairs(self.num_vars, sa, sb):
+            acc: _Coef = 0.0
+            for i, j in pairs:
+                acc = self.add(acc, self.times(xa[i], xb[j]))
+            sums.append(acc)
+        return sums
+
+    def mul(self, a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
+        return self.jet(self.products(a, b), a[1] | b[1])
+
+    def taylor(self, func: str, a: tuple[list, int], out: int) -> tuple[list, int]:
+        """``Jet._compose`` at order 1: c0, then c1 * (a - a0) summed as a product."""
+        xa, sa = a
+        c0, c1 = self.line(f"taylor({func!r}, {self.text(xa[0])}, {out})", 2)
+        sums = self.products(([c1] + [0.0] * self.num_vars, 0), ([0.0] + xa[1:], sa))
+        return self.jet([c0] + sums[1:], sa)
+
+    def operation(self, kind: str, a: tuple[list, int], b, out: int) -> tuple[list, int]:
+        """The jet of one tape operation on operand jet ``a`` and ``b``: a second
+        operand jet, a literal or an exponent; ``out`` names a domain error."""
+        xa, sa = a
+        if kind == "neg":
+            return self.jet([self.neg(x) for x in xa], sa)
+        if kind in ("+", "-"):
+            xb = b[0] if kind == "+" else [self.neg(y) for y in b[0]]
+            return self.jet([self.add(x, y) for x, y in zip(xa, xb)], sa | b[1])
+        if kind == "*":
+            return self.mul(a, b)
+        if kind == "/":
+            return self.mul(a, self.taylor("reciprocal", b, out))
+        if kind in ("+c", "-c"):
+            c, zero = (b, 0.0) if kind == "+c" else (-b, -0.0)
+            return self.jet([self.add(xa[0], c)] + [self.add(x, zero) for x in xa[1:]], sa)
+        if kind == "c-":
+            return self.jet([self.add(self.neg(xa[0]), b)]
+                            + [self.add(self.neg(x), 0.0) for x in xa[1:]], sa)
+        if kind == "*c":
+            return self.jet([self.times(x, b) for x in xa], sa)
+        if kind == "^":
+            if b < 0:
+                a, b = self.taylor("reciprocal", a, out), -b
+            if b == 0:
+                return [1.0] + [0.0] * self.num_vars, 0
+            return jets.binary_power(a, b, self.mul)
+        return self.taylor(kind, a, out)
+
+    def emit(self, tape: Tape) -> None:
+        """The lines of the whole tape: seeds, constants, operations, and each
+        output's ``o[k] = (..)`` as soon as its instruction is known."""
+        outputs: dict[int, list[int]] = {}
+        for k, slot in enumerate(tape.outputs):
+            outputs.setdefault(slot, []).append(k)
+        values: list[tuple[list, int]] = []
+
+        def store(value: tuple[list, int]) -> None:
+            slot = len(values)
+            values.append(value)
+            if slot in outputs:
+                row = value[0]
+                targets = "".join(f"o[{k}] = " for k in outputs[slot])
+                self.lines.append(f"{targets}({', '.join(map(self.text, row))},)")
+
+        for name in tape.var_names:
+            var = _var_index(name)
+            value = self.line(f"float(point[{var}])", 1)
+            store((value + [1.0 if v == var else 0.0 for v in self.partial_var], 1 << var))
+        for c in tape.constants:
+            store(([c] + [0.0] * self.num_vars, 0))
+        leaves = len(values)
+        for j, (kind, (_, a, b, _)) in enumerate(zip(tape.kinds, tape.code)):
+            operand = values[b] if kind in _BINARY else b
+            store(self.operation(kind, values[a], operand, tape.first_output[leaves + j]))
+
+    def chunk_sources(self) -> list[str]:
+        """Sources of ``def chunk(o, ..)``, ``_CHUNK`` lines each: each takes the
+        registers live into it, the first ``point``, and returns those live out.
+        A register's first chunk is the one that sets it."""
+        bodies = ["".join(f"    {text}\n" for text in self.lines[k:k + _CHUNK])
+                  for k in range(0, len(self.lines), _CHUNK)]
+        first: dict[str, int] = {"point": -1}
+        last: dict[str, int] = {"point": 0}
+        for c, body in enumerate(bodies):
+            for name in _NAMES.findall(body):
+                first.setdefault(name, c)
+                last[name] = c
+        live: list[list[str]] = [[] for _ in range(len(bodies) + 1)]
+        for name, c in first.items():
+            for k in range(c + 1, last[name] + 1):
+                live[k].append(name)
+        return [f"def chunk(o, {', '.join(live[c])}):\n{body}"
+                f"    return ({''.join(name + ', ' for name in live[c + 1])})\n"
+                for c, body in enumerate(bodies)]
+
+
+def _compile(tape: Tape, num_vars: int) -> Callable:
+    """``run(point)``: the chunks of the tape's order-1 code, run one after another."""
+    emitter = _Emitter(num_vars)
+    emitter.emit(tape)
+    namespace = dict(emitter.literals, taylor=_taylor)
+    chunks = []
+    for source in emitter.chunk_sources():
+        exec(compile(source, "<tape>", "exec"), namespace)
+        chunks.append(namespace["chunk"])
+    n_outputs = len(tape.outputs)
 
     def run(point):
-        s = [seed(point[i], i) for i in variables] + constants + operations
+        o = [None] * n_outputs
+        live = (point,)
         for chunk in chunks:
-            chunk(s)
-        return tuple([s[k] for k in outputs])
+            live = chunk(o, *live)
+        return o
 
     return run

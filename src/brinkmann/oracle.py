@@ -27,8 +27,8 @@ partials and the numeric inverse of G's value, by the same lowered
 combination that ``coordinate_curvature`` differentiates further.  A
 caller on jets passes ``_cgrad(G, n).value()``; at a single point the
 transport reads the partials from the compiled order-1 tape's coefficients
-without a jet and refuses G by ``check_finite``, as
-``assemble_coordinate_metric`` does.
+without a jet and refuses G by ``check_finite``'s wording, as
+``assemble_coordinate_metric`` does, and G's first partials likewise.
 
 Every function here also takes a stack of N chart points (a ``ChartPoint``
 with a 1-D array u), by the same code as one point: G, its inverses, Gamma,
@@ -75,6 +75,7 @@ __all__ = [
     "metric_layout",
     "full_metric",
     "check_finite",
+    "metric_field",
     "coordinate_curvature",
     "christoffel",
     "to_frame",
@@ -154,8 +155,13 @@ def check_finite(G0: np.ndarray, p: ChartPoint) -> None:
     finite = np.isfinite(G0)
     if not finite.all():
         a, b = np.argwhere(~finite)[0][-2:]   # row major
-        field = "H" if a == b == 0 else f"W_{b}" if a == 0 else f"g_{a}{b}"
-        raise ValueError(f"non-finite {field} at {p.coords}")
+        raise ValueError(f"non-finite {metric_field(a, b)} at {p.coords}")
+
+
+def metric_field(a: int, b: int) -> str:
+    """The field (H, W_i or g_ij, chart labels) behind G[a, b], a row-major first
+    non-finite entry: G[0, b] comes before G[b, 0]."""
+    return "H" if a == b == 0 else f"W_{b}" if a == 0 else f"g_{a}{b}"
 
 
 def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:

@@ -6,12 +6,15 @@ formula (``oracle.christoffel``, from the values of G's first partials and
 the inverse of G's value); only the transverse transport along E_0 uses the
 leaf-level equation, since its unknown lives on the leaves.  At a single
 point (an RK4 stage, the start of a null geodesic) no jet is built: the
-spec's tape, compiled to straight-line code at order 1
-(``chart.metric_coefficients``), gives the coefficients of H, W_i and g_ij,
-and one precomputed index take with exact factors, derived from
-``oracle.metric_layout`` as the stacked ``full_metric`` is, reads G's value
-and first partials from them, bit for bit the jet assembly's.  The
-curvature, the analytic curves and the leaf-level data stay on jets.
+spec's tape, compiled to straight-line code at order 1 in which every
+coefficient is a local float (``chart.metric_coefficients``), gives the
+coefficients of H, W_i and g_ij, and one precomputed index take with exact
+factors, derived from ``oracle.metric_layout`` as the stacked
+``full_metric`` is, reads G's value and first partials from them, bit for
+bit the jet assembly's.  A non-finite value or first partial is refused
+there, naming the field, the partial and the point, before it can reach
+the integrator.  The curvature, the analytic curves and the leaf-level data
+stay on jets.
 
 energy, nullsec, d0 and the second-symmetry check know every point they
 evaluate before they start: the geodesic's nodes, the u rows of d0's
@@ -47,8 +50,8 @@ from . import jets
 from .chart import NODE_BLOCK, ChartPoint, MetricSpec, compute_h_t, eval_metric, \
     metric_coefficients, node_blocks
 from .ode import linear_rk4, rk4_step, stage_grid, step_size
-from .oracle import (_cgrad, assemble_coordinate_metric, check_finite, christoffel,
-                     coordinate_curvature, metric_layout)
+from .oracle import (_cgrad, assemble_coordinate_metric, christoffel, coordinate_curvature,
+                     metric_field, metric_layout)
 
 __all__ = [
     "Trajectory",
@@ -114,20 +117,30 @@ def _value_and_gradient_take(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _value_and_gradient(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G (n, n) and its first partials dG[a, b, mu] at a coordinate point, from the
-    spec's compiled tape, with every check of ``assemble_coordinate_metric``."""
+    spec's compiled tape, with every check of ``assemble_coordinate_metric``.
+
+    A non-finite entry of G, or else of dG, is refused where it arises, naming
+    the field, the partial and the point in ``check_finite``'s words.
+    """
     p = _chart_point(coords)
     F = metric_coefficients(spec, p)
     n = spec.n
     index, factor, constant, value = _value_and_gradient_take(n)
     out = F.take(index) * factor
     out[constant] = value
-    G = out[:n * n].reshape(n, n)
-    check_finite(G, p)
-    return G, out[n * n:].reshape(n, n, n)
+    finite = np.isfinite(out)
+    if not finite.all():
+        k, partial = int(np.argmin(finite)), ""
+        if k >= n * n:
+            k, mu = divmod(k - n * n, n)
+            partial = f"d/d{'u' if mu == 0 else f'x{mu}'} of "
+        raise ValueError(f"non-finite {partial}{metric_field(*divmod(k, n))} at {p.coords}")
+    return out[:n * n].reshape(n, n), out[n * n:].reshape(n, n, n)
 
 
 def metric_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    """G at a coordinate point, C-contiguous: matmul on a strided view rounds differently."""
+    """G at a coordinate point, C-contiguous: matmul on a strided view rounds differently.
+    Refused, as in ``_value_and_gradient``, where G or a first partial is non-finite."""
     return _value_and_gradient(spec, coords)[0]
 
 
@@ -327,9 +340,9 @@ def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None 
     if not np.isfinite(a).all():
         raise ValueError(f"--leaf-part {a.tolist()} has a non-finite entry; all m = {m} "
                          f"entries must be finite")
-    G = metric_values(spec, np.array([p.u, 0.0, *p.x]))
     vec = np.zeros(spec.n)
     with np.errstate(all="ignore"):
+        G = metric_values(spec, np.array([p.u, 0.0, *p.x]))
         vec[:2] = 1.0, 0.5 * G[0, 0] + 0.5 * float(a @ G[2:, 2:] @ a)
         for i in range(m):
             vec[1] += a[i] * G[0, 2 + i]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -467,6 +468,31 @@ def test_transport_refuses_a_point_outside_the_box(experiment):
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.splitlines() == [
         "error: start point u = 5.0 lies outside the box u in [-1.0, 1.0]"]
+
+
+# One overflowing factor exp(e u) per field; at u = 0.999 and e from 709 the
+# u-partial overflows, and from about 710.5 the value too.
+OVERFLOWING_FIELDS = {"H": 'H = "exp({e!r} * u) * x2^2 * 0.5"',
+                      "W_2": 'W2 = "exp({e!r} * u) * x3 * 0.5"',
+                      "g_22": 'g22 = "1 + exp({e!r} * u) * 1e-300"'}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(OVERFLOWING_FIELDS)), st.floats(709.0, 800.0),
+       st.sampled_from(["geodesic", "nullsec"]))
+def test_transport_refuses_an_overflowing_field_where_it_arises(tmp_path_factory, field,
+                                                                exponent, experiment):
+    path = tmp_path_factory.mktemp("overflow") / "field.metric"
+    path.write_text(f"[metric]\ndimension = 4\n{OVERFLOWING_FIELDS[field].format(e=exponent)}\n"
+                    "\n[box]\nu = -1 1\nx2 = -1 1\nx3 = -1 1\n")
+    out, err = io.StringIO(), io.StringIO()
+    # a numpy warning would raise here: the suite turns RuntimeWarnings into errors
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["transport", str(path), "--experiment", experiment, "--point", "0.999",
+                     "0.5", "0.5", "--span", "0.0005", "--steps", "2"])
+    assert (code, out.getvalue()) == (1, "")
+    assert re.fullmatch(rf"error: non-finite (d/du of )?{field} at \(0\.999, 0\.5, 0\.5\)\n",
+                        err.getvalue())
 
 
 @pytest.mark.parametrize("point", [["0", "0"], ["0", "0", "0", "0"]], ids=["short", "long"])

@@ -252,7 +252,9 @@ def test_tape_error_names_the_first_output_that_needs_it():
 def _compiled_specs():
     bundled = [load_metric_file(str(path)) for path in sorted(METRICS.glob("*.metric"))]
     assert len(bundled) == 11
-    return bundled + [random_polynomial_spec(seed) for seed in range(10)]
+    # n = 5 and 6 give tapes of several chunks, with registers live across each cut
+    return bundled + [random_polynomial_spec(seed) for seed in range(10)] + [
+        random_polynomial_spec(seed, n=n) for seed, n in ((10, 5), (11, 6))]
 
 
 COMPILED_SPECS = _compiled_specs()
@@ -299,6 +301,15 @@ def test_compiled_tape_keeps_signed_zeros_and_function_bits():
     tape = E.Tape([E.parse(text, 4) for text in texts])
     for point in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.5), (0.3, -0.7, 0.2)):
         _assert_compiled_equals_eval_jet(tape, 3, point)
+
+
+def test_compiled_tape_keeps_the_bits_of_overflow():
+    # a coefficient outside a product's supports stays 0.0, not the NaN of inf * 0
+    texts = ["exp(800 * u)", "exp(800 * u) * x2", "1e200 * u * 1e200 * x2", "exp(800*u)^2",
+             "(exp(800 * u) - 2 * exp(800 * u)) * x3 + 1.0"]
+    tape = E.Tape([E.parse(text, 4) for text in texts])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_compiled_equals_eval_jet(tape, 3, (1.0, 0.5, 0.25))
 
 
 @pytest.mark.parametrize("texts, point", [
