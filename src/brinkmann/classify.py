@@ -7,10 +7,11 @@ ENGINE_AGREEMENT_TOL means an internal bug, not a property of the metric,
 and aborts the run.
 
 ``evaluate_samples`` returns one ``SampleStack``: both pipelines' blocks,
-the deviations and the engine jets the reports read, each on a leading
-sample axis, evaluated in the blocks that ``chart.node_blocks`` cuts.  Every
-report takes that stack and nothing else: its sample count, leaf dimension
-and sample list are the stack's own.
+the deviations and the engine values the reports read, each on a leading
+sample axis, evaluated in the blocks that ``chart.node_blocks`` cuts.  The
+engine takes every derivative; a report reads numbers, from that stack and
+nothing else: its sample count, leaf dimension and sample list are the
+stack's own.
 
 Residual semantics: a tensor depth (R, nabla R, nabla nabla R) counts as
 *zero* below ``tol`` and as *detected* above DETECTION_FLOOR, both scaled by
@@ -28,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .chart import FRAME_BLOCKS, ChartPoint, MetricSpec, first_failing_node, node_blocks
-from .curvature import curvature_at, d0_op, leaf_grad
-from .jets import Jet
+from .curvature import curvature_at
 from .oracle import frame_blocks_from_oracle
 
 __all__ = [
@@ -53,9 +53,6 @@ __all__ = [
 ]
 
 ENGINE_AGREEMENT_TOL = 1e-6
-# extract_A_tilde differentiates the depth-1 block Atil once more, and A twice
-# in u: depth 1, plus two orders for R, plus one for that derivative.
-A_TILDE_ORDER = 1 + 3
 A_TILDE_TOL = 1e-8  # an A_tilde residual below this, times 1 + |R|, counts as zero
 CLUSTER_TOL = 1e-6  # leaf Ricci eigenvalues this close are one Eisenhart cluster
 DEFAULT_TOL = 1e-9
@@ -143,49 +140,43 @@ def _node_max_abs(values: np.ndarray) -> np.ndarray:
 @dataclass
 class SampleStack:
     """Both pipelines at N samples: the stack ``point`` of the samples, and
-    blocks, deviations and jets on a leading sample axis.
+    blocks, deviations and engine values on a leading sample axis.
 
     ``blocks`` and ``oracle`` hold the engine's and the oracle's frame blocks
     (the rank-0 blocks as (N,) arrays), ``agreement`` each key's (N,)
-    engine/oracle deviations.  Of the engine's jets, only those the reports
-    read are kept: the leaf metric ``g``, ``gamma``, ``tup``, ``A`` and, from
-    depth 1, ``Atil``.
+    engine/oracle deviations; ``gbar`` holds the leaf metric and, from depth
+    1, ``Atil_grad``, ``Atil_d0`` and ``A_uu`` those of ``ChartCurvature``.
     """
 
     point: ChartPoint
     depth: int
-    order: int
     blocks: dict[str, np.ndarray]
     oracle: dict[str, np.ndarray]
     agreement: dict[str, np.ndarray]
-    g: Jet
-    gamma: Jet
-    tup: Jet
-    A: Jet
-    Atil: Jet | None
+    gbar: np.ndarray
+    Atil_grad: np.ndarray | None
+    Atil_d0: np.ndarray | None
+    A_uu: np.ndarray | None
 
 
 def _join(parts: list):
-    """Concatenate the parts of stack fields (arrays, jets, dicts of them or
-    None) along their sample axis."""
+    """Concatenate the parts of stack fields (arrays, dicts of them or None)
+    along their sample axis."""
     first = parts[0]
     if isinstance(first, dict):
         return {key: _join([part[key] for part in parts]) for key in first}
-    if isinstance(first, Jet):
-        return Jet(first.ctx, np.concatenate([part.data for part in parts]))
     return None if first is None else np.concatenate(parts)
 
 
 def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
-                     depth: int = 2, order: int | None = None) -> SampleStack:
+                     depth: int = 2) -> SampleStack:
     """Run both pipelines at the samples (``sample_points(spec)`` by default)
     and record per-block deviations.
 
     The engine runs once per block of ``chart.node_blocks``, on its stack;
     the oracle runs once per sub-stack of at most
     ``max(1, ORACLE_STACK_ENTRIES // n**6)`` of them.  The blocks' results
-    are concatenated.  The engine's jets have order ``depth + 2`` unless
-    ``order`` asks for more.  Overflow inside the jets is not reported as it
+    are concatenated.  Overflow inside the jets is not reported as it
     happens; instead a non-finite deviation aborts with
     ``EngineDisagreement``, naming the first such block and its sample.  Any
     failure is the one a loop over the samples raises: the engine's at
@@ -197,29 +188,29 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint] | None = No
         raise ValueError("evaluate_samples needs at least one sample")
     p = ChartPoint.stack(samples)
     parts = [first_failing_node(block, lambda q: _evaluate(
-                 spec, q if q.shape else ChartPoint.stack([q]), depth, order))
+                 spec, q if q.shape else ChartPoint.stack([q]), depth))
              for _, block in node_blocks(p)]
-    # The fields after point, depth and order carry the sample axis; each is
-    # dropped from the parts once joined, so that only one is held twice.
+    # The fields after point and depth carry the sample axis; each is dropped
+    # from the parts once joined, so that only one is held twice.
     joined = [_join([vars(part).pop(f.name) for part in parts])
-              for f in dataclasses.fields(SampleStack)[3:]]
-    return SampleStack(p, depth, parts[0].order, *joined)
+              for f in dataclasses.fields(SampleStack)[2:]]
+    return SampleStack(p, depth, *joined)
 
 
-def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int, order: int | None) -> SampleStack:
+def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int) -> SampleStack:
     """The evaluation of the stack p: one engine call on it, one oracle call
     per sub-stack, deviations on each sub-stack."""
     per_call = max(1, ORACLE_STACK_ENTRIES // spec.n ** 6)
     oracles, agreements = [], []
     with np.errstate(all="ignore"):
-        cc = curvature_at(spec, p, order=order, depth=depth)
+        cc = curvature_at(spec, p, depth=depth)
         for start in range(0, len(p.u), per_call):
             rows = slice(start, start + per_call)
             oracles.append(frame_blocks_from_oracle(spec, p.rows(rows), depth=depth))
             agreements.append({key: _node_max_abs(cc.blocks[key][rows] - o)
                                / (1.0 + _node_max_abs(o)) for key, o in oracles[-1].items()})
-    ev = SampleStack(p, depth, cc.cj.order, cc.blocks, _join(oracles), _join(agreements),
-                     cc.cj.g, cc.gamma, cc.tup, cc.A, cc.Atil)
+    ev = SampleStack(p, depth, cc.blocks, _join(oracles), _join(agreements),
+                     cc.cj.g.value(), cc.Atil_grad, cc.Atil_d0, cc.A_uu)
     _check_finite(ev)
     return ev
 
@@ -440,17 +431,14 @@ class AtilReport:
 def extract_A_tilde(evaluations: SampleStack, check_affine: bool = False) -> AtilReport:
     """Per-sample Atil values, gbar-eigenvalues and parallelism flags.
 
-    The stack must be of depth >= 1 at jet order >= ``A_TILDE_ORDER``.  The
-    derivatives behind the residuals are taken on the stack of all samples; a
+    The stack must be of depth >= 1.  The residuals are the largest entries
+    of the engine's values ``Atil_grad``, ``Atil_d0`` and ``A_uu``; a
     residual below ``A_TILDE_TOL`` times 1 + |R| counts as zero, and without
     leaf (m = 0) every residual is 0.  A residual that is not finite at some
     sample raises a ValueError naming the residual and the sample.
     """
     ev = evaluations
-    if ev.order < A_TILDE_ORDER or ev.Atil is None:
-        raise ValueError(
-            f"extract_A_tilde needs evaluations of depth >= 1 at jet order >= {A_TILDE_ORDER} "
-            f"(got order {ev.order}); pass order={A_TILDE_ORDER} to evaluate_samples")
+    _evaluated_depth(ev, 1, "extract_A_tilde")
 
     def residual(name: str, per_sample: np.ndarray) -> float:
         bad = np.flatnonzero(~np.isfinite(per_sample))
@@ -461,14 +449,13 @@ def extract_A_tilde(evaluations: SampleStack, check_affine: bool = False) -> Ati
                              "not finite there, so no verdict can be reached")
         return float(per_sample.max())
 
-    grad_res = residual("grad_residual", _node_max_abs(leaf_grad(ev.Atil, 0, ev.gamma).value()))
-    d0_res = residual("d0_residual", _node_max_abs(d0_op(ev.Atil, 0, ev.tup).value()))
-    aff_res = residual("affine_residual", _node_max_abs(ev.A.du().du().value())) \
-        if check_affine else None
+    grad_res = residual("grad_residual", _node_max_abs(ev.Atil_grad))
+    d0_res = residual("d0_residual", _node_max_abs(ev.Atil_d0))
+    aff_res = residual("affine_residual", _node_max_abs(ev.A_uu)) if check_affine else None
     eps = A_TILDE_TOL * (1.0 + _depth_norm([ev.blocks], 0))
     return AtilReport(
         values=ev.blocks["Atil"].copy(),
-        eigenvalues=gbar_eigh(ev.blocks["Atil"], ev.g.value())[0],
+        eigenvalues=gbar_eigh(ev.blocks["Atil"], ev.gbar)[0],
         grad_parallel=grad_res < eps,
         d0_parallel=d0_res < eps,
         grad_residual=grad_res,
@@ -529,7 +516,7 @@ def eisenhart_split(evaluations: SampleStack) -> EisenhartSplit:
     """
     _evaluated_depth(evaluations, 1, "eisenhart_split")
     m = len(evaluations.point.x)
-    all_eigs, all_vecs = gbar_eigh(evaluations.blocks["Ricij"], evaluations.g.value())
+    all_eigs, all_vecs = gbar_eigh(evaluations.blocks["Ricij"], evaluations.gbar)
     # the base sample is the last: sample_points appends the box center
     mu, vecs = all_eigs[-1], all_vecs[-1]
 

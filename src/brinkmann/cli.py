@@ -128,9 +128,7 @@ def cmd_check(args) -> int:
     spec = _load(args.file)
     samples = classify.sample_points(spec, args.samples)
     classify.check_sample_count(len(samples))
-    # Order depth + 2 <= 4 serves the verdict; the A_tilde section needs 4 at any depth.
-    evaluations = classify.evaluate_samples(spec, samples, depth=args.depth,
-                                            order=classify.A_TILDE_ORDER)
+    evaluations = classify.evaluate_samples(spec, samples, depth=args.depth)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "check",
@@ -150,7 +148,7 @@ def cmd_generate(args) -> int:
     from .spaces import make_cw, make_product
 
     if args.kind == "cw":
-        d, r = args.dimension, args.order
+        d, r = metricfile.check_dimension(args.dimension, "--dimension"), args.order
         coeffs = [np.zeros((d - 2, d - 2)) for _ in range(r)]
         for spec_str in args.P or []:
             level, equals, rows = spec_str.partition("=")
@@ -250,7 +248,7 @@ def cmd_transport(args) -> int:
                              f"finite coordinates")
     start = [0.5 * (lo + hi) for lo, hi in spec.box] if args.point is None else args.point
     point = ChartPoint(start[0], tuple(start[1:]))
-    check_in_box(spec, [point.coords], lambda k: "start point")
+    check_in_box(spec.box, [point.coords], lambda k: "start point")
     span = args.span
     if span is None:
         # u advances at rate 1 along d0 and along the null geodesic (du/dtau =
@@ -292,7 +290,7 @@ def cmd_transport(args) -> int:
                              "nullsec experiments; --experiment d0 takes none")
         m = spec.m
         us = stage_grid(point.u, step_size(span, args.steps), args.steps)[0]
-        check_in_box(spec, [(u, *point.x) for u in us.tolist()], lambda k: "d0 curve at",
+        check_in_box(spec.box, [(u, *point.x) for u in us.tolist()], lambda k: "d0 curve at",
                      args.steps)
         us, X = d0_transport(spec, point, np.eye(m), span, args.steps)
         rows = ["u," + ",".join(f"X{v}_{i + 2}" for v in range(m) for i in range(m))]

@@ -135,10 +135,10 @@ class ChartCurvature:
     """The jets of one (spec, point) evaluation and the values of its frame blocks.
 
     ``blocks`` holds the keys of ``FRAME_BLOCKS[:depth + 1]`` in table order;
-    the nabla R jets ``Atil`` .. ``gradRbar`` are None below depth 1.  On a
-    two-dimensional chart (m = 0) every leaf jet and block is empty.  At a
-    stack of points every jet and block has a leading node axis (the rank-0
-    blocks ``Ric00`` and ``S`` are arrays).
+    the nabla R jets ``Atil`` .. ``gradRbar`` and the values ``Atil_grad`` ..
+    ``A_uu`` (``curvature_at``) are None below depth 1.  On a two-dimensional
+    chart (m = 0) every leaf jet and block is empty.  At a stack of points
+    every jet, value and block has a leading node axis (rank-0 ones too).
     """
 
     cj: ChartJets
@@ -158,6 +158,9 @@ class ChartCurvature:
     Bhat: Jet | None = None
     Rtil: Jet | None = None
     gradRbar: Jet | None = None
+    Atil_grad: np.ndarray | None = None
+    Atil_d0: np.ndarray | None = None
+    A_uu: np.ndarray | None = None
 
     @property
     def spec(self) -> MetricSpec:
@@ -172,17 +175,17 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
                  depth: int = 2) -> ChartCurvature:
     """Compute curvature, nabla R and (depth 2) nabla nabla R blocks at p.
 
-    R takes two derivatives of the metric and each covariant derivative one
-    more, so the default jet order is ``depth + 2``.  A caller that takes
-    further derivatives of the returned jets must ask for a higher order.
-    At a stack of points, every jet and block has a leading node axis, and
-    a failure is the first failing node's error (``eval_metric``).
+    R takes two derivatives of the metric.  From depth 1, ``Atil_grad`` and
+    ``Atil_d0`` (``leaf_grad``, ``d0_op`` of Atil) and ``A_uu`` (A twice du)
+    take four, so the least and default jet order is 2 at depth 0 and 4 at
+    depths 1 and 2.  At a stack of points, every jet and block has a leading
+    node axis, and a failure is the first failing node's error.
     """
     if depth not in (0, 1, 2):
         raise ValueError("depth must be 0, 1 or 2")
-    if order is None:
-        order = depth + 2
-    if order < depth + 2:
+    least = 2 if depth == 0 else 4
+    order = least if order is None else order
+    if order < least:
         raise ValueError(f"jet order {order} too small for depth {depth}")
     cj = eval_metric(spec, p, order)
     nodes = p.shape
@@ -245,6 +248,9 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     cc.Rtil = d0_op(Rbar_up, 1, tup)
     cc.gradRbar = leaf_grad(Rbar_up, 1, gamma)
     blocks.update((k, getattr(cc, k).value()) for k in FRAME_BLOCKS[1])
+    cc.Atil_grad = leaf_grad(cc.Atil, 0, gamma).value()
+    cc.Atil_d0 = d0_op(cc.Atil, 0, tup).value()
+    cc.A_uu = A.du().du().value()
 
     if depth == 2:
         blocks.update(_second_derivatives(cc, nn))
@@ -283,10 +289,10 @@ def _second_derivatives(cc: ChartCurvature, nn: int) -> dict[str, np.ndarray]:
         - 2.0 * np.einsum("...km,...ijks->...ijsm", tup_val, Bhat_sym),
         "0l_a": d0_op(cc.Ahat, 0, tup).value()
         + 2.0 * np.einsum("...k,...ijks->...ijs", hup_val, Bhat_sym),
-        "l0_a": leaf_grad(cc.Atil, 0, gamma).value()
+        "l0_a": cc.Atil_grad
         - 2.0 * np.einsum("...km,...ijk->...ijm", tup_val, Btil_sym)
         + np.einsum("...sm,...ijs->...ijm", tup_val, f["Ahat"]),
-        "00_a": d0_op(cc.Atil, 0, tup).value()
+        "00_a": cc.Atil_d0
         + 2.0 * np.einsum("...k,...ijk->...ij", hup_val, Btil_sym)
         - np.einsum("...s,...ijs->...ij", hup_val, f["Ahat"]),
     }

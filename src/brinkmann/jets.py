@@ -153,11 +153,6 @@ class JetContext:
         """Pairs (ka, kb) of the truncated product and the output ko each feeds, sorted by ko."""
         return self._mul[0]
 
-    def mul_buckets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Buckets ``(ko, ka, kb)`` of the outputs with equally many pairs: row r of
-        ``ka`` and ``kb`` (outputs, pairs) holds output ko[r]'s pairs in ``mul_flat`` order."""
-        return self.mul_tables(self.all_vars, self.all_vars).buckets
-
     def mul_padded(self) -> tuple[np.ndarray, np.ndarray]:
         """``(ka, kb)``, each (ncoeffs, width): row k holds output k's pairs in ``mul_flat``
         order, padded to the longest row with the index ``ncoeffs``."""

@@ -44,11 +44,20 @@ from . import expr
 from .chart import MetricSpec
 from .spaces import CwParams, make_cw, make_product
 
-__all__ = ["MetricFileError", "parse_metric_text", "parse_matrix", "load_metric_file",
-           "spec_to_text", "generator_to_text"]
+__all__ = ["MetricFileError", "MAX_DIMENSION", "check_dimension", "parse_metric_text",
+           "parse_matrix", "load_metric_file", "spec_to_text", "generator_to_text"]
 
 HEADER = ("# brinkmann metric definition\n"
           "# convention: g = -2 du (dv + H du + W_i dx^i) + g_ij dx^i dx^j\n")
+MAX_DIMENSION = 10  # leaf indices are single digits: g keys run g22 .. g99
+
+
+def check_dimension(n: int, name: str = "dimension") -> int:
+    """``n``, refused unless in 2 .. MAX_DIMENSION, before anything of its size is built."""
+    if not 2 <= n <= MAX_DIMENSION:
+        raise ValueError(f"{name} must be in 2 .. {MAX_DIMENSION} (leaf indices are single "
+                         f"digits), got {n}")
+    return n
 
 
 class MetricFileError(ValueError):
@@ -141,6 +150,14 @@ def _int(entry: _Entry, filename: str) -> int:
                               filename, entry.line, entry.col) from None
 
 
+def _dimension(entry: _Entry, filename: str) -> int:
+    n = _int(entry, filename)
+    try:
+        return check_dimension(n)
+    except ValueError as err:
+        raise MetricFileError(str(err), filename, entry.line, entry.col) from None
+
+
 def _float(entry: _Entry, filename: str, text: str | None = None) -> float:
     """The finite number ``text`` (by default the entry's value), located at the entry."""
     text = entry.value if text is None else text
@@ -170,10 +187,7 @@ def parse_metric_text(text: str, filename: str = "<metric>") -> MetricSpec:
     else:
         if "dimension" not in metric:
             raise MetricFileError("missing dimension", filename, 1, 1)
-        n = _int(metric["dimension"], filename)
-        if n < 2:
-            raise MetricFileError("dimension must be at least 2", filename,
-                                  metric["dimension"].line, metric["dimension"].col)
+        n = _dimension(metric["dimension"], filename)
         H = "0"
         W: dict[int, str] = {}
         g: dict[tuple[int, int], str] = {}
@@ -245,7 +259,7 @@ def _expand_generator(gen: dict[str, _Entry], filename: str) -> MetricSpec:
     if "dimension" not in gen or "order" not in gen:
         raise MetricFileError("cw generator needs dimension and order", filename,
                               gen["kind"].line, gen["kind"].col)
-    d = _int(gen["dimension"], filename)
+    d = _dimension(gen["dimension"], filename)
     r = _int(gen["order"], filename)
     if r < 1:
         raise MetricFileError("order must be >= 1", filename,

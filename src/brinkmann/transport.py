@@ -41,7 +41,7 @@ and the command refuses a d0 run whose u range leaves it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -222,7 +222,7 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
         """Refuse node k outside the box."""
         for i, (lo, hi) in zip(chart_axes, edges):
             if not lo <= state[i] <= hi:
-                check_in_box(replace(spec, box=tuple(box)), [state[chart_axes]],
+                check_in_box(box, [state[chart_axes]],
                              lambda _: f"geodesic node {k}, tau = {float(taus[k])!r},", steps)
 
     def f(stage: tuple[int, int], state: np.ndarray) -> np.ndarray:
@@ -274,7 +274,7 @@ def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
     the latter naming the first u where it occurs; a transported vector that
     overflows is a ``RuntimeError`` naming its u.
     """
-    check_in_box(spec, [p.coords], lambda k: "start point")
+    check_in_box(spec.box, [p.coords], lambda k: "start point")
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = step_size(u_span, steps)
     us, grid, rows = stage_grid(p.u, h, steps)
@@ -304,20 +304,20 @@ def _box_edges(box: Sequence[tuple[float, float]], steps: int) -> tuple[np.ndarr
     return lo - slack, hi + slack
 
 
-def check_in_box(spec: MetricSpec, points: Sequence[Sequence[float]],
+def check_in_box(box: Sequence[tuple[float, float]], points: Sequence[Sequence[float]],
                  row: Callable[[int], str], steps: int = 0) -> None:
     """Refuse the first row k of chart coordinates (u, x2, ..) in ``points``
-    outside the admissible box, naming ``row(k)``, the coordinate, its value
-    and its bounds.  A row reached after ``steps`` integration steps may lie
-    past an edge by their rounding (``_box_edges``); at the default
+    outside ``box`` (as ``spec.box``), naming ``row(k)``, the coordinate, its
+    value and its bounds.  A row reached after ``steps`` integration steps may
+    lie past an edge by their rounding (``_box_edges``); at the default
     ``steps = 0`` the edges are exact.  A NaN lies outside."""
     points = np.asarray(points, dtype=float)
-    lo, hi = _box_edges(spec.box, steps)
+    lo, hi = _box_edges(box, steps)
     outside = ~((points >= lo) & (points <= hi))
     if outside.any():
         k, i = np.argwhere(outside)[0]
         name = "u" if i == 0 else f"x{i + 1}"
-        low, high = spec.box[i]
+        low, high = box[i]
         raise ValueError(f"{row(k)} {name} = {float(points[k, i])!r} lies outside the box "
                          f"{name} in [{float(low)!r}, {float(high)!r}]")
 
@@ -332,7 +332,7 @@ def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None 
     v-component overflows are ``ValueError``s.
     """
     m = spec.m
-    check_in_box(spec, [p.coords], lambda k: "start point")
+    check_in_box(spec.box, [p.coords], lambda k: "start point")
     a = np.zeros(m) if leaf_part is None else np.asarray(leaf_part, dtype=float)
     if a.shape != (m,):
         raise ValueError(f"--leaf-part has {a.size} entries; the leaf dimension m = {m} "

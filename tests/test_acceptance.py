@@ -12,9 +12,8 @@ import pytest
 from brinkmann import expr as E
 from brinkmann import jets as J
 from brinkmann.chart import ChartPoint
-from brinkmann.classify import (A_TILDE_ORDER, algebra_lemma_probe, check_theorem_redu,
-                                eisenhart_split, evaluate_samples, extract_A_tilde, sample_points,
-                                symmetry_order)
+from brinkmann.classify import (algebra_lemma_probe, check_theorem_redu, eisenhart_split,
+                                evaluate_samples, extract_A_tilde, sample_points, symmetry_order)
 from brinkmann.canonical import reconstruct
 from brinkmann.spaces import (CwParams, FIXTURE_NAMES, apply_chart_change, fixture,
                               make_cw, random_affine_change)
@@ -90,7 +89,7 @@ def test_criterion_4_A_tilde_structure():
     """A-tilde lives on the flat Ricci block, is parallel, and its spectrum
     is invariant under 20 random affine chart changes."""
     spec = fixture("cw4_r2_x_sphere")
-    evaluations = evaluate_samples(spec, depth=1, order=A_TILDE_ORDER)
+    evaluations = evaluate_samples(spec, depth=1)
     atil = extract_A_tilde(evaluations)
     split = eisenhart_split(evaluations)
     supported = split.atil_on_flat_block is True
@@ -99,14 +98,14 @@ def test_criterion_4_A_tilde_structure():
 
     base = fixture("cw4_r2")
     base_eigs = np.sort(extract_A_tilde(
-        evaluate_samples(base, depth=1, order=A_TILDE_ORDER)).eigenvalues[-1])
+        evaluate_samples(base, depth=1)).eigenvalues[-1])
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(20):
         change = random_affine_change(base, rng)
         moved = apply_chart_change(base, change)
         eigs = np.sort(extract_A_tilde(
-            evaluate_samples(moved, depth=1, order=A_TILDE_ORDER)).eigenvalues[-1])
+            evaluate_samples(moved, depth=1)).eigenvalues[-1])
         worst = max(worst, float(np.max(np.abs(eigs - base_eigs))))
     ok = supported and parallel and worst < 1e-8
     _report("4", ok, f"flat-block support {supported}, grad/d0 residuals "

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from brinkmann.classify import (A_TILDE_ORDER, EngineDisagreement, algebra_lemma_probe,
+from brinkmann.classify import (EngineDisagreement, algebra_lemma_probe,
                                 check_theorem_redu, eisenhart_split, evaluate_samples,
                                 extract_A_tilde, gbar_eigh, sample_points, symmetry_order)
 from brinkmann.curvature import FRAME_BLOCKS
@@ -13,8 +13,8 @@ from brinkmann.spaces import (CwParams, apply_chart_change, fixture, make_cw, ma
 
 
 def _atil_stack(spec):
-    """The stack ``extract_A_tilde`` reads: depth 1 at jet order A_TILDE_ORDER."""
-    return evaluate_samples(spec, depth=1, order=A_TILDE_ORDER)
+    """The stack ``extract_A_tilde`` reads: depth 1."""
+    return evaluate_samples(spec, depth=1)
 
 
 def test_sample_points_deterministic_and_inside_box():
@@ -285,28 +285,27 @@ def test_extract_A_tilde_on_a_chart_without_leaf_is_an_empty_parallel_report():
     assert rep.grad_parallel and rep.d0_parallel and rep.affine_in_u
 
 
-def test_extract_A_tilde_refuses_short_jets():
-    spec = fixture("cw4_r2")
-    with pytest.raises(ValueError, match="jet order >= 4"):
-        extract_A_tilde(evaluate_samples(spec, depth=1))
-    with pytest.raises(ValueError, match="jet order >= 4"):
-        extract_A_tilde(evaluate_samples(spec, depth=0, order=4))
+def test_extract_A_tilde_refuses_depth_zero_evaluations():
+    evals = evaluate_samples(fixture("cw4_r2"), depth=0)
+    assert (evals.Atil_grad, evals.Atil_d0, evals.A_uu) == (None, None, None)
+    with pytest.raises(ValueError, match=r"^extract_A_tilde needs evaluations of depth >= 1 "
+                                         r"\(got depth 0\)"):
+        extract_A_tilde(evals)
 
 
-@pytest.mark.parametrize("jet, exponent, sample, residual", [
-    ("Atil", (0, 1, 0), 2, "grad_residual"),     # d/dx2, read only by the leaf gradient
-    ("Atil", (1, 0, 0), 3, "d0_residual"),       # d/du, read only by the transverse one
-    ("A", (2, 0, 0), 1, "affine_residual"),      # d2/du2, read only by the affine test
+@pytest.mark.parametrize("field, sample, residual", [
+    ("Atil_grad", 2, "grad_residual"),
+    ("Atil_d0", 3, "d0_residual"),
+    ("A_uu", 1, "affine_residual"),
 ])
-def test_a_non_finite_A_tilde_residual_is_a_located_error(jet, exponent, sample, residual):
+def test_a_non_finite_A_tilde_residual_is_a_located_error(field, sample, residual):
     # max(0.0, nan) is 0.0 in Python, so a NaN residual must not be folded that way
     spec = fixture("cw4_r2")
     samples = sample_points(spec)
-    evals = evaluate_samples(spec, samples, depth=1, order=A_TILDE_ORDER)
+    evals = evaluate_samples(spec, samples, depth=1)
     rep = extract_A_tilde(evals, check_affine=True)
     assert rep.grad_parallel and rep.d0_parallel and rep.affine_in_u
-    target = getattr(evals, jet)
-    target.data[sample, ..., target.ctx.index(exponent)] = np.nan
+    getattr(evals, field)[sample, 0, 0] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=rf"^A_tilde {residual} is nan at sample \[") as err:
             extract_A_tilde(evals, check_affine=True)

@@ -143,6 +143,16 @@ def test_generate_cw_d2(capsys):
     assert "H =" not in out      # H identically zero is omitted (defaults to 0)
 
 
+def test_generate_cw_refuses_a_dimension_a_metric_file_cannot_address(capsys):
+    code, out, err = run(capsys, "generate", "cw", "-d", "11", "-r", "1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: --dimension must be in 2 .. 10 (leaf indices are single digits), got 11"]
+    code, out, err = run(capsys, "generate", "cw", "-d", "10", "-r", "2")
+    assert (code, err) == (0, "")
+    assert "dimension = 10" in out
+
+
 @pytest.mark.parametrize("level", ["1", "3", "-1", "x"])
 def test_generate_cw_level_outside_the_order_is_an_error(capsys, level):
     code, out, err = run(capsys, "generate", "cw", "-d", "4", "-r", "1", "--P", f"{level}=1 0; 0 1")
@@ -493,6 +503,56 @@ def test_transport_refuses_an_overflowing_field_where_it_arises(tmp_path_factory
     assert (code, out.getvalue()) == (1, "")
     assert re.fullmatch(rf"error: non-finite (d/du of )?{field} at \(0\.999, 0\.5, 0\.5\)\n",
                         err.getvalue())
+
+
+# The same factors on the plane wave H = u x3^2.  In H and W_2 the curvature
+# jets overflow at the samples; in g_22 (times 1e-300) only above u = 0.87 or
+# so, past every sample, so check reports and canonicalize meets the overflow
+# on its u grid.
+OVERFLOWING_PLANE_WAVES = {"H": 'H = "exp({e!r} * u) * x2^2 * 0.5 + u * x3^2"',
+                           "W_2": 'H = "u * x3^2"\nW2 = "exp({e!r} * u) * x3 * 0.5"',
+                           "g_22": 'H = "u * x3^2"\ng22 = "1 + exp({e!r} * u) * 1e-300"'}
+# Report keys whose null is part of the schema, not a non-finite number.
+NULL_BY_SCHEMA = {"affine_in_u", "affine_residual", "zero_cluster", "atil_on_flat_block"}
+LOCATED_OVERFLOW = re.compile(
+    r"error: (engine/oracle agreement is nan \(worst block \w+ at sample \[[^]]+\]\): .*"
+    r"|non-finite tdot in the flat-block data at u = [-+.e\d]+)\n")
+
+
+def _only_finite_numbers(value, key=None) -> bool:
+    if isinstance(value, dict):
+        return all(_only_finite_numbers(v, k) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_only_finite_numbers(v, key) for v in value)
+    if value is None:
+        return key in NULL_BY_SCHEMA
+    return not isinstance(value, float) or bool(np.isfinite(value))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(OVERFLOWING_PLANE_WAVES)), st.floats(709.0, 800.0))
+def test_an_overflow_in_check_or_canonicalize_is_located_never_a_verdict(tmp_path_factory, field,
+                                                                       exponent):
+    path = tmp_path_factory.mktemp("overflow") / "field.metric"
+    path.write_text(f"[metric]\ndimension = 4\n"
+                    f"{OVERFLOWING_PLANE_WAVES[field].format(e=exponent)}\n"
+                    "\n[box]\nu = -1 1\nx2 = -1 1\nx3 = -1 1\n")
+    codes = []
+    for command in ("check", "canonicalize"):
+        out, err = io.StringIO(), io.StringIO()
+        # a numpy warning would raise here: the suite turns RuntimeWarnings into errors
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes.append(main([command, str(path)]))
+        if codes[-1] == 1:
+            assert out.getvalue() == ""
+            assert LOCATED_OVERFLOW.fullmatch(err.getvalue()), err.getvalue()
+        else:
+            assert err.getvalue() == ""
+            # json.loads reads NaN and Infinity too; none may appear, and null
+            # only where the schema puts it
+            report = json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(c))
+            assert _only_finite_numbers(report)
+    assert codes == ([0, 1] if field == "g_22" else [1, 1])
 
 
 @pytest.mark.parametrize("point", [["0", "0"], ["0", "0", "0", "0"]], ids=["short", "long"])

@@ -210,9 +210,10 @@ def test_d0_grad_commutator_property():
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
-def test_order_too_small_raises():
-    with pytest.raises(ValueError):
-        curvature_at(fixture("flat"), ChartPoint(0.0, (0.0, 0.0)), order=3, depth=2)
+@pytest.mark.parametrize("depth, order", [(0, 1), (1, 3), (2, 3)])
+def test_order_too_small_raises(depth, order):
+    with pytest.raises(ValueError, match=f"jet order {order} too small for depth {depth}"):
+        curvature_at(fixture("flat"), ChartPoint(0.0, (0.0, 0.0)), order=order, depth=depth)
 
 
 def test_two_dimensional_chart_is_trivially_flat():
@@ -221,14 +222,17 @@ def test_two_dimensional_chart_is_trivially_flat():
     assert [_depth_norm([cc.blocks], d) for d in range(3)] == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_default_order_matches_order_5(name):
-    # Depth 2 needs jets of order 4; a fifth order must not change any block.
+def test_default_order_matches_order_5(name, depth):
+    # Depths 1 and 2 need jets of order 4; a fifth order must not change any
+    # block, nor the values behind the A_tilde report.
     spec = fixture(name)
     p = spec.center()
-    low, high = curvature_at(spec, p, depth=2), curvature_at(spec, p, order=5, depth=2)
+    low, high = curvature_at(spec, p, depth=depth), curvature_at(spec, p, order=5, depth=depth)
     assert low.cj.order == 4
     assert list(low.blocks) == list(high.blocks)
-    for key, val in low.blocks.items():
-        ref = np.asarray(high.blocks[key])
+    values = {**low.blocks, "Atil_grad": low.Atil_grad, "Atil_d0": low.Atil_d0, "A_uu": low.A_uu}
+    for key, val in values.items():
+        ref = np.asarray(high.blocks[key] if key in high.blocks else getattr(high, key))
         assert np.all(np.abs(np.asarray(val) - ref) <= 1e-13 * (1.0 + np.abs(ref))), key

@@ -210,7 +210,7 @@ def test_mul_buckets_partition_the_flat_pairs(nv, order):
     ctx = J.context(nv, order)
     ka, kb, ko = ctx.mul_flat()
     seen = []
-    for outs, bka, bkb in ctx.mul_buckets():
+    for outs, bka, bkb in ctx.mul_tables(ctx.all_vars, ctx.all_vars).buckets:
         assert bka.shape == bkb.shape == (len(outs), bka.shape[1])
         for row, k in enumerate(outs):
             run = ko == k   # the pairs of output k, in mul_flat order

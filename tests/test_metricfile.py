@@ -130,6 +130,24 @@ def test_symmetric_g_duplicate_consistent_ok():
     assert expr.to_text(spec.g[0][1]) == "u"
 
 
+@pytest.mark.parametrize("head", ["[metric]\n", "[generator]\nkind = cw\norder = 1\n"])
+def test_a_dimension_the_format_cannot_address_is_refused_where_it_is_written(head):
+    # g keys carry single-digit leaf indices, so 10 is the largest dimension a file
+    # can write; a larger one is refused before its m^2 entries are built
+    line = head.count("\n") + 1
+    for n in (11, 1000, 1):
+        with pytest.raises(MetricFileError) as err:
+            parse_metric_text(f"{head}dimension = {n}\n", filename="f.metric")
+        assert str(err.value) == (f"f.metric:{line}:13: dimension must be in 2 .. 10 "
+                                  f"(leaf indices are single digits), got {n}")
+    assert parse_metric_text(f"{head}dimension = 10\n").n == 10
+
+
+def test_the_largest_dimension_addresses_its_last_leaf_entry():
+    spec = parse_metric_text('[metric]\ndimension = 10\nW9 = "u"\ng99 = "2"\n')
+    assert (expr.to_text(spec.W[7]), expr.to_text(spec.g[7][7])) == ("u", "2.0")
+
+
 def test_generator_validation():
     with pytest.raises(MetricFileError, match="kind"):
         parse_metric_text("[generator]\nkind = nope\ndimension = 4\norder = 1\n")

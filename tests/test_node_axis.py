@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from brinkmann import classify
 from brinkmann.chart import NODE_BLOCK, ChartPoint, MetricDefinitenessError, MetricSpec, \
     compute_h_t, eval_metric, frame_components
-from brinkmann.classify import A_TILDE_ORDER, evaluate_samples, sample_points
+from brinkmann.classify import evaluate_samples, sample_points
 from brinkmann.curvature import curvature_at
 from brinkmann.jets import JetDomainError
 from brinkmann.metricfile import load_metric_file
@@ -200,8 +200,8 @@ def test_the_oracle_runs_on_sub_stacks_sized_by_the_dimension(monkeypatch, n, co
 def test_samples_across_a_node_block_boundary_equal_the_blocks_evaluated_alone():
     spec = random_polynomial_spec(3, n=5)
     samples = sample_points(spec, count=NODE_BLOCK + 5)
-    whole = evaluate_samples(spec, samples, depth=2, order=A_TILDE_ORDER)
-    parts = [evaluate_samples(spec, part, depth=2, order=A_TILDE_ORDER)
+    whole = evaluate_samples(spec, samples, depth=2)
+    parts = [evaluate_samples(spec, part, depth=2)
              for part in (samples[:NODE_BLOCK], samples[NODE_BLOCK:])]
     assert [len(ev.point.u) for ev in [whole] + parts] == [NODE_BLOCK + 6, NODE_BLOCK, 6]
 
@@ -215,9 +215,9 @@ def test_samples_across_a_node_block_boundary_equal_the_blocks_evaluated_alone()
         assert list(stack) == list(getattr(parts[0], name))
         for key, value in stack.items():
             assert joined(value, [getattr(ev, name)[key] for ev in parts]), (name, key)
-    for name in ("g", "gamma", "tup", "A", "Atil"):
-        assert joined(getattr(whole, name).data, [getattr(ev, name).data for ev in parts]), name
-    assert (whole.depth, whole.order) == (2, A_TILDE_ORDER)
+    for name in ("gbar", "Atil_grad", "Atil_d0", "A_uu"):
+        assert joined(getattr(whole, name), [getattr(ev, name) for ev in parts]), name
+    assert whole.depth == 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -235,7 +235,7 @@ def _loop_message(spec: MetricSpec, samples: list[ChartPoint]) -> str:
     then oracle, sample by sample."""
     with pytest.raises(ValueError) as err:
         for p in samples:
-            curvature_at(spec, p, order=A_TILDE_ORDER, depth=2)
+            curvature_at(spec, p, depth=2)
             frame_blocks_from_oracle(spec, p, depth=2)
     return f"{type(err.value).__name__}: {err.value}"
 
@@ -253,6 +253,6 @@ def test_evaluate_samples_raises_the_error_of_a_loop_over_the_samples(us, failin
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _loop_message(spec, samples)
         with pytest.raises(ValueError) as err:
-            evaluate_samples(spec, samples, depth=2, order=A_TILDE_ORDER)
+            evaluate_samples(spec, samples, depth=2)
     assert f"{type(err.value).__name__}: {err.value}" == expected
     assert expected.endswith(failing)

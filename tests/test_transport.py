@@ -126,19 +126,19 @@ def test_box_allowance_is_the_rounding_of_the_steps(steps):
         return f"node {k}"
 
     for value in (1.0, np.nextafter(1.0, 2.0), edge):
-        transport.check_in_box(spec, [[0.0, 0.0, 0.0], [0.5, -value, value]], node, steps)
-        transport.check_in_box(spec, [[value, 0.0, 0.0], [-value, 0.0, 0.0]], node, steps)
+        transport.check_in_box(spec.box, [[0.0, 0.0, 0.0], [0.5, -value, value]], node, steps)
+        transport.check_in_box(spec.box, [[value, 0.0, 0.0], [-value, 0.0, 0.0]], node, steps)
     for row, name in (([past, 0.0, 0.0], "u"), ([0.0, -past, 0.0], "x2"),
                       ([0.0, 0.0, past], "x3")):
         with pytest.raises(ValueError, match=rf"^node 1 {name} = -?{re.escape(repr(past))} lies outside "
                                              rf"the box {name} in \[-1\.0, 1\.0\]$"):
-            transport.check_in_box(spec, [[0.0, 0.0, 0.0], row], node, steps)
+            transport.check_in_box(spec.box, [[0.0, 0.0, 0.0], row], node, steps)
     # a start point has no steps behind it: its edges are exact
     with pytest.raises(ValueError, match=r"^start point x3 = "):
-        transport.check_in_box(spec, [[0.0, 0.0, np.nextafter(1.0, 2.0)]],
+        transport.check_in_box(spec.box, [[0.0, 0.0, np.nextafter(1.0, 2.0)]],
                                lambda k: "start point")
     with pytest.raises(ValueError, match=r"^node 0 u = nan lies outside"):
-        transport.check_in_box(spec, [[np.nan, 0.0, 0.0]], node, steps)
+        transport.check_in_box(spec.box, [[np.nan, 0.0, 0.0]], node, steps)
 
 
 def test_parallel_transport_flat_constant():
