@@ -300,34 +300,48 @@ def jet_matrix_inverse(G: Jet) -> Jet:
     return jet_einsum(product, S, G0inv_jet)
 
 
-def _run_tape(spec: MetricSpec, p: ChartPoint, run):
-    """``run()``, with a tape domain error located at its field and p."""
-    if len(p.x) != spec.m:
+def _run_tape(spec: MetricSpec, where: tuple, run):
+    """``run()``, with a tape domain error located at its field and the point
+    ``where`` (chart coordinates: floats, or arrays for a stack)."""
+    if len(where) != 1 + spec.m:
         raise ValueError("point dimension does not match the spec")
     try:
         return run()
     except expr.TapeDomainError as err:
         raise jets.JetDomainError(
-            f"{err.reason} in {spec.field_name(err.output)} at {p.coords}") from None
+            f"{err.reason} in {spec.field_name(err.output)} at {where}") from None
 
 
-def _check_leaf_metric(g0: np.ndarray, p: ChartPoint) -> None:
-    """Raise MetricDefinitenessError unless the numeric g_ij at p is finite and
+def _check_leaf_metric(g0: np.ndarray, where: tuple) -> None:
+    """Raise MetricDefinitenessError unless the numeric g_ij is finite and
     positive definite, with its smallest Cholesky pivot above PIVOT_RATIO times
-    the largest.  A non-finite entry is named in chart labels (x2 is leaf index 0).
-    A stack is tested at once; ``first_failing_node`` then names the node."""
-    finite = np.isfinite(g0)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0][-2:]
-        raise MetricDefinitenessError(f"non-finite g_{i + 2}{j + 2} at {p.coords}")
+    the largest; ``where`` (chart coordinates) names the point.  A non-finite
+    entry is named in chart labels (x2 is leaf index 0).  One point (m, m) is
+    tested on Python floats; a stack (N, m, m) is tested at once, and
+    ``first_failing_node`` then names the node."""
+    if g0.ndim == 2:
+        m, entries = len(g0), g0.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
+            i, j = divmod(next(k for k, x in enumerate(entries) if not math.isfinite(x)), m)
+            raise MetricDefinitenessError(f"non-finite g_{i + 2}{j + 2} at {where}")
+    else:
+        finite = np.isfinite(g0)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0][-2:]
+            raise MetricDefinitenessError(f"non-finite g_{i + 2}{j + 2} at {where}")
     try:
         L = np.linalg.cholesky(g0)
     except np.linalg.LinAlgError:
-        raise MetricDefinitenessError(f"leaf metric not positive definite at {p.coords}") from None
-    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    if (pivots.min(axis=-1, initial=np.inf)
-            <= PIVOT_RATIO * pivots.max(axis=-1, initial=0.0)).any():
-        raise MetricDefinitenessError(f"leaf metric nearly degenerate at {p.coords}")
+        raise MetricDefinitenessError(f"leaf metric not positive definite at {where}") from None
+    if g0.ndim == 2:
+        pivots = [d * d for d in L.diagonal().tolist()]   # the bits of diagonal ** 2
+        degenerate = bool(pivots) and min(pivots) <= PIVOT_RATIO * max(pivots)
+    else:
+        pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+        degenerate = (pivots.min(axis=-1, initial=np.inf)
+                      <= PIVOT_RATIO * pivots.max(axis=-1, initial=0.0)).any()
+    if degenerate:
+        raise MetricDefinitenessError(f"leaf metric nearly degenerate at {where}")
 
 
 def eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
@@ -349,7 +363,7 @@ def eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
 
 def _eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     nv, m = spec.num_vars, spec.m
-    fields = _run_tape(spec, p, lambda: expr.eval_jet(
+    fields = _run_tape(spec, p.coords, lambda: expr.eval_jet(
         spec.tape, _seed_env(spec, p, order), nv, order))
     ctx = fields[0].ctx
     # a field constant on the tape has no node axis yet
@@ -358,23 +372,27 @@ def _eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
         data[..., 0, :], data[..., 1:1 + m, :],
         data[..., 1 + m:, :].reshape(p.shape + (m, m, ctx.ncoeffs))))
     g0 = g.value()
-    _check_leaf_metric(g0, p)
+    _check_leaf_metric(g0, p.coords)
     return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0), data)
 
 
-def metric_coefficients(spec: MetricSpec, p: ChartPoint) -> np.ndarray:
-    """The order-1 jet coefficients of H, W_i and g_ij about p, from the compiled tape.
+def metric_coefficients(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
+    """The order-1 jet coefficients of H, W_i and g_ij about a point given by its
+    chart coordinates (u, x2, ..) as floats, from the compiled tape.
 
     Row k holds tape output k (H, then W_i, then g_ij row-major): the value,
     which is also the order-0 value, then the first partials.  The coefficients,
-    the checks and the errors are those of ``eval_metric``, bit for bit.
+    the checks and the errors are those of ``eval_metric`` at
+    ``ChartPoint(point[0], point[1:])``, bit for bit, and no ``ChartPoint`` is built.
     """
+    point, m = tuple(point), spec.m
+    if not all(map(math.isfinite, point)):
+        raise ValueError("chart point has non-finite coordinates")
     run = spec.tape.compiled(spec.num_vars)
-    rows = _run_tape(spec, p, lambda: run(p.coords))
+    rows = _run_tape(spec, point, lambda: run(point))
     out = np.fromiter(itertools.chain.from_iterable(rows), float,
                       len(rows) * len(rows[0])).reshape(len(rows), -1)
-    m = spec.m
-    _check_leaf_metric(out[1 + m:, 0].reshape(m, m), p)
+    _check_leaf_metric(out[1 + m:, 0].reshape(m, m), point)
     return out
 
 

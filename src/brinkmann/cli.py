@@ -145,7 +145,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .spaces import make_cw, make_product
+    from .spaces import block_dimension, make_cw, make_product
 
     if args.kind == "cw":
         d, r = metricfile.check_dimension(args.dimension, "--dimension"), args.order
@@ -170,6 +170,7 @@ def cmd_generate(args) -> int:
             raise ValueError("product generation needs --base FILE")
         spec = _load(args.base)
         for b in args.block or ["sphere"]:
+            metricfile.check_dimension(spec.n + block_dimension(b, args.radius), "product dimension")
             spec = make_product(spec, b, radius=args.radius)
         comment = f"product of {args.base} with {', '.join(args.block or ['sphere'])}"
     else:
@@ -267,22 +268,19 @@ def cmd_transport(args) -> int:
         traj = geodesic_integrate(spec, [point.u, 0.0, *point.x], v0, span, args.steps,
                                   box=spec.box)
     if args.experiment == "geodesic":
-        energy = traj.energy()
-        pairing = traj.k_pairing()
         cols = ["u", "v", *names[1:]]
         rows = ["tau," + ",".join(cols) + ","
                 + ",".join("d" + c for c in cols) + ",energy,k_pairing"]
-        for k in range(len(traj.tau)):
-            vals = ([traj.tau[k]] + list(traj.coords[k]) + list(traj.velocity[k])
-                    + [energy[k], pairing[k]])
-            rows.append(",".join(_fmt_float(float(v)) for v in vals))
+        for tau, x, v, energy, pairing in zip(
+                traj.tau.tolist(), traj.coords.tolist(), traj.velocity.tolist(),
+                traj.energy().tolist(), traj.k_pairing().tolist()):
+            rows.append(",".join(map(_fmt_float, [tau, *x, *v, energy, pairing])))
     elif args.experiment == "nullsec":
         x_vec = np.zeros(spec.n)
         x_vec[2] = 1.0
         res = null_sectional_growth(spec, traj, x_vec)
-        rows = ["tau,K"]
-        for k in range(len(traj.tau)):
-            rows.append(f"{_fmt_float(float(res['tau'][k]))},{_fmt_float(float(res['K'][k]))}")
+        rows = ["tau,K"] + [f"{_fmt_float(tau)},{_fmt_float(K)}"
+                            for tau, K in zip(res["tau"].tolist(), res["K"].tolist())]
         rows.append(f"# max_second_difference,{_fmt_float(res['max_second_difference'])}")
     else:
         if args.leaf_part is not None:
@@ -294,9 +292,8 @@ def cmd_transport(args) -> int:
                      args.steps)
         us, X = d0_transport(spec, point, np.eye(m), span, args.steps)
         rows = ["u," + ",".join(f"X{v}_{i + 2}" for v in range(m) for i in range(m))]
-        for k in range(len(us)):
-            rows.append(",".join([_fmt_float(float(us[k]))]
-                                 + [_fmt_float(float(x)) for x in X[k].ravel()]))
+        rows += [",".join(map(_fmt_float, [u, *x]))
+                 for u, x in zip(us.tolist(), X.reshape(len(us), m * m).tolist())]
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 

@@ -25,6 +25,7 @@ values are also order 0's.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -552,6 +553,9 @@ def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
 # a 0-d array, as the jet functions take them, so a domain error names the
 # first output that needs it; ``Jet._compose``'s order-1 result is then c0,
 # and c1 times each coefficient of the operand's support summed from 0.0.
+# A function of a literal (the reciprocal behind ``/ 2.0``, say) is that same
+# call made once, while the code is emitted, and its (c0, c1) are literals;
+# outside the function's domain it stays a call, so every run raises there.
 #
 # The lines are cut into functions of ``_CHUNK`` lines, compiled one at a time.
 # Each function takes the registers that are live into it as arguments and
@@ -693,10 +697,19 @@ class _Emitter:
     def mul(self, a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
         return self.jet(self.products(a, b), a[1] | b[1])
 
+    def coefficients(self, func: str, x: _Coef, out: int) -> tuple:
+        """The Taylor coefficients (c0, c1) of ``func`` about x: literals, taken once
+        here, when x is a literal in the function's domain; otherwise two registers
+        set by a ``taylor`` call on every run, which raises where ``eval_jet`` does."""
+        if type(x) is float:
+            with contextlib.suppress(TapeDomainError):
+                return _taylor(func, x, out)
+        return tuple(self.line(f"taylor({func!r}, {self.text(x)}, {out})", 2))
+
     def taylor(self, func: str, a: tuple[list, int], out: int) -> tuple[list, int]:
         """``Jet._compose`` at order 1: c0, then c1 * (a - a0) summed as a product."""
         xa, sa = a
-        c0, c1 = self.line(f"taylor({func!r}, {self.text(xa[0])}, {out})", 2)
+        c0, c1 = self.coefficients(func, xa[0], out)
         sums = self.products(([c1] + [0.0] * self.num_vars, 0), ([0.0] + xa[1:], sa))
         return self.jet([c0] + sums[1:], sa)
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import expr
 from .chart import MetricSpec
-from .spaces import CwParams, make_cw, make_product
+from .spaces import CwParams, block_dimension, make_cw, make_product
 
 __all__ = ["MetricFileError", "MAX_DIMENSION", "check_dimension", "parse_metric_text",
            "parse_matrix", "load_metric_file", "spec_to_text", "generator_to_text"]
@@ -285,10 +285,21 @@ def _expand_product(spec: MetricSpec, section: dict[str, _Entry], filename: str)
     radius = _float(section["radius"], filename) if "radius" in section else 1.0
     k = _int(section["k"], filename) if "k" in section else 2
     try:
-        return make_product(spec, name, radius=radius, k=k)
+        extra = block_dimension(name, radius, k)
     except ValueError as err:
-        where = kind if radius > 0.0 else section["radius"]   # make_product tests radius first
+        where = kind if radius > 0.0 else section["radius"]   # the radius is tested first
         raise MetricFileError(str(err), filename, where.line, where.col) from None
+    if name == "euclidean" and "k" in section:
+        where = section["k"]
+        if k < 1:
+            raise MetricFileError(f"k must be at least 1, got {k}", filename, where.line, where.col)
+    else:
+        where = kind
+    try:
+        check_dimension(spec.n + extra, "product dimension")
+    except ValueError as err:
+        raise MetricFileError(str(err), filename, where.line, where.col) from None
+    return make_product(spec, name, radius=radius, k=k)
 
 
 def load_metric_file(path: str) -> MetricSpec:

@@ -255,17 +255,23 @@ def make_cw(params: CwParams, box: Sequence[tuple[float, float]] | None = None) 
 SPHERE_BOX = (0.3, 2.8)  # colatitude range away from both poles
 
 
+def block_dimension(block: str, radius: float = 1.0, k: int = 2) -> int:
+    """The leaf directions ``make_product`` appends: k for a euclidean block, 2
+    otherwise.  A radius or block kind it cannot build is refused first."""
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    if block not in ("sphere", "hyperbolic", "euclidean"):
+        raise ValueError(f"unknown block kind {block!r}")
+    return k if block == "euclidean" else 2
+
+
 def make_product(base: MetricSpec, block: str, radius: float = 1.0, k: int = 2) -> MetricSpec:
     """Append a Riemannian block (sphere, hyperbolic or euclidean) to the leaf.
 
     Sphere and hyperbolic blocks are 2-dimensional in polar-style
     coordinates; ``k`` only applies to euclidean blocks.
     """
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"radius must be finite and positive, got {radius!r}")
-    if block not in ("sphere", "hyperbolic", "euclidean"):
-        raise ValueError(f"unknown block kind {block!r}")
-    extra = k if block == "euclidean" else 2
+    extra = block_dimension(block, radius, k)
     m_old = base.m
     n_new = base.n + extra
     m_new = m_old + extra

@@ -5,26 +5,32 @@ the assembled n-dimensional metric, formed by the coordinate oracle's one
 formula (``oracle.christoffel``, from the values of G's first partials and
 the inverse of G's value); only the transverse transport along E_0 uses the
 leaf-level equation, since its unknown lives on the leaves.  At a single
-point (an RK4 stage, the start of a null geodesic) no jet is built: the
-spec's tape, compiled to straight-line code at order 1 in which every
-coefficient is a local float (``chart.metric_coefficients``), gives the
-coefficients of H, W_i and g_ij, and one precomputed index take with exact
-factors, derived from ``oracle.metric_layout`` as the stacked
-``full_metric`` is, reads G's value and first partials from them, bit for
-bit the jet assembly's.  A non-finite value or first partial is refused
-there, naming the field, the partial and the point, before it can reach
-the integrator.  The curvature, the analytic curves and the leaf-level data
-stay on jets.
+point (an RK4 stage, the start of a null geodesic) no jet and no
+``ChartPoint`` is built: the spec's tape, compiled to straight-line code at
+order 1 in which every coefficient is a local float, runs on the stage's
+coordinates as Python floats (``chart.metric_coefficients``), and the leaf
+gate tests its g_ij value on floats, one Cholesky factorization and no stack
+reductions.  One precomputed index take with exact factors, derived from
+``oracle.metric_layout`` as the stacked ``full_metric`` is, reads G's value
+and first partials from the tape's coefficients, bit for bit the jet
+assembly's.  The checks run in one order: a tape domain error, the leaf
+gate, then a non-finite value or first partial, each naming the field (and
+partial) and the point before anything can reach the integrator.  A stage
+then costs one ``np.linalg.inv`` and the connection einsums.  Stage 0 of
+each step evaluates G at the step's node, and the geodesic keeps that G
+(with one ``metric_values`` call at the last node), so its energy
+g(gamma', gamma') evaluates nothing again.  The curvature, the analytic
+curves and the leaf-level data stay on jets.
 
-energy, nullsec, d0 and the second-symmetry check know every point they
-evaluate before they start: the geodesic's nodes, the u rows of d0's
-``stage_grid`` and the stage rows of an analytic curve.  They stack them into
-one ``ChartPoint`` and evaluate it in the blocks of ``NODE_BLOCK`` points that
-``chart.node_blocks`` cuts, one stacked ``assemble_coordinate_metric``
-call (energy; nullsec adds ``coordinate_curvature``, the curve its
-Christoffel symbols) or ``eval_metric`` and ``compute_h_t`` call (d0) per
-block, with the numbers of the one-point calls; the block size bounds the
-memory the stacked jets take.
+nullsec, d0 and the second-symmetry check know every point they evaluate
+before they start: the geodesic's nodes, the u rows of d0's ``stage_grid``
+and the stage rows of an analytic curve.  They stack them into one
+``ChartPoint`` and evaluate it in the blocks of ``NODE_BLOCK`` points that
+``chart.node_blocks`` cuts, one stacked ``assemble_coordinate_metric`` call
+(nullsec adds ``coordinate_curvature``, the curve its Christoffel symbols)
+or ``eval_metric`` and ``compute_h_t`` call (d0) per block, with the numbers
+of the one-point calls; the block size bounds the memory the stacked jets
+take.
 
 States are (coords, velocity) with coords = (u, v, x^2 .. x^{n-1}).
 Conserved quantities along geodesics: g(gamma', gamma') and the pairing
@@ -41,6 +47,7 @@ and the command refuses a d0 run whose u range leaves it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,11 +76,6 @@ __all__ = [
 SECOND_SYMMETRY_TOL = 1e-6
 SECOND_SYMMETRY_STEPS = 160
 SECOND_SYMMETRY_SPAN = 1.0
-
-
-def _chart_point(coords: np.ndarray) -> ChartPoint:
-    u, _, *x = np.asarray(coords, dtype=float).tolist()
-    return ChartPoint(u, tuple(x))
 
 
 def _chart_points(coords: np.ndarray) -> ChartPoint:
@@ -119,11 +121,13 @@ def _value_and_gradient(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarra
     """G (n, n) and its first partials dG[a, b, mu] at a coordinate point, from the
     spec's compiled tape, with every check of ``assemble_coordinate_metric``.
 
-    A non-finite entry of G, or else of dG, is refused where it arises, naming
+    The tape runs on the coordinates as floats (``metric_coefficients``).  A
+    non-finite entry of G, or else of dG, is refused where it arises, naming
     the field, the partial and the point in ``check_finite``'s words.
     """
-    p = _chart_point(coords)
-    F = metric_coefficients(spec, p)
+    u, _, *x = np.asarray(coords, dtype=float).tolist()
+    point = (u, *x)
+    F = metric_coefficients(spec, point)
     n = spec.n
     index, factor, constant, value = _value_and_gradient_take(n)
     out = F.take(index) * factor
@@ -134,7 +138,7 @@ def _value_and_gradient(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarra
         if k >= n * n:
             k, mu = divmod(k - n * n, n)
             partial = f"d/d{'u' if mu == 0 else f'x{mu}'} of "
-        raise ValueError(f"non-finite {partial}{metric_field(*divmod(k, n))} at {p.coords}")
+        raise ValueError(f"non-finite {partial}{metric_field(*divmod(k, n))} at {point}")
     return out[:n * n].reshape(n, n), out[n * n:].reshape(n, n, n)
 
 
@@ -144,15 +148,17 @@ def metric_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     return _value_and_gradient(spec, coords)[0]
 
 
-def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
-    """Gamma^a_{bc} of the full metric at a coordinate point."""
+def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G, as ``metric_values`` gives it, and Gamma^a_{bc} of the full metric at
+    a coordinate point."""
     G, dG = _value_and_gradient(spec, coords)
-    return christoffel(dG, np.linalg.inv(G))
+    return G, christoffel(dG, np.linalg.inv(G))
 
 
 @dataclass
 class Trajectory:
-    """Sampled curve with velocities and the connection along its RK4 stages.
+    """Sampled curve with velocities and the connection along its RK4 stages;
+    a geodesic also keeps the metric at its nodes, which ``energy`` reads.
 
     ``connection[k, s]`` is the matrix Gamma^a_{bc} v^c at stage s of step k,
     the coefficient of parallel transport dW^a/dtau = -Gamma^a_{bc} W^b v^c.
@@ -161,21 +167,17 @@ class Trajectory:
     tau: np.ndarray
     coords: np.ndarray       # (k+1, n)
     velocity: np.ndarray     # (k+1, n)
-    spec: MetricSpec
     connection: np.ndarray   # (k, 4, n, n)
+    metric: np.ndarray | None = None   # (k+1, n, n): G at every node of a geodesic
 
     @property
     def steps(self) -> int:
         return len(self.tau) - 1
 
     def energy(self) -> np.ndarray:
-        """g(gamma', gamma') at every node, evaluated in blocks of nodes."""
-        out = np.empty(len(self.tau))
-        for block, p in node_blocks(_chart_points(self.coords)):
-            G = assemble_coordinate_metric(self.spec, p, order=0).G.value()
-            v = self.velocity[block]
-            out[block] = (v[:, None, :] @ G @ v[:, :, None])[:, 0, 0]   # the bits of v @ G @ v
-        return out
+        """g(gamma', gamma') at every node, from the metric recorded there."""
+        v = self.velocity
+        return (v[:, None, :] @ self.metric @ v[:, :, None])[:, 0, 0]   # the bits of v @ G @ v
 
     def k_pairing(self) -> np.ndarray:
         """g(K, gamma') with K = -d_v; equals the u-velocity."""
@@ -193,6 +195,9 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
     as ``spec.box``), the first node outside it, up to the rounding of
     ``steps`` steps, is refused with ``check_in_box``'s ``ValueError`` right
     after it is reached.
+
+    G at node k is the value that stage 0 of step k evaluated there, and at
+    the last node one ``metric_values`` call; ``Trajectory.energy`` reads it.
     """
     n = spec.n
     y = np.concatenate([np.asarray(coords0, dtype=float), np.asarray(velocity0, dtype=float)])
@@ -203,6 +208,7 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
     out = np.empty((steps + 1, 2 * n))
     out[0] = y
     connection = np.empty((steps, 4, n, n))
+    metric = np.empty((steps + 1, n, n))
     derivative = np.empty((4, 2 * n))   # stage s of the current step in row s
     names = ["u", "v"] + [f"x{i}" for i in range(2, n)]
     names += ["d" + c for c in names]
@@ -212,11 +218,12 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
 
     def check_finite(state: np.ndarray, k: int, s: int | None = None) -> None:
         """Refuse a non-finite state at stage s of step k, or at its end node."""
-        if not np.isfinite(state).all():
+        values = state.tolist()
+        if not all(map(math.isfinite, values)):
             tau = taus[k + 1] if s is None else taus[k] + (0.0, 0.5, 0.5, 1.0)[s] * h
-            i = int(np.argmin(np.isfinite(state)))
+            i = next(i for i, x in enumerate(values) if not math.isfinite(x))
             raise RuntimeError(f"geodesic integration blew up at step {k + 1}, "
-                               f"tau = {float(tau)!r}: {names[i]} = {float(state[i])!r}")
+                               f"tau = {float(tau)!r}: {names[i]} = {values[i]!r}")
 
     def check_inside(state: np.ndarray, k: int) -> None:
         """Refuse node k outside the box."""
@@ -228,7 +235,9 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
     def f(stage: tuple[int, int], state: np.ndarray) -> np.ndarray:
         k, s = stage
         check_finite(state, k, s)
-        gam = christoffel_values(spec, state[:n])
+        G, gam = christoffel_values(spec, state[:n])
+        if s == 0:
+            metric[k] = G
         v, acc = state[n:], derivative[s, n:]
         np.einsum("abc,c->ab", gam, v, out=connection[k, s])
         np.einsum("abc,b,c->a", gam, v, v, out=acc)
@@ -245,7 +254,8 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
             if box is not None:
                 check_inside(y, k + 1)
             out[k + 1] = y
-    return Trajectory(taus, out[:, :n], out[:, n:], spec, connection)
+        metric[steps] = metric_values(spec, y[:n])
+    return Trajectory(taus, out[:, :n], out[:, n:], connection, metric)
 
 
 def parallel_transport(traj: Trajectory, vectors0: np.ndarray) -> np.ndarray:
@@ -408,7 +418,7 @@ def _curve_trajectory(spec: MetricSpec,
         cm = assemble_coordinate_metric(spec, p, order=1)
         Gamma = christoffel(_cgrad(cm.G, spec.n).value(), cm.Ginv0)
         C[block] = np.einsum("kabc,kc->kab", Gamma, vel[block])
-    return Trajectory(taus, coords[::2], vel[::2], spec, C[rows])
+    return Trajectory(taus, coords[::2], vel[::2], C[rows])
 
 
 def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,

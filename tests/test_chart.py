@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from brinkmann import expr, jets
+from brinkmann import chart, expr, jets
 from brinkmann.chart import (ChartPoint, MetricDefinitenessError, MetricSpec,
                              christoffel_bar, compute_h_t, eval_metric, frame_components,
                              jet_matrix_inverse)
@@ -229,4 +230,64 @@ def test_non_finite_leaf_metric_is_named_at_every_order():
             with pytest.raises(MetricDefinitenessError, match=message):
                 eval_metric(spec, p, order)
         with pytest.raises(MetricDefinitenessError, match=message):
-            metric_coefficients(spec, p)
+            metric_coefficients(spec, p.coords)
+
+
+# -- the leaf gate at one point and on a stack ------------------------------------------
+
+
+def _leaf_matrix(kind, m, seed, sign, bad):
+    """A symmetric m x m leaf metric of the given kind, exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, m))
+    if kind == "indefinite":
+        g = A + A.T
+    elif kind == "pivot":
+        # g = L D L^T, its last pivot 1e-10 (1 + sign 1e-6) times the largest; L is
+        # near I, so the factorization recovers D far more closely than 1e-6
+        L = np.eye(m) + 0.1 * np.tril(A, -1)
+        d = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+        if m > 1:
+            d[-1] = d[:-1].max() * 1e-10 * (1.0 + sign * 1e-6)
+        g = L @ np.diag(d) @ L.T
+        g = 0.5 * (g + g.T)
+    else:
+        g = A @ A.T + 0.1 * np.eye(m)
+        g = 0.5 * (g + g.T)
+    if kind == "non-finite" and m:
+        i, j = rng.integers(m, size=2)
+        g[i, j] = g[j, i] = bad
+    return g
+
+
+def _gate_outcome(check):
+    try:
+        check()
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["spd", "pivot", "indefinite", "non-finite"]), st.integers(0, 4),
+       st.integers(0, 2**32 - 1), st.sampled_from([-1.0, 0.0, 1.0]),
+       st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_the_one_point_gate_decides_as_the_stacked_gate(kind, m, seed, sign, bad):
+    # the same error class and message, or both pass: on the matrix itself, and
+    # through eval_metric on a stack (first_failing_node) against metric_coefficients
+    g = _leaf_matrix(kind, m, seed, sign, bad)
+    where = (0.1,) + (0.3,) * m
+    one = _gate_outcome(lambda: chart._check_leaf_metric(g, where))
+    assert one == _gate_outcome(lambda: chart._check_leaf_metric(g[None], where))
+    assert one == _gate_outcome(lambda: chart._check_leaf_metric(np.stack([np.eye(m), g]),
+                                                                 where))
+    nums = [[expr.Num(float(g[i, j])) for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(i):
+            nums[i][j] = nums[j][i]
+    spec = MetricSpec(m + 2, expr.Num(0.0), (expr.Num(0.0),) * m, tuple(map(tuple, nums)))
+    stack = ChartPoint(np.array([0.1, 0.2]), (np.full(2, 0.3),) * m)
+    assert _gate_outcome(lambda: metric_coefficients(spec, where)) == one
+    assert _gate_outcome(lambda: eval_metric(spec, stack, 0)) == one
+    if kind == "pivot" and m > 1 and sign:
+        assert (one is None) == (sign > 0)

@@ -207,6 +207,23 @@ def test_generate_product(tmp_path, capsys, cw42_file):
     assert 'g55 = "sin(x4)^2"' in out
 
 
+def test_generate_product_refuses_a_dimension_a_metric_file_cannot_address(tmp_path, capsys):
+    base = tmp_path / "n8.metric"
+    base.write_text("[metric]\ndimension = 8\n")
+    code, out, err = run(capsys, "generate", "product", "--base", str(base),
+                         "--block", "sphere", "--block", "euclidean")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: product dimension must be in 2 .. 10 (leaf indices are single digits), got 12"]
+    code, out, err = run(capsys, "generate", "product", "--base", str(base),
+                         "--block", "sphere", "--block", "euclidean", "--radius", "0")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: radius must be finite and positive, got 0.0"]
+    code, out, err = run(capsys, "generate", "product", "--base", str(base), "--block", "sphere")
+    assert (code, err) == (0, "")
+    assert "dimension = 10" in out
+
+
 def test_generate_then_check_roundtrip(tmp_path, capsys):
     path = tmp_path / "gen.metric"
     code, out, _ = run(capsys, "generate", "cw", "-d", "4", "-r", "2",
@@ -664,6 +681,15 @@ def test_default_transport_stays_in_the_box(name, capsys):
     code, out, err = run(capsys, "transport", os.path.join(METRICS_DIR, name + ".metric"))
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 1002
+
+
+@pytest.mark.parametrize("experiment, lines", [("nullsec", 23), ("d0", 22)])
+@pytest.mark.parametrize("name", sorted(p[:-len(".metric")] for p in os.listdir(METRICS_DIR)))
+def test_default_transport_experiments_run_on_every_bundled_metric(name, experiment, lines, capsys):
+    code, out, err = run(capsys, "transport", os.path.join(METRICS_DIR, name + ".metric"),
+                         "--experiment", experiment, "--steps", "20")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == lines
 
 
 def test_pole_error_names_field_and_point(tmp_path):

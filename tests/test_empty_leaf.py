@@ -13,6 +13,7 @@ from brinkmann.canonical import FlatBlockData, reconstruct, solve_rotation_ode, 
 from brinkmann.chart import ChartPoint, MetricSpec, eval_metric, jet_matrix_inverse, \
     metric_coefficients
 from brinkmann.classify import eisenhart_split, evaluate_samples
+from brinkmann.cli import main
 from brinkmann.spaces import CwParams, apply_chart_change, fixture, make_cw, \
     random_affine_change
 from brinkmann.transport import d0_transport
@@ -30,7 +31,7 @@ def test_eval_metric_without_leaf():
     assert cj.H.data.tolist() == H_JET
     assert (cj.W.data.shape, cj.g.data.shape) == ((0, 5), (0, 0, 5))
     assert (cj.ginv0.shape, cj.ginv.data.shape) == ((0, 0), (0, 0, 4))
-    assert metric_coefficients(SPEC2, POINT).tolist() == [H_JET[:2]]
+    assert metric_coefficients(SPEC2, POINT.coords).tolist() == [H_JET[:2]]
 
 
 def test_eval_metric_on_a_stack_without_leaf():
@@ -107,3 +108,23 @@ def test_chart_changes_without_leaf():
     assert apply_chart_change(SPEC2, change) == SPEC2
     moved = apply_chart_change(SPEC2, change, box=((-0.5, 0.5),))
     assert (moved.H, moved.box) == (SPEC2.H, ((-0.5, 0.5),))
+
+
+def test_transport_geodesic_without_leaf(tmp_path, capsys):
+    # a one-point RK4 stage on an empty leaf: a 0 x 0 leaf gate, G and Gamma 2 x 2
+    path = tmp_path / "u2.metric"
+    path.write_text('[metric]\ndimension = 2\nH = "u^2"\n')
+    code = main(["transport", str(path), "--experiment", "geodesic", "--steps", "3",
+                 "--span", "0.3"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "tau,u,v,du,dv,energy,k_pairing",
+        "0,0,0,1,0,0,1",
+        "0.099999999999999992,0.10000000000000001,-0.00033333333333333327,1,-0.01,"
+        "-3.4694469519536142e-18,1",
+        "0.19999999999999998,0.20000000000000001,-0.002666666666666667,1,-0.039999999999999994,"
+        "-2.7755575615628914e-17,1",
+        "0.29999999999999999,0.30000000000000004,-0.0089999999999999976,1,-0.089999999999999997,"
+        "-5.5511151231257827e-17,1",
+    ]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from brinkmann import expr as E
 from brinkmann import jets as J
-from brinkmann.chart import MetricSpec, eval_metric
+from brinkmann.chart import ChartPoint, MetricSpec, eval_metric, metric_coefficients
 from brinkmann.metricfile import load_metric_file
 from brinkmann.spaces import random_polynomial_spec
 
@@ -332,3 +332,34 @@ def test_compiled_tape_is_built_once_per_num_vars():
     spec = random_polynomial_spec(4)
     assert spec.tape.compiled(3) is spec.tape.compiled(3)
     assert spec.tape.compiled(3) is not spec.tape.compiled(4)
+
+
+def test_a_function_of_a_literal_is_taken_once(monkeypatch):
+    # cw4_order1_hyperbolic's g55 = ((exp(x4) - exp(-x4)) / 2.0)^2: the reciprocal of
+    # the literal 2.0 is taken while the code is emitted, the two exps on every run
+    calls = []
+    real = E._taylor
+    monkeypatch.setattr(E, "_taylor", lambda *args: calls.append(args[0]) or real(*args))
+    spec = load_metric_file(str(METRICS / "cw4_order1_hyperbolic.metric"))
+    run = spec.tape.compiled(spec.num_vars)
+    assert calls == ["reciprocal"]
+    point = (0.1, 0.2, -0.3, 0.4, 0.5)
+    for _ in range(2):
+        calls.clear()
+        run(point)
+        assert sorted(calls) == ["exp", "exp"]
+    _assert_compiled_equals_eval_jet(spec.tape, spec.num_vars, point)
+
+
+@pytest.mark.parametrize("text, field", [("sqrt(-1.0) * x2", "W_3"), ("x2 / 0.0", "W_3"),
+                                         ("x3 + (-1.0)^-2 * 0.0 / 0.0", "W_3")])
+def test_a_function_of_a_literal_outside_its_domain_is_refused_on_every_run(text, field):
+    spec = MetricSpec.from_text(4, W={3: text})
+    point = ChartPoint(0.1, (0.2, 0.3))
+    for _ in range(2):
+        with pytest.raises(J.JetDomainError) as ref:
+            eval_metric(spec, point, 1)
+        assert str(ref.value).endswith(f" in {field} at (0.1, 0.2, 0.3)")
+        with pytest.raises(J.JetDomainError) as got:
+            metric_coefficients(spec, point.coords)
+        assert str(got.value) == str(ref.value)

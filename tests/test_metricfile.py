@@ -143,6 +143,44 @@ def test_a_dimension_the_format_cannot_address_is_refused_where_it_is_written(he
     assert parse_metric_text(f"{head}dimension = 10\n").n == 10
 
 
+PAST_TEN = "product dimension must be in 2 .. 10 (leaf indices are single digits), got "
+
+
+@pytest.mark.parametrize("base, block, where, reason", [
+    (4, "kind = euclidean\nk = 9\n", (5, 5), PAST_TEN + "13"),
+    (4, "kind = euclidean\nk = 100000\n", (5, 5), PAST_TEN + "100004"),
+    (9, "kind = sphere\n", (4, 8), PAST_TEN + "11"),
+    (10, "kind = euclidean\n", (4, 8), PAST_TEN + "12"),
+    # a bad kind or radius is named before the dimension the block would add
+    (10, "kind = torus\n", (4, 8), "unknown block kind 'torus'"),
+    (10, "kind = sphere\nradius = 0\n", (5, 10), "radius must be finite and positive, got 0.0"),
+    (10, "kind = euclidean\nradius = -2\nk = 9\n", (5, 10),
+     "radius must be finite and positive, got -2.0"),
+])
+def test_a_product_the_format_cannot_address_is_refused_where_it_is_written(base, block, where,
+                                                                             reason):
+    # a product block adds k (euclidean) or 2 leaf directions; past 10 the chart
+    # could not be written back, so it is refused before its m^2 entries are built
+    text = f"[metric]\ndimension = {base}\n[product]\n{block}"
+    with pytest.raises(MetricFileError) as err:
+        parse_metric_text(text, filename="p.metric")
+    assert str(err.value) == f"p.metric:{where[0]}:{where[1]}: {reason}"
+
+
+def test_a_product_reaching_the_largest_dimension_round_trips():
+    spec = parse_metric_text("[metric]\ndimension = 4\n[product]\nkind = euclidean\nk = 6\n")
+    assert spec.n == 10
+    assert parse_metric_text(spec_to_text(spec)) == spec
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_a_product_needs_a_positive_k(k):
+    with pytest.raises(MetricFileError) as err:
+        parse_metric_text(f"[metric]\ndimension = 4\n[product]\nkind = euclidean\nk = {k}\n",
+                          filename="p.metric")
+    assert str(err.value) == f"p.metric:5:5: k must be at least 1, got {k}"
+
+
 def test_the_largest_dimension_addresses_its_last_leaf_entry():
     spec = parse_metric_text('[metric]\ndimension = 10\nW9 = "u"\ng99 = "2"\n')
     assert (expr.to_text(spec.W[7]), expr.to_text(spec.g[7][7])) == ("u", "2.0")

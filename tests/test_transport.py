@@ -337,7 +337,9 @@ def test_transport_values_are_the_assembled_values_bitwise():
         for _ in range(3):
             chart_point = lo + (hi - lo) * rng.uniform(size=spec.num_vars)
             coords = np.concatenate([chart_point[:1], rng.normal(size=1), chart_point[1:]])
-            for got, ref in ((christoffel_values(spec, coords), _assembled_christoffel(spec, coords)),
+            G, Gamma = christoffel_values(spec, coords)
+            for got, ref in ((Gamma, _assembled_christoffel(spec, coords)),
+                             (G, _assembled_metric(spec, coords)),
                              (metric_values(spec, coords), _assembled_metric(spec, coords))):
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
@@ -421,7 +423,9 @@ def test_transport_values_accept_a_small_scale_metric():
     # g_ij = 1e-7 delta is well conditioned although det G = -det g = -1e-14
     spec = MetricSpec.from_text(4, g={(2, 2): "1e-7", (3, 3): "1e-7"})
     coords = np.array([0.0, 0.0, 0.1, 0.2])
-    for got, ref in ((christoffel_values(spec, coords), _assembled_christoffel(spec, coords)),
+    G, Gamma = christoffel_values(spec, coords)
+    for got, ref in ((Gamma, _assembled_christoffel(spec, coords)),
+                     (G, _assembled_metric(spec, coords)),
                      (metric_values(spec, coords), _assembled_metric(spec, coords))):
         assert got.tobytes() == ref.tobytes()
     assert metric_values(spec, coords)[2, 2] == 1e-7
@@ -503,16 +507,31 @@ def test_null_velocity_is_the_frame_formula_bitwise():
         assert got.tobytes() == _frame_null_velocity(spec, spec.center(), np.zeros(spec.m)).tobytes()
 
 
-def test_energy_names_the_failing_node_of_a_block():
-    # exp(800) overflows: node 2 of 5 has a non-finite H
-    spec = MetricSpec.from_text(4, H="exp(800*u)")
-    us = np.array([0.0, 0.1, 1.0, 0.2, 0.3])
-    coords = np.column_stack([us, np.zeros(5), np.full(5, 0.1), np.full(5, 0.2)])
-    traj = transport.Trajectory(np.arange(5.0), coords, np.ones((5, 4)), spec,
-                                np.zeros((4, 4, 4, 4)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError) as ref:
-            metric_values(spec, coords[2])
-        with pytest.raises(ValueError, match=r"^non-finite H at \(1\.0, 0\.1, 0\.2\)$") as got:
-            traj.energy()
-    assert str(got.value) == str(ref.value)
+def test_energy_reads_the_metric_the_stages_computed(monkeypatch):
+    # stage 0 of step k evaluates G at node k; the last node costs one metric_values call
+    spec = load_metric_file(str(METRICS / "cw4_order2.metric"))
+    p = spec.center()
+    v0 = null_velocity(spec, p, leaf_part=[0.3, -0.2])
+    real, calls = transport.metric_values, []
+    monkeypatch.setattr(transport, "metric_values",
+                        lambda spec, c: calls.append(c.tolist()) or real(spec, c))
+    traj = geodesic_integrate(spec, [p.u, 0.0, *p.x], v0, 0.5, 40)
+    assert calls == [traj.coords[-1].tolist()]
+    for G, c in zip(traj.metric, traj.coords):
+        assert G.tobytes() == real(spec, c).tobytes()
+
+    def evaluated(*args):
+        raise AssertionError("energy evaluated the metric")
+
+    for name in ("metric_values", "christoffel_values", "assemble_coordinate_metric"):
+        monkeypatch.setattr(transport, name, evaluated)
+    assert np.isfinite(traj.energy()).all()
+
+
+def test_geodesic_refuses_a_field_that_fails_at_its_last_node_only():
+    # one step from x2 = 0.1 at dx2/dtau = 0.7: stage 3 evaluates x2 = 0.7999999999999999
+    # and the step ends on 0.7999999999999998, the one x2 where H's divisor vanishes
+    spec = MetricSpec.from_text(4, H="0 * x3 / (x2 - 0.7999999999999998)")
+    with pytest.raises(JetDomainError, match=r"^division by a jet with zero constant term in H "
+                                             r"at \(1\.0, 0\.7999999999999998, 0\.0\)$"):
+        geodesic_integrate(spec, [0.0, 0.0, 0.1, 0.0], [1.0, 0.0, 0.7, 0.0], 1.0, 1)
