@@ -200,7 +200,8 @@ class RotationCurve:
     drift_before_projection: float   # the same over the nodes before projection
     h: float
     stage_rows: np.ndarray   # (steps, 4)
-    stage_R: np.ndarray      # (steps, 4, d, d)
+    stage_R: np.ndarray      # (steps, 4, d, d); stage 0 is node k itself
+    R_inv: np.ndarray        # (len(us), d, d): np.linalg.inv(R)
     t: np.ndarray            # (2 steps + 1, d, d)
     tdot: np.ndarray         # (2 steps + 1, d, d)
     Lambda: np.ndarray       # (2 steps + 1, d, d)
@@ -237,7 +238,8 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     so it runs through ``ode.linear_rk4``.  Its unprojected nodes must stay
     within ``DRIFT_LIMIT`` of orthogonal; ``drift_before_projection`` is the
     largest |R^T R - I| over all of them.  The stage R are R_k P_s^T with the
-    projected R_k and the stage maps P_s.  An empty interval, or block data
+    projected R_k and the stage maps P_s; stage 0's map is the identity, so
+    its R is R_k itself.  An empty interval, or block data
     with a non-skew t, an h not affine or a t not constant in x, is a ``ValueError``.
 
     ``steps`` defaults to 2000 fixed Runge-Kutta steps per unit of u, at least 200.
@@ -265,9 +267,10 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
             f"orthogonality drift {dev[k]:.2e} exceeds {DRIFT_LIMIT:.0e} from u = "
             f"{float(us[k])!r}; increase the step count")
     R = _polar_project(R)
-    stage_R = np.stack([R[:-1] @ _T(P) for P in stages], axis=1)
+    stage_R = np.stack([R[:-1], *(R[:-1] @ _T(P) for P in stages[1:])], axis=1)
     err = float(np.max(np.abs(_T(R) @ R - np.eye(d)), initial=0.0))
-    return RotationCurve(us, R, err, float(np.max(dev)), h, rows, stage_R, t, tdot, lam, B)
+    return RotationCurve(us, R, err, float(np.max(dev)), h, rows, stage_R, np.linalg.inv(R),
+                         t, tdot, lam, B)
 
 
 def _A_at(R: np.ndarray, Rinv: np.ndarray, t: np.ndarray, tdot: np.ndarray,
@@ -287,16 +290,19 @@ def _A_at(R: np.ndarray, Rinv: np.ndarray, t: np.ndarray, tdot: np.ndarray,
 
 def recover_A(rot: RotationCurve) -> np.ndarray:
     """A(u) at the rotation grid nodes from the cross-derivative relation."""
-    return _A_at(rot.R, np.linalg.inv(rot.R), rot.t[0::2], rot.tdot[0::2], rot.Lambda[0::2])
+    return _A_at(rot.R, rot.R_inv, rot.t[0::2], rot.tdot[0::2], rot.Lambda[0::2])
 
 
-def solve_translation_ode(rot: RotationCurve, Ddot0: np.ndarray | None = None) -> np.ndarray:
+def solve_translation_ode(rot: RotationCurve, A_of_u: np.ndarray,
+                          Ddot0: np.ndarray | None = None) -> np.ndarray:
     """Integrate d2D/du2 = 2 A(u) D + R^{-T} B(u) on the rotation grid from D(u0) = 0.
 
     u and R at every Runge-Kutta stage are the ones ``rot`` recorded, so
     2A and R^{-T} B are computed for every stage before the integration,
-    without interpolation.  The state (D, D') obeys the affine equation
-    with M = [[0, I], [2A, 0]] and b = [0, R^{-T} B].
+    without interpolation.  Stage 0 of step k is node k, so its A is
+    ``A_of_u[k]`` (``recover_A(rot)``) and its R^{-1} is ``rot.R_inv[k]``;
+    the other three stages evaluate the relation for A.  The state (D, D')
+    obeys the affine equation with M = [[0, I], [2A, 0]] and b = [0, R^{-T} B].
     """
     d = rot.R.shape[-1]
     M = np.zeros(rot.stage_R.shape[:2] + (2 * d, 2 * d))
@@ -304,8 +310,12 @@ def solve_translation_ode(rot: RotationCurve, Ddot0: np.ndarray | None = None) -
     M[..., :d, d:] = np.eye(d)
     for s in range(4):
         R, i = rot.stage_R[:, s], rot.stage_rows[:, s]
-        Rinv = np.linalg.inv(R)
-        M[:, s, d:, :d] = 2.0 * _A_at(R, Rinv, rot.t[i], rot.tdot[i], rot.Lambda[i])
+        if s == 0:
+            Rinv = rot.R_inv[:-1]
+            M[:, s, d:, :d] = 2.0 * A_of_u[:-1]
+        else:
+            Rinv = np.linalg.inv(R)
+            M[:, s, d:, :d] = 2.0 * _A_at(R, Rinv, rot.t[i], rot.tdot[i], rot.Lambda[i])
         b[:, s, d:] = (_T(Rinv) @ rot.B[i][..., None])[..., 0]
     Dd = np.zeros(d) if Ddot0 is None else np.asarray(Ddot0, dtype=float)
     y, _ = linear_rk4(M, rot.h, np.concatenate([np.zeros(d), Dd]), b)
@@ -416,7 +426,7 @@ def reconstruct(spec: MetricSpec, block: Sequence[int] | None = None,
         raise ValueError(f"u interval {tuple(u_interval)} lies outside the box u in {(lo, hi)}")
     rot = solve_rotation_ode(data, u_interval, steps)
     A_of_u = recover_A(rot)
-    D_of_u = solve_translation_ode(rot)
+    D_of_u = solve_translation_ode(rot, A_of_u)
     fit = verify_canonical(rot.us, A_of_u)
     r1, r3 = _eqq_residuals(rot, A_of_u, D_of_u)
     return CanonicalForm(

@@ -587,8 +587,10 @@ def _product_pairs(num_vars: int, support_a: int, support_b: int) -> tuple[tuple
     jets with these supports, in ``mul_flat`` order, as ``eval_jet`` sums them."""
     ctx = jets.context(num_vars, 1)
     pairs: list[tuple] = [()] * ctx.ncoeffs
-    for ko, ka, kb in ctx.mul_tables(support_a, support_b).buckets:
-        for o, row_a, row_b in zip(ko.tolist(), ka.tolist(), kb.tolist()):
+    table = ctx.mul_tables(support_a, support_b)
+    for ko, ia, ib in table.buckets:
+        for o, row_a, row_b in zip(ko.tolist(), table.rows_a[ia].tolist(),
+                                   table.rows_b[ib].tolist()):
             pairs[o] = tuple(zip(row_a, row_b))
     return tuple(pairs)
 

@@ -42,10 +42,12 @@ inf * 0.
 Batches of at most ``MUL_BINCOUNT_BATCH`` jets, a scalar jet being a batch
 of one, multiply by one ``np.bincount`` over the table's pairs: batch entry
 r's pair products land in bin ko + ncoeffs * r (``MulTable.bins``).  Larger
-batches are copied once to coefficient-major rows (ncoeffs, N); the table
-groups its outputs into buckets of equally many pairs (``MulTable.buckets``),
-and each bucket pair column is one take of whole rows of each operand.  Both
-paths sum each coefficient's pairs in ``mul_flat`` order starting from +0.0,
+batches copy only the coefficients the table reads to coefficient-major rows
+(``MulTable.rows_a`` and ``rows_b``, each (rows, N)): a u-only factor at
+order 3 is 4 rows, not all 56 at nv 5.  The table groups its outputs into
+buckets of equally many pairs (``MulTable.buckets``), and each bucket pair
+column is one take of whole rows of each operand.  Both paths sum each
+coefficient's pairs in ``mul_flat`` order starting from +0.0,
 and an output no pair feeds is +0.0, so a batched product equals the stacked
 scalar ones bit for bit.  The bincount path wins while its (N, pairs)
 temporaries stay in cache; the row path pays a fixed cost per bucket pair
@@ -218,33 +220,56 @@ def _flat(x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
 
 
 class MulTable(NamedTuple):
-    """The truncated product's pairs restricted to one pair of supports."""
+    """The truncated product's pairs restricted to one pair of supports.
+
+    The bincount path reads ``ka``, ``kb`` and ``bins``; the row path reads
+    only the coefficient rows ``rows_a`` and ``rows_b`` of its operands, and
+    its ``buckets`` address those rows by position.
+    """
 
     ka: np.ndarray          # the pairs (ka, kb) kept, in ``mul_flat`` order
     kb: np.ndarray
     bins: np.ndarray        # bin of each pair product of a batch of MUL_BINCOUNT_BATCH jets,
                             # row-major over (batch entry r, pair): ko + ncoeffs * r
-    buckets: list           # (ko, ka, kb) of the fed outputs with equally many pairs: row r
-                            # of ka and kb (outputs, pairs) holds output ko[r]'s pairs
+    rows_a: np.ndarray      # the coefficients ka reads, ascending
+    rows_b: np.ndarray      # the coefficients kb reads, ascending
+    buckets: list           # (ko, ia, ib) of the fed outputs with equally many pairs: row r
+                            # of ia and ib (outputs, pairs) holds output ko[r]'s pairs as
+                            # positions in rows_a and rows_b
+
+
+def _used_rows(ncoeffs: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients ``k`` reads, ascending, and each entry's position among them."""
+    used = np.zeros(ncoeffs, dtype=bool)   # np.unique would import numpy.ma
+    used[k] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[k]
 
 
 def _mul_table(ncoeffs: int, ka: np.ndarray, kb: np.ndarray, ko: np.ndarray) -> MulTable:
     """The table of the pairs (ka, kb), sorted by the output ko each feeds."""
     counts = np.bincount(ko, minlength=ncoeffs)
     starts = np.cumsum(counts) - counts
+    rows_a, ia = _used_rows(ncoeffs, ka)
+    rows_b, ib = _used_rows(ncoeffs, kb)
     buckets = []
-    for size in sorted(set(counts.tolist()) - {0}):   # np.unique would import numpy.ma
+    for size in sorted(set(counts.tolist()) - {0}):
         outs = np.flatnonzero(counts == size)
         pairs = starts[outs][:, None] + np.arange(size)
-        buckets.append((outs, ka[pairs], kb[pairs]))
+        buckets.append((outs, ia[pairs], ib[pairs]))
     bins = (ko + ncoeffs * np.arange(MUL_BINCOUNT_BATCH)[:, None]).ravel()
-    return MulTable(ka, kb, bins, buckets)
+    return MulTable(ka, kb, bins, rows_a, rows_b, buckets)
 
 
 def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray,
               support_a: int, support_b: int) -> np.ndarray:
     """Truncated Cauchy product on coefficient arrays (batch-broadcasting) of jets
-    with supports ``support_a`` and ``support_b``; an output no pair feeds is +0.0."""
+    with supports ``support_a`` and ``support_b``; an output no pair feeds is +0.0.
+
+    Up to ``MUL_BINCOUNT_BATCH`` jets, it takes the table's pairs of each jet's
+    coefficients.  A larger batch gathers only the coefficient rows the table
+    reads, ``rows_a`` of ``a`` and ``rows_b`` of ``b``, as rows (rows, N), and
+    writes each bucket's outputs into the zeroed (N, ncoeffs) result.
+    """
     table = ctx.mul_tables(support_a, support_b)
     batch = a.shape[:-1]
     if batch != b.shape[:-1]:
@@ -255,18 +280,18 @@ def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray,
         weights = fa.take(table.ka, axis=1) * fb.take(table.kb, axis=1)
         return np.bincount(table.bins[:weights.size], weights=weights.ravel(),
                            minlength=n * ctx.ncoeffs).reshape(batch + (ctx.ncoeffs,))
-    ra, rb = fa.T.copy(), fb.T.copy()
+    ra, rb = fa.T[table.rows_a], fb.T[table.rows_b]
     out = np.zeros((n, ctx.ncoeffs))
     # Bucket by bucket, so each coefficient sums its pairs in mul_flat order; an
     # operand with one batch entry is one column, which broadcasts.
-    for ko, ka, kb in table.buckets:
-        acc = ra[ka[:, 0]] * rb[kb[:, 0]]
-        for j in range(1, ka.shape[1]):
-            acc += ra[ka[:, j]] * rb[kb[:, j]]
+    for ko, ia, ib in table.buckets:
+        acc = ra[ia[:, 0]] * rb[ib[:, 0]]
+        for j in range(1, ia.shape[1]):
+            acc += ra[ia[:, j]] * rb[ib[:, j]]
+        # bincount sums from 0.0, so a sum of -0.0 terms is +0.0 there; only that
+        # case differs from summing from the first term, and adding 0.0 mends it
+        acc += 0.0
         out.T[ko] = acc
-    # bincount sums from 0.0, so a sum of -0.0 terms is +0.0 there; only that
-    # case differs from summing from the first term, and adding 0.0 mends it
-    out += 0.0
     return out.reshape(batch + (ctx.ncoeffs,))
 
 

@@ -68,6 +68,9 @@ def linear_rk4(M: np.ndarray, h: float, y0: np.ndarray,
     and the four stage maps P_s (steps, n, n): stage s of step k evaluates M
     at the state P_s[k] y_k.  y0 is a vector (n,), or with b = None also a
     matrix (n, p) whose columns are integrated together.
+
+    M and b are read once, by the stacked step maps; the loop then reads only
+    Phi_k, c_k and node k, and writes node k + 1 in place into the output.
     """
     steps, _, n, _ = M.shape
     stages: list[np.ndarray] = []
@@ -83,8 +86,11 @@ def linear_rk4(M: np.ndarray, h: float, y0: np.ndarray,
                      np.zeros((steps, n)), h, range(4))
     out = np.empty((steps + 1,) + np.shape(y0))
     out[0] = y0
-    for k in range(steps):
-        out[k + 1] = Phi[k] @ out[k]
-        if c is not None:
-            out[k + 1] += c[k]
+    if c is None:
+        for P, prev, nxt in zip(Phi, out[:-1], out[1:]):
+            np.matmul(P, prev, out=nxt)
+    else:
+        for P, ck, prev, nxt in zip(Phi, c, out[:-1], out[1:]):
+            np.matmul(P, prev, out=nxt)
+            np.add(nxt, ck, out=nxt)
     return out, stages

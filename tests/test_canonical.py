@@ -10,6 +10,7 @@ from brinkmann.canonical import (FlatBlockData, recover_A, reconstruct, solve_ro
                                  solve_translation_ode, verify_canonical)
 from brinkmann.chart import MetricSpec
 from brinkmann.metricfile import load_metric_file, spec_to_text
+from brinkmann.ode import linear_rk4
 from brinkmann.spaces import apply_chart_change, fixture, rotation_chart_change
 
 METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
@@ -168,7 +169,9 @@ def test_reconstruct_evaluates_the_block_data_once(monkeypatch):
         stacks.clear()
         reconstruct(spec, u_interval=(-0.3, 0.2), steps=steps)
         assert sizes == [2 * steps + 1]
-        assert stacks == [steps + 1] + 4 * [steps]    # recover_A, then each stage column
+        # recover_A, then the stage columns 1 to 3: stage 0 is the node itself,
+        # whose A recover_A has computed
+        assert stacks == [steps + 1] + 3 * [steps]
 
 
 def test_non_finite_block_data_is_a_located_error():
@@ -344,14 +347,15 @@ def test_recover_A_zero_Lambda():
 def test_translation_ode_trivial_and_quadratic():
     flat = fixture("flat")
     data = FlatBlockData(flat, (0, 1))
-    D = solve_translation_ode(solve_rotation_ode(data, (0.0, 1.0), steps=100))
+    rot = solve_rotation_ode(data, (0.0, 1.0), steps=100)
+    D = solve_translation_ode(rot, recover_A(rot))
     assert np.max(np.abs(D)) == 0.0
 
     # constant B via H = b x2: h_2 = b, A = 0, R = I -> D = B u^2 / 2 + ...
     spec = MetricSpec.from_text(4, H="0.6*x2")
     data = FlatBlockData(spec, (0, 1))
-    D = solve_translation_ode(solve_rotation_ode(data, (0.0, 1.0), steps=200),
-                              Ddot0=np.array([0.1, 0.0]))
+    rot = solve_rotation_ode(data, (0.0, 1.0), steps=200)
+    D = solve_translation_ode(rot, recover_A(rot), Ddot0=np.array([0.1, 0.0]))
     us = np.linspace(0, 1, 201)
     expect = 0.3 * us ** 2 + 0.1 * us
     assert np.max(np.abs(D[:, 0] - expect)) < 1e-10
@@ -367,10 +371,33 @@ def test_translation_ode_reads_R_from_the_rotation_curve():
     R0 = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     rot = solve_rotation_ode(data, (0.0, 1.0), steps=200, R0=R0)
     assert np.array_equal(rot.stage_R[:, 0], rot.R[:-1])
-    D = solve_translation_ode(rot, Ddot0=np.array([0.1, 0.0]))
+    D = solve_translation_ode(rot, recover_A(rot), Ddot0=np.array([0.1, 0.0]))
     us = np.linspace(0, 1, 201)
     expect = np.outer(us ** 2, R0 @ [0.3, 0.0]) + np.outer(us, [0.1, 0.0])
     assert np.max(np.abs(D - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("name, block", [("scrambled_cw4", (0, 1)),
+                                         ("cw4_order2_sphere", (0, 1)), ("cw6_order2", None)])
+def test_translation_ode_takes_stage_0_from_the_nodes_bitwise(name, block):
+    # stage 0 of every step is node k: its R is R_k itself, and its 2A and
+    # R^{-1} are recover_A's node values, the same bits as evaluating the A
+    # relation on the stage column as for the other three stages
+    spec = load_metric_file(str(METRICS / f"{name}.metric"))
+    data = FlatBlockData(spec, block or tuple(range(spec.m)))
+    rot = solve_rotation_ode(data, (-0.3, 0.2), steps=150)
+    assert rot.stage_R[:, 0].tobytes() == rot.R[:-1].tobytes()
+    d = rot.R.shape[-1]
+    M = np.zeros(rot.stage_R.shape[:2] + (2 * d, 2 * d))
+    b = np.zeros(rot.stage_R.shape[:2] + (2 * d,))
+    M[..., :d, d:] = np.eye(d)
+    for s in range(4):
+        R, i = rot.stage_R[:, s], rot.stage_rows[:, s]
+        Rinv = np.linalg.inv(R)
+        M[:, s, d:, :d] = 2.0 * canonical._A_at(R, Rinv, rot.t[i], rot.tdot[i], rot.Lambda[i])
+        b[:, s, d:] = (Rinv.swapaxes(-1, -2) @ rot.B[i][..., None])[..., 0]
+    want = linear_rk4(M, rot.h, np.zeros(2 * d), b)[0][:, :d]
+    assert solve_translation_ode(rot, recover_A(rot)).tobytes() == want.tobytes()
 
 
 def test_verify_canonical_fit_and_normal_form():

@@ -205,18 +205,30 @@ def test_batched_arithmetic_broadcasts():
         assert np.allclose(f[i].data, single.data)
 
 
-@pytest.mark.parametrize("nv,order", [(1, 0), (1, 4), (2, 3), (3, 2), (4, 4)])
+@pytest.mark.parametrize("nv,order", [(1, 0), (1, 4), (2, 3), (3, 2), (4, 4), (5, 3)])
 def test_mul_buckets_partition_the_flat_pairs(nv, order):
     ctx = J.context(nv, order)
     ka, kb, ko = ctx.mul_flat()
-    seen = []
-    for outs, bka, bkb in ctx.mul_tables(ctx.all_vars, ctx.all_vars).buckets:
-        assert bka.shape == bkb.shape == (len(outs), bka.shape[1])
-        for row, k in enumerate(outs):
-            run = ko == k   # the pairs of output k, in mul_flat order
-            assert np.array_equal(bka[row], ka[run]) and np.array_equal(bkb[row], kb[run])
-        seen.extend(outs)
-    assert sorted(seen) == list(range(ctx.ncoeffs))
+    u, x = 1, ctx.all_vars & ~1
+    for sa, sb in {(ctx.all_vars, ctx.all_vars), (u, u), (u, x), (x, u), (x, x), (0, u),
+                   (u, 1 << (nv - 1))}:
+        # the pairs whose monomials lie over the supports, in mul_flat order
+        keep = (((ctx.var_masks[ka] | sa) == sa) & ((ctx.var_masks[kb] | sb) == sb))
+        table = ctx.mul_tables(sa, sb)
+        # the row path gathers exactly the coefficients those pairs read
+        assert table.rows_a.tolist() == sorted(set(ka[keep].tolist()))
+        assert table.rows_b.tolist() == sorted(set(kb[keep].tolist()))
+        seen = []
+        for outs, ia, ib in table.buckets:
+            assert ia.shape == ib.shape == (len(outs), ia.shape[1])
+            for row, k in enumerate(outs):
+                run = keep & (ko == k)   # the pairs of output k, in mul_flat order
+                assert np.array_equal(table.rows_a[ia[row]], ka[run])
+                assert np.array_equal(table.rows_b[ib[row]], kb[run])
+            seen.extend(outs)
+        assert sorted(seen) == sorted(set(ko[keep].tolist()))
+        if (sa, sb) == (ctx.all_vars, ctx.all_vars):
+            assert sorted(seen) == list(range(ctx.ncoeffs))
     # The padded table: row k is output k's run, then only the padding index ncoeffs.
     pka, pkb = ctx.mul_padded()
     width = np.bincount(ko).max()
@@ -352,6 +364,37 @@ def test_batched_restricted_mul_equals_stacked_scalar_products(case):
     stacked = np.reshape(stacked, batched.shape)
     assert np.array_equal(np.isnan(batched), np.isnan(stacked))
     assert _nan_free(batched).tobytes() == _nan_free(stacked).tobytes()
+
+
+_U, _X2, _X5 = 1, 2, 16   # supports {u}, {x2} and {x5} at nv 5
+
+
+@pytest.mark.parametrize("sa, sb, shape_b", [
+    (_U, _X2, (_LARGE,)), (_U, _X5, (_LARGE,)), (_U, _U, (_LARGE,)),
+    (_X2 | 4, _X2 | 4 | 8, (_LARGE,)), (31, 31, (_LARGE,)),
+    (_U, _X2, (1,)), (31, _U | _X2, ()), (0, _U, (_LARGE,))])
+def test_rows_product_equals_bincount_and_scalar_products(sa, sb, shape_b):
+    # canonical's shapes: nv 5, order 3, thousands of jets.  The row path reads
+    # only rows_a and rows_b; it equals the bincount path (run on chunks of
+    # MUL_BINCOUNT_BATCH jets) and the stacked scalar products bit for bit.
+    # Batch entries 0 to 9 of a are -0.0 at every coefficient, so each of their
+    # products sums -0.0 terms only, and reads +0.0 as the bincount sum from 0.0.
+    rng = np.random.default_rng(sa * 64 + sb)
+    ctx = J.context(5, 3)
+    a = _supported(rng, ctx, (_LARGE,), sa)
+    b = np.abs(_supported(rng, ctx, shape_b, sb))
+    a[:10] = -0.0
+    got = J._mul_data(ctx, a, b, sa, sb)
+    fb = np.broadcast_to(b, a.shape)
+    step = J.MUL_BINCOUNT_BATCH
+    chunks = np.concatenate([J._mul_data(ctx, a[i:i + step], fb[i:i + step], sa, sb)
+                             for i in range(0, _LARGE, step)])
+    scalar = np.array([J._mul_data(ctx, x, y, sa, sb) for x, y in zip(a, fb)])
+    assert got.shape == (_LARGE, ctx.ncoeffs)
+    assert got.tobytes() == chunks.tobytes() == scalar.tobytes()
+    assert not np.signbit(got[:10]).any()
+    if sa and sb:
+        assert np.count_nonzero(got[10:]) > 0
 
 
 def _support_rules(x, i, j, k):

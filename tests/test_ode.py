@@ -59,3 +59,26 @@ def test_linear_rk4_equals_a_loop_of_rk4_steps():
     zero = linear_rk4(M, h, y0, np.zeros((steps, 4, n)))[0]
     assert np.array_equal(linear_rk4(M, h, y0)[0], zero)
 
+
+
+def test_linear_rk4_is_the_step_map_product_bitwise():
+    # the reference applies the step maps one step at a time, each node a new
+    # array: y_{k+1} = Phi_k y_k (+ c_k), with Phi and c formed as linear_rk4
+    # forms them; the in-place loop must give the same bits
+    rng = np.random.default_rng(11)
+    steps, n, h = 400, 4, 0.01
+    M = rng.normal(size=(steps, 4, n, n))
+    b = rng.normal(size=(steps, 4, n))
+    Phi = rk4_step(lambda Ms, Y: Ms @ Y, np.broadcast_to(np.eye(n), (steps, n, n)), h,
+                   [M[:, s] for s in range(4)])
+    c = rk4_step(lambda s, y: (M[:, s] @ y[..., None])[..., 0] + b[:, s],
+                 np.zeros((steps, n)), h, range(4))
+    for y0, rhs in ((rng.normal(size=n), b), (rng.normal(size=(n, 3)), None)):
+        want = [y0]
+        for k in range(steps):
+            nxt = Phi[k] @ want[-1]
+            if rhs is not None:
+                nxt += c[k]
+            want.append(nxt)
+        got, _ = linear_rk4(M, h, y0, rhs)
+        assert got.tobytes() == np.array(want).tobytes()
