@@ -44,15 +44,15 @@ def _bundled(name: str):
 
 RUNS = [
     ("scrambled_cw4", lambda: _bundled("scrambled_cw4"), None,
-     "29bf2cf776e46f744d3cb9826ae7d833a3af1ceda38c4c97f86f158b5760b2c4"),
+     "70344fc01264d88e4f565f632e71a029e576468ac90db5dbe6beefd09c95d4f9"),
     ("cw6_order2", lambda: _bundled("cw6_order2"), None,
      "8cc2abd204bb3c0613e85e68abaa4ceeb467d7b297ea5f0269e7872c4acea68d"),
     ("cw4_order2_sphere", lambda: _bundled("cw4_order2_sphere"), (0, 1),
      "beadfb128f2510f7d81f7d13ebdc6c754058c2bc1113f3799b3e6908a23bd10d"),
     ("seed3_scramble_cw4", lambda: _scrambled(CW4_P, 3), None,
-     "c82c1d01b6bd3b6d6e761bdfabd764d3b4e2c8c60d63efe8588b6a2bc337b3a4"),
+     "73a986301f022ea7dfb916486d580def2e2a7a5a1acb27161d12bf6f7fc1bf02"),
     ("seed7_scramble_cw6", lambda: _scrambled(CW6_P, 7), None,
-     "4f7b8eea1069919cc09fe82c534886d2ea3c5be6fc979b628cad8accf72706fc"),
+     "47ceedd98e454a5ec14c0919d4c17e77d9be7cd069446eaa0502638f5bc790a1"),
 ]
 
 

@@ -148,6 +148,15 @@ def test_parallel_transport_flat_constant():
     assert np.max(np.abs(moved - np.eye(4))) < 1e-12
 
 
+def test_parallel_transport_on_a_zero_step_trajectory_returns_its_start():
+    vecs = np.random.default_rng(4).normal(size=(3, 4))
+    traj = transport.Trajectory(np.zeros(1), np.zeros((1, 4)), np.ones((1, 4)),
+                                np.empty((0, 4, 4, 4)))
+    moved = parallel_transport(traj, vecs)
+    assert moved.shape == (1, 3, 4)
+    assert moved[0].tobytes() == vecs.tobytes()
+
+
 def test_parallel_transport_K_constant():
     spec = fixture("scrambled_cw4")
     v0 = null_velocity(spec, ChartPoint(0.0, (0.1, 0.2)), leaf_part=[0.2, 0.1])

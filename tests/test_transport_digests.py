@@ -21,15 +21,15 @@ RUNS = [
     ("cw4_order2", "nullsec", ("0.1", "0.2", "-0.1"), 60,
      "3b83c6b6a37fc63f04401c05de44d1beb5a1381b90b0621e64484681509500cf"),
     ("scrambled_cw4", "d0", ("-0.3", "0.1", "-0.2"), 60,
-     "8ae53020ba509a5e5ada0da5f3f1b18b4b8e4115fa7327343b02590923f33d05"),
+     "d02ddaa6ffd8543a9b12bd82a8e108cd4443557f3e30280f51cb3c67063622e7"),
     ("poly_seed2", "geodesic", ("-0.2", "0.1", "-0.1", "0.05"), 60,
      "be9adb8afb854e3975fa8e0a5133a6ec23214c8dc5b22314a904d132ec6754a4"),
     ("cw4_order2_sphere", "geodesic", ("0.1", "0.2", "-0.1", "1.5", "0.1"), 60,
      "de4b9fe0957f09de6bf4cfc118d73ddd80b5eff2cc525570aa6a28efc6a936ac"),
     ("poly_seed2", "nullsec", ("-0.2", "0.1", "-0.1", "0.05"), 150,
-     "5cfc9e0d5c96ac83f8d389cc524f802d9b5ae3053926d73c4987c3cc50621e5b"),
+     "50a66fa381ced469dc31ca0fdb9f27c04ac10ca6a43fe43cf48e13d74314562e"),
     ("scrambled_cw4", "d0", ("-0.3", "0.1", "-0.2"), 150,
-     "d1296e52b8a5489b28ffb0f76255f15488c94ba4b098e59503394c3621949fe8"),
+     "51201dfb913d326ca598b940bff02e8af029c329a86312953ce9bf37cab87520"),
 ]
 
 
