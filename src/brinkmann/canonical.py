@@ -61,6 +61,7 @@ DRIFT_LIMIT = 1e-6
 BLOCK_JET_ORDER = 3  # the affine residual reads third derivatives of H
 SLOPE_TOL = 1e-8  # an A1 entry or eigenvalue above this counts as a nonzero slope
 HYPOTHESIS_TOL = 1e-8  # |t + t^T|, affine_residual and t_x_residual above this refuse the chart
+AFFINE_TOL = 1e-8  # an A(u) fit residual above this times 1 + max|A| refuses the canonical form
 
 
 def _T(M: np.ndarray) -> np.ndarray:

@@ -145,7 +145,7 @@ class SampleStack:
     ``blocks`` and ``oracle`` hold the engine's and the oracle's frame blocks
     (the rank-0 blocks as (N,) arrays), ``agreement`` each key's (N,)
     engine/oracle deviations; ``gbar`` holds the leaf metric and, from depth
-    1, ``Atil_grad``, ``Atil_d0`` and ``A_uu`` those of ``ChartCurvature``.
+    1, ``Atil_grad`` and ``Atil_d0`` those of ``ChartCurvature``.
     """
 
     point: ChartPoint
@@ -156,7 +156,6 @@ class SampleStack:
     gbar: np.ndarray
     Atil_grad: np.ndarray | None
     Atil_d0: np.ndarray | None
-    A_uu: np.ndarray | None
 
 
 def _join(parts: list):
@@ -210,7 +209,7 @@ def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int) -> SampleStack:
             agreements.append({key: _node_max_abs(cc.blocks[key][rows] - o)
                                / (1.0 + _node_max_abs(o)) for key, o in oracles[-1].items()})
     ev = SampleStack(p, depth, cc.blocks, _join(oracles), _join(agreements),
-                     cc.cj.g.value(), cc.Atil_grad, cc.Atil_d0, cc.A_uu)
+                     cc.cj.g.value(), cc.Atil_grad, cc.Atil_d0)
     _check_finite(ev)
     return ev
 
@@ -412,8 +411,6 @@ class AtilReport:
     d0_parallel: bool                 # transverse derivative vanishes
     grad_residual: float
     d0_residual: float
-    affine_in_u: bool | None          # second u-derivative of A (canonical charts)
-    affine_residual: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -423,19 +420,17 @@ class AtilReport:
             "d0_parallel": self.d0_parallel,
             "grad_residual": self.grad_residual,
             "d0_residual": self.d0_residual,
-            "affine_in_u": self.affine_in_u,
-            "affine_residual": self.affine_residual,
         }
 
 
-def extract_A_tilde(evaluations: SampleStack, check_affine: bool = False) -> AtilReport:
+def extract_A_tilde(evaluations: SampleStack) -> AtilReport:
     """Per-sample Atil values, gbar-eigenvalues and parallelism flags.
 
     The stack must be of depth >= 1.  The residuals are the largest entries
-    of the engine's values ``Atil_grad``, ``Atil_d0`` and ``A_uu``; a
-    residual below ``A_TILDE_TOL`` times 1 + |R| counts as zero, and without
-    leaf (m = 0) every residual is 0.  A residual that is not finite at some
-    sample raises a ValueError naming the residual and the sample.
+    of the engine's values ``Atil_grad`` and ``Atil_d0``; a residual below
+    ``A_TILDE_TOL`` times 1 + |R| counts as zero, and without leaf (m = 0)
+    every residual is 0.  A residual that is not finite at some sample raises
+    a ValueError naming the residual and the sample.
     """
     ev = evaluations
     _evaluated_depth(ev, 1, "extract_A_tilde")
@@ -451,7 +446,6 @@ def extract_A_tilde(evaluations: SampleStack, check_affine: bool = False) -> Ati
 
     grad_res = residual("grad_residual", _node_max_abs(ev.Atil_grad))
     d0_res = residual("d0_residual", _node_max_abs(ev.Atil_d0))
-    aff_res = residual("affine_residual", _node_max_abs(ev.A_uu)) if check_affine else None
     eps = A_TILDE_TOL * (1.0 + _depth_norm([ev.blocks], 0))
     return AtilReport(
         values=ev.blocks["Atil"].copy(),
@@ -460,8 +454,6 @@ def extract_A_tilde(evaluations: SampleStack, check_affine: bool = False) -> Ati
         d0_parallel=d0_res < eps,
         grad_residual=grad_res,
         d0_residual=d0_res,
-        affine_in_u=(aff_res < eps) if check_affine else None,
-        affine_residual=aff_res,
     )
 
 

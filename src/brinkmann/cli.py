@@ -10,7 +10,7 @@ Subcommands:
 * ``oracle-diff FILE``  per-block max deviation between the specialized
                         engine and the brute-force oracle.
 * ``canonicalize FILE`` reconstruct the canonical plane-wave form (requires
-                        a proper 2nd-symmetric verdict).
+                        a proper 2nd-symmetric verdict and an affine A(u)).
 * ``transport FILE``    geodesic / null-sectional-curvature / transverse
                         transport experiments, emitted as CSV.
 
@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import classify, metricfile
-from .canonical import reconstruct
+from .canonical import AFFINE_TOL, reconstruct
 from .chart import ChartPoint, MetricSpec
 from .ode import stage_grid, step_size
 from .spaces import CwParams
@@ -39,7 +39,7 @@ from .transport import (check_in_box, d0_transport, geodesic_integrate, null_sec
 
 __all__ = ["main", "format_json", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # -- deterministic serialization -------------------------------------------------------
@@ -205,30 +205,32 @@ def cmd_oracle_diff(args) -> int:
 def cmd_canonicalize(args) -> int:
     spec = _load(args.file)
     rep = classify.symmetry_order(classify.evaluate_samples(spec))
+    report: dict = {"schema_version": SCHEMA_VERSION, "command": "canonicalize", "file": args.file}
     if rep.verdict != "proper_second_symmetric":
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "canonicalize",
-            "file": args.file,
-            "error": "precondition failed: metric is not proper 2nd-symmetric",
-            "verdict": rep.verdict,
-            "residuals": rep.residuals,
-        }
+        report.update(error="precondition failed: metric is not proper 2nd-symmetric",
+                      verdict=rep.verdict, residuals=rep.residuals)
         _write_report(report, args)
         return 2
     lo, hi = spec.box[0]
     interval = (lo if args.u_min is None else args.u_min,
                 hi if args.u_max is None else args.u_max)
     cf = reconstruct(spec, u_interval=interval, steps=args.steps)
-    stride = max(1, (len(cf.us) - 1) // 16)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "canonicalize",
-        "file": args.file,
-        "flags": {"steps": args.steps},
-        "verdict": rep.verdict,
-    }
+    report.update(flags={"steps": args.steps}, verdict=rep.verdict)
+    # The paper's proper case has A(u) affine; a verdict reached at finitely
+    # many samples does not show that between them.
+    threshold = AFFINE_TOL * (1.0 + float(np.max(np.abs(cf.A_of_u), initial=0.0)))
+    if not cf.affine_residual <= threshold:
+        misfit = np.abs(cf.A_of_u - cf.A0 - cf.us[:, None, None] * cf.A1)
+        worst_u = float(cf.us[np.argmax(misfit.reshape(len(cf.us), -1).max(axis=1))])
+        report.update(error=f"precondition failed: A(u) is not affine: affine_residual "
+                            f"{cf.affine_residual:.2e} exceeds AFFINE_TOL * (1 + max|A|) = "
+                            f"{threshold:.2e}, worst at u = {worst_u!r}",
+                      affine_residual=cf.affine_residual, affine_threshold=threshold,
+                      worst_u=worst_u)
+        _write_report(report, args)
+        return 2
     report.update(cf.to_dict())
+    stride = max(1, (len(cf.us) - 1) // 16)
     report["R_samples"] = [
         {"u": float(cf.us[k]), "R": cf.R_of_u[k].tolist(), "D": cf.D_of_u[k].tolist()}
         for k in range(0, len(cf.us), stride)

@@ -135,8 +135,8 @@ class ChartCurvature:
     """The jets of one (spec, point) evaluation and the values of its frame blocks.
 
     ``blocks`` holds the keys of ``FRAME_BLOCKS[:depth + 1]`` in table order;
-    the nabla R jets ``Atil`` .. ``gradRbar`` and the values ``Atil_grad`` ..
-    ``A_uu`` (``curvature_at``) are None below depth 1.  On a two-dimensional
+    the nabla R jets ``Atil`` .. ``gradRbar`` and the values ``Atil_grad`` and
+    ``Atil_d0`` (``curvature_at``) are None below depth 1.  On a two-dimensional
     chart (m = 0) every leaf jet and block is empty.  At a stack of points
     every jet, value and block has a leading node axis (rank-0 ones too).
     """
@@ -160,7 +160,6 @@ class ChartCurvature:
     gradRbar: Jet | None = None
     Atil_grad: np.ndarray | None = None
     Atil_d0: np.ndarray | None = None
-    A_uu: np.ndarray | None = None
 
     @property
     def spec(self) -> MetricSpec:
@@ -176,10 +175,10 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     """Compute curvature, nabla R and (depth 2) nabla nabla R blocks at p.
 
     R takes two derivatives of the metric.  From depth 1, ``Atil_grad`` and
-    ``Atil_d0`` (``leaf_grad``, ``d0_op`` of Atil) and ``A_uu`` (A twice du)
-    take four, so the least and default jet order is 2 at depth 0 and 4 at
-    depths 1 and 2.  At a stack of points, every jet and block has a leading
-    node axis, and a failure is the first failing node's error.
+    ``Atil_d0`` (``leaf_grad``, ``d0_op`` of Atil) take four, so the least and
+    default jet order is 2 at depth 0 and 4 at depths 1 and 2.  At a stack of
+    points, every jet and block has a leading node axis, and a failure is the
+    first failing node's error.
     """
     if depth not in (0, 1, 2):
         raise ValueError("depth must be 0, 1 or 2")
@@ -250,7 +249,6 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     blocks.update((k, getattr(cc, k).value()) for k in FRAME_BLOCKS[1])
     cc.Atil_grad = leaf_grad(cc.Atil, 0, gamma).value()
     cc.Atil_d0 = d0_op(cc.Atil, 0, tup).value()
-    cc.A_uu = A.du().du().value()
 
     if depth == 2:
         blocks.update(_second_derivatives(cc, nn))

@@ -578,10 +578,8 @@ def pow_int(a: Jet, n: int) -> Jet:
 class _EinsumPlan(NamedTuple):
     """One ``jet_einsum`` call's bookkeeping, cached per (subscripts, shapes, context)."""
 
-    sum_a: tuple[int, ...]         # axes of ``a`` summed before the product
-    sum_b: tuple[int, ...]
-    perm_a: tuple[int, ...]        # from summed ``a`` to (coefficient, batch, left, contracted)
-    perm_b: tuple[int, ...]        # from summed ``b`` to (coefficient, batch, contracted, right)
+    perm_a: tuple[int, ...]        # from ``a`` to (coefficient, batch, left, contracted)
+    perm_b: tuple[int, ...]        # from ``b`` to (coefficient, batch, contracted, right)
     zero_a: np.ndarray             # the all-zero row appended to each coefficient-first copy
     zero_b: np.ndarray
     rows_a: tuple[int, ...]        # (coefficient, pair, batch, left, contracted) of the row gather
@@ -612,22 +610,22 @@ def _einsum_plan(subscripts: str, shape_a: tuple[int, ...], shape_b: tuple[int, 
                 raise JetShapeError(f"dimension mismatch for index {letter!r}")
     if not set(out) <= dims.keys():
         raise JetShapeError(f"output of {subscripts!r} names an index no operand has")
+    for letter in s1 + s2:
+        if letter not in out and (letter in s1) != (letter in s2):
+            raise JetShapeError(f"index {letter!r} of {subscripts!r} is in one operand only "
+                                "and not in the output; sum it out of that operand first")
 
-    a_keep = [x for x in s1 if x in s2 or x in out]
-    b_keep = [x for x in s2 if x in s1 or x in out]
     batch = [x for x in out if x in s1 and x in s2]
     left = [x for x in out if x in s1 and x not in s2]
     right = [x for x in out if x in s2 and x not in s1]
-    contracted = [x for x in a_keep if x in s2 and x not in out]
+    contracted = [x for x in s1 if x in s2 and x not in out]
     nb, nl, nc, nr = (math.prod(dims[x] for x in xs) for xs in (batch, left, contracted, right))
 
     width = ctx.mul_padded()[0].shape[1]
     grouped = batch + left + right
     return _EinsumPlan(
-        sum_a=tuple(i for i, x in enumerate(s1) if x not in a_keep),
-        sum_b=tuple(i for i, x in enumerate(s2) if x not in b_keep),
-        perm_a=(len(a_keep),) + tuple(a_keep.index(x) for x in batch + left + contracted),
-        perm_b=(len(b_keep),) + tuple(b_keep.index(x) for x in batch + contracted + right),
+        perm_a=(len(s1),) + tuple(s1.index(x) for x in batch + left + contracted),
+        perm_b=(len(s2),) + tuple(s2.index(x) for x in batch + contracted + right),
         zero_a=np.zeros((1,) + tuple(dims[x] for x in batch + left + contracted)),
         zero_b=np.zeros((1,) + tuple(dims[x] for x in batch + contracted + right)),
         rows_a=(ctx.ncoeffs, width, nb, nl, nc),
@@ -644,24 +642,21 @@ def jet_einsum(subscripts: str, a: Jet, b: Jet) -> Jet:
 
     Repeated letters are contracted by summation; the coefficient axis is
     convolved (truncated product).  Only the two-operand form is supported,
-    and no letter may repeat within one term.
+    no letter may repeat within one term, and a letter that only one operand
+    carries must be in the output.
 
-    A letter that only one operand carries and the output lacks is summed
-    first.  Then one ``np.matmul`` makes every output coefficient: letters
-    shared by both operands and the output form its batch axis, the free
-    letters of ``a`` its rows, those of ``b`` its columns, and its inner axis
-    runs over the coefficient's row of ``ctx.mul_padded()`` times the
-    contracted letters.
+    One ``np.matmul`` makes every output coefficient: letters shared by both
+    operands and the output form its batch axis, the free letters of ``a`` its
+    rows, those of ``b`` its columns, and its inner axis runs over the
+    coefficient's row of ``ctx.mul_padded()`` times the contracted letters.
     """
     a, b = a._align(b)
     plan = _einsum_plan(subscripts, a.shape, b.shape, a.ctx)
     ka, kb = a.ctx.mul_padded()
     # Coefficient-first copies with an all-zero row at index ncoeffs, so that a
     # padding pair adds 0 * 0; pair j of contracted entry c is inner index j * nc + c.
-    fa = a.data.sum(axis=plan.sum_a) if plan.sum_a else a.data
-    fb = b.data.sum(axis=plan.sum_b) if plan.sum_b else b.data
-    ga = np.concatenate((fa.transpose(plan.perm_a), plan.zero_a)).take(ka, axis=0)
-    gb = np.concatenate((fb.transpose(plan.perm_b), plan.zero_b)).take(kb, axis=0)
+    ga = np.concatenate((a.data.transpose(plan.perm_a), plan.zero_a)).take(ka, axis=0)
+    gb = np.concatenate((b.data.transpose(plan.perm_b), plan.zero_b)).take(kb, axis=0)
     out = np.matmul(ga.reshape(plan.rows_a).transpose(0, 2, 3, 1, 4).reshape(plan.mat_a),
                     gb.reshape(plan.rows_b).transpose(0, 2, 1, 3, 4).reshape(plan.mat_b))
     return Jet(a.ctx, out.reshape(plan.grouped).transpose(plan.perm_out))

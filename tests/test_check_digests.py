@@ -4,7 +4,8 @@ Each digest is the sha256 of the stdout of ``check FILE --samples 4 --depth 2``
 (``RUNS``) or ``--depth 1`` (``RUNS_DEPTH1``) run from the repository root, so
 the report's ``file`` field is the relative path ``metrics/<name>.metric``.  A
 change that moves any printed digit moves a digest; re-recording one needs the
-changed numbers, before and after, written down with the change.
+changed numbers, before and after, written down with the change.  A failure
+names the run and prints the entry that pins what it now gives.
 """
 
 import hashlib
@@ -17,51 +18,55 @@ from brinkmann.cli import main
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 RUNS = [
-    ("cw4_order1", 0, "3d23b47dbf13043bf457db0dd903f6a9f0114d34fa6d145a94fa3daaced0c324"),
+    ("cw4_order1", 0, "db6d14749e8cf5f897f7c5211307004de9761cb3370ea0d710150e8d08536e37"),
     ("cw4_order1_hyperbolic", 0,
-     "3f85f7edffbf00af763616f24d40c90c1c97b99857c7c8751a1e0a6c70f273f3"),
-    ("cw4_order2", 0, "ef27520d17b471f0ed9077eb4d5e3a779643dc60c70504f3184763aeb9354cbd"),
-    ("cw4_order2_sphere", 0, "876a1850271e716ce79dc546fcf0219595e65565c9d5d90e4dc14b7a1b4aca18"),
-    ("cw4_order3", 2, "217a2cf067d27704effaed4a4689e605cad082df7f85a26b6c089de45aa5157c"),
-    ("cw6_order2", 0, "4089201895a2d64ccf41c024005055d1867c052bded14afddbb012b0e97fc8c7"),
-    ("flat", 0, "b01d1e4886ec0c39b40db0f7f87e555f48d8b5022066e716e62863a6e5fb1036"),
-    ("poly_seed1", 2, "ea86cb0c652757df4eaefbd3a95e988cdcb8720664587bf897410c479f2d8b9d"),
-    ("poly_seed2", 2, "e3cfc87a00883b164942c70c7a24e61fdc7e47a77409108907d1bc1b93939611"),
-    ("rotation_w", 0, "d383794e0eeacc6f3d62d63be6ad9507b11074c19988cb2d0c32812155a87204"),
-    ("scrambled_cw4", 0, "16c4d33e000182c0b11b4246e6df5f61fd06d505e7fd8167d6fcac189c86cc65"),
+     "17215a4021eb6dcee8675b59dab846beef514b2670e737dcbf04b6f7b0d9d22e"),
+    ("cw4_order2", 0, "3f1bf5a154e12aa1b4fbade24cf8e2bf9cf6f3f0dc508f749c717573e5038d53"),
+    ("cw4_order2_sphere", 0, "a3a6faa26fae86b94733075e35402671adf8afae2c8b280ca98a96f1a47f75ce"),
+    ("cw4_order3", 2, "539fb21baea0c055873345029fd33c5e9d42ee3cd467681ec4e76c5b0dcee505"),
+    ("cw6_order2", 0, "eff62829b1ea22c6864e2584c6cd59dfa6a297e9571e4eaab079f51b7aa4a0ba"),
+    ("flat", 0, "816144225b1a1ef16f60e2ca702a710cd56fc11c628d9543b713eff39090c5aa"),
+    ("poly_seed1", 2, "add262208aa8bc9b557f5ad7941033758f75f3a5b298560ac00b48fc70cebb58"),
+    ("poly_seed2", 2, "3f52a4441eee8f4bb4f69dbe58fe788b5d5ed795824abf6b9ad40ac3d0142f65"),
+    ("rotation_w", 0, "0c925aba96497e62058301a0f83d4a3836a23d3f77421c984c42a06b5101bdf2"),
+    ("scrambled_cw4", 0, "e87588eb7c5f75c4020613ed7cd475bbbcfc5200f1a881f2ad77f79baa0075bc"),
 ]
+
+
+def _assert_pinned(name, depth, code, digest, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = ["check", f"metrics/{name}.metric", "--samples", "4", "--depth", str(depth)]
+    got_code = main(argv)
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (got_code, got) == (code, digest), (
+        f"{' '.join(argv)} exits {got_code} (pinned {code}) with digest {got} (pinned "
+        f"{digest}); its entry would read ({name!r}, {got_code}, {got!r})")
 
 
 @pytest.mark.parametrize("name, code, digest", RUNS, ids=[r[0] for r in RUNS])
 def test_check_report_digest(name, code, digest, capsys, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    assert main(["check", f"metrics/{name}.metric", "--samples", "4", "--depth", "2"]) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    _assert_pinned(name, 2, code, digest, capsys, monkeypatch)
 
 
 RUNS_DEPTH1 = [
-    ("cw4_order1", 0, "aa92e37ce46b0f4337ef7c7b5c1acc64b38520eb7acf1e23cab5a08f0284822e"),
+    ("cw4_order1", 0, "4aace5311632e6c8023962bae99539648b000f366924c1fba0247ac390fffacc"),
     ("cw4_order1_hyperbolic", 0,
-     "432263f3bc9bcc11c95c36249daf980719614855484d272cfb020aa1dcb59866"),
-    ("cw4_order2", 2, "7133c9f4e492c402f6d5c307862036bf5c238066d94ef4ef75c7a730a136305e"),
-    ("cw4_order2_sphere", 2, "2df174baaf285406737e3bca195861511ebdafc0c32ba1011a0c1e0a7402ecfe"),
-    ("cw4_order3", 2, "bb3aa6fa822852997bbc43ea52e20d16b02765319fbf31e7a35a75df61fba793"),
-    ("cw6_order2", 2, "1af68ae6e3077b4fb1c3a40ca9ff8a146880967bd5a68967d417cc2aa236ecfb"),
-    ("flat", 0, "9f7c6ffcad7db9988d675eca4a5d280bd04e2d6043123b0afc85ae5e36bbb4ec"),
-    ("poly_seed1", 2, "cb6d4e4049e9043b7b91f19ae153acce4da37c77c3d2f07edd61b360fe9cd51f"),
-    ("poly_seed2", 2, "5f48034ec9ea14e5c822a25db8d33d7542f9f1bd5389d14958e43137faeba1f0"),
-    ("rotation_w", 0, "1e0000dd812659207d90607346e3adfeb0cad971f7a3bd381f7093467db68c37"),
-    ("scrambled_cw4", 2, "83e63d0fa63bb97d5a80f2f160b043e6c1c99b96d569ed2aa590950aa356af33"),
+     "8252703215d89cf1d6c54fef93966b5f2df79e21b13e9a85d343c48086ef2056"),
+    ("cw4_order2", 2, "10d54616a7109cfa0ec71a8e7a8b0f2b9571a2c33a1ad791a74f8bb987ff9d75"),
+    ("cw4_order2_sphere", 2, "ee94387c9b449a127346741b76b49767f4f5b81729cfce2bc94a7028b23713e2"),
+    ("cw4_order3", 2, "47ad7e9135c48f1699e2ac3c4d0106a9d6e22e4bb836b6882f85b909f06661db"),
+    ("cw6_order2", 2, "c4a3944e274457eaeb78c17b1c9e5092b61e6bd20e752621ef37d5a6bf3708fc"),
+    ("flat", 0, "3c681ad7e3df8d33e1e720b9bb913e3e54efb9c4e6814f8dda7f6711fe0282da"),
+    ("poly_seed1", 2, "13b78d68757b76d2b088458105f5ca506e91ae57432db2050ce0ff55a0d49711"),
+    ("poly_seed2", 2, "0c0e8c07a2701b227b14c435c9e97659f661413610009a390f89f603e8768eae"),
+    ("rotation_w", 0, "e7ef1a8d424418dc3d8eeb2fc08f97d5554a5f5c2d9600a973de1b8eca14b950"),
+    ("scrambled_cw4", 2, "33caf31f9999974e4ee877e0b64a9197b0d1c234e87be84322ec163b360ba92b"),
 ]
 
 
 @pytest.mark.parametrize("name, code, digest", RUNS_DEPTH1, ids=[r[0] for r in RUNS_DEPTH1])
 def test_check_report_digest_depth1(name, code, digest, capsys, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    assert main(["check", f"metrics/{name}.metric", "--samples", "4", "--depth", "1"]) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    _assert_pinned(name, 1, code, digest, capsys, monkeypatch)
 
 
 def test_every_bundled_metric_is_pinned():

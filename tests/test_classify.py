@@ -139,18 +139,14 @@ def test_theorem_redu_consequences():
 
 
 def test_extract_A_tilde_cw():
-    rep = extract_A_tilde(_atil_stack(fixture("cw4_r2")), check_affine=True)
+    rep = extract_A_tilde(_atil_stack(fixture("cw4_r2")))
     for val in rep.values:
         assert np.allclose(val, -2.0 * np.diag([1.0, 0.0]))
     assert rep.grad_parallel and rep.d0_parallel
-    assert rep.affine_in_u is True
 
     rep1 = extract_A_tilde(_atil_stack(fixture("cw4_r1")))
     for val in rep1.values:
         assert np.max(np.abs(val)) < 1e-12
-
-    rep3 = extract_A_tilde(_atil_stack(fixture("cw4_r3")), check_affine=True)
-    assert rep3.affine_in_u is False
 
 
 def test_A_tilde_eigenvalues_chart_invariant():
@@ -279,15 +275,15 @@ def test_non_finite_agreement_aborts():
 
 def test_extract_A_tilde_on_a_chart_without_leaf_is_an_empty_parallel_report():
     # m = 0: Atil is empty, so every residual is 0 and Atil is parallel
-    rep = extract_A_tilde(_atil_stack(fixture("cw2")), check_affine=True)
+    rep = extract_A_tilde(_atil_stack(fixture("cw2")))
     assert (rep.values.shape, rep.eigenvalues.shape) == ((9, 0, 0), (9, 0))
-    assert (rep.grad_residual, rep.d0_residual, rep.affine_residual) == (0.0, 0.0, 0.0)
-    assert rep.grad_parallel and rep.d0_parallel and rep.affine_in_u
+    assert (rep.grad_residual, rep.d0_residual) == (0.0, 0.0)
+    assert rep.grad_parallel and rep.d0_parallel
 
 
 def test_extract_A_tilde_refuses_depth_zero_evaluations():
     evals = evaluate_samples(fixture("cw4_r2"), depth=0)
-    assert (evals.Atil_grad, evals.Atil_d0, evals.A_uu) == (None, None, None)
+    assert (evals.Atil_grad, evals.Atil_d0) == (None, None)
     with pytest.raises(ValueError, match=r"^extract_A_tilde needs evaluations of depth >= 1 "
                                          r"\(got depth 0\)"):
         extract_A_tilde(evals)
@@ -296,19 +292,18 @@ def test_extract_A_tilde_refuses_depth_zero_evaluations():
 @pytest.mark.parametrize("field, sample, residual", [
     ("Atil_grad", 2, "grad_residual"),
     ("Atil_d0", 3, "d0_residual"),
-    ("A_uu", 1, "affine_residual"),
 ])
 def test_a_non_finite_A_tilde_residual_is_a_located_error(field, sample, residual):
     # max(0.0, nan) is 0.0 in Python, so a NaN residual must not be folded that way
     spec = fixture("cw4_r2")
     samples = sample_points(spec)
     evals = evaluate_samples(spec, samples, depth=1)
-    rep = extract_A_tilde(evals, check_affine=True)
-    assert rep.grad_parallel and rep.d0_parallel and rep.affine_in_u
+    rep = extract_A_tilde(evals)
+    assert rep.grad_parallel and rep.d0_parallel
     getattr(evals, field)[sample, 0, 0] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=rf"^A_tilde {residual} is nan at sample \[") as err:
-            extract_A_tilde(evals, check_affine=True)
+            extract_A_tilde(evals)
     assert str(list(samples[sample].coords)) in str(err.value)
 
 

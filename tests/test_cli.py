@@ -42,7 +42,7 @@ def test_check_verdict_and_exit_code(cw42_file, capsys):
     code, out, _ = run(capsys, "check", cw42_file)
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["verdict"] == "proper_second_symmetric"
     assert set(report["residuals"]) == {"R", "nabla_R", "nabla2_R"}
     assert report["structural_checks"]["scalar_constant"] is True
@@ -293,6 +293,32 @@ def test_canonicalize_happy_path(tmp_path, capsys):
     assert report["essential_parameters"] == 2 - 1 + 2 * 3 // 2
 
 
+def test_canonicalize_refuses_a_non_affine_A_that_check_passes(aimed_metric, capsys):
+    # nabla nabla R vanishes at every default sample, but A(u) on the dense
+    # canonical grid is not affine: the worst misfit sits on the box edge
+    code, out, _ = run(capsys, "check", aimed_metric)
+    assert (code, json.loads(out)["verdict"]) == (0, "proper_second_symmetric")
+    code, out, err = run(capsys, "canonicalize", aimed_metric)
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["error"] == (
+        "precondition failed: A(u) is not affine: affine_residual 2.80e-02 exceeds "
+        "AFFINE_TOL * (1 + max|A|) = 2.03e-08, worst at u = 1.0")
+    assert report["affine_residual"] == pytest.approx(2.80e-2, abs=5e-5)
+    assert report["affine_threshold"] == pytest.approx(2.03e-8, abs=5e-11)
+    assert report["worst_u"] == 1.0
+    assert "A0" not in report and "R_samples" not in report
+
+
+def test_canonicalize_affine_gate_passes_a_coarse_proper_run(tmp_path, capsys):
+    # ten steps leave an RK4 misfit of 4.5e-9 in A(u), under the 2e-8 threshold
+    path = tmp_path / "scr.metric"
+    path.write_text(spec_to_text(fixture("scrambled_cw4")))
+    code, out, _ = run(capsys, "canonicalize", str(path), "--steps", "10")
+    assert code == 0
+    assert 1e-9 < json.loads(out)["affine_residual"] < 1e-8
+
+
 def test_canonicalize_refuses_a_u_interval_outside_the_box(tmp_path, capsys):
     path = tmp_path / "scr.metric"
     path.write_text(spec_to_text(fixture("scrambled_cw4")))
@@ -530,7 +556,7 @@ OVERFLOWING_PLANE_WAVES = {"H": 'H = "exp({e!r} * u) * x2^2 * 0.5 + u * x3^2"',
                            "W_2": 'H = "u * x3^2"\nW2 = "exp({e!r} * u) * x3 * 0.5"',
                            "g_22": 'H = "u * x3^2"\ng22 = "1 + exp({e!r} * u) * 1e-300"'}
 # Report keys whose null is part of the schema, not a non-finite number.
-NULL_BY_SCHEMA = {"affine_in_u", "affine_residual", "zero_cluster", "atil_on_flat_block"}
+NULL_BY_SCHEMA = {"zero_cluster", "atil_on_flat_block"}
 LOCATED_OVERFLOW = re.compile(
     r"error: (engine/oracle agreement is nan \(worst block \w+ at sample \[[^]]+\]\): .*"
     r"|non-finite tdot in the flat-block data at u = [-+.e\d]+)\n")
@@ -570,6 +596,42 @@ def test_an_overflow_in_check_or_canonicalize_is_located_never_a_verdict(tmp_pat
             report = json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(c))
             assert _only_finite_numbers(report)
     assert codes == ([0, 1] if field == "g_22" else [1, 1])
+
+
+def _null_paths(value, path=""):
+    """Dotted paths of the nulls in a report (list entries share their list's path)."""
+    if isinstance(value, dict):
+        return {p for k, v in value.items() for p in _null_paths(v, f"{path}.{k}".lstrip("."))}
+    if isinstance(value, list):
+        return {p for v in value for p in _null_paths(v, path)}
+    return {path} if value is None else set()
+
+
+BUNDLED = sorted(name[:-len(".metric")] for name in os.listdir(METRICS_DIR)
+                 if name.endswith(".metric"))
+# Bundled metrics whose Ricci split has no zero-eigenvalue (flat) cluster.
+NO_FLAT_CLUSTER = {"poly_seed1", "poly_seed2"}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_report_field_is_always_null(name, capsys):
+    # A key that reads null on every bundled metric reports nothing; the
+    # Eisenhart keys are null exactly where there is no flat cluster
+    path = os.path.join(METRICS_DIR, f"{name}.metric")
+    for argv in (["check", path, "--samples", "4", "--depth", "1"],
+                 ["check", path, "--samples", "4", "--depth", "2"],
+                 ["oracle-diff", path, "--samples", "4"],
+                 ["canonicalize", path]):
+        main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert report["schema_version"] == cli.SCHEMA_VERSION
+        nulls = _null_paths(report)
+        if argv[0] == "canonicalize":
+            nulls.discard("flags.steps")   # the echo of --steps, left unset here
+        if argv[0] == "check" and name in NO_FLAT_CLUSTER:
+            assert nulls == {"eisenhart.zero_cluster", "eisenhart.atil_on_flat_block"}
+        else:
+            assert nulls == set(), argv
 
 
 @pytest.mark.parametrize("point", [["0", "0"], ["0", "0", "0", "0"]], ids=["short", "long"])

@@ -1,17 +1,21 @@
 """Engine-level tests: paper-anchored values, symmetry battery, identities."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from brinkmann import expr, jets
 from brinkmann.chart import ChartPoint, MetricSpec
-from brinkmann.classify import _depth_norm
+from brinkmann.classify import _depth_norm, sample_points
 from brinkmann.curvature import FRAME_BLOCKS, curvature_at, d0_op, leaf_grad
 from brinkmann.jets import Jet
+from brinkmann.metricfile import load_metric_file
 from brinkmann.spaces import (FIXTURE_NAMES, CwParams, fixture, make_cw,
                               random_polynomial_spec)
 
 P_CW42 = lambda u: np.diag([u, 1.0])
+METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
 
 
 def test_flat_everything_zero():
@@ -158,6 +162,41 @@ def test_second_blocks_cw_r3():
     assert np.allclose(cc.blocks["00_a"], -4.0 * np.diag([1.0, 0.0]))
 
 
+PLANE_WAVES = ["cw4_order1", "cw4_order1_hyperbolic", "cw4_order2", "cw4_order2_sphere",
+               "cw4_order3", "cw6_order2"]
+
+
+def _stacks(spec):
+    """The 21 default-style samples and 15 uniform points of the box, as two stacks."""
+    box = np.array(spec.box)
+    off = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(15, len(box)))
+    return (ChartPoint.stack(sample_points(spec, 20)),
+            ChartPoint.stack([ChartPoint(c[0], tuple(c[1:])) for c in off]))
+
+
+@pytest.mark.parametrize("name", PLANE_WAVES + ["aimed"])
+def test_on_a_plane_wave_chart_the_00_a_block_is_A_twice_du(name, aimed_metric):
+    # H = A_ab(u) x^a x^b with W = 0 and a u-independent leaf: the 00_a block of
+    # nabla nabla R is A'' bit for bit, so the verdict already decides whether A
+    # is affine in u, on and off the samples.
+    spec = load_metric_file(aimed_metric if name == "aimed" else str(METRICS / f"{name}.metric"))
+    for p in _stacks(spec):
+        cc = curvature_at(spec, p, depth=2)
+        assert np.array_equal(cc.blocks["00_a"], cc.A.du().du().value())
+        if name in ("cw4_order3", "aimed"):
+            assert np.abs(cc.blocks["00_a"]).max() > 0.1
+
+
+def test_off_a_plane_wave_chart_A_twice_du_is_no_affine_test():
+    # scrambled_cw4 is proper 2nd-symmetric, so 00_a vanishes; its chart A(u)
+    # is not affine, so A'' does not
+    spec = fixture("scrambled_cw4")
+    for p in _stacks(spec):
+        cc = curvature_at(spec, p, depth=2)
+        assert np.abs(cc.blocks["00_a"]).max() < 1e-12
+        assert np.abs(cc.A.du().du().value()).reshape(len(p.u), -1).max(axis=1).min() > 0.5
+
+
 def test_ricci_identity_property():
     spec = random_polynomial_spec(11, n=5, amplitude=0.08)
     p = ChartPoint(0.21, (0.3, -0.25, 0.15))
@@ -232,7 +271,7 @@ def test_default_order_matches_order_5(name, depth):
     low, high = curvature_at(spec, p, depth=depth), curvature_at(spec, p, order=5, depth=depth)
     assert low.cj.order == 4
     assert list(low.blocks) == list(high.blocks)
-    values = {**low.blocks, "Atil_grad": low.Atil_grad, "Atil_d0": low.Atil_d0, "A_uu": low.A_uu}
+    values = {**low.blocks, "Atil_grad": low.Atil_grad, "Atil_d0": low.Atil_d0}
     for key, val in values.items():
         ref = np.asarray(high.blocks[key] if key in high.blocks else getattr(high, key))
         assert np.all(np.abs(np.asarray(val) - ref) <= 1e-13 * (1.0 + np.abs(ref))), key

@@ -215,7 +215,7 @@ def test_samples_across_a_node_block_boundary_equal_the_blocks_evaluated_alone()
         assert list(stack) == list(getattr(parts[0], name))
         for key, value in stack.items():
             assert joined(value, [getattr(ev, name)[key] for ev in parts]), (name, key)
-    for name in ("gbar", "Atil_grad", "Atil_d0", "A_uu"):
+    for name in ("gbar", "Atil_grad", "Atil_d0"):
         assert joined(getattr(whole, name), [getattr(ev, name) for ev in parts]), name
     assert whole.depth == 2
 
