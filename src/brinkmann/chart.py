@@ -46,7 +46,6 @@ __all__ = [
     "christoffel_bar",
     "frame_components",
     "jet_matrix_inverse",
-    "node_subscripts",
     "node_blocks",
     "first_failing_node",
     "NODE_BLOCK",
@@ -68,81 +67,69 @@ def _delta(i: int, j: int) -> ExprAst:
     return expr.Num(1.0 if i == j else 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartPoint:
-    """A point of the chart; v is omitted since nothing depends on it.
+    """A stack of N >= 1 chart points; v is omitted since nothing depends on it.
 
-    With a 1-D array u of length N it is a stack of N points, the x
-    coordinates broadcast to u's shape (N,), which is the point's ``shape``
-    (``()`` for a single point).  ``eval_metric`` and the oracle evaluate a
-    stack in one call and give every result a leading node axis.
+    u is a 1-D array of length N, and each x coordinate is broadcast to its
+    shape; a float u is read as a stack of one point.  ``eval_metric``, the
+    oracle and the engine evaluate a stack in one call and give every result
+    a leading node axis.
     """
 
-    u: float | np.ndarray
-    x: tuple[float | np.ndarray, ...]
+    u: np.ndarray
+    x: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.u, np.ndarray) and self.u.ndim):
-            finite = math.isfinite(self.u) and all(math.isfinite(c) for c in self.x)
-        else:
-            u, *x = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in self.coords))
-            if u.ndim != 1 or u.shape != self.u.shape:
-                raise ValueError("a stack of chart points needs a 1-D u and x of its shape")
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "x", tuple(x))
-            finite = all(np.isfinite(c).all() for c in self.coords)
-        if not finite:
+        u0 = np.atleast_1d(np.asarray(self.u, dtype=float))
+        u, *x = np.broadcast_arrays(u0, *(np.asarray(c, dtype=float) for c in self.x))
+        if u.ndim != 1 or u.shape != u0.shape or not len(u):
+            raise ValueError("a stack of chart points needs a non-empty 1-D u and x of its shape")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "x", tuple(x))
+        if not all(np.isfinite(c).all() for c in self.coords):
             raise ValueError("chart point has non-finite coordinates")
 
-    @property
-    def coords(self) -> tuple:
-        return (self.u,) + tuple(self.x)
+    def __len__(self) -> int:
+        return len(self.u)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        """``(N,)`` for a stack of N points, ``()`` for a single point."""
-        return self.u.shape if isinstance(self.u, np.ndarray) else ()
+    def coords(self) -> tuple[np.ndarray, ...]:
+        return (self.u,) + self.x
 
-    def node(self, k: int) -> "ChartPoint":
-        """Point k of a stack, with float coordinates."""
-        return ChartPoint(float(self.u[k]), tuple(float(c[k]) for c in self.x))
+    def at(self, k: int) -> tuple[float, ...]:
+        """The chart coordinates (u, x2, ..) of point k, as floats."""
+        return tuple(float(c[k]) for c in self.coords)
 
     def rows(self, rows: slice) -> "ChartPoint":
-        """The sub-stack ``rows`` of a stack."""
+        """The sub-stack ``rows``."""
         return ChartPoint(self.u[rows], tuple(c[rows] for c in self.x))
-
-    @staticmethod
-    def stack(points: Sequence["ChartPoint"]) -> "ChartPoint":
-        """The single points as one stack, in their order."""
-        return ChartPoint(np.array([q.u for q in points]),
-                          tuple(np.array(c) for c in zip(*(q.x for q in points))))
 
 
 def node_blocks(p: ChartPoint):
-    """(rows, p.rows(rows)) for each slice ``rows`` of ``NODE_BLOCK`` points of the stack p."""
-    for start in range(0, p.shape[0], NODE_BLOCK):
+    """(rows, p.rows(rows)) for each slice ``rows`` of ``NODE_BLOCK`` points of p."""
+    for start in range(0, len(p), NODE_BLOCK):
         rows = slice(start, start + NODE_BLOCK)
         yield rows, p.rows(rows)
 
 
 def first_failing_node(p: ChartPoint, evaluate):
-    """``evaluate(p)``.  When p is a stack and that raises a ValueError, the
-    error is the one ``evaluate`` raises on its own at the first node that
-    fails, so a batch reports exactly what a loop over its nodes would."""
+    """``evaluate(p)``.  When that raises a ValueError, the error is the one
+    ``evaluate`` raises on the one-point stack of the first node that fails,
+    so a batch reports exactly what a loop over its nodes would."""
     try:
         return evaluate(p)
     except ValueError:
-        for k in range(p.shape[0] if p.shape else 0):
-            evaluate(p.node(k))
+        for k in range(len(p)):
+            evaluate(p.rows(slice(k, k + 1)))
         raise
 
 
-def node_subscripts(subscripts: str, nodes: tuple[int, ...]) -> str:
-    """``jet_einsum`` subscripts with the node letter N leading every term when
-    the operands carry a node axis (``nodes`` is their node shape)."""
-    if not nodes:
-        return subscripts
-    return "N" + subscripts.replace(",", ",N").replace("->", "->N")
+def _where(p: ChartPoint) -> tuple:
+    """The coordinates an error at p names: floats for one point, the
+    coordinate arrays for a larger stack (whose error ``first_failing_node``
+    replaces by its first failing node's)."""
+    return p.at(0) if len(p) == 1 else p.coords
 
 
 @dataclass(frozen=True)
@@ -232,6 +219,7 @@ class MetricSpec:
         return f"g_{i + 2}{j + 2}"
 
     def center(self) -> ChartPoint:
+        """The box center, as a stack of one point."""
         mids = [(lo + hi) / 2.0 for lo, hi in self.box]
         return ChartPoint(mids[0], tuple(mids[1:]))
 
@@ -241,17 +229,17 @@ class MetricSpec:
 
 @dataclass
 class ChartJets:
-    """Jets of all metric functions about one chart point, or about each point
-    of a stack (then every jet and ``ginv0`` has a leading node axis)."""
+    """Jets of all metric functions about each point of a stack; every jet and
+    ``ginv0`` has a leading node axis."""
 
     spec: MetricSpec
     point: ChartPoint
     order: int
-    H: Jet          # scalar
-    W: Jet          # (m,)
-    g: Jet          # (m, m)
+    H: Jet          # (N,)
+    W: Jet          # (N, m)
+    g: Jet          # (N, m, m)
     ginv0: np.ndarray  # numeric inverse of the degree-0 part
-    fields: np.ndarray  # (..., outputs, coefficients): the tape outputs; H, W, g are views
+    fields: np.ndarray  # (N, outputs, coefficients): the tape outputs; H, W, g are views
 
     @functools.cached_property
     def ginv(self) -> Jet:
@@ -280,21 +268,21 @@ def _seed_env(spec: MetricSpec, p: ChartPoint, order: int) -> dict[str, Jet]:
 
 
 def jet_matrix_inverse(G: Jet) -> Jet:
-    """Inverse of a square jet matrix (or of each matrix of a stack, node axes
-    leading) via the truncated Neumann series.
+    """Inverse of each matrix of a stack of square jet matrices (N, m, m) via
+    the truncated Neumann series.
 
     Writing G = G0 (I - X) with X = -G0^{-1} (G - G0), the correction X has
     zero constant term, hence is nilpotent in the truncated ring and the
     series sum_k X^k terminates at the jet order.
     """
-    nodes, m = G.shape[:-2], G.shape[-1]
+    m = G.shape[-1]
     G0 = G.value()
     G0inv = np.linalg.inv(G0)
     nv, order = G.num_vars, G.order
-    product = node_subscripts("ij,jk->ik", nodes)
+    product = "Nij,Njk->Nik"
     G0inv_jet = jets.const(G0inv, nv, order)
     X = -jet_einsum(product, G0inv_jet, G - jets.const(G0, nv, order))
-    S = jets.const(np.eye(m), nv, order, shape=nodes + (m, m))
+    S = jets.const(np.eye(m), nv, order, shape=G.shape)
     for _ in range(order):
         S = jets.const(np.eye(m), nv, order) + jet_einsum(product, X, S)
     return jet_einsum(product, S, G0inv_jet)
@@ -302,7 +290,7 @@ def jet_matrix_inverse(G: Jet) -> Jet:
 
 def _run_tape(spec: MetricSpec, where: tuple, run):
     """``run()``, with a tape domain error located at its field and the point
-    ``where`` (chart coordinates: floats, or arrays for a stack)."""
+    ``where`` (chart coordinates, as ``_where`` gives them)."""
     if len(where) != 1 + spec.m:
         raise ValueError("point dimension does not match the spec")
     try:
@@ -316,9 +304,9 @@ def _check_leaf_metric(g0: np.ndarray, where: tuple) -> None:
     """Raise MetricDefinitenessError unless the numeric g_ij is finite and
     positive definite, with its smallest Cholesky pivot above PIVOT_RATIO times
     the largest; ``where`` (chart coordinates) names the point.  A non-finite
-    entry is named in chart labels (x2 is leaf index 0).  One point (m, m) is
-    tested on Python floats; a stack (N, m, m) is tested at once, and
-    ``first_failing_node`` then names the node."""
+    entry is named in chart labels (x2 is leaf index 0).  One point (m, m),
+    the transport's compiled-tape path, is tested on Python floats; a stack
+    (N, m, m) is tested at once, and ``first_failing_node`` then names the node."""
     if g0.ndim == 2:
         m, entries = len(g0), g0.ravel().tolist()
         if not all(map(math.isfinite, entries)):
@@ -353,8 +341,8 @@ def eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     and the point when a field leaves the domain of a jet function there
     (a pole, say).
 
-    For a stack of N points the tape runs once on jets of batch shape (N,):
-    every jet and ``ginv0`` gets a leading node axis (a field that is
+    The tape runs once on jets of batch shape (N,) for the N points of p:
+    every jet and ``ginv0`` has a leading node axis (a field that is
     constant on the tape is broadcast to it), and a failure raises the error
     of the first failing node (``first_failing_node``).
     """
@@ -363,16 +351,16 @@ def eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
 
 def _eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     nv, m = spec.num_vars, spec.m
-    fields = _run_tape(spec, p.coords, lambda: expr.eval_jet(
+    where = _where(p)
+    fields = _run_tape(spec, where, lambda: expr.eval_jet(
         spec.tape, _seed_env(spec, p, order), nv, order))
     ctx = fields[0].ctx
     # a field constant on the tape has no node axis yet
-    data = np.stack([np.broadcast_to(f.data, p.shape + (ctx.ncoeffs,)) for f in fields], axis=-2)
+    data = np.stack([np.broadcast_to(f.data, (len(p), ctx.ncoeffs)) for f in fields], axis=1)
     H, W, g = (Jet(ctx, a) for a in (
-        data[..., 0, :], data[..., 1:1 + m, :],
-        data[..., 1 + m:, :].reshape(p.shape + (m, m, ctx.ncoeffs))))
+        data[:, 0], data[:, 1:1 + m], data[:, 1 + m:].reshape(len(p), m, m, ctx.ncoeffs)))
     g0 = g.value()
-    _check_leaf_metric(g0, p.coords)
+    _check_leaf_metric(g0, where)
     return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0), data)
 
 
@@ -382,8 +370,9 @@ def metric_coefficients(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
 
     Row k holds tape output k (H, then W_i, then g_ij row-major): the value,
     which is also the order-0 value, then the first partials.  The coefficients,
-    the checks and the errors are those of ``eval_metric`` at
-    ``ChartPoint(point[0], point[1:])``, bit for bit, and no ``ChartPoint`` is built.
+    the checks and the errors are those of ``eval_metric`` at the one-point
+    stack ``ChartPoint(point[0], point[1:])``, bit for bit, and no ``ChartPoint``
+    is built.
     """
     point, m = tuple(point), spec.m
     if not all(map(math.isfinite, point)):
@@ -401,7 +390,7 @@ def metric_coefficients(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
 
 def compute_h_t(cj: ChartJets) -> tuple[Jet, Jet]:
     """The chart's extrinsic data: h_i = H_,i - dW_i/du and
-    t_ij = (-dg_ij/du + W_i,j - W_j,i)/2 (node axes lead, as in ``cj``)."""
+    t_ij = (-dg_ij/du + W_i,j - W_j,i)/2 (the node axis leads, as in ``cj``)."""
     leaf = tuple(range(1, cj.m + 1))
     h = cj.H.grad(leaf) - cj.W.du()
     dW = cj.W.grad(leaf)                                 # dW[..., i, j] = W_i,j
@@ -410,14 +399,13 @@ def compute_h_t(cj: ChartJets) -> tuple[Jet, Jet]:
 
 
 def christoffel_bar(cj: ChartJets) -> Jet:
-    """Leaf Christoffel symbols Gamma^i_{jk} of g_ij at fixed u, as jets (node
-    axes lead, as in ``cj``)."""
+    """Leaf Christoffel symbols Gamma^i_{jk} of g_ij at fixed u, as jets (the
+    node axis leads, as in ``cj``)."""
     dg = cj.g.grad(tuple(range(1, cj.m + 1)))            # dg[..., r, j, k] = g_rj,k
     sym = Jet(dg.ctx, dg.data + np.einsum("...rkjc->...rjkc", dg.data)
               - np.einsum("...jkrc->...rjkc", dg.data))
     # sym[r, j, k] = g_rj,k + g_rk,j - g_jk,r
-    return 0.5 * jet_einsum(node_subscripts("ir,rjk->ijk", cj.H.shape),
-                            cj.ginv.truncate(dg.order), sym)
+    return 0.5 * jet_einsum("Nir,Nrjk->Nijk", cj.ginv.truncate(dg.order), sym)
 
 
 # -- partly null frame -------------------------------------------------------------
@@ -427,7 +415,7 @@ def christoffel_bar(cj: ChartJets) -> Jet:
 # (5) and nabla nabla R (6), one dict per depth.  Each key maps to its slot
 # signature, one letter per slot of R^a_{bcd} [a, b, c, d, inner derivative,
 # outer derivative]: '0' for E_0, '1' for E_1 and 'l' for the leaf E_i.  A
-# block's rank is its number of 'l' slots; the rank-0 blocks are floats.
+# block's rank is its number of 'l' slots; the rank-0 blocks are (N,) arrays.
 FRAME_BLOCKS: tuple[dict[str, str], ...] = (
     {"Rbar": "llll", "A": "1l0l", "B": "1lll", "R_i0k": "ll0l",
      "Ric00": "00", "Ric0i": "0l", "Ricij": "ll", "S": ""},
@@ -441,8 +429,8 @@ FRAME_BLOCKS: tuple[dict[str, str], ...] = (
 
 @dataclass
 class FrameData:
-    """Change-of-basis matrices between the coordinate basis and {E_alpha},
-    at one point or at each point of a stack (node axes lead every array)."""
+    """Change-of-basis matrices between the coordinate basis and {E_alpha} at
+    each point of a stack (the node axis leads every array)."""
 
     n: int
     e: np.ndarray      # e[..., alpha, mu]:   E_alpha = e[alpha, mu] d_mu
@@ -458,12 +446,12 @@ class FrameData:
 
 
 def frame_components(cj: ChartJets) -> FrameData:
-    """The frame and coframe matrices from the values of H and W_i (node axes
-    lead, as in ``cj``)."""
-    n, nodes = cj.spec.n, cj.H.shape
+    """The frame and coframe matrices from the values of H and W_i (the node
+    axis leads, as in ``cj``)."""
+    n = cj.spec.n
     leaf = np.arange(2, n)
-    e = np.zeros(nodes + (n, n))
-    theta = np.zeros(nodes + (n, n))
+    e = np.zeros((len(cj.point), n, n))
+    theta = np.zeros((len(cj.point), n, n))
     e[..., 0, 0] = e[..., 1, 1] = theta[..., 0, 0] = theta[..., 1, 1] = 1.0
     e[..., leaf, leaf] = theta[..., leaf, leaf] = 1.0
     H0, W0 = cj.H.value(), cj.W.value()

@@ -94,8 +94,9 @@ def _halton(index: int, base: int) -> float:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
-def sample_points(spec: MetricSpec, count: int = 8) -> list[ChartPoint]:
-    """Deterministic low-discrepancy samples in the admissible box, plus its center.
+def sample_points(spec: MetricSpec, count: int = 8) -> ChartPoint:
+    """Deterministic low-discrepancy samples in the admissible box, then its
+    center, as one stack of count + 1 points.
 
     A Halton point at the center (the first one on a 2-D chart) is skipped."""
     if count < 0:
@@ -104,13 +105,11 @@ def sample_points(spec: MetricSpec, count: int = 8) -> list[ChartPoint]:
     inner = 1.0 - 2.0 * SAMPLE_MARGIN
     halton = ([_halton(k, _PRIMES[d % len(_PRIMES)]) for d in range(nv)]
               for k in itertools.count(1))
-    pts = []
-    for ts in itertools.islice((ts for ts in halton if ts != [0.5] * nv), count):
-        coords = [lo + (SAMPLE_MARGIN + inner * t) * (hi - lo) for t, (lo, hi) in zip(ts, spec.box)]
-        pts.append(ChartPoint(coords[0], tuple(coords[1:])))
-    pts.append(spec.center())
-    assert len(pts[0].x) == nv - 1
-    return pts
+    pts = [[lo + (SAMPLE_MARGIN + inner * t) * (hi - lo) for t, (lo, hi) in zip(ts, spec.box)]
+           for ts in itertools.islice((ts for ts in halton if ts != [0.5] * nv), count)]
+    pts.append(spec.center().at(0))
+    u, *x = (np.array(c) for c in zip(*pts))
+    return ChartPoint(u, tuple(x))
 
 
 # -- engine/oracle pairing ------------------------------------------------------------
@@ -167,10 +166,10 @@ def _join(parts: list):
     return None if first is None else np.concatenate(parts)
 
 
-def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint] | None = None,
+def evaluate_samples(spec: MetricSpec, samples: ChartPoint | None = None,
                      depth: int = 2) -> SampleStack:
-    """Run both pipelines at the samples (``sample_points(spec)`` by default)
-    and record per-block deviations.
+    """Run both pipelines at the stack of samples (``sample_points(spec)`` by
+    default) and record per-block deviations.
 
     The engine runs once per block of ``chart.node_blocks``, on its stack;
     the oracle runs once per sub-stack of at most
@@ -181,13 +180,8 @@ def evaluate_samples(spec: MetricSpec, samples: Sequence[ChartPoint] | None = No
     failure is the one a loop over the samples raises: the engine's at
     sample k, then the oracle's at sample k, then sample k + 1.
     """
-    if samples is None:
-        samples = sample_points(spec)
-    if not samples:
-        raise ValueError("evaluate_samples needs at least one sample")
-    p = ChartPoint.stack(samples)
-    parts = [first_failing_node(block, lambda q: _evaluate(
-                 spec, q if q.shape else ChartPoint.stack([q]), depth))
+    p = sample_points(spec) if samples is None else samples
+    parts = [first_failing_node(block, lambda q: _evaluate(spec, q, depth))
              for _, block in node_blocks(p)]
     # The fields after point and depth carry the sample axis; each is dropped
     # from the parts once joined, so that only one is held twice.
@@ -203,7 +197,7 @@ def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int) -> SampleStack:
     oracles, agreements = [], []
     with np.errstate(all="ignore"):
         cc = curvature_at(spec, p, depth=depth)
-        for start in range(0, len(p.u), per_call):
+        for start in range(0, len(p), per_call):
             rows = slice(start, start + per_call)
             oracles.append(frame_blocks_from_oracle(spec, p.rows(rows), depth=depth))
             agreements.append({key: _node_max_abs(cc.blocks[key][rows] - o)
@@ -223,19 +217,18 @@ def _check_finite(ev: SampleStack) -> None:
         key = list(ev.agreement)[int(bad[:, k].argmax())]
         raise EngineDisagreement(
             f"engine/oracle agreement is {float(ev.agreement[key][k])} (worst block {key} at "
-            f"sample {list(ev.point.node(k).coords)}): the curvature jets are not finite "
+            f"sample {list(ev.point.at(k))}): the curvature jets are not finite "
             "there, so no verdict can be reached")
 
 
-def _key_max(block_sets: Sequence[dict[str, np.ndarray | float]], key: str) -> float:
-    """Largest absolute entry of block ``key`` over the given block dicts
-    (stacks or one point); 0 where no dict holds the key or the block is
-    empty.  NaN propagates."""
+def _key_max(block_sets: Sequence[dict[str, np.ndarray]], key: str) -> float:
+    """Largest absolute entry of block ``key`` over the given block dicts; 0
+    where no dict holds the key or the block is empty.  NaN propagates."""
     return float(np.max([np.max(np.abs(blocks[key]), initial=0.0)
                          for blocks in block_sets if key in blocks], initial=0.0))
 
 
-def _depth_norm(block_sets: Sequence[dict[str, np.ndarray | float]], depth: int) -> float:
+def _depth_norm(block_sets: Sequence[dict[str, np.ndarray]], depth: int) -> float:
     """Max-norm of one depth's blocks (R, nabla R or nabla nabla R) over the
     given block dicts; 0 where that depth was not evaluated."""
     return float(np.max([_key_max(block_sets, key) for key in FRAME_BLOCKS[depth]]))
@@ -280,7 +273,7 @@ class SymmetryReport:
     floor: float
     engine_agreement: float
     second_block_norms: dict[str, float]
-    samples: list[ChartPoint]
+    samples: list[tuple[float, ...]]   # chart coordinates (u, x2, ..) per sample
 
     @property
     def determinate(self) -> bool:
@@ -295,7 +288,7 @@ class SymmetryReport:
             "detection_floor": self.floor,
             "engine_agreement": self.engine_agreement,
             "second_block_norms": dict(self.second_block_norms),
-            "samples": [list(p.coords) for p in self.samples],
+            "samples": [list(coords) for coords in self.samples],
         }
 
 
@@ -319,7 +312,7 @@ def _check_agreement(ev: SampleStack) -> float:
     if dev > ENGINE_AGREEMENT_TOL:
         raise EngineDisagreement(
             f"engine and oracle disagree by {dev:.3e} (worst block {key} at sample "
-            f"{list(ev.point.node(k).coords)}); "
+            f"{list(ev.point.at(k))}); "
             "this indicates an internal inconsistency, not a property of the metric")
     return dev
 
@@ -334,7 +327,7 @@ def symmetry_order(evaluations: SampleStack, tol: float = DEFAULT_TOL) -> Symmet
     and a ``tol`` outside (0, DETECTION_FLOOR) (``check_tol``).
     """
     check_tol(tol)
-    count = len(evaluations.point.u)
+    count = len(evaluations.point)
     check_sample_count(count)
     depth = _evaluated_depth(evaluations, 1, "symmetry_order")
 
@@ -368,7 +361,7 @@ def symmetry_order(evaluations: SampleStack, tol: float = DEFAULT_TOL) -> Symmet
         floor=DETECTION_FLOOR,
         engine_agreement=agreement,
         second_block_norms=block_norms,
-        samples=[evaluations.point.node(k) for k in range(count)],
+        samples=[evaluations.point.at(k) for k in range(count)],
     )
 
 
@@ -440,7 +433,7 @@ def extract_A_tilde(evaluations: SampleStack) -> AtilReport:
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"A_tilde {name} is {per_sample[k]} at sample "
-                             f"{list(ev.point.node(k).coords)}: the curvature jets are "
+                             f"{list(ev.point.at(k))}: the curvature jets are "
                              "not finite there, so no verdict can be reached")
         return float(per_sample.max())
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import classify, metricfile
 from .canonical import AFFINE_TOL, reconstruct
-from .chart import ChartPoint, MetricSpec
+from .chart import MetricSpec
 from .ode import stage_grid, step_size
 from .spaces import CwParams
 from .transport import (check_in_box, d0_transport, geodesic_integrate, null_sectional_growth,
@@ -215,16 +215,20 @@ def cmd_canonicalize(args) -> int:
     interval = (lo if args.u_min is None else args.u_min,
                 hi if args.u_max is None else args.u_max)
     cf = reconstruct(spec, u_interval=interval, steps=args.steps)
-    report.update(flags={"steps": args.steps}, verdict=rep.verdict)
+    steps = len(cf.us) - 1
+    report.update(flags={"steps": steps}, verdict=rep.verdict)
     # The paper's proper case has A(u) affine; a verdict reached at finitely
     # many samples does not show that between them.
     threshold = AFFINE_TOL * (1.0 + float(np.max(np.abs(cf.A_of_u), initial=0.0)))
     if not cf.affine_residual <= threshold:
         misfit = np.abs(cf.A_of_u - cf.A0 - cf.us[:, None, None] * cf.A1)
         worst_u = float(cf.us[np.argmax(misfit.reshape(len(cf.us), -1).max(axis=1))])
+        h = step_size(interval[1] - interval[0], steps)
         report.update(error=f"precondition failed: A(u) is not affine: affine_residual "
                             f"{cf.affine_residual:.2e} exceeds AFFINE_TOL * (1 + max|A|) = "
-                            f"{threshold:.2e}, worst at u = {worst_u!r}",
+                            f"{threshold:.2e}, worst at u = {worst_u!r}; the residual includes "
+                            f"the RK4 error of {steps} steps of h = {h:.2e}, so a larger "
+                            f"--steps tells that error from a non-affine A(u)",
                       affine_residual=cf.affine_residual, affine_threshold=threshold,
                       worst_u=worst_u)
         _write_report(report, args)
@@ -250,24 +254,23 @@ def cmd_transport(args) -> int:
             raise ValueError(f"--point {name} = {value!r} is not finite; a start point needs "
                              f"finite coordinates")
     start = [0.5 * (lo + hi) for lo, hi in spec.box] if args.point is None else args.point
-    point = ChartPoint(start[0], tuple(start[1:]))
-    check_in_box(spec.box, [point.coords], lambda k: "start point")
+    check_in_box(spec.box, [start], lambda k: "start point")
     span = args.span
     if span is None:
         # u advances at rate 1 along d0 and along the null geodesic (du/dtau =
         # g(K, gamma') = 1 is conserved), so this span ends on the box's upper u edge.
         lo, hi = spec.box[0]
-        span = hi - point.u
+        span = hi - start[0]
         if not span > 0.0:
-            raise ValueError(f"--point u = {point.u!r} is not below the box's upper u edge "
+            raise ValueError(f"--point u = {start[0]!r} is not below the box's upper u edge "
                              f"{hi!r} (box u = {lo!r} {hi!r}); give --span")
     rows: list[str]
     if args.experiment != "d0":
         if args.experiment == "nullsec" and not spec.m:
             raise ValueError("nullsec needs a leaf direction X = d/dx2, and this chart has "
                              "none (m = 0)")
-        v0 = null_velocity(spec, point, args.leaf_part)
-        traj = geodesic_integrate(spec, [point.u, 0.0, *point.x], v0, span, args.steps,
+        v0 = null_velocity(spec, start, args.leaf_part)
+        traj = geodesic_integrate(spec, [start[0], 0.0, *start[1:]], v0, span, args.steps,
                                   box=spec.box)
     if args.experiment == "geodesic":
         cols = ["u", "v", *names[1:]]
@@ -289,10 +292,10 @@ def cmd_transport(args) -> int:
             raise ValueError("--leaf-part sets the initial null velocity of the geodesic and "
                              "nullsec experiments; --experiment d0 takes none")
         m = spec.m
-        us = stage_grid(point.u, step_size(span, args.steps), args.steps)[0]
-        check_in_box(spec.box, [(u, *point.x) for u in us.tolist()], lambda k: "d0 curve at",
+        us = stage_grid(start[0], step_size(span, args.steps), args.steps)[0]
+        check_in_box(spec.box, [(u, *start[1:]) for u in us.tolist()], lambda k: "d0 curve at",
                      args.steps)
-        us, X = d0_transport(spec, point, np.eye(m), span, args.steps)
+        us, X = d0_transport(spec, start, np.eye(m), span, args.steps)
         rows = ["u," + ",".join(f"X{v}_{i + 2}" for v in range(m) for i in range(m))]
         rows += [",".join(map(_fmt_float, [u, *x]))
                  for u, x in zip(us.tolist(), X.reshape(len(us), m * m).tolist())]

@@ -37,11 +37,11 @@ R^1_{i0j} with the new leaf slot appended last.  Correction terms are
 contracted exactly as the second-symmetry system writes them; each block
 vanishes identically on a 2nd-symmetric space.
 
-``curvature_at`` also takes a stack of N chart points (a ``ChartPoint`` with
-a 1-D array u), as ``eval_metric`` and the oracle do: every jet and block
-then carries a leading node axis, every ``jet_einsum`` contracts with the
-node letter N leading its subscripts (``chart.node_subscripts``), and each
-node's numbers are bit for bit those of its own one-point call.  Every jet
+``curvature_at`` takes a stack of N chart points (a ``ChartPoint``), as
+``eval_metric`` and the oracle do: every jet and block carries a leading
+node axis, every ``jet_einsum`` contracts with the node letter N leading its
+subscripts, and each node's numbers are bit for bit those of its own
+one-point stack.  Every jet
 is only as deep as what reads it: each connection correction is contracted
 at the order of the derivative it corrects, the Gamma Gamma product of Rbar
 at the order of dGamma and t^k_i t_kj at the order of A.  At the default
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import FRAME_BLOCKS, ChartJets, ChartPoint, MetricSpec, christoffel_bar, compute_h_t, \
-    eval_metric, node_subscripts
+    eval_metric
 from .jets import Jet, jet_einsum
 
 __all__ = [
@@ -75,17 +75,17 @@ def _slot_letters(k: int) -> str:
     return "".join(_LETTERS[:k])
 
 
-def _add_slot_corrections(out: Jet, T: Jet, nup: int, conn: Jet, nodes: tuple[int, ...],
-                          deriv: str = "", sign: int = 1) -> Jet:
+def _add_slot_corrections(out: Jet, T: Jet, nup: int, conn: Jet, deriv: str = "",
+                          sign: int = 1) -> Jet:
     """Add one connection term per slot of ``T`` to ``out``, in slot order.
 
     A contravariant slot L contributes conn^L_r T^{..r..}, a covariant slot
     L contributes -conn^r_L T_{..r..}; ``sign`` -1 flips both.  ``deriv``
-    names a trailing index of ``conn`` carried through to the output.
-    ``nodes`` is the node shape leading ``conn``, ``T`` and ``out``.  Each
-    term is contracted at the order of ``out``, the most that sum keeps.
+    names a trailing index of ``conn`` carried through to the output.  The
+    node axis leads ``conn``, ``T`` and ``out``.  Each term is contracted at
+    the order of ``out``, the most that sum keeps.
     """
-    rank = len(T.shape) - len(nodes)
+    rank = len(T.shape) - 1
     letters = _slot_letters(rank)
     order = min(out.order, conn.order)
     conn, T = conn.truncate(order), T.truncate(order)
@@ -93,8 +93,7 @@ def _add_slot_corrections(out: Jet, T: Jet, nup: int, conn: Jet, nodes: tuple[in
         L = letters[a]
         src = letters[:a] + "r" + letters[a + 1:]
         pair = f"{L}r" if a < nup else f"r{L}"
-        term = jet_einsum(node_subscripts(f"{pair}{deriv},{src}->{letters}{deriv}", nodes),
-                          conn, T)
+        term = jet_einsum(f"N{pair}{deriv},N{src}->N{letters}{deriv}", conn, T)
         out = out + term if (a < nup) == (sign > 0) else out - term
     return out
 
@@ -103,27 +102,27 @@ def leaf_grad(T: Jet, nup: int, gamma: Jet) -> Jet:
     """Leaf covariant derivative; the new covariant slot is appended last.
 
     ``T`` has its ``nup`` contravariant axes first, then covariant axes.
-    ``gamma[i, j, k]`` holds Gamma^i_{jk}; node axes of a stack lead
-    ``gamma`` and ``T``.
+    ``gamma[N, i, j, k]`` holds Gamma^i_{jk}; the node axis leads ``gamma``
+    and ``T``.
     """
     out = T.grad(tuple(range(1, gamma.shape[-1] + 1)))
-    return _add_slot_corrections(out, T, nup, gamma, gamma.shape[:-3], deriv="s")
+    return _add_slot_corrections(out, T, nup, gamma, deriv="s")
 
 
 def d0_op(T: Jet, nup: int, tup: Jet) -> Jet:
     """Transverse derivative of a v-invariant leaf section.
 
     Implements dot(T) minus t^i_k contractions on contravariant slots plus
-    t^k_j contractions on covariant slots; ``tup[i, j]`` holds t^i_j.  Node
-    axes of a stack lead ``tup`` and ``T``.
+    t^k_j contractions on covariant slots; ``tup[N, i, j]`` holds t^i_j.  The
+    node axis leads ``tup`` and ``T``.
     """
-    return _add_slot_corrections(T.du(), T, nup, tup, tup.shape[:-2], sign=-1)
+    return _add_slot_corrections(T.du(), T, nup, tup, sign=-1)
 
 
-def _sym12(x: np.ndarray, nn: int) -> np.ndarray:
-    """Symmetrize the first two slots (the (i, j) pair of A/B-type slices)
-    after ``nn`` node axes."""
-    return 0.5 * (x + np.swapaxes(x, nn, nn + 1))
+def _sym12(x: np.ndarray) -> np.ndarray:
+    """Symmetrize the first two slots after the node axis (the (i, j) pair of
+    A/B-type slices)."""
+    return 0.5 * (x + np.swapaxes(x, 1, 2))
 
 
 def _jtrace(J: Jet, a: int, b: int) -> Jet:
@@ -132,13 +131,13 @@ def _jtrace(J: Jet, a: int, b: int) -> Jet:
 
 @dataclass
 class ChartCurvature:
-    """The jets of one (spec, point) evaluation and the values of its frame blocks.
+    """The jets of one (spec, stack) evaluation and the values of its frame blocks.
 
     ``blocks`` holds the keys of ``FRAME_BLOCKS[:depth + 1]`` in table order;
     the nabla R jets ``Atil`` .. ``gradRbar`` and the values ``Atil_grad`` and
     ``Atil_d0`` (``curvature_at``) are None below depth 1.  On a two-dimensional
-    chart (m = 0) every leaf jet and block is empty.  At a stack of points
-    every jet, value and block has a leading node axis (rank-0 ones too).
+    chart (m = 0) every leaf jet and block is empty.  Every jet, value and
+    block has a leading node axis (rank-0 ones too).
     """
 
     cj: ChartJets
@@ -151,7 +150,7 @@ class ChartCurvature:
     A: Jet
     B: Jet
     depth: int
-    blocks: dict[str, np.ndarray | float]
+    blocks: dict[str, np.ndarray]
     Atil: Jet | None = None
     Ahat: Jet | None = None
     Btil: Jet | None = None
@@ -176,9 +175,9 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
 
     R takes two derivatives of the metric.  From depth 1, ``Atil_grad`` and
     ``Atil_d0`` (``leaf_grad``, ``d0_op`` of Atil) take four, so the least and
-    default jet order is 2 at depth 0 and 4 at depths 1 and 2.  At a stack of
-    points, every jet and block has a leading node axis, and a failure is the
-    first failing node's error.
+    default jet order is 2 at depth 0 and 4 at depths 1 and 2.  Every jet and
+    block has a leading node axis, and a failure is the first failing node's
+    error.
     """
     if depth not in (0, 1, 2):
         raise ValueError("depth must be 0, 1 or 2")
@@ -187,17 +186,12 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     if order < least:
         raise ValueError(f"jet order {order} too small for depth {depth}")
     cj = eval_metric(spec, p, order)
-    nodes = p.shape
-    nn = len(nodes)
-
-    def ein(subscripts: str, a: Jet, b: Jet) -> Jet:
-        return jet_einsum(node_subscripts(subscripts, nodes), a, b)
 
     h, t = compute_h_t(cj)
     gamma = christoffel_bar(cj)
     ginv = cj.ginv
-    tup = ein("ir,rj->ij", ginv, t)        # t^i_j
-    hup = ein("ij,j->i", ginv, h)          # h^i
+    tup = jet_einsum("Nir,Nrj->Nij", ginv, t)   # t^i_j
+    hup = jet_einsum("Nij,Nj->Ni", ginv, h)     # h^i
 
     # Leaf curvature from the connection coefficients:
     # Rbar^i_{jkl} = d_k G^i_{lj} - d_l G^i_{kj} + G^i_{kr}G^r_{lj} - G^i_{lr}G^r_{kj}
@@ -206,28 +200,28 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
                 np.einsum("...iljkc->...ijklc", dgam_j.data)
                 - np.einsum("...ikjlc->...ijklc", dgam_j.data))
     low = gamma.truncate(dgam_j.order)     # Rbar reads no higher degree
-    gg = ein("ikr,rlj->ijkl", low, low)
+    gg = jet_einsum("Nikr,Nrlj->Nijkl", low, low)
     ggT = Jet(gg.ctx, np.swapaxes(gg.data, -3, -2))
     Rbar_up = dterm + gg - ggT
-    Ricbar = _jtrace(Rbar_up, nn, nn + 2)
-    Sbar = ein("ij,ij->", ginv, Ricbar)
+    Ricbar = _jtrace(Rbar_up, 1, 3)
+    Sbar = jet_einsum("Nij,Nij->N", ginv, Ricbar)
 
     # Curvature slices: A_ij = -(grad_j h_i + tdot_ij + t^k_i t_kj), B = skew grad t.
     grad_h = leaf_grad(h, 0, gamma)
     tdot = t.du()
-    tt = ein("ki,kj->ij", tup.truncate(tdot.order), t.truncate(tdot.order))
+    tt = jet_einsum("Nki,Nkj->Nij", tup.truncate(tdot.order), t.truncate(tdot.order))
     A = -(grad_h + tdot + tt)
     grad_t = leaf_grad(t, 0, gamma)
-    B = Jet(grad_t.ctx, grad_t.data - np.swapaxes(grad_t.data, nn + 1, nn + 2))
+    B = Jet(grad_t.ctx, grad_t.data - np.swapaxes(grad_t.data, 2, 3))
     grad_tup = leaf_grad(tup, 1, gamma)
     R_i0k = grad_tup + gamma.du()
 
     # Ricci pieces; the full scalar curvature equals the leaf scalar.
     grad_hup = leaf_grad(hup, 1, gamma)
-    Ric00 = _jtrace(grad_hup, nn, nn + 1) + ein("ij,ji->", ginv, tdot) \
-        + ein("ki,ki->", ein("jr,ir->ij", ginv, tup), t)
-    tr_tup = _jtrace(tup, nn, nn + 1)
-    Ric0i = leaf_grad(tr_tup, 0, gamma) - _jtrace(grad_tup, nn, nn + 2)
+    Ric00 = _jtrace(grad_hup, 1, 2) + jet_einsum("Nij,Nji->N", ginv, tdot) \
+        + jet_einsum("Nki,Nki->N", jet_einsum("Njr,Nir->Nij", ginv, tup), t)
+    tr_tup = _jtrace(tup, 1, 2)
+    Ric0i = leaf_grad(tr_tup, 0, gamma) - _jtrace(grad_tup, 1, 3)
 
     blocks = {
         "Rbar": Rbar_up.value(), "A": A.value(), "B": B.value(), "R_i0k": R_i0k.value(),
@@ -239,11 +233,11 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
         return cc
 
     # First derivatives of the curvature.
-    Bsym = Jet(B.ctx, _sym12(B.data, nn))  # B_(ij)k
-    cc.Atil = d0_op(A, 0, tup) + 2.0 * ein("k,ijk->ij", hup, Bsym)
-    cc.Ahat = leaf_grad(A, 0, gamma) - 2.0 * ein("ks,ijk->ijs", tup, Bsym)
-    cc.Btil = d0_op(B, 0, tup) + ein("r,rijk->ijk", h, Rbar_up)
-    cc.Bhat = leaf_grad(B, 0, gamma) - ein("rs,rijk->ijks", t, Rbar_up)
+    Bsym = Jet(B.ctx, _sym12(B.data))      # B_(ij)k
+    cc.Atil = d0_op(A, 0, tup) + 2.0 * jet_einsum("Nk,Nijk->Nij", hup, Bsym)
+    cc.Ahat = leaf_grad(A, 0, gamma) - 2.0 * jet_einsum("Nks,Nijk->Nijs", tup, Bsym)
+    cc.Btil = d0_op(B, 0, tup) + jet_einsum("Nr,Nrijk->Nijk", h, Rbar_up)
+    cc.Bhat = leaf_grad(B, 0, gamma) - jet_einsum("Nrs,Nrijk->Nijks", t, Rbar_up)
     cc.Rtil = d0_op(Rbar_up, 1, tup)
     cc.gradRbar = leaf_grad(Rbar_up, 1, gamma)
     blocks.update((k, getattr(cc, k).value()) for k in FRAME_BLOCKS[1])
@@ -251,18 +245,18 @@ def curvature_at(spec: MetricSpec, p: ChartPoint, order: int | None = None,
     cc.Atil_d0 = d0_op(cc.Atil, 0, tup).value()
 
     if depth == 2:
-        blocks.update(_second_derivatives(cc, nn))
+        blocks.update(_second_derivatives(cc))
     return cc
 
 
-def _second_derivatives(cc: ChartCurvature, nn: int) -> dict[str, np.ndarray]:
+def _second_derivatives(cc: ChartCurvature) -> dict[str, np.ndarray]:
     """Values of the twelve nabla nabla R blocks, with their corrections
-    (``nn`` node axes lead every jet and block)."""
+    (the node axis leads every jet and block)."""
     gamma, tup = cc.gamma, cc.tup
     t_val, tup_val, h_val, hup_val = cc.t.value(), tup.value(), cc.h.value(), cc.hup.value()
     f = cc.blocks
-    Bhat_sym = _sym12(f["Bhat"], nn)
-    Btil_sym = _sym12(f["Btil"], nn)
+    Bhat_sym = _sym12(f["Bhat"])
+    Btil_sym = _sym12(f["Btil"])
 
     return {
         "ll_rbar": leaf_grad(cc.gradRbar, 1, gamma).value(),

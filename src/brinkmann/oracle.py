@@ -30,14 +30,13 @@ transport reads the partials from the compiled order-1 tape's coefficients
 without a jet and refuses G by ``check_finite``'s wording, as
 ``assemble_coordinate_metric`` does, and G's first partials likewise.
 
-Every function here also takes a stack of N chart points (a ``ChartPoint``
-with a 1-D array u), by the same code as one point: G, its inverses, Gamma,
-R, its covariant derivatives, the frame matrices and the frame blocks then
-carry a leading node axis, every ``jet_einsum`` contracts with the node
-letter N leading its subscripts (``chart.node_subscripts``), ``to_frame``
-makes each node's matrix products with its own frame, and each node's
-numbers are bit for bit those of its own one-point call.  A failure in a
-stack is the error the first failing node raises on its own.  Every jet is
+Every function here takes a stack of N chart points (a ``ChartPoint``): G,
+its inverses, Gamma, R, its covariant derivatives, the frame matrices and
+the frame blocks carry a leading node axis, every ``jet_einsum`` contracts
+with the node letter N leading its subscripts, ``to_frame`` makes each
+node's matrix products with its own frame, and each node's numbers are bit
+for bit those of its own one-point stack.  A failure in a stack is the
+error the first failing node raises on its own.  Every jet is
 only as deep as what reads it: the jet inverse of G is built at the order
 of Gamma, the Gamma Gamma product at the order of dGamma, and each
 covariant derivative at the order of the new slot.  ``coordinate_curvature``
@@ -65,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import FRAME_BLOCKS, ChartJets, ChartPoint, FrameData, MetricSpec, eval_metric, \
-    first_failing_node, frame_components, jet_matrix_inverse, node_subscripts
+    first_failing_node, frame_components, jet_matrix_inverse
 from .jets import Jet, jet_einsum
 
 __all__ = [
@@ -85,14 +84,12 @@ __all__ = [
 
 @dataclass
 class CoordinateMetric:
-    """Full metric as jets; entries are v-independent by construction.
-
-    At a stack of points, G and Ginv0 carry a leading node axis.
-    """
+    """Full metric as jets at a stack of points; entries are v-independent
+    by construction, and G and Ginv0 carry a leading node axis."""
 
     n: int
     point: ChartPoint
-    G: Jet            # (..., n, n) jets in (u, x) variables
+    G: Jet            # (N, n, n) jets in (u, x) variables
     Ginv0: np.ndarray
     chart: ChartJets
 
@@ -145,17 +142,17 @@ def full_metric(n: int, fields: np.ndarray) -> np.ndarray:
 
 
 def check_finite(G0: np.ndarray, p: ChartPoint) -> None:
-    """Refuse an assembled metric value, (n, n) or (N, n, n) at a stack of N
-    points, with a non-finite entry, naming its field (H, W_i or g_ij, chart
-    labels) and the point (``first_failing_node`` names the node of a stack).
+    """Refuse an assembled metric value (N, n, n) at the N points of p with a
+    non-finite entry, naming its field (H, W_i or g_ij, chart labels) and the
+    first node that has one.
 
     det G = -det g_ij, and the metric evaluation has already refused a
     singular or ill-conditioned g_ij, so finiteness is all that is left.
     """
     finite = np.isfinite(G0)
     if not finite.all():
-        a, b = np.argwhere(~finite)[0][-2:]   # row major
-        raise ValueError(f"non-finite {metric_field(a, b)} at {p.coords}")
+        k, a, b = np.argwhere(~finite)[0]   # row major
+        raise ValueError(f"non-finite {metric_field(a, b)} at {p.at(k)}")
 
 
 def metric_field(a: int, b: int) -> str:
@@ -165,8 +162,8 @@ def metric_field(a: int, b: int) -> str:
 
 
 def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
-    """The full metric's jets about p, or about each point of a stack (node
-    axis leading); a failure in a stack is the first failing node's error."""
+    """The full metric's jets about each point of p (node axis leading); a
+    failure is the first failing node's error."""
     return first_failing_node(p, lambda q: _assemble(spec, q, order))
 
 
@@ -203,15 +200,16 @@ def _lowered(dG: np.ndarray, nodes: int = 0) -> np.ndarray:
 
 def christoffel(dG: np.ndarray, Ginv0: np.ndarray) -> np.ndarray:
     """Values Gamma^a_{bc} from the values of the first partials
-    dG[..., a, b, mu] = g_ab,mu and the inverse of G's value, at one point or
-    at each point of a stack (node axis leading)."""
+    dG[..., a, b, mu] = g_ab,mu and the inverse of G's value, at one point
+    (the transport's compiled-tape path) or at each point of a stack (node
+    axis leading)."""
     return 0.5 * np.einsum("...ar,...rbc->...abc", Ginv0, _lowered(dG, Ginv0.ndim - 2))
 
 
 @dataclass
 class CoordinateCurvature:
-    """Coordinate components of R and its covariant derivatives at a point,
-    or at each point of a stack (node axis leading, S an array)."""
+    """Coordinate components of R and its covariant derivatives at each point
+    of a stack (node axis leading, S an (N,) array)."""
 
     n: int
     depth: int
@@ -220,7 +218,7 @@ class CoordinateCurvature:
     dR: np.ndarray | None       # nabla_mu R^a_{bcd}, mu last
     d2R: np.ndarray | None      # nabla_nu nabla_mu R^a_{bcd}, (mu, nu) last
     Ric: np.ndarray
-    S: float | np.ndarray
+    S: np.ndarray
 
 
 def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvature:
@@ -228,10 +226,9 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
         raise ValueError("depth must be 0, 1 or 2")
     if cm.G.order < 2 + depth:
         raise ValueError("insufficient jet order for the requested depth")
-    n, nodes = cm.n, cm.G.shape[:-2]
-    dG = _cgrad(cm.G, n)                          # dG[..., a, b, mu] = g_ab,mu
-    Gamma = 0.5 * jet_einsum(node_subscripts("ar,rbc->abc", nodes), cm.Ginv,
-                             Jet(dG.ctx, _lowered(dG.data, len(nodes))))
+    n = cm.n
+    dG = _cgrad(cm.G, n)                          # dG[N, a, b, mu] = g_ab,mu
+    Gamma = 0.5 * jet_einsum("Nar,Nrbc->Nabc", cm.Ginv, Jet(dG.ctx, _lowered(dG.data, 1)))
     del dG
 
     dGamma = _cgrad(Gamma, n)                     # dGamma[..., a, b, c, mu]
@@ -239,7 +236,7 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
             - np.einsum("...acbdx->...abcdx", dGamma.data))
     del dGamma
     low = Gamma.truncate(R.order)                 # R reads no higher degree
-    gg = jet_einsum(node_subscripts("acr,rdb->abcd", nodes), low, low)
+    gg = jet_einsum("Nacr,Nrdb->Nabcd", low, low)
     R.data += gg.data
     R.data -= np.swapaxes(gg.data, -3, -2)
     del gg, low
@@ -254,23 +251,17 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
         if depth == 2:
             d2R_val = _cov_deriv(dR, 1, Gamma, n).value()
     return CoordinateCurvature(n, depth, Gamma.value(), R.value(), dR_val, d2R_val,
-                               Ric_val, _rank0(S_val))
-
-
-def _rank0(value: np.ndarray) -> float | np.ndarray:
-    """A rank-0 value as a float at one point; at a stack, its node array."""
-    return float(value) if np.ndim(value) == 0 else value
+                               Ric_val, S_val)
 
 
 def _cov_deriv(T: Jet, nup: int, Gamma: Jet, n: int) -> Jet:
-    """Coordinate covariant derivative, new slot appended last; node axes of
-    Gamma and T lead.  Gamma and T are truncated to the derivative's order,
-    and every connection term is added in place, in slot order."""
+    """Coordinate covariant derivative, new slot appended last; the node axis
+    of Gamma and T leads.  Gamma and T are truncated to the derivative's
+    order, and every connection term is added in place, in slot order."""
     import string
 
     letters = [c for c in string.ascii_lowercase if c not in "rs"]
-    nodes = Gamma.shape[:-3]
-    rank = len(T.shape) - len(nodes)
+    rank = len(T.shape) - 1
     names = "".join(letters[:rank])
     out = _cgrad(T, n)
     Gamma, T = Gamma.truncate(out.order), T.truncate(out.order)
@@ -278,9 +269,9 @@ def _cov_deriv(T: Jet, nup: int, Gamma: Jet, n: int) -> Jet:
         L = names[a]
         src = names[:a] + "r" + names[a + 1:]
         if a < nup:
-            out.data += jet_einsum(node_subscripts(f"{L}rs,{src}->{names}s", nodes), Gamma, T).data
+            out.data += jet_einsum(f"N{L}rs,N{src}->N{names}s", Gamma, T).data
         else:
-            out.data -= jet_einsum(node_subscripts(f"r{L}s,{src}->{names}s", nodes), Gamma, T).data
+            out.data -= jet_einsum(f"Nr{L}s,N{src}->N{names}s", Gamma, T).data
     return out
 
 
@@ -289,19 +280,17 @@ def to_frame(values: np.ndarray, nup: int, frame: FrameData, rows: list[list[int
     each tensor slot k, so slot k of the result runs over those rows.
 
     Contravariant slots (the first ``nup`` tensor axes) pick up
-    theta^alpha_mu, covariant slots pick up e_alpha^mu.  At a stack, the node
-    axes of ``frame`` lead ``values`` too, and each node is contracted with
-    its own frame by one matrix product per slot, the product a single point
-    makes.
+    theta^alpha_mu, covariant slots pick up e_alpha^mu.  The node axis of
+    ``frame`` leads ``values`` too, and each node is contracted with its own
+    frame by one matrix product per slot.
     """
-    nn = frame.e.ndim - 2
     out = values
     for slot, picked in enumerate(rows):
-        mat = (frame.theta if slot < nup else frame.e)[..., picked, :]
-        moved = np.moveaxis(out, nn + slot, nn)
-        rest = moved.shape[nn + 1:]
-        product = np.matmul(mat, moved.reshape(moved.shape[:nn + 1] + (math.prod(rest),)))
-        out = np.moveaxis(product.reshape(moved.shape[:nn] + (len(picked),) + rest), nn, nn + slot)
+        mat = (frame.theta if slot < nup else frame.e)[:, picked, :]
+        moved = np.moveaxis(out, 1 + slot, 1)
+        rest = moved.shape[2:]
+        product = np.matmul(mat, moved.reshape(moved.shape[:2] + (math.prod(rest),)))
+        out = np.moveaxis(product.reshape((len(moved), len(picked)) + rest), 1, 1 + slot)
     return out
 
 
@@ -324,18 +313,17 @@ def _frame_cuts(depth: int, n: int) -> list[tuple[int, list[list[int]], dict[str
 
 
 def frame_blocks_from_oracle(spec: MetricSpec, p: ChartPoint,
-                             depth: int = 2) -> dict[str, np.ndarray | float]:
+                             depth: int = 2) -> dict[str, np.ndarray]:
     """The frame blocks of ``chart.FRAME_BLOCKS`` up to ``depth`` via the oracle,
     with the table's keys in its order, as the specialized engine gives them.
 
     The coordinate metric is taken at jet order depth + 2, the least the
     curvature needs.  A block's signature picks its tensor by its length (0
     S, 2 Ric, 4 R, 5 nabla R, 6 nabla nabla R), converted to the frame only
-    at the rows some block reads (``_frame_cuts``).  At a stack of points
-    every block has a leading node axis (the rank-0 blocks ``Ric00`` and
-    ``S`` are arrays), each node bit for bit its one-point call; a failure
-    is the first failing node's error.  The blocks are copies, so no
-    coordinate tensor outlives the call.
+    at the rows some block reads (``_frame_cuts``).  Every block has a
+    leading node axis (the rank-0 blocks ``Ric00`` and ``S`` are (N,)
+    arrays); a failure is the first failing node's error.  The blocks are
+    copies, so no coordinate tensor outlives the call.
     """
     cm = assemble_coordinate_metric(spec, p, depth + 2)
     cc = coordinate_curvature(cm, depth)
@@ -343,6 +331,6 @@ def frame_blocks_from_oracle(spec: MetricSpec, p: ChartPoint,
     blocks = {}
     for size, rows, cuts in _frame_cuts(depth, cm.n):
         values, nup = tensors[size]
-        frame_values = to_frame(np.asarray(values), nup, cm.frame, rows)
-        blocks.update((key, _rank0(np.array(frame_values[cut]))) for key, cut in cuts.items())
+        frame_values = to_frame(values, nup, cm.frame, rows)
+        blocks.update((key, frame_values[cut].copy()) for key, cut in cuts.items())
     return {key: blocks[key] for table in FRAME_BLOCKS[:depth + 1] for key in table}

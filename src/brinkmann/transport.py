@@ -28,9 +28,10 @@ and the stage rows of an analytic curve.  They stack them into one
 ``ChartPoint`` and evaluate it in the blocks of ``NODE_BLOCK`` points that
 ``chart.node_blocks`` cuts, one stacked ``assemble_coordinate_metric`` call
 (nullsec adds ``coordinate_curvature``, the curve its Christoffel symbols)
-or ``eval_metric`` and ``compute_h_t`` call (d0) per block, with the numbers
-of the one-point calls; the block size bounds the memory the stacked jets
-take.
+or ``eval_metric`` and ``compute_h_t`` call (d0) per block; the block size
+bounds the memory the stacked jets take.  A start point is given to
+``null_velocity`` and ``d0_transport`` by its chart coordinates (u, x2, ..),
+as ``geodesic_integrate`` takes its coordinates.
 
 States are (coords, velocity) with coords = (u, v, x^2 .. x^{n-1}).
 Conserved quantities along geodesics: g(gamma', gamma') and the pairing
@@ -272,25 +273,27 @@ def parallel_transport(traj: Trajectory, vectors0: np.ndarray) -> np.ndarray:
     return np.swapaxes(W, 1, 2)
 
 
-def d0_transport(spec: MetricSpec, p: ChartPoint, vectors0: np.ndarray,
+def d0_transport(spec: MetricSpec, start: Sequence[float], vectors0: np.ndarray,
                  u_span: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transport leaf vectors along the E_0 integral curve through p.
+    """Transport leaf vectors along the E_0 integral curve through the start
+    point, given by its chart coordinates (u, x2, ..).
 
     The integral curve keeps x fixed while u advances, so the transported
     components satisfy dX^i/du = t^i_k X^k, a linear equation integrated by
     ``ode.linear_rk4``.  t^i_k is evaluated once per row of the
     node/midpoint ``stage_grid``.  Returns (u values, X values).
-    A start point outside the box and a non-finite t^i_k are ``ValueError``s,
-    the latter naming the first u where it occurs; a transported vector that
-    overflows is a ``RuntimeError`` naming its u.
+    A start point that ``check_in_box`` refuses and a non-finite t^i_k are
+    ``ValueError``s, the latter naming the first u where it occurs; a
+    transported vector that overflows is a ``RuntimeError`` naming its u.
     """
-    check_in_box(spec.box, [p.coords], lambda k: "start point")
+    check_in_box(spec.box, [start], lambda k: "start point")
+    u0, *x = start
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = step_size(u_span, steps)
-    us, grid, rows = stage_grid(p.u, h, steps)
+    us, grid, rows = stage_grid(u0, h, steps)
     tup = np.empty((len(grid), spec.m, spec.m))
     with np.errstate(all="ignore"):
-        for block, q in node_blocks(ChartPoint(grid, p.x)):
+        for block, q in node_blocks(ChartPoint(grid, tuple(x))):
             cj = eval_metric(spec, q, order=1)
             tup[block] = cj.ginv0 @ compute_h_t(cj)[1].value()
     finite = np.isfinite(tup).reshape(len(grid), -1).all(axis=1)
@@ -320,8 +323,12 @@ def check_in_box(box: Sequence[tuple[float, float]], points: Sequence[Sequence[f
     outside ``box`` (as ``spec.box``), naming ``row(k)``, the coordinate, its
     value and its bounds.  A row reached after ``steps`` integration steps may
     lie past an edge by their rounding (``_box_edges``); at the default
-    ``steps = 0`` the edges are exact.  A NaN lies outside."""
+    ``steps = 0`` the edges are exact.  A NaN lies outside.  Rows whose length
+    is not ``len(box)``, one per chart coordinate, are refused first."""
     points = np.asarray(points, dtype=float)
+    if points.shape[1:] != (len(box),):
+        raise ValueError(f"{row(0)} has {points.shape[-1]} chart coordinates; the box has "
+                         f"{len(box)}, u and each x")
     lo, hi = _box_edges(box, steps)
     outside = ~((points >= lo) & (points <= hi))
     if outside.any():
@@ -332,17 +339,19 @@ def check_in_box(box: Sequence[tuple[float, float]], points: Sequence[Sequence[f
                          f"{name} in [{float(low)!r}, {float(high)!r}]")
 
 
-def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None = None) -> np.ndarray:
-    """An exactly lightlike velocity E_0 + a^i E_i + c E_1 at p.
+def null_velocity(spec: MetricSpec, start: Sequence[float],
+                  leaf_part: np.ndarray | None = None) -> np.ndarray:
+    """An exactly lightlike velocity E_0 + a^i E_i + c E_1 at the start point,
+    given by its chart coordinates (u, x2, ..).
 
     The E_1 coefficient solves the null condition in closed form from the
     frame inner products: c = g_ij a^i a^j / 2; H and W_i are read off
-    G_00 = -2H and G_0i = -W_i.  A start point outside the box, a leaf part
-    a (``--leaf-part``) without exactly m finite entries, and one whose
-    v-component overflows are ``ValueError``s.
+    G_00 = -2H and G_0i = -W_i.  A start point that ``check_in_box`` refuses,
+    a leaf part a (``--leaf-part``) without exactly m finite entries, and one
+    whose v-component overflows are ``ValueError``s.
     """
     m = spec.m
-    check_in_box(spec.box, [p.coords], lambda k: "start point")
+    check_in_box(spec.box, [start], lambda k: "start point")
     a = np.zeros(m) if leaf_part is None else np.asarray(leaf_part, dtype=float)
     if a.shape != (m,):
         raise ValueError(f"--leaf-part has {a.size} entries; the leaf dimension m = {m} "
@@ -352,7 +361,7 @@ def null_velocity(spec: MetricSpec, p: ChartPoint, leaf_part: np.ndarray | None 
                          f"entries must be finite")
     vec = np.zeros(spec.n)
     with np.errstate(all="ignore"):
-        G = metric_values(spec, np.array([p.u, 0.0, *p.x]))
+        G = metric_values(spec, np.array([start[0], 0.0, *start[1:]]))
         vec[:2] = 1.0, 0.5 * G[0, 0] + 0.5 * float(a @ G[2:, 2:] @ a)
         for i in range(m):
             vec[1] += a[i] * G[0, 2 + i]

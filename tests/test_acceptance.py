@@ -11,7 +11,6 @@ import pytest
 
 from brinkmann import expr as E
 from brinkmann import jets as J
-from brinkmann.chart import ChartPoint
 from brinkmann.classify import (algebra_lemma_probe, check_theorem_redu, eisenhart_split,
                                 evaluate_samples, extract_A_tilde, sample_points, symmetry_order)
 from brinkmann.canonical import reconstruct
@@ -162,13 +161,13 @@ def test_criterion_7_transport_laws():
 
     spec2 = fixture("cw4_r2")
     traj2 = geodesic_integrate(spec2, origin,
-                               null_velocity(spec2, ChartPoint(0.0, (0.0, 0.0))),
+                               null_velocity(spec2, (0.0, 0.0, 0.0)),
                                tau_span=10.0, steps=1000)
     res2 = null_sectional_growth(spec2, traj2, x_dir)
 
     spec1 = fixture("cw4_r1")
     traj1 = geodesic_integrate(spec1, origin,
-                               null_velocity(spec1, ChartPoint(0.0, (0.0, 0.0))),
+                               null_velocity(spec1, (0.0, 0.0, 0.0)),
                                tau_span=10.0, steps=1000)
     res1 = null_sectional_growth(spec1, traj1, x_dir)
     const_dev = float(np.max(np.abs(res1["K"] - res1["K"][0])))

@@ -22,9 +22,10 @@ def test_eval_metric_cw_gradient():
     spec = fixture("cw4_r2")  # H = (u x2^2) + x3^2 pattern: P(u) = diag(u, 1)
     p = ChartPoint(0.5, (0.4, -0.3))
     cj = eval_metric(spec, p, 3)
-    P = np.diag([p.u, 1.0])
-    grad = np.array([cj.H.partial((0, 1, 0)), cj.H.partial((0, 0, 1))])
-    assert np.allclose(grad, 2.0 * P @ np.array(p.x))
+    u, *x = p.at(0)
+    P = np.diag([u, 1.0])
+    grad = np.array([cj.H[0].partial((0, 1, 0)), cj.H[0].partial((0, 0, 1))])
+    assert np.allclose(grad, 2.0 * P @ np.array(x))
 
 
 def test_eval_metric_rejects_negative_definite():
@@ -49,9 +50,9 @@ def test_point_dimension_checked():
 def test_jet_matrix_inverse():
     spec = random_polynomial_spec(5, n=5)
     cj = eval_metric(spec, ChartPoint(0.2, (0.1, 0.3, -0.2)), 4)
-    ident = jet_einsum("ij,jk->ik", cj.g, cj.ginv)
+    ident = jet_einsum("Nij,Njk->Nik", cj.g, cj.ginv)
     expect = np.zeros_like(ident.data)
-    expect[np.arange(3), np.arange(3), 0] = 1.0
+    expect[:, np.arange(3), np.arange(3), 0] = 1.0
     assert np.max(np.abs(ident.data - expect)) < 1e-12
 
 
@@ -79,7 +80,8 @@ def test_h_t_cw():
     p = ChartPoint(0.7, (0.3, 0.6))
     cj = eval_metric(spec, p, 3)
     h, t = compute_h_t(cj)
-    assert np.allclose(h.value(), 2.0 * np.diag([p.u, 1.0]) @ np.array(p.x))
+    u, *x = p.at(0)
+    assert np.allclose(h.value()[0], 2.0 * np.diag([u, 1.0]) @ np.array(x))
     assert np.max(np.abs(t.value())) == 0.0
 
 
@@ -87,14 +89,14 @@ def test_t_split_exact_as_jets():
     # symmetric part of t is -gdot/2 and skew part -(dW)/2, coefficientwise
     spec = random_polynomial_spec(9, n=4)
     cj = eval_metric(spec, ChartPoint(0.15, (0.2, -0.35)), 4)
-    _, t = compute_h_t(cj)
+    t = compute_h_t(cj)[1][0]
     sym = 0.5 * (t.data + np.swapaxes(t.data, 0, 1))
     skew = 0.5 * (t.data - np.swapaxes(t.data, 0, 1))
-    gdot = cj.g.du()
+    gdot = cj.g[0].du()
     scale = 1e-16 * (1.0 + np.max(np.abs(gdot.data)))
     assert np.max(np.abs(sym + 0.5 * gdot.data)) < scale
     m = cj.m
-    dW = np.stack([np.stack([cj.W[i].diff(1 + j).data for j in range(m)]) for i in range(m)])
+    dW = np.stack([np.stack([cj.W[0, i].diff(1 + j).data for j in range(m)]) for i in range(m)])
     skew_expect = 0.5 * (dW - np.swapaxes(dW, 0, 1))
     assert np.max(np.abs(skew - skew_expect)) < scale
 
@@ -112,7 +114,7 @@ def test_christoffel_flat_and_u_conformal():
     gam = christoffel_bar(cj)
     assert np.max(np.abs(gam.value())) == 0.0
     assert np.max(np.abs(gam.du().value())) == 0.0
-    assert cj.g.du().value()[0, 0] == pytest.approx(2.0 * np.exp(0.8))
+    assert cj.g.du().value()[0, 0, 0] == pytest.approx(2.0 * np.exp(0.8))
 
 
 def test_christoffel_sphere_hand_values():
@@ -120,7 +122,7 @@ def test_christoffel_sphere_hand_values():
                                 box=[(-1, 1), (0.3, 2.8), (-1, 1)])
     th = 1.1
     cj = eval_metric(spec, ChartPoint(0.0, (th, 0.5)), 4)
-    gam = christoffel_bar(cj).value()
+    gam = christoffel_bar(cj).value()[0]
     assert gam[1, 0, 1] == pytest.approx(np.cos(th) / np.sin(th), rel=1e-12)
     assert gam[1, 1, 0] == pytest.approx(np.cos(th) / np.sin(th), rel=1e-12)
     assert gam[0, 1, 1] == pytest.approx(-np.sin(th) * np.cos(th), rel=1e-12)
@@ -129,12 +131,12 @@ def test_christoffel_sphere_hand_values():
 def test_christoffel_symmetry_and_metric_compatibility():
     spec = random_polynomial_spec(4, n=5)
     cj = eval_metric(spec, ChartPoint(0.25, (0.3, -0.1, 0.45)), 4)
-    gam = christoffel_bar(cj)
+    gam = christoffel_bar(cj)[0]
     assert np.max(np.abs(gam.data - np.swapaxes(gam.data, 1, 2))) < 1e-13
     # grad g = dg - Gamma g - Gamma g = 0
     m = cj.m
-    dg = np.stack([cj.g.diff(1 + k).value() for k in range(m)], axis=-1)
-    gv = cj.g.value()
+    dg = np.stack([cj.g[0].diff(1 + k).value() for k in range(m)], axis=-1)
+    gv = cj.g[0].value()
     gamv = gam.value()
     nabla_g = dg - np.einsum("rik,rj->ijk", gamv, gv) - np.einsum("rjk,ir->ijk", gamv, gv)
     assert np.max(np.abs(nabla_g)) < 1e-11
@@ -146,11 +148,11 @@ def test_christoffel_symmetry_and_metric_compatibility():
 def test_frame_special_cases():
     cj = eval_metric(MetricSpec.from_text(4), ChartPoint(0.0, (0.0, 0.0)), 2)
     fr = frame_components(cj)
-    assert np.allclose(fr.e[0], [1, 0, 0, 0])
-    assert np.allclose(fr.e[2], [0, 0, 1, 0])
+    assert np.allclose(fr.e[0, 0], [1, 0, 0, 0])
+    assert np.allclose(fr.e[0, 2], [0, 0, 1, 0])
     cj = eval_metric(MetricSpec.from_text(4, H="1"), ChartPoint(0.0, (0.0, 0.0)), 2)
     fr = frame_components(cj)
-    assert np.allclose(fr.e[0], [1, -1, 0, 0])
+    assert np.allclose(fr.e[0, 0], [1, -1, 0, 0])
 
 
 def test_frame_inner_products_random_spec():
@@ -161,10 +163,11 @@ def test_frame_inner_products_random_spec():
     cm = assemble_coordinate_metric(spec, p, 1)
     G = cm.G.value()
     fr = cm.frame
-    table = fr.e @ G @ fr.e.T
+    eT = np.swapaxes(fr.e, 1, 2)
+    table = fr.e @ G @ eT
     assert np.max(np.abs(table - fr.frame_metric())) < 1e-12
     # duality between frame and coframe
-    assert np.max(np.abs(fr.theta @ fr.e.T - np.eye(spec.n))) < 1e-12
+    assert np.max(np.abs(fr.theta @ eT - np.eye(spec.n))) < 1e-12
 
 
 def test_metric_spec_validation():
@@ -230,7 +233,7 @@ def test_non_finite_leaf_metric_is_named_at_every_order():
             with pytest.raises(MetricDefinitenessError, match=message):
                 eval_metric(spec, p, order)
         with pytest.raises(MetricDefinitenessError, match=message):
-            metric_coefficients(spec, p.coords)
+            metric_coefficients(spec, p.at(0))
 
 
 # -- the leaf gate at one point and on a stack ------------------------------------------

@@ -22,10 +22,9 @@ def test_sample_points_deterministic_and_inside_box():
     pts = sample_points(spec)
     again = sample_points(spec)
     assert len(pts) == 9
-    assert [p.coords for p in pts] == [p.coords for p in again]
-    for p in pts:
-        vals = [p.u] + list(p.x)
-        for v, (lo, hi) in zip(vals, spec.box):
+    assert [c.tobytes() for c in pts.coords] == [c.tobytes() for c in again.coords]
+    for k in range(len(pts)):
+        for v, (lo, hi) in zip(pts.at(k), spec.box):
             assert lo <= v <= hi
 
 
@@ -33,9 +32,9 @@ def test_sample_points_on_a_two_dimensional_chart_skip_the_center():
     # u alone is sampled, in base 2, whose first Halton point is the center
     spec = fixture("cw2")
     pts = sample_points(spec, count=4)
-    assert [p.u for p in pts] == [-0.3999999999999999, 0.40000000000000013, -0.6,
-                                  0.19999999999999996, 0.0]
-    assert pts[-1] == spec.center()
+    assert pts.u.tolist() == [-0.3999999999999999, 0.40000000000000013, -0.6,
+                              0.19999999999999996, 0.0]
+    assert pts.at(4) == spec.center().at(0)
 
 
 def test_verdicts():
@@ -86,19 +85,20 @@ def test_gray_zone_refuses_verdict():
 def test_a_negative_sample_count_is_refused():
     with pytest.raises(ValueError, match=r"^sample count -3 is negative$"):
         sample_points(fixture("flat"), count=-3)
-    assert sample_points(fixture("flat"), count=0) == [fixture("flat").center()]
+    center = sample_points(fixture("flat"), count=0)
+    assert len(center) == 1 and center.at(0) == fixture("flat").center().at(0)
 
 
 def test_minimum_sample_count():
     spec = fixture("flat")
     with pytest.raises(ValueError):
-        symmetry_order(evaluate_samples(spec, sample_points(spec)[:3]))
+        symmetry_order(evaluate_samples(spec, sample_points(spec).rows(slice(3))))
 
 
 @pytest.mark.parametrize("count", [1, 4])
 def test_a_stack_of_fewer_than_five_samples_is_refused(count):
     spec = fixture("cw4_r2")
-    evals = evaluate_samples(spec, sample_points(spec)[:count])
+    evals = evaluate_samples(spec, sample_points(spec).rows(slice(count)))
     with pytest.raises(ValueError,
                        match=rf"^need at least 5 sample points, the stack has {count}$"):
         symmetry_order(evals)
@@ -108,8 +108,8 @@ def test_the_report_lists_the_samples_of_its_stack():
     spec = fixture("cw4_r2")
     samples = sample_points(spec, count=20)
     rep = symmetry_order(evaluate_samples(spec, samples))
-    assert [p.coords for p in rep.samples] == [p.coords for p in samples]
-    assert rep.to_dict()["samples"] == [list(p.coords) for p in samples]
+    assert rep.samples == [samples.at(k) for k in range(len(samples))]
+    assert rep.to_dict()["samples"] == [list(samples.at(k)) for k in range(len(samples))]
 
 
 def test_engine_disagreement_aborts():
@@ -270,7 +270,7 @@ def test_non_finite_agreement_aborts():
     evals.agreement["Bhat"][3] = float("nan")
     with pytest.raises(EngineDisagreement, match=r"worst block Bhat at sample \[") as info:
         symmetry_order(evals)
-    assert str(list(samples[3].coords)) in str(info.value)
+    assert str(list(samples.at(3))) in str(info.value)
 
 
 def test_extract_A_tilde_on_a_chart_without_leaf_is_an_empty_parallel_report():
@@ -304,7 +304,7 @@ def test_a_non_finite_A_tilde_residual_is_a_located_error(field, sample, residua
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=rf"^A_tilde {residual} is nan at sample \[") as err:
             extract_A_tilde(evals)
-    assert str(list(samples[sample].coords)) in str(err.value)
+    assert str(list(samples.at(sample))) in str(err.value)
 
 
 METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"

@@ -303,7 +303,9 @@ def test_canonicalize_refuses_a_non_affine_A_that_check_passes(aimed_metric, cap
     report = json.loads(out)
     assert report["error"] == (
         "precondition failed: A(u) is not affine: affine_residual 2.80e-02 exceeds "
-        "AFFINE_TOL * (1 + max|A|) = 2.03e-08, worst at u = 1.0")
+        "AFFINE_TOL * (1 + max|A|) = 2.03e-08, worst at u = 1.0; the residual includes the "
+        "RK4 error of 4000 steps of h = 5.00e-04, so a larger --steps tells that error from "
+        "a non-affine A(u)")
     assert report["affine_residual"] == pytest.approx(2.80e-2, abs=5e-5)
     assert report["affine_threshold"] == pytest.approx(2.03e-8, abs=5e-11)
     assert report["worst_u"] == 1.0
@@ -317,6 +319,34 @@ def test_canonicalize_affine_gate_passes_a_coarse_proper_run(tmp_path, capsys):
     code, out, _ = run(capsys, "canonicalize", str(path), "--steps", "10")
     assert code == 0
     assert 1e-9 < json.loads(out)["affine_residual"] < 1e-8
+
+
+def test_canonicalize_names_the_steps_whose_rk4_error_fails_the_affine_gate(tmp_path, capsys):
+    # three steps leave an RK4 misfit of 4.1e-7 in A(u) of a proper metric, over
+    # the 2e-8 threshold, so the refusal names the steps and h; ten steps pass
+    path = tmp_path / "scr.metric"
+    path.write_text(spec_to_text(fixture("scrambled_cw4")))
+    code, out, err = run(capsys, "canonicalize", str(path), "--steps", "3")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["flags"] == {"steps": 3}
+    assert report["error"].startswith("precondition failed: A(u) is not affine: "
+                                      "affine_residual 4.10e-07 exceeds ")
+    assert report["error"].endswith(
+        "; the residual includes the RK4 error of 3 steps of h = 5.33e-01, so a larger "
+        "--steps tells that error from a non-affine A(u)")
+    code, out, _ = run(capsys, "canonicalize", str(path), "--steps", "10")
+    assert (code, json.loads(out)["flags"]) == (0, {"steps": 10})
+
+
+def test_canonicalize_without_steps_reports_the_steps_it_used(tmp_path, capsys):
+    # 2000 steps per unit of u over the box's u range [-0.8, 0.8]
+    path = tmp_path / "scr.metric"
+    path.write_text(spec_to_text(fixture("scrambled_cw4")))
+    code, out, _ = run(capsys, "canonicalize", str(path))
+    report = json.loads(out)
+    assert (code, report["flags"]) == (0, {"steps": 3200})
+    assert len(report["u_samples"]) == 3201
 
 
 def test_canonicalize_refuses_a_u_interval_outside_the_box(tmp_path, capsys):
@@ -626,8 +656,6 @@ def test_no_report_field_is_always_null(name, capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["schema_version"] == cli.SCHEMA_VERSION
         nulls = _null_paths(report)
-        if argv[0] == "canonicalize":
-            nulls.discard("flags.steps")   # the echo of --steps, left unset here
         if argv[0] == "check" and name in NO_FLAT_CLUSTER:
             assert nulls == {"eisenhart.zero_cluster", "eisenhart.atil_on_flat_block"}
         else:

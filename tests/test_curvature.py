@@ -18,6 +18,11 @@ P_CW42 = lambda u: np.diag([u, 1.0])
 METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
 
 
+def _node0(blocks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The blocks of a one-point stack, read at its point."""
+    return {key: value[0] for key, value in blocks.items()}
+
+
 def test_flat_everything_zero():
     cc = curvature_at(fixture("flat"), ChartPoint(0.3, (0.2, -0.1)), depth=2)
     assert [_depth_norm([cc.blocks], d) for d in range(3)] == [0.0, 0.0, 0.0]
@@ -26,8 +31,8 @@ def test_flat_everything_zero():
 def test_cw_curvature_values():
     p = ChartPoint(0.45, (0.3, -0.6))
     cc = curvature_at(fixture("cw4_r2"), p, depth=2)
-    P = P_CW42(p.u)
-    b = cc.blocks
+    P = P_CW42(p.at(0)[0])
+    b = _node0(cc.blocks)
     assert np.allclose(b["A"], -2.0 * P)
     assert np.max(np.abs(b["B"])) == 0.0
     assert np.max(np.abs(b["Rbar"])) == 0.0
@@ -53,17 +58,16 @@ def test_r_i0k_relation_to_B():
     # R^i_{j0k} = -g^{ri} R^1_{krj}
     spec = random_polynomial_spec(21, n=4)
     cc = curvature_at(spec, ChartPoint(0.2, (0.3, -0.2)), depth=0)
-    m = 2
-    ginv = cc.cj.ginv0
-    expect = -np.einsum("ri,krj->ijk", ginv, cc.blocks["B"])
-    assert np.max(np.abs(cc.blocks["R_i0k"] - expect)) < 1e-13
+    b = _node0(cc.blocks)
+    expect = -np.einsum("ri,krj->ijk", cc.cj.ginv0[0], b["B"])
+    assert np.max(np.abs(b["R_i0k"] - expect)) < 1e-13
 
 
 def test_sphere_block_locally_symmetric():
     spec = MetricSpec.from_text(4, g={(2, 2): "1", (3, 3): "sin(x2)^2"},
                                 box=[(-1, 1), (0.3, 2.8), (-1, 1)])
     cc = curvature_at(spec, ChartPoint(0.0, (1.2, 0.4)), depth=1)
-    Rbar_low = np.einsum("ir,rjkl->ijkl", cc.cj.g.value(), cc.blocks["Rbar"])
+    Rbar_low = np.einsum("ir,rjkl->ijkl", cc.cj.g.value()[0], cc.blocks["Rbar"][0])
     assert Rbar_low[0, 1, 0, 1] == pytest.approx(np.sin(1.2) ** 2)
     assert np.max(np.abs(cc.blocks["gradRbar"])) < 1e-9
 
@@ -74,15 +78,15 @@ def test_sphere_block_locally_symmetric():
 def test_d0_op_no_t_is_plain_dot():
     rng = np.random.default_rng(0)
     ctx = jets.context(4, 2)
-    T = Jet(ctx, rng.normal(size=(3, 3, ctx.ncoeffs)))
-    out = d0_op(T, 0, jets.zeros((3, 3), 4, 2)).value()
+    T = Jet(ctx, rng.normal(size=(1, 3, 3, ctx.ncoeffs)))
+    out = d0_op(T, 0, jets.zeros((1, 3, 3), 4, 2)).value()
     Tdot = T.du().value()
     assert np.allclose(out, Tdot)
 
 
 def test_d0_op_scalar():
-    T = jets.const(2.0, 3, 2) + 0.7 * jets.seed(0, 0.0, 3, 2)
-    assert d0_op(T, 0, jets.zeros((2, 2), 3, 2)).value() == pytest.approx(0.7)
+    T = jets.const(2.0, 3, 2) + 0.7 * jets.seed(0, np.zeros(1), 3, 2)
+    assert d0_op(T, 0, jets.zeros((1, 2, 2), 3, 2)).value()[0] == pytest.approx(0.7)
 
 
 def test_d0_of_leaf_metric_vanishes():
@@ -114,22 +118,22 @@ def test_bianchi_relations_random_spec():
     for seed in (31, 32):
         spec = random_polynomial_spec(seed, n=4)
         cc = curvature_at(spec, ChartPoint(0.3, (0.1, -0.25)), depth=1)
-        g = cc.cj.g.value()
-        Rtil_low = np.einsum("ir,rjkl->ijkl", g, cc.blocks["Rtil"])
-        B_paper = np.einsum("ijks->sijk", cc.blocks["Bhat"])   # B_paper[s,i,j,k] = Bhat_{sijk}
+        g, b = cc.cj.g.value()[0], _node0(cc.blocks)
+        Rtil_low = np.einsum("ir,rjkl->ijkl", g, b["Rtil"])
+        B_paper = np.einsum("ijks->sijk", b["Bhat"])   # B_paper[s,i,j,k] = Bhat_{sijk}
         rhs = -(B_paper - np.einsum("jikl->ijkl", B_paper))
         assert np.max(np.abs(Rtil_low - rhs)) < 1e-9
 
-        A_paper = np.einsum("ijs->sij", cc.blocks["Ahat"])     # A_paper[s,i,j] = Ahat_{sij}
+        A_paper = np.einsum("ijs->sij", b["Ahat"])     # A_paper[s,i,j] = Ahat_{sij}
         expect = (np.einsum("ijk->kij", A_paper)           # Ahat_ijk at [k,i,j]
                   - np.einsum("jik->kij", A_paper))        # minus Ahat_jik
-        assert np.max(np.abs(cc.blocks["Btil"] - expect)) < 1e-9
+        assert np.max(np.abs(b["Btil"] - expect)) < 1e-9
 
 
 def test_symmetry_battery_random_spec():
     spec = random_polynomial_spec(33, n=5)
     cc = curvature_at(spec, ChartPoint(0.12, (0.3, -0.2, 0.4)), depth=1)
-    b = cc.blocks
+    b = _node0(cc.blocks)
     tol = 1e-10
     assert np.max(np.abs(b["A"] - b["A"].T)) < tol
     assert np.max(np.abs(b["B"] + np.einsum("ikj->ijk", b["B"]))) < tol
@@ -137,7 +141,7 @@ def test_symmetry_battery_random_spec():
     assert np.max(np.abs(cyc)) < tol
     assert np.max(np.abs(b["Atil"] - b["Atil"].T)) < tol
     assert np.max(np.abs(b["Ahat"] - np.einsum("jis->ijs", b["Ahat"]))) < tol
-    g = cc.cj.g.value()
+    g = cc.cj.g.value()[0]
     Rt = np.einsum("ir,rjkl->ijkl", g, b["Rtil"])
     assert np.max(np.abs(Rt + np.einsum("jikl->ijkl", Rt))) < tol
     assert np.max(np.abs(Rt + np.einsum("ijlk->ijkl", Rt))) < tol
@@ -170,8 +174,7 @@ def _stacks(spec):
     """The 21 default-style samples and 15 uniform points of the box, as two stacks."""
     box = np.array(spec.box)
     off = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(15, len(box)))
-    return (ChartPoint.stack(sample_points(spec, 20)),
-            ChartPoint.stack([ChartPoint(c[0], tuple(c[1:])) for c in off]))
+    return sample_points(spec, 20), ChartPoint(off[:, 0], tuple(off[:, 1:].T))
 
 
 @pytest.mark.parametrize("name", PLANE_WAVES + ["aimed"])
@@ -203,21 +206,22 @@ def test_ricci_identity_property():
     cc = curvature_at(spec, p, depth=1)
     m, nv, order = spec.m, spec.num_vars, 5
     rng = np.random.default_rng(2)
-    env = {"u": jets.seed(0, p.u, nv, order)}
+    u, *x = p.at(0)
+    env = {"u": jets.seed(0, u, nv, order)}
     for k in range(m):
-        env[f"x{k + 2}"] = jets.seed(1 + k, p.x[k], nv, order)
+        env[f"x{k + 2}"] = jets.seed(1 + k, x[k], nv, order)
     names = ["u"] + [f"x{i + 2}" for i in range(m)]
 
     def rand_component():
         text = " + ".join(f"{rng.normal():.4f}*{a}*{b}" for a in names for b in names)
         return expr.eval_jet(expr.parse(text, spec.n), env, nv, order)
 
-    F = Jet(jets.context(nv, order),
-            np.stack([np.stack([rand_component().data for _ in range(m)]) for _ in range(m)]))
-    g2 = leaf_grad(leaf_grad(F, 1, cc.gamma), 1, cc.gamma).value()
+    F = Jet(jets.context(nv, order),   # one node
+            np.stack([np.stack([rand_component().data for _ in range(m)]) for _ in range(m)])[None])
+    g2 = leaf_grad(leaf_grad(F, 1, cc.gamma), 1, cc.gamma).value()[0]
     comm = np.einsum("ijsn->ijns", g2) - g2.transpose(0, 1, 2, 3)
-    Fv = F.value()
-    Rb = cc.blocks["Rbar"]
+    Fv = F.value()[0]
+    Rb = cc.blocks["Rbar"][0]
     rhs = np.einsum("irns,rj->ijns", Rb, Fv) - np.einsum("rjns,ir->ijns", Rb, Fv)
     assert np.max(np.abs(comm - rhs)) < 1e-8
 
@@ -228,24 +232,25 @@ def test_d0_grad_commutator_property():
     cc = curvature_at(spec, p, depth=1)
     m, nv, order = spec.m, spec.num_vars, 5
     rng = np.random.default_rng(5)
-    env = {"u": jets.seed(0, p.u, nv, order)}
+    u, *x = p.at(0)
+    env = {"u": jets.seed(0, u, nv, order)}
     for k in range(m):
-        env[f"x{k + 2}"] = jets.seed(1 + k, p.x[k], nv, order)
+        env[f"x{k + 2}"] = jets.seed(1 + k, x[k], nv, order)
     names = ["u"] + [f"x{i + 2}" for i in range(m)]
 
     def rand_component():
         text = " + ".join(f"{rng.normal():.4f}*{a}*{b}" for a in names for b in names)
         return expr.eval_jet(expr.parse(text, spec.n), env, nv, order)
 
-    F = Jet(jets.context(nv, order),
-            np.stack([np.stack([rand_component().data for _ in range(m)]) for _ in range(m)]))
+    F = Jet(jets.context(nv, order),   # one node
+            np.stack([np.stack([rand_component().data for _ in range(m)]) for _ in range(m)])[None])
     lhs = (leaf_grad(d0_op(F, 1, cc.tup), 1, cc.gamma).value()
-           - d0_op(leaf_grad(F, 1, cc.gamma), 1, cc.tup).value())
-    Fv = F.value()
-    Bup = np.einsum("rs,kjs->kjr", cc.cj.ginv0, cc.blocks["B"])
-    gradF = leaf_grad(F, 1, cc.gamma).value()
+           - d0_op(leaf_grad(F, 1, cc.gamma), 1, cc.tup).value())[0]
+    Fv = F.value()[0]
+    Bup = np.einsum("rs,kjs->kjr", cc.cj.ginv0[0], cc.blocks["B"][0])
+    gradF = leaf_grad(F, 1, cc.gamma).value()[0]
     rhs = (np.einsum("ir,kjr->ijk", Fv, Bup) - np.einsum("rj,kri->ijk", Fv, Bup)
-           - np.einsum("rk,ijr->ijk", cc.tup.value(), gradF))
+           - np.einsum("rk,ijr->ijk", cc.tup.value()[0], gradF))
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 

@@ -361,5 +361,5 @@ def test_a_function_of_a_literal_outside_its_domain_is_refused_on_every_run(text
             eval_metric(spec, point, 1)
         assert str(ref.value).endswith(f" in {field} at (0.1, 0.2, 0.3)")
         with pytest.raises(J.JetDomainError) as got:
-            metric_coefficients(spec, point.coords)
+            metric_coefficients(spec, point.at(0))
         assert str(got.value) == str(ref.value)

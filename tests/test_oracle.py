@@ -32,13 +32,13 @@ def test_assemble_matches_entrywise_reference(seed):
     p = ChartPoint(0.1, (0.2, -0.3, 0.15))
     cj = eval_metric(spec, p, 3)
     n, m = spec.n, spec.m
-    ref = np.zeros((n, n, cj.H.data.shape[-1]))
-    ref[0, 0] = -2.0 * cj.H.data
-    ref[0, 1, 0] = ref[1, 0, 0] = -1.0
+    ref = np.zeros((1, n, n, cj.H.data.shape[-1]))
+    ref[:, 0, 0] = -2.0 * cj.H.data
+    ref[:, 0, 1, 0] = ref[:, 1, 0, 0] = -1.0
     for i in range(m):
-        ref[0, 2 + i] = ref[2 + i, 0] = -cj.W.data[i]
+        ref[:, 0, 2 + i] = ref[:, 2 + i, 0] = -cj.W.data[:, i]
         for j in range(m):
-            ref[2 + i, 2 + j] = cj.g.data[i, j]
+            ref[:, 2 + i, 2 + j] = cj.g.data[:, i, j]
     G = assemble_coordinate_metric(spec, p, 3).G.data
     assert G.shape == ref.shape and G.tobytes() == ref.tobytes()
 
@@ -47,8 +47,9 @@ def test_assemble_matches_entrywise_reference(seed):
 def test_transport_christoffel_is_the_oracle_gamma(path):
     spec = load_metric_file(str(path))
     p = spec.center()
-    Gamma = coordinate_curvature(assemble_coordinate_metric(spec, p, 2), 0).Gamma
-    got = christoffel_values(spec, np.array([p.u, 0.0, *p.x]))[1]
+    Gamma = coordinate_curvature(assemble_coordinate_metric(spec, p, 2), 0).Gamma[0]
+    u, *x = p.at(0)
+    got = christoffel_values(spec, np.array([u, 0.0, *x]))[1]
     assert got.shape == Gamma.shape == (spec.n,) * 3
     assert np.max(np.abs(got - Gamma)) <= 1e-14 * (1.0 + np.max(np.abs(Gamma)))
 
@@ -56,7 +57,7 @@ def test_transport_christoffel_is_the_oracle_gamma(path):
 def test_assemble_H_shifts_g00():
     spec = MetricSpec.from_text(4, H="1")
     cm = assemble_coordinate_metric(spec, ChartPoint(0.0, (0.0, 0.0)), 1)
-    assert cm.G.value()[0, 0] == -2.0
+    assert cm.G.value()[0, 0, 0] == -2.0
 
 
 def test_signature_random_specs():
@@ -98,8 +99,8 @@ def test_first_bianchi_and_pair_symmetry():
         spec = random_polynomial_spec(seed, n=4)
         cm = assemble_coordinate_metric(spec, ChartPoint(0.15, (0.2, -0.1)), 3)
         cc = coordinate_curvature(cm, 1)
-        G = cm.G.value()
-        Rlow = np.einsum("ae,ebcd->abcd", G, cc.R)
+        G = cm.G.value()[0]
+        Rlow = np.einsum("ae,ebcd->abcd", G, cc.R[0])
         assert np.max(np.abs(Rlow + np.einsum("bacd->abcd", Rlow))) < 1e-10
         assert np.max(np.abs(Rlow + np.einsum("abdc->abcd", Rlow))) < 1e-10
         assert np.max(np.abs(Rlow - np.einsum("cdab->abcd", Rlow))) < 1e-10
@@ -113,9 +114,9 @@ def test_semi_symmetry_identity():
         spec = random_polynomial_spec(seed, n=4)
         cm = assemble_coordinate_metric(spec, ChartPoint(0.22, (0.15, -0.3)), 4)
         cc = coordinate_curvature(cm, 2)
-        anti = cc.d2R - np.einsum("abcdnm->abcdmn", cc.d2R)
+        d2R, R = cc.d2R[0], cc.R[0]
+        anti = d2R - np.einsum("abcdnm->abcdmn", d2R)
         # anti[a,b,c,d,m,n] = (nabla_n nabla_m - nabla_m nabla_n) R^a_{bcd}
-        R = cc.R
         action = (np.einsum("arnm,rbcd->abcdmn", R, R)
                   - np.einsum("rbnm,arcd->abcdmn", R, R)
                   - np.einsum("rcnm,abrd->abcdmn", R, R)
@@ -128,8 +129,8 @@ def test_parallel_field_K():
     spec = random_polynomial_spec(6, n=5)
     cm = assemble_coordinate_metric(spec, ChartPoint(0.3, (0.2, 0.1, -0.2)), 3)
     cc = coordinate_curvature(cm, 0)
-    assert np.max(np.abs(cc.Gamma[:, :, 1])) < 1e-12
-    assert np.max(np.abs(cc.Gamma[:, 1, :])) < 1e-12
+    assert np.max(np.abs(cc.Gamma[:, :, :, 1])) < 1e-12
+    assert np.max(np.abs(cc.Gamma[:, :, 1, :])) < 1e-12
 
 
 def test_to_frame_extracts_A():
@@ -138,7 +139,7 @@ def test_to_frame_extracts_A():
     blocks = frame_blocks_from_oracle(spec, p, depth=0)
     cc = curvature_at(spec, p, depth=0)
     assert np.max(np.abs(blocks["A"] - cc.blocks["A"])) < 1e-10
-    assert np.allclose(blocks["A"], -2.0 * np.diag([p.u, 1.0]))
+    assert np.allclose(blocks["A"][0], -2.0 * np.diag([p.at(0)[0], 1.0]))
 
 
 def test_to_frame_flat_zero():
@@ -153,7 +154,7 @@ def test_to_frame_slot_contraction():
     p = ChartPoint(0.1, (0.5, -0.2))
     cm = assemble_coordinate_metric(spec, p, 0)
     ft = to_frame(cm.G.value(), 0, cm.frame, [list(range(4))] * 2)
-    assert isinstance(ft, np.ndarray) and ft.shape == (4, 4)
+    assert isinstance(ft, np.ndarray) and ft.shape == (1, 4, 4)
     assert np.max(np.abs(ft - cm.frame.frame_metric())) < 1e-12
 
 
@@ -199,7 +200,7 @@ def test_the_oracle_blocks_from_the_read_frame_rows_equal_the_full_conversion_bi
                 expected = np.array(full[(...,) + cut])
                 got = np.asarray(blocks[key])
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), \
-                    (p.shape, depth, key)
+                    (len(p), depth, key)
 
 
 @pytest.mark.parametrize("name", ["cw2", "cw4_r2", "poly2"])
@@ -213,4 +214,4 @@ def test_engine_and_oracle_blocks_share_keys_and_shapes(name, depth):
     assert list(eng) == list(ob) == keys
     for table in FRAME_BLOCKS[:depth + 1]:
         for key, slots in table.items():
-            assert np.shape(eng[key]) == np.shape(ob[key]) == (spec.m,) * slots.count("l"), key
+            assert eng[key].shape == ob[key].shape == (1,) + (spec.m,) * slots.count("l"), key

@@ -32,9 +32,8 @@ def test_flat_geodesics_are_straight():
 
 def test_null_velocity_is_null():
     spec = fixture("scrambled_cw4")
-    p = ChartPoint(0.2, (0.3, -0.1))
-    v = null_velocity(spec, p, leaf_part=[0.4, -0.7])
-    coords = np.array([p.u, 0.0, *p.x])
+    v = null_velocity(spec, (0.2, 0.3, -0.1), leaf_part=[0.4, -0.7])
+    coords = np.array([0.2, 0.0, 0.3, -0.1])
     G = metric_values(spec, coords)
     assert abs(v @ G @ v) < 1e-14
 
@@ -48,25 +47,25 @@ def test_null_velocity_is_null():
 ])
 def test_null_velocity_refuses_a_bad_leaf_part(leaf_part, match):
     with np.errstate(all="raise"), pytest.raises(ValueError, match=match):
-        null_velocity(fixture("scrambled_cw4"), ChartPoint(0.2, (0.3, -0.1)), leaf_part)
+        null_velocity(fixture("scrambled_cw4"), (0.2, 0.3, -0.1), leaf_part)
 
 
 def test_start_points_outside_the_box_are_refused():
     spec = fixture("scrambled_cw4")    # box: every coordinate in [-0.8, 0.8]
-    for p, message in ((ChartPoint(0.9, (0.0, 0.0)), "u = 0.9 lies outside the box u in"),
-                       (ChartPoint(0.0, (0.0, -0.81)), "x3 = -0.81 lies outside the box x3 in")):
+    for p, message in (((0.9, 0.0, 0.0), "u = 0.9 lies outside the box u in"),
+                       ((0.0, 0.0, -0.81), "x3 = -0.81 lies outside the box x3 in")):
         with pytest.raises(ValueError, match=rf"^start point {message} \[-0\.8, 0\.8\]$"):
             null_velocity(spec, p)
         with pytest.raises(ValueError, match=rf"^start point {message}"):
             d0_transport(spec, p, np.eye(2), 0.1, 5)
-    edge = ChartPoint(-0.8, (0.8, -0.8))
+    edge = (-0.8, 0.8, -0.8)
     assert np.isfinite(null_velocity(spec, edge)).all()
     assert np.isfinite(d0_transport(spec, edge, np.eye(2), 0.1, 5)[1]).all()
 
 
 def test_cw_central_geodesic_stays_at_origin():
     spec = fixture("cw4_r2")
-    v0 = null_velocity(spec, ChartPoint(0.0, (0.0, 0.0)))
+    v0 = null_velocity(spec, (0.0, 0.0, 0.0))
     traj = geodesic_integrate(spec, ORIGIN4, v0, tau_span=10.0, steps=500)
     assert np.max(np.abs(traj.coords[:, 2:])) == 0.0
     # conserved quantities over span 10
@@ -102,7 +101,7 @@ def test_geodesic_refuses_the_first_node_outside_its_box(monkeypatch):
     # H has a pole on u = 2, past the box edge u = 1: the null geodesic reaches
     # u = 1.5 at node 3, and its next step would evaluate the pole
     spec = MetricSpec.from_text(4, H="x2^2 / (u - 2)")
-    start, v0 = [0.0, 0.0, 0.5, 0.0], null_velocity(spec, ChartPoint(0.0, (0.5, 0.0)))
+    start, v0 = [0.0, 0.0, 0.5, 0.0], null_velocity(spec, (0.0, 0.5, 0.0))
     with pytest.raises(JetDomainError, match=r"^division by a jet with zero constant term "
                                              r"in H at \(2\.0, "):
         geodesic_integrate(spec, start, v0, 4.0, 8)
@@ -141,6 +140,19 @@ def test_box_allowance_is_the_rounding_of_the_steps(steps):
         transport.check_in_box(spec.box, [[np.nan, 0.0, 0.0]], node, steps)
 
 
+@pytest.mark.parametrize("row", [[0.1], [0.1, 0.0, 0.0, 0.0]], ids=["short", "long"])
+def test_a_row_of_the_wrong_length_is_refused_naming_both_counts(row):
+    # a short row would broadcast against the box, a long one fail in numpy
+    spec = load_metric_file(str(METRICS / "cw4_order2.metric"))
+    message = rf"^start point has {len(row)} chart coordinates; the box has 3, u and each x$"
+    with pytest.raises(ValueError, match=message):
+        transport.check_in_box(spec.box, [row], lambda k: "start point")
+    with pytest.raises(ValueError, match=message):
+        null_velocity(spec, row)
+    with pytest.raises(ValueError, match=message):
+        d0_transport(spec, row, np.eye(2), 0.1, 5)
+
+
 def test_parallel_transport_flat_constant():
     spec = fixture("flat")
     traj = geodesic_integrate(spec, ORIGIN4, [1.0, 0.2, 0.1, -0.3], 2.0, 50)
@@ -159,7 +171,7 @@ def test_parallel_transport_on_a_zero_step_trajectory_returns_its_start():
 
 def test_parallel_transport_K_constant():
     spec = fixture("scrambled_cw4")
-    v0 = null_velocity(spec, ChartPoint(0.0, (0.1, 0.2)), leaf_part=[0.2, 0.1])
+    v0 = null_velocity(spec, (0.0, 0.1, 0.2), leaf_part=[0.2, 0.1])
     traj = geodesic_integrate(spec, [0.0, 0.0, 0.1, 0.2], v0, 2.0, 200)
     K = np.array([0.0, -1.0, 0.0, 0.0])
     moved = parallel_transport(traj, K[None, :])
@@ -183,13 +195,13 @@ def test_parallel_transport_isometry():
 
 def test_d0_transport_constant_when_t_zero():
     spec = fixture("cw4_r2")  # t = 0
-    us, X = d0_transport(spec, ChartPoint(0.0, (0.3, 0.2)), np.eye(2), 2.0, 100)
+    us, X = d0_transport(spec, (0.0, 0.3, 0.2), np.eye(2), 2.0, 100)
     assert np.max(np.abs(X - np.eye(2))) < 1e-13
 
 
 def test_d0_transport_rotation_closed_form():
     spec = fixture("rotation_w")
-    us, X = d0_transport(spec, ChartPoint(0.0, (0.3, -0.2)), np.eye(2), 2.0, 400)
+    us, X = d0_transport(spec, (0.0, 0.3, -0.2), np.eye(2), 2.0, 400)
     c, s = np.cos(2.0), np.sin(2.0)
     expm = np.array([[c, s], [-s, c]])  # exp(2t) for t = [[0,1],[-1,0]]
     assert np.max(np.abs(X[-1] - expm.T)) < 1e-9
@@ -201,26 +213,26 @@ def test_d0_transport_refuses_non_finite_t():
     # W_2 = exp(800 u) x3: t^i_j overflows for u above about 0.887
     spec = MetricSpec.from_text(4, W={2: "exp(800*u)*x3"}, box=[(0.0, 1.0), (-1, 1), (-1, 1)])
     with pytest.raises(ValueError, match=r"non-finite t\^i_j .* at u = 0\.89$"):
-        d0_transport(spec, ChartPoint(0.5, (0.0, 0.0)), np.eye(2), 0.5, 50)
+        d0_transport(spec, (0.5, 0.0, 0.0), np.eye(2), 0.5, 50)
 
 
 def test_d0_transport_refuses_overflowing_vectors():
     # t stays finite on u in [0.5, 1], but exp(700 u) makes X overflow in one step
     spec = MetricSpec.from_text(4, W={2: "exp(700*u)*x3"}, box=[(0.0, 1.0), (-1, 1), (-1, 1)])
     with pytest.raises(RuntimeError, match=r"blew up at u = 0\.51"):
-        d0_transport(spec, ChartPoint(0.5, (0.0, 0.0)), np.eye(2), 0.5, 50)
+        d0_transport(spec, (0.5, 0.0, 0.0), np.eye(2), 0.5, 50)
 
 
 def test_d0_transport_gbar_isometry_random_spec():
     spec = random_polynomial_spec(17, n=4)
-    p = ChartPoint(-0.3, (0.2, 0.1))
+    p = (-0.3, 0.2, 0.1)
     rng = np.random.default_rng(2)
     V = rng.normal(size=(2, 2))
     us, X = d0_transport(spec, p, V, 0.6, 300)
     ips = []
     for k in (0, 150, 300):
-        cj = eval_metric(spec, ChartPoint(us[k], p.x), 0)
-        g = cj.g.value()
+        cj = eval_metric(spec, ChartPoint(us[k], p[1:]), 0)
+        g = cj.g.value()[0]
         ips.append(X[k] @ g @ X[k].T)
     assert np.max(np.abs(ips[1] - ips[0])) < 1e-8
     assert np.max(np.abs(ips[2] - ips[0])) < 1e-8
@@ -229,20 +241,20 @@ def test_d0_transport_gbar_isometry_random_spec():
 def test_null_sectional_growth_ladder():
     x_dir = np.array([0.0, 0.0, 1.0, 0.0])
     spec2 = fixture("cw4_r2")
-    v0 = null_velocity(spec2, ChartPoint(0.0, (0.0, 0.0)))
+    v0 = null_velocity(spec2, (0.0, 0.0, 0.0))
     traj = geodesic_integrate(spec2, ORIGIN4, v0, 10.0, 1000)
     res = null_sectional_growth(spec2, traj, x_dir)
     assert res["max_second_difference"] < 1e-6
     assert res["dK"][0] == pytest.approx(2.0, abs=1e-9)   # K = 2u along the center
 
     spec1 = fixture("cw4_r1")
-    traj1 = geodesic_integrate(spec1, ORIGIN4, null_velocity(spec1, ChartPoint(0.0, (0.0, 0.0))),
+    traj1 = geodesic_integrate(spec1, ORIGIN4, null_velocity(spec1, (0.0, 0.0, 0.0)),
                                10.0, 500)
     res1 = null_sectional_growth(spec1, traj1, x_dir)
     assert np.max(np.abs(res1["K"] - res1["K"][0])) < 1e-8
 
     flat = fixture("flat")
-    trajf = geodesic_integrate(flat, ORIGIN4, null_velocity(flat, ChartPoint(0.0, (0.0, 0.0))),
+    trajf = geodesic_integrate(flat, ORIGIN4, null_velocity(flat, (0.0, 0.0, 0.0)),
                                5.0, 100)
     resf = null_sectional_growth(flat, trajf, x_dir)
     assert np.max(np.abs(resf["K"])) == 0.0
@@ -252,8 +264,8 @@ def test_null_sectional_growth_memory_is_bounded_by_the_node_block():
     # nodes are evaluated NODE_BLOCK at a time, so 601 nodes take no more
     # transient memory than one block's stacked jets
     spec = load_metric_file(str(METRICS / "cw4_order2.metric"))
-    p = ChartPoint(0.1, (0.2, -0.1))
-    traj = geodesic_integrate(spec, [p.u, 0.0, *p.x], null_velocity(spec, p), 0.9, 600)
+    p = (0.1, 0.2, -0.1)
+    traj = geodesic_integrate(spec, [p[0], 0.0, *p[1:]], null_velocity(spec, p), 0.9, 600)
     x_dir = np.array([0.0, 0.0, 1.0, 0.0])
     null_sectional_growth(spec, traj, x_dir)    # warm caches: jet tables, einsum plans
     tracemalloc.start()
@@ -273,7 +285,7 @@ def test_nullsec_integrates_the_geodesic_once(monkeypatch):
                         lambda spec, c: calls.append(c) or real(spec, c))
     spec = fixture("cw4_r2")
     steps = 30
-    traj = geodesic_integrate(spec, ORIGIN4, null_velocity(spec, ChartPoint(0.0, (0.0, 0.0))),
+    traj = geodesic_integrate(spec, ORIGIN4, null_velocity(spec, (0.0, 0.0, 0.0)),
                               1.0, steps)
     null_sectional_growth(spec, traj, np.array([0.0, 0.0, 1.0, 0.0]))
     assert len(calls) == 4 * steps
@@ -285,20 +297,20 @@ def test_d0_transport_evaluates_t_once_per_abscissa(monkeypatch):
     abscissae = []
 
     def counted(spec, p, order):
-        abscissae.extend(np.atleast_1d(p.u).tolist())
+        abscissae.extend(p.u.tolist())
         return real(spec, p, order)
 
     monkeypatch.setattr(chart, "eval_metric", counted)
     monkeypatch.setattr(transport, "eval_metric", counted, raising=False)
     steps = 40
-    d0_transport(fixture("rotation_w"), ChartPoint(0.0, (0.3, -0.2)), np.eye(2), 1.0, steps)
+    d0_transport(fixture("rotation_w"), (0.0, 0.3, -0.2), np.eye(2), 1.0, steps)
     assert len(abscissae) == 2 * steps + 1
     assert len(set(abscissae)) == len(abscissae)
 
 
 def test_null_sectional_degenerate_plane_rejected():
     spec = fixture("cw4_r2")
-    v0 = null_velocity(spec, ChartPoint(0.0, (0.0, 0.0)))
+    v0 = null_velocity(spec, (0.0, 0.0, 0.0))
     traj = geodesic_integrate(spec, ORIGIN4, v0, 1.0, 20)
     with pytest.raises(ValueError, match="degenerate"):
         null_sectional_growth(spec, traj, np.array([0.0, 1.0, 0.0, 0.0]))
@@ -307,7 +319,7 @@ def test_null_sectional_degenerate_plane_rejected():
 def test_null_sectional_degenerate_plane_names_the_node():
     # X = d_v is null everywhere, so node 0 is the first degenerate plane
     spec = fixture("cw4_r2")
-    traj = geodesic_integrate(spec, ORIGIN4, null_velocity(spec, ChartPoint(0.0, (0.0, 0.0))),
+    traj = geodesic_integrate(spec, ORIGIN4, null_velocity(spec, (0.0, 0.0, 0.0)),
                               1.0, 100)
     message = (r"^degenerate plane: g\(X, X\) = 0\.0 is not positive at node 0, tau = 0\.0, "
                r"coordinates \(0\.0, 0\.0, 0\.0, 0\.0\)$")
@@ -330,11 +342,11 @@ def test_second_symmetry_transport_check_ladder():
 def _assembled_christoffel(spec, coords):
     """Gamma as transport read it through the oracle's jet assembly."""
     cm = assemble_coordinate_metric(spec, ChartPoint(coords[0], tuple(coords[2:])), 1)
-    return 0.5 * np.einsum("ar,rbc->abc", cm.Ginv0, _lowered(_cgrad(cm.G, cm.n).value()))
+    return 0.5 * np.einsum("ar,rbc->abc", cm.Ginv0[0], _lowered(_cgrad(cm.G, cm.n).value()[0]))
 
 
 def _assembled_metric(spec, coords):
-    return assemble_coordinate_metric(spec, ChartPoint(coords[0], tuple(coords[2:])), 0).G.value()
+    return assemble_coordinate_metric(spec, ChartPoint(coords[0], tuple(coords[2:])), 0).G.value()[0]
 
 
 def test_transport_values_are_the_assembled_values_bitwise():
@@ -376,9 +388,9 @@ def test_geodesic_is_the_jet_path_geodesic_bitwise():
     specs = _bundled_specs() + [random_polynomial_spec(seed, n=n)
                                 for seed, n in ((0, 4), (5, 5), (9, 6))]
     for spec in specs:
-        p = spec.center()
+        p = spec.center().at(0)
         (lo, hi), m = spec.box[0], spec.m
-        coords0 = np.array([p.u, 0.0, *p.x])
+        coords0 = np.array([p[0], 0.0, *p[1:]])
         v0 = null_velocity(spec, p, leaf_part=0.3 * np.cos(np.arange(m) + 1.0))
         traj = geodesic_integrate(spec, coords0, v0, 0.25 * (hi - lo), 130)
         ref = _jet_path_geodesic(spec, coords0, v0, 0.25 * (hi - lo), 130)
@@ -480,21 +492,23 @@ def _bundled_specs():
 def test_energy_is_the_one_point_formula_bitwise():
     # 151 nodes: two full node blocks and a short one
     for spec in _bundled_specs():
-        p = spec.center()
+        p = spec.center().at(0)
         (lo, hi), m = spec.box[0], spec.m
         v0 = null_velocity(spec, p, leaf_part=0.3 * np.cos(np.arange(m) + 1.0))
-        traj = geodesic_integrate(spec, [p.u, 0.0, *p.x], v0, 0.25 * (hi - lo), 150)
+        traj = geodesic_integrate(spec, [p[0], 0.0, *p[1:]], v0, 0.25 * (hi - lo), 150)
         ref = np.array([float(v @ metric_values(spec, c) @ v)
                         for c, v in zip(traj.coords, traj.velocity)])
         assert traj.energy().tobytes() == ref.tobytes()
 
 
 def _frame_null_velocity(spec, p, a):
-    """The null velocity as read from the jet tape and the frame matrices."""
-    fr = chart.frame_components(eval_metric(spec, p, order=0))
-    vec = fr.e[0] + 0.5 * float(a @ fr.g_leaf @ a) * fr.e[1]
+    """The null velocity at the chart coordinates p as read from the jet tape
+    and the frame matrices."""
+    fr = chart.frame_components(eval_metric(spec, ChartPoint(p[0], p[1:]), order=0))
+    e = fr.e[0]
+    vec = e[0] + 0.5 * float(a @ fr.g_leaf[0] @ a) * e[1]
     for i in range(spec.m):
-        vec = vec + a[i] * fr.e[2 + i]
+        vec = vec + a[i] * e[2 + i]
     return vec
 
 
@@ -506,25 +520,26 @@ def test_null_velocity_is_the_frame_formula_bitwise():
         lo, hi = np.array(spec.box).T
         for k in range(6):
             c = lo + (hi - lo) * rng.uniform(size=spec.num_vars)
-            p = ChartPoint(float(c[0]), tuple(float(x) for x in c[1:]))
+            p = tuple(float(x) for x in c)
             a = rng.normal(size=spec.m) * (k % 3)
             if k == 3:
                 a = -0.0 * a
             got = null_velocity(spec, p, leaf_part=a)
             assert got.tobytes() == _frame_null_velocity(spec, p, a).tobytes()
-        got = null_velocity(spec, spec.center())
-        assert got.tobytes() == _frame_null_velocity(spec, spec.center(), np.zeros(spec.m)).tobytes()
+        center = spec.center().at(0)
+        got = null_velocity(spec, center)
+        assert got.tobytes() == _frame_null_velocity(spec, center, np.zeros(spec.m)).tobytes()
 
 
 def test_energy_reads_the_metric_the_stages_computed(monkeypatch):
     # stage 0 of step k evaluates G at node k; the last node costs one metric_values call
     spec = load_metric_file(str(METRICS / "cw4_order2.metric"))
-    p = spec.center()
+    p = spec.center().at(0)
     v0 = null_velocity(spec, p, leaf_part=[0.3, -0.2])
     real, calls = transport.metric_values, []
     monkeypatch.setattr(transport, "metric_values",
                         lambda spec, c: calls.append(c.tolist()) or real(spec, c))
-    traj = geodesic_integrate(spec, [p.u, 0.0, *p.x], v0, 0.5, 40)
+    traj = geodesic_integrate(spec, [p[0], 0.0, *p[1:]], v0, 0.5, 40)
     assert calls == [traj.coords[-1].tolist()]
     for G, c in zip(traj.metric, traj.coords):
         assert G.tobytes() == real(spec, c).tobytes()
