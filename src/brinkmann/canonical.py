@@ -8,7 +8,7 @@ there is a change of chart y = R(u) x + D(u), v' = v + chi, taking the
 metric to -2du(dv' + H' du) + delta with H' = -A_ab(u) y^a y^b.  The curve
 R solves
 
-    dR/du = -R^{-T} t(u),        R(0) orthogonal,
+    dR/du = -R^{-T} t(u),        R(u0) = I,
 
 which preserves orthogonality exactly in the continuum because t is skew;
 A is then fixed by the cross-derivative (integrability) relation
@@ -22,11 +22,21 @@ scramble/reconstruct round trip.
 
 All three steps read t, tdot, Lambda and B from one batched evaluation on
 the nodes and midpoints of ``ode.stage_grid`` over a u-interval inside the
-box, and apply the relation for A to stacks of matrices.  On orthogonal R,
--R^{-T} t = -R t, so the rotation ODE is linear in R^T and the translation
-ODE affine in (D, D'); both run through ``ode.linear_rk4``.  The drift of
-the unprojected R from orthogonal is checked at every node, and then every
-node is projected onto the orthogonal group once.
+box.  On orthogonal R, -R^{-T} t = -R t, so the rotation ODE is linear in
+R^T and runs through ``ode.linear_rk4``.  The drift of the unprojected R
+from orthogonal is checked at every node, and then every node is
+projected onto the orthogonal group once.  Along the curve R^T R'' =
+t t - tdot, so the relation for A reads -2 R^T A R = C with the core
+
+    C = sym(Lambda) + t^T t + sym(tdot),
+
+which is block data alone.  In the rotating frame y = R^T D the
+translation ODE becomes
+
+    d2y/du2 = 2 t dy/du + (tdot - t t - C) y + B(u),
+
+affine in (y, y') with coefficients known at every stage without R; it
+runs through ``ode.linear_rk4`` too, and D = R y at the nodes.
 
 On a proper 2nd-symmetric space A(u) is affine with nonzero slope; the
 affine fit residual reported by ``verify_canonical`` is therefore the
@@ -188,7 +198,7 @@ def _refuse_non_finite(us: np.ndarray, fields: dict[str, np.ndarray]) -> None:
 
 @dataclass
 class RotationCurve:
-    """R on the u-grid, R at every RK4 stage, and the block data.
+    """R on the u-grid and the block data.
 
     ``t``, ``tdot``, ``Lambda`` and ``B`` hold the rows of ``ode.stage_grid``;
     stage s of step k read row ``stage_rows[k, s]``.  The recovery of A and
@@ -201,8 +211,6 @@ class RotationCurve:
     drift_before_projection: float   # the same over the nodes before projection
     h: float
     stage_rows: np.ndarray   # (steps, 4)
-    stage_R: np.ndarray      # (steps, 4, d, d); stage 0 is node k itself
-    R_inv: np.ndarray        # (len(us), d, d): np.linalg.inv(R)
     t: np.ndarray            # (2 steps + 1, d, d)
     tdot: np.ndarray         # (2 steps + 1, d, d)
     Lambda: np.ndarray       # (2 steps + 1, d, d)
@@ -231,24 +239,19 @@ def _polar_project(R: np.ndarray) -> np.ndarray:
 
 
 def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
-                       steps: int | None = None, R0: np.ndarray | None = None) -> RotationCurve:
-    """Integrate dR/du = -R^{-T} t(u), then project every node onto the
-    orthogonal group once.
+                       steps: int | None = None) -> RotationCurve:
+    """Integrate dR/du = -R^{-T} t(u) from R = I, then project every node onto
+    the orthogonal group once.
 
     On orthogonal R the equation reads dR^T/du = -t^T R^T, which is linear,
     so it runs through ``ode.linear_rk4``.  Its unprojected nodes must stay
     within ``DRIFT_LIMIT`` of orthogonal; ``drift_before_projection`` is the
-    largest |R^T R - I| over all of them.  The stage R are R_k P_s^T with the
-    projected R_k and the stage maps P_s; stage 0's map is the identity, so
-    its R is R_k itself.  An empty interval, or block data
+    largest |R^T R - I| over all of them.  An empty interval, or block data
     with a non-skew t, an h not affine or a t not constant in x, is a ``ValueError``.
 
     ``steps`` defaults to 2000 fixed Runge-Kutta steps per unit of u, at least 200.
     """
     d = data.d
-    R0 = np.eye(d) if R0 is None else np.asarray(R0, dtype=float)
-    if np.max(np.abs(R0.T @ R0 - np.eye(d)), initial=0.0) > 1e-12:
-        raise ValueError("R0 must be orthogonal")
     u0, u1 = u_interval
     if u0 == u1:
         raise ValueError(f"u interval {(float(u0), float(u1))} is empty")
@@ -258,7 +261,7 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
     us, grid, rows = stage_grid(u0, h, steps)
     t, tdot, lam, B = data.precompute(grid)
     _check_hypotheses(data, grid, t)
-    Rt, stages = linear_rk4(-_T(t[rows]), h, R0.T)
+    Rt = linear_rk4(-_T(t[rows]), h, np.eye(d))
     R = _T(Rt)
     dev = np.max(np.abs(Rt @ R - np.eye(d)), axis=(1, 2), initial=0.0)
     over = ~(dev <= DRIFT_LIMIT)
@@ -268,59 +271,40 @@ def solve_rotation_ode(data: FlatBlockData, u_interval: tuple[float, float],
             f"orthogonality drift {dev[k]:.2e} exceeds {DRIFT_LIMIT:.0e} from u = "
             f"{float(us[k])!r}; increase the step count")
     R = _polar_project(R)
-    stage_R = np.stack([R[:-1], *(R[:-1] @ _T(P) for P in stages[1:])], axis=1)
     err = float(np.max(np.abs(_T(R) @ R - np.eye(d)), initial=0.0))
-    return RotationCurve(us, R, err, float(np.max(dev)), h, rows, stage_R, np.linalg.inv(R),
-                         t, tdot, lam, B)
+    return RotationCurve(us, R, err, float(np.max(dev)), h, rows, t, tdot, lam, B)
 
 
-def _A_at(R: np.ndarray, Rinv: np.ndarray, t: np.ndarray, tdot: np.ndarray,
-          lam: np.ndarray) -> np.ndarray:
-    """A from the cross-derivative relation, on stacks (..., d, d) of R on the
-    rotation curve, its inverse, and t, tdot, Lambda at the same u's.
-
-    d2R/du2 comes from differentiating the rotation ODE analytically.
-    """
-    Rdot = -_T(Rinv) @ t
-    dRinvT = -_T(Rinv @ Rdot @ Rinv)
-    M = _T(R) @ (-dRinvT @ t - _T(Rinv) @ tdot)
-    core = 0.5 * (lam + _T(lam)) - 0.5 * (M + _T(M))
-    A = -0.5 * (R @ core @ _T(R))
-    return 0.5 * (A + _T(A))
+def _core(t: np.ndarray, tdot: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """C = -2 R^T A R on stacks (..., d, d) of t, tdot and Lambda: the
+    cross-derivative relation with R^T d2R/du2 = t t - tdot on the rotation curve."""
+    return 0.5 * (lam + _T(lam)) + _T(t) @ t + 0.5 * (tdot + _T(tdot))
 
 
 def recover_A(rot: RotationCurve) -> np.ndarray:
-    """A(u) at the rotation grid nodes from the cross-derivative relation."""
-    return _A_at(rot.R, rot.R_inv, rot.t[0::2], rot.tdot[0::2], rot.Lambda[0::2])
+    """A(u) = sym(-R C R^T / 2) at the rotation grid nodes."""
+    A = -0.5 * (rot.R @ _core(rot.t[0::2], rot.tdot[0::2], rot.Lambda[0::2]) @ _T(rot.R))
+    return 0.5 * (A + _T(A))
 
 
-def solve_translation_ode(rot: RotationCurve, A_of_u: np.ndarray,
-                          Ddot0: np.ndarray | None = None) -> np.ndarray:
-    """Integrate d2D/du2 = 2 A(u) D + R^{-T} B(u) on the rotation grid from D(u0) = 0.
+def solve_translation_ode(rot: RotationCurve) -> np.ndarray:
+    """D(u) on the rotation grid with D = D' = 0 at u0, from d2D/du2 = 2 A D + R^{-T} B
+    solved in the rotating frame y = R^T D.
 
-    u and R at every Runge-Kutta stage are the ones ``rot`` recorded, so
-    2A and R^{-T} B are computed for every stage before the integration,
-    without interpolation.  Stage 0 of step k is node k, so its A is
-    ``A_of_u[k]`` (``recover_A(rot)``) and its R^{-1} is ``rot.R_inv[k]``;
-    the other three stages evaluate the relation for A.  The state (D, D')
-    obeys the affine equation with M = [[0, I], [2A, 0]] and b = [0, R^{-T} B].
+    The state (y, y') obeys the affine equation with the matrix
+    [[0, I], [tdot - t t - C, 2t]] and the offset [0, B], formed once on the
+    ``stage_grid`` rows and read at every stage through ``rot.stage_rows``.
     """
     d = rot.R.shape[-1]
-    M = np.zeros(rot.stage_R.shape[:2] + (2 * d, 2 * d))
-    b = np.zeros(rot.stage_R.shape[:2] + (2 * d,))
-    M[..., :d, d:] = np.eye(d)
-    for s in range(4):
-        R, i = rot.stage_R[:, s], rot.stage_rows[:, s]
-        if s == 0:
-            Rinv = rot.R_inv[:-1]
-            M[:, s, d:, :d] = 2.0 * A_of_u[:-1]
-        else:
-            Rinv = np.linalg.inv(R)
-            M[:, s, d:, :d] = 2.0 * _A_at(R, Rinv, rot.t[i], rot.tdot[i], rot.Lambda[i])
-        b[:, s, d:] = (_T(Rinv) @ rot.B[i][..., None])[..., 0]
-    Dd = np.zeros(d) if Ddot0 is None else np.asarray(Ddot0, dtype=float)
-    y, _ = linear_rk4(M, rot.h, np.concatenate([np.zeros(d), Dd]), b)
-    return y[:, :d]
+    t, tdot = rot.t, rot.tdot
+    M = np.zeros((len(t), 2 * d, 2 * d))
+    M[:, :d, d:] = np.eye(d)
+    M[:, d:, :d] = tdot - t @ t - _core(t, tdot, rot.Lambda)
+    M[:, d:, d:] = 2.0 * t
+    b = np.zeros((len(t), 2 * d))
+    b[:, d:] = rot.B
+    y = linear_rk4(M[rot.stage_rows], rot.h, np.zeros(2 * d), b[rot.stage_rows])
+    return (rot.R @ y[:, :d, None])[..., 0]
 
 
 @dataclass
@@ -427,7 +411,7 @@ def reconstruct(spec: MetricSpec, block: Sequence[int] | None = None,
         raise ValueError(f"u interval {tuple(u_interval)} lies outside the box u in {(lo, hi)}")
     rot = solve_rotation_ode(data, u_interval, steps)
     A_of_u = recover_A(rot)
-    D_of_u = solve_translation_ode(rot, A_of_u)
+    D_of_u = solve_translation_ode(rot)
     fit = verify_canonical(rot.us, A_of_u)
     r1, r3 = _eqq_residuals(rot, A_of_u, D_of_u)
     return CanonicalForm(

@@ -149,6 +149,8 @@ def cmd_generate(args) -> int:
 
     if args.kind == "cw":
         d, r = metricfile.check_dimension(args.dimension, "--dimension"), args.order
+        if r < 1:
+            raise ValueError(f"--order must be >= 1, got {r}")
         coeffs = [np.zeros((d - 2, d - 2)) for _ in range(r)]
         for spec_str in args.P or []:
             level, equals, rows = spec_str.partition("=")

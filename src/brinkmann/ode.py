@@ -61,17 +61,15 @@ def rk4_step(f: Callable[[S, np.ndarray], np.ndarray], y: np.ndarray, h: float,
 
 
 def linear_rk4(M: np.ndarray, h: float, y0: np.ndarray,
-               b: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+               b: np.ndarray | None = None) -> np.ndarray:
     """RK4 for dy/dt = M(t) y + b(t) with M (steps, 4, n, n) and b (steps, 4, n)
     given at every stage of every step.
 
     One RK4 step of a linear equation is the map y -> Phi_k y + c_k: Phi is
     ``rk4_step`` applied to the identity, batched over the steps, and c is
-    ``rk4_step`` started from zero.  Returns the nodes (steps + 1, *y0.shape)
-    and the four stage maps P_s (steps, n, n): stage s of step k evaluates M
-    at the state P_s[k] y_k.  y0 is a vector (n,), or with b = None also a
-    matrix (n, p) whose columns are integrated together; b with a matrix y0
-    is a ``ValueError``.
+    ``rk4_step`` started from zero.  Returns the nodes (steps + 1, *y0.shape).
+    y0 is a vector (n,), or with b = None also a matrix (n, p) whose columns
+    are integrated together; b with a matrix y0 is a ``ValueError``.
 
     The product runs in blocks of ceil(sqrt(steps)) steps.  Within every
     block at once, Phi_k becomes the cumulative map Q_k = Phi_k ... Phi_i
@@ -84,13 +82,8 @@ def linear_rk4(M: np.ndarray, h: float, y0: np.ndarray,
     if b is not None and np.ndim(y0) != 1:
         raise ValueError(f"an affine term b {np.shape(b)} needs a vector start y0, "
                          f"got y0 {np.shape(y0)}")
-    stages: list[np.ndarray] = []
-
-    def f(Ms: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        stages.append(Y)
-        return Ms @ Y
-
-    Q = rk4_step(f, np.broadcast_to(np.eye(n), (steps, n, n)), h, [M[:, s] for s in range(4)])
+    Q = rk4_step(lambda Ms, Y: Ms @ Y, np.broadcast_to(np.eye(n), (steps, n, n)), h,
+                 [M[:, s] for s in range(4)])
     d = None
     if b is not None:
         d = rk4_step(lambda s, y: (M[:, s] @ y[..., None])[..., 0] + b[:, s],
@@ -120,4 +113,4 @@ def linear_rk4(M: np.ndarray, h: float, y0: np.ndarray,
         np.matmul(Q[lo:hi].reshape(count, w, n, n)[:, :-1], Y[lo:hi:w, None].copy(), out=inner)
         if d is not None:
             inner += d[lo:hi].reshape(count, w, n, 1)[:, :-1]
-    return out, stages
+    return out

@@ -269,7 +269,7 @@ def parallel_transport(traj: Trajectory, vectors0: np.ndarray) -> np.ndarray:
     """
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = float(traj.tau[1] - traj.tau[0]) if traj.steps else 0.0
-    W, _ = linear_rk4(-traj.connection, h, V.T)
+    W = linear_rk4(-traj.connection, h, V.T)
     return np.swapaxes(W, 1, 2)
 
 
@@ -301,7 +301,7 @@ def d0_transport(spec: MetricSpec, start: Sequence[float], vectors0: np.ndarray,
         u = float(grid[int(np.argmin(finite))])
         raise ValueError(f"non-finite t^i_j in the transverse transport data at u = {u!r}")
     with np.errstate(all="ignore"):
-        X, _ = linear_rk4(tup[rows], h, V.T)
+        X = linear_rk4(tup[rows], h, V.T)
     finite = np.isfinite(X).all(axis=(1, 2))
     if not finite.all():
         u = float(us[int(np.argmin(finite))])
@@ -436,15 +436,16 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
     parallelly transported basis along arbitrary curves iff nabla nabla R = 0.
 
     Uses random polynomial (non-geodesic) curves inside the box, and reads
-    nabla R at three nodes of each in one stacked call.  Returns (passed,
-    worst residual).
+    nabla R at three nodes of each in one stacked call; a non-finite entry
+    is a ``ValueError`` naming the trial, the node and its u.  Returns
+    (passed, worst residual).
     """
     steps, span = SECOND_SYMMETRY_STEPS, SECOND_SYMMETRY_SPAN
     rng = np.random.default_rng(rng_seed)
     n = spec.n
     nodes = [0, steps // 2, steps]
     worst = 0.0
-    for _ in range(trials):
+    for trial in range(trials):
         mid = np.array([0.5 * (lo + hi) for lo, hi in spec.box])
         center = np.concatenate([[mid[0], 0.0], mid[1:]])
         amp = 0.25 * np.array([spec.box[0][1] - spec.box[0][0], 1.0]
@@ -457,11 +458,17 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
             return center + c1 * s + c2 * s * s, (c1 + 2.0 * c2 * s) / span
 
         traj = _curve_trajectory(spec, curve, span, steps)
+        with np.errstate(all="ignore"):
+            cm = assemble_coordinate_metric(spec, _chart_points(traj.coords[nodes]), order=3)
+            dR = coordinate_curvature(cm, depth=1).dR
+        finite = np.isfinite(dR).reshape(len(nodes), -1).all(axis=1)
+        if not finite.all():
+            node = nodes[int(np.argmin(finite))]
+            raise ValueError(f"non-finite nabla R in the second-symmetry check at trial {trial}, "
+                             f"node {node}, u = {float(traj.coords[node, 0])!r}")
         basis0 = np.eye(n)
         extra0 = rng.normal(size=(4, n))
         moved = parallel_transport(traj, np.vstack([basis0, extra0]))[nodes]
-        cm = assemble_coordinate_metric(spec, _chart_points(traj.coords[nodes]), order=3)
-        dR = coordinate_curvature(cm, depth=1).dR
         comps = []
         for k in range(len(nodes)):
             V, X, Y, Z = moved[k, n], moved[k, n + 1], moved[k, n + 2], moved[k, n + 3]
@@ -469,5 +476,6 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
             comps.append(np.linalg.solve(moved[k, :n].T, W))
         scale = float(np.max(np.abs(dR)))
         comps = np.array(comps)
-        worst = max(worst, float(np.max(np.abs(comps - comps[0]))) / (1.0 + scale))
+        # np.max, unlike max, keeps a NaN
+        worst = float(np.max([worst, np.max(np.abs(comps - comps[0])) / (1.0 + scale)]))
     return worst < SECOND_SYMMETRY_TOL, worst

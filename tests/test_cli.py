@@ -153,6 +153,15 @@ def test_generate_cw_refuses_a_dimension_a_metric_file_cannot_address(capsys):
     assert "dimension = 10" in out
 
 
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_generate_cw_refuses_an_order_below_1(capsys, order):
+    # a metric file's [generator] order below 1 is refused with the same words
+    for extra in ((), ("--P", "0=1 0; 0 1")):
+        code, out, err = run(capsys, "generate", "cw", "-d", "4", "--order", order, *extra)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: --order must be >= 1, got {order}"]
+
+
 @pytest.mark.parametrize("level", ["1", "3", "-1", "x"])
 def test_generate_cw_level_outside_the_order_is_an_error(capsys, level):
     code, out, err = run(capsys, "generate", "cw", "-d", "4", "-r", "1", "--P", f"{level}=1 0; 0 1")

@@ -75,7 +75,7 @@ def test_verify_canonical_on_an_empty_block():
 
 def test_the_rotation_and_the_reconstruction_of_an_empty_block():
     rot = solve_rotation_ode(FlatBlockData(fixture("cw4_r2"), ()), (-0.5, 0.5), 20)
-    assert (rot.R.shape, rot.stage_R.shape) == ((21, 0, 0), (20, 4, 0, 0))
+    assert (rot.R.shape, rot.stage_rows.shape) == ((21, 0, 0), (20, 4))
     assert (rot.orthogonality_error, rot.drift_before_projection) == (0.0, 0.0)
     cf = reconstruct(fixture("cw4_r2"), block=(), steps=50)
     assert (cf.R_of_u.shape, cf.D_of_u.shape) == ((51, 0, 0), (51, 0))

@@ -336,6 +336,16 @@ def test_second_symmetry_transport_check_ladder():
     assert not ok3 and worst3 > 1e-3
 
 
+def test_second_symmetry_transport_check_refuses_a_non_finite_nabla_R():
+    # the order-3 jets of exp(10000 u) overflow while G's value stays finite,
+    # and a NaN residual must not read as a pass
+    spec = MetricSpec.from_text(4, H="exp(10000*u)*x2^2 + u^3*x3^2",
+                                box=[(0.0685, 0.069), (-1, 1), (-1, 1)])
+    message = r"^non-finite nabla R in the second-symmetry check at trial 0, node 0, u = 0\.06875$"
+    with pytest.raises(ValueError, match=message):
+        second_symmetry_transport_check(spec, trials=2)
+
+
 # -- metric values and Christoffel symbols from the compiled tape ----------------------
 
 

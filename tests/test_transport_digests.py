@@ -3,8 +3,9 @@
 Each digest is the sha256 of the stdout of one ``transport`` run from a fixed
 start point with ``--span 0.5``.  A change that moves any printed digit moves
 a digest; re-recording one needs the changed rows and the largest absolute
-difference written down with the change.  The 150-step runs span several
-blocks of ``transport.NODE_BLOCK`` nodes.
+difference written down with the change.  A failure names the run and
+prints the digest it now gives next to the one its ``RUNS`` entry pins.
+The 150-step runs span several blocks of ``transport.NODE_BLOCK`` nodes.
 """
 
 import hashlib
@@ -41,7 +42,10 @@ def test_transport_csv_digest(name, experiment, point, steps, digest, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert len(out.splitlines()) == steps + 2 + (experiment == "nullsec")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    got = hashlib.sha256(out.encode()).hexdigest()
+    assert got == digest, (f"transport {experiment} on {name} from {' '.join(point)} with "
+                           f"{steps} steps gives digest {got!r}, not the {digest!r} its RUNS "
+                           f"entry pins")
 
 
 def test_the_long_runs_span_several_node_blocks():
