@@ -37,12 +37,13 @@ States are (coords, velocity) with coords = (u, v, x^2 .. x^{n-1}).
 Conserved quantities along geodesics: g(gamma', gamma') and the pairing
 g(K, gamma') with the parallel field K = -d_v, which equals du/dtau.
 
-The transport laws are checked inside a chart's admissible ``[box]`` only,
-and nothing is extrapolated past it: ``check_in_box`` refuses a start point
-outside it (edges included); ``geodesic_integrate``, given the box (as the
-``transport`` command gives it), refuses the first node outside it, up to
-the rounding of the run's steps, before the next step evaluates anything;
-and the command refuses a d0 run whose u range leaves it.
+The transport laws are checked inside a chart's admissible ``spec.box``
+only, and the library, not only the ``transport`` command, refuses to
+extrapolate past it: ``check_in_box`` refuses a start point outside it
+(edges included); ``geodesic_integrate`` refuses the first node or RK4 stage
+outside it, up to the rounding of the run's steps, before anything is
+evaluated there; and ``d0_transport`` refuses a u range that leaves it
+before it evaluates the metric.
 """
 
 from __future__ import annotations
@@ -186,16 +187,14 @@ class Trajectory:
 
 
 def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
-                       velocity0: Sequence[float], tau_span: float, steps: int,
-                       box: Sequence[tuple[float, float]] | None = None) -> Trajectory:
-    """Fixed-step RK4 for the geodesic equation, wherever it leads, or inside ``box``.
+                       velocity0: Sequence[float], tau_span: float, steps: int) -> Trajectory:
+    """Fixed-step RK4 for the geodesic equation inside ``spec.box``.
 
     A non-finite state, at a node or at an RK4 stage, is a ``RuntimeError``
     naming the step, tau and the first non-finite entry (u, v, x.. or a
-    velocity du, dv, dx..).  Given a box (one (lo, hi) per chart coordinate,
-    as ``spec.box``), the first node outside it, up to the rounding of
-    ``steps`` steps, is refused with ``check_in_box``'s ``ValueError`` right
-    after it is reached.
+    velocity du, dv, dx..).  The first node or stage outside the box, up to
+    the rounding of ``steps`` steps, is refused with ``check_in_box``'s
+    ``ValueError`` before anything is evaluated there.
 
     G at node k is the value that stage 0 of step k evaluated there, and at
     the last node one ``metric_values`` call; ``Trajectory.energy`` reads it.
@@ -213,29 +212,27 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
     derivative = np.empty((4, 2 * n))   # stage s of the current step in row s
     names = ["u", "v"] + [f"x{i}" for i in range(2, n)]
     names += ["d" + c for c in names]
-    chart_axes = [0] + list(range(2, n))
-    if box is not None:
-        edges = [(float(lo), float(hi)) for lo, hi in zip(*_box_edges(box, steps))]
+    lo, hi = (edge.tolist() for edge in _box_edges(spec.box, steps))
 
-    def check_finite(state: np.ndarray, k: int, s: int | None = None) -> None:
-        """Refuse a non-finite state at stage s of step k, or at its end node."""
+    def check(state: np.ndarray, k: int, s: int | None = None) -> None:
+        """Refuse a non-finite state at stage s of step k, or at its end node,
+        then one whose chart coordinates lie outside the box."""
         values = state.tolist()
-        if not all(map(math.isfinite, values)):
-            tau = taus[k + 1] if s is None else taus[k] + (0.0, 0.5, 0.5, 1.0)[s] * h
+        chart = [values[0], *values[2:n]]
+        finite = all(map(math.isfinite, values))
+        if finite and all(a <= x <= b for a, x, b in zip(lo, chart, hi)):
+            return
+        tau = float(taus[k + 1] if s is None else taus[k] + (0.0, 0.5, 0.5, 1.0)[s] * h)
+        if not finite:
             i = next(i for i, x in enumerate(values) if not math.isfinite(x))
             raise RuntimeError(f"geodesic integration blew up at step {k + 1}, "
-                               f"tau = {float(tau)!r}: {names[i]} = {values[i]!r}")
-
-    def check_inside(state: np.ndarray, k: int) -> None:
-        """Refuse node k outside the box."""
-        for i, (lo, hi) in zip(chart_axes, edges):
-            if not lo <= state[i] <= hi:
-                check_in_box(box, [state[chart_axes]],
-                             lambda _: f"geodesic node {k}, tau = {float(taus[k])!r},", steps)
+                               f"tau = {tau!r}: {names[i]} = {values[i]!r}")
+        where = f"node {k + 1}" if s is None else f"step {k + 1} stage {s + 1}"
+        check_in_box(spec.box, [chart], lambda _: f"geodesic {where}, tau = {tau!r},", steps)
 
     def f(stage: tuple[int, int], state: np.ndarray) -> np.ndarray:
         k, s = stage
-        check_finite(state, k, s)
+        check(state, k, s)
         G, gam = christoffel_values(spec, state[:n])
         if s == 0:
             metric[k] = G
@@ -247,13 +244,10 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
         return derivative[s]
 
     with np.errstate(all="ignore"):
-        if box is not None:
-            check_inside(y, 0)
+        check_in_box(spec.box, [[y[0], *y[2:n]]], lambda _: "geodesic node 0, tau = 0.0,", steps)
         for k in range(steps):
             y = rk4_step(f, y, h, [(k, s) for s in range(4)])
-            check_finite(y, k)
-            if box is not None:
-                check_inside(y, k + 1)
+            check(y, k)
             out[k + 1] = y
         metric[steps] = metric_values(spec, y[:n])
     return Trajectory(taus, out[:, :n], out[:, n:], connection, metric)
@@ -282,15 +276,17 @@ def d0_transport(spec: MetricSpec, start: Sequence[float], vectors0: np.ndarray,
     components satisfy dX^i/du = t^i_k X^k, a linear equation integrated by
     ``ode.linear_rk4``.  t^i_k is evaluated once per row of the
     node/midpoint ``stage_grid``.  Returns (u values, X values).
-    A start point that ``check_in_box`` refuses and a non-finite t^i_k are
-    ``ValueError``s, the latter naming the first u where it occurs; a
-    transported vector that overflows is a ``RuntimeError`` naming its u.
+    A start point or a u range that ``check_in_box`` refuses and a non-finite
+    t^i_k are ``ValueError``s, the last naming the first u where it occurs;
+    nothing is evaluated before the u range is checked.  A transported vector
+    that overflows is a ``RuntimeError`` naming its u.
     """
     check_in_box(spec.box, [start], lambda k: "start point")
     u0, *x = start
     V = np.atleast_2d(np.asarray(vectors0, dtype=float))
     h = step_size(u_span, steps)
     us, grid, rows = stage_grid(u0, h, steps)
+    check_in_box(spec.box, [(u, *x) for u in us.tolist()], lambda k: "d0 curve at", steps)
     tup = np.empty((len(grid), spec.m, spec.m))
     with np.errstate(all="ignore"):
         for block, q in node_blocks(ChartPoint(grid, tuple(x))):
@@ -379,35 +375,40 @@ def null_sectional_growth(spec: MetricSpec, traj: Trajectory,
     X is parallel-transported from ``x_vec`` on the connection the geodesic
     recorded, so the curve is integrated once; returns the sampled values,
     the first finite-difference derivative and its constancy residual (the
-    maximum absolute second difference of the samples).
+    maximum absolute second difference of the samples).  The first node where
+    g(X, X) is not positive (a NaN included), and else the first where K is
+    not finite, is a ``ValueError`` naming the node, tau and its coordinates.
     """
-    X = parallel_transport(traj, np.asarray(x_vec, dtype=float)[None, :])[:, 0, :]
     vals = np.empty(len(traj.tau))
-    for block, p in node_blocks(_chart_points(traj.coords)):
-        v, x = traj.velocity[block], X[block]
-        cm = assemble_coordinate_metric(spec, p, order=2)
-        R = coordinate_curvature(cm, depth=0).R
-        G = cm.G.value()
-        Rlow = np.einsum("kae,kebcd->kabcd", G, R)
-        num = np.einsum("kabcd,ka,kb,kc,kd->k", Rlow, v, x, v, x)
-        den = (x[:, None, :] @ G @ x[:, :, None])[:, 0, 0]   # the bits of X @ G @ X
-        flat = den <= 1e-10
-        if flat.any():
-            j = int(np.argmax(flat))
-            k = block.start + j
-            raise ValueError(f"degenerate plane: g(X, X) = {float(den[j])!r} is not positive at "
-                             f"node {k}, tau = {float(traj.tau[k])!r}, "
-                             f"coordinates {tuple(traj.coords[k].tolist())}")
-        vals[block] = num / den
+    with np.errstate(all="ignore"):
+        X = parallel_transport(traj, np.asarray(x_vec, dtype=float)[None, :])[:, 0, :]
+        for block, p in node_blocks(_chart_points(traj.coords)):
+            v, x = traj.velocity[block], X[block]
+            cm = assemble_coordinate_metric(spec, p, order=2)
+            R = coordinate_curvature(cm, depth=0).R
+            G = cm.G.value()
+            Rlow = np.einsum("kae,kebcd->kabcd", G, R)
+            num = np.einsum("kabcd,ka,kb,kc,kd->k", Rlow, v, x, v, x)
+            den = (x[:, None, :] @ G @ x[:, :, None])[:, 0, 0]   # the bits of X @ G @ X
+            K = num / den
+            flat = ~(den > 1e-10)   # a NaN is not positive either
+            bad = flat if flat.any() else ~np.isfinite(K)
+            if bad.any():
+                j = int(np.argmax(bad))
+                k = block.start + j
+                what = (f"degenerate plane: g(X, X) = {float(den[j])!r} is not positive"
+                        if flat.any() else
+                        f"null sectional curvature K = {float(K[j])!r} is not finite")
+                raise ValueError(f"{what} at node {k}, tau = {float(traj.tau[k])!r}, "
+                                 f"coordinates {tuple(traj.coords[k].tolist())}")
+            vals[block] = K
     h = float(traj.tau[1] - traj.tau[0])
-    first = np.diff(vals) / h
     second = np.abs(np.diff(vals, n=2))
     return {
         "tau": traj.tau,
         "K": vals,
-        "dK": first,
+        "dK": np.diff(vals) / h,
         "max_second_difference": float(second.max()) if second.size else 0.0,
-        "dK_spread": float(first.max() - first.min()) if first.size else 0.0,
     }
 
 
@@ -437,8 +438,8 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
 
     Uses random polynomial (non-geodesic) curves inside the box, and reads
     nabla R at three nodes of each in one stacked call; a non-finite entry
-    is a ``ValueError`` naming the trial, the node and its u.  Returns
-    (passed, worst residual).
+    of nabla R, or else of the transported basis, is a ``ValueError`` naming
+    the trial, the node and its u.  Returns (passed, worst residual).
     """
     steps, span = SECOND_SYMMETRY_STEPS, SECOND_SYMMETRY_SPAN
     rng = np.random.default_rng(rng_seed)
@@ -461,14 +462,14 @@ def second_symmetry_transport_check(spec: MetricSpec, trials: int = 3,
         with np.errstate(all="ignore"):
             cm = assemble_coordinate_metric(spec, _chart_points(traj.coords[nodes]), order=3)
             dR = coordinate_curvature(cm, depth=1).dR
-        finite = np.isfinite(dR).reshape(len(nodes), -1).all(axis=1)
-        if not finite.all():
-            node = nodes[int(np.argmin(finite))]
-            raise ValueError(f"non-finite nabla R in the second-symmetry check at trial {trial}, "
-                             f"node {node}, u = {float(traj.coords[node, 0])!r}")
-        basis0 = np.eye(n)
-        extra0 = rng.normal(size=(4, n))
-        moved = parallel_transport(traj, np.vstack([basis0, extra0]))[nodes]
+            basis = np.vstack([np.eye(n), rng.normal(size=(4, n))])
+            moved = parallel_transport(traj, basis)[nodes]
+        for values, what in ((dR, "nabla R"), (moved, "transported basis")):
+            finite = np.isfinite(values).reshape(len(nodes), -1).all(axis=1)
+            if not finite.all():
+                node = nodes[int(np.argmin(finite))]
+                raise ValueError(f"non-finite {what} in the second-symmetry check at trial "
+                                 f"{trial}, node {node}, u = {float(traj.coords[node, 0])!r}")
         comps = []
         for k in range(len(nodes)):
             V, X, Y, Z = moved[k, n], moved[k, n + 1], moved[k, n + 2], moved[k, n + 3]

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import settings
 from numpy.polynomial import polynomial
 
+from brinkmann.chart import MetricSpec
 from brinkmann.classify import SAMPLE_MARGIN, _halton
 
 # ``pytest --hypothesis-profile=ci`` draws the same examples on every run, so a
@@ -12,6 +14,13 @@ from brinkmann.classify import SAMPLE_MARGIN, _halton
 settings.register_profile("ci", derandomize=True, deadline=None)
 
 METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
+
+
+def boxed(spec: MetricSpec, box) -> MetricSpec:
+    """``spec`` on the admissible box ``box``, one (lo, hi) per chart coordinate:
+    transport refuses to leave a spec's box, so a run past it declares one that
+    holds it."""
+    return dataclasses.replace(spec, box=tuple(box))
 
 
 @pytest.fixture(scope="session")

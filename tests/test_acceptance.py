@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import boxed
 
 from brinkmann import expr as E
 from brinkmann import jets as J
@@ -159,13 +160,13 @@ def test_criterion_7_transport_laws():
     x_dir = np.array([0.0, 0.0, 1.0, 0.0])
     origin = [0.0, 0.0, 0.0, 0.0]
 
-    spec2 = fixture("cw4_r2")
+    spec2 = boxed(fixture("cw4_r2"), [(-1.0, 11.0), (-1.0, 6.0), (-3.0, 1.0)])
     traj2 = geodesic_integrate(spec2, origin,
                                null_velocity(spec2, (0.0, 0.0, 0.0)),
                                tau_span=10.0, steps=1000)
     res2 = null_sectional_growth(spec2, traj2, x_dir)
 
-    spec1 = fixture("cw4_r1")
+    spec1 = boxed(fixture("cw4_r1"), [(-1.0, 11.0), (-1.0, 1.0), (-1.0, 1.0)])
     traj1 = geodesic_integrate(spec1, origin,
                                null_velocity(spec1, (0.0, 0.0, 0.0)),
                                tau_span=10.0, steps=1000)

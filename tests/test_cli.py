@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brinkmann
-from brinkmann import classify, cli, transport
+from brinkmann import classify, cli, metricfile, transport
 from brinkmann.cli import format_json, main
 from brinkmann.metricfile import spec_to_text
 from brinkmann.spaces import apply_chart_change, fixture, random_affine_change
@@ -692,27 +692,29 @@ def test_transport_accepts_a_point_on_the_box_edge(capsys):
 
 @pytest.mark.parametrize("experiment", ["geodesic", "nullsec"])
 def test_transport_refuses_a_geodesic_node_outside_the_box(experiment):
-    # the leaf part throws x2 to 3e148 on the first step; no row is printed
+    # the leaf part throws x2 to 1.7e148 at stage 2 of the first step; no row is printed
     done = run_cli("transport", CW4_ORDER2, "--experiment", experiment, "--steps", "3",
                    "--span", "0.1", "--leaf-part", "1e150", "0")
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.splitlines() == [
-        "error: geodesic node 1, tau = 0.03333333333333333, x2 = 3.333312757201646e+148 "
-        "lies outside the box x2 in [-1.0, 1.0]"]
+        "error: geodesic step 1 stage 2, tau = 0.016666666666666666, "
+        "x2 = 1.6666666666666666e+148 lies outside the box x2 in [-1.0, 1.0]"]
 
 
 @pytest.mark.parametrize("experiment", ["geodesic", "nullsec", "d0"])
 def test_transport_refuses_a_node_outside_the_box_before_a_pole_past_it(tmp_path, experiment,
                                                                          capsys):
-    # H has a pole on u = 2; node 3 at u = 1.5 is refused before a step reaches it
+    # H has a pole on u = 2; geodesic stage u = 1.25 and d0 node u = 1.5 are
+    # refused before anything is evaluated past the box
     path = tmp_path / "pole.metric"
     path.write_text('[metric]\ndimension = 4\nH = "x2^2 / (u - 2)"\n\n'
                     '[box]\nu = -1 1\nx2 = -1 1\nx3 = -1 1\n')
     code, out, err = run(capsys, "transport", str(path), "--experiment", experiment,
                          "--span", "4", "--steps", "8", "--point", "0", "0.5", "0")
-    where = "d0 curve at" if experiment == "d0" else "geodesic node 3, tau = 1.5,"
+    where = "d0 curve at u = 1.5" if experiment == "d0" else \
+        "geodesic step 3 stage 2, tau = 1.25, u = 1.25"
     assert (code, out) == (1, "")
-    assert err.splitlines() == [f"error: {where} u = 1.5 lies outside the box u in [-1.0, 1.0]"]
+    assert err.splitlines() == [f"error: {where} lies outside the box u in [-1.0, 1.0]"]
 
 
 @pytest.mark.parametrize("point, name, value", [
@@ -736,12 +738,95 @@ def test_transport_d0_refuses_a_u_range_outside_the_box(monkeypatch, capsys):
         raise AssertionError("metric evaluated")
 
     monkeypatch.setattr(transport, "eval_metric", no_evaluation)
-    monkeypatch.setattr(cli, "d0_transport", no_evaluation)
     code, out, err = run(capsys, "transport", SCRAMBLED_CW4, "--experiment", "d0",
                          "--steps", "4", "--span", "5")
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         "error: d0 curve at u = 1.25 lies outside the box u in [-0.8, 0.8]"]
+
+
+def test_transport_refuses_a_stage_outside_the_box_before_evaluating_it(tmp_path, capsys):
+    # the first step's stage 4 lands on x2 = -4e94, where H = 1e200 x2^2 overflows
+    path = tmp_path / "steep.metric"
+    path.write_text('[metric]\ndimension = 4\nH = "1e200*x2^2 + x3^2"\n\n'
+                    '[box]\nu = -1 1\nx2 = -1 1\nx3 = -1 1\n')
+    code, out, err = run(capsys, "transport", str(path), "--steps", "50",
+                         "--leaf-part", "1e-100", "0")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: geodesic step 1 stage 4, tau = 0.02, x2 = -4.000000000000001e+94 lies outside "
+        "the box x2 in [-1.0, 1.0]"]
+
+
+def test_nullsec_refuses_a_non_finite_curvature_naming_the_node(tmp_path):
+    # G is finite on this box (exp(10 u) is about 1e307) but R, from the second
+    # u-derivative 100 exp(10 u), overflows; geodesic and d0 need no R
+    path = tmp_path / "overflow.metric"
+    path.write_text('[metric]\ndimension = 4\nH = "exp(10*u)*x2^2 + x3^2"\n\n'
+                    '[box]\nu = 70.70 70.72\nx2 = -1 1\nx3 = -1 1\n')
+    results = {}
+    for experiment in ("geodesic", "d0", "nullsec"):
+        out, err = io.StringIO(), io.StringIO()
+        # a numpy warning would raise here: the suite turns RuntimeWarnings into errors
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["transport", str(path), "--experiment", experiment, "--steps", "4",
+                         "--span", "0.01"])
+        results[experiment] = code, err.getvalue()
+    assert out.getvalue() == ""
+    assert results == {"geodesic": (0, ""), "d0": (0, ""), "nullsec": (
+        1, "error: null sectional curvature K = nan is not finite at node 0, tau = 0.0, "
+           "coordinates (70.71000000000001, 0.0, 0.0, 0.0)\n")}
+
+
+def _assert_evaluations_in_the_box(path, argv, monkeypatch, capsys):
+    """Every point where a transport run evaluates the metric or its Christoffel
+    symbols lies in the box, up to the rounding of its steps; a run that ends
+    prints no null."""
+    steps = 8
+    points = []
+    for name in ("christoffel_values", "metric_values"):
+        real = getattr(transport, name)
+        monkeypatch.setattr(transport, name, lambda spec, c, real=real:
+                            points.append([c[0], *c[2:]]) or real(spec, c))
+    code, out, err = run(capsys, "transport", path, *argv, "--steps", str(steps))
+    lo, hi = transport._box_edges(metricfile.load_metric_file(path).box, steps)
+    assert points
+    assert ((lo <= np.array(points)) & (np.array(points) <= hi)).all()
+    if code == 0:
+        assert err == ""
+        assert "null" not in out.replace("\n", ",").split(",")
+    else:
+        assert (code, out) == (1, "")
+
+
+def _bundled_transport_runs():
+    """(metric path, argv): geodesic and nullsec on every bundled metric, with
+    and without a leaf part."""
+    runs = []
+    for name in BUNDLED:
+        path = os.path.join(METRICS_DIR, f"{name}.metric")
+        leaf_part = ["--leaf-part", *["0.3"] * metricfile.load_metric_file(path).m]
+        for experiment in ("geodesic", "nullsec"):
+            runs += [(path, ["--experiment", experiment]),
+                     (path, ["--experiment", experiment, *leaf_part])]
+    return runs
+
+
+@pytest.mark.parametrize("path, argv", _bundled_transport_runs())
+def test_no_transport_evaluation_leaves_the_box(path, argv, monkeypatch, capsys):
+    _assert_evaluations_in_the_box(path, argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("experiment", ["geodesic", "nullsec"])
+def test_no_transport_evaluation_reaches_a_pole_past_the_box(experiment, tmp_path, monkeypatch,
+                                                             capsys):
+    # the run is refused at u = 1.25, a stage short of the pole on u = 2
+    path = tmp_path / "pole.metric"
+    path.write_text('[metric]\ndimension = 4\nH = "x2^2 / (u - 2)"\n\n'
+                    '[box]\nu = -1 1\nx2 = -1 1\nx3 = -1 1\n')
+    _assert_evaluations_in_the_box(str(path), ["--experiment", experiment, "--span", "4",
+                                               "--point", "0", "0.5", "0"],
+                                   monkeypatch, capsys)
 
 
 NULLSEC_WITHOUT_LEAF = "error: nullsec needs a leaf direction X = d/dx2, and this chart has " \
@@ -847,7 +932,7 @@ def test_transport_point_in_scientific_notation_equals_positional(capsys):
 def test_transport_reads_any_point_in_the_box(point):
     # repr of a float in the box (subnormals, -0.0 and exponents included) is a
     # value, never an option name: exit 0, or 1 with a located error once a
-    # node passes the u edge, and never SystemExit
+    # node or an RK4 stage passes the u edge, and never SystemExit
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(["transport", CW4_ORDER2, "--steps", "2", "--span", "0.05",
@@ -856,4 +941,4 @@ def test_transport_reads_any_point_in_the_box(point):
         assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 4
     else:
         assert (code, out.getvalue()) == (1, "")
-        assert err.getvalue().startswith("error: geodesic node ")
+        assert re.match(r"error: geodesic (node \d+|step \d+ stage \d), tau = ", err.getvalue())

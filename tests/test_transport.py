@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import boxed
 
 from brinkmann import chart, jets, transport
 from brinkmann.cli import main
@@ -22,7 +23,7 @@ METRICS = pathlib.Path(__file__).resolve().parents[1] / "metrics"
 
 
 def test_flat_geodesics_are_straight():
-    spec = fixture("flat")
+    spec = boxed(fixture("flat"), [(-1.0, 3.0)] * 3)
     v0 = [0.5, -0.2, 0.3, 0.1]
     traj = geodesic_integrate(spec, ORIGIN4, v0, tau_span=4.0, steps=100)
     expect = np.outer(traj.tau, v0)
@@ -64,7 +65,7 @@ def test_start_points_outside_the_box_are_refused():
 
 
 def test_cw_central_geodesic_stays_at_origin():
-    spec = fixture("cw4_r2")
+    spec = boxed(fixture("cw4_r2"), [(-1.0, 11.0), (-1.0, 1.0), (-1.0, 1.0)])
     v0 = null_velocity(spec, (0.0, 0.0, 0.0))
     traj = geodesic_integrate(spec, ORIGIN4, v0, tau_span=10.0, steps=500)
     assert np.max(np.abs(traj.coords[:, 2:])) == 0.0
@@ -76,7 +77,7 @@ def test_cw_central_geodesic_stays_at_origin():
 
 
 def test_geodesic_conservation_generic_initial_data():
-    spec = fixture("cw4_r2")
+    spec = boxed(fixture("cw4_r2"), [(-3.0, 1.0), (-1.0, 16.0), (-1.0, 1.0)])
     rng = np.random.default_rng(4)
     v0 = rng.normal(size=4) * 0.3
     traj = geodesic_integrate(spec, [0.0, 0.1, 0.2, -0.1], v0, tau_span=10.0, steps=4000)
@@ -87,31 +88,28 @@ def test_geodesic_conservation_generic_initial_data():
 
 
 def test_geodesic_box_abort(capsys):
-    # the leaf part 2 throws x2 past its edge at tau = 0.515; the transport
-    # command refuses the run before it prints a row
+    # the leaf part 2 throws x2 past its edge at tau = 0.5125, a stage of the
+    # step to node 103; the transport command refuses the run before it prints a row
     code = main(["transport", str(METRICS / "cw4_order2.metric"), "--steps", "200",
                  "--point", "0", "0", "0", "--leaf-part", "2", "0"])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: geodesic node 103, tau = 0.515, x2 = 1.0067039517852405 "
-                                "lies outside the box x2 in [-1.0, 1.0]"]
+    assert err.splitlines() == ["error: geodesic step 103 stage 2, tau = 0.5125, "
+                                "x2 = 1.0021540542674914 lies outside the box x2 in [-1.0, 1.0]"]
 
 
 def test_geodesic_refuses_the_first_node_outside_its_box(monkeypatch):
     # H has a pole on u = 2, past the box edge u = 1: the null geodesic reaches
-    # u = 1.5 at node 3, and its next step would evaluate the pole
+    # u = 1 at node 2, and stage 2 of the next step would evaluate u = 1.25
     spec = MetricSpec.from_text(4, H="x2^2 / (u - 2)")
     start, v0 = [0.0, 0.0, 0.5, 0.0], null_velocity(spec, (0.0, 0.5, 0.0))
-    with pytest.raises(JetDomainError, match=r"^division by a jet with zero constant term "
-                                             r"in H at \(2\.0, "):
-        geodesic_integrate(spec, start, v0, 4.0, 8)
     real, calls = transport.christoffel_values, []
     monkeypatch.setattr(transport, "christoffel_values",
                         lambda spec, c: calls.append(c) or real(spec, c))
-    with pytest.raises(ValueError, match=r"^geodesic node 3, tau = 1\.5, u = 1\.5 lies outside "
-                                         r"the box u in \[-1\.0, 1\.0\]$"):
-        geodesic_integrate(spec, start, v0, 4.0, 8, box=spec.box)
-    assert len(calls) == 3 * 4
+    with pytest.raises(ValueError, match=r"^geodesic step 3 stage 2, tau = 1\.25, u = 1\.25 lies "
+                                         r"outside the box u in \[-1\.0, 1\.0\]$"):
+        geodesic_integrate(spec, start, v0, 4.0, 8)
+    assert len(calls) == 2 * 4 + 1
 
 
 @pytest.mark.parametrize("steps", [1000, 100000])
@@ -154,7 +152,7 @@ def test_a_row_of_the_wrong_length_is_refused_naming_both_counts(row):
 
 
 def test_parallel_transport_flat_constant():
-    spec = fixture("flat")
+    spec = boxed(fixture("flat"), [(-1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)])
     traj = geodesic_integrate(spec, ORIGIN4, [1.0, 0.2, 0.1, -0.3], 2.0, 50)
     moved = parallel_transport(traj, np.eye(4))
     assert np.max(np.abs(moved - np.eye(4))) < 1e-12
@@ -170,7 +168,7 @@ def test_parallel_transport_on_a_zero_step_trajectory_returns_its_start():
 
 
 def test_parallel_transport_K_constant():
-    spec = fixture("scrambled_cw4")
+    spec = boxed(fixture("scrambled_cw4"), [(-0.8, 2.5), (-4.0, 0.8), (-0.8, 2.5)])
     v0 = null_velocity(spec, (0.0, 0.1, 0.2), leaf_part=[0.2, 0.1])
     traj = geodesic_integrate(spec, [0.0, 0.0, 0.1, 0.2], v0, 2.0, 200)
     K = np.array([0.0, -1.0, 0.0, 0.0])
@@ -179,7 +177,7 @@ def test_parallel_transport_K_constant():
 
 
 def test_parallel_transport_isometry():
-    spec = fixture("cw4_r2")
+    spec = boxed(fixture("cw4_r2"), [(-3.0, 1.0), (-27.0, 1.0), (-1.0, 1.0)])
     rng = np.random.default_rng(9)
     traj = geodesic_integrate(spec, [0.0, 0.0, 0.1, -0.2], rng.normal(size=4) * 0.3,
                               10.0, 4000)
@@ -194,13 +192,13 @@ def test_parallel_transport_isometry():
 
 
 def test_d0_transport_constant_when_t_zero():
-    spec = fixture("cw4_r2")  # t = 0
+    spec = boxed(fixture("cw4_r2"), [(-1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)])  # t = 0
     us, X = d0_transport(spec, (0.0, 0.3, 0.2), np.eye(2), 2.0, 100)
     assert np.max(np.abs(X - np.eye(2))) < 1e-13
 
 
 def test_d0_transport_rotation_closed_form():
-    spec = fixture("rotation_w")
+    spec = boxed(fixture("rotation_w"), [(-1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)])
     us, X = d0_transport(spec, (0.0, 0.3, -0.2), np.eye(2), 2.0, 400)
     c, s = np.cos(2.0), np.sin(2.0)
     expm = np.array([[c, s], [-s, c]])  # exp(2t) for t = [[0,1],[-1,0]]
@@ -240,20 +238,20 @@ def test_d0_transport_gbar_isometry_random_spec():
 
 def test_null_sectional_growth_ladder():
     x_dir = np.array([0.0, 0.0, 1.0, 0.0])
-    spec2 = fixture("cw4_r2")
+    spec2 = boxed(fixture("cw4_r2"), [(-1.0, 11.0), (-1.0, 1.0), (-1.0, 1.0)])
     v0 = null_velocity(spec2, (0.0, 0.0, 0.0))
     traj = geodesic_integrate(spec2, ORIGIN4, v0, 10.0, 1000)
     res = null_sectional_growth(spec2, traj, x_dir)
     assert res["max_second_difference"] < 1e-6
     assert res["dK"][0] == pytest.approx(2.0, abs=1e-9)   # K = 2u along the center
 
-    spec1 = fixture("cw4_r1")
+    spec1 = boxed(fixture("cw4_r1"), [(-1.0, 11.0), (-1.0, 1.0), (-1.0, 1.0)])
     traj1 = geodesic_integrate(spec1, ORIGIN4, null_velocity(spec1, (0.0, 0.0, 0.0)),
                                10.0, 500)
     res1 = null_sectional_growth(spec1, traj1, x_dir)
     assert np.max(np.abs(res1["K"] - res1["K"][0])) < 1e-8
 
-    flat = fixture("flat")
+    flat = boxed(fixture("flat"), [(-1.0, 11.0), (-1.0, 1.0), (-1.0, 1.0)])
     trajf = geodesic_integrate(flat, ORIGIN4, null_velocity(flat, (0.0, 0.0, 0.0)),
                                5.0, 100)
     resf = null_sectional_growth(flat, trajf, x_dir)
@@ -344,6 +342,23 @@ def test_second_symmetry_transport_check_refuses_a_non_finite_nabla_R():
     message = r"^non-finite nabla R in the second-symmetry check at trial 0, node 0, u = 0\.06875$"
     with pytest.raises(ValueError, match=message):
         second_symmetry_transport_check(spec, trials=2)
+
+
+def test_second_symmetry_transport_check_refuses_an_overflowing_basis(monkeypatch):
+    # the basis overflows from node 100 on, so node 160 is the first of the
+    # three nodes read; a NaN residual must not read as a failure of the law
+    real = transport.parallel_transport
+
+    def overflowing(traj, vectors):
+        moved = real(traj, vectors)
+        moved[100:] = np.inf
+        return moved
+
+    monkeypatch.setattr(transport, "parallel_transport", overflowing)
+    message = (r"^non-finite transported basis in the second-symmetry check at trial 0, "
+               r"node 160, u = -0\.035526116371790546$")
+    with pytest.raises(ValueError, match=message):
+        second_symmetry_transport_check(fixture("cw4_r2"), trials=2)
 
 
 # -- metric values and Christoffel symbols from the compiled tape ----------------------
@@ -479,14 +494,14 @@ def test_non_finite_metric_values_name_the_field_and_point(fields, name):
 
 def test_geodesic_off_to_infinity_names_the_non_finite_field():
     # the step from tau = 16 throws x2 out to 1.8e142, where H = -x2^4 overflows
-    spec = MetricSpec.from_text(4, H="-x2^4")
+    spec = MetricSpec.from_text(4, H="-x2^4", box=[(-1e300, 1e300)] * 3)
     with pytest.raises(ValueError, match=r"^non-finite H at \(20\.0, 1\.788\d*e\+142, 0\.0\)$"):
         geodesic_integrate(spec, [0.0, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], 40.0, 5)
 
 
 def test_geodesic_blow_up_names_step_tau_and_entry():
     # H = -x2^4 throws the geodesic off to infinity within the first steps
-    spec = MetricSpec.from_text(4, H="-x2^4")
+    spec = MetricSpec.from_text(4, H="-x2^4", box=[(-1e300, 1e300)] * 3)
     with pytest.raises(RuntimeError,
                        match=r"^geodesic integration blew up at step 4, tau = 7\.0: dv = inf$"):
         geodesic_integrate(spec, [0.0, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], 40.0, 20)
