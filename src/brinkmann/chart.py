@@ -57,6 +57,9 @@ PIVOT_RATIO = 1e-10  # smallest/largest Cholesky pivot allowed for the leaf metr
 # stack: a 64-node engine stack at order 4 and depth 2 allocates at most 51 MB
 # at once on cw6_order2 (leaf dimension 4) and 2.5 MB on cw4_order2.
 NODE_BLOCK = 64
+# The bytes of the last one-point leaf metric that passed ``_check_leaf_metric``: its
+# verdict depends on them only, and whatever any thread writes here has passed.
+_passed_leaf_metric: bytes | None = None
 
 
 class MetricDefinitenessError(ValueError):
@@ -305,9 +308,14 @@ def _check_leaf_metric(g0: np.ndarray, where: tuple) -> None:
     positive definite, with its smallest Cholesky pivot above PIVOT_RATIO times
     the largest; ``where`` (chart coordinates) names the point.  A non-finite
     entry is named in chart labels (x2 is leaf index 0).  One point (m, m),
-    the transport's compiled-tape path, is tested on Python floats; a stack
-    (N, m, m) is tested at once, and ``first_failing_node`` then names the node."""
+    the transport's compiled-tape path, is tested on Python floats, and passes
+    at once if byte-equal to the last one that passed; a stack (N, m, m) is
+    tested at once, and ``first_failing_node`` then names the node."""
+    global _passed_leaf_metric
     if g0.ndim == 2:
+        key = g0.tobytes()
+        if key == _passed_leaf_metric:
+            return
         m, entries = len(g0), g0.ravel().tolist()
         if not all(map(math.isfinite, entries)):
             i, j = divmod(next(k for k, x in enumerate(entries) if not math.isfinite(x)), m)
@@ -330,6 +338,8 @@ def _check_leaf_metric(g0: np.ndarray, where: tuple) -> None:
                       <= PIVOT_RATIO * pivots.max(axis=-1, initial=0.0)).any()
     if degenerate:
         raise MetricDefinitenessError(f"leaf metric nearly degenerate at {where}")
+    if g0.ndim == 2:
+        _passed_leaf_metric = key
 
 
 def eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
@@ -372,7 +382,7 @@ def metric_coefficients(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
     which is also the order-0 value, then the first partials.  The coefficients,
     the checks and the errors are those of ``eval_metric`` at the one-point
     stack ``ChartPoint(point[0], point[1:])``, bit for bit, and no ``ChartPoint``
-    is built.
+    is built; a g_ij byte-equal to the last one that passed is not factored again.
     """
     point, m = tuple(point), spec.m
     if not all(map(math.isfinite, point)):

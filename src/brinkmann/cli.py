@@ -51,6 +51,13 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_row(values: list[float]) -> str:
+    """``values`` as ``_fmt_float`` writes them, joined by commas, by one % if all are finite."""
+    if all(map(math.isfinite, values)):
+        return ",".join(["%.17g"] * len(values)) % tuple(values)
+    return ",".join(map(_fmt_float, values))
+
+
 def format_json(obj, indent: int = 0) -> str:
     """Minimal JSON writer with fixed float formatting and stable key order."""
     pad = "  " * indent
@@ -277,15 +284,14 @@ def cmd_transport(args) -> int:
         cols = ["u", "v", *names[1:]]
         rows = ["tau," + ",".join(cols) + ","
                 + ",".join("d" + c for c in cols) + ",energy,k_pairing"]
-        for tau, x, v, energy, pairing in zip(
-                traj.tau.tolist(), traj.coords.tolist(), traj.velocity.tolist(),
-                traj.energy().tolist(), traj.k_pairing().tolist()):
-            rows.append(",".join(map(_fmt_float, [tau, *x, *v, energy, pairing])))
+        rows += [_csv_row([tau, *x, *v, energy, pairing]) for tau, x, v, energy, pairing in zip(
+            traj.tau.tolist(), traj.coords.tolist(), traj.velocity.tolist(),
+            traj.energy().tolist(), traj.k_pairing().tolist())]
     elif args.experiment == "nullsec":
         x_vec = np.zeros(spec.n)
         x_vec[2] = 1.0
         res = null_sectional_growth(spec, traj, x_vec)
-        rows = ["tau,K"] + [f"{_fmt_float(tau)},{_fmt_float(K)}"
+        rows = ["tau,K"] + [_csv_row([tau, K])
                             for tau, K in zip(res["tau"].tolist(), res["K"].tolist())]
         rows.append(f"# max_second_difference,{_fmt_float(res['max_second_difference'])}")
     else:
@@ -295,7 +301,7 @@ def cmd_transport(args) -> int:
         m = spec.m
         us, X = d0_transport(spec, start, np.eye(m), span, args.steps)
         rows = ["u," + ",".join(f"X{v}_{i + 2}" for v in range(m) for i in range(m))]
-        rows += [",".join(map(_fmt_float, [u, *x]))
+        rows += [_csv_row([u, *x])
                  for u, x in zip(us.tolist(), X.reshape(len(us), m * m).tolist())]
     _emit("\n".join(rows) + "\n", args.out)
     return 0

@@ -22,13 +22,13 @@ applies it to jet coefficients (a stack of them too), and the transport's
 one-point path derives its index take from it.
 
 The transport experiments read their Christoffel symbols from here too:
-``christoffel`` gives the values of Gamma from the values of G's first
-partials and the numeric inverse of G's value, by the same lowered
-combination that ``coordinate_curvature`` differentiates further.  A
-caller on jets passes ``_cgrad(G, n).value()``; at a single point the
-transport reads the partials from the compiled order-1 tape's coefficients
-without a jet and refuses G by ``check_finite``'s wording, as
-``assemble_coordinate_metric`` does, and G's first partials likewise.
+``christoffel`` gives the values of Gamma from the numeric inverse of G's
+value and the lowered combination of G's first partials (``_lowered``) that
+``coordinate_curvature`` differentiates further.  A caller on jets passes
+``_lowered(_cgrad(G, n).value(), 1)``; at a single point the transport
+forms it from the compiled order-1 tape's coefficients without a jet and
+refuses G by ``check_finite``'s wording, as ``assemble_coordinate_metric``
+does, and G's first partials likewise.
 
 Every function here takes a stack of N chart points (a ``ChartPoint``): G,
 its inverses, Gamma, R, its covariant derivatives, the frame matrices and
@@ -198,12 +198,12 @@ def _lowered(dG: np.ndarray, nodes: int = 0) -> np.ndarray:
     return dG + dG.swapaxes(b, c) - dG.transpose(axes)
 
 
-def christoffel(dG: np.ndarray, Ginv0: np.ndarray) -> np.ndarray:
-    """Values Gamma^a_{bc} from the values of the first partials
-    dG[..., a, b, mu] = g_ab,mu and the inverse of G's value, at one point
-    (the transport's compiled-tape path) or at each point of a stack (node
-    axis leading)."""
-    return 0.5 * np.einsum("...ar,...rbc->...abc", Ginv0, _lowered(dG, Ginv0.ndim - 2))
+def christoffel(lowered: np.ndarray, Ginv0: np.ndarray) -> np.ndarray:
+    """Values Gamma^a_{bc} from the values of the lowered symbols (``_lowered``
+    of G's first partials) and the inverse of G's value, at one point (the
+    transport's compiled-tape path) or at each point of a stack (node axis
+    leading)."""
+    return 0.5 * np.einsum("...ar,...rbc->...abc", Ginv0, lowered)
 
 
 @dataclass

@@ -2,36 +2,27 @@
 
 All transport equations run on the full coordinate Christoffel symbols of
 the assembled n-dimensional metric, formed by the coordinate oracle's one
-formula (``oracle.christoffel``, from the values of G's first partials and
-the inverse of G's value); only the transverse transport along E_0 uses the
-leaf-level equation, since its unknown lives on the leaves.  At a single
-point (an RK4 stage, the start of a null geodesic) no jet and no
+formula (``oracle.christoffel``, from the lowered combination of G's first
+partials and the inverse of G's value); only the transverse transport along
+E_0 uses the leaf-level equation, since its unknown lives on the leaves.  At
+a single point (an RK4 stage, the start of a null geodesic) no jet and no
 ``ChartPoint`` is built: the spec's tape, compiled to straight-line code at
 order 1 in which every coefficient is a local float, runs on the stage's
 coordinates as Python floats (``chart.metric_coefficients``), and the leaf
-gate tests its g_ij value on floats, one Cholesky factorization and no stack
-reductions.  One precomputed index take with exact factors, derived from
-``oracle.metric_layout`` as the stacked ``full_metric`` is, reads G's value
-and first partials from the tape's coefficients, bit for bit the jet
-assembly's.  The checks run in one order: a tape domain error, the leaf
-gate, then a non-finite value or first partial, each naming the field (and
-partial) and the point before anything can reach the integrator.  A stage
-then costs one ``np.linalg.inv`` and the connection einsums.  Stage 0 of
-each step evaluates G at the step's node, and the geodesic keeps that G
-(with one ``metric_values`` call at the last node), so its energy
+gate tests its g_ij value on floats: no factorization where g_ij is
+byte-equal to the last one that passed (a plane wave's delta at every
+stage), else one.  One precomputed index take with exact factors, derived
+from ``oracle.metric_layout`` as the stacked ``full_metric`` is, reads G's
+value, first partials and the two permutations of them that the lowered
+combination adds, bit for bit the jet assembly's.  The checks run in one
+order: a tape domain error, the leaf gate, then a non-finite value or first
+partial (sought only where the take's sum is not finite), each naming the
+field (and partial) and the point before anything can reach the
+integrator.  A stage then costs one ``np.linalg.inv`` and three einsums.
+Stage 0 of each step evaluates G at the step's node, and the geodesic keeps
+that G (with one ``metric_values`` call at the last node), so its energy
 g(gamma', gamma') evaluates nothing again.  The curvature, the analytic
 curves and the leaf-level data stay on jets.
-
-nullsec, d0 and the second-symmetry check know every point they evaluate
-before they start: the geodesic's nodes, the u rows of d0's ``stage_grid``
-and the stage rows of an analytic curve.  They stack them into one
-``ChartPoint`` and evaluate it in the blocks of ``NODE_BLOCK`` points that
-``chart.node_blocks`` cuts, one stacked ``assemble_coordinate_metric`` call
-(nullsec adds ``coordinate_curvature``, the curve its Christoffel symbols)
-or ``eval_metric`` and ``compute_h_t`` call (d0) per block; the block size
-bounds the memory the stacked jets take.  A start point is given to
-``null_velocity`` and ``d0_transport`` by its chart coordinates (u, x2, ..),
-as ``geodesic_integrate`` takes its coordinates.
 
 States are (coords, velocity) with coords = (u, v, x^2 .. x^{n-1}).
 Conserved quantities along geodesics: g(gamma', gamma') and the pairing
@@ -59,8 +50,8 @@ from . import jets
 from .chart import NODE_BLOCK, ChartPoint, MetricSpec, compute_h_t, eval_metric, \
     metric_coefficients, node_blocks
 from .ode import linear_rk4, rk4_step, stage_grid, step_size
-from .oracle import (_cgrad, assemble_coordinate_metric, christoffel, coordinate_curvature,
-                     metric_field, metric_layout)
+from .oracle import (_cgrad, _lowered, assemble_coordinate_metric, christoffel,
+                     coordinate_curvature, metric_field, metric_layout)
 
 __all__ = [
     "Trajectory",
@@ -87,11 +78,11 @@ def _chart_points(coords: np.ndarray) -> ChartPoint:
 
 @functools.lru_cache(maxsize=None)
 def _value_and_gradient_take(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """How G's value (n, n), then its first partials dG[a, b, mu] = g_ab,mu
-    (n, n, n), are read, flat, from ``metric_coefficients``' rows (outputs, n):
-    (flat indices, exact factors, the entries that are constants, their values),
-    by ``metric_layout``.  A constant entry is read with factor 1 and then
-    overwritten, so no inf * 0 is formed.
+    """How G's value (n, n), its first partials dG[a, b, mu] = g_ab,mu, then dG[r, c, b]
+    and dG[b, c, r] at [r, b, c] (each (n, n, n), as ``oracle._lowered`` reads them), are
+    read, flat, from ``metric_coefficients``' rows (outputs, n): (flat indices, exact
+    factors, the entries that are constants, their values), by ``metric_layout``.  A
+    constant entry is read with factor 1 and then overwritten, so no inf * 0 is formed.
     """
     m = n - 2
     blocks, constants = metric_layout(n)
@@ -106,6 +97,8 @@ def _value_and_gradient_take(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     columns = [ctx.index(unit[0]), None] + [ctx.index(unit[mu - 1]) for mu in range(2, n)]
     reads = [(a, b, 0) for a, b in np.ndindex(n, n)]
     reads += [(a, b, columns[mu]) for a, b, mu in np.ndindex(n, n, n)]
+    reads += [(r, c, columns[b]) for r, b, c in np.ndindex(n, n, n)]
+    reads += [(b, c, columns[r]) for r, b, c in np.ndindex(n, n, n)]
     index, scale, constant, value = [], [], [], []
     for k, (a, b, column) in enumerate(reads):
         if source[a, b] >= 0 and column is not None:
@@ -119,9 +112,9 @@ def _value_and_gradient_take(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.array(index), np.array(scale), np.array(constant), np.array(value)
 
 
-def _value_and_gradient(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G (n, n) and its first partials dG[a, b, mu] at a coordinate point, from the
-    spec's compiled tape, with every check of ``assemble_coordinate_metric``.
+def _value_and_lowered(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G (n, n) and ``oracle._lowered`` of its first partials, bit for bit, at a coordinate
+    point, from the spec's compiled tape, with every check of ``assemble_coordinate_metric``.
 
     The tape runs on the coordinates as floats (``metric_coefficients``).  A
     non-finite entry of G, or else of dG, is refused where it arises, naming
@@ -132,29 +125,32 @@ def _value_and_gradient(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarra
     F = metric_coefficients(spec, point)
     n = spec.n
     index, factor, constant, value = _value_and_gradient_take(n)
-    out = F.take(index) * factor
+    out = F.take(index)
+    out *= factor
     out[constant] = value
-    finite = np.isfinite(out)
-    if not finite.all():
-        k, partial = int(np.argmin(finite)), ""
-        if k >= n * n:
-            k, mu = divmod(k - n * n, n)
-            partial = f"d/d{'u' if mu == 0 else f'x{mu}'} of "
-        raise ValueError(f"non-finite {partial}{metric_field(*divmod(k, n))} at {point}")
-    return out[:n * n].reshape(n, n), out[n * n:].reshape(n, n, n)
+    if not math.isfinite(out.sum()):   # a sum of finite entries may overflow
+        finite = np.isfinite(out)
+        if not finite.all():
+            k, partial = int(np.argmin(finite)), ""
+            if k >= n * n:
+                k, mu = divmod(k - n * n, n)
+                partial = f"d/d{'u' if mu == 0 else f'x{mu}'} of "
+            raise ValueError(f"non-finite {partial}{metric_field(*divmod(k, n))} at {point}")
+    dG, B, C = out[n * n:].reshape(3, n, n, n)
+    return out[:n * n].reshape(n, n), dG + B - C
 
 
 def metric_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
     """G at a coordinate point, C-contiguous: matmul on a strided view rounds differently.
-    Refused, as in ``_value_and_gradient``, where G or a first partial is non-finite."""
-    return _value_and_gradient(spec, coords)[0]
+    Refused, as in ``_value_and_lowered``, where G or a first partial is non-finite."""
+    return _value_and_lowered(spec, coords)[0]
 
 
 def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G, as ``metric_values`` gives it, and Gamma^a_{bc} of the full metric at
     a coordinate point."""
-    G, dG = _value_and_gradient(spec, coords)
-    return G, christoffel(dG, np.linalg.inv(G))
+    G, lowered = _value_and_lowered(spec, coords)
+    return G, christoffel(lowered, np.linalg.inv(G))
 
 
 @dataclass
@@ -426,7 +422,7 @@ def _curve_trajectory(spec: MetricSpec,
     C = np.empty((len(grid), spec.n, spec.n))
     for block, p in node_blocks(_chart_points(coords)):
         cm = assemble_coordinate_metric(spec, p, order=1)
-        Gamma = christoffel(_cgrad(cm.G, spec.n).value(), cm.Ginv0)
+        Gamma = christoffel(_lowered(_cgrad(cm.G, spec.n).value(), 1), cm.Ginv0)
         C[block] = np.einsum("kabc,kc->kab", Gamma, vel[block])
     return Trajectory(taus, coords[::2], vel[::2], C[rows])
 

@@ -9,6 +9,8 @@ from numpy.polynomial import polynomial
 from brinkmann.chart import MetricSpec
 from brinkmann.classify import SAMPLE_MARGIN, _halton
 
+pytest_plugins = ["pytester"]
+
 # ``pytest --hypothesis-profile=ci`` draws the same examples on every run, so a
 # CI failure reproduces; no test may fail for taking long on a slow runner.
 settings.register_profile("ci", derandomize=True, deadline=None)

@@ -291,6 +291,12 @@ def test_the_one_point_gate_decides_as_the_stacked_gate(kind, m, seed, sign, bad
     spec = MetricSpec(m + 2, expr.Num(0.0), (expr.Num(0.0),) * m, tuple(map(tuple, nums)))
     stack = ChartPoint(np.array([0.1, 0.2]), (np.full(2, 0.3),) * m)
     assert _gate_outcome(lambda: metric_coefficients(spec, where)) == one
+    # twice in a row right after a passing call, on g itself and on another matrix:
+    # the gate's memo of the last g that passed changes no outcome
+    for before in ([g] if one is None else []) + [2.0 * np.eye(m)]:
+        chart._check_leaf_metric(before, where)
+        assert _gate_outcome(lambda: metric_coefficients(spec, where)) == one
+        assert _gate_outcome(lambda: metric_coefficients(spec, where)) == one
     assert _gate_outcome(lambda: eval_metric(spec, stack, 0)) == one
     if kind == "pivot" and m > 1 and sign:
         assert (one is None) == (sign > 0)

@@ -477,6 +477,36 @@ def test_transport_values_accept_a_small_scale_metric():
     assert metric_values(spec, coords)[2, 2] == 1e-7
 
 
+def test_transport_values_accept_finite_entries_whose_sum_overflows():
+    # every entry of G is finite, but their sum is inf: the exact search runs and passes
+    spec = MetricSpec.from_text(4, g={(2, 2): "1.5e308", (3, 3): "1.5e308"})
+    coords = np.array([0.0, 0.0, 0.1, 0.2])
+    with np.errstate(over="ignore"):   # numpy flags the overflowing sum
+        G, Gamma = christoffel_values(spec, coords)
+        values = metric_values(spec, coords)
+    for got, ref in ((Gamma, _assembled_christoffel(spec, coords)),
+                     (G, _assembled_metric(spec, coords)),
+                     (values, _assembled_metric(spec, coords))):
+        assert got.tobytes() == ref.tobytes()
+    assert values[2, 2].item() + values[3, 3].item() == float("inf")
+
+
+def test_the_leaf_gate_factors_a_byte_equal_leaf_metric_once(monkeypatch):
+    # cw4_r2 has g_ij = delta at every stage; poly_seed2's g_ij moves with the curve
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
+    steps, poly = 30, load_metric_file(str(METRICS / "poly_seed2.metric"))
+    for spec, want in ((fixture("cw4_r2"), 1), (poly, 4 * steps + 1)):
+        p = spec.center().at(0)
+        (lo, hi), m = spec.box[0], spec.m
+        v0 = null_velocity(spec, p, leaf_part=0.3 * np.cos(np.arange(m) + 1.0))
+        monkeypatch.setattr(chart, "_passed_leaf_metric", None)
+        factored.clear()
+        geodesic_integrate(spec, [p[0], 0.0, *p[1:]], v0, 0.25 * (hi - lo), steps)
+        assert len(factored) == want   # poly_seed2: once per stage and at the last node
+
+
 @pytest.mark.parametrize("fields, name", [
     ({"H": "exp(800*u)"}, "H"),
     ({"W": {3: "exp(800*u)"}}, "W_3"),
