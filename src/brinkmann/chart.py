@@ -29,6 +29,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+# The LAPACK gufuncs that np.linalg.inv and np.linalg.cholesky call, with the same
+# signature "d->d" and so the same bits, without the wrappers' per-call checks.  A
+# failure comes back NaN throughout with the invalid flag set, so every caller holds
+# an np.errstate for it; none is called on a 0 x 0 matrix.
+from numpy.linalg._umath_linalg import cholesky_lo, inv
 
 from . import expr, jets
 from .expr import ExprAst
@@ -310,8 +315,13 @@ def _check_leaf_metric(g0: np.ndarray, where: tuple) -> None:
     entry is named in chart labels (x2 is leaf index 0).  One point (m, m),
     the transport's compiled-tape path, is tested on Python floats, and passes
     at once if byte-equal to the last one that passed; a stack (N, m, m) is
-    tested at once, and ``first_failing_node`` then names the node."""
+    tested at once, and ``first_failing_node`` then names the node.  Both
+    factor with the raw ``cholesky_lo`` under ``np.errstate(invalid="ignore")``
+    (about 1 us) and read a NaN pivot, a failed factorization, as not positive
+    definite; an empty leaf (m = 0) passes before any factorization."""
     global _passed_leaf_metric
+    if g0.shape[-1] == 0:
+        return
     if g0.ndim == 2:
         key = g0.tobytes()
         if key == _passed_leaf_metric:
@@ -325,17 +335,21 @@ def _check_leaf_metric(g0: np.ndarray, where: tuple) -> None:
         if not finite.all():
             i, j = np.argwhere(~finite)[0][-2:]
             raise MetricDefinitenessError(f"non-finite g_{i + 2}{j + 2} at {where}")
-    try:
-        L = np.linalg.cholesky(g0)
-    except np.linalg.LinAlgError:
-        raise MetricDefinitenessError(f"leaf metric not positive definite at {where}") from None
+    with np.errstate(invalid="ignore"):
+        L = cholesky_lo(g0, signature="d->d")
     if g0.ndim == 2:
         pivots = [d * d for d in L.diagonal().tolist()]   # the bits of diagonal ** 2
-        degenerate = bool(pivots) and min(pivots) <= PIVOT_RATIO * max(pivots)
+        failed = any(map(math.isnan, pivots))
     else:
         pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-        degenerate = (pivots.min(axis=-1, initial=np.inf)
-                      <= PIVOT_RATIO * pivots.max(axis=-1, initial=0.0)).any()
+        failed = np.isnan(pivots).any()
+    # a NaN compares false, so a failed factorization is refused before the ratio test
+    if failed:
+        raise MetricDefinitenessError(f"leaf metric not positive definite at {where}")
+    if g0.ndim == 2:
+        degenerate = min(pivots) <= PIVOT_RATIO * max(pivots)
+    else:
+        degenerate = (pivots.min(axis=-1) <= PIVOT_RATIO * pivots.max(axis=-1)).any()
     if degenerate:
         raise MetricDefinitenessError(f"leaf metric nearly degenerate at {where}")
     if g0.ndim == 2:
@@ -382,7 +396,8 @@ def metric_coefficients(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
     which is also the order-0 value, then the first partials.  The coefficients,
     the checks and the errors are those of ``eval_metric`` at the one-point
     stack ``ChartPoint(point[0], point[1:])``, bit for bit, and no ``ChartPoint``
-    is built; a g_ij byte-equal to the last one that passed is not factored again.
+    is built; a g_ij byte-equal to the last one that passed is not factored again,
+    and any other is factored once by the raw ``cholesky_lo`` (``_check_leaf_metric``).
     """
     point, m = tuple(point), spec.m
     if not all(map(math.isfinite, point)):

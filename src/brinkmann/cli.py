@@ -24,6 +24,7 @@ round-trip exactly; reports are byte-deterministic given (file, flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -411,8 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process (about 1 ms a build):
+    ``parse_args`` fills a new namespace on every call and keeps nothing."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as err:

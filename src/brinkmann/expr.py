@@ -25,9 +25,10 @@ values are also order 0's.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
@@ -417,31 +418,64 @@ class Tape:
                 keys.append(key)
             return index[key]
 
-        def visit(node: ExprAst) -> int:
-            if id(node) not in seen:
-                seen[id(node)] = intern(key_of(node))
-            return seen[id(node)]
+        def folded(node: Bin) -> bool:
+            """Whether one operand of a +, - or * is a literal kept as a float."""
+            return node.op in "+-*" and (type(node.left) is Num) != (type(node.right) is Num)
+
+        def operands(node: ExprAst) -> tuple:
+            """The subtrees a node's key reads, in the order they are interned."""
+            kind = type(node)
+            if kind is Bin:
+                if folded(node):
+                    return (node.right if type(node.left) is Num else node.left,)
+                return (node.left, node.right)
+            if kind is Num or kind is Var:
+                return ()
+            if kind is Neg or kind is Call:
+                return (node.arg,)
+            if kind is Pow:
+                return (node.base,)
+            raise TypeError(f"not an AST node: {node!r}")
+
+        def visit(root: ExprAst) -> int:
+            """Intern every subtree of ``root``, each after its operands and the left
+            one first, as a recursive walk would; a stack, not recursion, so that a
+            sum of many terms does not exhaust Python's recursion limit.  A node goes
+            back on the stack as ``(node,)``, under its operands."""
+            stack: list = [root]
+            while stack:
+                node = stack.pop()
+                if type(node) is tuple:
+                    node = node[0]
+                elif id(node) in seen:
+                    continue
+                elif children := operands(node):
+                    stack.append((node,))
+                    stack.extend(reversed(children))
+                    continue
+                if id(node) not in seen:
+                    seen[id(node)] = intern(key_of(node))
+            return seen[id(root)]
 
         def key_of(node: ExprAst) -> tuple:
-            if isinstance(node, Num):
-                return ("const", float(node.value).hex())
-            if isinstance(node, Var):
-                return ("var", node.name)
-            if isinstance(node, Neg):
-                return ("neg", visit(node.arg))
-            if isinstance(node, Pow):
-                return ("^", visit(node.base), node.exponent)
-            if isinstance(node, Call):
-                return (node.func, visit(node.arg))
-            if isinstance(node, Bin):
+            kind = type(node)
+            if kind is Bin:
                 left, right = node.left, node.right
-                if node.op in "+-*" and isinstance(left, Num) != isinstance(right, Num):
-                    if isinstance(right, Num):
-                        return (node.op + "c", visit(left), float(right.value).hex())
-                    kind = "c-" if node.op == "-" else node.op + "c"
-                    return (kind, visit(right), float(left.value).hex())
-                return (node.op, visit(left), visit(right))
-            raise TypeError(f"not an AST node: {node!r}")
+                if not folded(node):
+                    return (node.op, seen[id(left)], seen[id(right)])
+                if type(right) is Num:
+                    return (node.op + "c", seen[id(left)], float(right.value).hex())
+                return ("c-" if node.op == "-" else node.op + "c", seen[id(right)],
+                        float(left.value).hex())
+            if kind is Num:
+                return ("const", float(node.value).hex())
+            if kind is Var:
+                return ("var", node.name)
+            if kind is Neg:
+                return ("neg", seen[id(node.arg)])
+            if kind is Pow:
+                return ("^", seen[id(node.base)], node.exponent)
+            return (node.func, seen[id(node.arg)])
 
         roots = [visit(node) for node in outputs]
         order = ([k for k, key in enumerate(keys) if key[0] == "var"]
@@ -541,7 +575,7 @@ def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
 # ``+``, ``-``, ``*`` and ``/`` the union, ``x^0`` none, and every other
 # operation its operand's; a coefficient outside the support is a literal
 # zero.  A product sums from 0.0, in ``mul_flat`` order, exactly the pairs of
-# ``JetContext.mul_tables`` for its factors' supports, as ``np.bincount``
+# ``JetContext.mul_pairs`` for its factors' supports, as ``np.bincount``
 # does; a division is a product with the reciprocal, and a power is
 # ``jets.binary_power`` over the same products.  A literal operand acts as the
 # constant jet ``Jet._coerce`` would build, and ``a - b`` is ``a + -b``, as in
@@ -557,10 +591,20 @@ def eval_jet(node: ExprAst | Tape, env: Mapping[str, jets.Jet], num_vars: int,
 # call made once, while the code is emitted, and its (c0, c1) are literals;
 # outside the function's domain it stays a call, so every run raises there.
 #
-# The lines are cut into functions of ``_CHUNK`` lines, compiled one at a time.
-# Each function takes the registers that are live into it as arguments and
-# returns those live out of it, and stores an output's coefficient tuple into
-# the list ``o`` as soon as it is known.
+# A register that is read exactly once, and that one expression sets, is not a
+# line of its own: its expression is written into its reader in parentheses, so
+# Python does the same IEEE operations in the same order, and only the time of
+# a pure float expression moves (a ``taylor`` call, which may raise, keeps its
+# line and its place).  The emitter decides this on the parts it holds, after
+# the whole tape is emitted and every register's readers are counted.  The
+# parentheses of inlined registers nest at most ``_DEPTH`` deep in one line;
+# past that a register keeps its line, since Python's tokenizer refuses 200
+# nested parentheses and its compiler recurses once per level.
+#
+# The lines are cut into functions of about ``_CHUNK`` operations each,
+# compiled one at a time.  Each function takes the registers that are live
+# into it as arguments and returns those live out of it, and stores an
+# output's coefficient tuple into the list ``o`` as soon as it is known.
 
 
 def _var_index(name: str) -> int:
@@ -568,7 +612,8 @@ def _var_index(name: str) -> int:
     return 0 if name == "u" else int(name[1:]) - 1
 
 
-_CHUNK = 64  # lines per compiled function, which bounds the compiler's memory
+_CHUNK = 256  # operations per compiled function, which bounds the compiler's memory
+_DEPTH = 16   # nesting of the parentheses of inlined registers in one line
 
 
 def _taylor(func: str, value: float, out: int) -> tuple[float, float]:
@@ -584,79 +629,91 @@ def _taylor(func: str, value: float, out: int) -> tuple[float, float]:
 @lru_cache(maxsize=None)
 def _product_pairs(num_vars: int, support_a: int, support_b: int) -> tuple[tuple, ...]:
     """The pairs (ka, kb) that feed each coefficient of the order-1 product of
-    jets with these supports, in ``mul_flat`` order, as ``eval_jet`` sums them."""
+    jets with these supports, in ``mul_flat`` order, as ``eval_jet`` sums them
+    (``JetContext.mul_pairs``, without the tables its batched product builds)."""
     ctx = jets.context(num_vars, 1)
-    pairs: list[tuple] = [()] * ctx.ncoeffs
-    table = ctx.mul_tables(support_a, support_b)
-    for ko, ia, ib in table.buckets:
-        for o, row_a, row_b in zip(ko.tolist(), table.rows_a[ia].tolist(),
-                                   table.rows_b[ib].tolist()):
-            pairs[o] = tuple(zip(row_a, row_b))
-    return tuple(pairs)
+    ka, kb, ko = (k.tolist() for k in ctx.mul_pairs(support_a, support_b))
+    pairs: list[list] = [[] for _ in range(ctx.ncoeffs)]
+    for o, i, j in zip(ko, ka, kb):
+        pairs[o].append((i, j))
+    return tuple(map(tuple, pairs))
 
 
 class _Expr(NamedTuple):
-    """An expression not yet assigned to a register, and whether it may be -0.0."""
+    """An expression not yet assigned to a register: its parts (source text, and
+    registers as ints), whether it may be -0.0, and its number of operations."""
 
-    text: str
+    parts: tuple
     negative_zero: bool = True
+    ops: int = 1
 
 
-# A coefficient is a float (a literal), a str (a register) or an ``_Expr``.
-_Coef = Union[float, str, _Expr]
+# A coefficient is a float (a literal), an int (a register) or an ``_Expr``.
+_Coef = Union[float, int, _Expr]
 
-_NAMES = re.compile(r"\b(?:r\d+|point)\b")   # the registers and the point a line reads or sets
+_POINT = -1   # the register that stands for ``point``, which only the seeds read
+
+
+def _name(register: int) -> str:
+    return "point" if register == _POINT else f"r{register}"
 
 
 class _Emitter:
     """The lines of one tape at order 1; an instruction's jet is a list of
-    coefficients and its support."""
+    coefficients and its support.  A line is the registers it sets (none for an
+    output's), its parts, the registers among them and its number of operations."""
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
         # the variable of each first partial's coefficient
         self.partial_var = [int(np.flatnonzero(e)[0]) for e in jets.context(num_vars, 1).exps[1:]]
-        self.lines: list[str] = []
+        self.lines: list[tuple[tuple[int, ...], tuple, list[int], int]] = []
         self.registers = 0
-        self.never_negative_zero: set[str] = set()
+        self.expressions: set[int] = set()   # registers set by ``assign``, which may be inlined
+        self.never_negative_zero: set[int] = set()
         self.literals: dict[str, float] = {}   # non-finite literals, bound by name
 
-    def text(self, x: _Coef) -> str:
-        if type(x) is str:
+    def part(self, x: float | int) -> str | int:
+        """A register as itself, a literal as its source text."""
+        if type(x) is int:
             return x
-        if type(x) is float:
-            if math.isfinite(x):
-                return repr(x)
-            name = f"k{len(self.literals)}"
-            self.literals[name] = x
-            return name
-        return x.text
+        if math.isfinite(x):
+            return repr(x)
+        name = f"k{len(self.literals)}"
+        self.literals[name] = x
+        return name
+
+    def parts(self, x: _Coef) -> tuple:
+        return x.parts if type(x) is _Expr else (self.part(x),)
 
     def negative_zero(self, x: _Coef) -> bool:
         """Whether x may be -0.0."""
-        if type(x) is str:
+        if type(x) is int:
             return x not in self.never_negative_zero
         if type(x) is float:
             return x == 0.0 and math.copysign(1.0, x) < 0.0
         return x.negative_zero
 
-    def line(self, text: str, count: int) -> list[str]:
-        """Append ``r, .. = text`` setting ``count`` new registers; returns them."""
-        names = [f"r{self.registers + k}" for k in range(count)]
+    def line(self, parts: tuple, count: int, ops: int) -> list[int]:
+        """Append a line setting ``count`` new registers to ``parts``; returns them."""
+        registers = list(range(self.registers, self.registers + count))
         self.registers += count
-        self.lines.append(f"{', '.join(names)} = {text}")
-        return names
+        self.lines.append((tuple(registers), parts, [p for p in parts if type(p) is int], ops))
+        return registers
 
-    def assign(self, x: _Coef) -> float | str:
+    def assign(self, x: _Coef) -> float | int:
         if type(x) is not _Expr:
             return x
-        name = self.line(x.text, 1)[0]
+        register = self.registers
+        self.registers += 1
+        self.lines.append(((register,), x.parts, [p for p in x.parts if type(p) is int], x.ops))
+        self.expressions.add(register)
         if not x.negative_zero:
-            self.never_negative_zero.add(name)
-        return name
+            self.never_negative_zero.add(register)
+        return register
 
-    def neg(self, x: _Coef) -> _Coef:
-        return -x if type(x) is float else _Expr(f"-{x}")
+    def neg(self, x: float | int) -> float | _Expr:
+        return -x if type(x) is float else _Expr(("-", x))
 
     def add(self, x: _Coef, y: _Coef) -> _Coef:
         """x + y; a sum is -0.0 only if both terms are, so -0.0 is dropped beside
@@ -669,10 +726,17 @@ class _Emitter:
         elif type(x) is float and x == 0.0 and (math.copysign(1.0, x) < 0.0
                                                or not self.negative_zero(y)):
             return y
-        return _Expr(f"{self.text(x)} + {self.text(y)}",
-                     self.negative_zero(x) and self.negative_zero(y))
+        if type(x) is _Expr:
+            parts, negative_zero, ops = x
+        else:
+            parts, negative_zero, ops = (self.part(x),), self.negative_zero(x), 0
+        if type(y) is _Expr:
+            return _Expr(parts + (" + ",) + y.parts, negative_zero and y.negative_zero,
+                         ops + y.ops + 1)
+        return _Expr(parts + (" + ", self.part(y)), negative_zero and self.negative_zero(y),
+                     ops + 1)
 
-    def times(self, x: _Coef, y: _Coef) -> _Coef:
+    def times(self, x: float | int, y: float | int) -> _Coef:
         if type(y) is float:
             if type(x) is float:
                 return x * y
@@ -680,33 +744,34 @@ class _Emitter:
                 return x
         elif type(x) is float and x == 1.0:
             return y
-        return _Expr(f"{self.text(x)} * {self.text(y)}")
+        return _Expr((self.part(x), " * ", self.part(y)))
 
     def jet(self, coefs: list[_Coef], support: int) -> tuple[list, int]:
-        return [self.assign(x) for x in coefs], support
+        return [self.assign(x) if type(x) is _Expr else x for x in coefs], support
 
     def products(self, a: tuple[list, int], b: tuple[list, int]) -> list[_Coef]:
         """The sums of the truncated product a * b, not yet assigned."""
         (xa, sa), (xb, sb) = a, b
         sums: list[_Coef] = []
+        add, times = self.add, self.times
         for pairs in _product_pairs(self.num_vars, sa, sb):
             acc: _Coef = 0.0
             for i, j in pairs:
-                acc = self.add(acc, self.times(xa[i], xb[j]))
+                acc = add(acc, times(xa[i], xb[j]))
             sums.append(acc)
         return sums
 
     def mul(self, a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
         return self.jet(self.products(a, b), a[1] | b[1])
 
-    def coefficients(self, func: str, x: _Coef, out: int) -> tuple:
+    def coefficients(self, func: str, x: float | int, out: int) -> tuple:
         """The Taylor coefficients (c0, c1) of ``func`` about x: literals, taken once
         here, when x is a literal in the function's domain; otherwise two registers
         set by a ``taylor`` call on every run, which raises where ``eval_jet`` does."""
         if type(x) is float:
             with contextlib.suppress(TapeDomainError):
                 return _taylor(func, x, out)
-        return tuple(self.line(f"taylor({func!r}, {self.text(x)}, {out})", 2))
+        return tuple(self.line((f"taylor({func!r}, ", *self.parts(x), f", {out})"), 2, 1))
 
     def taylor(self, func: str, a: tuple[list, int], out: int) -> tuple[list, int]:
         """``Jet._compose`` at order 1: c0, then c1 * (a - a0) summed as a product."""
@@ -756,13 +821,16 @@ class _Emitter:
             slot = len(values)
             values.append(value)
             if slot in outputs:
-                row = value[0]
                 targets = "".join(f"o[{k}] = " for k in outputs[slot])
-                self.lines.append(f"{targets}({', '.join(map(self.text, row))},)")
+                parts = [targets + "("]
+                for x in value[0]:
+                    parts += (*self.parts(x), ", ")
+                parts.append(")")
+                self.lines.append(((), parts, [p for p in parts if type(p) is int], 0))
 
         for name in tape.var_names:
             var = _var_index(name)
-            value = self.line(f"float(point[{var}])", 1)
+            value = self.line(("float(", _POINT, f"[{var}])"), 1, 1)
             store((value + [1.0 if v == var else 0.0 for v in self.partial_var], 1 << var))
         for c in tape.constants:
             store(([c] + [0.0] * self.num_vars, 0))
@@ -771,23 +839,62 @@ class _Emitter:
             operand = values[b] if kind in _BINARY else b
             store(self.operation(kind, values[a], operand, tape.first_output[leaves + j]))
 
+    def statements(self):
+        """The lines as statements, each with every register read once that an
+        ``assign`` set, to the depth ``_DEPTH``, written into it in parentheses:
+        (source, the registers it sets, those it reads, its operations)."""
+        reads = collections.Counter(itertools.chain.from_iterable(
+            registers for _, _, registers, _ in self.lines))
+        once = {register for register in self.expressions if reads[register] == 1}
+        written = {_POINT: "point"}   # each register as its readers write it
+        held: dict[int, tuple[int, list[int], int]] = {}   # inlined: depth, reads, ops
+        for targets, parts, registers, ops in self.lines:
+            depth, used = 0, []
+            for register in registers:
+                if register in held:
+                    inner_depth, inner_used, inner_ops = held.pop(register)
+                    if inner_depth >= depth:
+                        depth = inner_depth + 1
+                    used += inner_used
+                    ops += inner_ops
+                else:
+                    used.append(register)
+            text = "".join([written[p] if type(p) is int else p for p in parts])
+            if depth < _DEPTH and targets and targets[0] in once:
+                held[targets[0]] = depth, used, ops
+                written[targets[0]] = f"({text})"
+                continue
+            for register in targets:
+                written[register] = f"r{register}"
+            if targets:
+                text = f"{', '.join(map(_name, targets))} = {text}"
+            yield text, targets, used, ops
+
     def chunk_sources(self) -> list[str]:
-        """Sources of ``def chunk(o, ..)``, ``_CHUNK`` lines each: each takes the
-        registers live into it, the first ``point``, and returns those live out.
+        """Sources of ``def chunk(o, ..)``, of about ``_CHUNK`` operations each: each takes
+        the registers live into it, the first ``point``, and returns those live out.
         A register's first chunk is the one that sets it."""
-        bodies = ["".join(f"    {text}\n" for text in self.lines[k:k + _CHUNK])
-                  for k in range(0, len(self.lines), _CHUNK)]
-        first: dict[str, int] = {"point": -1}
-        last: dict[str, int] = {"point": 0}
-        for c, body in enumerate(bodies):
-            for name in _NAMES.findall(body):
-                first.setdefault(name, c)
-                last[name] = c
+        bodies: list[list[str]] = [[]]
+        first: dict[int, int] = {_POINT: -1}
+        last: dict[int, int] = {_POINT: 0}
+        ops = 0
+        for text, targets, used, count in self.statements():
+            if ops >= _CHUNK:
+                bodies.append([])
+                ops = 0
+            c = len(bodies) - 1
+            bodies[-1].append(f"    {text}\n")
+            ops += count
+            for register in used:
+                last[register] = c
+            for register in targets:
+                first[register] = c
+                last.setdefault(register, c)
         live: list[list[str]] = [[] for _ in range(len(bodies) + 1)]
-        for name, c in first.items():
-            for k in range(c + 1, last[name] + 1):
-                live[k].append(name)
-        return [f"def chunk(o, {', '.join(live[c])}):\n{body}"
+        for register, c in first.items():
+            for k in range(c + 1, last[register] + 1):
+                live[k].append(_name(register))
+        return [f"def chunk(o, {', '.join(live[c])}):\n{''.join(body)}"
                 f"    return ({''.join(name + ', ' for name in live[c + 1])})\n"
                 for c, body in enumerate(bodies)]
 

@@ -160,15 +160,20 @@ class JetContext:
         order, padded to the longest row with the index ``ncoeffs``."""
         return self._mul[1]
 
+    def mul_pairs(self, support_a: int, support_b: int) -> tuple[np.ndarray, ...]:
+        """The ``mul_flat`` pairs (ka, kb) and outputs ko of the product of a jet with
+        support ``support_a`` by one with ``support_b``: those whose monomials lie
+        over those variables, in ``mul_flat`` order."""
+        ka, kb, ko = self.mul_flat()
+        keep = (((self.var_masks[ka] | support_a) == support_a)
+                & ((self.var_masks[kb] | support_b) == support_b))
+        return ka[keep], kb[keep], ko[keep]
+
     def mul_tables(self, support_a: int, support_b: int) -> MulTable:
-        """The product of a jet with support ``support_a`` by one with ``support_b``:
-        the ``mul_flat`` pairs (ka, kb) whose monomials lie over those variables."""
+        """The table of ``mul_pairs``."""
         key = (support_a, support_b)
         if key not in self._mul_tables:
-            ka, kb, ko = self.mul_flat()
-            keep = (((self.var_masks[ka] | support_a) == support_a)
-                    & ((self.var_masks[kb] | support_b) == support_b))
-            self._mul_tables[key] = _mul_table(self.ncoeffs, ka[keep], kb[keep], ko[keep])
+            self._mul_tables[key] = _mul_table(self.ncoeffs, *self.mul_pairs(support_a, support_b))
         return self._mul_tables[key]
 
     def diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,14 +11,17 @@ order 1 in which every coefficient is a local float, runs on the stage's
 coordinates as Python floats (``chart.metric_coefficients``), and the leaf
 gate tests its g_ij value on floats: no factorization where g_ij is
 byte-equal to the last one that passed (a plane wave's delta at every
-stage), else one.  One precomputed index take with exact factors, derived
-from ``oracle.metric_layout`` as the stacked ``full_metric`` is, reads G's
-value, first partials and the two permutations of them that the lowered
+stage), else one, by the LAPACK kernel of ``np.linalg.cholesky``.  One
+precomputed index take with exact factors, derived from
+``oracle.metric_layout`` as the stacked ``full_metric`` is, reads G's value,
+first partials and the two permutations of them that the lowered
 combination adds, bit for bit the jet assembly's.  The checks run in one
 order: a tape domain error, the leaf gate, then a non-finite value or first
 partial (sought only where the take's sum is not finite), each naming the
 field (and partial) and the point before anything can reach the
-integrator.  A stage then costs one ``np.linalg.inv`` and three einsums.
+integrator.  A stage then costs one inversion of G by the LAPACK kernel of
+``np.linalg.inv``, called without its wrapper under one ``np.errstate`` (about
+1 us), and three einsums.
 Stage 0 of each step evaluates G at the step's node, and the geodesic keeps
 that G (with one ``metric_values`` call at the last node), so its energy
 g(gamma', gamma') evaluates nothing again.  The curvature, the analytic
@@ -47,7 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .chart import NODE_BLOCK, ChartPoint, MetricSpec, compute_h_t, eval_metric, \
+from .chart import NODE_BLOCK, ChartPoint, MetricSpec, compute_h_t, eval_metric, inv, \
     metric_coefficients, node_blocks
 from .ode import linear_rk4, rk4_step, stage_grid, step_size
 from .oracle import (_cgrad, _lowered, assemble_coordinate_metric, christoffel,
@@ -148,9 +151,15 @@ def metric_values(spec: MetricSpec, coords: np.ndarray) -> np.ndarray:
 
 def christoffel_values(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G, as ``metric_values`` gives it, and Gamma^a_{bc} of the full metric at
-    a coordinate point."""
+    a coordinate point.  G is inverted by the LAPACK kernel of ``np.linalg.inv``,
+    with its bits and its LinAlgError for a singular G."""
     G, lowered = _value_and_lowered(spec, coords)
-    return G, christoffel(lowered, np.linalg.inv(G))
+    with np.errstate(invalid="raise"):   # how the kernel reports a singular G
+        try:
+            Ginv = inv(G, signature="d->d")
+        except FloatingPointError:
+            raise np.linalg.LinAlgError("Singular matrix") from None
+    return G, christoffel(lowered, Ginv)
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import pathlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,9 @@ from brinkmann.chart import (ChartPoint, MetricDefinitenessError, MetricSpec,
                              jet_matrix_inverse)
 from brinkmann.chart import metric_coefficients
 from brinkmann.jets import jet_einsum
+from brinkmann.metricfile import load_metric_file
 from brinkmann.spaces import fixture, random_polynomial_spec
+from brinkmann.transport import metric_values
 
 
 def test_eval_metric_flat():
@@ -300,3 +305,58 @@ def test_the_one_point_gate_decides_as_the_stacked_gate(kind, m, seed, sign, bad
     assert _gate_outcome(lambda: eval_metric(spec, stack, 0)) == one
     if kind == "pivot" and m > 1 and sign:
         assert (one is None) == (sign > 0)
+
+
+# -- the raw LAPACK kernels ------------------------------------------------------------
+
+
+METRICS = pathlib.Path(__file__).resolve().parent.parent / "metrics"
+
+
+def test_the_raw_kernels_give_the_bits_of_numpy_linalg():
+    # G and g of every bundled metric at random box points, one point and stacked
+    rng = np.random.default_rng(37)
+    specs = [load_metric_file(str(path)) for path in sorted(METRICS.glob("*.metric"))]
+    assert len(specs) == 11
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in specs:
+            lo, hi = np.array(spec.box).T
+            points = lo + (hi - lo) * rng.uniform(size=(6, spec.num_vars))
+            Gs = np.array([metric_values(spec, np.array([p[0], 0.0, *p[1:]])) for p in points])
+            for a, kernel, reference in ((Gs, chart.inv, np.linalg.inv),
+                                         (Gs[:, 2:, 2:], chart.cholesky_lo, np.linalg.cholesky)):
+                if a.shape[-1] == 0:
+                    continue
+                for stack in (a[0], a[:3], a):
+                    assert kernel(stack, signature="d->d").tobytes() == reference(stack).tobytes()
+
+
+@pytest.mark.parametrize("g, message", [
+    ([[1.0, 2.0], [2.0, 1.0]], "leaf metric not positive definite"),
+    ([[-1.0, 0.0], [0.0, 1.0]], "leaf metric not positive definite"),
+    ([[1.0, 0.0], [0.0, 1e-12]], "leaf metric nearly degenerate"),
+    ([[1.0, 1.0], [1.0, 1.0 + 1e-12]], "leaf metric nearly degenerate"),
+    ([[1.0, np.inf], [np.inf, 1.0]], "non-finite g_23"),
+    ([[1.0, 0.0], [0.0, np.nan]], "non-finite g_33"),
+])
+def test_the_gates_refuse_a_bad_leaf_metric_with_one_message(g, message, monkeypatch):
+    # at one point, on a stack (whose first node passes) and through the public
+    # calls of each, with no RuntimeWarning although the kernel fails on the first
+    # two, and the memo of the last g that passed is cleared so every case factors
+    g = np.array(g)
+    where = (0.1, 0.2, 0.3)
+    expected = f"{message} at {where}"
+    nums = tuple(tuple(expr.Num(float(x)) for x in row) for row in g)
+    spec = MetricSpec(4, expr.Num(0.0), (expr.Num(0.0),) * 2, nums)
+    stack = ChartPoint(np.array([0.1, 0.1]), (np.array([0.2, 0.2]), np.array([0.3, 0.3])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (lambda: chart._check_leaf_metric(g, where),
+                      lambda: chart._check_leaf_metric(np.stack([np.eye(2), g]), where),
+                      lambda: metric_coefficients(spec, where),
+                      lambda: eval_metric(spec, stack, 1)):
+            monkeypatch.setattr(chart, "_passed_leaf_metric", None)
+            with pytest.raises(MetricDefinitenessError) as info:
+                check()
+            assert str(info.value) == expected

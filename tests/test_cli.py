@@ -942,3 +942,22 @@ def test_transport_reads_any_point_in_the_box(point):
     else:
         assert (code, out.getvalue()) == (1, "")
         assert re.match(r"error: geodesic (node \d+|step \d+ stage \d), tau = ", err.getvalue())
+
+
+def test_successive_main_calls_share_one_parser_and_no_values(capsys, cw42_file):
+    # main reads one parser per process; build_parser still builds a fresh one
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    transport_argv = ["transport", CW4_ORDER2, "--steps", "3", "--span", "0.05"]
+    with_leaf = run(capsys, *transport_argv, "--leaf-part", "0.3", "0.1")
+    without_leaf = run(capsys, *transport_argv)
+    check_argv = ["check", cw42_file, "--depth", "1"]
+    with_samples = run(capsys, *check_argv, "--samples", "4")
+    default_samples = run(capsys, *check_argv)
+    assert with_leaf[0] == without_leaf[0] == 0 and with_leaf[1] != without_leaf[1]
+    assert with_samples[1] != default_samples[1]
+    # the second call of each pair prints what it prints from a freshly built parser
+    cli._parser.cache_clear()
+    assert run(capsys, *transport_argv) == without_leaf
+    cli._parser.cache_clear()
+    assert run(capsys, *check_argv) == default_samples

@@ -363,3 +363,35 @@ def test_a_function_of_a_literal_outside_its_domain_is_refused_on_every_run(text
         with pytest.raises(J.JetDomainError) as got:
             metric_coefficients(spec, point.at(0))
         assert str(got.value) == str(ref.value)
+
+
+def test_inlined_registers_nest_no_deeper_than_the_cap():
+    # every sum of this H and every link of this chain is read once, so without a
+    # cap on the nesting one line would hold hundreds of parentheses: Python's
+    # tokenizer refuses 200, and its compiler recurses once per level
+    rng = np.random.default_rng(3)
+    names = ("u", "x2", "x3")
+    monomials = [f"{rng.uniform(-1.0, 1.0)!r} * {names[k % 3]} * {names[k // 3 % 3]}"
+                 for k in range(600)]
+    spec = MetricSpec.from_text(4, H=" + ".join(monomials))
+    node = E.Var("x2")
+    for k in range(200):
+        node = E.Call("sin" if k % 2 else "cos", E.Bin("*", node, E.Var("u")))
+    for tape in (spec.tape, E.Tape([node])):
+        for point in rng.uniform(-1.0, 1.0, size=(3, 3)):
+            _assert_compiled_equals_eval_jet(tape, 3, point)
+
+
+def test_the_compiled_products_sum_the_pairs_of_the_batched_product():
+    # each output's pairs, in the order the batched product's bucket tables sum them
+    for nv in range(1, 5):
+        ctx = J.context(nv, 1)
+        for sa in range(1 << nv):
+            for sb in range(1 << nv):
+                table = ctx.mul_tables(sa, sb)
+                ref = [()] * ctx.ncoeffs
+                for ko, ia, ib in table.buckets:
+                    for o, row_a, row_b in zip(ko.tolist(), table.rows_a[ia].tolist(),
+                                               table.rows_b[ib].tolist()):
+                        ref[o] = tuple(zip(row_a, row_b))
+                assert E._product_pairs(nv, sa, sb) == tuple(ref)

@@ -494,8 +494,9 @@ def test_transport_values_accept_finite_entries_whose_sum_overflows():
 def test_the_leaf_gate_factors_a_byte_equal_leaf_metric_once(monkeypatch):
     # cw4_r2 has g_ij = delta at every stage; poly_seed2's g_ij moves with the curve
     factored = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
+    cholesky = chart.cholesky_lo
+    monkeypatch.setattr(chart, "cholesky_lo",
+                        lambda a, **kwargs: factored.append(1) or cholesky(a, **kwargs))
     steps, poly = 30, load_metric_file(str(METRICS / "poly_seed2.metric"))
     for spec, want in ((fixture("cw4_r2"), 1), (poly, 4 * steps + 1)):
         p = spec.center().at(0)
@@ -614,3 +615,15 @@ def test_geodesic_refuses_a_field_that_fails_at_its_last_node_only():
     with pytest.raises(JetDomainError, match=r"^division by a jet with zero constant term in H "
                                              r"at \(1\.0, 0\.7999999999999998, 0\.0\)$"):
         geodesic_integrate(spec, [0.0, 0.0, 0.1, 0.0], [1.0, 0.0, 0.7, 0.0], 1.0, 1)
+
+
+def test_a_singular_metric_is_refused_as_numpy_refuses_it():
+    # g = 1e-300 passes the leaf gate, but W = 1e100 drives a pivot of the LU
+    # factorization of G to an underflowed zero; the raw kernel reports it
+    # without a RuntimeWarning, as np.linalg.inv's LinAlgError
+    spec = MetricSpec.from_text(3, W={2: "1e100"}, g={(2, 2): "1e-300"})
+    coords = np.array([0.1, 0.0, 0.2])
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        np.linalg.inv(metric_values(spec, coords))
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        christoffel_values(spec, coords)
