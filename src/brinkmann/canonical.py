@@ -46,7 +46,6 @@ plane-wave quadratic coefficient is P(u) = -A(u); both are reported.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,7 +84,8 @@ class FlatBlockData:
 
     Extraction evaluates the chart's h and t at x = 0 on the block:
     B is the value of h, Lambda its x-gradient, and t its value; the
-    u-derivative of t comes from the same jets.  ``affine_residual`` and
+    u-derivative of t comes from the same jets, a run of the spec's own
+    tape (``MetricSpec.tape``).  ``affine_residual`` and
     ``t_x_residual`` record how far h strays from affine and t from
     x-independence over the evaluated u's; ``solve_rotation_ode`` refuses
     either above ``HYPOTHESIS_TOL``.
@@ -107,17 +107,6 @@ class FlatBlockData:
     def d(self) -> int:
         return len(self.block)
 
-    @functools.cached_property
-    def tape(self) -> expr.Tape:
-        """H, W_i and the block's g_ab (row-major), compiled on first use.
-
-        The g_ij off the block are left out: on a batch of u's every field
-        is a large jet, and the extraction never reads them.
-        """
-        g = self.spec.g
-        return expr.Tape([self.spec.H, *self.spec.W,
-                          *(g[a][b] for a in self.block for b in self.block)])
-
     def precompute(self, us: np.ndarray) -> tuple[np.ndarray, ...]:
         """(t, tdot, Lambda, B) at every u of ``us``, in one batched jet pass.
 
@@ -127,7 +116,10 @@ class FlatBlockData:
         there.  So a subexpression in x alone is formed once, not once per u.
         Every coefficient read here sums the same products in the same order
         as over all chart variables, and batched products equal scalar ones
-        bit for bit, so the result does not depend on this restriction.
+        bit for bit, so the result does not depend on this restriction.  The
+        tape also gives the g_ij off the block, which nothing here reads; on
+        a product of a plane wave with a Riemannian block they do not depend
+        on u, so they stay scalar jets.
 
         Returns arrays in the order of ``us``.  A non-finite value of these,
         or of H, W_i or the block's g_ab, is a ``ValueError`` naming the
@@ -151,12 +143,12 @@ class FlatBlockData:
             return np.broadcast_to(jet.data[..., ctx.index(e)], us.shape)
 
         with np.errstate(all="ignore"):
-            fields = expr.eval_jet(self.tape, env, nv, order)
+            fields = expr.eval_jet(self.spec.tape, env, nv, order)
             Hj, Wj = fields[0], fields[1:1 + m]
             h_block = [Hj.diff(var[sa]) - Wj[sa].du() for sa in self.block]
-            t_block = [[0.5 * (-fields[1 + m + d * a + b].du() + Wj[sa].diff(var[sb])
+            t_block = [[0.5 * (-fields[1 + m + m * sa + sb].du() + Wj[sa].diff(var[sb])
                                - Wj[sb].diff(var[sa]))
-                        for b, sb in enumerate(self.block)] for a, sa in enumerate(self.block)]
+                        for sb in self.block] for sa in self.block]
         B = np.empty((us.size, d))
         Lam = np.empty((us.size, d, d))
         tval = np.empty((us.size, d, d))
@@ -170,10 +162,8 @@ class FlatBlockData:
         _refuse_non_finite(us, {"t": tval, "tdot": tdot, "Lambda": Lam, "B": B})
         # A factor that overflowed on the block's x alone can leave H, W or g
         # infinite while every coefficient read above stays finite.
-        _refuse_non_finite(us, dict(zip(
-            ["H", *(f"W_{k + 2}" for k in range(m)),
-             *(f"g_{sa + 2}{sb + 2}" for sa in self.block for sb in self.block)],
-            (coeff(f) for f in fields))))
+        read = [*range(1 + m), *(1 + m + m * sa + sb for sa in self.block for sb in self.block)]
+        _refuse_non_finite(us, {self.spec.field_name(k): coeff(fields[k]) for k in read})
         tx = [coeff(tab, var[sc]) for row in t_block for tab in row for sc in self.block]
         aff = [coeff(ha, var[sb], var[sc]) for ha in h_block for sb in self.block
                for sc in self.block]

@@ -183,31 +183,25 @@ class MetricSpec:
         return self.n - 1
 
     @staticmethod
-    def from_text(n: int, H: str = "0", W: dict[int, str] | None = None,
-                  g: dict[tuple[int, int], str] | None = None,
+    def from_text(n: int, H: str | ExprAst | None = None,
+                  W: dict[int, str | ExprAst] | None = None,
+                  g: dict[tuple[int, int], str | ExprAst] | None = None,
                   box: Sequence[tuple[float, float]] | None = None) -> "MetricSpec":
-        """Build a spec from expression strings; W defaults to 0, g to delta.
+        """Build a spec from expression texts or trees; H and W default to 0, g to delta.
 
         W and g keys use chart labels (2 .. n-1), not 0-based slots.
         """
+        def field(value: str | ExprAst | None) -> ExprAst:
+            return expr.parse(value, n) if isinstance(value, str) else value or expr.Num(0.0)
         m = n - 2
-        W_asts = [expr.parse((W or {}).get(i + 2, "0"), n) for i in range(m)]
-        g_entries: dict[tuple[int, int], ExprAst] = {}
-        for (a, b), text in (g or {}).items():
-            i, j = sorted((a - 2, b - 2))
-            g_entries[(i, j)] = expr.parse(text, n)
-        g_rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                key = (min(i, j), max(i, j))
-                row.append(g_entries.get(key, _delta(i, j)))
-            g_rows.append(tuple(row))
+        W_asts = tuple(field((W or {}).get(i + 2)) for i in range(m))
+        g_entries = {frozenset((a - 2, b - 2)): field(value) for (a, b), value in (g or {}).items()}
         return MetricSpec(
             n=n,
-            H=expr.parse(H, n),
-            W=tuple(W_asts),
-            g=tuple(g_rows),
+            H=field(H),
+            W=W_asts,
+            g=tuple(tuple(g_entries.get(frozenset((i, j)), _delta(i, j)) for j in range(m))
+                    for i in range(m)),
             box=tuple(box) if box is not None else (),
         )
 

@@ -570,17 +570,11 @@ class LemmaProbeResult:
         return dataclasses.asdict(self)
 
 
-def _project_three_index(T: np.ndarray) -> np.ndarray:
-    """Project a batch onto tensors skew in the last pair, cyclic sum zero."""
+def _project(T: np.ndarray) -> np.ndarray:
+    """Project a batch onto tensors skew in the last pair whose cyclic sum over the
+    last three slots is zero; ``...`` carries any slots before them."""
     T = 0.5 * (T - np.swapaxes(T, -2, -1))
     cyc = (T + np.einsum("...ijk->...jki", T) + np.einsum("...ijk->...kij", T)) / 3.0
-    return T - cyc
-
-
-def _project_four_index(T: np.ndarray) -> np.ndarray:
-    """Skew last pair, then remove the cyclic part over the last three slots."""
-    T = 0.5 * (T - np.swapaxes(T, -2, -1))
-    cyc = (T + np.einsum("...ijkl->...iklj", T) + np.einsum("...ijkl->...iljk", T)) / 3.0
     return T - cyc
 
 
@@ -606,9 +600,9 @@ def algebra_lemma_probe(dim: int, trials: int, rng_seed: int,
     if not 2 <= dim <= 6:
         raise ValueError("dim must be between 2 and 6")
     if shape == "three_index":
-        rank, project, hyp = 3, _project_three_index, _hyp3
+        rank, hyp = 3, _hyp3
     elif shape == "four_index":
-        rank, project, hyp = 4, _project_four_index, _hyp4
+        rank, hyp = 4, _hyp4
     else:
         raise ValueError(f"unknown probe shape {shape!r}")
     rng = np.random.default_rng(rng_seed)
@@ -621,7 +615,7 @@ def algebra_lemma_probe(dim: int, trials: int, rng_seed: int,
     while remaining > 0:
         count = min(chunk, remaining)
         remaining -= count
-        T = project(rng.normal(size=(count,) + (dim,) * rank))
+        T = _project(rng.normal(size=(count,) + (dim,) * rank))
         amp = np.max(np.abs(T), axis=tuple(range(1, rank + 1)))
         keep = amp > 1e-12
         T = T[keep] / amp[keep][(slice(None),) + (None,) * rank]

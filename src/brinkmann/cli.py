@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import classify, metricfile
+from . import classify, expr, metricfile
 from .canonical import AFFINE_TOL, reconstruct
 from .chart import MetricSpec
 from .ode import step_size
@@ -255,7 +255,7 @@ def cmd_canonicalize(args) -> int:
 
 def cmd_transport(args) -> int:
     spec = _load(args.file)
-    names = ["u"] + [f"x{i}" for i in range(2, spec.n)]
+    names = expr.var_names(spec.n)
     if args.point is not None and len(args.point) != len(names):
         raise ValueError(f"--point has {len(args.point)} entries; a start point in dimension "
                          f"n = {spec.n} needs n - 1 = 1 + m = {len(names)}: {', '.join(names)}")

@@ -13,6 +13,7 @@ Variables are exactly ``u`` and ``x2`` .. ``x{n-1}`` for the declared chart
 dimension ``n``; ``v`` is rejected outright because everything stored in a
 chart is v-independent.  ``^`` takes integer literal exponents only and
 binds tighter than unary minus, so ``-u^2`` reads as ``-(u^2)``.
+Parentheses, calls and unary minus nest at most ``MAX_NESTING`` deep.
 
 Every parse error carries the byte offset of the offending token.
 
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
+# The parser recurses about five Python frames per nesting level, so without this bound
+# whether an expression parses would depend on how deep the caller's stack already is.
+MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,16 @@ class _Parser:
         self.pos = 0
         self.vars = set(var_names(dimension))
         self.dimension = dimension
+        self.depth = 0   # open parentheses, calls and unary minuses
+
+    def nested(self, offset: int, parse: Callable[[], ExprAst]) -> ExprAst:
+        """``parse()`` one level deeper, opened by the token at ``offset``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} deep", offset)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -209,10 +223,10 @@ class _Parser:
                 return node
 
     def unary(self) -> ExprAst:
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            node = self.unary()
+            node = self.nested(offset, self.unary)
             # fold a negated literal so printing round-trips structurally
             if isinstance(node, Num):
                 return Num(-node.value)
@@ -246,7 +260,7 @@ class _Parser:
         if kind == "num":
             return Num(value)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.nested(offset, self.expr)
             self.expect_op(")")
             return node
         if kind == "name":
@@ -255,7 +269,7 @@ class _Parser:
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", offset)
                 self.advance()
-                arg = self.expr()
+                arg = self.nested(offset, self.expr)
                 self.expect_op(")")
                 return Call(value, arg)
             if value == "v":

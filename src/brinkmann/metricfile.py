@@ -188,43 +188,36 @@ def parse_metric_text(text: str, filename: str = "<metric>") -> MetricSpec:
         if "dimension" not in metric:
             raise MetricFileError("missing dimension", filename, 1, 1)
         n = _dimension(metric["dimension"], filename)
-        H = "0"
-        W: dict[int, str] = {}
-        g: dict[tuple[int, int], str] = {}
+        g_text: dict[tuple[int, int], str] = {}
         for key, entry in metric.items():
-            if key == "dimension":
+            if key in ("dimension", "h"):
                 continue
-            if key == "h":
-                H = entry.value
-            elif key.startswith("w") and key[1:].isdigit():
+            if key.startswith("w") and key[1:].isdigit():
                 idx = int(key[1:])
                 if not 2 <= idx <= n - 1:
                     raise MetricFileError(f"W index {idx} outside 2..{n - 1}",
                                           filename, entry.line, entry.col)
-                W[idx] = entry.value
             elif key.startswith("g") and key[1:].isdigit() and len(key) == 3:
                 i, j = int(key[1]), int(key[2])
                 if not (2 <= i <= n - 1 and 2 <= j <= n - 1):
                     raise MetricFileError(f"g indices {i}{j} outside 2..{n - 1}",
                                           filename, entry.line, entry.col)
-                prior = g.get((i, j), g.get((j, i)))
+                prior = g_text.get((i, j), g_text.get((j, i)))
                 if prior is not None and prior != entry.value:
                     raise MetricFileError(f"conflicting entries for g{i}{j}/g{j}{i}",
                                           filename, entry.line, entry.col)
-                g[(i, j)] = entry.value
+                g_text[(i, j)] = entry.value
             else:
                 raise MetricFileError(f"unknown metric key {key!r} (note: leaf indices "
                                       "are single digits, so dimension <= 10)",
                                       filename, entry.line, entry.col)
-        # validate and build through the expression parser for positioned errors
-        for key, entry in metric.items():
-            if key == "dimension":
-                continue
-            _parse_expr(entry, n, filename)
-        try:
-            spec = MetricSpec.from_text(n, H=H, W=W, g=g)
-        except ValueError as err:
-            raise MetricFileError(str(err), filename, 1, 1) from None
+        # every key is valid; each expression is parsed once, with positioned errors
+        fields = {key: _parse_expr(entry, n, filename)
+                  for key, entry in metric.items() if key != "dimension"}
+        spec = MetricSpec.from_text(
+            n, fields.get("h"),
+            W={int(key[1:]): ast for key, ast in fields.items() if key[0] == "w"},
+            g={(int(key[1]), int(key[2])): ast for key, ast in fields.items() if key[0] == "g"})
 
     for name in sections:
         if name.startswith("product:"):
@@ -232,7 +225,7 @@ def parse_metric_text(text: str, filename: str = "<metric>") -> MetricSpec:
 
     box_section = sections.get("box", {})
     if box_section:
-        names = ["u"] + [f"x{i}" for i in range(2, spec.n)]
+        names = expr.var_names(spec.n)
         box = list(spec.box)
         for key, entry in box_section.items():
             if key not in names:
@@ -327,7 +320,7 @@ def spec_to_text(spec: MetricSpec, comment: str | None = None) -> str:
             if text != default:
                 lines.append(f'g{i + 2}{j + 2} = "{text}"')
     lines += ["", "[box]"]
-    names = ["u"] + [f"x{i}" for i in range(2, spec.n)]
+    names = expr.var_names(spec.n)
     for name, (lo, hi) in zip(names, spec.box):
         lines.append(f"{name} = {lo:.17g} {hi:.17g}")
     return "\n".join(lines) + "\n"

@@ -16,10 +16,10 @@ so that R(d_c, d_d) d_b = R^a_{bcd} d_a.  Covariant derivatives append
 their slots last, inner first: ``dR[a, b, c, d, mu]`` is nabla_mu R^a_{bcd}
 and ``d2R[..., mu, nu]`` is nabla_nu nabla_mu R^a_{bcd} (nu outermost).
 
-``metric_layout`` states that assembly once, as data: the tape outputs and
-the exact factor behind each block of G, and its constants.  ``full_metric``
-applies it to jet coefficients (a stack of them too), and the transport's
-one-point path derives its index take from it.
+``metric_layout`` states that assembly once, as data: for each entry of G,
+the tape output and the exact factor behind it, or the constant it holds.
+``full_metric`` applies it to jet coefficients (a stack of them too), and the
+transport's one-point path reads its index take from the same table.
 
 The transport experiments read their Christoffel symbols from here too:
 ``christoffel`` gives the values of Gamma from the numeric inverse of G's
@@ -105,23 +105,27 @@ class CoordinateMetric:
         return frame_components(self.chart)
 
 
-def metric_layout(n: int) -> tuple[list[tuple[slice, slice, slice, float]],
-                                   list[tuple[int, int, float]]]:
+@functools.lru_cache(maxsize=None)
+def metric_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The one statement of the full metric's assembly from the tape outputs F
     (H, then W_i, then g_ij row-major, as ``MetricSpec.tape`` lists them):
 
         g_00 = -2H,  g_01 = -1,  g_0i = -W_i,  g_ij as given,  g_11 = g_1i = 0.
 
-    Returns (blocks, constants): G[rows, columns] = factor * F[outputs], the
-    outputs shaped to the block, for each (rows, columns, outputs, factor) of
-    ``blocks``; G[a, b] = value, whose derivatives vanish, for each
-    (a, b, value) of ``constants``; every other entry is 0.
+    Returns (source, factor), each (n, n) and read-only: G[a, b] = factor[a, b]
+    * F[source[a, b]] where source[a, b] >= 0, and else G[a, b] = factor[a, b],
+    a constant (0 or -1) whose derivatives vanish.
     """
     m = n - 2
-    u, leaf = slice(0, 1), slice(2, n)
-    W, g = slice(1, 1 + m), slice(1 + m, 1 + m + m * m)
-    blocks = [(u, u, u, -2.0), (u, leaf, W, -1.0), (leaf, u, W, -1.0), (leaf, leaf, g, 1.0)]
-    return blocks, [(0, 1, -1.0), (1, 0, -1.0)]
+    source = np.full((n, n), -1)
+    source[0, 0] = 0
+    source[0, 2:] = source[2:, 0] = np.arange(1, 1 + m)
+    source[2:, 2:] = np.arange(1 + m, 1 + m + m * m).reshape(m, m)
+    factor = np.zeros((n, n))
+    factor[0, :] = factor[:, 0] = -1.0   # -W_i, and the constants g_01 = g_10 = -1
+    factor[0, 0], factor[2:, 2:] = -2.0, 1.0
+    source.flags.writeable = factor.flags.writeable = False
+    return source, factor
 
 
 def full_metric(n: int, fields: np.ndarray) -> np.ndarray:
@@ -129,15 +133,13 @@ def full_metric(n: int, fields: np.ndarray) -> np.ndarray:
     outputs (..., outputs, k) by ``metric_layout``.
 
     Leading node axes and the trailing coefficient axis ride along; a
-    constant is written into the value coefficient only.
+    constant entry is written into the value coefficient, not multiplied.
     """
-    blocks, constants = metric_layout(n)
+    source, factor = metric_layout(n)
+    read = source >= 0
     G = np.zeros(fields.shape[:-2] + (n, n) + fields.shape[-1:])
-    for rows, columns, outputs, factor in blocks:
-        block = G[..., rows, columns, :]
-        np.multiply(fields[..., outputs, :].reshape(block.shape), factor, out=block)
-    for a, b, value in constants:
-        G[..., a, b, 0] = value
+    G[..., read, :] = fields[..., source[read], :] * factor[read, None]
+    G[..., ~read, 0] = factor[~read]
     return G
 
 

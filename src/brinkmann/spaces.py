@@ -457,7 +457,7 @@ def random_polynomial_spec(seed: int, n: int = 4, amplitude: float = 0.05) -> Me
     """
     rng = np.random.default_rng(seed)
     m = n - 2
-    names = ["u"] + [f"x{i + 2}" for i in range(m)]
+    names = expr.var_names(n)
 
     def poly(scale: float) -> ExprAst:
         terms: list[ExprAst] = []

@@ -12,7 +12,7 @@ coordinates as Python floats (``chart.metric_coefficients``), and the leaf
 gate tests its g_ij value on floats: no factorization where g_ij is
 byte-equal to the last one that passed (a plane wave's delta at every
 stage), else one, by the LAPACK kernel of ``np.linalg.cholesky``.  One
-precomputed index take with exact factors, derived from
+precomputed index take with exact factors, read off the per-entry table of
 ``oracle.metric_layout`` as the stacked ``full_metric`` is, reads G's value,
 first partials and the two permutations of them that the lowered
 combination adds, bit for bit the jet assembly's.  The checks run in one
@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import jets
+from . import expr, jets
 from .chart import NODE_BLOCK, ChartPoint, MetricSpec, compute_h_t, eval_metric, inv, \
     metric_coefficients, node_blocks
 from .ode import linear_rk4, rk4_step, stage_grid, step_size
@@ -87,14 +87,7 @@ def _value_and_gradient_take(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     factors, the entries that are constants, their values), by ``metric_layout``.  A
     constant entry is read with factor 1 and then overwritten, so no inf * 0 is formed.
     """
-    m = n - 2
-    blocks, constants = metric_layout(n)
-    source, factor = np.full((n, n), -1), np.zeros((n, n))   # source -1: a constant or 0
-    for rows, cols, outputs, f in blocks:
-        source[rows, cols] = np.arange(1 + m + m * m)[outputs].reshape(source[rows, cols].shape)
-        factor[rows, cols] = f
-    for a, b, c in constants:
-        factor[a, b] = c
+    source, factor = metric_layout(n)
     ctx, unit = jets.context(n - 1, 1), np.eye(n - 1, dtype=int)
     # the coefficient column of d/dx^mu: jet variable 0 is u, mu - 1 is x^mu; d_v is 0
     columns = [ctx.index(unit[0]), None] + [ctx.index(unit[mu - 1]) for mu in range(2, n)]
@@ -137,7 +130,7 @@ def _value_and_lowered(spec: MetricSpec, coords: np.ndarray) -> tuple[np.ndarray
             k, partial = int(np.argmin(finite)), ""
             if k >= n * n:
                 k, mu = divmod(k - n * n, n)
-                partial = f"d/d{'u' if mu == 0 else f'x{mu}'} of "
+                partial = f"d/d{expr.var_names(n)[max(mu - 1, 0)]} of "   # mu is never v
             raise ValueError(f"non-finite {partial}{metric_field(*divmod(k, n))} at {point}")
     dG, B, C = out[n * n:].reshape(3, n, n, n)
     return out[:n * n].reshape(n, n), dG + B - C
@@ -215,7 +208,8 @@ def geodesic_integrate(spec: MetricSpec, coords0: Sequence[float],
     connection = np.empty((steps, 4, n, n))
     metric = np.empty((steps + 1, n, n))
     derivative = np.empty((4, 2 * n))   # stage s of the current step in row s
-    names = ["u", "v"] + [f"x{i}" for i in range(2, n)]
+    u, *leaf = expr.var_names(n)
+    names = [u, "v", *leaf]
     names += ["d" + c for c in names]
     lo, hi = (edge.tolist() for edge in _box_edges(spec.box, steps))
 
@@ -334,7 +328,7 @@ def check_in_box(box: Sequence[tuple[float, float]], points: Sequence[Sequence[f
     outside = ~((points >= lo) & (points <= hi))
     if outside.any():
         k, i = np.argwhere(outside)[0]
-        name = "u" if i == 0 else f"x{i + 1}"
+        name = expr.var_names(len(box) + 1)[i]
         low, high = box[i]
         raise ValueError(f"{row(k)} {name} = {float(points[k, i])!r} lies outside the box "
                          f"{name} in [{float(low)!r}, {float(high)!r}]")

@@ -210,10 +210,10 @@ def _precompute_over_all_variables(data: FlatBlockData, us: np.ndarray):
         return np.broadcast_to(jet.data[..., ctx.index(e)], us.shape)
 
     with np.errstate(all="ignore"):
-        fields = expr.eval_jet(data.tape, env, nv, 3)
+        fields = expr.eval_jet(spec.tape, env, nv, 3)
         H, W = fields[0], fields[1:1 + m]
         h = [H.diff(1 + sa) - W[sa].du() for sa in block]
-        t = [[0.5 * (-fields[1 + m + d * a + b].du() + W[sa].diff(1 + sb) - W[sb].diff(1 + sa))
+        t = [[0.5 * (-fields[1 + m + m * sa + sb].du() + W[sa].diff(1 + sb) - W[sb].diff(1 + sa))
               for b, sb in enumerate(block)] for a, sa in enumerate(block)]
     B = np.stack([coeff(h[a]) for a in range(d)], axis=-1)
     Lam = np.stack([np.stack([coeff(h[a], 1 + sb) for sb in block], -1) for a in range(d)], 1)
@@ -247,6 +247,22 @@ def test_precompute_equals_the_all_variable_extraction_bit_for_bit(name, block):
         assert (data.affine_residual, data.t_x_residual) == want[4:]
     if name == "off_block":
         assert data.affine_residual > 0.0 and data.t_x_residual > 0.0
+
+
+def test_extraction_runs_the_spec_tape(monkeypatch):
+    spec = load_metric_file(str(METRICS / "cw4_order2_sphere.metric"))
+    assert spec.m == 4
+    spec.tape
+    built = []
+    tape_init = expr.Tape.__init__
+
+    def counted(self, outputs):
+        built.append(len(outputs))
+        tape_init(self, outputs)
+
+    monkeypatch.setattr(expr.Tape, "__init__", counted)
+    reconstruct(spec, block=(0, 1), steps=50)
+    assert built == []
 
 
 def test_extraction_multiplies_jets_over_u_and_the_block_only(monkeypatch):

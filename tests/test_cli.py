@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brinkmann
-from brinkmann import classify, cli, metricfile, transport
+from brinkmann import classify, cli, expr, metricfile, transport
 from brinkmann.cli import format_json, main
 from brinkmann.metricfile import spec_to_text
 from brinkmann.spaces import apply_chart_change, fixture, random_affine_change
@@ -114,6 +114,17 @@ def test_check_parse_error_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path))
     assert code == 1
     assert f"{path}:3:" in err
+
+
+def test_check_refuses_a_deeply_nested_expression_at_its_position(tmp_path, capsys):
+    # 200 nested calls exhaust Python's recursion limit in a recursive-descent parser
+    path = tmp_path / "deep.metric"
+    path.write_text('[metric]\ndimension = 4\nH = "' + "sin(" * 200 + "u" + ")" * 200 + '"\n')
+    code, out, err = run(capsys, "check", str(path))
+    column = len('H = "') + 1 + 4 * expr.MAX_NESTING
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}:3:{column}: expression nested more than "
+                   f"{expr.MAX_NESTING} deep\n")
 
 
 def test_reports_byte_deterministic(cw42_file, capsys):

@@ -57,6 +57,20 @@ def test_dimension_gates_variables():
         E.parse("x5", 5)
 
 
+@pytest.mark.parametrize("opening", ["(", "sin(", "-"])
+def test_nesting_past_the_limit_is_refused_at_its_token(opening):
+    def nested(depth):
+        return opening * depth + "u" + (")" * depth if "(" in opening else "")
+
+    limit = E.MAX_NESTING
+    assert math.isfinite(E.eval_scalar(E.parse(nested(limit), 4), {"u": 0.5}))
+    with pytest.raises(E.ParseError, match=f"nested more than {limit} deep") as err:
+        E.parse(nested(limit + 1), 4)
+    assert err.value.offset == len(opening) * limit
+    # the count is of open levels, not of all of them
+    E.parse(" + ".join([nested(limit)] * 4), 4)
+
+
 def test_jet_eval_examples():
     env = {"x2": J.seed(1, 1.0, 3, 2), "u": J.seed(0, 0.0, 3, 2),
            "x3": J.seed(2, 0.0, 3, 2)}

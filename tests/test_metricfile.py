@@ -130,6 +130,21 @@ def test_symmetric_g_duplicate_consistent_ok():
     assert expr.to_text(spec.g[0][1]) == "u"
 
 
+def test_every_expression_is_parsed_once(monkeypatch):
+    parse, texts = expr.parse, []
+
+    def counted(text, dimension):
+        texts.append(text)
+        return parse(text, dimension)
+
+    monkeypatch.setattr(expr, "parse", counted)
+    spec = parse_metric_text('[metric]\ndimension = 5\nH = "u*x2^2"\nW3 = "x4"\n'
+                             'g23 = "0.1*u"\ng44 = "1 + x2^2"\n')
+    assert texts == ["u*x2^2", "x4", "0.1*u", "1 + x2^2"]
+    assert spec.W[0] == spec.W[2] == expr.Num(0.0) and spec.g[0][0] == expr.Num(1.0)
+    assert spec.g[0][1] is spec.g[1][0]
+
+
 @pytest.mark.parametrize("head", ["[metric]\n", "[generator]\nkind = cw\norder = 1\n"])
 def test_a_dimension_the_format_cannot_address_is_refused_where_it_is_written(head):
     # g keys carry single-digit leaf indices, so 10 is the largest dimension a file

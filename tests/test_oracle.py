@@ -9,7 +9,7 @@ from brinkmann.chart import ChartPoint, MetricSpec, eval_metric
 from brinkmann.curvature import FRAME_BLOCKS, curvature_at
 from brinkmann.metricfile import load_metric_file
 from brinkmann.oracle import (assemble_coordinate_metric, coordinate_curvature,
-                              frame_blocks_from_oracle, to_frame)
+                              frame_blocks_from_oracle, full_metric, to_frame)
 from brinkmann.spaces import fixture, random_polynomial_spec
 from brinkmann.transport import christoffel_values
 
@@ -23,6 +23,19 @@ def test_assemble_flat_structure():
     expect[0, 1] = expect[1, 0] = -1.0
     expect[2, 2] = expect[3, 3] = 1.0
     assert np.allclose(G, expect)
+
+
+def test_full_metric_writes_its_constants():
+    # no constant or zero entry is a product, so none is -0.0 or NaN from inf * 0
+    n, m = 4, 2
+    fields = np.full((1 + m + m * m, 3), -np.inf)
+    G = full_metric(n, fields)
+    constant = np.zeros((n, n, 3))
+    constant[0, 1, 0] = constant[1, 0, 0] = -1.0
+    for a, b in [(0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (3, 1)]:
+        assert G[a, b].tobytes() == constant[a, b].tobytes()
+    assert (G[0, 0] == np.inf).all() and (G[0, 2:] == np.inf).all()
+    assert (G[2:, 2:] == -np.inf).all()
 
 
 @pytest.mark.parametrize("seed", [3, 8])
