@@ -232,7 +232,8 @@ class MetricSpec:
 @dataclass
 class ChartJets:
     """Jets of all metric functions about each point of a stack; every jet and
-    ``ginv0`` has a leading node axis."""
+    ``ginv0`` has a leading node axis.  ``fields`` is read-only, so jets that
+    the engine and the oracle share cannot be written through."""
 
     spec: MetricSpec
     point: ChartPoint
@@ -251,6 +252,16 @@ class ChartJets:
         are all of order ``order - 1`` or lower, so no higher degree is read.
         """
         return jet_matrix_inverse(self.g.truncate(self.order - 1))
+
+    def rows(self, rows: slice, order: int) -> "ChartJets":
+        """The jets of the sub-stack ``rows`` at ``order`` (at most ``self.order``),
+        cut by ``Jet.truncate``.  They are bit for bit ``eval_metric`` on that
+        sub-stack at that order: a node's jets do not depend on the stack, and
+        every jet operation sums the same terms for a coefficient at every
+        order (``Jet._compose`` leaves out the zero value of self - value)."""
+        fields = Jet(self.H.ctx, self.fields[rows]).truncate(order)
+        return _chart_jets(self.spec, self.point.rows(rows), fields.ctx, fields.data,
+                           self.ginv0[rows])
 
     @property
     def m(self) -> int:
@@ -375,11 +386,20 @@ def _eval_metric(spec: MetricSpec, p: ChartPoint, order: int) -> ChartJets:
     ctx = fields[0].ctx
     # a field constant on the tape has no node axis yet
     data = np.stack([np.broadcast_to(f.data, (len(p), ctx.ncoeffs)) for f in fields], axis=1)
-    H, W, g = (Jet(ctx, a) for a in (
-        data[:, 0], data[:, 1:1 + m], data[:, 1 + m:].reshape(len(p), m, m, ctx.ncoeffs)))
-    g0 = g.value()
+    g0 = data[:, 1 + m:, 0].reshape(len(p), m, m)
     _check_leaf_metric(g0, where)
-    return ChartJets(spec, p, order, H, W, g, np.linalg.inv(g0), data)
+    return _chart_jets(spec, p, ctx, data, np.linalg.inv(g0))
+
+
+def _chart_jets(spec: MetricSpec, p: ChartPoint, ctx: jets.JetContext, fields: np.ndarray,
+                ginv0: np.ndarray) -> ChartJets:
+    """The ``ChartJets`` of the tape outputs ``fields`` (N, outputs, coefficients),
+    made read-only, with H, W and g as views of them."""
+    m = spec.m
+    fields.flags.writeable = False
+    H, W, g = (Jet(ctx, a) for a in (
+        fields[:, 0], fields[:, 1:1 + m], fields[:, 1 + m:].reshape(len(p), m, m, ctx.ncoeffs)))
+    return ChartJets(spec, p, ctx.order, H, W, g, ginv0, fields)
 
 
 def metric_coefficients(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
@@ -455,13 +475,6 @@ class FrameData:
     e: np.ndarray      # e[..., alpha, mu]:   E_alpha = e[alpha, mu] d_mu
     theta: np.ndarray  # theta[..., alpha, mu]: theta^alpha = theta[alpha, mu] dx^mu
     g_leaf: np.ndarray
-
-    def frame_metric(self) -> np.ndarray:
-        """Inner-product table g(E_alpha, E_beta) implied by the definitions."""
-        out = np.zeros(self.e.shape)
-        out[..., 0, 1] = out[..., 1, 0] = -1.0
-        out[..., 2:, 2:] = self.g_leaf
-        return out
 
 
 def frame_components(cj: ChartJets) -> FrameData:

@@ -118,15 +118,17 @@ def sample_points(spec: MetricSpec, count: int = 8) -> ChartPoint:
 # Entries of one rank-6 coordinate tensor (N n^6 at N samples of dimension n)
 # per oracle call: the oracle runs on sub-stacks of
 # max(1, ORACLE_STACK_ENTRIES // n**6) samples, so 19 at n = 4, 5 at n = 5 and
-# one at n = 6.  Per sample at depth 2 (median of 15, shared 2-vCPU VM), with
-# the tracemalloc peak of one call:
-#   n = 4, cw4_order2, N = 1 / 5 / 19 / 64:  1.49 / 0.75 / 0.63 / 0.68 ms,
-#       0.3 / 1.2 / 4.7 / 15.7 MB (the time is flat from N = 19 on);
-#   n = 5, poly_seed2, N = 1 / 5 / 8:  6.63 / 3.45 / 3.12 ms, 0.7 / 4.0 / 6.4 MB;
-#   n = 6, cw6_order2, N = 1 / 2 / 5:  6.59 / 6.21 / 5.70 ms, 1.8 / 4.3 / 10.9 MB.
-# Five-sample stacks at n = 6 left the classify benchmark's throughput within
-# its noise (200.3 and 194.2 against 190.7 and 201.2 samples/s) and raised its
-# peak RSS from 50.5-51.0 to 60.0 MB, so n = 6 stays at one sample per call.
+# one at n = 6.  Per sample of one depth-2 call on the engine's metric jets
+# (median of 15, middle of three runs, shared 2-vCPU VM), with the tracemalloc
+# peak of one call:
+#   n = 4, cw4_order2, N = 1 / 5 / 19 / 64:  1.65 / 0.70 / 0.58 / 0.55 ms,
+#       0.2 / 1.2 / 4.4 / 14.8 MB (the time is flat from N = 19 on);
+#   n = 5, poly_seed2, N = 1 / 5 / 8:  2.42 / 1.60 / 1.57 ms, 0.6 / 3.8 / 6.1 MB;
+#   n = 6, cw6_order2, N = 1 / 2 / 5:  4.32 / 4.13 / 4.10 ms, 1.5 / 4.1 / 10.3 MB.
+# At n = 6 a larger stack saves at most 5 % a sample and multiplies the peak
+# by up to 7: five-sample stacks there read the classify benchmark at 270 and
+# 281 samples/s against 283 and 286 for one sample per call, and raised its
+# peak RSS from 50.3 to 60.4 MB, so n = 6 stays at one sample per call.
 ORACLE_STACK_ENTRIES = 80_000
 
 
@@ -173,7 +175,9 @@ def evaluate_samples(spec: MetricSpec, samples: ChartPoint | None = None,
 
     The engine runs once per block of ``chart.node_blocks``, on its stack;
     the oracle runs once per sub-stack of at most
-    ``max(1, ORACLE_STACK_ENTRIES // n**6)`` of them.  The blocks' results
+    ``max(1, ORACLE_STACK_ENTRIES // n**6)`` of them, on its rows of the
+    engine's metric jets (``ChartJets.rows``), which are bit for bit those
+    of its own ``eval_metric``.  The blocks' results
     are concatenated.  Overflow inside the jets is not reported as it
     happens; instead a non-finite deviation aborts with
     ``EngineDisagreement``, naming the first such block and its sample.  Any
@@ -192,14 +196,16 @@ def evaluate_samples(spec: MetricSpec, samples: ChartPoint | None = None,
 
 def _evaluate(spec: MetricSpec, p: ChartPoint, depth: int) -> SampleStack:
     """The evaluation of the stack p: one engine call on it, one oracle call
-    per sub-stack, deviations on each sub-stack."""
+    per sub-stack on the engine's metric jets cut to order depth + 2 (the
+    engine's are of order 2 at depth 0 and 4 above), deviations on each
+    sub-stack."""
     per_call = max(1, ORACLE_STACK_ENTRIES // spec.n ** 6)
     oracles, agreements = [], []
     with np.errstate(all="ignore"):
         cc = curvature_at(spec, p, depth=depth)
         for start in range(0, len(p), per_call):
             rows = slice(start, start + per_call)
-            oracles.append(frame_blocks_from_oracle(spec, p.rows(rows), depth=depth))
+            oracles.append(frame_blocks_from_oracle(cc.cj.rows(rows, depth + 2), depth=depth))
             agreements.append({key: _node_max_abs(cc.blocks[key][rows] - o)
                                / (1.0 + _node_max_abs(o)) for key, o in oracles[-1].items()})
     ev = SampleStack(p, depth, cc.blocks, _join(oracles), _join(agreements),

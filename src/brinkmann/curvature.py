@@ -43,7 +43,8 @@ node axis, every ``jet_einsum`` contracts with the node letter N leading its
 subscripts, and each node's numbers are bit for bit those of its own
 one-point stack.  Every jet
 is only as deep as what reads it: each connection correction is contracted
-at the order of the derivative it corrects, the Gamma Gamma product of Rbar
+at the order of the derivative it corrects and added in place, in slot
+order, into one C-contiguous accumulator, the Gamma Gamma product of Rbar
 at the order of dGamma and t^k_i t_kj at the order of A.  At the default
 order the depth-2 blocks, read only as values, are thus contracted at order
 0.
@@ -83,19 +84,26 @@ def _add_slot_corrections(out: Jet, T: Jet, nup: int, conn: Jet, deriv: str = ""
     L contributes -conn^r_L T_{..r..}; ``sign`` -1 flips both.  ``deriv``
     names a trailing index of ``conn`` carried through to the output.  The
     node axis leads ``conn``, ``T`` and ``out``.  Each term is contracted at
-    the order of ``out``, the most that sum keeps.
+    the order of ``out``, the most that sum keeps, and added in place into
+    one C-contiguous copy of ``out`` at that order (a - b is a + -b, bit for
+    bit); no operand is written.
     """
     rank = len(T.shape) - 1
     letters = _slot_letters(rank)
     order = min(out.order, conn.order)
-    conn, T = conn.truncate(order), T.truncate(order)
+    conn, T, out = conn.truncate(order), T.truncate(order), out.truncate(order)
+    acc, support = np.array(out.data, order="C"), out.support
     for a in range(rank):
         L = letters[a]
         src = letters[:a] + "r" + letters[a + 1:]
         pair = f"{L}r" if a < nup else f"r{L}"
         term = jet_einsum(f"N{pair}{deriv},N{src}->N{letters}{deriv}", conn, T)
-        out = out + term if (a < nup) == (sign > 0) else out - term
-    return out
+        if (a < nup) == (sign > 0):
+            acc += term.data
+        else:
+            acc -= term.data
+        support |= term.support
+    return Jet(out.ctx, acc, support)
 
 
 def leaf_grad(T: Jet, nup: int, gamma: Jet) -> Jet:

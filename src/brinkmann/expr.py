@@ -788,10 +788,12 @@ class _Emitter:
         return tuple(self.line((f"taylor({func!r}, ", *self.parts(x), f", {out})"), 2, 1))
 
     def taylor(self, func: str, a: tuple[list, int], out: int) -> tuple[list, int]:
-        """``Jet._compose`` at order 1: c0, then c1 * (a - a0) summed as a product."""
+        """``Jet._compose`` at order 1: c0, then c1 * (a - a0) summed as a product.
+        Each coefficient past the value is c1 times one of a's partials, so none
+        reads a0; the value's sum, c1 * a0, is dropped unassigned."""
         xa, sa = a
         c0, c1 = self.coefficients(func, xa[0], out)
-        sums = self.products(([c1] + [0.0] * self.num_vars, 0), ([0.0] + xa[1:], sa))
+        sums = self.products(([c1] + [0.0] * self.num_vars, 0), a)
         return self.jet([c0] + sums[1:], sa)
 
     def operation(self, kind: str, a: tuple[list, int], b, out: int) -> tuple[list, int]:

@@ -126,7 +126,7 @@ class JetContext:
         self.all_vars = (1 << nvars) - 1
         # the variables each coefficient's monomial depends on, as a bitmask
         self.var_masks = ((self.exps > 0) << np.arange(nvars)).sum(axis=1)
-        self._mul_tables: dict[tuple[int, int], MulTable] = {}
+        self._mul_tables: dict[tuple[int, int, bool], MulTable] = {}
         self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._grad_tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -160,20 +160,26 @@ class JetContext:
         order, padded to the longest row with the index ``ncoeffs``."""
         return self._mul[1]
 
-    def mul_pairs(self, support_a: int, support_b: int) -> tuple[np.ndarray, ...]:
+    def mul_pairs(self, support_a: int, support_b: int,
+                  centered: bool = False) -> tuple[np.ndarray, ...]:
         """The ``mul_flat`` pairs (ka, kb) and outputs ko of the product of a jet with
         support ``support_a`` by one with ``support_b``: those whose monomials lie
-        over those variables, in ``mul_flat`` order."""
+        over those variables, in ``mul_flat`` order.  ``centered`` also leaves out
+        the pairs that read the second factor's value coefficient, a zero by
+        construction (``Jet._compose``'s ``self - value``)."""
         ka, kb, ko = self.mul_flat()
         keep = (((self.var_masks[ka] | support_a) == support_a)
                 & ((self.var_masks[kb] | support_b) == support_b))
+        if centered:
+            keep &= kb != 0
         return ka[keep], kb[keep], ko[keep]
 
-    def mul_tables(self, support_a: int, support_b: int) -> MulTable:
+    def mul_tables(self, support_a: int, support_b: int, centered: bool = False) -> MulTable:
         """The table of ``mul_pairs``."""
-        key = (support_a, support_b)
+        key = (support_a, support_b, centered)
         if key not in self._mul_tables:
-            self._mul_tables[key] = _mul_table(self.ncoeffs, *self.mul_pairs(support_a, support_b))
+            self._mul_tables[key] = _mul_table(self.ncoeffs,
+                                               *self.mul_pairs(support_a, support_b, centered))
         return self._mul_tables[key]
 
     def diff_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,16 +272,17 @@ def _mul_table(ncoeffs: int, ka: np.ndarray, kb: np.ndarray, ko: np.ndarray) -> 
 
 
 def _mul_data(ctx: JetContext, a: np.ndarray, b: np.ndarray,
-              support_a: int, support_b: int) -> np.ndarray:
+              support_a: int, support_b: int, centered: bool = False) -> np.ndarray:
     """Truncated Cauchy product on coefficient arrays (batch-broadcasting) of jets
     with supports ``support_a`` and ``support_b``; an output no pair feeds is +0.0.
+    ``centered`` reads ``b`` as if its value coefficient were zero (``mul_pairs``).
 
     Up to ``MUL_BINCOUNT_BATCH`` jets, it takes the table's pairs of each jet's
     coefficients.  A larger batch gathers only the coefficient rows the table
     reads, ``rows_a`` of ``a`` and ``rows_b`` of ``b``, as rows (rows, N), and
     writes each bucket's outputs into the zeroed (N, ncoeffs) result.
     """
-    table = ctx.mul_tables(support_a, support_b)
+    table = ctx.mul_tables(support_a, support_b, centered)
     batch = a.shape[:-1]
     if batch != b.shape[:-1]:
         batch = np.broadcast_shapes(batch, b.shape[:-1])
@@ -451,17 +458,24 @@ class Jet:
     # -- composition with univariate analytic functions -----------------------
 
     def _compose(self, coefs: list) -> "Jet":
-        """Evaluate sum_k coefs[k] * (self - value)^k by Horner's rule; the value is
-        coefs[0] itself, since coefs[1] * 0 would be NaN where coefs[1] overflowed."""
-        delta = Jet(self.ctx, self.data.copy(), self.support)
-        delta.data[..., 0] = 0.0
-        batch = self.data.shape[:-1]
-        acc = const(coefs[-1], self.num_vars, self.order, shape=batch)
-        for k in range(len(coefs) - 2, 0, -1):
-            acc = acc * delta + self._coerce(coefs[k])
-        if self.order:
-            acc = acc * delta
-            acc.data[..., 0] = coefs[0]
+        """Evaluate sum_k coefs[k] * (self - value)^k by Horner's rule.
+
+        Each product by self - value is ``centered``: it leaves out the pairs
+        that read that jet's value coefficient, a zero by construction.  On
+        finite data they add exact zeros, so the bits are those of the plain
+        product; where a Taylor coefficient overflowed they would add
+        inf * 0 = NaN.  So the value is coefs[0] itself, and the truncation of
+        a composition is the composition at the lower order, bit for bit.
+        """
+        ctx, data, support = self.ctx, self.data, self.support
+        acc = const(coefs[-1], self.num_vars, self.order, shape=data.shape[:-1])
+        for k in range(len(coefs) - 2, -1, -1):
+            acc = Jet(ctx, _mul_data(ctx, acc.data, data, acc.support, support, True),
+                      acc.support | support)
+            if k:
+                acc = acc + self._coerce(coefs[k])
+            else:
+                acc.data[..., 0] = coefs[0]
         return acc
 
 

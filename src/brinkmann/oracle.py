@@ -30,6 +30,11 @@ forms it from the compiled order-1 tape's coefficients without a jet and
 refuses G by ``check_finite``'s wording, as ``assemble_coordinate_metric``
 does, and G's first partials likewise.
 
+The metric jets are the caller's when it holds them: ``classify`` hands each
+oracle sub-stack its rows of the engine's ``eval_metric`` (``ChartJets.rows``,
+cut to the oracle's order), which are bit for bit the sub-stack's own, so the
+two pipelines share that one evaluation and no derivative code.
+
 Every function here takes a stack of N chart points (a ``ChartPoint``): G,
 its inverses, Gamma, R, its covariant derivatives, the frame matrices and
 the frame blocks carry a leading node axis, every ``jet_einsum`` contracts
@@ -42,7 +47,8 @@ of Gamma, the Gamma Gamma product at the order of dGamma, and each
 covariant derivative at the order of the new slot.  ``coordinate_curvature``
 frees the derivatives of G and Gamma before the covariant derivatives, and
 adds each term of R and of a covariant derivative in place, in the order
-of the sum, so a stack holds few tensors of its largest size at once.
+of the sum, into a C-contiguous accumulator, so a stack holds few tensors of
+its largest size at once and no add is strided on both sides.
 
 The partly null frame enters only through ``chart``: the frame matrices of
 ``frame_components`` and the table ``FRAME_BLOCKS``, which gives each block
@@ -163,18 +169,28 @@ def metric_field(a: int, b: int) -> str:
     return "H" if a == b == 0 else f"W_{b}" if a == 0 else f"g_{a}{b}"
 
 
-def assemble_coordinate_metric(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
-    """The full metric's jets about each point of p (node axis leading); a
-    failure is the first failing node's error."""
-    return first_failing_node(p, lambda q: _assemble(spec, q, order))
+def assemble_coordinate_metric(metric: MetricSpec | ChartJets, p: ChartPoint | None = None,
+                               order: int | None = None) -> CoordinateMetric:
+    """The full metric's jets about each point of p at ``order`` (node axis
+    leading); a failure is the first failing node's error.
+
+    In place of the spec, a caller that holds the metric jets of a stack (the
+    rows of a stacked ``eval_metric``, ``ChartJets.rows``) hands those; p and
+    the order are then theirs.  They are bit for bit those ``eval_metric``
+    gives that stack, and having passed it they can only fail
+    ``check_finite``, which names the first failing node itself.
+    """
+    if isinstance(metric, ChartJets):
+        return _assemble(metric)
+    return first_failing_node(p, lambda q: _assemble(eval_metric(metric, q, order)))
 
 
-def _assemble(spec: MetricSpec, p: ChartPoint, order: int) -> CoordinateMetric:
-    cj = eval_metric(spec, p, order)
-    G = Jet(cj.H.ctx, full_metric(spec.n, cj.fields))
+def _assemble(cj: ChartJets) -> CoordinateMetric:
+    n = cj.spec.n
+    G = Jet(cj.H.ctx, full_metric(n, cj.fields))
     G0 = G.value()
-    check_finite(G0, p)
-    return CoordinateMetric(spec.n, p, G, np.linalg.inv(G0), cj)
+    check_finite(G0, cj.point)
+    return CoordinateMetric(n, cj.point, G, np.linalg.inv(G0), cj)
 
 
 def _cgrad(J: Jet, n: int) -> Jet:
@@ -234,8 +250,8 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
     del dG
 
     dGamma = _cgrad(Gamma, n)                     # dGamma[..., a, b, c, mu]
-    R = Jet(dGamma.ctx, np.einsum("...adbcx->...abcdx", dGamma.data)
-            - np.einsum("...acbdx->...abcdx", dGamma.data))
+    R = Jet(dGamma.ctx, np.subtract(np.einsum("...adbcx->...abcdx", dGamma.data),
+                                    np.einsum("...acbdx->...abcdx", dGamma.data), order="C"))
     del dGamma
     low = Gamma.truncate(R.order)                 # R reads no higher degree
     gg = jet_einsum("Nacr,Nrdb->Nabcd", low, low)
@@ -259,13 +275,16 @@ def coordinate_curvature(cm: CoordinateMetric, depth: int) -> CoordinateCurvatur
 def _cov_deriv(T: Jet, nup: int, Gamma: Jet, n: int) -> Jet:
     """Coordinate covariant derivative, new slot appended last; the node axis
     of Gamma and T leads.  Gamma and T are truncated to the derivative's
-    order, and every connection term is added in place, in slot order."""
+    order, and every connection term is added in place, in slot order, into a
+    C-contiguous copy of the derivative: the layout ``_cgrad`` inherits from T
+    makes each add strided on both sides."""
     import string
 
     letters = [c for c in string.ascii_lowercase if c not in "rs"]
     rank = len(T.shape) - 1
     names = "".join(letters[:rank])
     out = _cgrad(T, n)
+    out.data = np.ascontiguousarray(out.data)
     Gamma, T = Gamma.truncate(out.order), T.truncate(out.order)
     for a in range(rank):
         L = names[a]
@@ -314,20 +333,23 @@ def _frame_cuts(depth: int, n: int) -> list[tuple[int, list[list[int]], dict[str
     return plan
 
 
-def frame_blocks_from_oracle(spec: MetricSpec, p: ChartPoint,
+def frame_blocks_from_oracle(metric: MetricSpec | ChartJets, p: ChartPoint | None = None,
                              depth: int = 2) -> dict[str, np.ndarray]:
     """The frame blocks of ``chart.FRAME_BLOCKS`` up to ``depth`` via the oracle,
     with the table's keys in its order, as the specialized engine gives them.
 
     The coordinate metric is taken at jet order depth + 2, the least the
-    curvature needs.  A block's signature picks its tensor by its length (0
-    S, 2 Ric, 4 R, 5 nabla R, 6 nabla nabla R), converted to the frame only
-    at the rows some block reads (``_frame_cuts``).  Every block has a
-    leading node axis (the rank-0 blocks ``Ric00`` and ``S`` are (N,)
-    arrays); a failure is the first failing node's error.  The blocks are
-    copies, so no coordinate tensor outlives the call.
+    curvature needs: the metric jets handed in place of the spec are of that
+    order (``assemble_coordinate_metric``).  A block's signature picks its
+    tensor by its length (0 S, 2 Ric, 4 R, 5 nabla R, 6 nabla nabla R),
+    converted to the frame only at the rows some block reads
+    (``_frame_cuts``).  Every block has a leading node axis (the rank-0
+    blocks ``Ric00`` and ``S`` are (N,) arrays); a failure is the first
+    failing node's error.  The blocks are copies, so no coordinate tensor
+    outlives the call.
     """
-    cm = assemble_coordinate_metric(spec, p, depth + 2)
+    assert not isinstance(metric, ChartJets) or metric.order == depth + 2
+    cm = assemble_coordinate_metric(metric, p, depth + 2)
     cc = coordinate_curvature(cm, depth)
     tensors = {0: (cc.S, 0), 2: (cc.Ric, 0), 4: (cc.R, 1), 5: (cc.dR, 1), 6: (cc.d2R, 1)}
     blocks = {}

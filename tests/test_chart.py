@@ -170,7 +170,11 @@ def test_frame_inner_products_random_spec():
     fr = cm.frame
     eT = np.swapaxes(fr.e, 1, 2)
     table = fr.e @ G @ eT
-    assert np.max(np.abs(table - fr.frame_metric())) < 1e-12
+    # g(E_0, E_1) = -1, g(E_i, E_j) = g_ij, and every other pair is orthogonal
+    expected = np.zeros_like(table)
+    expected[:, 0, 1] = expected[:, 1, 0] = -1.0
+    expected[:, 2:, 2:] = fr.g_leaf
+    assert np.max(np.abs(table - expected)) < 1e-12
     # duality between frame and coframe
     assert np.max(np.abs(fr.theta @ eT - np.eye(spec.n))) < 1e-12
 

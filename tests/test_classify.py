@@ -3,6 +3,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from brinkmann import classify, curvature
+from brinkmann.chart import ChartJets, eval_metric
 from brinkmann.classify import (EngineDisagreement, algebra_lemma_probe,
                                 check_theorem_redu, eisenhart_split, evaluate_samples,
                                 extract_A_tilde, gbar_eigh, sample_points, symmetry_order)
@@ -344,3 +346,51 @@ def test_check_theorem_redu_refuses_depth_zero_evaluations():
     with pytest.raises(ValueError, match=r"^check_theorem_redu needs evaluations of depth >= 1 "
                                          r"\(got depth 0\)"):
         check_theorem_redu(evals)
+
+
+@pytest.mark.parametrize("path", sorted(METRICS.glob("*.metric")), ids=lambda path: path.stem)
+def test_the_oracle_on_the_engine_metric_jets_gives_the_bytes_of_its_own(path, monkeypatch):
+    # evaluate_samples hands each oracle sub-stack its rows of the engine's
+    # metric jets, truncated to order 3 at depth 1; an oracle that runs its
+    # own eval_metric on each sub-stack (one point each at n = 6) must give
+    # the same bytes
+    spec = load_metric_file(str(path))
+    own, handed = classify.frame_blocks_from_oracle, []
+
+    def oracle(share: bool):
+        def run(metric, p=None, depth=2):
+            handed.append(isinstance(metric, ChartJets) and p is None)
+            return own(metric if share else metric.spec, None if share else metric.point, depth)
+        return run
+
+    for depth in (0, 1, 2):
+        monkeypatch.setattr(classify, "frame_blocks_from_oracle", oracle(True))
+        shared = evaluate_samples(spec, depth=depth)
+        monkeypatch.setattr(classify, "frame_blocks_from_oracle", oracle(False))
+        alone = evaluate_samples(spec, depth=depth)
+        for name in ("blocks", "oracle", "agreement"):
+            got, ref = getattr(shared, name), getattr(alone, name)
+            assert list(got) == list(ref)
+            for key, value in got.items():
+                assert value.shape == ref[key].shape and value.tobytes() == ref[key].tobytes(), \
+                    (depth, name, key)
+    assert handed and all(handed)
+    if spec.n == 6:
+        assert len(handed) == 2 * 3 * len(sample_points(spec))
+
+
+def test_the_engine_leaves_the_metric_jets_it_shares_unchanged(monkeypatch):
+    made = []
+
+    def recorded(spec, p, order):
+        cj = eval_metric(spec, p, order)
+        made.append((cj, cj.fields.tobytes()))
+        return cj
+
+    monkeypatch.setattr(curvature, "eval_metric", recorded)
+    evaluate_samples(load_metric_file(str(METRICS / "cw6_order2.metric")), depth=2)
+    (cj, before), = made
+    assert not any(a.flags.writeable for a in (cj.fields, cj.H.data, cj.W.data, cj.g.data))
+    assert cj.fields.tobytes() == before
+    with pytest.raises(ValueError, match="read-only"):
+        cj.g.data[..., 0] += 1.0

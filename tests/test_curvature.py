@@ -280,3 +280,31 @@ def test_default_order_matches_order_5(name, depth):
     for key, val in values.items():
         ref = np.asarray(high.blocks[key] if key in high.blocks else getattr(high, key))
         assert np.all(np.abs(np.asarray(val) - ref) <= 1e-13 * (1.0 + np.abs(ref))), key
+
+
+def test_derivative_operators_write_no_operand():
+    # the connection sums accumulate in place, into a copy: each operand,
+    # a truncated view of it included, keeps its bytes
+    from brinkmann.oracle import _cov_deriv
+
+    rng = np.random.default_rng(8)
+    N, m, n = 3, 3, 5
+
+    def jet(order, *shape):
+        ctx = jets.context(m + 1, order)
+        return Jet(ctx, rng.normal(size=(N,) + shape + (ctx.ncoeffs,)))
+
+    calls = []
+    for order_T, order_conn in ((4, 4), (4, 2), (2, 4)):
+        for rank in (1, 2, 4):
+            T = jet(order_T, *(m,) * rank)
+            calls.append((leaf_grad, T, jet(order_conn, m, m, m)))
+            calls.append((d0_op, T, jet(order_conn, m, m)))
+        for rank in (2, 4, 5) if order_conn >= order_T - 1 else ():   # Gamma outlasts dT
+            calls.append((lambda T, nup, Gamma: _cov_deriv(T, nup, Gamma, n),
+                          jet(order_T, *(n,) * rank), jet(order_conn, n, n, n)))
+    for op, T, conn in calls:
+        before = T.data.tobytes(), conn.data.tobytes()
+        out = op(T, 1, conn)
+        assert (T.data.tobytes(), conn.data.tobytes()) == before, op
+        assert not np.shares_memory(out.data, T.data) and not np.shares_memory(out.data, conn.data)

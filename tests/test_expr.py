@@ -326,6 +326,17 @@ def test_compiled_tape_keeps_the_bits_of_overflow():
         _assert_compiled_equals_eval_jet(tape, 3, (1.0, 0.5, 0.25))
 
 
+def test_compiled_taylor_keeps_an_overflowed_coefficient_free_of_nan():
+    # the compiled taylor, like Jet._compose, never multiplies c1 by the zero
+    # value of a - a0, so an overflowed c1 leaves its partials inf, not NaN
+    tape = E.Tape([E.parse(text, 4) for text in
+                   ["exp(720 * u)", "exp(800 * u + u * x2)", "sin(exp(800 * u)) * x3"]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_compiled_equals_eval_jet(tape, 3, (1.0, 0.5, 0.25))
+        # value, then the partials along x3 (outside the support), x2 and u
+        assert tape.compiled(3)((1.0, 0.5, 0.25))[1] == (math.inf, 0.0, math.inf, math.inf)
+
+
 @pytest.mark.parametrize("texts, point", [
     (["u", "sqrt(x2) + 1", "sin(u) / x2"], (0.3, 0.0, 0.0)),
     (["u", "sqrt(x2) + 1", "sin(u) / x2"], (0.3, -1.0, 0.0)),

@@ -72,6 +72,46 @@ def test_exp_overflow_keeps_an_infinite_value():
             assert J.exp(800 * J.seed(0, 1.0, 1, order)).value() == math.inf
 
 
+def test_compose_never_multiplies_by_the_zero_value_of_self_minus_value():
+    # Horner multiplies by x - x0, whose value coefficient is zero by
+    # construction; inf * that zero made every coefficient past the value NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale in (720, 800):
+            for order in (1, 2, 3):
+                data = J.exp(scale * J.seed(0, 1.0, 1, order)).data
+                # from u^2 on, the seed's own zero coefficients still meet inf
+                assert data[0] == data[1] == math.inf, (scale, order)
+        s = J.seed(0, 1.0, 1, 2)
+        assert np.all(J.exp(800 * s + s * s).data == math.inf)
+    for nv, order in ((1, 3), (3, 2)):
+        ctx = J.context(nv, order)
+        for sa in range(1 << nv):
+            for sb in range(1 << nv):
+                ka, kb, ko = ctx.mul_pairs(sa, sb)
+                got = ctx.mul_pairs(sa, sb, centered=True)
+                keep = kb != 0
+                assert all(np.array_equal(g, k[keep]) for g, k in zip(got, (ka, kb, ko)))
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (40,)])   # bincount and row products
+@pytest.mark.parametrize("name", ["exp", "sin", "cos", "sqrt", "reciprocal"])
+def test_a_composition_truncates_to_the_composition_at_the_lower_order(name, batch):
+    # what lets the oracle read the rows of the engine's higher-order metric jets
+    rng = np.random.default_rng(len(name) + len(batch))
+    ctx = J.context(3, 4)
+    data = rng.normal(size=batch + (ctx.ncoeffs,))
+    data[..., 0] = rng.uniform(0.5, 2.0, size=batch)
+    if name == "exp":   # overflowing Taylor coefficients at some entries
+        data[..., 0] *= rng.choice([1.0, 500.0], size=batch)
+    fn = J.Jet.reciprocal if name == "reciprocal" else getattr(J, name)
+    x = J.Jet(ctx, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = fn(x)
+        for order in range(ctx.order):
+            low = fn(x.truncate(order))
+            assert low.data.tobytes() == np.ascontiguousarray(top.truncate(order).data).tobytes()
+
+
 @pytest.mark.parametrize("shape", [(), (3,)])
 def test_pow_int_starts_from_the_base(shape, monkeypatch):
     # x^n is the square-and-multiply product written out, bit for bit, with no

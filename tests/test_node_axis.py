@@ -186,13 +186,30 @@ def test_the_oracle_frame_blocks_on_a_stack_give_the_one_point_results_bitwise(n
                 assert all(b[key].shape == (1,) for b in single), key
 
 
+@pytest.mark.parametrize("name, make", SPECS, ids=[name for name, _ in SPECS])
+def test_rows_of_stacked_metric_jets_are_the_sub_stack_jets_bitwise(name, make):
+    # what lets the oracle read the engine's metric jets: rows and a lower order
+    # cut from an order-4 stack are eval_metric's own at that sub-stack and order
+    spec = make()
+    p = _stack(spec)
+    top = eval_metric(spec, p, 4)
+    for rows in (slice(None), slice(1, 2), slice(0, 2)):
+        for order in range(5):
+            got, ref = top.rows(rows, order), eval_metric(spec, p.rows(rows), order)
+            assert got.order == order and got.point.u.tobytes() == ref.point.u.tobytes()
+            for field in ("fields", "ginv0"):
+                a, b = getattr(got, field), getattr(ref, field)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (rows, order, field)
+            assert not got.fields.flags.writeable
+
+
 @pytest.mark.parametrize("n, count", [(4, 5), (4, 70), (5, 5), (5, 12), (6, 5)])
 def test_the_oracle_runs_on_sub_stacks_sized_by_the_dimension(monkeypatch, n, count):
     sizes = []
 
-    def counted(spec, p, depth=2):
-        sizes.append(len(p))
-        return frame_blocks_from_oracle(spec, p, depth=depth)
+    def counted(metric, p=None, depth=2):
+        sizes.append(len(metric.point))
+        return frame_blocks_from_oracle(metric, p, depth)
 
     monkeypatch.setattr(classify, "frame_blocks_from_oracle", counted)
     spec = random_polynomial_spec(3, n=n)

@@ -162,13 +162,14 @@ def test_to_frame_flat_zero():
 
 
 def test_to_frame_slot_contraction():
-    # converting the metric itself must give the frame inner-product table
+    # converting the metric itself must give the frame inner-product table e G e^T
     spec = random_polynomial_spec(7, n=4)
     p = ChartPoint(0.1, (0.5, -0.2))
     cm = assemble_coordinate_metric(spec, p, 0)
-    ft = to_frame(cm.G.value(), 0, cm.frame, [list(range(4))] * 2)
+    G, e = cm.G.value(), cm.frame.e
+    ft = to_frame(G, 0, cm.frame, [list(range(4))] * 2)
     assert isinstance(ft, np.ndarray) and ft.shape == (1, 4, 4)
-    assert np.max(np.abs(ft - cm.frame.frame_metric())) < 1e-12
+    assert np.max(np.abs(ft - e @ G @ np.swapaxes(e, 1, 2))) < 1e-12
 
 
 def test_master_cross_check_on_random_specs():
